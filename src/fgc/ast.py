@@ -278,49 +278,65 @@ PRIM_ARITY = {
 PRIM_NAMES = ("isnil", "head", "tail", "cons")
 
 
-# ---------------------------------------------------------------- free vars
+# ---------------------------------------------------------------- traversal
 
 
-def free_type_vars(t: Type) -> set:
-    """Free type variable names of ``t`` (variables not bound by a Forall)."""
+def type_children(t) -> tuple:
+    """Immediate sub-terms of a type or constraint: the constraint and body
+    of a constrained type, the type arguments and inner path of an
+    associated-type path, the sides of a same-type constraint.  Raises
+    TypeError on a node that is none of these."""
     match t:
-        case TVar(name):
-            return {name}
-        case IntT() | BoolT():
-            return set()
+        case IntT() | BoolT() | TVar():  # first: most nodes are leaves
+            return ()
         case ListT(elem):
-            return free_type_vars(elem)
+            return (elem,)
         case Arrow(dom, cod):
-            return free_type_vars(dom) | free_type_vars(cod)
-        case Forall(binder, body):
-            return free_type_vars(body) - {binder}
+            return (dom, cod)
+        case Forall(_, body):
+            return (body,)
         case Constrained(constraint, body):
-            return constraint_free_vars(constraint) | free_type_vars(body)
+            return (constraint, body)
         case AssocPath(model, rest):
-            out = set()
-            for a in model.type_args:
-                out |= free_type_vars(a)
             if isinstance(rest, AssocPath):
-                out |= free_type_vars(rest)
-            return out
+                return model.type_args + (rest,)
+            return model.type_args
+        case ConceptC(model):
+            return model.type_args
+        case SameType(lhs, rhs):
+            return (lhs, rhs)
     raise TypeError(f"unexpected type node: {t!r}")
 
 
-def constraint_free_vars(c: Constraint) -> set:
-    match c:
-        case ConceptC(model):
-            out = set()
-            for a in model.type_args:
-                out |= free_type_vars(a)
-            return out
-        case SameType(lhs, rhs):
-            return free_type_vars(lhs) | free_type_vars(rhs)
-    raise TypeError(f"unexpected constraint node: {c!r}")
+def contains_node(t, cls) -> bool:
+    """Whether some node of a type or constraint is an instance of cls."""
+    if isinstance(t, cls):
+        return True
+    for c in type_children(t):
+        if contains_node(c, cls):
+            return True
+    return False
+
+
+def has_path(t) -> bool:
+    """Whether a type or constraint mentions an associated-type path."""
+    return contains_node(t, AssocPath)
+
+
+def free_type_vars(t) -> set:
+    """Free type variable names of a type or constraint (variables not
+    bound by a Forall)."""
+    if isinstance(t, TVar):
+        return {t.name}
+    out = set()
+    for c in type_children(t):
+        out |= free_type_vars(c)
+    if isinstance(t, Forall):
+        out.discard(t.binder)
+    return out
 
 
 # ---------------------------------------------------------------- substitution
-
-_fresh_counter = [0]
 
 
 def fresh_name(base: str, avoid: set) -> str:

@@ -20,7 +20,7 @@ from .elaborate import translate_program
 from .parser import ParseError, parse_program, pretty_type
 from .sysf import DEFAULT_FUEL, Diverged, Stuck, Value, pretty_core, \
     pretty_core_type, sf_eval, sf_typecheck
-from .typecheck import check_program
+from .typecheck import Checker, check_program
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -81,34 +81,37 @@ def _load(path: str):
 
 
 def _parse_and_check(path: str, fmt: str):
-    """Returns (exit_code, tree, type); tree/type are None on failure."""
+    """Returns (exit_code, tree, type, checker); all but the code are None
+    on failure.  The checker holds the derivation translate_program
+    lowers."""
     src = _load(path)
     if src is None:
-        return EXIT_IO_ERROR, None, None
+        return EXIT_IO_ERROR, None, None, None
     try:
         tree = parse_program(src, path)
     except ParseError as exc:
         _print_diagnostics(exc.diagnostics, fmt)
-        return EXIT_PARSE_ERROR, None, None
-    result = check_program(tree)
+        return EXIT_PARSE_ERROR, None, None, None
+    checker = Checker()
+    result = check_program(tree, checker)
     if isinstance(result, list):
         _print_diagnostics(result, fmt)
-        return EXIT_TYPE_ERROR, tree, None
-    return EXIT_OK, tree, result
+        return EXIT_TYPE_ERROR, None, None, None
+    return EXIT_OK, tree, result, checker
 
 
 def cmd_check(args) -> int:
-    code, _, ty = _parse_and_check(args.file, args.format)
+    code, _, ty, _ = _parse_and_check(args.file, args.format)
     if code == EXIT_OK:
         print(pretty_type(ty))
     return code
 
 
 def cmd_run(args) -> int:
-    code, tree, _ = _parse_and_check(args.file, args.format)
+    code, tree, _, checker = _parse_and_check(args.file, args.format)
     if code != EXIT_OK:
         return code
-    outcome = sf_eval(translate_program(tree), args.fuel)
+    outcome = sf_eval(translate_program(tree, checker), args.fuel)
     match outcome:
         case Value(v):
             if isinstance(v, bool):
@@ -129,10 +132,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_emit_core(args) -> int:
-    code, tree, _ = _parse_and_check(args.file, args.format)
+    code, tree, _, checker = _parse_and_check(args.file, args.format)
     if code != EXIT_OK:
         return code
-    core = translate_program(tree)
+    core = translate_program(tree, checker)
     print(pretty_core(core))
     if args.verify:
         print(f"core: {pretty_core_type(sf_typecheck(core))}")

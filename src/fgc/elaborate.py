@@ -1,16 +1,23 @@
 """Dictionary-passing translation into the System F core.
 
+The translation is defined on the typing derivation (Γ ⊢ e : τ ⇝ f): it
+lowers the decisions the checker recorded while deriving the program's
+type (see `typecheck`) and derives no type itself.
+
 Each concept constraint becomes a tuple ("dictionary") holding the
 dictionaries of its nested constraints followed by its member
 implementations, in declaration order.  Associated types of an assumed
-constraint become extra universal type parameters; at a discharge site they
-are instantiated with the model's bindings and the model's let-bound
-dictionary is passed.  Same-type constraints erase: every emitted core type
-is first canonicalized through the congruence closure, so core structural
-equality coincides with provable surface equality.
-
-The module also contains a direct big-step interpreter over the surface
-language, used only as a differential-testing oracle for the translation.
+constraint become extra universal type parameters, unless the constraint's
+own same-type members pin them to a path-free type; the dictionary type is
+built with the same-type constraints of the constraint prefix assumed, so a
+member whose type mentions a path the prefix pins gets the pinned type.
+Where the checker eliminated a constraint, they are instantiated and the
+in-scope dictionary is passed; where it stripped a satisfied constraint off
+an expected type, the translation takes a dictionary parameter that the
+body does not need.
+Same-type constraints erase: every emitted core type is first
+canonicalized through the congruence closure, so core structural equality
+coincides with provable surface equality.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .ast import (
     ConceptDecl,
     Constrained,
     ConstrainedE,
-    Constraint,
     Expr,
     Fix,
     Forall,
@@ -48,23 +54,17 @@ from .ast import (
     TyLam,
     Type,
     TypeAlias,
-    alpha_equal,
+    has_path,
     substitute_constraint,
-    substitute_type,
     substitute_type_map,
 )
 from .env import (
     ConceptEntry,
     ConstraintEntry,
     Env,
-    ModelEntry,
-    TermBind,
     TypeEq,
-    TypeVarBind,
     concept_subst,
     flat,
-    lookup_path,
-    satisfies,
 )
 from .parser import pretty_constraint, pretty_type
 from .sysf import (
@@ -130,9 +130,21 @@ class ElabCtx:
         return ElabCtx(self.tscope, self.vscope + (("dict", constraint),))
 
 
+def _pins(t: Type) -> tuple:
+    """The same-type constraints among the leading constraints of t."""
+    out = []
+    while isinstance(t, Constrained):
+        if isinstance(t.constraint, SameType):
+            out.append(t.constraint)
+        t = t.body
+    return tuple(out)
+
+
 class Elaborator:
-    def __init__(self):
-        self.checker = Checker()
+    """Lowers a derivation recorded by `checker`, reusing its closures."""
+
+    def __init__(self, checker: Checker):
+        self.checker = checker
 
     def closure(self, env: Env) -> ClosureState:
         return self.checker.closure(env)
@@ -144,7 +156,8 @@ class Elaborator:
         type parameters, in deterministic order.  A path pinned to a
         path-free type by the constraint's own same-type members is not
         abstracted.  The decision depends only on the concept table, so
-        introduction and discharge sites agree."""
+        introduction, discharge and type conversion agree however the
+        type around the constraint was canonicalized."""
         expanded = flat(env, c)
         eqs = [(fc.lhs, fc.rhs) for fc in expanded
                if isinstance(fc, SameType)]
@@ -157,8 +170,7 @@ class Elaborator:
             for beta in info.assoc_types:
                 p = AssocPath(fc.model, beta)
                 try:
-                    rep = st.canonical(p)
-                    pinned = not _mentions_path(rep)
+                    pinned = not has_path(st.canonical(p))
                 except NoRepresentativeError:
                     pinned = False
                 if pinned:
@@ -167,6 +179,18 @@ class Elaborator:
                     continue
                 params.append(p)
         return tuple(params)
+
+    def _assume(self, env: Env, ctx: ElabCtx, c: ConceptC, pins: tuple):
+        """Enter an assumed concept constraint: the environment extended
+        with flat(c), the context with the abstracted associated types,
+        the dictionary type (built with the prefix's same-type constraints
+        `pins` assumed), and the number of type parameters."""
+        plan = self.abstraction_plan(env, c)
+        env2 = env.push_all(ConstraintEntry(fc) for fc in flat(env, c))
+        ctx2 = ctx.bind_assocs(plan)
+        dict_ty = self.dict_type(
+            env2.push_all(ConstraintEntry(p) for p in pins), ctx2, c.model)
+        return env2, ctx2, dict_ty, len(plan)
 
     def conv(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
         """Surface type to core type, canonicalized through the closure."""
@@ -214,13 +238,10 @@ class Elaborator:
                 if isinstance(constraint, SameType):
                     env2 = env.push(ConstraintEntry(constraint))
                     return self.conv(env2, ctx, body)
-                plan = self.abstraction_plan(env, constraint)
-                env2 = env.push_all(
-                    ConstraintEntry(fc) for fc in flat(env, constraint))
-                ctx2 = ctx.bind_assocs(plan)
-                dict_ty = self.dict_type(env2, ctx2, constraint.model)
+                env2, ctx2, dict_ty, n = self._assume(env, ctx, constraint,
+                                                      _pins(body))
                 out = CArrow(dict_ty, self.conv(env2, ctx2, body))
-                for _ in plan:
+                for _ in range(n):
                     out = CForall(out)
                 return out
         raise ElabError(f"unexpected type node: {t!r}")
@@ -279,239 +300,112 @@ class Elaborator:
 
     # ------------------------------------------------------------ terms
 
-    def discharge(self, env: Env, ctx: ElabCtx, t: Type, core: CoreTerm):
-        """Eliminate satisfied constraints at the term level: instantiate
-        the abstracted associated types and pass the dictionary."""
-        st = self.closure(env)
-        while isinstance(t, Constrained) and satisfies(env, t.constraint, st):
+    def lower(self, env: Env, ctx: ElabCtx, e: Expr) -> CoreTerm:
+        """The core term of a checked expression, under dictionary
+        parameters for the constraints stripped off the type it was
+        checked against."""
+        if id(e) in self.checker.wrap:
+            t, rest = self.checker.wrap[id(e)]
+            return self._wrap(env, ctx, e, t, rest)
+        return self._lower_use(env, ctx, e)
+
+    def _lower_use(self, env: Env, ctx: ElabCtx, e: Expr) -> CoreTerm:
+        """The translation of e itself, applied to the evidence for the
+        constraints eliminated at its use."""
+        lower = self.lower
+        match e:
+            case IntLit(value):
+                core = CIntLit(value)
+            case BoolLit(value):
+                core = CBoolLit(value)
+            case PathE((), name):
+                core = self._var(ctx, name)
+            case PathE(prefix, name):
+                core = self._elab_path(env, ctx, prefix, name)
+            case Lam(param, ann, body):
+                dom = ann if ann is not None else self.checker.types[id(e)]
+                core = CLam(self.conv(env, ctx, dom),
+                            lower(env, ctx.bind_term(param), body))
+            case App(fn, arg):
+                core = CApp(lower(env, ctx, fn), lower(env, ctx, arg))
+            case TyLam(binder, body):
+                core = CTyLam(lower(env, ctx.bind_tyvar(binder), body))
+            case TyApp(subject, arg):
+                core = CTyApp(lower(env, ctx, subject),
+                              self.conv(env, ctx, arg))
+            case ConstrainedE(SameType() as c, body):
+                core = lower(env.push(ConstraintEntry(c)), ctx, body)
+            case ConstrainedE(c, body):
+                env2, ctx2, dict_ty, n = self._assume(
+                    env, ctx, c, _pins(self.checker.types[id(e)]))
+                core = CLam(dict_ty, lower(env2, ctx2.bind_dict(c), body))
+                for _ in range(n):
+                    core = CTyLam(core)
+            case ConceptDecl(info, rest):
+                core = lower(env.push(ConceptEntry(info)), ctx, rest)
+            case ModelDecl(info, rest):
+                core = self._lower_model(env, ctx, info, rest)
+            case TypeAlias(name, rhs, rest):
+                core = lower(env.push(TypeEq(TVar(name), rhs)), ctx, rest)
+            case Let(name, bound, rest):
+                tb = self.checker.types[id(e)]
+                core = CApp(CLam(self.conv(env, ctx, tb),
+                                 lower(env, ctx.bind_term(name), rest)),
+                            lower(env, ctx, bound))
+            case Fix(body):
+                core = CFix(lower(env, ctx, body))
+            case If(cond, thn, els):
+                core = CIf(lower(env, ctx, cond), lower(env, ctx, thn),
+                           lower(env, ctx, els))
+            case ListLit(elems, elem_type):
+                cores = [lower(env, ctx, x) for x in elems]
+                t0 = self.checker.types[id(e)] if elems else elem_type
+                core = CNil(self.conv(env, ctx, t0))
+                for cx in reversed(cores):
+                    core = CCons(cx, core)
+            case Prim(op, args):
+                cores = tuple(lower(env, ctx, a) for a in args)
+                core = CCons(*cores) if op == "cons" else CPrim(op, cores)
+            case _:
+                raise ElabError(f"unexpected expression node: {e!r}")
+        if id(e) in self.checker.elim:
+            t, rest = self.checker.elim[id(e)]
+            core = self._eliminate(env, ctx, t, rest, core)
+        return core
+
+    def _var(self, ctx: ElabCtx, name: str) -> CoreTerm:
+        for i, entry in enumerate(reversed(ctx.vscope)):
+            if entry == ("term", name):
+                return CVar(i)
+        raise ElabError(f"variable {name!r} not in scope")
+
+    def _eliminate(self, env, ctx, t: Type, rest: Type, core: CoreTerm):
+        """Discharge the constraints of t in front of its part `rest` at
+        the term level: instantiate the abstracted associated types, pass
+        the dictionary."""
+        while t is not rest:
             c = t.constraint
             if isinstance(c, ConceptC):
                 for p in self.abstraction_plan(env, c):
                     core = CTyApp(core, self.conv(env, ctx, p))
                 core = CApp(core, self.build_dict(env, ctx, c))
             t = t.body
-        return t, core
+        return core
 
-    def _shape(self, env: Env, t: Type, want):
-        if isinstance(t, want):
-            return t
-        try:
-            c = self.closure(env).canonical(t)
-        except NoRepresentativeError:
-            return None
-        return c if isinstance(c, want) else None
-
-    def elab(self, env: Env, ctx: ElabCtx, e: Expr):
-        """Re-infer and translate a checked expression; returns the pair
-        of its surface type and core term."""
-        match e:
-            case IntLit(value):
-                return IntT(), CIntLit(value)
-            case BoolLit(value):
-                return BoolT(), CBoolLit(value)
-            case PathE(prefix, name):
-                t = lookup_path(env, prefix, name)
-                if not prefix:
-                    for i, entry in enumerate(reversed(ctx.vscope)):
-                        if entry == ("term", name):
-                            return t, CVar(i)
-                    raise ElabError(f"variable {name!r} not in scope")
-                return t, self._elab_path(env, ctx, prefix, name)
-            case Lam(param, ann, body):
-                if ann is None:
-                    raise ElabError("unannotated lambda outside checking "
-                                    "position")
-                tb, cb = self.elab(env.push(TermBind(param, ann)),
-                                   ctx.bind_term(param), body)
-                return Arrow(ann, tb), CLam(self.conv(env, ctx, ann), cb)
-            case App(fn, arg):
-                tf, cf = self.elab(env, ctx, fn)
-                tf, cf = self.discharge(env, ctx, tf, cf)
-                arrow = self._shape(env, tf, Arrow)
-                if arrow is None:
-                    raise ElabError("applied a non-function")
-                ta, ca = self.elab(env, ctx, arg)
-                if not self.checker.equal(env, arrow.dom, ta):
-                    ta, ca = self.discharge(env, ctx, ta, ca)
-                return arrow.cod, CApp(cf, ca)
-            case TyLam(binder, body):
-                tb, cb = self.elab(env.push(TypeVarBind(binder)),
-                                   ctx.bind_tyvar(binder), body)
-                return Forall(binder, tb), CTyLam(cb)
-            case TyApp(subject, arg):
-                ts, cs = self.elab(env, ctx, subject)
-                ts, cs = self.discharge(env, ctx, ts, cs)
-                fa = self._shape(env, ts, Forall)
-                if fa is None:
-                    raise ElabError("instantiated a non-universal")
-                t = substitute_type(fa.body, fa.binder, arg)
-                return t, CTyApp(cs, self.conv(env, ctx, arg))
-            case ConstrainedE(constraint, body):
-                return self._elab_intro(env, ctx, constraint, body, None)
-            case ConceptDecl(info, rest):
-                return self.elab(env.push(ConceptEntry(info)), ctx, rest)
-            case ModelDecl(info, rest):
-                return self._elab_model(env, ctx, info, rest)
-            case TypeAlias(name, rhs, rest):
-                t, c = self.elab(env.push(TypeEq(TVar(name), rhs)), ctx, rest)
-                return substitute_type(t, name, rhs), c
-            case Let(name, bound, rest):
-                tb, cb = self.elab(env, ctx, bound)
-                tr, cr = self.elab(env.push(TermBind(name, tb)),
-                                   ctx.bind_term(name), rest)
-                return tr, CApp(CLam(self.conv(env, ctx, tb), cr), cb)
-            case Fix(body):
-                tb, cb = self.elab(env, ctx, body)
-                tb, cb = self.discharge(env, ctx, tb, cb)
-                arrow = self._shape(env, tb, Arrow)
-                if arrow is None:
-                    raise ElabError("fix of a non-function")
-                return arrow.dom, CFix(cb)
-            case If(cond, thn, els):
-                _, cc = self._elab_discharged(env, ctx, cond)
-                tt, ct = self.elab(env, ctx, thn)
-                te, ce = self.elab(env, ctx, els)
-                if not self.checker.equal(env, tt, te):
-                    tt, ct = self.discharge(env, ctx, tt, ct)
-                    te, ce = self.discharge(env, ctx, te, ce)
-                return tt, CIf(cc, ct, ce)
-            case ListLit(elems, elem_type):
-                if not elems:
-                    return (ListT(elem_type),
-                            CNil(self.conv(env, ctx, elem_type)))
-                pairs = [self._elab_discharged(env, ctx, x) for x in elems]
-                t0 = pairs[0][0]
-                out = CNil(self.conv(env, ctx, t0))
-                for _, cx in reversed(pairs):
-                    out = CCons(cx, out)
-                return ListT(t0), out
-            case Prim(op, args):
-                return self._elab_prim(env, ctx, op, args)
-        raise ElabError(f"unexpected expression node: {e!r}")
-
-    def _elab_discharged(self, env, ctx, e):
-        t, c = self.elab(env, ctx, e)
-        return self.discharge(env, ctx, t, c)
-
-    def _elab_prim(self, env, ctx, op, args):
-        pairs = [self._elab_discharged(env, ctx, a) for a in args]
-        cores = tuple(c for _, c in pairs)
-        if op in ("+", "-", "*"):
-            return IntT(), CPrim(op, cores)
-        if op in ("<", "=="):
-            return BoolT(), CPrim(op, cores)
-        if op == "isnil":
-            return BoolT(), CPrim(op, cores)
-        if op in ("head", "tail"):
-            lst = self._shape(env, pairs[0][0], ListT)
-            if lst is None:
-                raise ElabError(f"{op} of a non-list")
-            return (lst.elem if op == "head" else lst), CPrim(op, cores)
-        if op == "cons":
-            return ListT(pairs[0][0]), CCons(cores[0], cores[1])
-        raise ElabError(f"unknown primitive {op!r}")
-
-    def _elab_intro(self, env, ctx, constraint, body, expected):
-        """Translate a constraint introduction: type abstractions for the
-        associated types, then a lambda over the dictionary.  With
-        `expected` set, the body is elaborated in checking mode."""
-        if isinstance(constraint, SameType):
-            env2 = env.push_all(
-                ConstraintEntry(fc) for fc in flat(env, constraint))
-            if expected is None:
-                tb, cb = self.elab(env2, ctx, body)
-                return Constrained(constraint, tb), cb
-            return self.elab_check(env2, ctx, body, expected)
-        plan = self.abstraction_plan(env, constraint)
-        env2 = env.push_all(
-            ConstraintEntry(fc) for fc in flat(env, constraint))
-        ctx2 = ctx.bind_assocs(plan)
-        dict_ty = self.dict_type(env2, ctx2, constraint.model)
-        ctx3 = ctx2.bind_dict(constraint)
-        if expected is None:
-            tb, cb = self.elab(env2, ctx3, body)
-        else:
-            tb, cb = expected, self.elab_check(env2, ctx3, body, expected)
-        out = CLam(dict_ty, cb)
-        for _ in plan:
-            out = CTyLam(out)
-        if expected is None:
-            return Constrained(constraint, tb), out
-        return out
-
-    def elab_check(self, env: Env, ctx: ElabCtx, e: Expr,
-                   expected: Type) -> CoreTerm:
-        """Checking-mode translation, mirroring the checker: unannotated
-        lambdas take their domain from the expected type, and a plain body
-        checked against a satisfied constrained type is wrapped in a
-        dictionary abstraction that ignores its argument."""
-        match e:
-            case Lam(param, ann, body):
-                arrow = self._shape_discharging_expected(env, expected, Arrow)
-                if arrow is not None:
-                    dom = ann if ann is not None else arrow.dom
-                    cb = self.elab_check(env.push(TermBind(param, dom)),
-                                         ctx.bind_term(param), body,
-                                         arrow.cod)
-                    return CLam(self.conv(env, ctx, dom), cb)
-            case TyLam(binder, body):
-                fa = self._shape_discharging_expected(env, expected, Forall)
-                if fa is not None:
-                    inner = substitute_type(fa.body, fa.binder, TVar(binder))
-                    cb = self.elab_check(env.push(TypeVarBind(binder)),
-                                         ctx.bind_tyvar(binder), body, inner)
-                    return CTyLam(cb)
-            case ConstrainedE(constraint, body):
-                if isinstance(expected, Constrained) and self.closure(
-                        env).constraints_equal(constraint,
-                                               expected.constraint):
-                    return self._elab_intro(env, ctx, constraint, body,
-                                            expected.body)
-            case If(cond, thn, els):
-                _, cc = self._elab_discharged(env, ctx, cond)
-                ct = self.elab_check(env, ctx, thn, expected)
-                ce = self.elab_check(env, ctx, els, expected)
-                return CIf(cc, ct, ce)
-            case Let(name, bound, rest):
-                tb, cb = self.elab(env, ctx, bound)
-                cr = self.elab_check(env.push(TermBind(name, tb)),
-                                     ctx.bind_term(name), rest, expected)
-                return CApp(CLam(self.conv(env, ctx, tb), cr), cb)
-        # fall through: infer, then reconcile with the expected type
-        t, c = self.elab(env, ctx, e)
-        if self.checker.equal(env, t, expected):
-            return c
-        t, c = self.discharge(env, ctx, t, c)
-        if self.checker.equal(env, t, expected):
-            return c
-        exp2 = self._shape(env, expected, Constrained)
-        if exp2 is not None and satisfies(env, exp2.constraint,
-                                          self.closure(env)):
-            # wrap a plain value as a constrained one; the evidence
-            # parameter is ignored because the body already resolved its
-            # uses against the in-scope models
-            return self._wrap_ignoring(env, ctx, e, exp2)
-        raise ElabError("checking-mode type mismatch")
-
-    def _shape_discharging_expected(self, env, expected, want):
-        # expected types may carry satisfied constraints in front; they
-        # contribute no core structure at this site (see _wrap_ignoring
-        # for the case where they do)
-        if isinstance(expected, want):
-            return expected
-        return self._shape(env, expected, want)
-
-    def _wrap_ignoring(self, env, ctx, e, expected: Constrained):
-        c = expected.constraint
+    def _wrap(self, env, ctx, e: Expr, t: Type, rest: Type) -> CoreTerm:
+        """Lower e under a dictionary abstraction for each constraint of
+        its expected type t in front of its part `rest`.  The checker
+        found them satisfied in scope, so e needs no evidence from
+        outside; the parameters give the term the core image of t."""
+        if t is rest:
+            return self._lower_use(env, ctx, e)
+        c = t.constraint
         if isinstance(c, SameType):
-            return self.elab_check(env, ctx, e, expected.body)
-        plan = self.abstraction_plan(env, c)
-        env2 = env.push_all(ConstraintEntry(fc) for fc in flat(env, c))
-        ctx2 = ctx.bind_assocs(plan)
-        dict_ty = self.dict_type(env2, ctx2, c.model)
-        cb = self.elab_check(env2, ctx2.bind_dict(c), e, expected.body)
-        out = CLam(dict_ty, cb)
-        for _ in plan:
+            return self._wrap(env, ctx, e, t.body, rest)
+        env2, ctx2, dict_ty, k = self._assume(env, ctx, c, _pins(t.body))
+        out = CLam(dict_ty, self._wrap(env2, ctx2.bind_dict(c), e, t.body,
+                                       rest))
+        for _ in range(k):
             out = CTyLam(out)
         return out
 
@@ -546,366 +440,37 @@ class Elaborator:
                 out = CProj(out, n_nested + names.index(name))
         return out
 
-    def _elab_model(self, env, ctx, info, rest):
+    def _lower_model(self, env, ctx, info, rest) -> CoreTerm:
         cinfo = env.find_concept(info.concept)
         mid = ModelId(info.concept, info.type_args)
-        env2 = env.push(ModelEntry(mid, info))
-        for b, t in info.assoc_binds:
-            env2 = env2.push(TypeEq(AssocPath(mid, b), t))
         # the dictionary value: nested-constraint dictionaries first,
         # then member implementations in concept declaration order
         sigma = dict(zip(cinfo.type_params, info.type_args))
-        for b, t in info.assoc_binds:
-            sigma[b] = t
+        sigma.update(info.assoc_binds)
         slots = []
         for nc in cinfo.nested:
             nc2 = substitute_constraint(nc, sigma)
             if isinstance(nc2, ConceptC):
                 slots.append(self.build_dict(env, ctx, nc2))
         bound = dict(info.member_binds)
-        for mname, mty in cinfo.members:
-            expected = substitute_type_map(mty, sigma)
-            slots.append(self.elab_check(env2, ctx, bound[mname], expected))
-        dict_val = CTup(tuple(slots))
+        for mname, _ in cinfo.members:
+            slots.append(self.lower(env, ctx, bound[mname]))
+        env2 = env.push_all(TypeEq(AssocPath(mid, b), t)
+                            for b, t in info.assoc_binds)
         dict_ty = self.dict_type(env2, ctx, mid)
-        ctx2 = ctx.bind_dict(ConceptC(mid))
-        t, c = self.elab(env2, ctx2, rest)
-        if _mentions_path(t):
-            try:
-                t = self.closure(env2).canonical(t)
-            except NoRepresentativeError:
-                pass
-        return t, CApp(CLam(dict_ty, c), dict_val)
-
-
-def _mentions_path(t: Type) -> bool:
-    match t:
-        case AssocPath():
-            return True
-        case IntT() | BoolT() | TVar():
-            return False
-        case ListT(elem):
-            return _mentions_path(elem)
-        case Arrow(dom, cod):
-            return _mentions_path(dom) or _mentions_path(cod)
-        case Forall(_, body):
-            return _mentions_path(body)
-        case Constrained(constraint, body):
-            return (_constraint_mentions_path(constraint)
-                    or _mentions_path(body))
-    raise TypeError(f"unexpected type node: {t!r}")
-
-
-def _constraint_mentions_path(c: Constraint) -> bool:
-    match c:
-        case ConceptC(model):
-            return any(_mentions_path(a) for a in model.type_args)
-        case SameType(lhs, rhs):
-            return _mentions_path(lhs) or _mentions_path(rhs)
-    raise TypeError(f"unexpected constraint node: {c!r}")
+        body = self.lower(env2, ctx.bind_dict(ConceptC(mid)), rest)
+        return CApp(CLam(dict_ty, body), CTup(tuple(slots)))
 
 
 # ---------------------------------------------------------------- drivers
 
 
-def translate_program(e: Expr) -> CoreTerm:
-    """Core term for a checked whole program."""
-    _, core = Elaborator().elab(Env(), ElabCtx(), e)
-    return core
+def translate_program(e: Expr, checker: Checker) -> CoreTerm:
+    """Core term for a whole program whose derivation `checker` recorded
+    in a successful `typecheck.check_program(e, checker)`."""
+    return Elaborator(checker).lower(Env(), ElabCtx(), e)
 
 
-def translate_expr(env: Env, e: Expr):
-    """(surface type, core term) for a checked expression."""
-    return Elaborator().elab(env, ElabCtx(), e)
-
-
-def translate_type(env: Env, t: Type) -> CoreType:
+def translate_type(env: Env, t: Type, checker: Checker) -> CoreType:
     """Core image of a surface type under the given environment."""
-    return Elaborator().conv(env, ElabCtx(), t)
-
-
-# ================================================================ oracle
-#
-# A direct big-step interpreter over the surface language, used only to
-# cross-check the translation.  Types are data at this level: model
-# resolution substitutes the current type bindings into the model
-# identifier and normalizes associated-type paths before matching.
-
-
-class OracleTimeout(Exception):
-    pass
-
-
-class _OracleDiverge(Exception):
-    """Raised for runtime-partial operations (head/tail of nil), which the
-    core renders as divergence."""
-
-
-@dataclass
-class _Closure:
-    param: str
-    body: Expr
-    env: dict
-    tyenv: dict
-    models: tuple
-
-
-@dataclass
-class _TyClosure:
-    binder: str
-    body: Expr
-    env: dict
-    tyenv: dict
-    models: tuple
-
-
-@dataclass
-class _ConstrainedThunk:
-    constraint: Constraint
-    body: Expr
-    env: dict
-    tyenv: dict
-    models: tuple
-
-
-class _Indirection:
-    __slots__ = ("target",)
-
-    def __init__(self):
-        self.target = None
-
-
-class _Oracle:
-    def __init__(self, fuel: int):
-        self.fuel = fuel
-
-    def tick(self):
-        self.fuel -= 1
-        if self.fuel < 0:
-            raise OracleTimeout()
-
-    # -- runtime type normalization
-
-    def norm_type(self, t: Type, tyenv: dict, models: tuple) -> Type:
-        match t:
-            case TVar(name):
-                if name in tyenv:
-                    return tyenv[name]
-                return t
-            case IntT() | BoolT():
-                return t
-            case ListT(elem):
-                return ListT(self.norm_type(elem, tyenv, models))
-            case Arrow(dom, cod):
-                return Arrow(self.norm_type(dom, tyenv, models),
-                             self.norm_type(cod, tyenv, models))
-            case Forall(binder, body):
-                inner = {k: v for k, v in tyenv.items() if k != binder}
-                return Forall(binder, self.norm_type(body, inner, models))
-            case Constrained(constraint, body):
-                return Constrained(
-                    self.norm_constraint(constraint, tyenv, models),
-                    self.norm_type(body, tyenv, models))
-            case AssocPath(model, rest):
-                mid = self.norm_mid(model, tyenv, models)
-                if isinstance(rest, AssocPath):
-                    # only the final segment names an associated type; the
-                    # inner path re-normalizes against the registry
-                    return self.norm_type(rest, tyenv, models)
-                for rmid, rinfo in reversed(models):
-                    if rmid.concept == mid.concept and all(
-                            alpha_equal(x, y) for x, y in
-                            zip(rmid.type_args, mid.type_args)):
-                        bound = dict(rinfo.assoc_binds)[rest]
-                        return bound
-                return AssocPath(mid, rest)
-        raise TypeError(f"unexpected type node: {t!r}")
-
-    def norm_constraint(self, c, tyenv, models):
-        match c:
-            case ConceptC(model):
-                return ConceptC(self.norm_mid(model, tyenv, models))
-            case SameType(lhs, rhs):
-                return SameType(self.norm_type(lhs, tyenv, models),
-                                self.norm_type(rhs, tyenv, models))
-        raise TypeError(f"unexpected constraint node: {c!r}")
-
-    def norm_mid(self, m: ModelId, tyenv, models) -> ModelId:
-        return ModelId(m.concept, tuple(
-            self.norm_type(a, tyenv, models) for a in m.type_args))
-
-    def find_model(self, mid: ModelId, models: tuple):
-        for rmid, rinfo in reversed(models):
-            if rmid.concept == mid.concept and len(rmid.type_args) == len(
-                    mid.type_args) and all(
-                        alpha_equal(x, y)
-                        for x, y in zip(rmid.type_args, mid.type_args)):
-                return rinfo
-        return None
-
-    # -- evaluation
-
-    def force(self, v, models: tuple = ()):
-        # constraint elimination is implicit, so a constrained thunk is
-        # forced with the models visible where it is used, not only where
-        # it was created — the direct analogue of passing a dictionary
-        while True:
-            if isinstance(v, _Indirection):
-                self.tick()
-                if v.target is None:
-                    # the recursive value is demanded before the knot is
-                    # tied: the recursion has no productive base case
-                    raise _OracleDiverge()
-                v = v.target
-            elif isinstance(v, _ConstrainedThunk):
-                extra = tuple(m for m in models if m not in v.models)
-                v = self.eval(v.body, v.env, v.tyenv, v.models + extra)
-            else:
-                return v
-
-    def eval(self, e: Expr, env: dict, tyenv: dict, models: tuple):
-        self.tick()
-        match e:
-            case IntLit(value):
-                return value
-            case BoolLit(value):
-                return value
-            case PathE(prefix, name):
-                if not prefix:
-                    return env[name]
-                mid = self.norm_mid(prefix[-1], tyenv, models)
-                info = self.find_model(mid, models)
-                if info is None:
-                    raise ElabError(
-                        f"oracle: no model for {mid.concept!r}")
-                body = dict(info.member_binds)[name]
-                # member bodies are closed over the declaration scope,
-                # which the registry entry captured positionally; they are
-                # re-evaluated here (models hold values, not thunks, only
-                # up to this laziness)
-                denv, dtyenv, dmodels = self._model_scopes[id(info)]
-                return self.eval(body, denv, dtyenv, dmodels)
-            case Lam(param, _, body):
-                return _Closure(param, body, env, tyenv, models)
-            case App(fn, arg):
-                vf = self.force(self.eval(fn, env, tyenv, models), models)
-                va = self.eval(arg, env, tyenv, models)
-                return self.apply(vf, va)
-            case TyLam(binder, body):
-                return _TyClosure(binder, body, env, tyenv, models)
-            case TyApp(subject, arg):
-                vs = self.force(self.eval(subject, env, tyenv, models), models)
-                if not isinstance(vs, _TyClosure):
-                    raise ElabError("oracle: instantiated a non-universal")
-                ty = self.norm_type(arg, tyenv, models)
-                tyenv2 = dict(vs.tyenv)
-                tyenv2[vs.binder] = ty
-                return self.eval(vs.body, vs.env, tyenv2, vs.models)
-            case ConstrainedE(constraint, body):
-                return _ConstrainedThunk(constraint, body, env, tyenv,
-                                         models)
-            case ConceptDecl(_, rest):
-                return self.eval(rest, env, tyenv, models)
-            case ModelDecl(info, rest):
-                mid = self.norm_mid(
-                    ModelId(info.concept, info.type_args), tyenv, models)
-                models2 = models + ((mid, info),)
-                self._model_scopes[id(info)] = (env, tyenv, models2)
-                return self.eval(rest, env, tyenv, models2)
-            case TypeAlias(name, rhs, rest):
-                tyenv2 = dict(tyenv)
-                tyenv2[name] = self.norm_type(rhs, tyenv, models)
-                return self.eval(rest, env, tyenv2, models)
-            case Let(name, bound, rest):
-                v = self.eval(bound, env, tyenv, models)
-                env2 = dict(env)
-                env2[name] = v
-                return self.eval(rest, env2, tyenv, models)
-            case Fix(body):
-                vf = self.force(self.eval(body, env, tyenv, models), models)
-                ind = _Indirection()
-                v = self.apply(vf, ind)
-                ind.target = v
-                return v
-            case If(cond, thn, els):
-                vc = self.force(self.eval(cond, env, tyenv, models), models)
-                return self.eval(thn if vc else els, env, tyenv, models)
-            case ListLit(elems, _):
-                return [self.eval(x, env, tyenv, models) for x in elems]
-            case Prim(op, args):
-                vals = [self.force(self.eval(a, env, tyenv, models), models)
-                        for a in args]
-                return self.delta(op, vals)
-        raise TypeError(f"unexpected expression node: {e!r}")
-
-    def apply(self, vf, va):
-        vf = self.force(vf)
-        if not isinstance(vf, _Closure):
-            raise ElabError("oracle: applied a non-function")
-        env2 = dict(vf.env)
-        env2[vf.param] = va
-        return self.eval(vf.body, env2, vf.tyenv, vf.models)
-
-    def delta(self, op, vals):
-        if op == "+":
-            return vals[0] + vals[1]
-        if op == "-":
-            return vals[0] - vals[1]
-        if op == "*":
-            return vals[0] * vals[1]
-        if op == "<":
-            return vals[0] < vals[1]
-        if op == "==":
-            return vals[0] == vals[1]
-        if op == "isnil":
-            return len(vals[0]) == 0
-        if op == "head":
-            if not vals[0]:
-                raise _OracleDiverge()
-            return vals[0][0]
-        if op == "tail":
-            if not vals[0]:
-                raise _OracleDiverge()
-            return vals[0][1:]
-        if op == "cons":
-            return [vals[0]] + vals[1]
-        raise ElabError(f"oracle: unknown primitive {op!r}")
-
-    _model_scopes: dict
-
-    def run(self, e: Expr):
-        self._model_scopes = {}
-        v = self.eval(e, {}, {}, ())
-        # chase recursion indirections, but do not force a top-level
-        # constrained thunk: a program of constrained type results in an
-        # evidence function, the analogue of the core's dictionary lambda
-        while isinstance(v, _Indirection):
-            self.tick()
-            if v.target is None:
-                raise _OracleDiverge()
-            v = v.target
-        return v
-
-
-def _ground(v):
-    """The value as a nested int/bool/list structure, or None if it
-    contains a function or evidence value."""
-    if isinstance(v, (bool, int)):
-        return v
-    if isinstance(v, list):
-        parts = [_ground(x) for x in v]
-        return None if any(p is None for p in parts) else parts
-    return None
-
-
-def interpret_direct(e: Expr, fuel: int = 1_000_000):
-    """Big-step evaluation of a checked program.  Returns the integer,
-    boolean, or (nested) list result; the string "timeout" when fuel runs
-    out or a partial list operation diverges; or "non-ground" when the
-    result is a function or evidence value."""
-    try:
-        v = _Oracle(fuel).run(e)
-    except (OracleTimeout, _OracleDiverge, RecursionError):
-        return "timeout"
-    out = _ground(v)
-    return "non-ground" if out is None else out
+    return Elaborator(checker).conv(env, ElabCtx(), t)

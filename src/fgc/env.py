@@ -142,9 +142,6 @@ class Env:
             elif isinstance(e, ModelEntry) and e.model.concept == name:
                 yield e.model
 
-    def closure(self) -> ClosureState:
-        return ClosureState.from_env(self)
-
     def restrict(self) -> "Env":
         """Keep concept definitions, constraint assumptions, and type
         equations; drop term bindings, type variables, and models."""
@@ -192,11 +189,10 @@ def flat(env: Env, constraint: Constraint) -> list:
     return out
 
 
-def satisfies(env: Env, constraint: Constraint, closure=None) -> bool:
-    """Whether the environment satisfies a constraint: a matching model or
-    assumption for a concept constraint, provable equality for a same-type
-    constraint."""
-    st = closure if closure is not None else env.closure()
+def satisfies(env: Env, constraint: Constraint, st: ClosureState) -> bool:
+    """Whether the environment, whose congruence closure is st, satisfies a
+    constraint: a matching model or assumption for a concept constraint,
+    provable equality for a same-type constraint."""
     if isinstance(constraint, SameType):
         return st.types_equal(constraint.lhs, constraint.rhs)
     mid = constraint.model
@@ -206,11 +202,12 @@ def satisfies(env: Env, constraint: Constraint, closure=None) -> bool:
     return False
 
 
-def lookup_path(env: Env, prefix: tuple, name: str) -> Type:
+def lookup_path(env: Env, prefix: tuple, name: str, closure) -> Type:
     """Type of a qualified term path.  The empty prefix defers to the
     first-binding rule; each model-identifier step checks satisfaction and
     recurses into the concept-restricted environment extended with the
-    concept's substituted nested constraints and member signatures."""
+    concept's substituted nested constraints and member signatures.
+    `closure` maps an environment to its congruence closure."""
     if not prefix:
         t = env.lookup_term(name)
         if t is None:
@@ -220,7 +217,7 @@ def lookup_path(env: Env, prefix: tuple, name: str) -> Type:
     info = env.find_concept(mid.concept)
     if info is None or len(info.type_params) != len(mid.type_args):
         raise UnknownConceptError(mid.concept)
-    if not satisfies(env, ConceptC(mid)):
+    if not satisfies(env, ConceptC(mid), closure(env)):
         raise UnsatisfiedConstraintError(ConceptC(mid))
     sigma = concept_subst(info, mid)
     inner = env.restrict()
@@ -229,4 +226,4 @@ def lookup_path(env: Env, prefix: tuple, name: str) -> Type:
     for member_name, member_type in info.members:
         inner = inner.push(
             TermBind(member_name, substitute_type_map(member_type, sigma)))
-    return lookup_path(inner, prefix[1:], name)
+    return lookup_path(inner, prefix[1:], name, closure)

@@ -237,12 +237,8 @@ def shift_term_types(t: CoreTerm, by: int, cutoff: int = 0) -> CoreTerm:
 
 
 def subst_term(t: CoreTerm, j: int, s: CoreTerm) -> CoreTerm:
-    def fterm(v, tcut):
-        if v.index == tcut + j:
-            return shift_term(s, tcut)
-        return CVar(v.index - 1) if v.index > tcut + j else v
-    # type binders crossed while descending also shift s's type indices;
-    # handled by shifting inside ftype-aware recursion below
+    """Substitute s for term index j in t and close the gap; type binders
+    crossed on the way shift s's type indices."""
     return _subst_term(t, j, s, 0, 0)
 
 
@@ -515,7 +511,7 @@ def sf_step(t: CoreTerm) -> Optional[CoreTerm]:
                 return thn if cond.value else els
             raise _StuckError("if on a non-boolean value")
         case CTup(elems):
-            return CTup(_step_first(elems, lambda e: CTup(e)))
+            return CTup(_step_first(elems))
         case CCons(head, tail):
             if not is_value(head):
                 return CCons(_step_or_stuck(head), tail)
@@ -529,7 +525,7 @@ def sf_step(t: CoreTerm) -> Optional[CoreTerm]:
     raise _StuckError(f"no step for term {t!r}")
 
 
-def _step_first(elems: tuple, rebuild):
+def _step_first(elems: tuple):
     for i, e in enumerate(elems):
         if not is_value(e):
             return elems[:i] + (_step_or_stuck(e),) + elems[i + 1:]
@@ -608,14 +604,6 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
     return Diverged(fuel)
 
 
-def eval_program(e, fuel: int = DEFAULT_FUEL):
-    """Evaluate a checked surface program by elaborating it to the core and
-    running the small-step machine."""
-    from .elaborate import translate_program
-
-    return sf_eval(translate_program(e), fuel)
-
-
 # ---------------------------------------------------------------- pretty
 
 
@@ -647,15 +635,14 @@ def _p(s: str, yes: bool) -> str:
     return f"({s})" if yes else s
 
 
-_PRIM_WORDS = {"+": "add", "-": "sub", "*": "mul", "<": "lt", "==": "eq",
-               "isnil": "isnil", "head": "head", "tail": "tail",
-               "cons": "cons"}
-_WORD_PRIMS = {v: k for k, v in _PRIM_WORDS.items()}
+PRIM_WORDS = {"+": "add", "-": "sub", "*": "mul", "<": "lt", "==": "eq",
+              "isnil": "isnil", "head": "head", "tail": "tail",
+              "cons": "cons"}
 
 
 def pretty_core(t: CoreTerm, tdepth: int = 0, ydepth: int = 0,
                 prec: int = 0) -> str:
-    """Stable textual form of a core term; round-trips via parse_core."""
+    """Stable textual form of a core term."""
     match t:
         case CIntLit(v):
             return str(v)
@@ -693,201 +680,10 @@ def pretty_core(t: CoreTerm, tdepth: int = 0, ydepth: int = 0,
             return _p(s, 0 < prec)
         case CPrim(op, args):
             inner = ", ".join(pretty_core(a, tdepth, ydepth, 0) for a in args)
-            return f"{_PRIM_WORDS[op]}({inner})"
+            return f"{PRIM_WORDS[op]}({inner})"
         case CNil(elem):
             return f"nil[{pretty_core_type(elem, ydepth, 0)}]"
         case CCons(head, tail):
             return (f"cons({pretty_core(head, tdepth, ydepth, 0)}, "
                     f"{pretty_core(tail, tdepth, ydepth, 0)})")
     raise TypeError(f"unexpected core term: {t!r}")
-
-
-# ---------------------------------------------------------------- core parser
-
-
-class CoreParseError(Exception):
-    pass
-
-
-def _core_tokens(src: str):
-    import re
-
-    spec = r"/\\|\\|->|\[|\]|\(|\)|<|>|\.|,|:|[A-Za-z_][A-Za-z0-9_]*|\d+"
-    toks = []
-    pos = 0
-    for m in re.finditer(spec, src):
-        between = src[pos:m.start()]
-        if between.strip():
-            raise CoreParseError(f"bad characters {between.strip()!r}")
-        toks.append(m.group(0))
-        pos = m.end()
-    if src[pos:].strip():
-        raise CoreParseError(f"bad characters {src[pos:].strip()!r}")
-    toks.append("<eof>")
-    return toks
-
-
-class _CoreParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self, k=0):
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
-
-    def take(self):
-        t = self.toks[self.pos]
-        if t != "<eof>":
-            self.pos += 1
-        return t
-
-    def expect(self, tok):
-        got = self.take()
-        if got != tok:
-            raise CoreParseError(f"expected {tok!r}, found {got!r}")
-
-    def type_(self, tvars):
-        t = self.prefix_type(tvars)
-        if self.peek() == "->":
-            self.take()
-            return CArrow(t, self.type_(tvars))
-        return t
-
-    def prefix_type(self, tvars):
-        tok = self.peek()
-        if tok == "list":
-            self.take()
-            return CList(self.prefix_type(tvars))
-        if tok == "forall":
-            self.take()
-            name = self.take()
-            self.expect(".")
-            return CForall(self.type_(tvars + (name,)))
-        return self.atom_type(tvars)
-
-    def atom_type(self, tvars):
-        tok = self.take()
-        if tok == "int":
-            return CInt()
-        if tok == "bool":
-            return CBool()
-        if tok == "(":
-            t = self.type_(tvars)
-            self.expect(")")
-            return t
-        if tok == "<":
-            elems = []
-            if self.peek() != ">":
-                elems.append(self.type_(tvars))
-                while self.peek() == ",":
-                    self.take()
-                    elems.append(self.type_(tvars))
-            self.expect(">")
-            return CTupleT(tuple(elems))
-        if tok in tvars:
-            return CTVar(len(tvars) - 1 - tvars.index(tok))
-        raise CoreParseError(f"unknown type token {tok!r}")
-
-    def term(self, vars_, tvars):
-        tok = self.peek()
-        if tok == "\\":
-            self.take()
-            name = self.take()
-            self.expect(":")
-            ann = self.type_(tvars)
-            self.expect(".")
-            return CLam(ann, self.term(vars_ + (name,), tvars))
-        if tok == "/\\":
-            self.take()
-            name = self.take()
-            self.expect(".")
-            return CTyLam(self.term(vars_, tvars + (name,)))
-        if tok == "if":
-            self.take()
-            cond = self.term(vars_, tvars)
-            self.expect("then")
-            thn = self.term(vars_, tvars)
-            self.expect("else")
-            return CIf(cond, thn, self.term(vars_, tvars))
-        return self.app(vars_, tvars)
-
-    def app(self, vars_, tvars):
-        if self.peek() == "fix":
-            self.take()
-            e = CFix(self.atom(vars_, tvars))
-        else:
-            e = self.atom(vars_, tvars)
-        while True:
-            tok = self.peek()
-            if tok == "[":
-                self.take()
-                ty = self.type_(tvars)
-                self.expect("]")
-                e = CTyApp(e, ty)
-            elif tok == "if":
-                e = CApp(e, self.term(vars_, tvars))
-            elif (tok.isdigit() or tok in ("true", "false", "(", "<", "\\",
-                                           "/\\", "nil")
-                  or (tok[0].isalpha() and tok not in
-                      ("then", "else", "fix", "<eof>"))):
-                e = CApp(e, self.atom(vars_, tvars))
-            else:
-                return e
-
-    def atom(self, vars_, tvars):
-        tok = self.take()
-        e = None
-        if tok.isdigit():
-            e = CIntLit(int(tok))
-        elif tok == "true":
-            e = CBoolLit(True)
-        elif tok == "false":
-            e = CBoolLit(False)
-        elif tok == "(":
-            e = self.term(vars_, tvars)
-            self.expect(")")
-        elif tok == "<":
-            elems = []
-            if self.peek() != ">":
-                elems.append(self.term(vars_, tvars))
-                while self.peek() == ",":
-                    self.take()
-                    elems.append(self.term(vars_, tvars))
-            self.expect(">")
-            e = CTup(tuple(elems))
-        elif tok == "nil":
-            self.expect("[")
-            ty = self.type_(tvars)
-            self.expect("]")
-            e = CNil(ty)
-        elif tok in _WORD_PRIMS and self.peek() == "(":
-            self.take()
-            args = [self.term(vars_, tvars)]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.term(vars_, tvars))
-            self.expect(")")
-            op = _WORD_PRIMS[tok]
-            if op == "cons":
-                e = CCons(args[0], args[1])
-            else:
-                e = CPrim(op, tuple(args))
-        elif tok in vars_:
-            e = CVar(len(vars_) - 1 - vars_.index(tok))
-        else:
-            raise CoreParseError(f"unknown token {tok!r}")
-        while self.peek() == ".":
-            if not self.peek(1).isdigit():
-                break
-            self.take()
-            e = CProj(e, int(self.take()))
-        return e
-
-
-def parse_core(src: str) -> CoreTerm:
-    """Parse the pretty_core textual form back to a term (test support)."""
-    p = _CoreParser(_core_tokens(src))
-    t = p.term((), ())
-    if p.peek() != "<eof>":
-        raise CoreParseError(f"trailing input at {p.peek()!r}")
-    return t

@@ -1,11 +1,25 @@
-"""Type synthesis and checking for the surface language.
+"""Type derivation for the surface language.
 
-The checker is syntax-directed: constrained types are introduced explicitly
-by the `C => e` form and eliminated lazily — a constraint is discharged only
-when the surrounding context demands a specific type shape (function
-position, instantiation subject, condition, comparison against another
-type).  Type equality is decided by the congruence closure built from the
-environment's equations.
+The checker is the one place where a program's types are derived.  It is
+syntax-directed: constrained types are introduced explicitly by the
+`C => e` form and eliminated lazily — a constraint is discharged only when
+the surrounding context demands a specific type shape (function position,
+instantiation subject, condition, comparison against another type).  Type
+equality is decided by the congruence closure built from the environment's
+equations.
+
+While it derives, the checker records the decisions that the
+dictionary-passing translation (`elaborate`) lowers into the core, keyed by
+the identity of the expression node they concern:
+
+  elim   the constraints eliminated at the use of an expression: its
+         type and the part of it left after the leading constraints
+         were discharged;
+  wrap   the satisfied constraints stripped off the type an expression
+         was checked against: that type and the part left after them;
+  types  the type a `let` binds, the domain an unannotated lambda took
+         from its expected type, the element type of a non-empty list
+         literal, and the body type of a constraint introduction.
 
 Diagnostic codes (closed set):
   T001  application / comparison mismatch
@@ -23,7 +37,7 @@ Diagnostic codes (closed set):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .ast import (
@@ -52,13 +66,14 @@ from .ast import (
     ModelInfo,
     PathE,
     Prim,
-    SameType,
     SourceSpan,
     TVar,
     TyApp,
     TyLam,
     Type,
     TypeAlias,
+    contains_node,
+    has_path,
     substitute_constraint,
     substitute_type,
     substitute_type_map,
@@ -107,63 +122,18 @@ class ErrT(Type):
 ERR = ErrT()
 
 
-def contains_err(t: Type) -> bool:
-    match t:
-        case ErrT():
-            return True
-        case IntT() | BoolT() | TVar():
-            return False
-        case ListT(elem):
-            return contains_err(elem)
-        case Arrow(dom, cod):
-            return contains_err(dom) or contains_err(cod)
-        case Forall(_, body):
-            return contains_err(body)
-        case Constrained(constraint, body):
-            return _constraint_err(constraint) or contains_err(body)
-        case AssocPath(model, rest):
-            if any(contains_err(a) for a in model.type_args):
-                return True
-            return isinstance(rest, AssocPath) and contains_err(rest)
-    raise TypeError(f"unexpected type node: {t!r}")
-
-
-def _has_path(t: Type) -> bool:
-    match t:
-        case AssocPath():
-            return True
-        case IntT() | BoolT() | TVar() | ErrT():
-            return False
-        case ListT(elem):
-            return _has_path(elem)
-        case Arrow(dom, cod):
-            return _has_path(dom) or _has_path(cod)
-        case Forall(_, body):
-            return _has_path(body)
-        case Constrained(constraint, body):
-            if _has_path(body):
-                return True
-            match constraint:
-                case ConceptC(model):
-                    return any(_has_path(a) for a in model.type_args)
-                case SameType(lhs, rhs):
-                    return _has_path(lhs) or _has_path(rhs)
-    raise TypeError(f"unexpected type node: {t!r}")
-
-
-def _constraint_err(c: Constraint) -> bool:
-    match c:
-        case ConceptC(model):
-            return any(contains_err(a) for a in model.type_args)
-        case SameType(lhs, rhs):
-            return contains_err(lhs) or contains_err(rhs)
-    raise TypeError(f"unexpected constraint node: {c!r}")
+def contains_err(t) -> bool:
+    """Whether a type or constraint mentions the error placeholder."""
+    return contains_node(t, ErrT)
 
 
 class Checker:
     def __init__(self):
         self.diags = []
         self._closures = {}
+        self.elim = {}
+        self.wrap = {}
+        self.types = {}
 
     # -- infrastructure
 
@@ -183,20 +153,26 @@ class Checker:
             return True
         return self.closure(env).types_equal(a, b)
 
-    def discharge(self, env: Env, t: Type) -> Type:
-        """Strip satisfied constraints off the front of t."""
-        while isinstance(t, Constrained) and satisfies(
-                env, t.constraint, self.closure(env)):
-            t = t.body
-        return t
+    def discharge(self, env: Env, t: Type, at: Optional[Expr] = None) -> Type:
+        """Strip satisfied constraints off the front of t.  When `at`, the
+        expression of type t, is given and a constraint was stripped,
+        record in `elim` that they were eliminated there."""
+        u = t
+        while isinstance(u, Constrained) and satisfies(
+                env, u.constraint, self.closure(env)):
+            u = u.body
+        if u is not t and at is not None:
+            self.elim[id(at)] = (t, u)
+        return u
 
-    def _shape(self, env: Env, t: Type, want) -> Optional[Type]:
+    def _shape(self, env: Env, t: Type, want,
+               at: Optional[Expr] = None) -> Optional[Type]:
         """Expose t as an instance of the constructor class `want`, first
-        discharging satisfied constraints, then canonicalizing through the
-        environment's equations."""
+        discharging satisfied constraints (recorded at `at`), then
+        canonicalizing through the environment's equations."""
         if contains_err(t):
             return None
-        t = self.discharge(env, t)
+        t = self.discharge(env, t, at)
         if isinstance(t, want):
             return t
         try:
@@ -209,7 +185,7 @@ class Checker:
 
     def satisfy(self, env: Env, c: Constraint, span) -> bool:
         """Constraint satisfaction with a T003/T004 diagnostic on failure."""
-        if _constraint_err(c):
+        if contains_err(c):
             return True
         if isinstance(c, ConceptC):
             info = env.find_concept(c.model.concept)
@@ -263,7 +239,7 @@ class Checker:
                 return BoolT()
             case PathE(prefix, name):
                 try:
-                    return lookup_path(env, prefix, name)
+                    return lookup_path(env, prefix, name, self.closure)
                 except UnsatisfiedConstraintError as exc:
                     self.err(e.span, "T003",
                              "unsatisfied constraint "
@@ -284,7 +260,7 @@ class Checker:
                 return Arrow(ann, cod)
             case App(fn, arg):
                 tf = self.infer(env, fn)
-                arrow = self._shape(env, tf, Arrow)
+                arrow = self._shape(env, tf, Arrow, fn)
                 if arrow is None:
                     if not contains_err(tf):
                         self.err(fn.span, "T002",
@@ -295,7 +271,7 @@ class Checker:
                 ta = self.infer(env, arg)
                 if not (self.equal(env, arrow.dom, ta)
                         or self.equal(env, arrow.dom,
-                                      self.discharge(env, ta))):
+                                      self.discharge(env, ta, arg))):
                     self.err(e.span, "T001",
                              "the parameter type is "
                              f"{pretty_type(arrow.dom)} but the argument "
@@ -307,7 +283,7 @@ class Checker:
                 return Forall(binder, t)
             case TyApp(subject, arg):
                 ts = self.infer(env, subject)
-                fa = self._shape(env, ts, Forall)
+                fa = self._shape(env, ts, Forall, subject)
                 if fa is None:
                     if not contains_err(ts):
                         self.err(subject.span, "T008",
@@ -320,7 +296,8 @@ class Checker:
                 if env2 is None:
                     self.infer(env, body)
                     return ERR
-                return Constrained(constraint, self.infer(env2, body))
+                tb = self.types[id(e)] = self.infer(env2, body)
+                return Constrained(constraint, tb)
             case ConceptDecl(info, rest):
                 for nc in info.nested:
                     if isinstance(nc, ConceptC) and env.find_concept(
@@ -337,7 +314,7 @@ class Checker:
                 t = self.infer(env2, rest)
                 # the model's associated-type equations go out of scope
                 # here, so resolve any paths through them in the result
-                if not contains_err(t) and _has_path(t):
+                if not contains_err(t) and has_path(t):
                     try:
                         t = self.closure(env2).canonical(t)
                     except NoRepresentativeError:
@@ -349,11 +326,11 @@ class Checker:
                     return t
                 return substitute_type(t, name, rhs)
             case Let(name, bound, rest):
-                tb = self.infer(env, bound)
+                tb = self.types[id(e)] = self.infer(env, bound)
                 return self.infer(env.push(TermBind(name, tb)), rest)
             case Fix(body):
                 tb = self.infer(env, body)
-                arrow = self._shape(env, tb, Arrow)
+                arrow = self._shape(env, tb, Arrow, body)
                 if arrow is None:
                     if not contains_err(tb):
                         self.err(e.span, "T002",
@@ -368,7 +345,7 @@ class Checker:
                 return arrow.dom
             case If(cond, thn, els):
                 tc = self.infer(env, cond)
-                if self._shape(env, tc, BoolT) is None:
+                if self._shape(env, tc, BoolT, cond) is None:
                     self.err(cond.span, "T010",
                              "condition has type "
                              f"{pretty_type(self.discharge(env, tc))}, "
@@ -377,8 +354,8 @@ class Checker:
                 te = self.infer(env, els)
                 if self.equal(env, tt, te):
                     return tt
-                if self.equal(env, self.discharge(env, tt),
-                              self.discharge(env, te)):
+                if self.equal(env, self.discharge(env, tt, thn),
+                              self.discharge(env, te, els)):
                     return self.discharge(env, tt)
                 self.err(e.span, "T001",
                          f"branches have types {pretty_type(tt)} and "
@@ -387,11 +364,11 @@ class Checker:
             case ListLit(elems, elem_type):
                 if not elems:
                     return ListT(elem_type)
-                t0 = self.infer(env, elems[0])
+                t0 = self.types[id(e)] = self.infer(env, elems[0])
                 for x in elems[1:]:
                     tx = self.infer(env, x)
                     if not (self.equal(env, t0, tx) or self.equal(
-                            env, t0, self.discharge(env, tx))):
+                            env, t0, self.discharge(env, tx, x))):
                         self.err(x.span, "T001",
                                  "list element has type "
                                  f"{pretty_type(tx)}, expected "
@@ -405,7 +382,7 @@ class Checker:
         if op in ("+", "-", "*", "<", "=="):
             for a in args:
                 ta = self.infer(env, a)
-                if self._shape(env, ta, IntT) is None \
+                if self._shape(env, ta, IntT, a) is None \
                         and not contains_err(ta):
                     self.err(a.span, "T001",
                              f"operator {op!r} needs int operands, got "
@@ -413,7 +390,7 @@ class Checker:
             return IntT() if op in ("+", "-", "*") else BoolT()
         if op in ("isnil", "head", "tail"):
             ta = self.infer(env, args[0])
-            lst = self._shape(env, ta, ListT)
+            lst = self._shape(env, ta, ListT, args[0])
             if lst is None:
                 if not contains_err(ta):
                     self.err(args[0].span, "T001",
@@ -429,7 +406,7 @@ class Checker:
             if contains_err(th) or contains_err(tt):
                 return ListT(th)
             if not (self.equal(env, tt, ListT(th)) or self.equal(
-                    env, self.discharge(env, tt), ListT(th))):
+                    env, self.discharge(env, tt, args[1]), ListT(th))):
                 self.err(e.span, "T001",
                          f"cons of {pretty_type(th)} onto "
                          f"{pretty_type(tt)}")
@@ -445,7 +422,10 @@ class Checker:
         if contains_err(expected):
             self.infer(env, e)
             return
-        expected = self.discharge(env, expected)
+        stripped = self.discharge(env, expected)
+        if stripped is not expected:
+            self.wrap[id(e)] = (expected, stripped)
+            expected = stripped
         match e:
             case Lam(param, ann, body):
                 arrow = self._shape(env, expected, Arrow)
@@ -464,7 +444,9 @@ class Checker:
                              f"{subject} takes {pretty_type(ann)} but "
                              f"{pretty_type(arrow.dom)} was expected")
                     return
-                bound = ann if ann is not None else arrow.dom
+                bound = ann
+                if ann is None:
+                    bound = self.types[id(e)] = arrow.dom
                 self.check(env.push(TermBind(param, bound)), body,
                            arrow.cod, code, subject)
                 return
@@ -483,13 +465,14 @@ class Checker:
                                                expected.constraint):
                     env2 = self._assume(env, constraint, e.span)
                     if env2 is not None:
+                        self.types[id(e)] = expected.body
                         self.check(env2, body, expected.body, code, subject)
                     return
                 self._check_via_infer(env, e, expected, code, subject)
                 return
             case If(cond, thn, els):
                 tc = self.infer(env, cond)
-                if self._shape(env, tc, BoolT) is None \
+                if self._shape(env, tc, BoolT, cond) is None \
                         and not contains_err(tc):
                     self.err(cond.span, "T010",
                              "condition has type "
@@ -499,7 +482,7 @@ class Checker:
                 self.check(env, els, expected, code, subject)
                 return
             case Let(name, bound, rest):
-                tb = self.infer(env, bound)
+                tb = self.types[id(e)] = self.infer(env, bound)
                 self.check(env.push(TermBind(name, tb)), rest, expected,
                            code, subject)
                 return
@@ -509,7 +492,7 @@ class Checker:
         t = self.infer(env, e)
         if self.equal(env, t, expected):
             return
-        if self.equal(env, self.discharge(env, t), expected):
+        if self.equal(env, self.discharge(env, t, e), expected):
             return
         self.err(e.span, code,
                  f"{subject} has type {pretty_type(t)}, expected "
@@ -577,13 +560,18 @@ class Checker:
         return out
 
 
-def check_program(e: Expr):
-    """Infer the type of a whole program under the empty environment.
+def check_program(e: Expr, checker: Optional[Checker] = None):
+    """Derive the type of a whole program under the empty environment.
 
     Returns the program type on success, or the list of TypeDiagnostic on
-    failure.
+    failure.  A `checker` passed in keeps the derivation's recorded
+    decisions for `elaborate.translate_program`; any it recorded before
+    are dropped, so that node identities of two programs never mix.
     """
-    checker = Checker()
+    if checker is None:
+        checker = Checker()
+    for table in (checker.diags, checker.elim, checker.wrap, checker.types):
+        table.clear()
     t = checker.infer(Env(), e)
     if checker.diags:
         return checker.diags

@@ -11,14 +11,16 @@ import time
 import pytest
 
 from fgc.ast import alpha_equal
+from fgc.elaborate import translate_type
 from fgc.env import Env
-from fgc.elaborate import interpret_direct, translate_program, translate_type
 from fgc.parser import parse_program, pretty
 from fgc.sysf import Stuck, Value, sf_eval, sf_typecheck
 from fgc.typecheck import check_program
 
 from corpus import EXPECTED_CODES, EXPECTED_VALUES, load, well_typed_names
 from gen import core_ground, random_expr, well_typed
+from oracle import interpret_direct
+from pipeline import derive, lower
 from test_typeq import run_oracle_comparison
 
 
@@ -44,17 +46,15 @@ def report(capsys, request):
 
 def checked(name: str):
     e = parse_program(load(name), name)
-    surface = check_program(e)
-    assert not isinstance(surface, list), [str(d) for d in surface]
-    return e, surface
+    return e, derive(e)
 
 
 def test_criterion_1_fold_program(report):
     with report("generic fold program evaluates to 9 within "
                 "10,000 steps and one second"):
-        e, _ = checked("foldl.fg")
+        _, (_, core, _) = checked("foldl.fg")
         t0 = time.monotonic()
-        out = sf_eval(translate_program(e), fuel=10_000)
+        out = sf_eval(core, fuel=10_000)
         elapsed = time.monotonic() - t0
         assert out == Value(9)
         assert elapsed < 1.0
@@ -62,10 +62,10 @@ def test_criterion_1_fold_program(report):
 
 def test_criterion_2_sum_and_product(report):
     with report("fold instantiations: sum is 10 and product is 24"):
-        e, _ = checked("sum_foldl.fg")
-        assert sf_eval(translate_program(e)) == Value(10)
-        e, _ = checked("product_foldl.fg")
-        assert sf_eval(translate_program(e)) == Value(24)
+        _, (_, core, _) = checked("sum_foldl.fg")
+        assert sf_eval(core) == Value(10)
+        _, (_, core, _) = checked("product_foldl.fg")
+        assert sf_eval(core) == Value(24)
 
 
 def test_criterion_3_polymorphic_argument_mismatch(report):
@@ -84,25 +84,24 @@ def test_criterion_4_type_preservation_suite(report):
         names = well_typed_names()
         assert len(names) >= 25
         for name in names:
-            e, surface = checked(name)
-            core = translate_program(e)
-            assert sf_typecheck(core) == translate_type(Env(), surface), name
+            _, (surface, core, checker) = checked(name)
+            assert sf_typecheck(core) \
+                == translate_type(Env(), surface, checker), name
 
 
 def test_criterion_5_differential_evaluation(report):
     with report("machine evaluation agrees with the direct interpreter "
                 "on the corpus and random programs"):
         for name in well_typed_names():
-            e, _ = checked(name)
-            out = sf_eval(translate_program(e))
+            e, (_, core, _) = checked(name)
+            out = sf_eval(core)
             assert out == Value(EXPECTED_VALUES[name]), name
             assert interpret_direct(e) == EXPECTED_VALUES[name], name
         rng = random.Random(501)
         compared = 0
         for _ in range(250):
             e, _ = well_typed(rng, 4)
-            assert not isinstance(check_program(e), list)
-            out = sf_eval(translate_program(e), 200_000)
+            out = sf_eval(lower(e), 200_000)
             assert isinstance(out, Value)
             direct = interpret_direct(e, 200_000)
             if direct == "non-ground":
@@ -154,10 +153,8 @@ def test_criterion_9_fuzz_never_stuck(report):
         rng = random.Random(503)
         for _ in range(500):
             e, ty = well_typed(rng, 4)
-            surface = check_program(e)
-            assert not isinstance(surface, list), pretty(e)
+            surface, core, _ = derive(e)
             assert alpha_equal(surface, ty)
-            core = translate_program(e)
             sf_typecheck(core)
             out = sf_eval(core, 200_000)
             assert not isinstance(out, Stuck), pretty(e)

@@ -98,12 +98,11 @@ def test_emit_core_and_verify(capsys):
     assert code == 0
     assert out.strip().endswith("core: int")
     # the emitted text parses back as the same core term
-    from fgc.sysf import parse_core
-    from fgc.elaborate import translate_program
+    from coreparse import parse_core
     from fgc.parser import parse_program
+    from pipeline import lower
     body = out.rsplit("core:", 1)[0].strip()
-    want = translate_program(
-        parse_program(open(FOLDL).read(), FOLDL))
+    want = lower(parse_program(open(FOLDL).read(), FOLDL))
     assert parse_core(body) == want
 
 

@@ -1,45 +1,63 @@
-"""Elaboration into the core: type preservation, evaluation results, and
-differential testing against the direct surface interpreter."""
+"""Elaboration into the core: type preservation, evaluation results,
+differential testing against the direct surface interpreter, golden core
+output, and the one-derivation pipeline."""
 
+import collections
+import pathlib
 import random
 
 import pytest
 
+import fgc.cli
+import fgc.env
+import fgc.typecheck
+from fgc.cli import main
+from fgc.elaborate import translate_type
 from fgc.env import Env
-from fgc.elaborate import interpret_direct, translate_program, translate_type
 from fgc.parser import parse_program
 from fgc.sysf import Value, sf_eval, sf_typecheck
-from fgc.typecheck import check_program
+from fgc.typecheck import Checker, check_program
 
-from corpus import EXPECTED_VALUES, load, well_typed_names
+from corpus import EXPECTED_VALUES, PROGRAMS_DIR, load, well_typed_names
 from gen import core_ground, well_typed
+from oracle import interpret_direct
+from pipeline import derive, lower
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def pipeline(name: str):
     e = parse_program(load(name), name)
-    surface = check_program(e)
-    assert not isinstance(surface, list), [str(d) for d in surface]
-    core = translate_program(e)
-    return e, surface, core
+    surface, core, checker = derive(e)
+    return e, core, translate_type(Env(), surface, checker)
 
 
 @pytest.mark.parametrize("name", well_typed_names())
 def test_type_preservation(name):
-    e, surface, core = pipeline(name)
-    assert sf_typecheck(core) == translate_type(Env(), surface)
+    _, core, core_type = pipeline(name)
+    assert sf_typecheck(core) == core_type
 
 
 @pytest.mark.parametrize("name", well_typed_names())
 def test_expected_values(name):
-    e, _, core = pipeline(name)
+    _, core, _ = pipeline(name)
     out = sf_eval(core)
     assert out == Value(EXPECTED_VALUES[name])
 
 
 @pytest.mark.parametrize("name", well_typed_names())
 def test_differential_against_direct_interpreter(name):
-    e, _, core = pipeline(name)
+    e, _, _ = pipeline(name)
     assert interpret_direct(e) == EXPECTED_VALUES[name]
+
+
+@pytest.mark.parametrize("name", well_typed_names())
+def test_emit_core_matches_golden(name, capsys):
+    # tests/golden/<name>.core is the recorded `fgc emit-core --verify`
+    # output; a change to the emitted core must show up here
+    assert main(["emit-core", "--verify", str(PROGRAMS_DIR / name)]) == 0
+    golden = GOLDEN_DIR / (name.removesuffix(".fg") + ".core")
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_dictionary_passing_is_lexical():
@@ -50,8 +68,7 @@ def test_dictionary_passing_is_lexical():
            "model Id<int> { ; v = 2 } in "
            "early + Id<int>.v")
     e = parse_program(src)
-    assert not isinstance(check_program(e), list)
-    assert sf_eval(translate_program(e)) == Value(3)
+    assert sf_eval(lower(e)) == Value(3)
     assert interpret_direct(e) == 3
 
 
@@ -63,8 +80,7 @@ def test_constraint_abstraction_defers_model_choice():
            "model Id<int> { ; v = 7 } in "
            "get[int] + 0")
     e = parse_program(src)
-    assert not isinstance(check_program(e), list)
-    assert sf_eval(translate_program(e)) == Value(7)
+    assert sf_eval(lower(e)) == Value(7)
     assert interpret_direct(e) == 7
 
 
@@ -78,7 +94,7 @@ def test_constrained_program_result_is_an_evidence_function():
     e = parse_program(src)
     from fgc.parser import pretty_type
     assert pretty_type(check_program(e)) == "Id<int> => int"
-    out = sf_eval(translate_program(e))
+    out = sf_eval(lower(e))
     assert isinstance(out, Value) and core_ground(out.value) is None
     assert interpret_direct(e) == "non-ground"
 
@@ -92,8 +108,7 @@ def test_nested_dictionaries():
            "model Outer<int> { ; } in "
            "(Lam a. Outer<a> => lam x: a. Inner<a>.f x)[int] 21")
     e = parse_program(src)
-    assert not isinstance(check_program(e), list)
-    assert sf_eval(translate_program(e)) == Value(42)
+    assert sf_eval(lower(e)) == Value(42)
     assert interpret_direct(e) == 42
 
 
@@ -102,8 +117,7 @@ def test_random_differential():
     compared = 0
     for _ in range(300):
         e, _ = well_typed(rng, 4)
-        assert not isinstance(check_program(e), list)
-        core = translate_program(e)
+        core = lower(e)
         sf_typecheck(core)
         out = sf_eval(core, 200_000)
         assert isinstance(out, Value)
@@ -121,13 +135,148 @@ def test_random_type_preservation():
     rng = random.Random(13)
     for _ in range(200):
         e, _ = well_typed(rng, 4)
-        surface = check_program(e)
-        assert not isinstance(surface, list)
-        assert sf_typecheck(translate_program(e)) \
-            == translate_type(Env(), surface)
+        surface, core, checker = derive(e)
+        assert sf_typecheck(core) == translate_type(Env(), surface, checker)
 
 
 def test_direct_interpreter_timeout():
     e = parse_program("(fix (lam f: int -> int. f)) 0")
     assert not isinstance(check_program(e), list)
     assert interpret_direct(e, 1000) == "timeout"
+
+
+# ------------------------------------------------------ through the CLI
+
+# A member checked against a type whose satisfied constraint the checker
+# strips; the unannotated lambdas take their domain from what remains.
+MEMBER_UNDER_CONSTRAINT = """
+concept D<a> {{ ; ; d : a }} in
+concept C<a> {{ ; ; f : D<a> => a -> a }} in
+model D<int> {{ ; d = 3 }} in
+model C<int> {{ ; f = {body} }} in
+C<int>.f 4
+"""
+
+# The same-type constraint after C0<t> pins C0<t>.T0, so g's dictionary
+# type gives f0 the result int inside g's body.
+PINNED_ASSOC = """
+concept C0<a> { T0 ; ; f0 : a -> T0 } in
+model C0<int> { T0 = int ; f0 = lam x: int. x + 1 } in
+let g = Lam t. C0<t> => C0<t>.T0 == int => lam x: t. C0<t>.f0 x + 1 in
+g[int] 1
+"""
+
+# The model in scope resolves the pinned path, so the let's annotation is
+# canonicalized to `C0<int> => int == int => int -> int` while g is lowered
+# from the pin as written; both must give g the same core type.
+PINNED_RESOLVED = """
+concept C0<a> { T0 ; ; f0 : a -> T0 } in
+model C0<int> { T0 = int ; f0 = lam x: int. x + 1 } in
+let g = C0<int> => C0<int>.T0 == int => lam x: int. C0<int>.f0 x + 1 in
+g 1
+"""
+
+# A pinned constrained type nested in an annotation is canonicalized with
+# the whole annotation; g[int] must still fit it.
+PINNED_IN_ANNOTATION = """
+concept C0<a> { T0 ; ; f0 : a -> T0 } in
+model C0<int> { T0 = int ; f0 = lam x: int. x + 1 } in
+let h = lam k: (C0<int> => C0<int>.T0 == int => int -> int). 3 in
+let g = Lam t. C0<t> => C0<t>.T0 == int => lam x: t. C0<t>.f0 x + 1 in
+h (g[int])
+"""
+
+# The elements keep their checked type C<int> => int, so the head is the
+# evidence function, as `C<int> => 5` on its own is.
+LIST_OF_CONSTRAINED = """
+concept C<a> { ; ; } in
+model C<int> { ; } in
+let g = C<int> => 5 in
+head [g, g]
+"""
+
+
+def run_cli(capsys, tmp_path, source, *args):
+    f = tmp_path / "prog.fg"
+    f.write_text(source)
+    code = main([*args, str(f)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("source, value", [
+    (MEMBER_UNDER_CONSTRAINT.format(body="lam x. x + D<int>.d"), "7"),
+    (MEMBER_UNDER_CONSTRAINT.format(
+        body="if true then lam x. x else lam y. y + 1"), "4"),
+    (MEMBER_UNDER_CONSTRAINT.format(
+        body="D<int> => lam x: int. x + D<int>.d"), "7"),
+    (PINNED_ASSOC, "3"),
+    (PINNED_RESOLVED, "3"),
+    (PINNED_IN_ANNOTATION, "3"),
+    (LIST_OF_CONSTRAINED, "\\x0: <>. 5"),
+])
+def test_run_and_verified_core(capsys, tmp_path, source, value):
+    code, out, err = run_cli(capsys, tmp_path, source, "run")
+    assert (code, out, err) == (0, value + "\n", "")
+    code, out, err = run_cli(capsys, tmp_path, source, "emit-core",
+                             "--verify")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("core: ")
+
+
+def test_check_never_lowers(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fgc check entered translate_program")
+    monkeypatch.setattr(fgc.cli, "translate_program", refuse)
+    assert main(["check", str(PROGRAMS_DIR / "foldl.fg")]) == 0
+    assert capsys.readouterr().out == "int\n"
+
+
+def test_reused_checker_keeps_one_derivation():
+    fresh = Checker()
+    e = parse_program(load("foldl.fg"))
+    check_program(e, fresh)
+    reused = Checker()
+    assert isinstance(check_program(parse_program("1 + true"), reused), list)
+    check_program(parse_program(load("wt_poly_nested.fg")), reused)
+    assert check_program(e, reused) == check_program(e, fresh)
+    for table in ("diags", "elim", "wrap", "types"):
+        assert getattr(reused, table) == getattr(fresh, table)
+
+
+def test_one_checker_walk_per_command(capsys, monkeypatch):
+    checkers, calls = [], collections.Counter()
+    init, infer = Checker.__init__, Checker.infer
+
+    def counting_init(self):
+        checkers.append(self)
+        init(self)
+
+    def counting_infer(self, env, e):
+        calls[id(e)] += 1
+        return infer(self, env, e)
+
+    def count(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(Checker, "__init__", counting_init)
+    monkeypatch.setattr(Checker, "infer", counting_infer)
+    for mod in (fgc.env, fgc.typecheck):
+        for name in ("satisfies", "lookup_path"):
+            monkeypatch.setattr(mod, name, count(name, getattr(mod, name)))
+    totals = {}
+    for cmd in (["check"], ["run"], ["emit-core", "--verify"]):
+        checkers.clear()
+        calls.clear()
+        assert main(cmd + [str(PROGRAMS_DIR / "foldl.fg")]) == 0
+        assert len(checkers) == 1
+        nodes = [k for k in calls if isinstance(k, int)]
+        assert all(calls[k] == 1 for k in nodes)
+        totals[cmd[0]] = (len(nodes), calls["satisfies"],
+                          calls["lookup_path"])
+    capsys.readouterr()
+    # lowering adds no inference, satisfaction or path lookup
+    assert totals["run"] == totals["check"] == totals["emit-core"]

@@ -32,6 +32,7 @@ from fgc.env import (
     satisfies,
 )
 from fgc.ast import AssocPath
+from fgc.typeq import ClosureState
 
 A = TVar("a")
 
@@ -45,6 +46,11 @@ SEQ = ConceptInfo(
     (("isnull", Arrow(TVar("S"), BoolT())),
      ("head", Arrow(TVar("S"), TVar("E"))),
      ("tail", Arrow(TVar("S"), TVar("S")))))
+
+
+def closure(env: Env) -> ClosureState:
+    return ClosureState(equations=env.equations(),
+                        alias_names=env.alias_names())
 
 
 def base_env() -> Env:
@@ -112,9 +118,11 @@ def test_satisfies_via_model_and_assumption():
     mid = ModelId("Semigroup", (IntT(),))
     minfo = ModelInfo("Semigroup", (IntT(),), (), ())
     env = base_env()
-    assert not satisfies(env, ConceptC(mid))
-    assert satisfies(env.push(ModelEntry(mid, minfo)), ConceptC(mid))
-    assert satisfies(env.push(ConstraintEntry(ConceptC(mid))), ConceptC(mid))
+    assert not satisfies(env, ConceptC(mid), closure(env))
+    with_model = env.push(ModelEntry(mid, minfo))
+    assert satisfies(with_model, ConceptC(mid), closure(with_model))
+    assumed = env.push(ConstraintEntry(ConceptC(mid)))
+    assert satisfies(assumed, ConceptC(mid), closure(assumed))
 
 
 def test_satisfies_up_to_provable_equality():
@@ -124,21 +132,23 @@ def test_satisfies_up_to_provable_equality():
            .push(ConstraintEntry(ConceptC(mid_a)))
            .push(TypeEq(TVar("b"), A)))
     # b is provably equal to a, so Semigroup<b> is satisfied
-    assert satisfies(env, ConceptC(ModelId("Semigroup", (TVar("b"),))))
-    assert not satisfies(env, ConceptC(ModelId("Semigroup", (IntT(),))))
+    st = closure(env)
+    assert satisfies(env, ConceptC(ModelId("Semigroup", (TVar("b"),))), st)
+    assert not satisfies(env, ConceptC(ModelId("Semigroup", (IntT(),))), st)
 
 
 def test_satisfies_same_type():
     env = Env().push(TypeEq(TVar("b"), IntT()))
-    assert satisfies(env, SameType(TVar("b"), IntT()))
-    assert not satisfies(env, SameType(TVar("b"), BoolT()))
+    st = closure(env)
+    assert satisfies(env, SameType(TVar("b"), IntT()), st)
+    assert not satisfies(env, SameType(TVar("b"), BoolT()), st)
 
 
 def test_lookup_path_member():
     mid = ModelId("Semigroup", (IntT(),))
     env = base_env().push(ModelEntry(mid, ModelInfo(
         "Semigroup", (IntT(),), (), ())))
-    t = lookup_path(env, (mid,), "binary_op")
+    t = lookup_path(env, (mid,), "binary_op", closure)
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
 
 
@@ -149,7 +159,7 @@ def test_lookup_path_nested():
         ModelEntry(smid, ModelInfo("Semigroup", (IntT(),), (), ())),
         ModelEntry(mmid, ModelInfo("Monoid", (IntT(),), (), ()))])
     # Monoid<int>.Semigroup<int>.binary_op goes through the nested constraint
-    t = lookup_path(env, (mmid, smid), "binary_op")
+    t = lookup_path(env, (mmid, smid), "binary_op", closure)
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
 
 
@@ -157,23 +167,24 @@ def test_lookup_path_assoc_substitution():
     mid = ModelId("Seq", (ListT(IntT()),))
     env = base_env().push(ModelEntry(mid, ModelInfo(
         "Seq", (ListT(IntT()),), (("E", IntT()),), ())))
-    t = lookup_path(env, (mid,), "head")
+    t = lookup_path(env, (mid,), "head", closure)
     assert t == Arrow(ListT(IntT()), AssocPath(mid, "E"))
 
 
 def test_lookup_path_errors():
     env = base_env()
     with pytest.raises(UnknownMemberError):
-        lookup_path(env, (), "missing")
+        lookup_path(env, (), "missing", closure)
     with pytest.raises(UnknownConceptError):
-        lookup_path(env, (ModelId("Nope", (IntT(),)),), "f")
+        lookup_path(env, (ModelId("Nope", (IntT(),)),), "f", closure)
     with pytest.raises(UnsatisfiedConstraintError):
-        lookup_path(env, (ModelId("Semigroup", (IntT(),)),), "binary_op")
+        lookup_path(env, (ModelId("Semigroup", (IntT(),)),), "binary_op",
+                    closure)
     mid = ModelId("Semigroup", (IntT(),))
     env2 = env.push(ModelEntry(mid, ModelInfo("Semigroup", (IntT(),),
                                               (), ())))
     with pytest.raises(UnknownMemberError):
-        lookup_path(env2, (mid,), "nope")
+        lookup_path(env2, (mid,), "nope", closure)
 
 
 def test_restrict_drops_terms_and_models():

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from fgc.elaborate import translate_type
 from fgc.env import Env
-from fgc.elaborate import translate_program, translate_type
 from fgc.parser import parse_program
 from fgc.sysf import (
     CApp,
@@ -28,7 +28,6 @@ from fgc.sysf import (
     Diverged,
     Value,
     is_value,
-    parse_core,
     pretty_core,
     sf_eval,
     sf_step,
@@ -36,10 +35,11 @@ from fgc.sysf import (
     shift_ty,
     subst_ty,
 )
-from fgc.typecheck import check_program
 
 from corpus import load, well_typed_names
+from coreparse import parse_core
 from gen import well_typed
+from pipeline import derive, lower
 
 ID_INT = CLam(CInt(), CVar(0))
 POLY_ID = CTyLam(CLam(CTVar(0), CVar(0)))
@@ -110,7 +110,7 @@ def test_call_by_value_order():
 
 def test_determinism():
     # sf_step is a function; iterating twice gives the same trace
-    t = translate_program(parse_program(load("wt_fix_fact.fg")))
+    t = lower(parse_program(load("wt_fix_fact.fg")))
 
     def trace(term, n):
         out = []
@@ -125,7 +125,7 @@ def test_determinism():
 
 
 def test_fix_unrolls():
-    t = translate_program(parse_program(load("wt_fix_fact.fg")))
+    t = lower(parse_program(load("wt_fix_fact.fg")))
     assert sf_eval(t) == Value(120)
 
 
@@ -145,7 +145,7 @@ def test_fuel_exhaustion_reports_diverged():
 
 def test_subject_reduction_on_corpus():
     for name in well_typed_names():
-        t = translate_program(parse_program(load(name), name))
+        t = lower(parse_program(load(name), name))
         ty = sf_typecheck(t)
         for _ in range(50):
             nxt = sf_step(t)
@@ -159,8 +159,7 @@ def test_subject_reduction_on_random_terms():
     rng = random.Random(11)
     for _ in range(50):
         e, _ = well_typed(rng, 3)
-        assert not isinstance(check_program(e), list)
-        t = translate_program(e)
+        t = lower(e)
         ty = sf_typecheck(t)
         for _ in range(50):
             nxt = sf_step(t)
@@ -183,13 +182,12 @@ def test_pretty_parse_roundtrip_units():
 
 def test_pretty_parse_roundtrip_corpus():
     for name in well_typed_names():
-        t = translate_program(parse_program(load(name), name))
+        t = lower(parse_program(load(name), name))
         assert parse_core(pretty_core(t)) == t, name
 
 
 def test_translate_type_of_whole_programs():
     for name in well_typed_names():
-        e = parse_program(load(name), name)
-        surface = check_program(e)
-        assert sf_typecheck(translate_program(e)) \
-            == translate_type(Env(), surface), name
+        surface, core, checker = derive(parse_program(load(name), name))
+        assert sf_typecheck(core) \
+            == translate_type(Env(), surface, checker), name

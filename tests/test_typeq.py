@@ -11,19 +11,64 @@ from fgc.ast import (
     AssocPath,
     BoolT,
     ConceptC,
+    Constrained,
+    Constraint,
     Forall,
     IntT,
     ListT,
     ModelId,
     SameType,
     TVar,
+    Type,
     alpha_equal,
 )
-from fgc.typeq import ClosureState, NoRepresentativeError, nameless
+from fgc.typeq import ClosureState, NoRepresentativeError
 
 from gen import random_equations
 
 A, B, C = TVar("a"), TVar("b"), TVar("c")
+
+
+# ------------------------------------------------------------- keys
+
+
+def nameless(t: Type, bound: tuple = ()) -> tuple:
+    """A hashable, alpha-invariant structural key for a type."""
+    match t:
+        case IntT():
+            return ("int",)
+        case BoolT():
+            return ("bool",)
+        case TVar(name):
+            if name in bound:
+                k = len(bound) - 1 - max(
+                    i for i, b in enumerate(bound) if b == name)
+                return ("bvar", k)
+            return ("var", name)
+        case ListT(elem):
+            return ("list", nameless(elem, bound))
+        case Arrow(dom, cod):
+            return ("arrow", nameless(dom, bound), nameless(cod, bound))
+        case Forall(binder, body):
+            return ("forall", nameless(body, bound + (binder,)))
+        case Constrained(constraint, body):
+            return ("cimp", nameless_constraint(constraint, bound),
+                    nameless(body, bound))
+        case AssocPath(model, rest):
+            r = rest if isinstance(rest, str) else nameless(rest, bound)
+            return ("assoc", model.concept,
+                    tuple(nameless(a, bound) for a in model.type_args), r)
+    raise TypeError(f"unexpected type node: {t!r}")
+
+
+def nameless_constraint(c: Constraint, bound: tuple = ()) -> tuple:
+    match c:
+        case ConceptC(model):
+            return ("cc", model.concept,
+                    tuple(nameless(a, bound) for a in model.type_args))
+        case SameType(lhs, rhs):
+            return ("st", nameless(lhs, bound), nameless(rhs, bound))
+    raise TypeError(f"unexpected constraint node: {c!r}")
 
 
 # ---------------------------------------------------------------- units
