@@ -6,7 +6,9 @@
     fgc ast       <file.fg>   print the parsed syntax tree
 
 Exit codes: 0 success, 1 type errors, 2 parse errors, 3 I/O errors,
-4 fuel exhausted.  Set FGC_COLOR=0|1 to force color off or on.
+4 fuel exhausted, 5 internal error (elaboration, the core re-check or the
+machine failed on a checked program; code I001 under `--format json`).
+Set FGC_COLOR=0|1 to force color off or on.
 """
 
 from __future__ import annotations
@@ -16,17 +18,18 @@ import json
 import os
 import sys
 
-from .elaborate import translate_program
+from .elaborate import ElabError, translate_program
 from .parser import ParseError, parse_program, pretty_type
-from .sysf import DEFAULT_FUEL, Diverged, Stuck, Value, pretty_core, \
-    pretty_core_type, sf_eval, sf_typecheck
-from .typecheck import Checker, check_program
+from .sysf import DEFAULT_FUEL, CoreTypeError, Diverged, Stuck, Value, \
+    pretty_core, pretty_core_type, sf_eval, sf_typecheck
+from .typecheck import Checker, TypeDiagnostic, check_program
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_PARSE_ERROR = 2
 EXIT_IO_ERROR = 3
 EXIT_DIVERGED = 4
+EXIT_INTERNAL_ERROR = 5
 
 
 def _use_color() -> bool:
@@ -69,6 +72,15 @@ def _print_diagnostics(diags, fmt: str) -> None:
         if color:
             text = text.replace("error[", "\x1b[31merror\x1b[0m[", 1)
         print(text, file=sys.stderr)
+
+
+def _internal_error(message: str, fmt: str) -> int:
+    """Report a fault of the compiler rather than of the program."""
+    if fmt == "json":
+        _print_diagnostics([TypeDiagnostic(None, "I001", message)], fmt)
+    else:
+        print(f"fgc: internal error: {message}", file=sys.stderr)
+    return EXIT_INTERNAL_ERROR
 
 
 def _load(path: str):
@@ -125,9 +137,8 @@ def cmd_run(args) -> int:
             print(f"fuel exhausted after {steps} steps", file=sys.stderr)
             return EXIT_DIVERGED
         case Stuck(reason):
-            print(f"fgc: internal error: evaluation stuck: {reason}",
-                  file=sys.stderr)
-            return EXIT_TYPE_ERROR
+            return _internal_error(f"evaluation stuck: {reason}",
+                                   args.format)
     raise AssertionError(outcome)
 
 
@@ -197,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ElabError, CoreTypeError) as exc:
+        return _internal_error(f"{type(exc).__name__}: {exc}", args.format)
 
 
 if __name__ == "__main__":

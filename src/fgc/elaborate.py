@@ -2,7 +2,9 @@
 
 The translation is defined on the typing derivation (Γ ⊢ e : τ ⇝ f): it
 lowers the decisions the checker recorded while deriving the program's
-type (see `typecheck`) and derives no type itself.
+type (see `typecheck`) and derives no type itself.  Nor does it search for
+dictionaries or rebuild environments: it reads the checker's evidence and
+the environment the checker recorded for each node.
 
 Each concept constraint becomes a tuple ("dictionary") holding the
 dictionaries of its nested constraints followed by its member
@@ -12,9 +14,10 @@ own same-type members pin them to a path-free type; the dictionary type is
 built with the same-type constraints of the constraint prefix assumed, so a
 member whose type mentions a path the prefix pins gets the pinned type.
 Where the checker eliminated a constraint, they are instantiated and the
-in-scope dictionary is passed; where it stripped a satisfied constraint off
-an expected type, the translation takes a dictionary parameter that the
-body does not need.
+dictionary its evidence names is passed: the variable bound at its binder,
+projected along its route.  Where the checker stripped a satisfied
+constraint off an expected type, the translation takes a dictionary
+parameter that the body never reads.
 Same-type constraints erase: every emitted core type is first
 canonicalized through the congruence closure, so core structural equality
 coincides with provable surface equality.
@@ -58,15 +61,8 @@ from .ast import (
     substitute_constraint,
     substitute_type_map,
 )
-from .env import (
-    ConceptEntry,
-    ConstraintEntry,
-    Env,
-    TypeEq,
-    concept_subst,
-    flat,
-)
-from .parser import pretty_constraint, pretty_type
+from .env import ConstraintEntry, Env, Evidence, concept_subst, flat
+from .parser import pretty_type
 from .sysf import (
     CApp,
     CArrow,
@@ -97,8 +93,8 @@ from .typeq import ClosureState, NoRepresentativeError
 
 
 class ElabError(Exception):
-    """Internal invariant breach: raised only when translating a program
-    that did not pass the checker."""
+    """Internal invariant breach: the recorded derivation does not fit the
+    program being lowered."""
 
 
 @dataclass
@@ -109,8 +105,10 @@ class ElabCtx:
       ("var", name)   — a surface type variable
       ("assoc", path) — an abstracted associated-type path
     vscope entries:
-      ("term", name)  — a surface term variable
-      ("dict", C)     — the dictionary for a concept constraint
+      ("term", name)    — a surface term variable
+      ("dict", binder)  — the dictionary bound at `binder`, a `ModelDecl`
+                          or `ConstrainedE` node (None: a parameter that
+                          no evidence names)
     """
 
     tscope: tuple = ()
@@ -126,8 +124,8 @@ class ElabCtx:
     def bind_term(self, name):
         return ElabCtx(self.tscope, self.vscope + (("term", name),))
 
-    def bind_dict(self, constraint):
-        return ElabCtx(self.tscope, self.vscope + (("dict", constraint),))
+    def bind_dict(self, binder):
+        return ElabCtx(self.tscope, self.vscope + (("dict", binder),))
 
 
 def _pins(t: Type) -> tuple:
@@ -146,9 +144,6 @@ class Elaborator:
     def __init__(self, checker: Checker):
         self.checker = checker
 
-    def closure(self, env: Env) -> ClosureState:
-        return self.checker.closure(env)
-
     # ------------------------------------------------------------ types
 
     def abstraction_plan(self, env: Env, c: ConceptC) -> tuple:
@@ -158,7 +153,7 @@ class Elaborator:
         abstracted.  The decision depends only on the concept table, so
         introduction, discharge and type conversion agree however the
         type around the constraint was canonicalized."""
-        expanded = flat(env, c)
+        expanded = [fc for fc, _ in flat(env, c)]
         eqs = [(fc.lhs, fc.rhs) for fc in expanded
                if isinstance(fc, SameType)]
         st = ClosureState(equations=eqs)
@@ -186,7 +181,7 @@ class Elaborator:
         the dictionary type (built with the prefix's same-type constraints
         `pins` assumed), and the number of type parameters."""
         plan = self.abstraction_plan(env, c)
-        env2 = env.push_all(ConstraintEntry(fc) for fc in flat(env, c))
+        env2 = env.push_all(ConstraintEntry(fc) for fc, _ in flat(env, c))
         ctx2 = ctx.bind_assocs(plan)
         dict_ty = self.dict_type(
             env2.push_all(ConstraintEntry(p) for p in pins), ctx2, c.model)
@@ -194,7 +189,7 @@ class Elaborator:
 
     def conv(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
         """Surface type to core type, canonicalized through the closure."""
-        st = self.closure(env)
+        st = self.checker.closure(env)
         try:
             t = st.canonical(t)
         except NoRepresentativeError:
@@ -221,7 +216,7 @@ class Elaborator:
                         return CTVar(i)
                 raise ElabError(f"type variable {name!r} not in scope")
             case AssocPath():
-                st = self.closure(env)
+                st = self.checker.closure(env)
                 for i, entry in enumerate(reversed(ctx.tscope)):
                     if entry[0] == "assoc" and st.types_equal(t, entry[1]):
                         return CTVar(i)
@@ -248,8 +243,6 @@ class Elaborator:
 
     def dict_type(self, env: Env, ctx: ElabCtx, mid: ModelId) -> CoreType:
         info = env.find_concept(mid.concept)
-        if info is None:
-            raise ElabError(f"unknown concept {mid.concept!r}")
         sigma = concept_subst(info, mid)
         slots = []
         for nc in info.nested:
@@ -262,56 +255,34 @@ class Elaborator:
 
     # ------------------------------------------------------------ dicts
 
-    def _dict_route(self, env: Env, have: ConceptC, want: ConceptC):
-        """Projection path (nested-dictionary slot indices) from a held
-        dictionary to the wanted constraint, or None."""
-        st = self.closure(env)
-        if st.constraints_equal(have, want):
-            return []
-        info = env.find_concept(have.model.concept)
-        if info is None:
-            return None
-        sigma = concept_subst(info, have.model)
-        slot = 0
-        for nc in info.nested:
-            nc2 = substitute_constraint(nc, sigma)
-            if isinstance(nc2, ConceptC):
-                route = self._dict_route(env, nc2, want)
-                if route is not None:
-                    return [slot] + route
-                slot += 1
-        return None
-
-    def build_dict(self, env: Env, ctx: ElabCtx, c: ConceptC) -> CoreTerm:
-        """The core term for the dictionary witnessing a satisfied
-        constraint: an in-scope dictionary variable (possibly projected
-        through nested slots), found innermost-first."""
+    def build_dict(self, ctx: ElabCtx, ev: Evidence) -> CoreTerm:
+        """The core term for the dictionary the checker's evidence names:
+        the variable its binder bound, projected along its route."""
         for i, entry in enumerate(reversed(ctx.vscope)):
-            if entry[0] != "dict":
-                continue
-            route = self._dict_route(env, entry[1], c)
-            if route is not None:
+            if entry[0] == "dict" and entry[1] is ev.binder:
                 out = CVar(i)
-                for slot in route:
+                for slot in ev.route:
                     out = CProj(out, slot)
                 return out
-        raise ElabError(
-            f"no dictionary in scope for {pretty_constraint(c)}")
+        raise ElabError("dictionary binder not in scope")
 
     # ------------------------------------------------------------ terms
 
-    def lower(self, env: Env, ctx: ElabCtx, e: Expr) -> CoreTerm:
+    def lower(self, ctx: ElabCtx, e: Expr) -> CoreTerm:
         """The core term of a checked expression, under dictionary
         parameters for the constraints stripped off the type it was
         checked against."""
         if id(e) in self.checker.wrap:
             t, rest = self.checker.wrap[id(e)]
-            return self._wrap(env, ctx, e, t, rest)
-        return self._lower_use(env, ctx, e)
+            return self._wrap(self.checker.envs[id(e)], ctx, e, t, rest)
+        return self._lower_use(ctx, e)
 
-    def _lower_use(self, env: Env, ctx: ElabCtx, e: Expr) -> CoreTerm:
-        """The translation of e itself, applied to the evidence for the
-        constraints eliminated at its use."""
+    def _lower_use(self, ctx: ElabCtx, e: Expr) -> CoreTerm:
+        """The translation of e itself, with the constraints eliminated at
+        its use discharged: their abstracted associated types instantiated
+        and the dictionaries their evidence names passed.  Types are
+        converted in the environment the checker checked e in."""
+        env = self.checker.envs[id(e)]
         lower = self.lower
         match e:
             case IntLit(value):
@@ -320,57 +291,56 @@ class Elaborator:
                 core = CBoolLit(value)
             case PathE((), name):
                 core = self._var(ctx, name)
-            case PathE(prefix, name):
-                core = self._elab_path(env, ctx, prefix, name)
+            case PathE():
+                core = self._elab_path(env, ctx, e)
             case Lam(param, ann, body):
                 dom = ann if ann is not None else self.checker.types[id(e)]
                 core = CLam(self.conv(env, ctx, dom),
-                            lower(env, ctx.bind_term(param), body))
+                            lower(ctx.bind_term(param), body))
             case App(fn, arg):
-                core = CApp(lower(env, ctx, fn), lower(env, ctx, arg))
+                core = CApp(lower(ctx, fn), lower(ctx, arg))
             case TyLam(binder, body):
-                core = CTyLam(lower(env, ctx.bind_tyvar(binder), body))
+                core = CTyLam(lower(ctx.bind_tyvar(binder), body))
             case TyApp(subject, arg):
-                core = CTyApp(lower(env, ctx, subject),
-                              self.conv(env, ctx, arg))
-            case ConstrainedE(SameType() as c, body):
-                core = lower(env.push(ConstraintEntry(c)), ctx, body)
+                core = CTyApp(lower(ctx, subject), self.conv(env, ctx, arg))
+            # same-type assumptions erase; they and the declarations below
+            # only extend the environments the checker recorded
+            case (ConstrainedE(SameType(), rest) | ConceptDecl(rest=rest)
+                  | TypeAlias(rest=rest)):
+                core = lower(ctx, rest)
             case ConstrainedE(c, body):
-                env2, ctx2, dict_ty, n = self._assume(
+                _, ctx2, dict_ty, n = self._assume(
                     env, ctx, c, _pins(self.checker.types[id(e)]))
-                core = CLam(dict_ty, lower(env2, ctx2.bind_dict(c), body))
+                core = CLam(dict_ty, lower(ctx2.bind_dict(e), body))
                 for _ in range(n):
                     core = CTyLam(core)
-            case ConceptDecl(info, rest):
-                core = lower(env.push(ConceptEntry(info)), ctx, rest)
-            case ModelDecl(info, rest):
-                core = self._lower_model(env, ctx, info, rest)
-            case TypeAlias(name, rhs, rest):
-                core = lower(env.push(TypeEq(TVar(name), rhs)), ctx, rest)
+            case ModelDecl():
+                core = self._lower_model(env, ctx, e)
             case Let(name, bound, rest):
                 tb = self.checker.types[id(e)]
                 core = CApp(CLam(self.conv(env, ctx, tb),
-                                 lower(env, ctx.bind_term(name), rest)),
-                            lower(env, ctx, bound))
+                                 lower(ctx.bind_term(name), rest)),
+                            lower(ctx, bound))
             case Fix(body):
-                core = CFix(lower(env, ctx, body))
+                core = CFix(lower(ctx, body))
             case If(cond, thn, els):
-                core = CIf(lower(env, ctx, cond), lower(env, ctx, thn),
-                           lower(env, ctx, els))
+                core = CIf(lower(ctx, cond), lower(ctx, thn), lower(ctx, els))
             case ListLit(elems, elem_type):
-                cores = [lower(env, ctx, x) for x in elems]
+                cores = [lower(ctx, x) for x in elems]
                 t0 = self.checker.types[id(e)] if elems else elem_type
                 core = CNil(self.conv(env, ctx, t0))
                 for cx in reversed(cores):
                     core = CCons(cx, core)
             case Prim(op, args):
-                cores = tuple(lower(env, ctx, a) for a in args)
+                cores = tuple(lower(ctx, a) for a in args)
                 core = CCons(*cores) if op == "cons" else CPrim(op, cores)
-            case _:
-                raise ElabError(f"unexpected expression node: {e!r}")
-        if id(e) in self.checker.elim:
-            t, rest = self.checker.elim[id(e)]
-            core = self._eliminate(env, ctx, t, rest, core)
+        t, evidence = self.checker.elim.get(id(e), (None, ()))
+        for ev in evidence:
+            if isinstance(t.constraint, ConceptC):
+                for p in self.abstraction_plan(env, t.constraint):
+                    core = CTyApp(core, self.conv(env, ctx, p))
+                core = CApp(core, self.build_dict(ctx, ev))
+            t = t.body
         return core
 
     def _var(self, ctx: ElabCtx, name: str) -> CoreTerm:
@@ -379,86 +349,45 @@ class Elaborator:
                 return CVar(i)
         raise ElabError(f"variable {name!r} not in scope")
 
-    def _eliminate(self, env, ctx, t: Type, rest: Type, core: CoreTerm):
-        """Discharge the constraints of t in front of its part `rest` at
-        the term level: instantiate the abstracted associated types, pass
-        the dictionary."""
-        while t is not rest:
-            c = t.constraint
-            if isinstance(c, ConceptC):
-                for p in self.abstraction_plan(env, c):
-                    core = CTyApp(core, self.conv(env, ctx, p))
-                core = CApp(core, self.build_dict(env, ctx, c))
-            t = t.body
-        return core
-
     def _wrap(self, env, ctx, e: Expr, t: Type, rest: Type) -> CoreTerm:
         """Lower e under a dictionary abstraction for each constraint of
         its expected type t in front of its part `rest`.  The checker
-        found them satisfied in scope, so e needs no evidence from
-        outside; the parameters give the term the core image of t."""
+        checked e without these constraints, so no evidence names the
+        parameters and e never reads them; they only give the term the
+        core image of t."""
         if t is rest:
-            return self._lower_use(env, ctx, e)
+            return self._lower_use(ctx, e)
         c = t.constraint
         if isinstance(c, SameType):
             return self._wrap(env, ctx, e, t.body, rest)
         env2, ctx2, dict_ty, k = self._assume(env, ctx, c, _pins(t.body))
-        out = CLam(dict_ty, self._wrap(env2, ctx2.bind_dict(c), e, t.body,
+        out = CLam(dict_ty, self._wrap(env2, ctx2.bind_dict(None), e, t.body,
                                        rest))
         for _ in range(k):
             out = CTyLam(out)
         return out
 
-    def _elab_path(self, env, ctx, prefix, name) -> CoreTerm:
-        out = self.build_dict(env, ctx, ConceptC(prefix[0]))
-        for i in range(len(prefix)):
-            mid = prefix[i]
-            info = env.find_concept(mid.concept)
-            sigma = concept_subst(info, mid)
-            if i + 1 < len(prefix):
-                target = ConceptC(prefix[i + 1])
-                slot = 0
-                found = False
-                for nc in info.nested:
-                    nc2 = substitute_constraint(nc, sigma)
-                    if isinstance(nc2, ConceptC):
-                        if self.closure(env).constraints_equal(nc2, target):
-                            out = CProj(out, slot)
-                            found = True
-                            break
-                        slot += 1
-                if not found:
-                    raise ElabError("path step does not match a nested "
-                                    "constraint")
-            else:
-                n_nested = sum(
-                    1 for nc in info.nested
-                    if isinstance(substitute_constraint(nc, sigma), ConceptC))
-                names = [n for n, _ in info.members]
-                if name not in names:
-                    raise ElabError(f"unknown member {name!r}")
-                out = CProj(out, n_nested + names.index(name))
-        return out
+    def _elab_path(self, env, ctx, e: PathE) -> CoreTerm:
+        """The member's slot, after the nested dictionaries, in the
+        dictionary of the path's last model step."""
+        ev = self.checker.evidence[id(e)]
+        info = env.find_concept(e.prefix[-1].concept)
+        n_nested = sum(isinstance(nc, ConceptC) for nc in info.nested)
+        names = [n for n, _ in info.members]
+        return CProj(self.build_dict(ctx, ev), n_nested + names.index(e.name))
 
-    def _lower_model(self, env, ctx, info, rest) -> CoreTerm:
+    def _lower_model(self, env, ctx, e: ModelDecl) -> CoreTerm:
+        info, rest = e.info, e.rest
         cinfo = env.find_concept(info.concept)
-        mid = ModelId(info.concept, info.type_args)
         # the dictionary value: nested-constraint dictionaries first,
         # then member implementations in concept declaration order
-        sigma = dict(zip(cinfo.type_params, info.type_args))
-        sigma.update(info.assoc_binds)
-        slots = []
-        for nc in cinfo.nested:
-            nc2 = substitute_constraint(nc, sigma)
-            if isinstance(nc2, ConceptC):
-                slots.append(self.build_dict(env, ctx, nc2))
+        slots = [self.build_dict(ctx, ev)
+                 for ev in self.checker.evidence[id(e)]]
         bound = dict(info.member_binds)
-        for mname, _ in cinfo.members:
-            slots.append(self.lower(env, ctx, bound[mname]))
-        env2 = env.push_all(TypeEq(AssocPath(mid, b), t)
-                            for b, t in info.assoc_binds)
-        dict_ty = self.dict_type(env2, ctx, mid)
-        body = self.lower(env2, ctx.bind_dict(ConceptC(mid)), rest)
+        slots += [self.lower(ctx, bound[mname]) for mname, _ in cinfo.members]
+        dict_ty = self.dict_type(self.checker.envs[id(rest)], ctx,
+                                 ModelId(info.concept, info.type_args))
+        body = self.lower(ctx.bind_dict(e), rest)
         return CApp(CLam(dict_ty, body), CTup(tuple(slots)))
 
 
@@ -468,7 +397,7 @@ class Elaborator:
 def translate_program(e: Expr, checker: Checker) -> CoreTerm:
     """Core term for a whole program whose derivation `checker` recorded
     in a successful `typecheck.check_program(e, checker)`."""
-    return Elaborator(checker).lower(Env(), ElabCtx(), e)
+    return Elaborator(checker).lower(ElabCtx(), e)
 
 
 def translate_type(env: Env, t: Type, checker: Checker) -> CoreType:

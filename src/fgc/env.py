@@ -8,7 +8,7 @@ parameters and associated types substituted as the environment is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ast import (
     AssocPath,
@@ -42,8 +42,21 @@ class TypeVarBind:
 
 
 @dataclass(frozen=True)
+class Evidence:
+    """The dictionary witnessing a concept constraint: the `ModelDecl` or
+    `ConstrainedE` node binding a dictionary, and the nested-requirement
+    slots leading from it to the witness.  `PROVED` has no binder."""
+    binder: object
+    route: tuple = ()
+
+
+PROVED = Evidence(None)  # a provable same-type constraint
+
+
+@dataclass(frozen=True)
 class ConstraintEntry:
     constraint: Constraint
+    evidence: Evidence = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,7 @@ class ConceptEntry:
 class ModelEntry:
     model: ModelId
     info: ModelInfo
+    evidence: Evidence = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------- errors
@@ -133,14 +147,15 @@ class Env:
 
     def concept_candidates(self, name: str):
         """Model identifiers asserted for a concept, most recent first,
-        from both constraint assumptions and model declarations."""
+        from both constraint assumptions and model declarations, each with
+        its evidence."""
         for e in self.entries:
             if (isinstance(e, ConstraintEntry)
                     and isinstance(e.constraint, ConceptC)
                     and e.constraint.model.concept == name):
-                yield e.constraint.model
+                yield e.constraint.model, e.evidence
             elif isinstance(e, ModelEntry) and e.model.concept == name:
-                yield e.model
+                yield e.model, e.evidence
 
     def restrict(self) -> "Env":
         """Keep concept definitions, constraint assumptions, and type
@@ -164,66 +179,79 @@ def concept_subst(info: ConceptInfo, mid: ModelId) -> dict:
 
 def flat(env: Env, constraint: Constraint) -> list:
     """Expansion of a constraint with all transitively nested constraints,
-    concept parameters substituted, duplicates dropped."""
+    concept parameters substituted, duplicates dropped.  Each expanded
+    constraint comes with its route: the nested-requirement slots leading
+    from the constraint's dictionary to its own (unused for a same-type
+    constraint, which has no dictionary)."""
     out = []
 
     def seen(c):
-        return any(constraint_alpha_equal(c, d) for d in out)
+        return any(constraint_alpha_equal(c, d) for d, _ in out)
 
-    def go(c):
+    def go(c, route):
         if seen(c):
             return
+        out.append((c, route))
         if isinstance(c, SameType):
-            out.append(c)
             return
         mid = c.model
         info = env.find_concept(mid.concept)
         if info is None:
             raise UnknownConceptError(mid.concept)
-        out.append(c)
         sigma = concept_subst(info, mid)
+        slot = 0  # the dictionary holds the concept requirements only
         for nc in info.nested:
-            go(substitute_constraint(nc, sigma))
+            go(substitute_constraint(nc, sigma), route + (slot,))
+            slot += isinstance(nc, ConceptC)
 
-    go(constraint)
+    go(constraint, ())
     return out
 
 
-def satisfies(env: Env, constraint: Constraint, st: ClosureState) -> bool:
-    """Whether the environment, whose congruence closure is st, satisfies a
-    constraint: a matching model or assumption for a concept constraint,
-    provable equality for a same-type constraint."""
+def satisfies(env: Env, constraint: Constraint, st: ClosureState):
+    """The evidence by which the environment, whose congruence closure is
+    st, satisfies a constraint, or None: the most recent matching model or
+    assumption for a concept constraint, `PROVED` for a provable same-type
+    constraint."""
     if isinstance(constraint, SameType):
-        return st.types_equal(constraint.lhs, constraint.rhs)
+        return PROVED if st.types_equal(constraint.lhs, constraint.rhs) \
+            else None
     mid = constraint.model
-    for cand in env.concept_candidates(mid.concept):
+    for cand, evidence in env.concept_candidates(mid.concept):
         if st.model_ids_equal(cand, mid):
-            return True
-    return False
+            return evidence
+    return None
 
 
-def lookup_path(env: Env, prefix: tuple, name: str, closure) -> Type:
-    """Type of a qualified term path.  The empty prefix defers to the
-    first-binding rule; each model-identifier step checks satisfaction and
-    recurses into the concept-restricted environment extended with the
-    concept's substituted nested constraints and member signatures.
-    `closure` maps an environment to its congruence closure."""
+def lookup_path(env: Env, prefix: tuple, name: str, closure):
+    """Type of a qualified term path and the evidence of its last model
+    step.  The empty prefix defers to the first-binding rule; each
+    model-identifier step checks satisfaction and recurses into the
+    concept-restricted environment extended with the concept's substituted
+    nested constraints, their evidence extending the step's, and member
+    signatures.  `closure` maps an environment to its congruence closure."""
     if not prefix:
         t = env.lookup_term(name)
         if t is None:
             raise UnknownMemberError(name)
-        return t
+        return t, None
     mid = prefix[0]
     info = env.find_concept(mid.concept)
     if info is None or len(info.type_params) != len(mid.type_args):
         raise UnknownConceptError(mid.concept)
-    if not satisfies(env, ConceptC(mid), closure(env)):
+    evidence = satisfies(env, ConceptC(mid), closure(env))
+    if evidence is None:
         raise UnsatisfiedConstraintError(ConceptC(mid))
     sigma = concept_subst(info, mid)
     inner = env.restrict()
+    slot = 0
     for nc in info.nested:
-        inner = inner.push(ConstraintEntry(substitute_constraint(nc, sigma)))
+        inner = inner.push(ConstraintEntry(substitute_constraint(nc, sigma),
+                                           Evidence(evidence.binder,
+                                                    evidence.route + (slot,))))
+        slot += isinstance(nc, ConceptC)
     for member_name, member_type in info.members:
         inner = inner.push(
             TermBind(member_name, substitute_type_map(member_type, sigma)))
-    return lookup_path(inner, prefix[1:], name, closure)
+    t, last = lookup_path(inner, prefix[1:], name, closure)
+    return t, last or evidence

@@ -12,14 +12,18 @@ While it derives, the checker records the decisions that the
 dictionary-passing translation (`elaborate`) lowers into the core, keyed by
 the identity of the expression node they concern:
 
-  elim   the constraints eliminated at the use of an expression: its
-         type and the part of it left after the leading constraints
-         were discharged;
-  wrap   the satisfied constraints stripped off the type an expression
-         was checked against: that type and the part left after them;
-  types  the type a `let` binds, the domain an unannotated lambda took
-         from its expected type, the element type of a non-empty list
-         literal, and the body type of a constraint introduction.
+  elim      the constraints eliminated at the use of an expression: its
+            type and the evidence that satisfied each leading constraint
+            discharged there;
+  wrap      the satisfied constraints stripped off the type an expression
+            was checked against: that type and the part left after them;
+  types     the type a `let` binds, the domain an unannotated lambda took
+            from its expected type, the element type of a non-empty list
+            literal, and the body type of a constraint introduction;
+  evidence  the evidence (`env.Evidence`) for the dictionaries a node
+            itself reads: a qualified path's last model step (None for a
+            variable), a model's nested concept requirements in order;
+  envs      the environment each expression was checked in.
 
 Diagnostic codes (closed set):
   T001  application / comparison mismatch
@@ -63,7 +67,6 @@ from .ast import (
     ListT,
     ModelDecl,
     ModelId,
-    ModelInfo,
     PathE,
     Prim,
     SourceSpan,
@@ -82,7 +85,9 @@ from .env import (
     ConceptEntry,
     ConstraintEntry,
     Env,
+    Evidence,
     ModelEntry,
+    PROVED,
     TermBind,
     TypeEq,
     TypeVarBind,
@@ -131,9 +136,12 @@ class Checker:
     def __init__(self):
         self.diags = []
         self._closures = {}
+        self._env_closures = {}  # id(env) -> (env, closure); env kept alive
         self.elim = {}
         self.wrap = {}
         self.types = {}
+        self.envs = {}
+        self.evidence = {}
 
     # -- infrastructure
 
@@ -141,11 +149,15 @@ class Checker:
         self.diags.append(TypeDiagnostic(span, code, message, tuple(notes)))
 
     def closure(self, env: Env) -> ClosureState:
+        known = self._env_closures.get(id(env))
+        if known is not None:
+            return known[1]
         key = (tuple(env.equations()), frozenset(env.alias_names()))
         st = self._closures.get(key)
         if st is None:
             st = ClosureState(equations=key[0], alias_names=key[1])
             self._closures[key] = st
+        self._env_closures[id(env)] = (env, st)
         return st
 
     def equal(self, env: Env, a: Type, b: Type) -> bool:
@@ -156,13 +168,15 @@ class Checker:
     def discharge(self, env: Env, t: Type, at: Optional[Expr] = None) -> Type:
         """Strip satisfied constraints off the front of t.  When `at`, the
         expression of type t, is given and a constraint was stripped,
-        record in `elim` that they were eliminated there."""
-        u = t
-        while isinstance(u, Constrained) and satisfies(
-                env, u.constraint, self.closure(env)):
+        record in `elim` that they were eliminated there, with their
+        evidence."""
+        u, evidence = t, []
+        while isinstance(u, Constrained) and (ev := satisfies(
+                env, u.constraint, self.closure(env))) is not None:
+            evidence.append(ev)
             u = u.body
         if u is not t and at is not None:
-            self.elim[id(at)] = (t, u)
+            self.elim[id(at)] = (t, tuple(evidence))
         return u
 
     def _shape(self, env: Env, t: Type, want,
@@ -183,27 +197,34 @@ class Checker:
             return c
         return None
 
-    def satisfy(self, env: Env, c: Constraint, span) -> bool:
-        """Constraint satisfaction with a T003/T004 diagnostic on failure."""
+    def satisfy(self, env: Env, c: Constraint, span) -> Optional[Evidence]:
+        """The evidence satisfying a constraint, or None after a T003/T004
+        diagnostic; one mentioning an error, already reported, is PROVED."""
         if contains_err(c):
-            return True
-        if isinstance(c, ConceptC):
-            info = env.find_concept(c.model.concept)
-            if info is None:
-                self.err(span, "T004",
-                         f"unknown concept {c.model.concept!r}")
-                return False
-            if len(info.type_params) != len(c.model.type_args):
-                self.err(span, "T004",
-                         f"concept {c.model.concept!r} takes "
-                         f"{len(info.type_params)} type argument(s), got "
-                         f"{len(c.model.type_args)}")
-                return False
-        if satisfies(env, c, self.closure(env)):
-            return True
-        self.err(span, "T003",
-                 f"unsatisfied constraint {self._show_constraint(env, c)}")
-        return False
+            return PROVED
+        if isinstance(c, ConceptC) and self._concept(env, c.model,
+                                                     span) is None:
+            return None
+        ev = satisfies(env, c, self.closure(env))
+        if ev is None:
+            self.err(span, "T003",
+                     f"unsatisfied constraint {self._show_constraint(env, c)}")
+        return ev
+
+    def _concept(self, env: Env, mid: ModelId, span):
+        """The concept a model identifier names, or None after a T004
+        diagnostic for an unknown concept or a wrong number of arguments."""
+        info = env.find_concept(mid.concept)
+        if info is None:
+            self.err(span, "T004", f"unknown concept {mid.concept!r}")
+        elif len(info.type_params) != len(mid.type_args):
+            self.err(span, "T004",
+                     f"concept {mid.concept!r} takes "
+                     f"{len(info.type_params)} type argument(s), got "
+                     f"{len(mid.type_args)}")
+        else:
+            return info
+        return None
 
     def _show_constraint(self, env: Env, c: Constraint) -> str:
         try:
@@ -212,26 +233,25 @@ class Checker:
             pass
         return pretty_constraint(c)
 
-    def _assume(self, env: Env, c: Constraint, span) -> Optional[Env]:
-        """Extend env with the flat expansion of an assumed constraint."""
+    def _assume(self, env: Env, e: ConstrainedE) -> Optional[Env]:
+        """Extend env with the flat expansion of e's constraint, each part
+        with its evidence: e's dictionary and the route into it."""
+        c, span = e.constraint, e.span
         try:
             expanded = flat(env, c)
         except UnknownConceptError as exc:
             self.err(span, "T004", str(exc))
             return None
-        if isinstance(c, ConceptC):
-            info = env.find_concept(c.model.concept)
-            if len(info.type_params) != len(c.model.type_args):
-                self.err(span, "T004",
-                         f"concept {c.model.concept!r} takes "
-                         f"{len(info.type_params)} type argument(s), got "
-                         f"{len(c.model.type_args)}")
-                return None
-        return env.push_all(ConstraintEntry(fc) for fc in expanded)
+        if isinstance(c, ConceptC) and self._concept(env, c.model,
+                                                     span) is None:
+            return None
+        return env.push_all(ConstraintEntry(fc, Evidence(e, route))
+                            for fc, route in expanded)
 
     # -- synthesis
 
     def infer(self, env: Env, e: Expr) -> Type:
+        self.envs[id(e)] = env
         match e:
             case IntLit():
                 return IntT()
@@ -239,7 +259,9 @@ class Checker:
                 return BoolT()
             case PathE(prefix, name):
                 try:
-                    return lookup_path(env, prefix, name, self.closure)
+                    t, self.evidence[id(e)] = lookup_path(env, prefix, name,
+                                                          self.closure)
+                    return t
                 except UnsatisfiedConstraintError as exc:
                     self.err(e.span, "T003",
                              "unsatisfied constraint "
@@ -292,7 +314,7 @@ class Checker:
                     return ERR
                 return substitute_type(fa.body, fa.binder, arg)
             case ConstrainedE(constraint, body):
-                env2 = self._assume(env, constraint, e.span)
+                env2 = self._assume(env, e)
                 if env2 is None:
                     self.infer(env, body)
                     return ERR
@@ -307,8 +329,8 @@ class Checker:
                                  f"unknown concept {nc.model.concept!r} in "
                                  f"constraints of {info.name!r}")
                 return self.infer(env.push(ConceptEntry(info)), rest)
-            case ModelDecl(info, rest):
-                env2 = self.check_model(env, info, info.span)
+            case ModelDecl(_, rest):
+                env2 = self.check_model(env, e)
                 if env2 is None:
                     return self.infer(env, rest)
                 t = self.infer(env2, rest)
@@ -419,6 +441,7 @@ class Checker:
               subject: str = "expression") -> None:
         """Check e against expected; unannotated lambdas take their domain
         from the expected arrow type."""
+        self.envs[id(e)] = env
         if contains_err(expected):
             self.infer(env, e)
             return
@@ -463,7 +486,7 @@ class Checker:
                 if isinstance(expected, Constrained) and self.closure(
                         env).constraints_equal(constraint,
                                                expected.constraint):
-                    env2 = self._assume(env, constraint, e.span)
+                    env2 = self._assume(env, e)
                     if env2 is not None:
                         self.types[id(e)] = expected.body
                         self.check(env2, body, expected.body, code, subject)
@@ -500,16 +523,11 @@ class Checker:
 
     # -- declarations
 
-    def check_model(self, env: Env, info: ModelInfo, span) -> Optional[Env]:
-        cinfo = env.find_concept(info.concept)
+    def check_model(self, env: Env, e: ModelDecl) -> Optional[Env]:
+        info, span = e.info, e.info.span
+        mid = ModelId(info.concept, info.type_args)
+        cinfo = self._concept(env, mid, span)
         if cinfo is None:
-            self.err(span, "T004", f"unknown concept {info.concept!r}")
-            return None
-        if len(cinfo.type_params) != len(info.type_args):
-            self.err(span, "T004",
-                     f"concept {info.concept!r} takes "
-                     f"{len(cinfo.type_params)} type argument(s), got "
-                     f"{len(info.type_args)}")
             return None
         ok = True
         bound_assocs = dict(info.assoc_binds)
@@ -544,17 +562,21 @@ class Checker:
         sigma = dict(zip(cinfo.type_params, info.type_args))
         for b, t in info.assoc_binds:
             sigma[b] = t
+        evidence = []
         for nc in cinfo.nested:
-            if not self.satisfy(env, substitute_constraint(nc, sigma), span):
+            ev = self.satisfy(env, substitute_constraint(nc, sigma), span)
+            if ev is None:
                 ok = False
+            elif isinstance(nc, ConceptC):
+                evidence.append(ev)
+        self.evidence[id(e)] = tuple(evidence)
         for name, body in info.member_binds:
             expected = substitute_type_map(declared[name], sigma)
             self.check(env, body, expected, code="T006",
                        subject=f"member {name!r}")
         if not ok:
             return None
-        mid = ModelId(info.concept, info.type_args)
-        out = env.push(ModelEntry(mid, info))
+        out = env.push(ModelEntry(mid, info, Evidence(e)))
         for b, t in info.assoc_binds:
             out = out.push(TypeEq(AssocPath(mid, b), t))
         return out
@@ -570,7 +592,8 @@ def check_program(e: Expr, checker: Optional[Checker] = None):
     """
     if checker is None:
         checker = Checker()
-    for table in (checker.diags, checker.elim, checker.wrap, checker.types):
+    for table in (checker.diags, checker.elim, checker.wrap, checker.types,
+                  checker.envs, checker.evidence, checker._env_closures):
         table.clear()
     t = checker.infer(Env(), e)
     if checker.diags:

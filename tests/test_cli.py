@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+import fgc.cli
 from fgc.cli import main
+from fgc.elaborate import ElabError
+from fgc.sysf import CApp, CIntLit, Stuck
 
 from corpus import PROGRAMS_DIR
 
@@ -128,3 +131,37 @@ def test_run_list_result(capsys, tmp_path):
     code, out, _ = run(capsys, "run", str(f))
     assert code == 0
     assert "cons" in out
+
+
+def _elab_fails(tree, checker):
+    raise ElabError("dictionary binder not in scope")
+
+
+def _ill_typed_core(tree, checker):
+    return CApp(CIntLit(1), CIntLit(2))
+
+
+@pytest.mark.parametrize("cmd, name, fake, message", [
+    (["run"], "translate_program", _elab_fails,
+     "ElabError: dictionary binder not in scope"),
+    (["emit-core"], "translate_program", _elab_fails,
+     "ElabError: dictionary binder not in scope"),
+    (["emit-core", "--verify"], "translate_program", _ill_typed_core,
+     "CoreTypeError: "),
+    (["run"], "sf_eval", lambda core, fuel: Stuck("no rule"),
+     "evaluation stuck: no rule"),
+])
+def test_internal_error_exit_code(capsys, monkeypatch, cmd, name, fake,
+                                  message):
+    monkeypatch.setattr(fgc.cli, name, fake)
+    code, _, err = run(capsys, *cmd, FOLDL)
+    assert code == 5
+    assert err.startswith("fgc: internal error: " + message)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    code, _, err = run(capsys, *cmd, FOLDL, "--format", "json")
+    assert code == 5
+    payload = json.loads(err)
+    assert payload["schema"] == 1
+    (diag,) = payload["diagnostics"]
+    assert diag["code"] == "I001"
+    assert diag["message"].startswith(message)

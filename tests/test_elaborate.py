@@ -17,6 +17,7 @@ from fgc.env import Env
 from fgc.parser import parse_program
 from fgc.sysf import Value, sf_eval, sf_typecheck
 from fgc.typecheck import Checker, check_program
+from fgc.typeq import ClosureState
 
 from corpus import EXPECTED_VALUES, PROGRAMS_DIR, load, well_typed_names
 from gen import core_ground, well_typed
@@ -196,6 +197,29 @@ head [g, g]
 """
 
 
+# The path step D<t> is satisfied by the outer assumption, not by a
+# nested requirement of C.
+PATH_THROUGH_OUTER = """
+concept D<a> { ; ; d : a } in
+concept C<a> { ; ; c : a } in
+let g = Lam t. D<t> => C<t> => C<t>.D<t>.d in
+model D<int> { ; d = 3 } in
+model C<int> { ; c = 4 } in
+g[int] + 1
+"""
+
+# f's member is checked with D<int> stripped off its expected type, so its
+# D<int>.d is the model in scope at the member, not the caller's later one.
+MEMBER_USES_ITS_SCOPE = """
+concept D<a> { ; ; d : a } in
+concept C<a> { ; ; f : D<a> => a -> a } in
+model D<int> { ; d = 3 } in
+model C<int> { ; f = lam x. x + D<int>.d } in
+model D<int> { ; d = 100 } in
+C<int>.f 4
+"""
+
+
 def run_cli(capsys, tmp_path, source, *args):
     f = tmp_path / "prog.fg"
     f.write_text(source)
@@ -214,10 +238,14 @@ def run_cli(capsys, tmp_path, source, *args):
     (PINNED_RESOLVED, "3"),
     (PINNED_IN_ANNOTATION, "3"),
     (LIST_OF_CONSTRAINED, "\\x0: <>. 5"),
+    (PATH_THROUGH_OUTER, "4"),
+    (MEMBER_USES_ITS_SCOPE, "7"),
 ])
 def test_run_and_verified_core(capsys, tmp_path, source, value):
     code, out, err = run_cli(capsys, tmp_path, source, "run")
     assert (code, out, err) == (0, value + "\n", "")
+    direct = interpret_direct(parse_program(source))
+    assert str(direct) == value or direct == "non-ground"
     code, out, err = run_cli(capsys, tmp_path, source, "emit-core",
                              "--verify")
     assert code == 0 and err == ""
@@ -240,7 +268,7 @@ def test_reused_checker_keeps_one_derivation():
     assert isinstance(check_program(parse_program("1 + true"), reused), list)
     check_program(parse_program(load("wt_poly_nested.fg")), reused)
     assert check_program(e, reused) == check_program(e, fresh)
-    for table in ("diags", "elim", "wrap", "types"):
+    for table in ("diags", "elim", "wrap", "types", "envs", "evidence"):
         assert getattr(reused, table) == getattr(fresh, table)
 
 
@@ -267,6 +295,8 @@ def test_one_checker_walk_per_command(capsys, monkeypatch):
     for mod in (fgc.env, fgc.typecheck):
         for name in ("satisfies", "lookup_path"):
             monkeypatch.setattr(mod, name, count(name, getattr(mod, name)))
+    monkeypatch.setattr(ClosureState, "constraints_equal", count(
+        "constraints_equal", ClosureState.constraints_equal))
     totals = {}
     for cmd in (["check"], ["run"], ["emit-core", "--verify"]):
         checkers.clear()
@@ -276,7 +306,8 @@ def test_one_checker_walk_per_command(capsys, monkeypatch):
         nodes = [k for k in calls if isinstance(k, int)]
         assert all(calls[k] == 1 for k in nodes)
         totals[cmd[0]] = (len(nodes), calls["satisfies"],
-                          calls["lookup_path"])
+                          calls["lookup_path"], calls["constraints_equal"])
     capsys.readouterr()
-    # lowering adds no inference, satisfaction or path lookup
+    # lowering adds no inference, satisfaction, path lookup or dictionary
+    # search: it follows the evidence the checker recorded
     assert totals["run"] == totals["check"] == totals["emit-core"]

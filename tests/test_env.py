@@ -19,6 +19,7 @@ from fgc.env import (
     ConceptEntry,
     ConstraintEntry,
     Env,
+    Evidence,
     ModelEntry,
     TermBind,
     TypeEq,
@@ -80,10 +81,12 @@ def test_flat_expands_nested_constraints():
     env = base_env()
     out = flat(env, ConceptC(ModelId("Monoid", (IntT(),))))
     assert len(out) == 2
-    assert constraint_alpha_equal(out[0], ConceptC(ModelId("Monoid",
-                                                           (IntT(),))))
-    assert constraint_alpha_equal(out[1], ConceptC(ModelId("Semigroup",
-                                                           (IntT(),))))
+    assert constraint_alpha_equal(out[0][0], ConceptC(ModelId("Monoid",
+                                                              (IntT(),))))
+    assert constraint_alpha_equal(out[1][0], ConceptC(ModelId("Semigroup",
+                                                              (IntT(),))))
+    # Semigroup<int>'s dictionary is slot 0 of Monoid<int>'s
+    assert [route for _, route in out] == [(), (0,)]
 
 
 def test_flat_deduplicates():
@@ -94,8 +97,10 @@ def test_flat_deduplicates():
          ConceptC(ModelId("Monoid", (A,)))), ())
     env = base_env().push(ConceptEntry(both))
     out = flat(env, ConceptC(ModelId("Both", (IntT(),))))
-    names = [c.model.concept for c in out]
+    names = [c.model.concept for c, _ in out]
     assert names == ["Both", "Semigroup", "Monoid"]
+    # the duplicate Semigroup inside Monoid keeps the first route
+    assert [route for _, route in out] == [(), (0,), (1,)]
 
 
 def test_flat_same_type_member():
@@ -103,10 +108,11 @@ def test_flat_same_type_member():
                     (SameType(TVar("T"), TVar("a")),), ())
     env = base_env().push(ConceptEntry(c))
     out = flat(env, ConceptC(ModelId("Pinned", (IntT(),))))
-    assert isinstance(out[1], SameType)
+    same, _ = out[1]
+    assert isinstance(same, SameType)
     # the associated type is substituted to a path through the model id
-    assert out[1].lhs == AssocPath(ModelId("Pinned", (IntT(),)), "T")
-    assert out[1].rhs == IntT()
+    assert same.lhs == AssocPath(ModelId("Pinned", (IntT(),)), "T")
+    assert same.rhs == IntT()
 
 
 def test_flat_unknown_concept():
@@ -118,23 +124,31 @@ def test_satisfies_via_model_and_assumption():
     mid = ModelId("Semigroup", (IntT(),))
     minfo = ModelInfo("Semigroup", (IntT(),), (), ())
     env = base_env()
-    assert not satisfies(env, ConceptC(mid), closure(env))
-    with_model = env.push(ModelEntry(mid, minfo))
-    assert satisfies(with_model, ConceptC(mid), closure(with_model))
-    assumed = env.push(ConstraintEntry(ConceptC(mid)))
-    assert satisfies(assumed, ConceptC(mid), closure(assumed))
+    assert satisfies(env, ConceptC(mid), closure(env)) is None
+    model_ev, assumed_ev = Evidence("model"), Evidence("assumption", (1,))
+    with_model = env.push(ModelEntry(mid, minfo, model_ev))
+    assert satisfies(with_model, ConceptC(mid),
+                     closure(with_model)) is model_ev
+    assumed = env.push(ConstraintEntry(ConceptC(mid), assumed_ev))
+    assert satisfies(assumed, ConceptC(mid), closure(assumed)) is assumed_ev
+    # the most recent candidate is the evidence
+    both = with_model.push(ConstraintEntry(ConceptC(mid), assumed_ev))
+    assert satisfies(both, ConceptC(mid), closure(both)) is assumed_ev
 
 
 def test_satisfies_up_to_provable_equality():
     mid_a = ModelId("Semigroup", (A,))
+    ev = Evidence("assumption")
     env = (base_env()
            .push(TypeVarBind("a"))
-           .push(ConstraintEntry(ConceptC(mid_a)))
+           .push(ConstraintEntry(ConceptC(mid_a), ev))
            .push(TypeEq(TVar("b"), A)))
-    # b is provably equal to a, so Semigroup<b> is satisfied
+    # b is provably equal to a, so Semigroup<b> is satisfied by Semigroup<a>
     st = closure(env)
-    assert satisfies(env, ConceptC(ModelId("Semigroup", (TVar("b"),))), st)
-    assert not satisfies(env, ConceptC(ModelId("Semigroup", (IntT(),))), st)
+    assert satisfies(env, ConceptC(ModelId("Semigroup", (TVar("b"),))),
+                     st) is ev
+    assert satisfies(env, ConceptC(ModelId("Semigroup", (IntT(),))),
+                     st) is None
 
 
 def test_satisfies_same_type():
@@ -146,29 +160,37 @@ def test_satisfies_same_type():
 
 def test_lookup_path_member():
     mid = ModelId("Semigroup", (IntT(),))
+    ev = Evidence("model")
     env = base_env().push(ModelEntry(mid, ModelInfo(
-        "Semigroup", (IntT(),), (), ())))
-    t = lookup_path(env, (mid,), "binary_op", closure)
+        "Semigroup", (IntT(),), (), ()), ev))
+    t, last = lookup_path(env, (mid,), "binary_op", closure)
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
+    assert last is ev
 
 
 def test_lookup_path_nested():
     smid = ModelId("Semigroup", (IntT(),))
     mmid = ModelId("Monoid", (IntT(),))
     env = base_env().push_all([
-        ModelEntry(smid, ModelInfo("Semigroup", (IntT(),), (), ())),
-        ModelEntry(mmid, ModelInfo("Monoid", (IntT(),), (), ()))])
-    # Monoid<int>.Semigroup<int>.binary_op goes through the nested constraint
-    t = lookup_path(env, (mmid, smid), "binary_op", closure)
+        ModelEntry(smid, ModelInfo("Semigroup", (IntT(),), (), ()),
+                   Evidence("semigroup model")),
+        ModelEntry(mmid, ModelInfo("Monoid", (IntT(),), (), ()),
+                   Evidence("monoid model"))])
+    # Monoid<int>.Semigroup<int>.binary_op goes through the nested
+    # constraint: slot 0 of the Monoid<int> model's dictionary
+    t, last = lookup_path(env, (mmid, smid), "binary_op", closure)
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
+    assert last == Evidence("monoid model", (0,))
 
 
 def test_lookup_path_assoc_substitution():
     mid = ModelId("Seq", (ListT(IntT()),))
+    ev = Evidence("model")
     env = base_env().push(ModelEntry(mid, ModelInfo(
-        "Seq", (ListT(IntT()),), (("E", IntT()),), ())))
-    t = lookup_path(env, (mid,), "head", closure)
+        "Seq", (ListT(IntT()),), (("E", IntT()),), ()), ev))
+    t, last = lookup_path(env, (mid,), "head", closure)
     assert t == Arrow(ListT(IntT()), AssocPath(mid, "E"))
+    assert last is ev
 
 
 def test_lookup_path_errors():
@@ -182,7 +204,7 @@ def test_lookup_path_errors():
                     closure)
     mid = ModelId("Semigroup", (IntT(),))
     env2 = env.push(ModelEntry(mid, ModelInfo("Semigroup", (IntT(),),
-                                              (), ())))
+                                              (), ()), Evidence("model")))
     with pytest.raises(UnknownMemberError):
         lookup_path(env2, (mid,), "nope", closure)
 
@@ -198,7 +220,7 @@ def test_restrict_drops_terms_and_models():
     assert r.lookup_term("x") is None
     assert r.find_concept("Semigroup") is not None
     # the assumption survives but the model declaration does not
-    assert list(r.concept_candidates("Semigroup")) == [mid]
+    assert [m for m, _ in r.concept_candidates("Semigroup")] == [mid]
     assert ("b" in r.alias_names())
 
 
