@@ -147,9 +147,10 @@ def cmd_emit_core(args) -> int:
     if code != EXIT_OK:
         return code
     core = translate_program(tree, checker)
+    core_type = sf_typecheck(core) if args.verify else None
     print(pretty_core(core))
     if args.verify:
-        print(f"core: {pretty_core_type(sf_typecheck(core))}")
+        print(f"core: {pretty_core_type(core_type)}")
     return EXIT_OK
 
 

@@ -55,6 +55,8 @@ PROVED = Evidence(None)  # a provable same-type constraint
 
 @dataclass(frozen=True)
 class ConstraintEntry:
+    """An assumed constraint.  The elaborator's type-level assumptions
+    carry no evidence; `satisfies` refuses to pick such an entry."""
     constraint: Constraint
     evidence: Evidence = field(default=None, compare=False)
 
@@ -74,7 +76,7 @@ class ConceptEntry:
 class ModelEntry:
     model: ModelId
     info: ModelInfo
-    evidence: Evidence = field(default=None, compare=False)
+    evidence: Evidence = field(compare=False)
 
 
 # ---------------------------------------------------------------- errors
@@ -219,6 +221,9 @@ def satisfies(env: Env, constraint: Constraint, st: ClosureState):
     mid = constraint.model
     for cand, evidence in env.concept_candidates(mid.concept):
         if st.model_ids_equal(cand, mid):
+            if evidence is None:
+                raise ValueError(f"assumption of {mid.concept!r} carries "
+                                 "no evidence")
             return evidence
     return None
 

@@ -136,7 +136,6 @@ class Checker:
     def __init__(self):
         self.diags = []
         self._closures = {}
-        self._env_closures = {}  # id(env) -> (env, closure); env kept alive
         self.elim = {}
         self.wrap = {}
         self.types = {}
@@ -149,15 +148,11 @@ class Checker:
         self.diags.append(TypeDiagnostic(span, code, message, tuple(notes)))
 
     def closure(self, env: Env) -> ClosureState:
-        known = self._env_closures.get(id(env))
-        if known is not None:
-            return known[1]
         key = (tuple(env.equations()), frozenset(env.alias_names()))
         st = self._closures.get(key)
         if st is None:
             st = ClosureState(equations=key[0], alias_names=key[1])
             self._closures[key] = st
-        self._env_closures[id(env)] = (env, st)
         return st
 
     def equal(self, env: Env, a: Type, b: Type) -> bool:
@@ -440,59 +435,16 @@ class Checker:
     def check(self, env: Env, e: Expr, expected: Type, code: str = "T001",
               subject: str = "expression") -> None:
         """Check e against expected; unannotated lambdas take their domain
-        from the expected arrow type."""
+        from the expected arrow type.  Satisfied constraints in front of
+        expected are stripped only where e does not meet them as they
+        stand: a `C => e'` introduces its own C, and a value whose type is
+        expected itself, such as `g[int]`, keeps its constraints for the
+        use to discharge."""
         self.envs[id(e)] = env
         if contains_err(expected):
             self.infer(env, e)
             return
-        stripped = self.discharge(env, expected)
-        if stripped is not expected:
-            self.wrap[id(e)] = (expected, stripped)
-            expected = stripped
         match e:
-            case Lam(param, ann, body):
-                arrow = self._shape(env, expected, Arrow)
-                if arrow is None:
-                    if ann is None:
-                        self.err(e.span, "T009",
-                                 f"parameter {param!r} needs a type "
-                                 "annotation: expected type "
-                                 f"{pretty_type(expected)} is not a "
-                                 "function type")
-                        return
-                    self._check_via_infer(env, e, expected, code, subject)
-                    return
-                if ann is not None and not self.equal(env, ann, arrow.dom):
-                    self.err(e.span, code,
-                             f"{subject} takes {pretty_type(ann)} but "
-                             f"{pretty_type(arrow.dom)} was expected")
-                    return
-                bound = ann
-                if ann is None:
-                    bound = self.types[id(e)] = arrow.dom
-                self.check(env.push(TermBind(param, bound)), body,
-                           arrow.cod, code, subject)
-                return
-            case TyLam(binder, body):
-                fa = self._shape(env, expected, Forall)
-                if fa is None:
-                    self._check_via_infer(env, e, expected, code, subject)
-                    return
-                inner = substitute_type(fa.body, fa.binder, TVar(binder))
-                self.check(env.push(TypeVarBind(binder)), body, inner,
-                           code, subject)
-                return
-            case ConstrainedE(constraint, body):
-                if isinstance(expected, Constrained) and self.closure(
-                        env).constraints_equal(constraint,
-                                               expected.constraint):
-                    env2 = self._assume(env, e)
-                    if env2 is not None:
-                        self.types[id(e)] = expected.body
-                        self.check(env2, body, expected.body, code, subject)
-                    return
-                self._check_via_infer(env, e, expected, code, subject)
-                return
             case If(cond, thn, els):
                 tc = self.infer(env, cond)
                 if self._shape(env, tc, BoolT, cond) is None \
@@ -509,17 +461,59 @@ class Checker:
                 self.check(env.push(TermBind(name, tb)), rest, expected,
                            code, subject)
                 return
-        self._check_via_infer(env, e, expected, code, subject)
-
-    def _check_via_infer(self, env, e, expected, code, subject):
+        rest = expected
+        while isinstance(rest, Constrained) and not self._introduces(
+                env, e, rest) and satisfies(env, rest.constraint,
+                                            self.closure(env)) is not None:
+            rest = rest.body
+        if rest is not expected:
+            self.wrap[id(e)] = (expected, rest)
+        match e:
+            case Lam(param, ann, body) if (
+                    arrow := self._shape(env, rest, Arrow)) is not None:
+                if ann is not None and not self.equal(env, ann, arrow.dom):
+                    self.err(e.span, code,
+                             f"{subject} takes {pretty_type(ann)} but "
+                             f"{pretty_type(arrow.dom)} was expected")
+                    return
+                bound = ann
+                if ann is None:
+                    bound = self.types[id(e)] = arrow.dom
+                self.check(env.push(TermBind(param, bound)), body,
+                           arrow.cod, code, subject)
+                return
+            case Lam(param, None, _):
+                self.err(e.span, "T009",
+                         f"parameter {param!r} needs a type annotation: "
+                         f"expected type {pretty_type(rest)} is not a "
+                         "function type")
+                return
+            case TyLam(binder, body) if (
+                    fa := self._shape(env, rest, Forall)) is not None:
+                inner = substitute_type(fa.body, fa.binder, TVar(binder))
+                self.check(env.push(TypeVarBind(binder)), body, inner,
+                           code, subject)
+                return
+            case ConstrainedE(_, body) if self._introduces(env, e, rest):
+                env2 = self._assume(env, e)
+                if env2 is not None:
+                    self.types[id(e)] = rest.body
+                    self.check(env2, body, rest.body, code, subject)
+                return
         t = self.infer(env, e)
         if self.equal(env, t, expected):
-            return
-        if self.equal(env, self.discharge(env, t, e), expected):
-            return
-        self.err(e.span, code,
-                 f"{subject} has type {pretty_type(t)}, expected "
-                 f"{pretty_type(expected)}")
+            self.wrap.pop(id(e), None)  # e's own constraints are expected's
+        elif not (self.equal(env, t, rest)
+                  or self.equal(env, self.discharge(env, t, e), rest)):
+            self.err(e.span, code,
+                     f"{subject} has type {pretty_type(t)}, expected "
+                     f"{pretty_type(rest)}")
+
+    def _introduces(self, env: Env, e: Expr, t: Type) -> bool:
+        """Whether e is an introduction of t's leading constraint."""
+        return isinstance(e, ConstrainedE) and isinstance(
+            t, Constrained) and self.closure(env).constraints_equal(
+                e.constraint, t.constraint)
 
     # -- declarations
 
@@ -593,7 +587,7 @@ def check_program(e: Expr, checker: Optional[Checker] = None):
     if checker is None:
         checker = Checker()
     for table in (checker.diags, checker.elim, checker.wrap, checker.types,
-                  checker.envs, checker.evidence, checker._env_closures):
+                  checker.envs, checker.evidence):
         table.clear()
     t = checker.infer(Env(), e)
     if checker.diags:

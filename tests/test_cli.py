@@ -154,12 +154,12 @@ def _ill_typed_core(tree, checker):
 def test_internal_error_exit_code(capsys, monkeypatch, cmd, name, fake,
                                   message):
     monkeypatch.setattr(fgc.cli, name, fake)
-    code, _, err = run(capsys, *cmd, FOLDL)
-    assert code == 5
+    code, out, err = run(capsys, *cmd, FOLDL)
+    assert (code, out) == (5, "")
     assert err.startswith("fgc: internal error: " + message)
     assert err.count("\n") == 1 and "Traceback" not in err
-    code, _, err = run(capsys, *cmd, FOLDL, "--format", "json")
-    assert code == 5
+    code, out, err = run(capsys, *cmd, FOLDL, "--format", "json")
+    assert (code, out) == (5, "")
     payload = json.loads(err)
     assert payload["schema"] == 1
     (diag,) = payload["diagnostics"]

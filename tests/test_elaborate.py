@@ -220,6 +220,20 @@ C<int>.f 4
 """
 
 
+# The member is an introduction of D<int> itself, or a value of the
+# member's whole type, so C<int>.f passes the caller's D<int>: the later
+# model's, as F^G's introduction rule and the direct interpreter do.
+MEMBER_INTRODUCES = """
+concept D<a> {{ ; ; d : a }} in
+concept C<a> {{ ; ; f : D<a> => a -> a }} in
+let g = Lam t. D<t> => lam x: t. D<t>.d in
+model D<int> {{ ; d = 3 }} in
+model C<int> {{ ; f = {body} }} in
+model D<int> {{ ; d = 100 }} in
+C<int>.f 4
+"""
+
+
 def run_cli(capsys, tmp_path, source, *args):
     f = tmp_path / "prog.fg"
     f.write_text(source)
@@ -240,6 +254,11 @@ def run_cli(capsys, tmp_path, source, *args):
     (LIST_OF_CONSTRAINED, "\\x0: <>. 5"),
     (PATH_THROUGH_OUTER, "4"),
     (MEMBER_USES_ITS_SCOPE, "7"),
+    (MEMBER_INTRODUCES.format(
+        body="D<int> => lam x: int. x + D<int>.d"), "104"),
+    (MEMBER_INTRODUCES.format(body="g[int]"), "100"),
+    (MEMBER_INTRODUCES.format(
+        body="if true then g[int] else lam x. x + D<int>.d"), "100"),
 ])
 def test_run_and_verified_core(capsys, tmp_path, source, value):
     code, out, err = run_cli(capsys, tmp_path, source, "run")

@@ -136,6 +136,13 @@ def test_satisfies_via_model_and_assumption():
     assert satisfies(both, ConceptC(mid), closure(both)) is assumed_ev
 
 
+def test_satisfies_refuses_missing_evidence():
+    mid = ModelId("Semigroup", (IntT(),))
+    env = base_env().push(ConstraintEntry(ConceptC(mid)))
+    with pytest.raises(ValueError):
+        satisfies(env, ConceptC(mid), closure(env))
+
+
 def test_satisfies_up_to_provable_equality():
     mid_a = ModelId("Semigroup", (A,))
     ev = Evidence("assumption")
@@ -213,7 +220,8 @@ def test_restrict_drops_terms_and_models():
     mid = ModelId("Semigroup", (IntT(),))
     env = (base_env()
            .push(TermBind("x", IntT()))
-           .push(ModelEntry(mid, ModelInfo("Semigroup", (IntT(),), (), ())))
+           .push(ModelEntry(mid, ModelInfo("Semigroup", (IntT(),), (), ()),
+                            Evidence("model")))
            .push(ConstraintEntry(ConceptC(mid)))
            .push(TypeEq(TVar("b"), IntT())))
     r = env.restrict()
