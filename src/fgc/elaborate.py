@@ -61,7 +61,7 @@ from .ast import (
     substitute_constraint,
     substitute_type_map,
 )
-from .env import ConstraintEntry, Env, Evidence, concept_subst, flat
+from .env import ConstraintEntry, Env, Evidence, PROVED, concept_subst, flat
 from .parser import pretty_type
 from .sysf import (
     CApp,
@@ -139,7 +139,7 @@ def _pins(t: Type) -> tuple:
 
 
 class Elaborator:
-    """Lowers a derivation recorded by `checker`, reusing its closures."""
+    """Lowers a derivation recorded by `checker`."""
 
     def __init__(self, checker: Checker):
         self.checker = checker
@@ -177,21 +177,24 @@ class Elaborator:
 
     def _assume(self, env: Env, ctx: ElabCtx, c: ConceptC, pins: tuple):
         """Enter an assumed concept constraint: the environment extended
-        with flat(c), the context with the abstracted associated types,
-        the dictionary type (built with the prefix's same-type constraints
-        `pins` assumed), and the number of type parameters."""
+        with the equations of flat(c), the context with the abstracted
+        associated types, the dictionary type (built with the prefix's
+        same-type constraints `pins` assumed), and the number of type
+        parameters."""
         plan = self.abstraction_plan(env, c)
-        env2 = env.push_all(ConstraintEntry(fc) for fc, _ in flat(env, c))
+        env2 = env.push_all(ConstraintEntry(fc, PROVED)
+                            for fc, _ in flat(env, c)
+                            if isinstance(fc, SameType))
         ctx2 = ctx.bind_assocs(plan)
         dict_ty = self.dict_type(
-            env2.push_all(ConstraintEntry(p) for p in pins), ctx2, c.model)
+            env2.push_all(ConstraintEntry(p, PROVED) for p in pins), ctx2,
+            c.model)
         return env2, ctx2, dict_ty, len(plan)
 
     def conv(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
         """Surface type to core type, canonicalized through the closure."""
-        st = self.checker.closure(env)
         try:
-            t = st.canonical(t)
+            t = env.closure.canonical(t)
         except NoRepresentativeError:
             pass
         return self._conv_raw(env, ctx, t)
@@ -216,7 +219,7 @@ class Elaborator:
                         return CTVar(i)
                 raise ElabError(f"type variable {name!r} not in scope")
             case AssocPath():
-                st = self.checker.closure(env)
+                st = env.closure
                 for i, entry in enumerate(reversed(ctx.tscope)):
                     if entry[0] == "assoc" and st.types_equal(t, entry[1]):
                         return CTVar(i)
@@ -231,7 +234,7 @@ class Elaborator:
                     "binding and is not abstracted in scope")
             case Constrained(constraint, body):
                 if isinstance(constraint, SameType):
-                    env2 = env.push(ConstraintEntry(constraint))
+                    env2 = env.push(ConstraintEntry(constraint, PROVED))
                     return self.conv(env2, ctx, body)
                 env2, ctx2, dict_ty, n = self._assume(env, ctx, constraint,
                                                       _pins(body))

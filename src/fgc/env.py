@@ -4,11 +4,13 @@ An Env is a persistent sequence of entries, most recent first.  Lookup of
 term bindings follows the first-binding rule; constraint expansion and
 qualified-path lookup follow the declarative definitions with concept
 parameters and associated types substituted as the environment is built.
+Each Env also owns the congruence closure of the equations it assumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .ast import (
     AssocPath,
@@ -37,11 +39,6 @@ class TermBind:
 
 
 @dataclass(frozen=True)
-class TypeVarBind:
-    name: str
-
-
-@dataclass(frozen=True)
 class Evidence:
     """The dictionary witnessing a concept constraint: the `ModelDecl` or
     `ConstrainedE` node binding a dictionary, and the nested-requirement
@@ -55,10 +52,9 @@ PROVED = Evidence(None)  # a provable same-type constraint
 
 @dataclass(frozen=True)
 class ConstraintEntry:
-    """An assumed constraint.  The elaborator's type-level assumptions
-    carry no evidence; `satisfies` refuses to pick such an entry."""
+    """An assumed constraint and the evidence for it."""
     constraint: Constraint
-    evidence: Evidence = field(default=None, compare=False)
+    evidence: Evidence = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -107,18 +103,55 @@ class UnknownMemberError(PathLookupError):
 # ---------------------------------------------------------------- env
 
 
+class EquationNode:
+    """The equations an environment assumes, `(lhs, rhs, is_alias)` in
+    order: a node in the tree of sequences grown from one empty `Env`,
+    with a child memoised per equation, so environments assuming the same
+    equations in the same order share one closure, built on first use."""
+
+    def __init__(self, assumed: tuple = ()):
+        self.assumed = assumed
+        self.children = {}
+
+    def extend(self, equation: tuple) -> "EquationNode":
+        child = self.children.get(equation)
+        if child is None:
+            child = self.children[equation] = EquationNode(
+                self.assumed + (equation,))
+        return child
+
+    @cached_property
+    def closure(self) -> ClosureState:
+        return ClosureState(
+            equations=[(lhs, rhs) for lhs, rhs, _ in self.assumed],
+            alias_names={lhs.name for lhs, _, alias in self.assumed if alias})
+
+
 @dataclass(frozen=True)
 class Env:
     entries: tuple = ()
+    eq_node: EquationNode = field(default_factory=EquationNode,
+                                  compare=False, repr=False)
 
     def push(self, entry) -> "Env":
-        return Env((entry,) + self.entries)
+        node = self.eq_node
+        match entry:
+            case TypeEq(lhs, rhs):
+                node = node.extend((lhs, rhs, isinstance(lhs, TVar)))
+            case ConstraintEntry(SameType(lhs, rhs)):
+                node = node.extend((lhs, rhs, False))
+        return Env((entry,) + self.entries, node)
 
     def push_all(self, entries) -> "Env":
         acc = self
         for e in entries:
             acc = acc.push(e)
         return acc
+
+    @property
+    def closure(self) -> ClosureState:
+        """The congruence closure of the equations in scope, in order."""
+        return self.eq_node.closure
 
     def lookup_term(self, name: str):
         """Type of the first (most recent) binding for name, or None."""
@@ -132,20 +165,6 @@ class Env:
             if isinstance(e, ConceptEntry) and e.info.name == name:
                 return e.info
         return None
-
-    def equations(self):
-        out = []
-        for e in reversed(self.entries):
-            if isinstance(e, TypeEq):
-                out.append((e.lhs, e.rhs))
-            elif isinstance(e, ConstraintEntry) and isinstance(
-                    e.constraint, SameType):
-                out.append((e.constraint.lhs, e.constraint.rhs))
-        return out
-
-    def alias_names(self):
-        return {e.lhs.name for e in self.entries
-                if isinstance(e, TypeEq) and isinstance(e.lhs, TVar)}
 
     def concept_candidates(self, name: str):
         """Model identifiers asserted for a concept, most recent first,
@@ -161,10 +180,10 @@ class Env:
 
     def restrict(self) -> "Env":
         """Keep concept definitions, constraint assumptions, and type
-        equations; drop term bindings, type variables, and models."""
+        equations, and so the closure; drop term bindings and models."""
         kept = tuple(e for e in self.entries
                      if isinstance(e, (ConceptEntry, ConstraintEntry, TypeEq)))
-        return Env(kept)
+        return Env(kept, self.eq_node)
 
 
 # ---------------------------------------------------------------- operations
@@ -210,53 +229,47 @@ def flat(env: Env, constraint: Constraint) -> list:
     return out
 
 
-def satisfies(env: Env, constraint: Constraint, st: ClosureState):
-    """The evidence by which the environment, whose congruence closure is
-    st, satisfies a constraint, or None: the most recent matching model or
-    assumption for a concept constraint, `PROVED` for a provable same-type
-    constraint."""
+def satisfies(env: Env, constraint: Constraint):
+    """The evidence by which the environment satisfies a constraint, or
+    None: the most recent matching model or assumption for a concept
+    constraint, `PROVED` for a provable same-type constraint."""
+    st = env.closure
     if isinstance(constraint, SameType):
         return PROVED if st.types_equal(constraint.lhs, constraint.rhs) \
             else None
     mid = constraint.model
     for cand, evidence in env.concept_candidates(mid.concept):
         if st.model_ids_equal(cand, mid):
-            if evidence is None:
-                raise ValueError(f"assumption of {mid.concept!r} carries "
-                                 "no evidence")
             return evidence
     return None
 
 
-def lookup_path(env: Env, prefix: tuple, name: str, closure):
+def lookup_path(env: Env, prefix: tuple, name: str):
     """Type of a qualified term path and the evidence of its last model
-    step.  The empty prefix defers to the first-binding rule; each
-    model-identifier step checks satisfaction and recurses into the
-    concept-restricted environment extended with the concept's substituted
-    nested constraints, their evidence extending the step's, and member
-    signatures.  `closure` maps an environment to its congruence closure."""
+    step (None for the empty prefix: a variable).  Each step is satisfied
+    in the restricted environment of the one before, which assumes that
+    step's nested constraints; the member's type is the last step's."""
     if not prefix:
         t = env.lookup_term(name)
         if t is None:
             raise UnknownMemberError(name)
         return t, None
-    mid = prefix[0]
-    info = env.find_concept(mid.concept)
-    if info is None or len(info.type_params) != len(mid.type_args):
-        raise UnknownConceptError(mid.concept)
-    evidence = satisfies(env, ConceptC(mid), closure(env))
-    if evidence is None:
-        raise UnsatisfiedConstraintError(ConceptC(mid))
-    sigma = concept_subst(info, mid)
-    inner = env.restrict()
-    slot = 0
-    for nc in info.nested:
-        inner = inner.push(ConstraintEntry(substitute_constraint(nc, sigma),
-                                           Evidence(evidence.binder,
-                                                    evidence.route + (slot,))))
-        slot += isinstance(nc, ConceptC)
-    for member_name, member_type in info.members:
-        inner = inner.push(
-            TermBind(member_name, substitute_type_map(member_type, sigma)))
-    t, last = lookup_path(inner, prefix[1:], name, closure)
-    return t, last or evidence
+    for mid in prefix:
+        info = env.find_concept(mid.concept)
+        if info is None or len(info.type_params) != len(mid.type_args):
+            raise UnknownConceptError(mid.concept)
+        evidence = satisfies(env, ConceptC(mid))
+        if evidence is None:
+            raise UnsatisfiedConstraintError(ConceptC(mid))
+        sigma = concept_subst(info, mid)
+        env = env.restrict()
+        slot = 0
+        for nc in info.nested:
+            env = env.push(ConstraintEntry(
+                substitute_constraint(nc, sigma),
+                Evidence(evidence.binder, evidence.route + (slot,))))
+            slot += isinstance(nc, ConceptC)
+    members = dict(info.members)
+    if name not in members:
+        raise UnknownMemberError(name)
+    return substitute_type_map(members[name], sigma), evidence

@@ -5,8 +5,7 @@ syntax-directed: constrained types are introduced explicitly by the
 `C => e` form and eliminated lazily — a constraint is discharged only when
 the surrounding context demands a specific type shape (function position,
 instantiation subject, condition, comparison against another type).  Type
-equality is decided by the congruence closure built from the environment's
-equations.
+equality is decided by the congruence closure the environment owns.
 
 While it derives, the checker records the decisions that the
 dictionary-passing translation (`elaborate`) lowers into the core, keyed by
@@ -80,6 +79,7 @@ from .ast import (
     substitute_constraint,
     substitute_type,
     substitute_type_map,
+    type_children,
 )
 from .env import (
     ConceptEntry,
@@ -90,7 +90,6 @@ from .env import (
     PROVED,
     TermBind,
     TypeEq,
-    TypeVarBind,
     UnknownConceptError,
     UnknownMemberError,
     UnsatisfiedConstraintError,
@@ -99,7 +98,7 @@ from .env import (
     satisfies,
 )
 from .parser import pretty_constraint, pretty_type
-from .typeq import ClosureState, NoRepresentativeError
+from .typeq import NoRepresentativeError
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,17 @@ def contains_err(t) -> bool:
     return contains_node(t, ErrT)
 
 
+def _model_ids(t):
+    """The model identifiers in a type or constraint, outermost first."""
+    if isinstance(t, (ConceptC, AssocPath)):
+        yield t.model
+    for c in type_children(t):
+        yield from _model_ids(c)
+
+
 class Checker:
     def __init__(self):
         self.diags = []
-        self._closures = {}
         self.elim = {}
         self.wrap = {}
         self.types = {}
@@ -147,18 +153,9 @@ class Checker:
     def err(self, span, code, message, notes=()):
         self.diags.append(TypeDiagnostic(span, code, message, tuple(notes)))
 
-    def closure(self, env: Env) -> ClosureState:
-        key = (tuple(env.equations()), frozenset(env.alias_names()))
-        st = self._closures.get(key)
-        if st is None:
-            st = ClosureState(equations=key[0], alias_names=key[1])
-            self._closures[key] = st
-        return st
-
     def equal(self, env: Env, a: Type, b: Type) -> bool:
-        if contains_err(a) or contains_err(b):
-            return True
-        return self.closure(env).types_equal(a, b)
+        return contains_err(a) or contains_err(b) or \
+            env.closure.types_equal(a, b)
 
     def discharge(self, env: Env, t: Type, at: Optional[Expr] = None) -> Type:
         """Strip satisfied constraints off the front of t.  When `at`, the
@@ -166,8 +163,8 @@ class Checker:
         record in `elim` that they were eliminated there, with their
         evidence."""
         u, evidence = t, []
-        while isinstance(u, Constrained) and (ev := satisfies(
-                env, u.constraint, self.closure(env))) is not None:
+        while isinstance(u, Constrained) and (
+                ev := satisfies(env, u.constraint)) is not None:
             evidence.append(ev)
             u = u.body
         if u is not t and at is not None:
@@ -185,7 +182,7 @@ class Checker:
         if isinstance(t, want):
             return t
         try:
-            c = self.closure(env).canonical(t)
+            c = env.closure.canonical(t)
         except NoRepresentativeError:
             return None
         if isinstance(c, want):
@@ -200,7 +197,7 @@ class Checker:
         if isinstance(c, ConceptC) and self._concept(env, c.model,
                                                      span) is None:
             return None
-        ev = satisfies(env, c, self.closure(env))
+        ev = satisfies(env, c)
         if ev is None:
             self.err(span, "T003",
                      f"unsatisfied constraint {self._show_constraint(env, c)}")
@@ -221,9 +218,15 @@ class Checker:
             return info
         return None
 
+    def _written(self, env: Env, t: Type, span) -> None:
+        """T004 for each unknown or wrongly applied concept that a type
+        written in the program names, once per model identifier."""
+        for mid in dict.fromkeys(_model_ids(t)):
+            self._concept(env, mid, span)
+
     def _show_constraint(self, env: Env, c: Constraint) -> str:
         try:
-            c = self.closure(env).canonical_constraint(c)
+            c = env.closure.canonical_constraint(c)
         except NoRepresentativeError:
             pass
         return pretty_constraint(c)
@@ -254,8 +257,7 @@ class Checker:
                 return BoolT()
             case PathE(prefix, name):
                 try:
-                    t, self.evidence[id(e)] = lookup_path(env, prefix, name,
-                                                          self.closure)
+                    t, self.evidence[id(e)] = lookup_path(env, prefix, name)
                     return t
                 except UnsatisfiedConstraintError as exc:
                     self.err(e.span, "T003",
@@ -273,6 +275,7 @@ class Checker:
                              "here")
                     self.infer(env.push(TermBind(param, ERR)), body)
                     return ERR
+                self._written(env, ann, e.span)
                 cod = self.infer(env.push(TermBind(param, ann)), body)
                 return Arrow(ann, cod)
             case App(fn, arg):
@@ -296,9 +299,9 @@ class Checker:
                     return ERR
                 return arrow.cod
             case TyLam(binder, body):
-                t = self.infer(env.push(TypeVarBind(binder)), body)
-                return Forall(binder, t)
+                return Forall(binder, self.infer(env, body))
             case TyApp(subject, arg):
+                self._written(env, arg, e.span)
                 ts = self.infer(env, subject)
                 fa = self._shape(env, ts, Forall, subject)
                 if fa is None:
@@ -333,11 +336,12 @@ class Checker:
                 # here, so resolve any paths through them in the result
                 if not contains_err(t) and has_path(t):
                     try:
-                        t = self.closure(env2).canonical(t)
+                        t = env2.closure.canonical(t)
                     except NoRepresentativeError:
                         pass
                 return t
             case TypeAlias(name, rhs, rest):
+                self._written(env, rhs, e.span)
                 t = self.infer(env.push(TypeEq(TVar(name), rhs)), rest)
                 if contains_err(t):
                     return t
@@ -361,12 +365,7 @@ class Checker:
                     return ERR
                 return arrow.dom
             case If(cond, thn, els):
-                tc = self.infer(env, cond)
-                if self._shape(env, tc, BoolT, cond) is None:
-                    self.err(cond.span, "T010",
-                             "condition has type "
-                             f"{pretty_type(self.discharge(env, tc))}, "
-                             "not bool")
+                self._condition(env, cond)
                 tt = self.infer(env, thn)
                 te = self.infer(env, els)
                 if self.equal(env, tt, te):
@@ -380,6 +379,7 @@ class Checker:
                 return ERR
             case ListLit(elems, elem_type):
                 if not elems:
+                    self._written(env, elem_type, e.span)
                     return ListT(elem_type)
                 t0 = self.types[id(e)] = self.infer(env, elems[0])
                 for x in elems[1:]:
@@ -394,6 +394,15 @@ class Checker:
             case Prim(op, args):
                 return self.infer_prim(env, e, op, args)
         raise TypeError(f"unexpected expression node: {e!r}")
+
+    def _condition(self, env: Env, cond: Expr) -> None:
+        """Infer a condition; T010 unless it is a bool or already an error."""
+        tc = self.infer(env, cond)
+        if self._shape(env, tc, BoolT, cond) is None \
+                and not contains_err(tc):
+            self.err(cond.span, "T010",
+                     "condition has type "
+                     f"{pretty_type(self.discharge(env, tc))}, not bool")
 
     def infer_prim(self, env: Env, e: Expr, op: str, args: tuple) -> Type:
         if op in ("+", "-", "*", "<", "=="):
@@ -446,13 +455,7 @@ class Checker:
             return
         match e:
             case If(cond, thn, els):
-                tc = self.infer(env, cond)
-                if self._shape(env, tc, BoolT, cond) is None \
-                        and not contains_err(tc):
-                    self.err(cond.span, "T010",
-                             "condition has type "
-                             f"{pretty_type(self.discharge(env, tc))}, "
-                             "not bool")
+                self._condition(env, cond)
                 self.check(env, thn, expected, code, subject)
                 self.check(env, els, expected, code, subject)
                 return
@@ -463,19 +466,20 @@ class Checker:
                 return
         rest = expected
         while isinstance(rest, Constrained) and not self._introduces(
-                env, e, rest) and satisfies(env, rest.constraint,
-                                            self.closure(env)) is not None:
+                env, e, rest) and satisfies(env, rest.constraint):
             rest = rest.body
         if rest is not expected:
             self.wrap[id(e)] = (expected, rest)
         match e:
             case Lam(param, ann, body) if (
                     arrow := self._shape(env, rest, Arrow)) is not None:
-                if ann is not None and not self.equal(env, ann, arrow.dom):
-                    self.err(e.span, code,
-                             f"{subject} takes {pretty_type(ann)} but "
-                             f"{pretty_type(arrow.dom)} was expected")
-                    return
+                if ann is not None:
+                    self._written(env, ann, e.span)
+                    if not self.equal(env, ann, arrow.dom):
+                        self.err(e.span, code,
+                                 f"{subject} takes {pretty_type(ann)} but "
+                                 f"{pretty_type(arrow.dom)} was expected")
+                        return
                 bound = ann
                 if ann is None:
                     bound = self.types[id(e)] = arrow.dom
@@ -491,8 +495,7 @@ class Checker:
             case TyLam(binder, body) if (
                     fa := self._shape(env, rest, Forall)) is not None:
                 inner = substitute_type(fa.body, fa.binder, TVar(binder))
-                self.check(env.push(TypeVarBind(binder)), body, inner,
-                           code, subject)
+                self.check(env, body, inner, code, subject)
                 return
             case ConstrainedE(_, body) if self._introduces(env, e, rest):
                 env2 = self._assume(env, e)
@@ -512,7 +515,7 @@ class Checker:
     def _introduces(self, env: Env, e: Expr, t: Type) -> bool:
         """Whether e is an introduction of t's leading constraint."""
         return isinstance(e, ConstrainedE) and isinstance(
-            t, Constrained) and self.closure(env).constraints_equal(
+            t, Constrained) and env.closure.constraints_equal(
                 e.constraint, t.constraint)
 
     # -- declarations

@@ -187,17 +187,22 @@ class _Oracle:
             case PathE(prefix, name):
                 if not prefix:
                     return env[name]
-                mid = self.norm_mid(prefix[-1], tyenv, models)
-                info = self.find_model(mid, models)
-                if info is None:
-                    raise ElabError(
-                        f"oracle: no model for {mid.concept!r}")
+                # the first step is the model in scope; each later step is
+                # the model that the step before captured at its
+                # declaration for that nested requirement
+                dmodels = models
+                for step in prefix:
+                    mid = self.norm_mid(step, tyenv, models)
+                    info = self.find_model(mid, dmodels)
+                    if info is None:
+                        raise ElabError(
+                            f"oracle: no model for {mid.concept!r}")
+                    denv, dtyenv, dmodels = self._model_scopes[id(info)]
                 body = dict(info.member_binds)[name]
                 # member bodies are closed over the declaration scope,
                 # which the registry entry captured positionally; they are
                 # re-evaluated here (models hold values, not thunks, only
                 # up to this laziness)
-                denv, dtyenv, dmodels = self._model_scopes[id(info)]
                 return self.eval(body, denv, dtyenv, dmodels)
             case Lam(param, _, body):
                 return _Closure(param, body, env, tyenv, models)

@@ -133,6 +133,20 @@ def test_run_list_result(capsys, tmp_path):
     assert "cons" in out
 
 
+@pytest.mark.parametrize("source", [
+    "let f = lam x: (Foo<int> => int). 1 in 2",
+    "let f = lam x: Foo<int>.T. 1 in 2",
+    "concept C<a> { ; ; } in let f = lam x: (C<int, int> => int). 1 in 2",
+])
+def test_concepts_named_in_annotations_are_checked(capsys, tmp_path, source):
+    f = tmp_path / "p.fg"
+    f.write_text(source)
+    for cmd in ("check", "run"):
+        code, out, err = run(capsys, cmd, str(f))
+        assert (code, out) == (1, "")
+        assert "error[T004]" in err and "Traceback" not in err
+
+
 def _elab_fails(tree, checker):
     raise ElabError("dictionary binder not in scope")
 

@@ -233,6 +233,17 @@ model D<int> {{ ; d = 100 }} in
 C<int>.f 4
 """
 
+# The nested step reads the C0<int> that C1<int>'s model captured, not the
+# later C0<int> in scope at the use.
+PATH_THROUGH_CAPTURED = """
+concept C0<t> { ; ; m0 : int } in
+concept C1<t> { ; C0<t> ; m1 : int } in
+model C0<int> { ; m0 = 1 } in
+model C1<int> { ; m1 = 10 } in
+model C0<int> { ; m0 = 2 } in
+C1<int>.C0<int>.m0
+"""
+
 
 def run_cli(capsys, tmp_path, source, *args):
     f = tmp_path / "prog.fg"
@@ -259,6 +270,7 @@ def run_cli(capsys, tmp_path, source, *args):
     (MEMBER_INTRODUCES.format(body="g[int]"), "100"),
     (MEMBER_INTRODUCES.format(
         body="if true then g[int] else lam x. x + D<int>.d"), "100"),
+    (PATH_THROUGH_CAPTURED, "1"),
 ])
 def test_run_and_verified_core(capsys, tmp_path, source, value):
     code, out, err = run_cli(capsys, tmp_path, source, "run")

@@ -21,9 +21,9 @@ from fgc.env import (
     Env,
     Evidence,
     ModelEntry,
+    PROVED,
     TermBind,
     TypeEq,
-    TypeVarBind,
     UnknownConceptError,
     UnknownMemberError,
     UnsatisfiedConstraintError,
@@ -33,7 +33,6 @@ from fgc.env import (
     satisfies,
 )
 from fgc.ast import AssocPath
-from fgc.typeq import ClosureState
 
 A = TVar("a")
 
@@ -47,11 +46,6 @@ SEQ = ConceptInfo(
     (("isnull", Arrow(TVar("S"), BoolT())),
      ("head", Arrow(TVar("S"), TVar("E"))),
      ("tail", Arrow(TVar("S"), TVar("S")))))
-
-
-def closure(env: Env) -> ClosureState:
-    return ClosureState(equations=env.equations(),
-                        alias_names=env.alias_names())
 
 
 def base_env() -> Env:
@@ -124,45 +118,32 @@ def test_satisfies_via_model_and_assumption():
     mid = ModelId("Semigroup", (IntT(),))
     minfo = ModelInfo("Semigroup", (IntT(),), (), ())
     env = base_env()
-    assert satisfies(env, ConceptC(mid), closure(env)) is None
+    assert satisfies(env, ConceptC(mid)) is None
     model_ev, assumed_ev = Evidence("model"), Evidence("assumption", (1,))
     with_model = env.push(ModelEntry(mid, minfo, model_ev))
-    assert satisfies(with_model, ConceptC(mid),
-                     closure(with_model)) is model_ev
+    assert satisfies(with_model, ConceptC(mid)) is model_ev
     assumed = env.push(ConstraintEntry(ConceptC(mid), assumed_ev))
-    assert satisfies(assumed, ConceptC(mid), closure(assumed)) is assumed_ev
+    assert satisfies(assumed, ConceptC(mid)) is assumed_ev
     # the most recent candidate is the evidence
     both = with_model.push(ConstraintEntry(ConceptC(mid), assumed_ev))
-    assert satisfies(both, ConceptC(mid), closure(both)) is assumed_ev
-
-
-def test_satisfies_refuses_missing_evidence():
-    mid = ModelId("Semigroup", (IntT(),))
-    env = base_env().push(ConstraintEntry(ConceptC(mid)))
-    with pytest.raises(ValueError):
-        satisfies(env, ConceptC(mid), closure(env))
+    assert satisfies(both, ConceptC(mid)) is assumed_ev
 
 
 def test_satisfies_up_to_provable_equality():
     mid_a = ModelId("Semigroup", (A,))
     ev = Evidence("assumption")
     env = (base_env()
-           .push(TypeVarBind("a"))
            .push(ConstraintEntry(ConceptC(mid_a), ev))
            .push(TypeEq(TVar("b"), A)))
     # b is provably equal to a, so Semigroup<b> is satisfied by Semigroup<a>
-    st = closure(env)
-    assert satisfies(env, ConceptC(ModelId("Semigroup", (TVar("b"),))),
-                     st) is ev
-    assert satisfies(env, ConceptC(ModelId("Semigroup", (IntT(),))),
-                     st) is None
+    assert satisfies(env, ConceptC(ModelId("Semigroup", (TVar("b"),)))) is ev
+    assert satisfies(env, ConceptC(ModelId("Semigroup", (IntT(),)))) is None
 
 
 def test_satisfies_same_type():
     env = Env().push(TypeEq(TVar("b"), IntT()))
-    st = closure(env)
-    assert satisfies(env, SameType(TVar("b"), IntT()), st)
-    assert not satisfies(env, SameType(TVar("b"), BoolT()), st)
+    assert satisfies(env, SameType(TVar("b"), IntT()))
+    assert not satisfies(env, SameType(TVar("b"), BoolT()))
 
 
 def test_lookup_path_member():
@@ -170,7 +151,7 @@ def test_lookup_path_member():
     ev = Evidence("model")
     env = base_env().push(ModelEntry(mid, ModelInfo(
         "Semigroup", (IntT(),), (), ()), ev))
-    t, last = lookup_path(env, (mid,), "binary_op", closure)
+    t, last = lookup_path(env, (mid,), "binary_op")
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
     assert last is ev
 
@@ -185,7 +166,7 @@ def test_lookup_path_nested():
                    Evidence("monoid model"))])
     # Monoid<int>.Semigroup<int>.binary_op goes through the nested
     # constraint: slot 0 of the Monoid<int> model's dictionary
-    t, last = lookup_path(env, (mmid, smid), "binary_op", closure)
+    t, last = lookup_path(env, (mmid, smid), "binary_op")
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
     assert last == Evidence("monoid model", (0,))
 
@@ -195,7 +176,7 @@ def test_lookup_path_assoc_substitution():
     ev = Evidence("model")
     env = base_env().push(ModelEntry(mid, ModelInfo(
         "Seq", (ListT(IntT()),), (("E", IntT()),), ()), ev))
-    t, last = lookup_path(env, (mid,), "head", closure)
+    t, last = lookup_path(env, (mid,), "head")
     assert t == Arrow(ListT(IntT()), AssocPath(mid, "E"))
     assert last is ev
 
@@ -203,17 +184,16 @@ def test_lookup_path_assoc_substitution():
 def test_lookup_path_errors():
     env = base_env()
     with pytest.raises(UnknownMemberError):
-        lookup_path(env, (), "missing", closure)
+        lookup_path(env, (), "missing")
     with pytest.raises(UnknownConceptError):
-        lookup_path(env, (ModelId("Nope", (IntT(),)),), "f", closure)
+        lookup_path(env, (ModelId("Nope", (IntT(),)),), "f")
     with pytest.raises(UnsatisfiedConstraintError):
-        lookup_path(env, (ModelId("Semigroup", (IntT(),)),), "binary_op",
-                    closure)
+        lookup_path(env, (ModelId("Semigroup", (IntT(),)),), "binary_op")
     mid = ModelId("Semigroup", (IntT(),))
     env2 = env.push(ModelEntry(mid, ModelInfo("Semigroup", (IntT(),),
                                               (), ()), Evidence("model")))
     with pytest.raises(UnknownMemberError):
-        lookup_path(env2, (mid,), "nope", closure)
+        lookup_path(env2, (mid,), "nope")
 
 
 def test_restrict_drops_terms_and_models():
@@ -222,18 +202,50 @@ def test_restrict_drops_terms_and_models():
            .push(TermBind("x", IntT()))
            .push(ModelEntry(mid, ModelInfo("Semigroup", (IntT(),), (), ()),
                             Evidence("model")))
-           .push(ConstraintEntry(ConceptC(mid)))
+           .push(ConstraintEntry(ConceptC(mid), Evidence("assumption")))
            .push(TypeEq(TVar("b"), IntT())))
     r = env.restrict()
     assert r.lookup_term("x") is None
     assert r.find_concept("Semigroup") is not None
     # the assumption survives but the model declaration does not
     assert [m for m, _ in r.concept_candidates("Semigroup")] == [mid]
-    assert ("b" in r.alias_names())
+    assert r.closure.types_equal(TVar("b"), IntT())
 
 
 def test_equations_in_declaration_order():
     env = (Env()
            .push(TypeEq(TVar("b"), IntT()))
-           .push(ConstraintEntry(SameType(TVar("c"), BoolT()))))
-    assert env.equations() == [(TVar("b"), IntT()), (TVar("c"), BoolT())]
+           .push(ConstraintEntry(SameType(TVar("c"), BoolT()), PROVED)))
+    assert env.closure.types_equal(TVar("b"), IntT())
+    assert env.closure.types_equal(TVar("c"), BoolT())
+    assert not env.closure.types_equal(TVar("b"), TVar("c"))
+
+
+def test_entries_without_equations_keep_the_closure():
+    env = base_env().push(TypeEq(TVar("b"), IntT()))
+    mid = ModelId("Semigroup", (IntT(),))
+    for entry in (TermBind("x", IntT()),
+                  ModelEntry(mid, ModelInfo("Semigroup", (IntT(),), (), ()),
+                             Evidence("model")),
+                  ConceptEntry(SEMIGROUP),
+                  ConstraintEntry(ConceptC(mid), Evidence("assumption"))):
+        assert env.push(entry).closure is env.closure
+
+
+def test_equal_equations_share_one_closure():
+    env = base_env().push(TermBind("x", IntT()))
+    first = env.push(TypeEq(TVar("b"), IntT()))
+    second = env.push(TermBind("y", BoolT())).push(TypeEq(TVar("b"), IntT()))
+    assert first.closure is second.closure
+    # an alias and a same-type assumption of the same equation differ in
+    # which side the closure prefers as representative
+    assumed = env.push(ConstraintEntry(SameType(TVar("b"), IntT()), PROVED))
+    assert assumed.closure is not first.closure
+    assert first.push(TypeEq(TVar("c"), BoolT())).closure is not first.closure
+
+
+def test_restrict_keeps_the_closure():
+    env = (base_env()
+           .push(TypeEq(TVar("b"), IntT()))
+           .push(TermBind("x", TVar("b"))))
+    assert env.restrict().closure is env.closure

@@ -1,13 +1,18 @@
-"""Type checker: corpus programs, one test per diagnostic code, and
-cascade suppression."""
+"""Type checker: corpus programs, one test per diagnostic code, cascade
+suppression, and robustness on random programs."""
+
+import random
 
 import pytest
 
 from fgc.ast import Arrow, IntT, ListT, Type
+from fgc.elaborate import translate_program
 from fgc.parser import parse_program, pretty_type
-from fgc.typecheck import check_program
+from fgc.sysf import sf_eval
+from fgc.typecheck import Checker, check_program
 
 from corpus import EXPECTED_CODES, load, well_typed_names
+from gen import random_expr
 
 
 def check_src(src: str):
@@ -70,6 +75,13 @@ def test_t004_unknown_concept_and_arity():
     src = ("concept Eq<a> { ; ; eq : a -> a -> bool } in "
            "model Eq<int, int> { ; eq = 0 } in 1")
     assert codes_of(src) == ["T004"]
+    # concepts named in written types: a type argument, nil[T], an alias,
+    # and a wrong number of arguments in an annotation
+    assert codes_of("(Lam t. 1)[Nope<int> => int]") == ["T004"]
+    assert codes_of("isnil nil[Nope<int>.T]") == ["T004"]
+    assert codes_of("type U = Nope<int>.T in 1") == ["T004"]
+    assert codes_of("concept Eq<a> { ; ; eq : a -> a -> bool } in "
+                    "lam x: Eq<int, bool>.T. 1") == ["T004"]
 
 
 def test_t005_missing_model_member():
@@ -120,6 +132,28 @@ def test_error_does_not_cascade():
     # one mistake, one diagnostic, even though the result feeds onward
     assert codes_of("let x = 1 + true in x + x + x") == ["T001"]
     assert codes_of("(lam f: int -> int. f (f 1)) (1 2)") == ["T002"]
+    # a condition whose type is already an error is not also a T010, in
+    # inference and in checking mode (a model member)
+    assert codes_of("if head 5 then 1 else 2") == ["T001"]
+    assert codes_of("concept C<a> { ; ; f : int } in "
+                    "model C<int> { ; f = if head 5 then 1 else 2 } in "
+                    "C<int>.f") == ["T001"]
+
+
+def test_random_programs_check_and_run_without_raising():
+    # arbitrary well-scoped syntax, mostly ill typed: the checker answers
+    # with a type or diagnostics, and what it accepts lowers and runs
+    accepted = 0
+    for seed in range(1000):
+        e = random_expr(random.Random(seed))
+        checker = Checker()
+        result = check_program(e, checker)
+        if isinstance(result, list):
+            assert result, seed
+            continue
+        accepted += 1
+        sf_eval(translate_program(e, checker), 10_000)
+    assert accepted > 100
 
 
 def test_model_satisfies_its_own_uses():
