@@ -308,6 +308,39 @@ def type_children(t) -> tuple:
     raise TypeError(f"unexpected type node: {t!r}")
 
 
+def map_children(t, f, arg):
+    """Rebuild a type or constraint with f(child, arg) in place of each
+    child `type_children` lists, called in the same order.  Keeps the span
+    and every field that is not a child: concept names, a path's string
+    tail and binder names.  Raises TypeError like `type_children`."""
+    match t:
+        case IntT() | BoolT() | TVar():
+            return t
+        case ListT(elem):
+            return ListT(f(elem, arg), span=t.span)
+        case Arrow(dom, cod):
+            return Arrow(f(dom, arg), f(cod, arg), span=t.span)
+        case Forall(binder, body):
+            return Forall(binder, f(body, arg), span=t.span)
+        case Constrained(constraint, body):
+            return Constrained(f(constraint, arg), f(body, arg), span=t.span)
+        case AssocPath(model, rest):
+            model = _map_model(model, f, arg)
+            if isinstance(rest, AssocPath):
+                rest = f(rest, arg)
+            return AssocPath(model, rest, span=t.span)
+        case ConceptC(model):
+            return ConceptC(_map_model(model, f, arg), span=t.span)
+        case SameType(lhs, rhs):
+            return SameType(f(lhs, arg), f(rhs, arg), span=t.span)
+    raise TypeError(f"unexpected type node: {t!r}")
+
+
+def _map_model(m: ModelId, f, arg) -> ModelId:
+    return ModelId(m.concept, tuple([f(a, arg) for a in m.type_args]),
+                   span=m.span)
+
+
 def contains_node(t, cls) -> bool:
     """Whether some node of a type or constraint is an instance of cls."""
     if isinstance(t, cls):
@@ -354,22 +387,14 @@ def substitute_type(t: Type, binder: str, replacement: Type) -> Type:
     return substitute_type_map(t, {binder: replacement})
 
 
-def substitute_type_map(t: Type, mapping: dict) -> Type:
-    """Simultaneous capture-avoiding substitution."""
+def substitute_type_map(t, mapping: dict):
+    """Simultaneous capture-avoiding substitution in a type or
+    constraint."""
     if not mapping:
         return t
     match t:
         case TVar(name):
             return mapping.get(name, t)
-        case IntT() | BoolT():
-            return t
-        case ListT(elem):
-            return ListT(substitute_type_map(elem, mapping))
-        case Arrow(dom, cod):
-            return Arrow(
-                substitute_type_map(dom, mapping),
-                substitute_type_map(cod, mapping),
-            )
         case Forall(binder, body):
             inner = {k: v for k, v in mapping.items() if k != binder}
             if not inner:
@@ -382,100 +407,45 @@ def substitute_type_map(t: Type, mapping: dict) -> Type:
                 binder2 = fresh_name(binder, avoid)
                 body = substitute_type_map(body, {binder: TVar(binder2)})
                 binder = binder2
-            return Forall(binder, substitute_type_map(body, inner))
-        case Constrained(constraint, body):
-            return Constrained(
-                substitute_constraint(constraint, mapping),
-                substitute_type_map(body, mapping),
-            )
-        case AssocPath():
-            return substitute_path(t, mapping)
-    raise TypeError(f"unexpected type node: {t!r}")
-
-
-def substitute_model_id(m: ModelId, mapping: dict) -> ModelId:
-    return ModelId(m.concept, tuple(substitute_type_map(a, mapping) for a in m.type_args))
-
-
-def substitute_path(p: AssocPath, mapping: dict) -> AssocPath:
-    rest = p.rest
-    if isinstance(rest, AssocPath):
-        rest = substitute_path(rest, mapping)
-    return AssocPath(substitute_model_id(p.model, mapping), rest)
-
-
-def substitute_constraint(c: Constraint, mapping: dict) -> Constraint:
-    match c:
-        case ConceptC(model):
-            return ConceptC(substitute_model_id(model, mapping))
-        case SameType(lhs, rhs):
-            return SameType(
-                substitute_type_map(lhs, mapping),
-                substitute_type_map(rhs, mapping),
-            )
-    raise TypeError(f"unexpected constraint node: {c!r}")
+            return Forall(binder, substitute_type_map(body, inner),
+                          span=t.span)
+    return map_children(t, substitute_type_map, mapping)
 
 
 # ---------------------------------------------------------------- alpha equality
 
 
-def alpha_equal(a: Type, b: Type) -> bool:
-    """Equality of types up to consistent renaming of Forall binders."""
+def alpha_equal(a, b) -> bool:
+    """Equality of types or constraints up to consistent renaming of
+    Forall binders."""
     return _alpha(a, b, {}, {}, 0)
 
 
-def _alpha(a: Type, b: Type, la: dict, lb: dict, depth: int) -> bool:
-    match (a, b):
-        case (IntT(), IntT()) | (BoolT(), BoolT()):
-            return True
-        case (TVar(na), TVar(nb)):
-            ia, ib = la.get(na), lb.get(nb)
+def _alpha(a, b, la: dict, lb: dict, depth: int) -> bool:
+    if type(a) is not type(b):
+        return False
+    match a:
+        case TVar(na):
+            ia, ib = la.get(na), lb.get(b.name)
             if ia is None and ib is None:
-                return na == nb
+                return na == b.name
             return ia == ib
-        case (ListT(ea), ListT(eb)):
-            return _alpha(ea, eb, la, lb, depth)
-        case (Arrow(d1, c1), Arrow(d2, c2)):
-            return _alpha(d1, d2, la, lb, depth) and _alpha(c1, c2, la, lb, depth)
-        case (Forall(ba, bda), Forall(bb, bdb)):
-            la2 = dict(la)
-            lb2 = dict(lb)
-            la2[ba] = depth
-            lb2[bb] = depth
-            return _alpha(bda, bdb, la2, lb2, depth + 1)
-        case (Constrained(ca, ta), Constrained(cb, tb)):
-            return _alpha_constraint(ca, cb, la, lb, depth) and _alpha(
-                ta, tb, la, lb, depth
-            )
-        case (AssocPath(ma, ra), AssocPath(mb, rb)):
-            if not _alpha_model(ma, mb, la, lb, depth):
+        case Forall(ba, bda):
+            return _alpha(bda, b.body, {**la, ba: depth},
+                          {**lb, b.binder: depth}, depth + 1)
+        case ConceptC(ma):
+            if ma.concept != b.model.concept:
                 return False
-            if isinstance(ra, AssocPath) != isinstance(rb, AssocPath):
+        case AssocPath(ma, ra):
+            rb = b.rest
+            if ma.concept != b.model.concept or (
+                    ra if isinstance(ra, str) else None) != (
+                    rb if isinstance(rb, str) else None):
                 return False
-            if isinstance(ra, AssocPath):
-                return _alpha(ra, rb, la, lb, depth)
-            return ra == rb
-    return False
-
-
-def _alpha_model(ma: ModelId, mb: ModelId, la, lb, depth) -> bool:
-    return (
-        ma.concept == mb.concept
-        and len(ma.type_args) == len(mb.type_args)
-        and all(
-            _alpha(x, y, la, lb, depth) for x, y in zip(ma.type_args, mb.type_args)
-        )
-    )
-
-
-def _alpha_constraint(ca: Constraint, cb: Constraint, la, lb, depth) -> bool:
-    match (ca, cb):
-        case (ConceptC(ma), ConceptC(mb)):
-            return _alpha_model(ma, mb, la, lb, depth)
-        case (SameType(l1, r1), SameType(l2, r2)):
-            return _alpha(l1, l2, la, lb, depth) and _alpha(r1, r2, la, lb, depth)
-    return False
-
-
-def constraint_alpha_equal(a: Constraint, b: Constraint) -> bool:
-    return _alpha_constraint(a, b, {}, {}, 0)
+    ca, cb = type_children(a), type_children(b)
+    if len(ca) != len(cb):
+        return False
+    for x, y in zip(ca, cb):
+        if not _alpha(x, y, la, lb, depth):
+            return False
+    return True

@@ -6,8 +6,9 @@
     fgc ast       <file.fg>   print the parsed syntax tree
 
 Exit codes: 0 success, 1 type errors, 2 parse errors, 3 I/O errors,
-4 fuel exhausted, 5 internal error (elaboration, the core re-check or the
-machine failed on a checked program; code I001 under `--format json`).
+4 fuel exhausted, 5 internal error (any exception of the compiler itself,
+such as elaboration, the core re-check or the machine failing on a checked
+program; code I001 under `--format json`).
 Set FGC_COLOR=0|1 to force color off or on.
 """
 
@@ -18,10 +19,10 @@ import json
 import os
 import sys
 
-from .elaborate import ElabError, translate_program
+from .elaborate import translate_program
 from .parser import ParseError, parse_program, pretty_type
-from .sysf import DEFAULT_FUEL, CoreTypeError, Diverged, Stuck, Value, \
-    pretty_core, pretty_core_type, sf_eval, sf_typecheck
+from .sysf import DEFAULT_FUEL, Diverged, Stuck, Value, pretty_core, \
+    pretty_core_type, sf_eval, sf_typecheck
 from .typecheck import Checker, TypeDiagnostic, check_program
 
 EXIT_OK = 0
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ElabError, CoreTypeError) as exc:
+    except Exception as exc:
         return _internal_error(f"{type(exc).__name__}: {exc}", args.format)
 
 

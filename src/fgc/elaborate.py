@@ -58,7 +58,6 @@ from .ast import (
     Type,
     TypeAlias,
     has_path,
-    substitute_constraint,
     substitute_type_map,
 )
 from .env import ConstraintEntry, Env, Evidence, PROVED, concept_subst, flat
@@ -89,7 +88,7 @@ from .sysf import (
     CVar,
 )
 from .typecheck import Checker
-from .typeq import ClosureState, NoRepresentativeError
+from .typeq import ClosureState
 
 
 class ElabError(Exception):
@@ -164,11 +163,7 @@ class Elaborator:
             info = env.find_concept(fc.model.concept)
             for beta in info.assoc_types:
                 p = AssocPath(fc.model, beta)
-                try:
-                    pinned = not has_path(st.canonical(p))
-                except NoRepresentativeError:
-                    pinned = False
-                if pinned:
+                if not has_path(st.canonical(p)):
                     continue
                 if any(st.types_equal(p, q) for q in params):
                     continue
@@ -193,11 +188,7 @@ class Elaborator:
 
     def conv(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
         """Surface type to core type, canonicalized through the closure."""
-        try:
-            t = env.closure.canonical(t)
-        except NoRepresentativeError:
-            pass
-        return self._conv_raw(env, ctx, t)
+        return self._conv_raw(env, ctx, env.closure.canonical(t))
 
     def _conv_raw(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
         match t:
@@ -223,10 +214,7 @@ class Elaborator:
                 for i, entry in enumerate(reversed(ctx.tscope)):
                     if entry[0] == "assoc" and st.types_equal(t, entry[1]):
                         return CTVar(i)
-                try:
-                    can = st.canonical(t)
-                except NoRepresentativeError:
-                    can = t
+                can = st.canonical(t)
                 if not isinstance(can, AssocPath):
                     return self._conv_raw(env, ctx, can)
                 raise ElabError(
@@ -249,7 +237,7 @@ class Elaborator:
         sigma = concept_subst(info, mid)
         slots = []
         for nc in info.nested:
-            nc2 = substitute_constraint(nc, sigma)
+            nc2 = substitute_type_map(nc, sigma)
             if isinstance(nc2, ConceptC):
                 slots.append(self.dict_type(env, ctx, nc2.model))
         for _, mty in info.members:

@@ -22,8 +22,7 @@ from .ast import (
     SameType,
     TVar,
     Type,
-    constraint_alpha_equal,
-    substitute_constraint,
+    alpha_equal,
     substitute_type_map,
 )
 from .typeq import ClosureState
@@ -207,7 +206,7 @@ def flat(env: Env, constraint: Constraint) -> list:
     out = []
 
     def seen(c):
-        return any(constraint_alpha_equal(c, d) for d, _ in out)
+        return any(alpha_equal(c, d) for d, _ in out)
 
     def go(c, route):
         if seen(c):
@@ -222,7 +221,7 @@ def flat(env: Env, constraint: Constraint) -> list:
         sigma = concept_subst(info, mid)
         slot = 0  # the dictionary holds the concept requirements only
         for nc in info.nested:
-            go(substitute_constraint(nc, sigma), route + (slot,))
+            go(substitute_type_map(nc, sigma), route + (slot,))
             slot += isinstance(nc, ConceptC)
 
     go(constraint, ())
@@ -266,7 +265,7 @@ def lookup_path(env: Env, prefix: tuple, name: str):
         slot = 0
         for nc in info.nested:
             env = env.push(ConstraintEntry(
-                substitute_constraint(nc, sigma),
+                substitute_type_map(nc, sigma),
                 Evidence(evidence.binder, evidence.route + (slot,))))
             slot += isinstance(nc, ConceptC)
     members = dict(info.members)

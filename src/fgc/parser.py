@@ -59,6 +59,7 @@ from .ast import (
     Type,
     TypeAlias,
     fresh_name,
+    map_children,
 )
 
 KEYWORDS = {
@@ -594,50 +595,23 @@ class _Resolver:
         self.diags.append(ParseDiagnostic(span or _NOSPAN, code, msg))
 
     # tymap: source type name -> resolved name; terms: set of bound term names
-    def type(self, t: Type, tymap: dict, terms) -> Type:
+    def type(self, t, tymap: dict):
+        """Resolve the type variables of a type or constraint."""
         match t:
-            case IntT() | BoolT():
-                return t
             case TVar(name):
                 if name not in tymap:
                     self.err(t.span, "P010", f"unknown type name {name!r}")
                     return t
                 return TVar(tymap[name], span=t.span)
-            case ListT(elem):
-                return ListT(self.type(elem, tymap, terms), span=t.span)
-            case Arrow(dom, cod):
-                return Arrow(self.type(dom, tymap, terms),
-                             self.type(cod, tymap, terms), span=t.span)
             case Forall(binder, body):
                 tymap2, b2 = self.bind_tyvar(tymap, binder)
-                return Forall(b2, self.type(body, tymap2, terms), span=t.span)
-            case Constrained(constraint, body):
-                return Constrained(self.constraint(constraint, tymap, terms),
-                                   self.type(body, tymap, terms), span=t.span)
-            case AssocPath():
-                return self.path_type(t, tymap, terms)
-        raise TypeError(f"unexpected type node: {t!r}")
+                return Forall(b2, self.type(body, tymap2), span=t.span)
+        return map_children(t, self.type, tymap)
 
-    def path_type(self, t: AssocPath, tymap, terms) -> AssocPath:
-        mid = self.model_id(t.model, tymap, terms)
-        rest = t.rest
-        if isinstance(rest, AssocPath):
-            rest = self.path_type(rest, tymap, terms)
-        return AssocPath(mid, rest, span=t.span)
-
-    def model_id(self, m: ModelId, tymap, terms) -> ModelId:
+    def model_id(self, m: ModelId, tymap) -> ModelId:
         return ModelId(m.concept,
-                       tuple(self.type(a, tymap, terms) for a in m.type_args),
+                       tuple(self.type(a, tymap) for a in m.type_args),
                        span=m.span)
-
-    def constraint(self, c: Constraint, tymap, terms) -> Constraint:
-        match c:
-            case ConceptC(model):
-                return ConceptC(self.model_id(model, tymap, terms), span=c.span)
-            case SameType(lhs, rhs):
-                return SameType(self.type(lhs, tymap, terms),
-                                self.type(rhs, tymap, terms), span=c.span)
-        raise TypeError(f"unexpected constraint node: {c!r}")
 
     def bind_tyvar(self, tymap: dict, name: str):
         if name in tymap.values() or name in tymap:
@@ -653,7 +627,7 @@ class _Resolver:
             case IntLit() | BoolLit():
                 return e
             case Lam(param, ann, body):
-                ann2 = self.type(ann, tymap, terms) if ann is not None else None
+                ann2 = self.type(ann, tymap) if ann is not None else None
                 return Lam(param, ann2,
                            self.expr(body, tymap, terms | {param}), span=e.span)
             case App(fn, arg):
@@ -663,9 +637,9 @@ class _Resolver:
                 return TyLam(b2, self.expr(body, tymap2, terms), span=e.span)
             case TyApp(subject, arg):
                 return TyApp(self.expr(subject, tymap, terms),
-                             self.type(arg, tymap, terms), span=e.span)
+                             self.type(arg, tymap), span=e.span)
             case ConstrainedE(constraint, body):
-                return ConstrainedE(self.constraint(constraint, tymap, terms),
+                return ConstrainedE(self.type(constraint, tymap),
                                     self.expr(body, tymap, terms), span=e.span)
             case PathE():
                 return self.path_expr(e, tymap, terms, n_args=0)
@@ -678,7 +652,7 @@ class _Resolver:
                 return ModelDecl(info2, self.expr(rest, tymap, terms),
                                  span=e.span)
             case TypeAlias(name, rhs, rest):
-                rhs2 = self.type(rhs, tymap, terms)
+                rhs2 = self.type(rhs, tymap)
                 tymap2, n2 = self.bind_tyvar(tymap, name)
                 return TypeAlias(n2, rhs2, self.expr(rest, tymap2, terms),
                                  span=e.span)
@@ -692,7 +666,7 @@ class _Resolver:
                           self.expr(thn, tymap, terms),
                           self.expr(els, tymap, terms), span=e.span)
             case ListLit(elems, elem_type):
-                et = self.type(elem_type, tymap, terms) if elem_type is not None else None
+                et = self.type(elem_type, tymap) if elem_type is not None else None
                 return ListLit(tuple(self.expr(x, tymap, terms) for x in elems),
                                et, span=e.span)
             case Prim(op, args):
@@ -742,7 +716,7 @@ class _Resolver:
                 return e
             self.err(e.span, "P011", f"unknown term name {e.name!r}")
             return e
-        prefix = tuple(self.model_id(m, tymap, terms) for m in e.prefix)
+        prefix = tuple(self.model_id(m, tymap) for m in e.prefix)
         return PathE(prefix, e.name, span=e.span)
 
     def concept_info(self, info: ConceptInfo, tymap, terms) -> ConceptInfo:
@@ -761,8 +735,8 @@ class _Resolver:
             inner[p] = p
         for b in info.assoc_types:
             inner[b] = b
-        nested = tuple(self.constraint(c, inner, terms) for c in info.nested)
-        members = tuple((n, self.type(t, inner, terms)) for n, t in info.members)
+        nested = tuple(self.type(c, inner) for c in info.nested)
+        members = tuple((n, self.type(t, inner)) for n, t in info.members)
         return ConceptInfo(info.name, info.type_params, info.assoc_types,
                            nested, members, span=info.span)
 
@@ -779,8 +753,8 @@ class _Resolver:
                 self.err(info.span, "P013",
                          f"duplicate member binding {name!r}")
             seen.add(name)
-        args = tuple(self.type(a, tymap, terms) for a in info.type_args)
-        assoc = tuple((n, self.type(t, tymap, terms))
+        args = tuple(self.type(a, tymap) for a in info.type_args)
+        assoc = tuple((n, self.type(t, tymap))
                       for n, t in info.assoc_binds)
         membs = tuple((n, self.expr(x, tymap, terms))
                       for n, x in info.member_binds)

@@ -184,106 +184,78 @@ def subst_ty(t: CoreType, j: int, s: CoreType) -> CoreType:
     raise TypeError(f"unexpected core type: {t!r}")
 
 
-def _map_term(t: CoreTerm, fterm, ftype, tcut: int, ycut: int) -> CoreTerm:
+def _map_term(t: CoreTerm, fvar, ftype, tcut: int, ycut: int) -> CoreTerm:
     """Structural recursion tracking term (tcut) and type (ycut) binder
-    depth; fterm rewrites CVar, ftype rewrites types."""
+    depth; fvar(v, tcut, ycut) rewrites CVar, ftype(ty, ycut) rewrites
+    types (None: types unchanged)."""
     match t:
+        case CVar():  # first: the hot path of every beta step
+            return fvar(t, tcut, ycut)
         case CIntLit() | CBoolLit():
             return t
-        case CVar():
-            return fterm(t, tcut)
         case CLam(ann, body):
-            return CLam(ftype(ann, ycut),
-                        _map_term(body, fterm, ftype, tcut + 1, ycut))
+            return CLam(ann if ftype is None else ftype(ann, ycut),
+                        _map_term(body, fvar, ftype, tcut + 1, ycut))
         case CApp(fn, arg):
-            return CApp(_map_term(fn, fterm, ftype, tcut, ycut),
-                        _map_term(arg, fterm, ftype, tcut, ycut))
+            return CApp(_map_term(fn, fvar, ftype, tcut, ycut),
+                        _map_term(arg, fvar, ftype, tcut, ycut))
         case CTyLam(body):
-            return CTyLam(_map_term(body, fterm, ftype, tcut, ycut + 1))
+            return CTyLam(_map_term(body, fvar, ftype, tcut, ycut + 1))
         case CTyApp(subject, arg):
-            return CTyApp(_map_term(subject, fterm, ftype, tcut, ycut),
-                          ftype(arg, ycut))
+            return CTyApp(_map_term(subject, fvar, ftype, tcut, ycut),
+                          arg if ftype is None else ftype(arg, ycut))
         case CTup(elems):
-            return CTup(tuple(_map_term(e, fterm, ftype, tcut, ycut)
+            return CTup(tuple(_map_term(e, fvar, ftype, tcut, ycut)
                               for e in elems))
         case CProj(subject, index):
-            return CProj(_map_term(subject, fterm, ftype, tcut, ycut), index)
+            return CProj(_map_term(subject, fvar, ftype, tcut, ycut), index)
         case CFix(body):
-            return CFix(_map_term(body, fterm, ftype, tcut, ycut))
+            return CFix(_map_term(body, fvar, ftype, tcut, ycut))
         case CIf(cond, thn, els):
-            return CIf(_map_term(cond, fterm, ftype, tcut, ycut),
-                       _map_term(thn, fterm, ftype, tcut, ycut),
-                       _map_term(els, fterm, ftype, tcut, ycut))
+            return CIf(_map_term(cond, fvar, ftype, tcut, ycut),
+                       _map_term(thn, fvar, ftype, tcut, ycut),
+                       _map_term(els, fvar, ftype, tcut, ycut))
         case CPrim(op, args):
-            return CPrim(op, tuple(_map_term(a, fterm, ftype, tcut, ycut)
+            return CPrim(op, tuple(_map_term(a, fvar, ftype, tcut, ycut)
                                    for a in args))
         case CNil(elem):
-            return CNil(ftype(elem, ycut))
+            return t if ftype is None else CNil(ftype(elem, ycut))
         case CCons(head, tail):
-            return CCons(_map_term(head, fterm, ftype, tcut, ycut),
-                         _map_term(tail, fterm, ftype, tcut, ycut))
+            return CCons(_map_term(head, fvar, ftype, tcut, ycut),
+                         _map_term(tail, fvar, ftype, tcut, ycut))
     raise TypeError(f"unexpected core term: {t!r}")
 
 
+def _same_var(v, tcut, ycut):
+    return v
+
+
 def shift_term(t: CoreTerm, by: int, cutoff: int = 0) -> CoreTerm:
-    def fterm(v, tcut):
+    def fvar(v, tcut, _):
         return CVar(v.index + by) if v.index >= tcut else v
-    return _map_term(t, fterm, lambda ty, _: ty, cutoff, 0)
+    return _map_term(t, fvar, None, cutoff, 0)
 
 
 def shift_term_types(t: CoreTerm, by: int, cutoff: int = 0) -> CoreTerm:
-    return _map_term(t, lambda v, _: v,
+    return _map_term(t, _same_var,
                      lambda ty, ycut: shift_ty(ty, by, ycut), 0, cutoff)
 
 
 def subst_term(t: CoreTerm, j: int, s: CoreTerm) -> CoreTerm:
     """Substitute s for term index j in t and close the gap; type binders
     crossed on the way shift s's type indices."""
-    return _subst_term(t, j, s, 0, 0)
-
-
-def _subst_term(t: CoreTerm, j: int, s: CoreTerm, tcut: int, ycut: int):
-    match t:
-        case CVar(i):
-            if i == tcut + j:
-                return shift_term_types(shift_term(s, tcut), ycut)
-            return CVar(i - 1) if i > tcut + j else t
-        case CIntLit() | CBoolLit() | CNil():
-            return t
-        case CLam(ann, body):
-            return CLam(ann, _subst_term(body, j, s, tcut + 1, ycut))
-        case CApp(fn, arg):
-            return CApp(_subst_term(fn, j, s, tcut, ycut),
-                        _subst_term(arg, j, s, tcut, ycut))
-        case CTyLam(body):
-            return CTyLam(_subst_term(body, j, s, tcut, ycut + 1))
-        case CTyApp(subject, arg):
-            return CTyApp(_subst_term(subject, j, s, tcut, ycut), arg)
-        case CTup(elems):
-            return CTup(tuple(_subst_term(e, j, s, tcut, ycut) for e in elems))
-        case CProj(subject, index):
-            return CProj(_subst_term(subject, j, s, tcut, ycut), index)
-        case CFix(body):
-            return CFix(_subst_term(body, j, s, tcut, ycut))
-        case CIf(cond, thn, els):
-            return CIf(_subst_term(cond, j, s, tcut, ycut),
-                       _subst_term(thn, j, s, tcut, ycut),
-                       _subst_term(els, j, s, tcut, ycut))
-        case CPrim(op, args):
-            return CPrim(op, tuple(_subst_term(a, j, s, tcut, ycut)
-                                   for a in args))
-        case CCons(head, tail):
-            return CCons(_subst_term(head, j, s, tcut, ycut),
-                         _subst_term(tail, j, s, tcut, ycut))
-    raise TypeError(f"unexpected core term: {t!r}")
+    def fvar(v, tcut, ycut):
+        i = v.index
+        if i == tcut + j:
+            return shift_term_types(shift_term(s, tcut), ycut)
+        return CVar(i - 1) if i > tcut + j else v
+    return _map_term(t, fvar, None, 0, 0)
 
 
 def subst_type_in_term(t: CoreTerm, j: int, ty: CoreType) -> CoreTerm:
     def ftype(t2, ycut):
         return subst_ty(t2, ycut + j, shift_ty(ty, ycut))
-    def fterm(v, _):
-        return v
-    return _map_term(t, fterm, ftype, 0, 0)
+    return _map_term(t, _same_var, ftype, 0, 0)
 
 
 # ---------------------------------------------------------------- checking

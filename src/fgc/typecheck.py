@@ -31,7 +31,7 @@ Diagnostic codes (closed set):
   T004  unknown concept (or concept arity mismatch)
   T005  model member missing
   T006  model member type mismatch
-  T007  unknown member
+  T007  unknown member (or a written path's unknown associated type)
   T008  non-universal instantiated
   T009  annotation required
   T010  condition not bool
@@ -76,7 +76,6 @@ from .ast import (
     TypeAlias,
     contains_node,
     has_path,
-    substitute_constraint,
     substitute_type,
     substitute_type_map,
     type_children,
@@ -98,7 +97,6 @@ from .env import (
     satisfies,
 )
 from .parser import pretty_constraint, pretty_type
-from .typeq import NoRepresentativeError
 
 
 @dataclass(frozen=True)
@@ -131,12 +129,14 @@ def contains_err(t) -> bool:
     return contains_node(t, ErrT)
 
 
-def _model_ids(t):
-    """The model identifiers in a type or constraint, outermost first."""
+def _model_steps(t):
+    """The model identifiers in a type or constraint, outermost first, each
+    with the associated-type name that follows it in a path (or None)."""
     if isinstance(t, (ConceptC, AssocPath)):
-        yield t.model
+        tail = t.rest if isinstance(t, AssocPath) else None
+        yield t.model, tail if isinstance(tail, str) else None
     for c in type_children(t):
-        yield from _model_ids(c)
+        yield from _model_steps(c)
 
 
 class Checker:
@@ -181,10 +181,7 @@ class Checker:
         t = self.discharge(env, t, at)
         if isinstance(t, want):
             return t
-        try:
-            c = env.closure.canonical(t)
-        except NoRepresentativeError:
-            return None
+        c = env.closure.canonical(t)
         if isinstance(c, want):
             return c
         return None
@@ -220,16 +217,21 @@ class Checker:
 
     def _written(self, env: Env, t: Type, span) -> None:
         """T004 for each unknown or wrongly applied concept that a type
-        written in the program names, once per model identifier."""
-        for mid in dict.fromkeys(_model_ids(t)):
-            self._concept(env, mid, span)
+        written in the program names, once per model identifier; T007 for
+        each path whose last name is not an associated type of its last
+        step's concept."""
+        concepts = {}
+        for mid, name in dict.fromkeys(_model_steps(t)):
+            if mid not in concepts:
+                concepts[mid] = self._concept(env, mid, span)
+            info = concepts[mid]
+            if info is not None and name is not None \
+                    and name not in info.assoc_types:
+                self.err(span, "T007", f"concept {mid.concept!r} has no "
+                         f"associated type {name!r}")
 
     def _show_constraint(self, env: Env, c: Constraint) -> str:
-        try:
-            c = env.closure.canonical_constraint(c)
-        except NoRepresentativeError:
-            pass
-        return pretty_constraint(c)
+        return pretty_constraint(env.closure.canonical_constraint(c))
 
     def _assume(self, env: Env, e: ConstrainedE) -> Optional[Env]:
         """Extend env with the flat expansion of e's constraint, each part
@@ -326,7 +328,10 @@ class Checker:
                         self.err(info.span, "T004",
                                  f"unknown concept {nc.model.concept!r} in "
                                  f"constraints of {info.name!r}")
-                return self.infer(env.push(ConceptEntry(info)), rest)
+                env2 = env.push(ConceptEntry(info))
+                for _, t in info.members:
+                    self._written(env2, t, info.span)
+                return self.infer(env2, rest)
             case ModelDecl(_, rest):
                 env2 = self.check_model(env, e)
                 if env2 is None:
@@ -335,10 +340,7 @@ class Checker:
                 # the model's associated-type equations go out of scope
                 # here, so resolve any paths through them in the result
                 if not contains_err(t) and has_path(t):
-                    try:
-                        t = env2.closure.canonical(t)
-                    except NoRepresentativeError:
-                        pass
+                    t = env2.closure.canonical(t)
                 return t
             case TypeAlias(name, rhs, rest):
                 self._written(env, rhs, e.span)
@@ -526,6 +528,8 @@ class Checker:
         cinfo = self._concept(env, mid, span)
         if cinfo is None:
             return None
+        for t in info.type_args + tuple(t for _, t in info.assoc_binds):
+            self._written(env, t, span)
         ok = True
         bound_assocs = dict(info.assoc_binds)
         for b in cinfo.assoc_types:
@@ -561,7 +565,7 @@ class Checker:
             sigma[b] = t
         evidence = []
         for nc in cinfo.nested:
-            ev = self.satisfy(env, substitute_constraint(nc, sigma), span)
+            ev = self.satisfy(env, substitute_type_map(nc, sigma), span)
             if ev is None:
                 ok = False
             elif isinstance(nc, ConceptC):

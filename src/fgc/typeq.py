@@ -23,12 +23,13 @@ from .ast import (
     SameType,
     TVar,
     Type,
+    map_children,
 )
 
 
 class NoRepresentativeError(Exception):
-    """Raised when a canonical representative cannot be rebuilt (cyclic
-    equation class with no ground member)."""
+    """Raised inside `_rebuild` when a class member cannot be rebuilt
+    (cyclic equation class with no ground member)."""
 
 
 # preference order when choosing a class representative; lower is better
@@ -185,9 +186,13 @@ class ClosureState:
 
     def canonical(self, t: Type) -> Type:
         """A deterministic representative of t's class, preferring terms
-        without associated-type paths and without alias variables."""
+        without associated-type paths and without alias variables; t
+        itself when no member of the class can be rebuilt."""
         root = self.find(self.intern(t))
-        return self._rebuild(root, frozenset(), 0)
+        try:
+            return self._rebuild(root, frozenset(), 0)
+        except NoRepresentativeError:
+            return t
 
     def _prio(self, nid: int) -> int:
         tag, payload, _ = self.nodes[nid]
@@ -258,11 +263,4 @@ class ClosureState:
         raise NoRepresentativeError(f"cannot rebuild constraint {tag!r}")
 
     def canonical_constraint(self, c: Constraint) -> Constraint:
-        match c:
-            case ConceptC(model):
-                return ConceptC(ModelId(
-                    model.concept,
-                    tuple(self.canonical(a) for a in model.type_args)))
-            case SameType(lhs, rhs):
-                return SameType(self.canonical(lhs), self.canonical(rhs))
-        raise TypeError(f"unexpected constraint node: {c!r}")
+        return map_children(c, lambda t, _: self.canonical(t), None)

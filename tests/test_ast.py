@@ -1,6 +1,10 @@
-"""Syntax-tree operations: free variables, substitution, alpha equality."""
+"""Syntax-tree operations: the shared walk, free variables, substitution,
+alpha equality."""
 
 import random
+from dataclasses import replace
+
+import pytest
 
 from fgc.ast import (
     Arrow,
@@ -13,17 +17,65 @@ from fgc.ast import (
     ListT,
     ModelId,
     SameType,
+    SourceSpan,
     TVar,
     alpha_equal,
-    constraint_alpha_equal,
     free_type_vars,
     fresh_name,
+    map_children,
     substitute_type,
+    substitute_type_map,
+    type_children,
 )
 
 from gen import random_type
 
 A, B, C = TVar("a"), TVar("b"), TVar("c")
+SPAN = SourceSpan("t.fg", 1, 2, 3, 4)
+
+
+def _spanned(t):
+    """t with a span on its own node and on its model identifier."""
+    if hasattr(t, "model"):
+        t = replace(t, model=replace(t.model, span=SPAN))
+    return replace(t, span=SPAN)
+
+
+D_T = AssocPath(ModelId("D", (BoolT(),)), "T")
+NODES = [
+    IntT(), BoolT(), A, ListT(A), Arrow(A, IntT()), Forall("a", A),
+    Constrained(SameType(A, IntT()), A),
+    AssocPath(ModelId("C", (A, IntT())), "T"),
+    AssocPath(ModelId("C", (A,)), D_T),
+    ConceptC(ModelId("C", (A, BoolT()))),
+    SameType(A, ListT(B)),
+]
+
+
+@pytest.mark.parametrize("t", [_spanned(t) for t in NODES], ids=repr)
+def test_map_children_rebuilds_exactly_the_children(t):
+    seen = []
+
+    def identity(child, arg):
+        assert arg == "arg"
+        seen.append(child)
+        return child
+    got = map_children(t, identity, "arg")
+    assert got == t and type(got) is type(t)
+    assert got.span == SPAN
+    if hasattr(t, "model"):
+        assert got.model.span == SPAN
+    want = type_children(t)
+    assert len(seen) == len(want)
+    assert all(x is y for x, y in zip(seen, want))
+
+
+def test_walk_rejects_unknown_nodes():
+    for bad in ("T", ModelId("C", ()), 3):
+        with pytest.raises(TypeError):
+            type_children(bad)
+        with pytest.raises(TypeError):
+            map_children(bad, lambda c, _: c, None)
 
 
 def test_free_type_vars():
@@ -59,6 +111,19 @@ def test_substitute_under_path_and_constraint():
         SameType(BoolT(), IntT()), BoolT())
 
 
+def test_substitute_in_constraints():
+    c = ConceptC(ModelId("Eq", (A, ListT(B))))
+    assert substitute_type_map(c, {"a": IntT(), "b": A}) == ConceptC(
+        ModelId("Eq", (IntT(), ListT(A))))
+    # [a := b] renames the b binder inside the constraint's argument
+    st = SameType(Forall("b", Arrow(A, B)), A)
+    got = substitute_type_map(st, {"a": B})
+    assert isinstance(got, SameType) and got.rhs == B
+    assert got.lhs.binder != "b"
+    assert alpha_equal(got, SameType(Forall("c", Arrow(B, C)), B))
+    assert not alpha_equal(got, SameType(Forall("b", Arrow(B, B)), B))
+
+
 def test_alpha_equal():
     assert alpha_equal(Forall("a", Arrow(A, A)), Forall("b", Arrow(B, B)))
     assert not alpha_equal(Forall("a", Arrow(A, A)),
@@ -71,10 +136,26 @@ def test_alpha_equal():
 def test_constraint_alpha_equal():
     ca = ConceptC(ModelId("Eq", (Forall("a", A),)))
     cb = ConceptC(ModelId("Eq", (Forall("z", TVar("z")),)))
-    assert constraint_alpha_equal(ca, cb)
-    assert not constraint_alpha_equal(ca, ConceptC(ModelId("Ord", (A,))))
-    assert constraint_alpha_equal(SameType(A, B), SameType(A, B))
-    assert not constraint_alpha_equal(SameType(A, B), SameType(B, A))
+    assert alpha_equal(ca, cb)
+    assert not alpha_equal(ca, ConceptC(ModelId("Ord", (A,))))
+    assert not alpha_equal(ca, ConceptC(ModelId("Eq", (A, A))))
+    assert alpha_equal(SameType(A, B), SameType(A, B))
+    assert not alpha_equal(SameType(A, B), SameType(B, A))
+    assert not alpha_equal(SameType(A, B), Arrow(A, B))
+    assert alpha_equal(Constrained(ca, A), Constrained(cb, A))
+
+
+def test_alpha_equal_compares_path_tails():
+    # the same concept and children, but D<bool>.T is the tail of one
+    # path and an argument of the other
+    nested = AssocPath(ModelId("C", (IntT(),)), D_T)
+    flat_ = AssocPath(ModelId("C", (IntT(), D_T)), "T")
+    assert type_children(nested) == type_children(flat_)
+    assert not alpha_equal(nested, flat_)
+    assert not alpha_equal(flat_, nested)
+    assert not alpha_equal(AssocPath(ModelId("C", (A,)), "T"),
+                           AssocPath(ModelId("C", (A,)), "U"))
+    assert alpha_equal(nested, AssocPath(ModelId("C", (IntT(),)), D_T))
 
 
 def test_fresh_name():

@@ -133,18 +133,27 @@ def test_run_list_result(capsys, tmp_path):
     assert "cons" in out
 
 
-@pytest.mark.parametrize("source", [
-    "let f = lam x: (Foo<int> => int). 1 in 2",
-    "let f = lam x: Foo<int>.T. 1 in 2",
-    "concept C<a> { ; ; } in let f = lam x: (C<int, int> => int). 1 in 2",
+@pytest.mark.parametrize("source, diag", [
+    ("let f = lam x: (Foo<int> => int). 1 in 2", "T004"),
+    ("let f = lam x: Foo<int>.T. 1 in 2", "T004"),
+    ("concept C<a> { ; ; } in let f = lam x: (C<int, int> => int). 1 in 2",
+     "T004"),
+    ("concept C<a> { T ; ; } in let f = lam x: C<int>.Bogus. 1 in 2",
+     "T007"),
+    ("concept C<a> { ; ; m : Foo<a> => int } in 1", "T004"),
+    ("concept C<a> { ; ; m : int } in model C<Foo<int>.T> { ; m = 1 } in 1",
+     "T004"),
+    ("concept C<a> { T ; ; } in model C<int> { T = Foo<int>.T ; } in 1",
+     "T004"),
 ])
-def test_concepts_named_in_annotations_are_checked(capsys, tmp_path, source):
+def test_concepts_named_in_annotations_are_checked(capsys, tmp_path, source,
+                                                   diag):
     f = tmp_path / "p.fg"
     f.write_text(source)
     for cmd in ("check", "run"):
         code, out, err = run(capsys, cmd, str(f))
         assert (code, out) == (1, "")
-        assert "error[T004]" in err and "Traceback" not in err
+        assert f"error[{diag}]" in err and "Traceback" not in err
 
 
 def _elab_fails(tree, checker):
@@ -153,6 +162,10 @@ def _elab_fails(tree, checker):
 
 def _ill_typed_core(tree, checker):
     return CApp(CIntLit(1), CIntLit(2))
+
+
+def _checker_fails(tree, checker):
+    raise RuntimeError("checker fault")
 
 
 @pytest.mark.parametrize("cmd, name, fake, message", [
@@ -164,6 +177,8 @@ def _ill_typed_core(tree, checker):
      "CoreTypeError: "),
     (["run"], "sf_eval", lambda core, fuel: Stuck("no rule"),
      "evaluation stuck: no rule"),
+    (["check"], "check_program", _checker_fails,
+     "RuntimeError: checker fault"),
 ])
 def test_internal_error_exit_code(capsys, monkeypatch, cmd, name, fake,
                                   message):
@@ -179,3 +194,13 @@ def test_internal_error_exit_code(capsys, monkeypatch, cmd, name, fake,
     (diag,) = payload["diagnostics"]
     assert diag["code"] == "I001"
     assert diag["message"].startswith(message)
+
+
+def test_deep_nesting_is_an_internal_error(capsys, tmp_path):
+    f = tmp_path / "deep.fg"
+    f.write_text("let x = 0 in " * 1500 + "1")
+    for cmd in ("check", "run"):
+        code, out, err = run(capsys, cmd, str(f))
+        assert (code, out) == (5, "")
+        assert err.startswith("fgc: internal error: RecursionError")
+        assert "Traceback" not in err

@@ -265,6 +265,8 @@ def run_cli(capsys, tmp_path, source, *args):
     (LIST_OF_CONSTRAINED, "\\x0: <>. 5"),
     (PATH_THROUGH_OUTER, "4"),
     (MEMBER_USES_ITS_SCOPE, "7"),
+    # a member signature may name the concept being declared
+    ("concept C<a> { ; ; m : C<a> => int } in 1", "1"),
     (MEMBER_INTRODUCES.format(
         body="D<int> => lam x: int. x + D<int>.d"), "104"),
     (MEMBER_INTRODUCES.format(body="g[int]"), "100"),

@@ -13,7 +13,7 @@ from fgc.ast import (
     ModelInfo,
     SameType,
     TVar,
-    constraint_alpha_equal,
+    alpha_equal,
 )
 from fgc.env import (
     ConceptEntry,
@@ -75,10 +75,8 @@ def test_flat_expands_nested_constraints():
     env = base_env()
     out = flat(env, ConceptC(ModelId("Monoid", (IntT(),))))
     assert len(out) == 2
-    assert constraint_alpha_equal(out[0][0], ConceptC(ModelId("Monoid",
-                                                              (IntT(),))))
-    assert constraint_alpha_equal(out[1][0], ConceptC(ModelId("Semigroup",
-                                                              (IntT(),))))
+    assert alpha_equal(out[0][0], ConceptC(ModelId("Monoid", (IntT(),))))
+    assert alpha_equal(out[1][0], ConceptC(ModelId("Semigroup", (IntT(),))))
     # Semigroup<int>'s dictionary is slot 0 of Monoid<int>'s
     assert [route for _, route in out] == [(), (0,)]
 

@@ -1,11 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every module-level function and class of the package is used."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fgc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fgc"
 
 
 def unused_imports(source: str) -> list:
@@ -36,3 +38,53 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _mentions(node) -> set:
+    """The names a statement mentions: variables, attributes and imported
+    names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+    return out
+
+
+def unreferenced(package: dict, others: dict) -> list:
+    """The module-level functions and classes of `package` (file name ->
+    source) that no top-level statement names, other than their own
+    definition, in `package` or in `others`; as "file:name", sorted."""
+    users = {}  # name -> {(file, statement index)}
+    defs = []
+    for fname, source in {**package, **others}.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            for name in _mentions(stmt):
+                users.setdefault(name, set()).add((fname, i))
+            if fname in package and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((fname, i, stmt.name))
+    return sorted(f"{fname}:{name}" for fname, i, name in defs
+                  if users.get(name, set()) - {(fname, i)} == set())
+
+
+def test_unreferenced_definitions_are_found():
+    package = {"m.py": "def used(): pass\n"
+                       "def rec(n): return rec(n)\n"
+                       "def dead(): return used()\n"
+                       "class K: pass\n"}
+    others = {"t.py": "from m import K\n"}
+    assert unreferenced(package, others) == ["m.py:dead", "m.py:rec"]
+
+
+def test_every_definition_is_referenced():
+    def sources(paths):
+        return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+    package = sources(SRC.glob("*.py"))
+    others = sources(p for d in ("src", "tests")
+                     for p in (ROOT / d).rglob("*.py")
+                     if str(p.relative_to(ROOT)) not in package)
+    assert unreferenced(package, others) == []
