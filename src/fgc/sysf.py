@@ -2,8 +2,12 @@
 lists, tuples, and fix.
 
 Terms and types use de Bruijn indices (separately for term and type
-variables), so type equality is structural equality.  Evaluation is a
-deterministic call-by-value small-step relation driven by a fuel budget.
+variables), so type equality is structural equality.  Evaluation runs on
+an environment machine: closures, de Bruijn environments and an explicit
+continuation stack, with types erased.  It makes the contractions of the
+call-by-value small-step semantics, in the same order, and spends one unit
+of a fuel budget on each; that semantics lives in `tests/smallstep.py` as
+the reference the machine is tested against.
 
 The partial list operators are total at the step level: head/tail of the
 empty list step into a well-typed diverging term, so well-typed programs
@@ -12,8 +16,7 @@ can only produce a value or diverge, never get stuck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 
 # ---------------------------------------------------------------- types
@@ -184,80 +187,6 @@ def subst_ty(t: CoreType, j: int, s: CoreType) -> CoreType:
     raise TypeError(f"unexpected core type: {t!r}")
 
 
-def _map_term(t: CoreTerm, fvar, ftype, tcut: int, ycut: int) -> CoreTerm:
-    """Structural recursion tracking term (tcut) and type (ycut) binder
-    depth; fvar(v, tcut, ycut) rewrites CVar, ftype(ty, ycut) rewrites
-    types (None: types unchanged)."""
-    match t:
-        case CVar():  # first: the hot path of every beta step
-            return fvar(t, tcut, ycut)
-        case CIntLit() | CBoolLit():
-            return t
-        case CLam(ann, body):
-            return CLam(ann if ftype is None else ftype(ann, ycut),
-                        _map_term(body, fvar, ftype, tcut + 1, ycut))
-        case CApp(fn, arg):
-            return CApp(_map_term(fn, fvar, ftype, tcut, ycut),
-                        _map_term(arg, fvar, ftype, tcut, ycut))
-        case CTyLam(body):
-            return CTyLam(_map_term(body, fvar, ftype, tcut, ycut + 1))
-        case CTyApp(subject, arg):
-            return CTyApp(_map_term(subject, fvar, ftype, tcut, ycut),
-                          arg if ftype is None else ftype(arg, ycut))
-        case CTup(elems):
-            return CTup(tuple(_map_term(e, fvar, ftype, tcut, ycut)
-                              for e in elems))
-        case CProj(subject, index):
-            return CProj(_map_term(subject, fvar, ftype, tcut, ycut), index)
-        case CFix(body):
-            return CFix(_map_term(body, fvar, ftype, tcut, ycut))
-        case CIf(cond, thn, els):
-            return CIf(_map_term(cond, fvar, ftype, tcut, ycut),
-                       _map_term(thn, fvar, ftype, tcut, ycut),
-                       _map_term(els, fvar, ftype, tcut, ycut))
-        case CPrim(op, args):
-            return CPrim(op, tuple(_map_term(a, fvar, ftype, tcut, ycut)
-                                   for a in args))
-        case CNil(elem):
-            return t if ftype is None else CNil(ftype(elem, ycut))
-        case CCons(head, tail):
-            return CCons(_map_term(head, fvar, ftype, tcut, ycut),
-                         _map_term(tail, fvar, ftype, tcut, ycut))
-    raise TypeError(f"unexpected core term: {t!r}")
-
-
-def _same_var(v, tcut, ycut):
-    return v
-
-
-def shift_term(t: CoreTerm, by: int, cutoff: int = 0) -> CoreTerm:
-    def fvar(v, tcut, _):
-        return CVar(v.index + by) if v.index >= tcut else v
-    return _map_term(t, fvar, None, cutoff, 0)
-
-
-def shift_term_types(t: CoreTerm, by: int, cutoff: int = 0) -> CoreTerm:
-    return _map_term(t, _same_var,
-                     lambda ty, ycut: shift_ty(ty, by, ycut), 0, cutoff)
-
-
-def subst_term(t: CoreTerm, j: int, s: CoreTerm) -> CoreTerm:
-    """Substitute s for term index j in t and close the gap; type binders
-    crossed on the way shift s's type indices."""
-    def fvar(v, tcut, ycut):
-        i = v.index
-        if i == tcut + j:
-            return shift_term_types(shift_term(s, tcut), ycut)
-        return CVar(i - 1) if i > tcut + j else v
-    return _map_term(t, fvar, None, 0, 0)
-
-
-def subst_type_in_term(t: CoreTerm, j: int, ty: CoreType) -> CoreTerm:
-    def ftype(t2, ycut):
-        return subst_ty(t2, ycut + j, shift_ty(ty, ycut))
-    return _map_term(t, _same_var, ftype, 0, 0)
-
-
 # ---------------------------------------------------------------- checking
 
 
@@ -411,7 +340,8 @@ def _infer_prim(op, args, ctx, tydepth, path) -> CoreType:
 
 @dataclass(frozen=True)
 class Value:
-    value: object  # int or bool
+    value: object  # an int, a bool, or the value's core term
+    steps: int = field(default=0, compare=False)  # contractions taken
 
 
 @dataclass(frozen=True)
@@ -424,156 +354,341 @@ class Stuck:
     reason: str
 
 
-class _StuckError(Exception):
-    pass
-
-
-def is_value(t: CoreTerm) -> bool:
-    match t:
-        case CIntLit() | CBoolLit() | CLam() | CTyLam() | CNil():
-            return True
-        case CTup(elems):
-            return all(is_value(e) for e in elems)
-        case CCons(head, tail):
-            return is_value(head) and is_value(tail)
-    return False
-
-
 def _loop(ty: CoreType) -> CoreTerm:
     # a closed diverging term of the given type
     return CFix(CLam(ty, CVar(0)))
 
 
-def sf_step(t: CoreTerm) -> Optional[CoreTerm]:
-    """One deterministic call-by-value step, or None for a normal form.
-    Raises _StuckError on an ill-formed redex."""
-    if is_value(t):
-        return None
-    match t:
-        case CApp(fn, arg):
-            if not is_value(fn):
-                return CApp(_step_or_stuck(fn), arg)
-            if not is_value(arg):
-                return CApp(fn, _step_or_stuck(arg))
-            if isinstance(fn, CLam):
-                return subst_term(fn.body, 0, arg)
-            raise _StuckError("applied a non-function value")
-        case CTyApp(subject, arg):
-            if not is_value(subject):
-                return CTyApp(_step_or_stuck(subject), arg)
-            if isinstance(subject, CTyLam):
-                return subst_type_in_term(subject.body, 0, arg)
-            raise _StuckError("instantiated a non-type-abstraction value")
-        case CFix(body):
-            if not is_value(body):
-                return CFix(_step_or_stuck(body))
-            if isinstance(body, CLam):
-                return subst_term(body.body, 0, t)
-            raise _StuckError("fix of a non-function value")
-        case CProj(subject, index):
-            if not is_value(subject):
-                return CProj(_step_or_stuck(subject), index)
-            if isinstance(subject, CTup) and 0 <= index < len(subject.elems):
-                return subject.elems[index]
-            raise _StuckError("projection from a non-tuple value")
-        case CIf(cond, thn, els):
-            if not is_value(cond):
-                return CIf(_step_or_stuck(cond), thn, els)
-            if isinstance(cond, CBoolLit):
-                return thn if cond.value else els
-            raise _StuckError("if on a non-boolean value")
-        case CTup(elems):
-            return CTup(_step_first(elems))
-        case CCons(head, tail):
-            if not is_value(head):
-                return CCons(_step_or_stuck(head), tail)
-            return CCons(head, _step_or_stuck(tail))
-        case CPrim(op, args):
-            for i, a in enumerate(args):
-                if not is_value(a):
-                    stepped = _step_or_stuck(a)
-                    return CPrim(op, args[:i] + (stepped,) + args[i + 1:])
-            return _delta(op, args)
-    raise _StuckError(f"no step for term {t!r}")
-
-
-def _step_first(elems: tuple):
-    for i, e in enumerate(elems):
-        if not is_value(e):
-            return elems[:i] + (_step_or_stuck(e),) + elems[i + 1:]
-    raise _StuckError("no reducible component")
-
-
-def _step_or_stuck(t: CoreTerm) -> CoreTerm:
-    nxt = sf_step(t)
-    if nxt is None:
-        raise _StuckError("expected a reducible subterm")
-    return nxt
-
-
-def _delta(op: str, args: tuple) -> CoreTerm:
-    if op in ("+", "-", "*", "<", "=="):
-        a, b = args
-        if not (isinstance(a, CIntLit) and isinstance(b, CIntLit)):
-            raise _StuckError(f"{op} on non-integers")
-        x, y = a.value, b.value
-        if op == "+":
-            return CIntLit(x + y)
-        if op == "-":
-            return CIntLit(x - y)
-        if op == "*":
-            return CIntLit(x * y)
-        if op == "<":
-            return CBoolLit(x < y)
-        return CBoolLit(x == y)
-    if op == "isnil":
-        (a,) = args
-        if isinstance(a, CNil):
-            return CBoolLit(True)
-        if isinstance(a, CCons):
-            return CBoolLit(False)
-        raise _StuckError("isnil on a non-list")
-    if op == "head":
-        (a,) = args
-        if isinstance(a, CCons):
-            return a.head
-        if isinstance(a, CNil):
-            return _loop(a.elem)  # head of nil diverges rather than sticking
-        raise _StuckError("head on a non-list")
-    if op == "tail":
-        (a,) = args
-        if isinstance(a, CCons):
-            return a.tail
-        if isinstance(a, CNil):
-            return _loop(CList(a.elem))
-        raise _StuckError("tail on a non-list")
-    if op == "cons":
-        h, tl = args
-        if not isinstance(tl, (CNil, CCons)):
-            raise _StuckError("cons onto a non-list")
-        return CCons(h, tl)
-    raise _StuckError(f"unknown primitive {op!r}")
-
-
 DEFAULT_FUEL = 1_000_000
+
+# Machine values: Python ints and bools, Python tuples for core tuples,
+# and the classes below.  An environment is a linked pair (entry, rest),
+# innermost binder first, or None.  A term environment holds values and
+# `_Rec` entries; a type environment holds (type, its type environment)
+# pairs, which evaluation never reads: they only close the types of a
+# value when it is read back into a core term.
+
+
+class _Clo:
+    """A CLam with the environments of its free variables."""
+    __slots__ = ("term", "env", "tenv")
+
+    def __init__(self, term, env, tenv):
+        self.term, self.env, self.tenv = term, env, tenv
+
+
+class _TyClo(_Clo):
+    """A CTyLam with the environments of its free variables."""
+    __slots__ = ()
+
+
+class _Rec:
+    """The entry for the variable that `fix clo` binds.  Each lookup is one
+    unfold contraction, as each copy of `fix v` that substitution leaves
+    in the body steps once."""
+    __slots__ = ("clo",)
+
+    def __init__(self, clo):
+        self.clo = clo
+
+
+class _Nil:
+    __slots__ = ("elem", "tenv")
+
+    def __init__(self, elem, tenv):
+        self.elem, self.tenv = elem, tenv
+
+
+class _Cons:
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head, tail):
+        self.head, self.tail = head, tail
+
+
+# continuation frames: tuples tagged by their first element
+(_ARG, _CALL, _PRIM_R, _PRIM2, _PRIM1, _IF, _TYAPP, _FIX, _PROJ, _TUP,
+ _CONS_T, _CONS_H) = range(12)
+
+
+def _stuck(steps: int, fuel: int, reason: str):
+    # a redex reached only after the budget is spent is not seen
+    return Diverged(fuel) if steps >= fuel else Stuck(reason)
 
 
 def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
-    """Iterate sf_step up to fuel steps."""
-    cur = t
-    for step_count in range(fuel):
-        try:
-            nxt = sf_step(cur)
-        except _StuckError as exc:
-            return Stuck(str(exc))
-        if nxt is None:
-            if isinstance(cur, (CIntLit, CBoolLit)):
-                return Value(cur.value)
-            if is_value(cur):
-                return Value(cur)
-            return Stuck("normal form is not a value")
-        cur = nxt
-    return Diverged(fuel)
+    """Evaluate a closed core term by call-by-value on an environment
+    machine with an explicit continuation stack.
+
+    The machine makes the contractions of the small-step semantics, in
+    the same order: beta, type beta, fix unfolding, projection, `if` and
+    the primitives.  It counts them as steps and spends one unit of fuel
+    on each, and one more on seeing the final value.  So a program of k
+    contractions gives `Value(v, steps=k)` when `fuel > k` and
+    `Diverged(fuel)` otherwise; an ill-formed redex gives `Stuck`.  A
+    value that is not an int or a bool is read back into its core term.
+    """
+    steps = 0
+    stack = []
+    push, pop = stack.append, stack.pop
+    term, env, tenv = t, None, None
+    while True:
+        if steps >= fuel:
+            return Diverged(fuel)
+        cls = term.__class__
+        if cls is CVar:
+            try:
+                e = env
+                for _ in range(term.index):
+                    e = e[1]
+                v = e[0]
+            except TypeError:
+                return _stuck(steps, fuel, f"no step for term {term!r}")
+            if v.__class__ is _Rec:
+                steps += 1
+                clo = v.clo
+                term, env, tenv = clo.term.body, (v, clo.env), clo.tenv
+                continue
+        elif cls is CApp:
+            push((_ARG, term.arg, env, tenv))
+            term = term.fn
+            continue
+        elif cls is CIntLit or cls is CBoolLit:
+            v = term.value
+        elif cls is CLam:
+            v = _Clo(term, env, tenv)
+        elif cls is CPrim:
+            args = term.args
+            if len(args) == 2:
+                push((_PRIM_R, term.op, args[1], env, tenv))
+            elif len(args) == 1:
+                push((_PRIM1, term.op))
+            else:
+                return _stuck(steps, fuel, f"unknown primitive {term.op!r}")
+            term = args[0]
+            continue
+        elif cls is CIf:
+            push((_IF, term.thn, term.els, env, tenv))
+            term = term.cond
+            continue
+        elif cls is CProj:
+            push((_PROJ, term.index))
+            term = term.subject
+            continue
+        elif cls is CTyApp:
+            push((_TYAPP, term.arg, tenv))
+            term = term.subject
+            continue
+        elif cls is CTyLam:
+            v = _TyClo(term, env, tenv)
+        elif cls is CFix:
+            push((_FIX,))
+            term = term.body
+            continue
+        elif cls is CTup:
+            elems = term.elems
+            if not elems:
+                v = ()
+            else:
+                push((_TUP, elems, (), env, tenv))
+                term = elems[0]
+                continue
+        elif cls is CCons:
+            push((_CONS_T, term.tail, env, tenv))
+            term = term.head
+            continue
+        elif cls is CNil:
+            v = _Nil(term.elem, tenv)
+        else:
+            return _stuck(steps, fuel, f"no step for term {term!r}")
+
+        # return the value v to the innermost frame
+        while stack:
+            frame = pop()
+            k = frame[0]
+            if k == _ARG:
+                push((_CALL, v))
+                _, term, env, tenv = frame
+                break
+            if k == _CALL:
+                f = frame[1]
+                if f.__class__ is not _Clo:
+                    return _stuck(steps, fuel, "applied a non-function value")
+                steps += 1
+                term, env, tenv = f.term.body, (v, f.env), f.tenv
+                break
+            if k == _PRIM_R:
+                push((_PRIM2, frame[1], v))
+                _, _, term, env, tenv = frame
+                break
+            if k == _PRIM2:
+                _, op, a = frame
+                if op == "cons":
+                    if v.__class__ is not _Nil and v.__class__ is not _Cons:
+                        return _stuck(steps, fuel, "cons onto a non-list")
+                    v = _Cons(a, v)
+                elif op not in ("+", "-", "*", "<", "=="):
+                    return _stuck(steps, fuel, f"unknown primitive {op!r}")
+                elif a.__class__ is not int or v.__class__ is not int:
+                    return _stuck(steps, fuel, f"{op} on non-integers")
+                elif op == "+":
+                    v = a + v
+                elif op == "-":
+                    v = a - v
+                elif op == "<":
+                    v = a < v
+                elif op == "==":
+                    v = a == v
+                else:
+                    v = a * v
+                steps += 1
+                continue
+            if k == _IF:
+                if v.__class__ is not bool:
+                    return _stuck(steps, fuel, "if on a non-boolean value")
+                steps += 1
+                term = frame[1] if v else frame[2]
+                env, tenv = frame[3], frame[4]
+                break
+            if k == _PRIM1:
+                op, vc = frame[1], v.__class__
+                if op not in ("isnil", "head", "tail"):
+                    return _stuck(steps, fuel, f"unknown primitive {op!r}")
+                if vc is not _Nil and vc is not _Cons:
+                    return _stuck(steps, fuel, f"{op} on a non-list")
+                steps += 1
+                if op == "isnil":
+                    v = vc is _Nil
+                elif vc is _Cons:
+                    v = v.head if op == "head" else v.tail
+                else:  # head or tail of nil diverges rather than sticking
+                    term = _loop(v.elem if op == "head" else CList(v.elem))
+                    env, tenv = None, v.tenv
+                    break
+                continue
+            if k == _PROJ:
+                index = frame[1]
+                if v.__class__ is not tuple or not 0 <= index < len(v):
+                    return _stuck(steps, fuel,
+                                  "projection from a non-tuple value")
+                steps += 1
+                v = v[index]
+                continue
+            if k == _TYAPP:
+                if v.__class__ is not _TyClo:
+                    return _stuck(steps, fuel,
+                                  "instantiated a non-type-abstraction value")
+                steps += 1
+                term, env = v.term.body, v.env
+                tenv = ((frame[1], frame[2]), v.tenv)
+                break
+            if k == _FIX:
+                if v.__class__ is not _Clo:
+                    return _stuck(steps, fuel, "fix of a non-function value")
+                steps += 1
+                term, env, tenv = v.term.body, (_Rec(v), v.env), v.tenv
+                break
+            if k == _TUP:
+                _, elems, done, env, tenv = frame
+                done += (v,)
+                if len(done) == len(elems):
+                    v = done
+                    continue
+                push((_TUP, elems, done, env, tenv))
+                term = elems[len(done)]
+                break
+            if k == _CONS_T:
+                push((_CONS_H, v))
+                _, term, env, tenv = frame
+                break
+            v = _Cons(frame[1], v)  # _CONS_H
+        else:  # the stack is empty: v is the program's value
+            if steps >= fuel:
+                return Diverged(fuel)
+            if v.__class__ is int or v.__class__ is bool:
+                return Value(v, steps)
+            return Value(_read_back(v), steps)
+
+
+def _read_back(v) -> CoreTerm:
+    """The closed core term a machine value stands for: the term the
+    substitution semantics reaches."""
+    c = v.__class__
+    if c is int:
+        return CIntLit(v)
+    if c is bool:
+        return CBoolLit(v)
+    if c is _Clo or c is _TyClo:
+        return _term_back(v.term, v.env, v.tenv, 0, 0)
+    if c is _Rec:
+        return CFix(_read_back(v.clo))
+    if c is tuple:
+        return CTup(tuple(_read_back(x) for x in v))
+    heads = []
+    while v.__class__ is _Cons:  # a loop: lists may be long
+        heads.append(_read_back(v.head))
+        v = v.tail
+    out = _read_back(v) if v.__class__ is not _Nil else \
+        CNil(_type_back(v.elem, v.tenv, 0))
+    for h in reversed(heads):
+        out = CCons(h, out)
+    return out
+
+
+def _term_back(t: CoreTerm, env, tenv, tcut: int, ycut: int) -> CoreTerm:
+    """t with the values of env and the types of tenv substituted for its
+    free variables; tcut and ycut count the binders crossed inside t."""
+    if env is None and tenv is None:
+        return t
+    match t:
+        case CVar(i):
+            if i < tcut:
+                return t
+            for _ in range(i - tcut):
+                env = env[1]
+            return _read_back(env[0])
+        case CIntLit() | CBoolLit():
+            return t
+        case CLam(ann, body):
+            return CLam(_type_back(ann, tenv, ycut),
+                        _term_back(body, env, tenv, tcut + 1, ycut))
+        case CApp(fn, arg):
+            return CApp(_term_back(fn, env, tenv, tcut, ycut),
+                        _term_back(arg, env, tenv, tcut, ycut))
+        case CTyLam(body):
+            return CTyLam(_term_back(body, env, tenv, tcut, ycut + 1))
+        case CTyApp(subject, arg):
+            return CTyApp(_term_back(subject, env, tenv, tcut, ycut),
+                          _type_back(arg, tenv, ycut))
+        case CTup(elems):
+            return CTup(tuple(_term_back(e, env, tenv, tcut, ycut)
+                              for e in elems))
+        case CProj(subject, index):
+            return CProj(_term_back(subject, env, tenv, tcut, ycut), index)
+        case CFix(body):
+            return CFix(_term_back(body, env, tenv, tcut, ycut))
+        case CIf(cond, thn, els):
+            return CIf(_term_back(cond, env, tenv, tcut, ycut),
+                       _term_back(thn, env, tenv, tcut, ycut),
+                       _term_back(els, env, tenv, tcut, ycut))
+        case CPrim(op, args):
+            return CPrim(op, tuple(_term_back(a, env, tenv, tcut, ycut)
+                                   for a in args))
+        case CNil(elem):
+            return CNil(_type_back(elem, tenv, ycut))
+        case CCons(head, tail):
+            return CCons(_term_back(head, env, tenv, tcut, ycut),
+                         _term_back(tail, env, tenv, tcut, ycut))
+    raise TypeError(f"unexpected core term: {t!r}")
+
+
+def _type_back(t: CoreType, tenv, cut: int) -> CoreType:
+    """t with the types of tenv substituted for its free variables; cut
+    counts the binders crossed inside t."""
+    while tenv is not None:
+        (arg, arg_tenv), tenv = tenv
+        t = subst_ty(t, cut, _type_back(arg, arg_tenv, 0))
+    return t
 
 
 # ---------------------------------------------------------------- pretty

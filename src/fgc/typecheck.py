@@ -139,6 +139,28 @@ def _model_steps(t):
         yield from _model_steps(c)
 
 
+def _path_models(env: Env, t):
+    """The model identifier of each path step in a type or constraint,
+    with the environment that also assumes the constraints of t in front
+    of it, which are expanded only for a body with a path.  Nothing is
+    yielded from behind a constraint naming an unknown concept."""
+    if isinstance(t, AssocPath):
+        yield t.model, env
+    if not isinstance(t, Constrained):
+        for c in type_children(t):
+            yield from _path_models(env, c)
+        return
+    yield from _path_models(env, t.constraint)
+    if not has_path(t.body):
+        return
+    try:
+        assumed = flat(env, t.constraint)
+    except UnknownConceptError:
+        return
+    yield from _path_models(env.push_all(
+        ConstraintEntry(c, PROVED) for c, _ in assumed), t.body)
+
+
 class Checker:
     def __init__(self):
         self.diags = []
@@ -219,8 +241,10 @@ class Checker:
         """T004 for each unknown or wrongly applied concept that a type
         written in the program names, once per model identifier; T007 for
         each path whose last name is not an associated type of its last
-        step's concept."""
-        concepts = {}
+        step's concept; then T003, once per model identifier, for each
+        path step whose model is satisfied neither by the environment nor
+        by a constraint of t in front of it."""
+        concepts, reported = {}, set()
         for mid, name in dict.fromkeys(_model_steps(t)):
             if mid not in concepts:
                 concepts[mid] = self._concept(env, mid, span)
@@ -229,6 +253,13 @@ class Checker:
                     and name not in info.assoc_types:
                 self.err(span, "T007", f"concept {mid.concept!r} has no "
                          f"associated type {name!r}")
+                reported.add(mid)
+        for mid, where in _path_models(env, t):
+            if concepts[mid] is not None and mid not in reported \
+                    and satisfies(where, ConceptC(mid)) is None:
+                reported.add(mid)
+                self.err(span, "T003", "unsatisfied constraint "
+                         f"{self._show_constraint(where, ConceptC(mid))}")
 
     def _show_constraint(self, env: Env, c: Constraint) -> str:
         return pretty_constraint(env.closure.canonical_constraint(c))
@@ -330,6 +361,11 @@ class Checker:
                                  f"constraints of {info.name!r}")
                 env2 = env.push(ConceptEntry(info))
                 for _, t in info.members:
+                    # a member's paths may go through the concept's own
+                    # constraint and its requirements
+                    if has_path(t):
+                        t = Constrained(ConceptC(ModelId(info.name, tuple(
+                            TVar(p) for p in info.type_params))), t)
                     self._written(env2, t, info.span)
                 return self.infer(env2, rest)
             case ModelDecl(_, rest):

@@ -145,6 +145,11 @@ def test_run_list_result(capsys, tmp_path):
      "T004"),
     ("concept C<a> { T ; ; } in model C<int> { T = Foo<int>.T ; } in 1",
      "T004"),
+    ("concept C<a> { T ; ; } in let f = lam x: C<int>.T. 1 in 2", "T003"),
+    ("concept C<a> { T ; ; } in let f = lam g: (forall a. C<a>.T -> int). "
+     "1 in 2", "T003"),
+    ("concept D<a> { T ; ; } in concept C<a> { ; ; m : D<a>.T -> int } in 2",
+     "T003"),
 ])
 def test_concepts_named_in_annotations_are_checked(capsys, tmp_path, source,
                                                    diag):
@@ -154,6 +159,23 @@ def test_concepts_named_in_annotations_are_checked(capsys, tmp_path, source,
         code, out, err = run(capsys, cmd, str(f))
         assert (code, out) == (1, "")
         assert f"error[{diag}]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source, value", [
+    ("concept C<a> { T ; ; } in let f = Lam a. C<a> => lam x: C<a>.T. 1 in 2",
+     "2"),
+    ("concept C<a> { T ; ; } in let f = lam g: (forall a. C<a> => C<a>.T -> "
+     "int). 1 in 2", "2"),
+    ("concept D<a> { T ; ; } in concept C<a> { ; D<a> ; m : D<a>.T -> int } "
+     "in 2", "2"),
+    ("concept C<a> { T ; ; } in model C<int> { T = bool ; } in "
+     "let f = lam x: C<int>.T. 1 in f true", "1"),
+])
+def test_written_paths_satisfied_by_a_model_or_an_assumption(
+        capsys, tmp_path, source, value):
+    f = tmp_path / "p.fg"
+    f.write_text(source)
+    assert run(capsys, "run", str(f)) == (0, value + "\n", "")
 
 
 def _elab_fails(tree, checker):
@@ -177,6 +199,8 @@ def _checker_fails(tree, checker):
      "CoreTypeError: "),
     (["run"], "sf_eval", lambda core, fuel: Stuck("no rule"),
      "evaluation stuck: no rule"),
+    (["run"], "translate_program", _ill_typed_core,
+     "evaluation stuck: applied a non-function value"),
     (["check"], "check_program", _checker_fails,
      "RuntimeError: checker fault"),
 ])
@@ -204,3 +228,13 @@ def test_deep_nesting_is_an_internal_error(capsys, tmp_path):
         assert (code, out) == (5, "")
         assert err.startswith("fgc: internal error: RecursionError")
         assert "Traceback" not in err
+
+
+def test_long_lists_evaluate_without_the_python_stack(capsys, tmp_path):
+    xs = "[" + ", ".join(str(i) for i in range(3000)) + "]"
+    f = tmp_path / "long.fg"
+    f.write_text(f"head {xs}")
+    assert run(capsys, "run", str(f)) == (0, "0\n", "")
+    f.write_text("let sum = fix (lam r: list int -> int. lam l: list int. "
+                 "if isnil l then 0 else head l + r (tail l)) in sum " + xs)
+    assert run(capsys, "run", str(f)) == (0, f"{sum(range(3000))}\n", "")

@@ -1,0 +1,231 @@
+"""Differential gate for the environment machine.
+
+`sf_eval` must agree with the small-step reference machine (`smallstep`)
+on every program: the same value, the same number of contractions, the
+same printed core for a value that is not an int or a bool, and the same
+fuel boundary.  The programs are the corpus, fixed seeds of the
+`tests/gen.py` generators, and the seed-7 programs of every benchmark
+workload, generated by `fgcbench/gen.py` (imported, never changed).
+"""
+
+import importlib.util
+import pathlib
+import random
+import sys
+import time
+
+import pytest
+
+from fgc.cli import main
+from fgc.elaborate import translate_program
+from fgc.parser import parse_program
+from fgc.sysf import (
+    CApp,
+    CArrow,
+    CBool,
+    CBoolLit,
+    CCons,
+    CFix,
+    CForall,
+    CIf,
+    CInt,
+    CIntLit,
+    CLam,
+    CList,
+    CNil,
+    CPrim,
+    CProj,
+    CTup,
+    CTyApp,
+    CTVar,
+    CTyLam,
+    CVar,
+    Diverged,
+    Stuck,
+    Value,
+    pretty_core,
+    sf_eval,
+)
+from fgc.typecheck import Checker, check_program
+
+from corpus import EXPECTED_VALUES, PROGRAMS_DIR, load, well_typed_names
+from gen import random_expr, well_typed
+from oracle import interpret_direct
+from pipeline import lower
+from smallstep import ref_eval
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def agree(core, fuel=200_000):
+    """The reference machine's outcome, after asserting that `sf_eval`
+    gives the same one and keeps the same fuel boundary."""
+    ref, out = ref_eval(core, fuel), sf_eval(core, fuel)
+    assert type(out) is type(ref), (out, ref)
+    if not isinstance(ref, Value):
+        assert out == ref
+        return ref
+    assert out.steps == ref.steps
+    if isinstance(ref.value, (bool, int)):
+        assert (type(out.value), out.value) == (type(ref.value), ref.value)
+    else:
+        assert pretty_core(out.value) == pretty_core(ref.value)
+    k = ref.steps
+    assert sf_eval(core, k) == Diverged(k)
+    assert sf_eval(core, k + 1).steps == k
+    return ref
+
+
+def derive_core(e):
+    """The core of a well-typed program, or None."""
+    checker = Checker()
+    if isinstance(check_program(e, checker), list):
+        return None
+    return translate_program(e, checker)
+
+
+@pytest.mark.parametrize("name", well_typed_names())
+def test_corpus_programs_agree(name):
+    assert agree(lower(parse_program(load(name), name))) \
+        == Value(EXPECTED_VALUES[name])
+
+
+def test_generated_programs_agree():
+    rng = random.Random(601)
+    nonground = 0
+    for _ in range(300):
+        e, _ = well_typed(rng, 4)
+        nonground += not isinstance(agree(lower(e)).value, (bool, int))
+    assert nonground >= 50
+    rng = random.Random(602)
+    accepted = 0
+    for _ in range(1500):
+        core = derive_core(random_expr(rng, 4))
+        if core is not None:
+            agree(core, 2_000)
+            accepted += 1
+    assert accepted >= 200
+
+
+def _bench_gen():
+    spec = importlib.util.spec_from_file_location(
+        "fgcbench_gen", ROOT / "fgcbench" / "gen.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("workload", ["recursion", "concept_chain",
+                                      "wide_source"])
+def test_workload_programs_agree(workload):
+    for p in _bench_gen().generate(workload, 7, ROOT):
+        e = parse_program(p.source, p.name)
+        core = derive_core(e)
+        assert (core is None) == bool(p.codes), p.name
+        if core is None:
+            continue
+        out = agree(core)
+        shown = str(out.value).lower()
+        assert shown == p.value, p.name
+        assert str(interpret_direct(e)).lower() == shown, p.name
+
+
+ID = CLam(CInt(), CVar(0))
+POLY_ID = CTyLam(CLam(CTVar(0), CVar(0)))
+LOOP = CFix(CLam(CArrow(CInt(), CInt()),
+                 CLam(CInt(), CApp(CVar(1), CVar(0)))))
+
+
+@pytest.mark.parametrize("core, printed", [
+    (CTyApp(POLY_ID, CInt()), "\\x0: int. x0"),
+    (CTyApp(CTyApp(CTyLam(CTyLam(CLam(CArrow(CTVar(1), CTVar(0)), CVar(0)))),
+                   CInt()), CList(CBool())),
+     "\\x0: int -> list bool. x0"),
+    (CTyApp(CTyLam(CTyLam(CLam(CForall(CArrow(CTVar(0), CTVar(2))),
+                               CVar(0)))), CInt()),
+     "/\\a0. \\x0: forall a1. a1 -> int. x0"),
+    (CTyApp(CTyLam(CNil(CTVar(0))), CList(CInt())), "nil[list int]"),
+    (CApp(CLam(CForall(CArrow(CTVar(0), CTVar(0))),
+               CTyApp(CTyLam(CTyApp(CVar(0), CList(CTVar(0)))), CBool())),
+          POLY_ID), "\\x0: list bool. x0"),
+    (CApp(CLam(CInt(), CLam(CBool(), CTup((CVar(1), CVar(0))))),
+          CIntLit(5)), "\\x0: bool. <5, x0>"),
+    (LOOP, "\\x0: int. fix (\\x1: int -> int. \\x2: int. x1 x2) x0"),
+    (CApp(CLam(CForall(CArrow(CTVar(0), CTVar(0))),
+               CTup((CVar(0), CTyApp(CVar(0), CBool())))), POLY_ID),
+     "</\\a0. \\x0: a0. x0, \\x0: bool. x0>"),
+    (CCons(CApp(ID, CIntLit(1)), CPrim("cons", (CIntLit(2), CNil(CInt())))),
+     "cons(1, cons(2, nil[int]))"),
+])
+def test_values_read_back_as_the_reference_reaches_them(core, printed):
+    assert pretty_core(agree(core).value) == printed
+
+
+OMEGA = CApp(LOOP, CIntLit(0))
+
+
+@pytest.mark.parametrize("core", [
+    CPrim("head", (CNil(CInt()),)),
+    CPrim("tail", (CNil(CInt()),)),
+    OMEGA,
+])
+def test_divergence_reaches_the_same_fuel(core):
+    for fuel in (1, 2, 3, 50):
+        assert sf_eval(core, fuel) == ref_eval(core, fuel) == Diverged(fuel)
+
+
+@pytest.mark.parametrize("core", [
+    CApp(CIntLit(1), CIntLit(2)),
+    CApp(ID, CApp(CIntLit(1), CIntLit(2))),
+    CTyApp(CIntLit(1), CInt()),
+    CFix(CIntLit(1)),
+    CProj(CIntLit(1), 0),
+    CProj(CTup((CIntLit(1),)), 1),
+    CIf(CIntLit(1), CIntLit(2), CIntLit(3)),
+    CPrim("+", (CBoolLit(True), CIntLit(1))),
+    CPrim("isnil", (CIntLit(1),)),
+    CPrim("head", (CApp(ID, CIntLit(1)),)),
+    CPrim("cons", (CIntLit(1), CIntLit(2))),
+    CTyApp(CTyLam(CApp(CIntLit(1), CIntLit(2))), CInt()),
+])
+def test_stuck_terms_stick_with_the_same_reason(core):
+    assert isinstance(ref_eval(core, 100), Stuck)
+    for fuel in (1, 2, 100):  # at fuel 1, a later redex is not reached
+        assert sf_eval(core, fuel) == ref_eval(core, fuel)
+
+
+@pytest.mark.parametrize("name", ["wt_fib.fg", "foldl.fg", "wt_list_len.fg"])
+def test_fuel_boundary_on_the_command_line(name, capsys):
+    k = sf_eval(lower(parse_program(load(name), name))).steps
+    path = str(PROGRAMS_DIR / name)
+    assert main(["run", path, "--fuel", str(k + 1)]) == 0
+    assert capsys.readouterr().out.strip() == \
+        str(EXPECTED_VALUES[name]).lower()
+    assert main(["run", path, "--fuel", str(k)]) == 4
+    assert capsys.readouterr().err == f"fuel exhausted after {k} steps\n"
+
+
+def _best_seconds(core, runs):
+    best = None
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        out = sf_eval(core, 10**8)
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return best, out
+
+
+def test_evaluation_time_is_linear_in_steps():
+    fib = load("wt_fib.fg").replace("fib 10", "fib 20")
+    seconds, out = _best_seconds(lower(parse_program(fib)), 3)
+    assert out == Value(6765) and out.steps == 120_400
+    assert seconds < 0.3
+    per_step = []
+    for n in (100, 1600):
+        xs = ", ".join(str(i % 7) for i in range(n))
+        source = load("foldl.fg").replace("[2,3,4]", f"[{xs}]")
+        seconds, out = _best_seconds(lower(parse_program(source)), 5)
+        assert out.steps == 20 * n + 19
+        per_step.append(seconds / out.steps)
+    assert per_step[1] < 1.5 * per_step[0]

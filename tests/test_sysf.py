@@ -1,4 +1,5 @@
-"""Core language: checker, small-step machine, printer/parser."""
+"""Core language: checker, evaluator and the small-step reference
+machine, printer/parser."""
 
 import random
 
@@ -27,10 +28,8 @@ from fgc.sysf import (
     CoreTypeError,
     Diverged,
     Value,
-    is_value,
     pretty_core,
     sf_eval,
-    sf_step,
     sf_typecheck,
     shift_ty,
     subst_ty,
@@ -40,6 +39,7 @@ from corpus import load, well_typed_names
 from coreparse import parse_core
 from gen import well_typed
 from pipeline import derive, lower
+from smallstep import is_value, sf_step
 
 ID_INT = CLam(CInt(), CVar(0))
 POLY_ID = CTyLam(CLam(CTVar(0), CVar(0)))
