@@ -60,7 +60,7 @@ from .ast import (
     has_path,
     substitute_type_map,
 )
-from .env import ConstraintEntry, Env, Evidence, PROVED, concept_subst, flat
+from .env import Env, Evidence, PROVED, concept_subst, flat
 from .parser import pretty_type
 from .sysf import (
     CApp,
@@ -145,19 +145,19 @@ class Elaborator:
 
     # ------------------------------------------------------------ types
 
-    def abstraction_plan(self, env: Env, c: ConceptC) -> tuple:
-        """The associated-type paths of flat(c) that become extra core
-        type parameters, in deterministic order.  A path pinned to a
-        path-free type by the constraint's own same-type members is not
-        abstracted.  The decision depends only on the concept table, so
-        introduction, discharge and type conversion agree however the
-        type around the constraint was canonicalized."""
-        expanded = [fc for fc, _ in flat(env, c)]
-        eqs = [(fc.lhs, fc.rhs) for fc in expanded
+    def abstraction_plan(self, env: Env, expanded: list) -> tuple:
+        """The associated-type paths of a constraint's expansion
+        `flat(env, c)` that become extra core type parameters, in
+        deterministic order.  A path pinned to a path-free type by the
+        constraint's own same-type members is not abstracted.  The
+        decision depends only on the concept table, so introduction,
+        discharge and type conversion agree however the type around the
+        constraint was canonicalized."""
+        eqs = [(fc.lhs, fc.rhs) for fc, _ in expanded
                if isinstance(fc, SameType)]
         st = ClosureState(equations=eqs)
         params = []
-        for fc in expanded:
+        for fc, _ in expanded:
             if not isinstance(fc, ConceptC):
                 continue
             info = env.find_concept(fc.model.concept)
@@ -176,15 +176,16 @@ class Elaborator:
         associated types, the dictionary type (built with the prefix's
         same-type constraints `pins` assumed), and the number of type
         parameters."""
-        plan = self.abstraction_plan(env, c)
-        env2 = env.push_all(ConstraintEntry(fc, PROVED)
-                            for fc, _ in flat(env, c)
-                            if isinstance(fc, SameType))
+        expanded = flat(env, c)
+        plan = self.abstraction_plan(env, expanded)
+        for fc, _ in expanded:
+            if isinstance(fc, SameType):
+                env = env.assume(fc, PROVED)
         ctx2 = ctx.bind_assocs(plan)
-        dict_ty = self.dict_type(
-            env2.push_all(ConstraintEntry(p, PROVED) for p in pins), ctx2,
-            c.model)
-        return env2, ctx2, dict_ty, len(plan)
+        env_pins = env
+        for p in pins:
+            env_pins = env_pins.assume(p, PROVED)
+        return env, ctx2, self.dict_type(env_pins, ctx2, c.model), len(plan)
 
     def conv(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
         """Surface type to core type, canonicalized through the closure."""
@@ -222,8 +223,8 @@ class Elaborator:
                     "binding and is not abstracted in scope")
             case Constrained(constraint, body):
                 if isinstance(constraint, SameType):
-                    env2 = env.push(ConstraintEntry(constraint, PROVED))
-                    return self.conv(env2, ctx, body)
+                    return self.conv(env.assume(constraint, PROVED), ctx,
+                                     body)
                 env2, ctx2, dict_ty, n = self._assume(env, ctx, constraint,
                                                       _pins(body))
                 out = CArrow(dict_ty, self.conv(env2, ctx2, body))
@@ -328,7 +329,8 @@ class Elaborator:
         t, evidence = self.checker.elim.get(id(e), (None, ()))
         for ev in evidence:
             if isinstance(t.constraint, ConceptC):
-                for p in self.abstraction_plan(env, t.constraint):
+                for p in self.abstraction_plan(
+                        env, flat(env, t.constraint)):
                     core = CTyApp(core, self.conv(env, ctx, p))
                 core = CApp(core, self.build_dict(ctx, ev))
             t = t.body

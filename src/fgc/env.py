@@ -1,10 +1,11 @@
-"""The ordered typing environment and its lookup operations.
+"""The typing environment and its lookup operations.
 
-An Env is a persistent sequence of entries, most recent first.  Lookup of
-term bindings follows the first-binding rule; constraint expansion and
-qualified-path lookup follow the declarative definitions with concept
-parameters and associated types substituted as the environment is built.
-Each Env also owns the congruence closure of the equations it assumes.
+An Env keeps one persistent chain per kind of binding, most recent first,
+and each lookup walks only its own chain.  Lookup of term bindings follows
+the first-binding rule; constraint expansion and qualified-path lookup
+follow the declarative definitions with concept parameters and associated
+types substituted as the environment is built.  Each Env also owns the
+congruence closure of the equations it assumes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .ast import (
     ConceptInfo,
     Constraint,
     ModelId,
-    ModelInfo,
     SameType,
     TVar,
     Type,
@@ -26,15 +26,6 @@ from .ast import (
     substitute_type_map,
 )
 from .typeq import ClosureState
-
-
-# ---------------------------------------------------------------- entries
-
-
-@dataclass(frozen=True)
-class TermBind:
-    name: str
-    type: Type
 
 
 @dataclass(frozen=True)
@@ -47,31 +38,6 @@ class Evidence:
 
 
 PROVED = Evidence(None)  # a provable same-type constraint
-
-
-@dataclass(frozen=True)
-class ConstraintEntry:
-    """An assumed constraint and the evidence for it."""
-    constraint: Constraint
-    evidence: Evidence = field(compare=False)
-
-
-@dataclass(frozen=True)
-class TypeEq:
-    lhs: Type  # a TVar for aliases, an AssocPath for model bindings
-    rhs: Type
-
-
-@dataclass(frozen=True)
-class ConceptEntry:
-    info: ConceptInfo
-
-
-@dataclass(frozen=True)
-class ModelEntry:
-    model: ModelId
-    info: ModelInfo
-    evidence: Evidence = field(compare=False)
 
 
 # ---------------------------------------------------------------- errors
@@ -126,26 +92,49 @@ class EquationNode:
             alias_names={lhs.name for lhs, _, alias in self.assumed if alias})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Env:
-    entries: tuple = ()
+    """Three chains of linked pairs, innermost first (None when empty),
+    and the node of the equations assumed.  Witnesses are the models and
+    assumed concept constraints, which can satisfy a constraint.
+
+      terms      (name, type, rest)
+      concepts   (info, rest)
+      witnesses  (model id, evidence, is_model, rest)
+    """
+
+    terms: tuple = None
+    concepts: tuple = None
+    witnesses: tuple = None
     eq_node: EquationNode = field(default_factory=EquationNode,
                                   compare=False, repr=False)
 
-    def push(self, entry) -> "Env":
-        node = self.eq_node
-        match entry:
-            case TypeEq(lhs, rhs):
-                node = node.extend((lhs, rhs, isinstance(lhs, TVar)))
-            case ConstraintEntry(SameType(lhs, rhs)):
-                node = node.extend((lhs, rhs, False))
-        return Env((entry,) + self.entries, node)
+    def bind(self, name: str, t: Type) -> "Env":
+        return Env((name, t, self.terms), self.concepts, self.witnesses,
+                   self.eq_node)
 
-    def push_all(self, entries) -> "Env":
-        acc = self
-        for e in entries:
-            acc = acc.push(e)
-        return acc
+    def declare(self, info: ConceptInfo) -> "Env":
+        return Env(self.terms, (info, self.concepts), self.witnesses,
+                   self.eq_node)
+
+    def model(self, mid: ModelId, evidence: Evidence) -> "Env":
+        return Env(self.terms, self.concepts,
+                   (mid, evidence, True, self.witnesses), self.eq_node)
+
+    def assume(self, c: Constraint, evidence: Evidence) -> "Env":
+        """A concept constraint becomes a witness; a same-type constraint
+        only extends the equations."""
+        if isinstance(c, SameType):
+            return Env(self.terms, self.concepts, self.witnesses,
+                       self.eq_node.extend((c.lhs, c.rhs, False)))
+        return Env(self.terms, self.concepts,
+                   (c.model, evidence, False, self.witnesses), self.eq_node)
+
+    def equate(self, lhs: Type, rhs: Type) -> "Env":
+        """Assume lhs = rhs: an alias for a TVar lhs, a model's
+        associated-type binding for an AssocPath."""
+        return Env(self.terms, self.concepts, self.witnesses,
+                   self.eq_node.extend((lhs, rhs, isinstance(lhs, TVar))))
 
     @property
     def closure(self) -> ClosureState:
@@ -154,35 +143,43 @@ class Env:
 
     def lookup_term(self, name: str):
         """Type of the first (most recent) binding for name, or None."""
-        for e in self.entries:
-            if isinstance(e, TermBind) and e.name == name:
-                return e.type
+        node = self.terms
+        while node is not None:
+            if node[0] == name:
+                return node[1]
+            node = node[2]
         return None
 
     def find_concept(self, name: str):
-        for e in self.entries:
-            if isinstance(e, ConceptEntry) and e.info.name == name:
-                return e.info
+        node = self.concepts
+        while node is not None:
+            if node[0].name == name:
+                return node[0]
+            node = node[1]
         return None
 
     def concept_candidates(self, name: str):
         """Model identifiers asserted for a concept, most recent first,
         from both constraint assumptions and model declarations, each with
         its evidence."""
-        for e in self.entries:
-            if (isinstance(e, ConstraintEntry)
-                    and isinstance(e.constraint, ConceptC)
-                    and e.constraint.model.concept == name):
-                yield e.constraint.model, e.evidence
-            elif isinstance(e, ModelEntry) and e.model.concept == name:
-                yield e.model, e.evidence
+        node = self.witnesses
+        while node is not None:
+            if node[0].concept == name:
+                yield node[0], node[1]
+            node = node[3]
 
     def restrict(self) -> "Env":
         """Keep concept definitions, constraint assumptions, and type
         equations, and so the closure; drop term bindings and models."""
-        kept = tuple(e for e in self.entries
-                     if isinstance(e, (ConceptEntry, ConstraintEntry, TypeEq)))
-        return Env(kept, self.eq_node)
+        kept, node = [], self.witnesses
+        while node is not None:
+            if not node[2]:
+                kept.append(node)
+            node = node[3]
+        chain = None
+        for mid, evidence, _, _ in reversed(kept):
+            chain = (mid, evidence, False, chain)
+        return Env(None, self.concepts, chain, self.eq_node)
 
 
 # ---------------------------------------------------------------- operations
@@ -264,9 +261,8 @@ def lookup_path(env: Env, prefix: tuple, name: str):
         env = env.restrict()
         slot = 0
         for nc in info.nested:
-            env = env.push(ConstraintEntry(
-                substitute_type_map(nc, sigma),
-                Evidence(evidence.binder, evidence.route + (slot,))))
+            env = env.assume(substitute_type_map(nc, sigma), Evidence(
+                evidence.binder, evidence.route + (slot,)))
             slot += isinstance(nc, ConceptC)
     members = dict(info.members)
     if name not in members:

@@ -585,11 +585,15 @@ class _Parser:
 
 
 class _Resolver:
-    """Checks that names are bound, renames shadowed type binders apart,
-    and turns unbound built-in identifiers into Prim nodes."""
+    """Checks that names are bound, renames shadowed type binders and
+    concept declarations apart, and turns unbound built-in identifiers
+    into Prim nodes."""
 
-    def __init__(self):
+    def __init__(self, toks):
         self.diags = []
+        self.toks = toks
+        self.concepts = {}  # source concept name -> resolved name, in scope
+        self.taken = None  # names a renamed concept must avoid
 
     def err(self, span, code, msg):
         self.diags.append(ParseDiagnostic(span or _NOSPAN, code, msg))
@@ -606,12 +610,32 @@ class _Resolver:
             case Forall(binder, body):
                 tymap2, b2 = self.bind_tyvar(tymap, binder)
                 return Forall(b2, self.type(body, tymap2), span=t.span)
+            case ConceptC(model):
+                return ConceptC(self.model_id(model, tymap), span=t.span)
+            case AssocPath(model, rest):
+                if isinstance(rest, AssocPath):
+                    rest = self.type(rest, tymap)
+                return AssocPath(self.model_id(model, tymap), rest,
+                                 span=t.span)
         return map_children(t, self.type, tymap)
 
     def model_id(self, m: ModelId, tymap) -> ModelId:
-        return ModelId(m.concept,
+        return ModelId(self.concepts.get(m.concept, m.concept),
                        tuple(self.type(a, tymap) for a in m.type_args),
                        span=m.span)
+
+    def bind_concept(self, name: str) -> dict:
+        """The concepts in scope with a declaration of name added, renamed
+        apart if it shadows one: to a name no identifier of the program
+        and no other renamed concept has, so no model or constraint of
+        the shadowed concept can satisfy the new one."""
+        new = name
+        if name in self.concepts:
+            if self.taken is None:
+                self.taken = {t.text for t in self.toks if t.kind == "id"}
+            new = fresh_name(name, self.taken)
+            self.taken.add(new)
+        return {**self.concepts, name: new}
 
     def bind_tyvar(self, tymap: dict, name: str):
         if name in tymap.values() or name in tymap:
@@ -644,9 +668,13 @@ class _Resolver:
             case PathE():
                 return self.path_expr(e, tymap, terms, n_args=0)
             case ConceptDecl(info, rest):
+                # the declaration's scope is its own body and `rest`
+                outer, self.concepts = self.concepts, self.bind_concept(
+                    info.name)
                 info2 = self.concept_info(info, tymap, terms)
-                return ConceptDecl(info2, self.expr(rest, tymap, terms),
-                                   span=e.span)
+                rest2 = self.expr(rest, tymap, terms)
+                self.concepts = outer
+                return ConceptDecl(info2, rest2, span=e.span)
             case ModelDecl(info, rest):
                 info2 = self.model_info(info, tymap, terms)
                 return ModelDecl(info2, self.expr(rest, tymap, terms),
@@ -737,8 +765,8 @@ class _Resolver:
             inner[b] = b
         nested = tuple(self.type(c, inner) for c in info.nested)
         members = tuple((n, self.type(t, inner)) for n, t in info.members)
-        return ConceptInfo(info.name, info.type_params, info.assoc_types,
-                           nested, members, span=info.span)
+        return ConceptInfo(self.concepts[info.name], info.type_params,
+                           info.assoc_types, nested, members, span=info.span)
 
     def model_info(self, info: ModelInfo, tymap, terms) -> ModelInfo:
         seen = set()
@@ -758,7 +786,8 @@ class _Resolver:
                       for n, t in info.assoc_binds)
         membs = tuple((n, self.expr(x, tymap, terms))
                       for n, x in info.member_binds)
-        return ModelInfo(info.concept, args, assoc, membs, span=info.span)
+        return ModelInfo(self.concepts.get(info.concept, info.concept), args,
+                         assoc, membs, span=info.span)
 
 
 _NOSPAN = SourceSpan("<unknown>", 1, 1, 1, 1)
@@ -801,7 +830,7 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
                 diags.append(exc2.diag)
     if diags:
         raise ParseError(diags)
-    r = _Resolver()
+    r = _Resolver(toks)
     resolved = r.expr(tree, {}, frozenset())
     if r.diags:
         raise ParseError(r.diags)

@@ -300,11 +300,19 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
         case CNil(elem):
             _check_ty_wf(elem, tydepth, path)
             return CList(elem)
-        case CCons(head, tail):
-            th = _infer(head, ctx, tydepth, path + ["head"])
-            tt = _infer(tail, ctx, tydepth, path + ["tail"])
-            if tt != CList(th):
-                raise CoreTypeError("cons element/tail type mismatch", path)
+        case CCons():
+            # a loop down the spine, in the order of the recursive rule:
+            # every head, then the end, then each cons from the inside out
+            heads = []
+            while isinstance(t, CCons):
+                heads.append((_infer(t.head, ctx, tydepth, path + ["head"]),
+                              path))
+                t, path = t.tail, path + ["tail"]
+            tt = _infer(t, ctx, tydepth, path)
+            for th, cons_path in reversed(heads):
+                if tt != CList(th):
+                    raise CoreTypeError("cons element/tail type mismatch",
+                                        cons_path)
             return tt
     raise CoreTypeError(f"unexpected core term: {t!r}", path)
 
@@ -770,7 +778,11 @@ def pretty_core(t: CoreTerm, tdepth: int = 0, ydepth: int = 0,
             return f"{PRIM_WORDS[op]}({inner})"
         case CNil(elem):
             return f"nil[{pretty_core_type(elem, ydepth, 0)}]"
-        case CCons(head, tail):
-            return (f"cons({pretty_core(head, tdepth, ydepth, 0)}, "
-                    f"{pretty_core(tail, tdepth, ydepth, 0)})")
+        case CCons():
+            heads = []
+            while isinstance(t, CCons):  # a loop: lists may be long
+                heads.append(pretty_core(t.head, tdepth, ydepth, 0))
+                t = t.tail
+            return ("".join(f"cons({h}, " for h in heads)
+                    + pretty_core(t, tdepth, ydepth, 0) + ")" * len(heads))
     raise TypeError(f"unexpected core term: {t!r}")

@@ -28,7 +28,7 @@ Diagnostic codes (closed set):
   T001  application / comparison mismatch
   T002  non-function applied
   T003  unsatisfied constraint
-  T004  unknown concept (or concept arity mismatch)
+  T004  unknown concept (or concept arity mismatch, or escaping its scope)
   T005  model member missing
   T006  model member type mismatch
   T007  unknown member (or a written path's unknown associated type)
@@ -81,14 +81,9 @@ from .ast import (
     type_children,
 )
 from .env import (
-    ConceptEntry,
-    ConstraintEntry,
     Env,
     Evidence,
-    ModelEntry,
     PROVED,
-    TermBind,
-    TypeEq,
     UnknownConceptError,
     UnknownMemberError,
     UnsatisfiedConstraintError,
@@ -157,8 +152,9 @@ def _path_models(env: Env, t):
         assumed = flat(env, t.constraint)
     except UnknownConceptError:
         return
-    yield from _path_models(env.push_all(
-        ConstraintEntry(c, PROVED) for c, _ in assumed), t.body)
+    for c, _ in assumed:
+        env = env.assume(c, PROVED)
+    yield from _path_models(env, t.body)
 
 
 class Checker:
@@ -169,6 +165,7 @@ class Checker:
         self.types = {}
         self.envs = {}
         self.evidence = {}
+        self.tail = set()  # the declarations whose type is the program's
 
     # -- infrastructure
 
@@ -276,8 +273,9 @@ class Checker:
         if isinstance(c, ConceptC) and self._concept(env, c.model,
                                                      span) is None:
             return None
-        return env.push_all(ConstraintEntry(fc, Evidence(e, route))
-                            for fc, route in expanded)
+        for fc, route in expanded:
+            env = env.assume(fc, Evidence(e, route))
+        return env
 
     # -- synthesis
 
@@ -306,10 +304,10 @@ class Checker:
                     self.err(e.span, "T009",
                              f"parameter {param!r} needs a type annotation "
                              "here")
-                    self.infer(env.push(TermBind(param, ERR)), body)
+                    self.infer(env.bind(param, ERR), body)
                     return ERR
                 self._written(env, ann, e.span)
-                cod = self.infer(env.push(TermBind(param, ann)), body)
+                cod = self.infer(env.bind(param, ann), body)
                 return Arrow(ann, cod)
             case App(fn, arg):
                 tf = self.infer(env, fn)
@@ -359,7 +357,7 @@ class Checker:
                         self.err(info.span, "T004",
                                  f"unknown concept {nc.model.concept!r} in "
                                  f"constraints of {info.name!r}")
-                env2 = env.push(ConceptEntry(info))
+                env2 = env.declare(info)
                 for _, t in info.members:
                     # a member's paths may go through the concept's own
                     # constraint and its requirements
@@ -367,7 +365,16 @@ class Checker:
                         t = Constrained(ConceptC(ModelId(info.name, tuple(
                             TVar(p) for p in info.type_params))), t)
                     self._written(env2, t, info.span)
-                return self.infer(env2, rest)
+                t = self.infer(env2, rest)
+                # the program's own type may name its concepts, but a type
+                # used outside the concept's scope may not
+                if id(e) in self.tail or contains_err(t) or all(
+                        m.concept != info.name for m, _ in _model_steps(t)):
+                    return t
+                self.err(info.span, "T004",
+                         f"concept {info.name!r} escapes its scope in the "
+                         f"type {pretty_type(t)}")
+                return ERR
             case ModelDecl(_, rest):
                 env2 = self.check_model(env, e)
                 if env2 is None:
@@ -380,13 +387,13 @@ class Checker:
                 return t
             case TypeAlias(name, rhs, rest):
                 self._written(env, rhs, e.span)
-                t = self.infer(env.push(TypeEq(TVar(name), rhs)), rest)
+                t = self.infer(env.equate(TVar(name), rhs), rest)
                 if contains_err(t):
                     return t
                 return substitute_type(t, name, rhs)
             case Let(name, bound, rest):
                 tb = self.types[id(e)] = self.infer(env, bound)
-                return self.infer(env.push(TermBind(name, tb)), rest)
+                return self.infer(env.bind(name, tb), rest)
             case Fix(body):
                 tb = self.infer(env, body)
                 arrow = self._shape(env, tb, Arrow, body)
@@ -499,7 +506,7 @@ class Checker:
                 return
             case Let(name, bound, rest):
                 tb = self.types[id(e)] = self.infer(env, bound)
-                self.check(env.push(TermBind(name, tb)), rest, expected,
+                self.check(env.bind(name, tb), rest, expected,
                            code, subject)
                 return
         rest = expected
@@ -521,7 +528,7 @@ class Checker:
                 bound = ann
                 if ann is None:
                     bound = self.types[id(e)] = arrow.dom
-                self.check(env.push(TermBind(param, bound)), body,
+                self.check(env.bind(param, bound), body,
                            arrow.cod, code, subject)
                 return
             case Lam(param, None, _):
@@ -613,9 +620,9 @@ class Checker:
                        subject=f"member {name!r}")
         if not ok:
             return None
-        out = env.push(ModelEntry(mid, info, Evidence(e)))
+        out = env.model(mid, Evidence(e))
         for b, t in info.assoc_binds:
-            out = out.push(TypeEq(AssocPath(mid, b), t))
+            out = out.equate(AssocPath(mid, b), t)
         return out
 
 
@@ -630,8 +637,12 @@ def check_program(e: Expr, checker: Optional[Checker] = None):
     if checker is None:
         checker = Checker()
     for table in (checker.diags, checker.elim, checker.wrap, checker.types,
-                  checker.envs, checker.evidence):
+                  checker.envs, checker.evidence, checker.tail):
         table.clear()
+    node = e
+    while isinstance(node, (ConceptDecl, ModelDecl, TypeAlias, Let)):
+        checker.tail.add(id(node))
+        node = node.rest
     t = checker.infer(Env(), e)
     if checker.diags:
         return checker.diags

@@ -150,6 +150,18 @@ def test_run_list_result(capsys, tmp_path):
      "1 in 2", "T003"),
     ("concept D<a> { T ; ; } in concept C<a> { ; ; m : D<a>.T -> int } in 2",
      "T003"),
+    # a shadowed concept's models and constraints do not satisfy the new one
+    ("concept C<a> { ; ; f : a } in model C<int> { ; f = 1 } in "
+     "concept C<a> { ; ; g : a -> a } in C<int>.g 5", "T003"),
+    ("concept C<a> { ; ; f : int } in model C<int> { ; f = 1 } in "
+     "concept C<a> { ; ; f : bool } in if C<int>.f then 1 else 2", "T003"),
+    ("concept C<a> { ; ; f : a } in let g = (C<int> => C<int>.f) in "
+     "concept C<a> { ; ; h : a -> a, f : a } in "
+     "model C<int> { ; h = lam x: int. x, f = 3 } in g + 1", "T001"),
+    # nor does a concept escape its declaration's scope
+    ("let g = (concept C<a> { ; ; f : a } in C<int> => C<int>.f) in "
+     "concept C<a> { ; ; h : int -> int, f : int } in "
+     "model C<int> { ; h = lam x: int. x, f = 3 } in g", "T004"),
 ])
 def test_concepts_named_in_annotations_are_checked(capsys, tmp_path, source,
                                                    diag):
@@ -235,6 +247,13 @@ def test_long_lists_evaluate_without_the_python_stack(capsys, tmp_path):
     f = tmp_path / "long.fg"
     f.write_text(f"head {xs}")
     assert run(capsys, "run", str(f)) == (0, "0\n", "")
+    f.write_text(xs)
+    core = "".join(f"cons({i}, " for i in range(3000)) + "nil[int]" \
+        + ")" * 3000
+    assert run(capsys, "run", str(f)) == (0, core + "\n", "")
+    assert run(capsys, "emit-core", str(f)) == (0, core + "\n", "")
+    assert run(capsys, "emit-core", "--verify", str(f)) == (
+        0, core + "\ncore: list int\n", "")
     f.write_text("let sum = fix (lam r: list int -> int. lam l: list int. "
                  "if isnil l then 0 else head l + r (tail l)) in sum " + xs)
     assert run(capsys, "run", str(f)) == (0, f"{sum(range(3000))}\n", "")

@@ -1,4 +1,5 @@
-"""Environment entries, constraint expansion, and qualified-path lookup."""
+"""The environment's binding chains, constraint expansion, and
+qualified-path lookup."""
 
 import pytest
 
@@ -10,20 +11,14 @@ from fgc.ast import (
     IntT,
     ListT,
     ModelId,
-    ModelInfo,
     SameType,
     TVar,
     alpha_equal,
 )
 from fgc.env import (
-    ConceptEntry,
-    ConstraintEntry,
     Env,
     Evidence,
-    ModelEntry,
     PROVED,
-    TermBind,
-    TypeEq,
     UnknownConceptError,
     UnknownMemberError,
     UnsatisfiedConstraintError,
@@ -49,19 +44,18 @@ SEQ = ConceptInfo(
 
 
 def base_env() -> Env:
-    return Env().push_all(
-        [ConceptEntry(SEMIGROUP), ConceptEntry(MONOID), ConceptEntry(SEQ)])
+    return Env().declare(SEMIGROUP).declare(MONOID).declare(SEQ)
 
 
 def test_lookup_term_most_recent_first():
-    env = Env().push(TermBind("x", IntT())).push(TermBind("x", BoolT()))
+    env = Env().bind("x", IntT()).bind("x", BoolT())
     assert env.lookup_term("x") == BoolT()
     assert env.lookup_term("y") is None
 
 
 def test_env_is_persistent():
-    env = Env().push(TermBind("x", IntT()))
-    env.push(TermBind("x", BoolT()))
+    env = Env().bind("x", IntT())
+    env.bind("x", BoolT())
     assert env.lookup_term("x") == IntT()
 
 
@@ -87,7 +81,7 @@ def test_flat_deduplicates():
         "Both", ("a",), (),
         (ConceptC(ModelId("Semigroup", (A,))),
          ConceptC(ModelId("Monoid", (A,)))), ())
-    env = base_env().push(ConceptEntry(both))
+    env = base_env().declare(both)
     out = flat(env, ConceptC(ModelId("Both", (IntT(),))))
     names = [c.model.concept for c, _ in out]
     assert names == ["Both", "Semigroup", "Monoid"]
@@ -98,7 +92,7 @@ def test_flat_deduplicates():
 def test_flat_same_type_member():
     c = ConceptInfo("Pinned", ("a",), ("T",),
                     (SameType(TVar("T"), TVar("a")),), ())
-    env = base_env().push(ConceptEntry(c))
+    env = base_env().declare(c)
     out = flat(env, ConceptC(ModelId("Pinned", (IntT(),))))
     same, _ = out[1]
     assert isinstance(same, SameType)
@@ -114,32 +108,30 @@ def test_flat_unknown_concept():
 
 def test_satisfies_via_model_and_assumption():
     mid = ModelId("Semigroup", (IntT(),))
-    minfo = ModelInfo("Semigroup", (IntT(),), (), ())
     env = base_env()
     assert satisfies(env, ConceptC(mid)) is None
     model_ev, assumed_ev = Evidence("model"), Evidence("assumption", (1,))
-    with_model = env.push(ModelEntry(mid, minfo, model_ev))
+    with_model = env.model(mid, model_ev)
     assert satisfies(with_model, ConceptC(mid)) is model_ev
-    assumed = env.push(ConstraintEntry(ConceptC(mid), assumed_ev))
+    assumed = env.assume(ConceptC(mid), assumed_ev)
     assert satisfies(assumed, ConceptC(mid)) is assumed_ev
-    # the most recent candidate is the evidence
-    both = with_model.push(ConstraintEntry(ConceptC(mid), assumed_ev))
+    # the most recent candidate is the evidence, a model or an assumption
+    both = with_model.assume(ConceptC(mid), assumed_ev)
     assert satisfies(both, ConceptC(mid)) is assumed_ev
+    assert satisfies(assumed.model(mid, model_ev), ConceptC(mid)) is model_ev
 
 
 def test_satisfies_up_to_provable_equality():
     mid_a = ModelId("Semigroup", (A,))
     ev = Evidence("assumption")
-    env = (base_env()
-           .push(ConstraintEntry(ConceptC(mid_a), ev))
-           .push(TypeEq(TVar("b"), A)))
+    env = base_env().assume(ConceptC(mid_a), ev).equate(TVar("b"), A)
     # b is provably equal to a, so Semigroup<b> is satisfied by Semigroup<a>
     assert satisfies(env, ConceptC(ModelId("Semigroup", (TVar("b"),)))) is ev
     assert satisfies(env, ConceptC(ModelId("Semigroup", (IntT(),)))) is None
 
 
 def test_satisfies_same_type():
-    env = Env().push(TypeEq(TVar("b"), IntT()))
+    env = Env().equate(TVar("b"), IntT())
     assert satisfies(env, SameType(TVar("b"), IntT()))
     assert not satisfies(env, SameType(TVar("b"), BoolT()))
 
@@ -147,8 +139,7 @@ def test_satisfies_same_type():
 def test_lookup_path_member():
     mid = ModelId("Semigroup", (IntT(),))
     ev = Evidence("model")
-    env = base_env().push(ModelEntry(mid, ModelInfo(
-        "Semigroup", (IntT(),), (), ()), ev))
+    env = base_env().model(mid, ev)
     t, last = lookup_path(env, (mid,), "binary_op")
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
     assert last is ev
@@ -157,11 +148,8 @@ def test_lookup_path_member():
 def test_lookup_path_nested():
     smid = ModelId("Semigroup", (IntT(),))
     mmid = ModelId("Monoid", (IntT(),))
-    env = base_env().push_all([
-        ModelEntry(smid, ModelInfo("Semigroup", (IntT(),), (), ()),
-                   Evidence("semigroup model")),
-        ModelEntry(mmid, ModelInfo("Monoid", (IntT(),), (), ()),
-                   Evidence("monoid model"))])
+    env = (base_env().model(smid, Evidence("semigroup model"))
+           .model(mmid, Evidence("monoid model")))
     # Monoid<int>.Semigroup<int>.binary_op goes through the nested
     # constraint: slot 0 of the Monoid<int> model's dictionary
     t, last = lookup_path(env, (mmid, smid), "binary_op")
@@ -172,8 +160,7 @@ def test_lookup_path_nested():
 def test_lookup_path_assoc_substitution():
     mid = ModelId("Seq", (ListT(IntT()),))
     ev = Evidence("model")
-    env = base_env().push(ModelEntry(mid, ModelInfo(
-        "Seq", (ListT(IntT()),), (("E", IntT()),), ()), ev))
+    env = base_env().model(mid, ev).equate(AssocPath(mid, "E"), IntT())
     t, last = lookup_path(env, (mid,), "head")
     assert t == Arrow(ListT(IntT()), AssocPath(mid, "E"))
     assert last is ev
@@ -188,8 +175,7 @@ def test_lookup_path_errors():
     with pytest.raises(UnsatisfiedConstraintError):
         lookup_path(env, (ModelId("Semigroup", (IntT(),)),), "binary_op")
     mid = ModelId("Semigroup", (IntT(),))
-    env2 = env.push(ModelEntry(mid, ModelInfo("Semigroup", (IntT(),),
-                                              (), ()), Evidence("model")))
+    env2 = env.model(mid, Evidence("model"))
     with pytest.raises(UnknownMemberError):
         lookup_path(env2, (mid,), "nope")
 
@@ -197,53 +183,52 @@ def test_lookup_path_errors():
 def test_restrict_drops_terms_and_models():
     mid = ModelId("Semigroup", (IntT(),))
     env = (base_env()
-           .push(TermBind("x", IntT()))
-           .push(ModelEntry(mid, ModelInfo("Semigroup", (IntT(),), (), ()),
-                            Evidence("model")))
-           .push(ConstraintEntry(ConceptC(mid), Evidence("assumption")))
-           .push(TypeEq(TVar("b"), IntT())))
+           .bind("x", IntT())
+           .model(mid, Evidence("model"))
+           .assume(ConceptC(mid), Evidence("assumption"))
+           .equate(TVar("b"), IntT()))
     r = env.restrict()
     assert r.lookup_term("x") is None
     assert r.find_concept("Semigroup") is not None
     # the assumption survives but the model declaration does not
-    assert [m for m, _ in r.concept_candidates("Semigroup")] == [mid]
+    assert list(r.concept_candidates("Semigroup")) == [
+        (mid, Evidence("assumption"))]
     assert r.closure.types_equal(TVar("b"), IntT())
 
 
 def test_equations_in_declaration_order():
     env = (Env()
-           .push(TypeEq(TVar("b"), IntT()))
-           .push(ConstraintEntry(SameType(TVar("c"), BoolT()), PROVED)))
+           .equate(TVar("b"), IntT())
+           .assume(SameType(TVar("c"), BoolT()), PROVED))
     assert env.closure.types_equal(TVar("b"), IntT())
     assert env.closure.types_equal(TVar("c"), BoolT())
     assert not env.closure.types_equal(TVar("b"), TVar("c"))
 
 
-def test_entries_without_equations_keep_the_closure():
-    env = base_env().push(TypeEq(TVar("b"), IntT()))
+def test_bindings_without_equations_keep_the_closure():
+    env = base_env().equate(TVar("b"), IntT())
     mid = ModelId("Semigroup", (IntT(),))
-    for entry in (TermBind("x", IntT()),
-                  ModelEntry(mid, ModelInfo("Semigroup", (IntT(),), (), ()),
-                             Evidence("model")),
-                  ConceptEntry(SEMIGROUP),
-                  ConstraintEntry(ConceptC(mid), Evidence("assumption"))):
-        assert env.push(entry).closure is env.closure
+    for extended in (env.bind("x", IntT()),
+                     env.model(mid, Evidence("model")),
+                     env.declare(SEMIGROUP),
+                     env.assume(ConceptC(mid), Evidence("assumption"))):
+        assert extended.closure is env.closure
 
 
 def test_equal_equations_share_one_closure():
-    env = base_env().push(TermBind("x", IntT()))
-    first = env.push(TypeEq(TVar("b"), IntT()))
-    second = env.push(TermBind("y", BoolT())).push(TypeEq(TVar("b"), IntT()))
+    env = base_env().bind("x", IntT())
+    first = env.equate(TVar("b"), IntT())
+    second = env.bind("y", BoolT()).equate(TVar("b"), IntT())
     assert first.closure is second.closure
     # an alias and a same-type assumption of the same equation differ in
     # which side the closure prefers as representative
-    assumed = env.push(ConstraintEntry(SameType(TVar("b"), IntT()), PROVED))
+    assumed = env.assume(SameType(TVar("b"), IntT()), PROVED)
     assert assumed.closure is not first.closure
-    assert first.push(TypeEq(TVar("c"), BoolT())).closure is not first.closure
+    assert first.equate(TVar("c"), BoolT()).closure is not first.closure
 
 
 def test_restrict_keeps_the_closure():
     env = (base_env()
-           .push(TypeEq(TVar("b"), IntT()))
-           .push(TermBind("x", TVar("b"))))
+           .equate(TVar("b"), IntT())
+           .bind("x", TVar("b")))
     assert env.restrict().closure is env.closure

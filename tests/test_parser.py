@@ -107,6 +107,23 @@ def test_shadowed_type_binders_renamed_apart():
     assert inner.body.ann == TVar(inner_name)
 
 
+def test_shadowing_concepts_renamed_apart():
+    # C1 is an identifier of the program, so the inner C becomes C2: its
+    # name, its constraint on itself and the references in its scope
+    e = parse_program("concept C<a> { ; ; } in let C1 = 1 in "
+                      "concept C<a> { ; C<a> ; f : int } in "
+                      "model C<int> { ; f = 2 } in C<int>.f")
+    inner = e.rest.rest
+    assert (e.info.name, inner.info.name) == ("C", "C2")
+    assert inner.info.nested[0].model.concept == "C2"
+    assert inner.rest.info.concept == "C2"
+    assert inner.rest.rest.prefix[0].concept == "C2"
+    # a declaration out of the other's scope keeps its name
+    e = parse_program("let x = (concept C<a> { ; ; } in 1) in "
+                      "concept C<a> { ; ; } in 2")
+    assert e.rest.info.name == "C"
+
+
 def test_syntax_errors():
     cases = {
         "let x = in 3": "P001",

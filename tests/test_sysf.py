@@ -17,6 +17,7 @@ from fgc.sysf import (
     CInt,
     CIntLit,
     CBoolLit,
+    CCons,
     CLam,
     CList,
     CNil,
@@ -79,6 +80,12 @@ def test_application_mismatch_message():
         sf_typecheck(CApp(ID_INT, CBoolLit(True)))
     assert "the parameter type is int but the argument type is bool" \
         in str(exc.value)
+
+
+def test_cons_mismatch_names_its_cons():
+    with pytest.raises(CoreTypeError) as exc:
+        sf_typecheck(CCons(CIntLit(1), CCons(CBoolLit(True), CNil(CInt()))))
+    assert str(exc.value) == "at <root>.tail: cons element/tail type mismatch"
 
 
 # ------------------------------------------------------------- evaluation
