@@ -8,11 +8,13 @@ structural comparison ignores positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
+    """A token's or a node's place in its file; a named tuple, because the
+    lexer makes one per token."""
+
     file: str
     start_line: int
     start_col: int

@@ -1,5 +1,19 @@
 """Concrete syntax: lexer, parser, scope resolution, and pretty-printer.
 
+Lexing is one regular expression (`_TOKEN`) matched at each position:
+blanks (space, tab, carriage return), then a newline, a `//` comment to
+the end of the line, an integer `[0-9]+`, an identifier
+`[A-Za-z_][A-Za-z_0-9]*` (a keyword if in KEYWORDS), a punctuator
+`== => -> ( ) { } [ ] < > . , ; : = + * -`, or any other character
+(P012).  A column is the offset from the last newline plus one; a
+comment advances none.
+
+The parser tries a constrained expression (`C<t> => e`, `t1 == t2 => e`)
+only where the tokens from there on that a type can be made of
+(identifiers, `list forall int bool ( ) < > , . -> ==`) run into `=>`:
+a constraint is made of those, and `=>` follows it.  One backward pass
+over the tokens marks those positions.
+
 The parser produces fully scope-resolved trees: every type variable refers
 to an enclosing binder (shadowed type binders are renamed apart), unbound
 term identifiers that name a built-in operator become Prim nodes, and all
@@ -18,9 +32,9 @@ Diagnostic codes (closed set):
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ast import (
     App,
@@ -68,10 +82,15 @@ KEYWORDS = {
     "int", "bool",
 }
 
-PUNCT = [
-    "==", "=>", "->", "(", ")", "{", "}", "[", "]", "<", ">",
-    ".", ",", ";", ":", "=", "+", "-", "*",
-]
+# `end` matches blanks at the end of input once, not once per position
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<nl>\n)
+  | (?P<comment>//[^\n]*)
+  | (?P<int>[0-9]+)
+  | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<punct>==|=>|->|[(){}\[\]<>.,;:=+*-])
+  | (?P<end>\Z)
+  | (?P<bad>.))""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -92,8 +111,7 @@ class ParseError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "id" | "int" | "kw" | "punct" | "eof"
     text: str
     span: SourceSpan
@@ -104,61 +122,30 @@ class Token:
 
 def tokenize(src: str, filename: str) -> list:
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    ident_start = string.ascii_letters + "_"
-    ident_rest = ident_start + string.digits
-
-    def span(l0, c0, l1, c1):
-        return SourceSpan(filename, l0, c0, l1, c1)
-
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
+    line, line_start, eof = 1, 0, len(src)
+    new = tuple.__new__  # skips the named tuples' Python-level __new__
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "nl":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment" or kind == "end":
+            if kind == "comment" and m.end() == len(src):
+                eof = m.start(kind)  # a comment advances no column
             continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        l0, c0 = line, col
-        if ch in string.digits:
-            j = i
-            while j < n and src[j] in string.digits:
-                j += 1
-            text = src[i:j]
-            col += j - i
-            toks.append(Token("int", text, span(l0, c0, line, col - 1)))
-            i = j
-            continue
-        if ch in ident_start:
-            j = i
-            while j < n and src[j] in ident_rest:
-                j += 1
-            text = src[i:j]
-            col += j - i
-            kind = "kw" if text in KEYWORDS else "id"
-            toks.append(Token(kind, text, span(l0, c0, line, col - 1)))
-            i = j
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                col += len(p)
-                toks.append(Token("punct", p, span(l0, c0, line, col - 1)))
-                i += len(p)
-                break
-        else:
-            raise ParseError(
-                [ParseDiagnostic(span(l0, c0, line, col), "P012",
-                                 f"invalid character {ch!r}")]
-            )
-    toks.append(Token("eof", "", span(line, col, line, col)))
+        text = m[kind]
+        col = m.end() - len(text) - line_start + 1
+        if kind == "bad":
+            raise ParseError([ParseDiagnostic(
+                SourceSpan(filename, line, col, line, col), "P012",
+                f"invalid character {text!r}")])
+        if kind == "id" and text in KEYWORDS:
+            kind = "kw"
+        toks.append(new(Token, (kind, text, new(SourceSpan, (
+            filename, line, col, line, col + len(text) - 1)))))
+    col = eof - line_start + 1
+    toks.append(Token("eof", "", SourceSpan(filename, line, col, line, col)))
     return toks
 
 
@@ -170,20 +157,38 @@ class _PError(Exception):
         self.diag = diag
 
 
+# the keywords that begin an expression form of their own
+_FORMS = {"concept", "model", "type", "let", "lam", "Lam", "fix", "if"}
+
+# the tokens a type or a constraint is made of
+_TYPE_TOKENS = {"list", "forall", "int", "bool",
+                "(", ")", "<", ">", ",", ".", "->", "=="}
+
+
 class _Parser:
-    def __init__(self, toks, filename):
+    def __init__(self, toks):
         self.toks = toks
         self.pos = 0
-        self.filename = filename
+        # the positions from which the tokens a type can be made of run
+        # into `=>`, which a constrained expression needs
+        self.constrained, reach = set(), False
+        for i in range(len(toks) - 1, -1, -1):
+            t = toks[i]
+            if t.text == "=>":
+                reach = True
+            elif t.kind != "id" and t.text not in _TYPE_TOKENS:
+                reach = False
+            if reach:
+                self.constrained.add(i)
 
     # -- token helpers
 
-    def peek(self, k=0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind in ("kw", "punct") and t.text == text
+        # no other token has a keyword's or a punctuator's text
+        return self.toks[self.pos].text == text
 
     def take(self) -> Token:
         t = self.toks[self.pos]
@@ -192,13 +197,17 @@ class _Parser:
         return t
 
     def eat(self, text: str) -> Optional[Token]:
-        if self.at(text):
-            return self.take()
+        t = self.toks[self.pos]
+        if t.text == text:
+            self.pos += 1
+            return t
         return None
 
     def expect(self, text: str) -> Token:
-        if self.at(text):
-            return self.take()
+        t = self.toks[self.pos]
+        if t.text == text:
+            self.pos += 1
+            return t
         self.fail(f"expected {text!r}")
 
     def expect_id(self) -> Token:
@@ -306,7 +315,8 @@ class _Parser:
     def constraint(self) -> Constraint:
         start = self.peek().span
         t = self.peek()
-        if t.kind == "id" and self.peek(1).kind == "punct" and self.peek(1).text == "<":
+        # an identifier is never the last token, which is the eof
+        if t.kind == "id" and self.toks[self.pos + 1].text == "<":
             save = self.pos
             try:
                 self.take()
@@ -324,12 +334,15 @@ class _Parser:
     # -- expressions
 
     def expr(self) -> Expr:
-        start = self.peek().span
-        if self.eat("concept"):
+        t = self.peek()
+        start, word = t.span, t.text
+        if word in _FORMS:
+            self.pos += 1
+        if word == "concept":
             return self.concept_decl(start)
-        if self.eat("model"):
+        if word == "model":
             return self.model_decl(start)
-        if self.eat("type"):
+        if word == "type":
             name = self.expect_id()
             self.expect("=")
             rhs = self.type_()
@@ -337,7 +350,7 @@ class _Parser:
             rest = self.expr()
             return TypeAlias(name.text, rhs, rest,
                              span=self.join(start, self.last_span()))
-        if self.eat("let"):
+        if word == "let":
             name = self.expect_id()
             self.expect("=")
             bound = self.expr()
@@ -345,7 +358,7 @@ class _Parser:
             rest = self.expr()
             return Let(name.text, bound, rest,
                        span=self.join(start, self.last_span()))
-        if self.eat("lam"):
+        if word == "lam":
             name = self.expect_id()
             ann = None
             if self.eat(":"):
@@ -354,25 +367,26 @@ class _Parser:
             body = self.expr()
             return Lam(name.text, ann, body,
                        span=self.join(start, self.last_span()))
-        if self.eat("Lam"):
+        if word == "Lam":
             name = self.expect_id()
             self.expect(".")
             body = self.expr()
             return TyLam(name.text, body,
                          span=self.join(start, self.last_span()))
-        if self.eat("fix"):
+        if word == "fix":
             body = self.expr()
             return Fix(body, span=self.join(start, self.last_span()))
-        if self.eat("if"):
+        if word == "if":
             cond = self.expr()
             self.expect("then")
             thn = self.expr()
             self.expect("else")
             els = self.expr()
             return If(cond, thn, els, span=self.join(start, self.last_span()))
-        ce = self.try_constrained_expr()
-        if ce is not None:
-            return ce
+        if self.pos in self.constrained:
+            ce = self.try_constrained_expr()
+            if ce is not None:
+                return ce
         return self.cmp_expr()
 
     def try_constrained_expr(self) -> Optional[Expr]:
@@ -390,7 +404,7 @@ class _Parser:
     def cmp_expr(self) -> Expr:
         start = self.peek().span
         e = self.add_expr()
-        while self.at("<") or self.at("=="):
+        while self.peek().text in ("<", "=="):
             op = self.take().text
             rhs = self.add_expr()
             e = Prim(op, (e, rhs), span=self.join(start, self.last_span()))
@@ -399,7 +413,7 @@ class _Parser:
     def add_expr(self) -> Expr:
         start = self.peek().span
         e = self.mul_expr()
-        while self.at("+") or self.at("-"):
+        while self.peek().text in ("+", "-"):
             op = self.take().text
             rhs = self.mul_expr()
             e = Prim(op, (e, rhs), span=self.join(start, self.last_span()))
@@ -510,75 +524,44 @@ class _Parser:
             params.append(self.expect_id().text)
         self.expect(">")
         self.expect("{")
-        assocs = []
-        if not self.at(";"):
-            assocs.append(self.expect_id().text)
-            while self.eat(","):
-                assocs.append(self.expect_id().text)
-        self.expect(";")
-        nested = []
-        if not self.at(";"):
-            nested.append(self.constraint())
-            while self.eat(","):
-                nested.append(self.constraint())
-        self.expect(";")
-        members = []
-        if not self.at("}"):
-            members.append(self.member_sig())
-            while self.eat(","):
-                members.append(self.member_sig())
-        self.expect("}")
+        assocs = self.commas(lambda: self.expect_id().text, ";")
+        nested = self.commas(self.constraint, ";")
+        members = self.commas(lambda: self.named(":", self.type_), "}")
         info_span = self.join(start, self.last_span())
         self.expect("in")
         rest = self.expr()
-        info = ConceptInfo(name.text, tuple(params), tuple(assocs),
-                           tuple(nested), tuple(members), span=info_span)
+        info = ConceptInfo(name.text, tuple(params), assocs, nested, members,
+                           span=info_span)
         return ConceptDecl(info, rest, span=self.join(start, self.last_span()))
 
-    def member_sig(self):
-        name = self.expect_id()
-        self.expect(":")
-        ty = self.type_()
-        return (name.text, ty)
-
     def model_decl(self, start: SourceSpan) -> Expr:
-        name = self.expect_id()
-        self.expect("<")
-        args = [self.type_()]
-        while self.eat(","):
-            args.append(self.type_())
-        self.expect(">")
+        args = self.model_args(self.expect_id())
         self.expect("{")
-        assoc_binds = []
-        if not self.at(";"):
-            assoc_binds.append(self.assoc_bind())
-            while self.eat(","):
-                assoc_binds.append(self.assoc_bind())
-        self.expect(";")
-        member_binds = []
-        if not self.at("}"):
-            member_binds.append(self.member_bind())
-            while self.eat(","):
-                member_binds.append(self.member_bind())
-        self.expect("}")
+        assoc_binds = self.commas(lambda: self.named("=", self.type_), ";")
+        member_binds = self.commas(lambda: self.named("=", self.expr), "}")
         info_span = self.join(start, self.last_span())
         self.expect("in")
         rest = self.expr()
-        info = ModelInfo(name.text, tuple(args), tuple(assoc_binds),
-                         tuple(member_binds), span=info_span)
+        info = ModelInfo(args.concept, args.type_args, assoc_binds,
+                         member_binds, span=info_span)
         return ModelDecl(info, rest, span=self.join(start, self.last_span()))
 
-    def assoc_bind(self):
-        name = self.expect_id()
-        self.expect("=")
-        ty = self.type_()
-        return (name.text, ty)
+    def commas(self, item, end: str) -> tuple:
+        """Items separated by commas, none if `end` comes first, then
+        `end`."""
+        items = []
+        if not self.at(end):
+            items.append(item())
+            while self.eat(","):
+                items.append(item())
+        self.expect(end)
+        return tuple(items)
 
-    def member_bind(self):
+    def named(self, sep: str, value):
+        """`name sep value`, as a (name, value) pair."""
         name = self.expect_id()
-        self.expect("=")
-        e = self.expr()
-        return (name.text, e)
+        self.expect(sep)
+        return (name.text, value())
 
 
 # ---------------------------------------------------------------- resolver
@@ -748,16 +731,10 @@ class _Resolver:
         return PathE(prefix, e.name, span=e.span)
 
     def concept_info(self, info: ConceptInfo, tymap, terms) -> ConceptInfo:
-        for group, what in ((info.type_params, "type parameter"),
-                            (info.assoc_types, "associated type"),
-                            (tuple(n for n, _ in info.members), "member")):
-            seen = set()
-            for name in group:
-                if name in seen:
-                    self.err(info.span, "P013",
-                             f"duplicate {what} {name!r} in concept "
-                             f"{info.name!r}")
-                seen.add(name)
+        where = f" in concept {info.name!r}"
+        self.unique(info.span, info.type_params, "type parameter", where)
+        self.unique(info.span, info.assoc_types, "associated type", where)
+        self.unique(info.span, [n for n, _ in info.members], "member", where)
         inner = dict(tymap)
         for p in info.type_params:
             inner[p] = p
@@ -768,19 +745,19 @@ class _Resolver:
         return ConceptInfo(self.concepts[info.name], info.type_params,
                            info.assoc_types, nested, members, span=info.span)
 
+    def unique(self, span, names, what: str, where: str = "") -> None:
+        """P013 for each repeat of a name among names."""
+        seen = set()
+        for name in names:
+            if name in seen:
+                self.err(span, "P013", f"duplicate {what} {name!r}{where}")
+            seen.add(name)
+
     def model_info(self, info: ModelInfo, tymap, terms) -> ModelInfo:
-        seen = set()
-        for name, _ in info.assoc_binds:
-            if name in seen:
-                self.err(info.span, "P013",
-                         f"duplicate associated-type binding {name!r}")
-            seen.add(name)
-        seen = set()
-        for name, _ in info.member_binds:
-            if name in seen:
-                self.err(info.span, "P013",
-                         f"duplicate member binding {name!r}")
-            seen.add(name)
+        self.unique(info.span, [n for n, _ in info.assoc_binds],
+                    "associated-type binding")
+        self.unique(info.span, [n for n, _ in info.member_binds],
+                    "member binding")
         args = tuple(self.type(a, tymap) for a in info.type_args)
         assoc = tuple((n, self.type(t, tymap))
                       for n, t in info.assoc_binds)
@@ -804,7 +781,7 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
     multiple errors can be reported.
     """
     toks = tokenize(src, filename)
-    p = _Parser(toks, filename)
+    p = _Parser(toks)
     diags = []
     tree = None
     try:
@@ -840,7 +817,7 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
 def parse_type(src: str, filename: str = "<type>") -> Type:
     """Parse a standalone type (unresolved); used by tests and tooling."""
     toks = tokenize(src, filename)
-    p = _Parser(toks, filename)
+    p = _Parser(toks)
     try:
         t = p.type_()
         if p.peek().kind != "eof":
@@ -904,7 +881,8 @@ _BINOP_PREC = {"<": 1, "==": 1, "+": 2, "-": 2, "*": 3}
 def pretty(e: Expr, prec: int = 0) -> str:
     match e:
         case IntLit(value):
-            return str(value)
+            # the syntax has no negative literal
+            return f"(0 - {-value})" if value < 0 else str(value)
         case BoolLit(value):
             return "true" if value else "false"
         case PathE(prefix, name):

@@ -191,9 +191,15 @@ def subst_ty(t: CoreType, j: int, s: CoreType) -> CoreType:
 
 
 class CoreTypeError(Exception):
-    def __init__(self, message, path=()):
+    def __init__(self, message, path=None):
+        # path: the steps from the root to the failing node as linked
+        # pairs (step, rest), innermost first; None at the root
+        steps = []
+        while path is not None:
+            step, path = path
+            steps.append(step)
         self.message = message
-        self.path = tuple(path)
+        self.path = tuple(reversed(steps))
         where = "".join(f".{p}" for p in self.path)
         super().__init__(f"at <root>{where}: {message}")
 
@@ -222,7 +228,7 @@ def _check_ty_wf(t: CoreType, depth: int, path):
 
 def sf_typecheck(t: CoreTerm) -> CoreType:
     """Type of a closed core term; raises CoreTypeError on failure."""
-    return _infer(t, [], 0, [])
+    return _infer(t, [], 0, None)
 
 
 def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
@@ -237,11 +243,11 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             return ctx[i]
         case CLam(ann, body):
             _check_ty_wf(ann, tydepth, path)
-            cod = _infer(body, [ann] + ctx, tydepth, path + ["body"])
+            cod = _infer(body, [ann] + ctx, tydepth, ("body", path))
             return CArrow(ann, cod)
         case CApp(fn, arg):
-            tf = _infer(fn, ctx, tydepth, path + ["fn"])
-            ta = _infer(arg, ctx, tydepth, path + ["arg"])
+            tf = _infer(fn, ctx, tydepth, ("fn", path))
+            ta = _infer(arg, ctx, tydepth, ("arg", path))
             if not isinstance(tf, CArrow):
                 raise CoreTypeError(
                     f"applied a non-function of type {pretty_core_type(tf)}",
@@ -253,11 +259,11 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             return tf.cod
         case CTyLam(body):
             shifted = [shift_ty(ty, 1) for ty in ctx]
-            inner = _infer(body, shifted, tydepth + 1, path + ["body"])
+            inner = _infer(body, shifted, tydepth + 1, ("body", path))
             return CForall(inner)
         case CTyApp(subject, arg):
             _check_ty_wf(arg, tydepth, path)
-            ts = _infer(subject, ctx, tydepth, path + ["subject"])
+            ts = _infer(subject, ctx, tydepth, ("subject", path))
             if not isinstance(ts, CForall):
                 raise CoreTypeError(
                     f"instantiated a non-universal of type "
@@ -265,10 +271,10 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             return subst_ty(ts.body, 0, arg)
         case CTup(elems):
             return CTupleT(tuple(
-                _infer(e, ctx, tydepth, path + [i])
+                _infer(e, ctx, tydepth, (i, path))
                 for i, e in enumerate(elems)))
         case CProj(subject, index):
-            ts = _infer(subject, ctx, tydepth, path + ["subject"])
+            ts = _infer(subject, ctx, tydepth, ("subject", path))
             if not isinstance(ts, CTupleT):
                 raise CoreTypeError(
                     f"projection from a non-tuple of type "
@@ -278,20 +284,20 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
                     f"projection index {index} out of range", path)
             return ts.elems[index]
         case CFix(body):
-            tb = _infer(body, ctx, tydepth, path + ["body"])
+            tb = _infer(body, ctx, tydepth, ("body", path))
             if not (isinstance(tb, CArrow) and tb.dom == tb.cod):
                 raise CoreTypeError(
                     f"fix needs an endofunction, got {pretty_core_type(tb)}",
                     path)
             return tb.dom
         case CIf(cond, thn, els):
-            tc = _infer(cond, ctx, tydepth, path + ["cond"])
+            tc = _infer(cond, ctx, tydepth, ("cond", path))
             if tc != CBool():
                 raise CoreTypeError(
                     f"condition has type {pretty_core_type(tc)}, not bool",
                     path)
-            tt = _infer(thn, ctx, tydepth, path + ["then"])
-            te = _infer(els, ctx, tydepth, path + ["else"])
+            tt = _infer(thn, ctx, tydepth, ("then", path))
+            te = _infer(els, ctx, tydepth, ("else", path))
             if tt != te:
                 raise CoreTypeError("branches have different types", path)
             return tt
@@ -305,9 +311,9 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             # every head, then the end, then each cons from the inside out
             heads = []
             while isinstance(t, CCons):
-                heads.append((_infer(t.head, ctx, tydepth, path + ["head"]),
+                heads.append((_infer(t.head, ctx, tydepth, ("head", path)),
                               path))
-                t, path = t.tail, path + ["tail"]
+                t, path = t.tail, ("tail", path)
             tt = _infer(t, ctx, tydepth, path)
             for th, cons_path in reversed(heads):
                 if tt != CList(th):
@@ -318,7 +324,7 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
 
 
 def _infer_prim(op, args, ctx, tydepth, path) -> CoreType:
-    tys = [_infer(a, ctx, tydepth, path + [f"{op}#{i}"])
+    tys = [_infer(a, ctx, tydepth, (f"{op}#{i}", path))
            for i, a in enumerate(args)]
     if op in ("+", "-", "*", "<", "=="):
         if tys != [CInt(), CInt()]:

@@ -31,7 +31,8 @@ Diagnostic codes (closed set):
   T004  unknown concept (or concept arity mismatch, or escaping its scope)
   T005  model member missing
   T006  model member type mismatch
-  T007  unknown member (or a written path's unknown associated type)
+  T007  unknown member (or a written path's unknown associated type, or
+        a step of it that the step before does not require)
   T008  non-universal instantiated
   T009  annotation required
   T010  condition not bool
@@ -87,6 +88,7 @@ from .env import (
     UnknownConceptError,
     UnknownMemberError,
     UnsatisfiedConstraintError,
+    concept_subst,
     flat,
     lookup_path,
     satisfies,
@@ -126,10 +128,10 @@ def contains_err(t) -> bool:
 
 def _model_steps(t):
     """The model identifiers in a type or constraint, outermost first, each
-    with the associated-type name that follows it in a path (or None)."""
+    with what follows it in a path: an associated-type name, the rest of
+    the path, or None."""
     if isinstance(t, (ConceptC, AssocPath)):
-        tail = t.rest if isinstance(t, AssocPath) else None
-        yield t.model, tail if isinstance(tail, str) else None
+        yield t.model, t.rest if isinstance(t, AssocPath) else None
     for c in type_children(t):
         yield from _model_steps(c)
 
@@ -238,19 +240,31 @@ class Checker:
         """T004 for each unknown or wrongly applied concept that a type
         written in the program names, once per model identifier; T007 for
         each path whose last name is not an associated type of its last
-        step's concept; then T003, once per model identifier, for each
-        path step whose model is satisfied neither by the environment nor
-        by a constraint of t in front of it."""
+        step's concept, and for each step that the step before it does
+        not require; then T003, once per model identifier, for each path
+        step whose model is satisfied neither by the environment nor by a
+        constraint of t in front of it."""
         concepts, reported = {}, set()
-        for mid, name in dict.fromkeys(_model_steps(t)):
+        for mid, rest in dict.fromkeys(_model_steps(t)):
             if mid not in concepts:
                 concepts[mid] = self._concept(env, mid, span)
             info = concepts[mid]
-            if info is not None and name is not None \
-                    and name not in info.assoc_types:
+            if info is None or rest is None:
+                continue
+            if isinstance(rest, str) and rest not in info.assoc_types:
                 self.err(span, "T007", f"concept {mid.concept!r} has no "
-                         f"associated type {name!r}")
+                         f"associated type {rest!r}")
                 reported.add(mid)
+            elif isinstance(rest, AssocPath):
+                sigma, step = concept_subst(info, mid), rest.model
+                if not any(isinstance(nc, ConceptC) and
+                           env.closure.model_ids_equal(
+                               substitute_type_map(nc, sigma).model, step)
+                           for nc in info.nested):
+                    show = self._show_constraint
+                    self.err(span, "T007", f"{show(env, ConceptC(mid))} "
+                             f"does not require {show(env, ConceptC(step))}")
+                    reported.add(step)
         for mid, where in _path_models(env, t):
             if concepts[mid] is not None and mid not in reported \
                     and satisfies(where, ConceptC(mid)) is None:

@@ -1,8 +1,12 @@
-"""The program corpus under programs/ and its expected outcomes."""
+"""The program corpus under programs/ and its expected outcomes, and the
+benchmark's program generator."""
 
+import importlib.util
 import pathlib
+import sys
 
-PROGRAMS_DIR = pathlib.Path(__file__).parent.parent / "programs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PROGRAMS_DIR = ROOT / "programs"
 
 # well-typed programs and the ground value they evaluate to
 EXPECTED_VALUES = {
@@ -60,3 +64,14 @@ def well_typed_names():
 
 def all_names():
     return sorted(EXPECTED_VALUES) + sorted(EXPECTED_CODES)
+
+
+def workload_programs(workload: str, seed: int) -> list:
+    """A benchmark workload's programs for a seed, generated by
+    `fgcbench/gen.py` (imported from its file, never changed)."""
+    spec = importlib.util.spec_from_file_location(
+        "fgcbench_gen", ROOT / "fgcbench" / "gen.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod.generate(workload, seed, ROOT)

@@ -162,6 +162,10 @@ def test_run_list_result(capsys, tmp_path):
     ("let g = (concept C<a> { ; ; f : a } in C<int> => C<int>.f) in "
      "concept C<a> { ; ; h : int -> int, f : int } in "
      "model C<int> { ; h = lam x: int. x, f = 3 } in g", "T004"),
+    # a written path's step must be required by the step before it
+    ("concept D<a> { T ; ; } in concept C<a> { ; ; } in "
+     "model D<int> { T = int ; } in model C<int> { ; } in "
+     "let f = lam x: C<int>.D<int>.T. 1 in 2", "T007"),
 ])
 def test_concepts_named_in_annotations_are_checked(capsys, tmp_path, source,
                                                    diag):

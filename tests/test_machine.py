@@ -8,10 +8,7 @@ fuel boundary.  The programs are the corpus, fixed seeds of the
 workload, generated by `fgcbench/gen.py` (imported, never changed).
 """
 
-import importlib.util
-import pathlib
 import random
-import sys
 import time
 
 import pytest
@@ -48,13 +45,12 @@ from fgc.sysf import (
 )
 from fgc.typecheck import Checker, check_program
 
-from corpus import EXPECTED_VALUES, PROGRAMS_DIR, load, well_typed_names
+from corpus import (EXPECTED_VALUES, PROGRAMS_DIR, load, well_typed_names,
+                    workload_programs)
 from gen import random_expr, well_typed
 from oracle import interpret_direct
 from pipeline import lower
 from smallstep import ref_eval
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def agree(core, fuel=200_000):
@@ -107,19 +103,10 @@ def test_generated_programs_agree():
     assert accepted >= 200
 
 
-def _bench_gen():
-    spec = importlib.util.spec_from_file_location(
-        "fgcbench_gen", ROOT / "fgcbench" / "gen.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses look their module up
-    spec.loader.exec_module(mod)
-    return mod
-
-
 @pytest.mark.parametrize("workload", ["recursion", "concept_chain",
                                       "wide_source"])
 def test_workload_programs_agree(workload):
-    for p in _bench_gen().generate(workload, 7, ROOT):
+    for p in workload_programs(workload, 7):
         e = parse_program(p.source, p.name)
         core = derive_core(e)
         assert (core is None) == bool(p.codes), p.name

@@ -1,7 +1,7 @@
 """Lexer, parser, resolver, and pretty-printer tests."""
 
-import pathlib
 import random
+import re
 
 import pytest
 
@@ -18,16 +18,21 @@ from fgc.ast import (
 )
 from fgc.parser import (
     ParseError,
+    _Parser,
     parse_program,
     parse_type,
     pretty,
     pretty_type,
+    tokenize,
 )
+from fgc.sysf import Value, pretty_core, sf_eval
+from fgc.typecheck import Checker, check_program
 
-from gen import random_expr
+from corpus import PROGRAMS_DIR, workload_programs
+from gen import random_expr, well_typed
+from pipeline import lower
 
-PROGRAMS = sorted(
-    (pathlib.Path(__file__).parent.parent / "programs").glob("*.fg"))
+PROGRAMS = sorted(PROGRAMS_DIR.glob("*.fg"))
 
 
 def roundtrips(src: str) -> bool:
@@ -47,6 +52,81 @@ def test_random_roundtrip():
         e = random_expr(rng, 4)
         s = pretty(e)
         assert pretty(parse_program(s)) == s, s
+
+
+def _outcome(e):
+    """The checked type and the printed value of a well-typed program; in
+    a function value, the negative literal -n and 0 - n print alike."""
+    ty, out = check_program(e, Checker()), sf_eval(lower(e))
+    assert isinstance(out, Value), out
+    v = out.value
+    if isinstance(v, (bool, int)):
+        return ty, (type(v), v)
+    return ty, re.sub(r"sub\(0, (\d+)\)", r"-\1", pretty_core(v))
+
+
+def test_generated_programs_survive_print_then_parse():
+    # generated trees hold negative literals, which print as (0 - n)
+    rng = random.Random(1)
+    negative = 0
+    for _ in range(200):
+        e, ty = well_typed(rng, 4)
+        text = pretty(e)
+        negative += "(0 - " in text
+        back = parse_program(text)
+        assert _outcome(back) == _outcome(e), text
+        assert _outcome(e)[0] == ty
+        once = pretty(back)
+        assert pretty(parse_program(once)) == once, text
+    assert negative >= 50
+
+
+def test_negative_literals_print_as_subtractions():
+    assert pretty(IntLit(-16)) == "(0 - 16)"
+    assert pretty(Prim("-", (IntLit(3), IntLit(-2)))) == "3 - (0 - 2)"
+    assert parse_program(pretty(IntLit(-16))) == \
+        Prim("-", (IntLit(0), IntLit(16)))
+
+
+def constraint_calls(monkeypatch, src) -> int:
+    """How often parsing src tries to parse a constraint."""
+    calls = []
+    real = _Parser.constraint
+
+    def counting(self):
+        calls.append(self.pos)
+        return real(self)
+
+    monkeypatch.setattr(_Parser, "constraint", counting)
+    try:
+        parse_program(src)
+    except ParseError:
+        pass
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_no_constraint_is_tried_where_none_can_start(monkeypatch):
+    # a constrained expression needs `=>` and a required constraint needs
+    # a concept declaration: without both, no constraint is ever tried,
+    # however many expressions start with an identifier, `(` or `<`
+    wide = workload_programs("wide_source", 7)
+    tried = 0
+    for src in [p.source for p in wide] + [p.read_text() for p in PROGRAMS]:
+        texts = {t.text for t in tokenize(src, "f.fg")}
+        if "=>" not in texts and "concept" not in texts:
+            assert constraint_calls(monkeypatch, src) == 0, src
+            tried += 1
+    assert tried >= 50
+    # the sibling-model programs declare a concept that requires none
+    models = [p.source for p in wide if p.name.startswith("models_")]
+    assert models
+    for src in models:
+        assert constraint_calls(monkeypatch, src) == 0, src
+    assert constraint_calls(monkeypatch, "lam x: int. x < (1 + 2)") == 0
+    # where `=>` can follow, the constraint is tried and parsed
+    assert constraint_calls(
+        monkeypatch, "concept C<a> { ; ; } in C<int> => 1") == 1
 
 
 def test_precedence():
