@@ -157,9 +157,6 @@ class _PError(Exception):
         self.diag = diag
 
 
-# the keywords that begin an expression form of their own
-_FORMS = {"concept", "model", "type", "let", "lam", "Lam", "fix", "if"}
-
 # the tokens a type or a constraint is made of
 _TYPE_TOKENS = {"list", "forall", "int", "bool",
                 "(", ")", "<", ">", ",", ".", "->", "=="}
@@ -204,11 +201,7 @@ class _Parser:
         return None
 
     def expect(self, text: str) -> Token:
-        t = self.toks[self.pos]
-        if t.text == text:
-            self.pos += 1
-            return t
-        self.fail(f"expected {text!r}")
+        return self.eat(text) or self.fail(f"expected {text!r}")
 
     def expect_id(self) -> Token:
         t = self.peek()
@@ -336,13 +329,12 @@ class _Parser:
     def expr(self) -> Expr:
         t = self.peek()
         start, word = t.span, t.text
-        if word in _FORMS:
-            self.pos += 1
         if word == "concept":
-            return self.concept_decl(start)
+            return self.concept_decl(self.take().span)
         if word == "model":
-            return self.model_decl(start)
+            return self.model_decl(self.take().span)
         if word == "type":
+            self.pos += 1
             name = self.expect_id()
             self.expect("=")
             rhs = self.type_()
@@ -351,6 +343,7 @@ class _Parser:
             return TypeAlias(name.text, rhs, rest,
                              span=self.join(start, self.last_span()))
         if word == "let":
+            self.pos += 1
             name = self.expect_id()
             self.expect("=")
             bound = self.expr()
@@ -359,6 +352,7 @@ class _Parser:
             return Let(name.text, bound, rest,
                        span=self.join(start, self.last_span()))
         if word == "lam":
+            self.pos += 1
             name = self.expect_id()
             ann = None
             if self.eat(":"):
@@ -368,15 +362,18 @@ class _Parser:
             return Lam(name.text, ann, body,
                        span=self.join(start, self.last_span()))
         if word == "Lam":
+            self.pos += 1
             name = self.expect_id()
             self.expect(".")
             body = self.expr()
             return TyLam(name.text, body,
                          span=self.join(start, self.last_span()))
         if word == "fix":
+            self.pos += 1
             body = self.expr()
             return Fix(body, span=self.join(start, self.last_span()))
         if word == "if":
+            self.pos += 1
             cond = self.expr()
             self.expect("then")
             thn = self.expr()

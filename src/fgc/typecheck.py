@@ -137,12 +137,12 @@ def _model_steps(t):
 
 
 def _path_models(env: Env, t):
-    """The model identifier of each path step in a type or constraint,
-    with the environment that also assumes the constraints of t in front
-    of it, which are expanded only for a body with a path.  Nothing is
-    yielded from behind a constraint naming an unknown concept."""
+    """Each path step in a type or constraint, outermost first, with the
+    environment that also assumes the constraints of t in front of it,
+    which are expanded only for a body with a path.  Nothing is yielded
+    from behind a constraint naming an unknown concept."""
     if isinstance(t, AssocPath):
-        yield t.model, env
+        yield t, env
     if not isinstance(t, Constrained):
         for c in type_children(t):
             yield from _path_models(env, c)
@@ -240,37 +240,40 @@ class Checker:
         """T004 for each unknown or wrongly applied concept that a type
         written in the program names, once per model identifier; T007 for
         each path whose last name is not an associated type of its last
-        step's concept, and for each step that the step before it does
-        not require; then T003, once per model identifier, for each path
-        step whose model is satisfied neither by the environment nor by a
-        constraint of t in front of it."""
+        step's concept; then, with the constraints of t in front of each
+        path step assumed, T007 for a step that the step before it does
+        not require and T003 for a step whose model is not satisfied, for
+        a model identifier not reported on yet."""
         concepts, reported = {}, set()
         for mid, rest in dict.fromkeys(_model_steps(t)):
             if mid not in concepts:
                 concepts[mid] = self._concept(env, mid, span)
             info = concepts[mid]
-            if info is None or rest is None:
-                continue
-            if isinstance(rest, str) and rest not in info.assoc_types:
+            if isinstance(rest, str) and info is not None \
+                    and rest not in info.assoc_types:
                 self.err(span, "T007", f"concept {mid.concept!r} has no "
                          f"associated type {rest!r}")
                 reported.add(mid)
-            elif isinstance(rest, AssocPath):
-                sigma, step = concept_subst(info, mid), rest.model
+        show = self._show_constraint
+        for path, where in _path_models(env, t):
+            mid, info = path.model, concepts[path.model]
+            if info is None:
+                continue
+            if isinstance(path.rest, AssocPath) and \
+                    path.rest.model not in reported:
+                sigma, step = concept_subst(info, mid), path.rest.model
                 if not any(isinstance(nc, ConceptC) and
-                           env.closure.model_ids_equal(
+                           where.closure.model_ids_equal(
                                substitute_type_map(nc, sigma).model, step)
                            for nc in info.nested):
-                    show = self._show_constraint
-                    self.err(span, "T007", f"{show(env, ConceptC(mid))} "
-                             f"does not require {show(env, ConceptC(step))}")
                     reported.add(step)
-        for mid, where in _path_models(env, t):
-            if concepts[mid] is not None and mid not in reported \
-                    and satisfies(where, ConceptC(mid)) is None:
+                    self.err(span, "T007", f"{show(where, ConceptC(mid))} "
+                             f"does not require {show(where, ConceptC(step))}")
+            if mid not in reported and \
+                    satisfies(where, ConceptC(mid)) is None:
                 reported.add(mid)
                 self.err(span, "T003", "unsatisfied constraint "
-                         f"{self._show_constraint(where, ConceptC(mid))}")
+                         f"{show(where, ConceptC(mid))}")
 
     def _show_constraint(self, env: Env, c: Constraint) -> str:
         return pretty_constraint(env.closure.canonical_constraint(c))

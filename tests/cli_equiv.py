@@ -1,15 +1,15 @@
 """Record what the `fgc` command prints for a fixed set of programs, so
 that two checkouts can be compared byte for byte.
 
-    python tests/cli_equiv.py OUT.json [--seeds 7 8] [--work DIR]
+    python tests/cli_equiv.py OUT.json [--seeds 7 8]
 
 For the checkout this file belongs to, it writes the benchmark workloads'
 programs for each seed (generated by that checkout's `fgcbench/gen.py`)
-and the corpus `programs/*.fg` under DIR, and runs `check`, `run`,
-`emit-core --verify` and `check --format json` on each through
-`fgc.cli.main` in this process.  OUT.json lists (argv, exit code, stdout,
-stderr) per command.  File names in argv are relative to DIR, so the
-diagnostics of two checkouts name the same files:
+and the corpus `programs/*.fg` to a fresh temporary directory, and runs
+`check`, `run`, `emit-core --verify` and `check --format json` on each
+through `fgc.cli.main` in this process, from that directory.  OUT.json
+lists (argv, exit code, stdout, stderr) per command.  File names in argv
+are relative, so the diagnostics of two checkouts name the same files:
 
     python tests/cli_equiv.py /tmp/a.json            # in checkout A
     python tests/cli_equiv.py /tmp/b.json            # in checkout B
@@ -67,8 +67,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="JSON file to write")
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
-    ap.add_argument("--work", help="directory for the program files "
-                    "(default: a fresh temporary directory)")
     args = ap.parse_args()
     out = pathlib.Path(args.out).resolve()
     sys.path.insert(0, str(ROOT / "src"))
@@ -76,8 +74,7 @@ def main() -> int:
     from fgc.cli import main as fgc_main
 
     with tempfile.TemporaryDirectory() as tmp:
-        work = pathlib.Path(args.work or tmp).resolve()
-        work.mkdir(parents=True, exist_ok=True)
+        work = pathlib.Path(tmp).resolve()
         rel_paths = write_programs(work, args.seeds)
         os.chdir(work)
         rows = record(fgc_main, rel_paths)

@@ -166,6 +166,9 @@ def test_run_list_result(capsys, tmp_path):
     ("concept D<a> { T ; ; } in concept C<a> { ; ; } in "
      "model D<int> { T = int ; } in model C<int> { ; } in "
      "let f = lam x: C<int>.D<int>.T. 1 in 2", "T007"),
+    ("concept D<a> { T ; ; } in concept C<a> { ; D<a> ; } in "
+     "model D<int> { T = int ; } in model C<int> { ; } in "
+     "let f = lam x: C<int>.D<bool>.T. 1 in 2", "T007"),
 ])
 def test_concepts_named_in_annotations_are_checked(capsys, tmp_path, source,
                                                    diag):
@@ -192,6 +195,21 @@ def test_written_paths_satisfied_by_a_model_or_an_assumption(
     f = tmp_path / "p.fg"
     f.write_text(source)
     assert run(capsys, "run", str(f)) == (0, value + "\n", "")
+
+
+@pytest.mark.parametrize("path", [
+    "C<int>.D<int>.T",
+    "(forall b. C<b> => C<b>.D<b>.T -> int)",
+    # required through the equation and the constraint in front of the path
+    "(forall b. forall c. b == c => C<b> => C<b>.D<c>.T -> int)",
+])
+def test_written_paths_through_a_requirement_pass_check(capsys, tmp_path,
+                                                         path):
+    f = tmp_path / "p.fg"
+    f.write_text("concept D<a> { T ; ; } in concept C<a> { ; D<a> ; } in "
+                 "model D<int> { T = int ; } in model C<int> { ; } in "
+                 f"let f = lam x: {path}. 1 in 2")
+    assert run(capsys, "check", str(f)) == (0, "int\n", "")
 
 
 def _elab_fails(tree, checker):
