@@ -21,6 +21,16 @@ parameter that the body never reads.
 Same-type constraints erase: every emitted core type is first
 canonicalized through the congruence closure, so core structural equality
 coincides with provable surface equality.
+
+A dictionary type is built once per (model identifier, concepts in
+scope, equation node, type scope) and the `CoreType` shared after that:
+those are all it reads, and canonical forms do not change as the closure
+interns more terms.  The concepts in scope are keyed by the identity of
+the environment's concept chain, since sibling scopes may declare
+different concepts under one name.  So a chain of m models, each
+requiring the one before, builds m dictionary types, not m(m+1)/2.
+Lowering asks an environment's closure the first time it converts a type
+there, if the checker did not already.
 """
 
 from __future__ import annotations
@@ -142,6 +152,8 @@ class Elaborator:
 
     def __init__(self, checker: Checker):
         self.checker = checker
+        # (model id, id of the concept chain, equation node, tscope)
+        self.dict_types = {}
 
     # ------------------------------------------------------------ types
 
@@ -234,6 +246,18 @@ class Elaborator:
         raise ElabError(f"unexpected type node: {t!r}")
 
     def dict_type(self, env: Env, ctx: ElabCtx, mid: ModelId) -> CoreType:
+        """The core type of a model's dictionary, built once per model
+        identifier, concepts in scope, equation node and type scope and
+        then shared.  The checker's environments keep every concept chain
+        alive while lowering runs, so its identity stands for it."""
+        key = (mid, id(env.concepts), env.eq_node, ctx.tscope)
+        out = self.dict_types.get(key)
+        if out is None:
+            out = self.dict_types[key] = self._build_dict_type(env, ctx, mid)
+        return out
+
+    def _build_dict_type(self, env: Env, ctx: ElabCtx,
+                         mid: ModelId) -> CoreType:
         info = env.find_concept(mid.concept)
         sigma = concept_subst(info, mid)
         slots = []
@@ -274,6 +298,8 @@ class Elaborator:
         its use discharged: their abstracted associated types instantiated
         and the dictionaries their evidence names passed.  Types are
         converted in the environment the checker checked e in."""
+        if _declares(e):
+            return self._lower_spine(ctx, e)
         env = self.checker.envs[id(e)]
         lower = self.lower
         match e:
@@ -295,19 +321,12 @@ class Elaborator:
                 core = CTyLam(lower(ctx.bind_tyvar(binder), body))
             case TyApp(subject, arg):
                 core = CTyApp(lower(ctx, subject), self.conv(env, ctx, arg))
-            # same-type assumptions erase; they and the declarations below
-            # only extend the environments the checker recorded
-            case (ConstrainedE(SameType(), rest) | ConceptDecl(rest=rest)
-                  | TypeAlias(rest=rest)):
-                core = lower(ctx, rest)
             case ConstrainedE(c, body):
                 _, ctx2, dict_ty, n = self._assume(
                     env, ctx, c, _pins(self.checker.types[id(e)]))
                 core = CLam(dict_ty, lower(ctx2.bind_dict(e), body))
                 for _ in range(n):
                     core = CTyLam(core)
-            case ModelDecl():
-                core = self._lower_model(env, ctx, e)
             case Let(name, bound, rest):
                 tb = self.checker.types[id(e)]
                 core = CApp(CLam(self.conv(env, ctx, tb),
@@ -326,7 +345,37 @@ class Elaborator:
             case Prim(op, args):
                 cores = tuple(lower(ctx, a) for a in args)
                 core = CCons(*cores) if op == "cons" else CPrim(op, cores)
+        return self._discharge(ctx, e, core)
+
+    def _lower_spine(self, ctx: ElabCtx, e: Expr) -> CoreTerm:
+        """The translation of a spine of declarations (see `_declares`),
+        walked with a loop, so that its length is bounded by memory and
+        not by the recursion limit.  The core is built from the inside
+        out: a model binds its dictionary around the rest; the others
+        only extend the environments the checker recorded, and same-type
+        assumptions erase."""
+        frames = []
+        while True:
+            if isinstance(e, ModelDecl):
+                frames.append((e, ctx) + self._model_dict(ctx, e))
+                ctx = ctx.bind_dict(e)
+            else:
+                frames.append((e, ctx, None, None))
+            e = e.body if isinstance(e, ConstrainedE) else e.rest
+            if not _declares(e) or id(e) in self.checker.wrap:
+                break
+        core = self.lower(ctx, e)
+        for node, ctx, dict_ty, slots in reversed(frames):
+            if dict_ty is not None:
+                core = CApp(CLam(dict_ty, core), CTup(slots))
+            core = self._discharge(ctx, node, core)
+        return core
+
+    def _discharge(self, ctx: ElabCtx, e: Expr, core: CoreTerm) -> CoreTerm:
+        """Apply the core of e to the type arguments and dictionaries of
+        the constraints the checker eliminated at its use."""
         t, evidence = self.checker.elim.get(id(e), (None, ()))
+        env = self.checker.envs[id(e)]
         for ev in evidence:
             if isinstance(t.constraint, ConceptC):
                 for p in self.abstraction_plan(
@@ -369,19 +418,26 @@ class Elaborator:
         names = [n for n, _ in info.members]
         return CProj(self.build_dict(ctx, ev), n_nested + names.index(e.name))
 
-    def _lower_model(self, env, ctx, e: ModelDecl) -> CoreTerm:
-        info, rest = e.info, e.rest
-        cinfo = env.find_concept(info.concept)
-        # the dictionary value: nested-constraint dictionaries first,
-        # then member implementations in concept declaration order
+    def _model_dict(self, ctx: ElabCtx, e: ModelDecl) -> tuple:
+        """A model's dictionary type and the core of its value: the
+        nested-constraint dictionaries first, then the member
+        implementations in concept declaration order."""
+        info = e.info
+        cinfo = self.checker.envs[id(e)].find_concept(info.concept)
         slots = [self.build_dict(ctx, ev)
                  for ev in self.checker.evidence[id(e)]]
         bound = dict(info.member_binds)
         slots += [self.lower(ctx, bound[mname]) for mname, _ in cinfo.members]
-        dict_ty = self.dict_type(self.checker.envs[id(rest)], ctx,
+        dict_ty = self.dict_type(self.checker.envs[id(e.rest)], ctx,
                                  ModelId(info.concept, info.type_args))
-        body = self.lower(ctx.bind_dict(e), rest)
-        return CApp(CLam(dict_ty, body), CTup(tuple(slots)))
+        return dict_ty, tuple(slots)
+
+
+def _declares(e: Expr) -> bool:
+    """Whether e is a declaration or a same-type assumption: a node that
+    scopes over the expression after it, which is its whole value."""
+    return isinstance(e, (ModelDecl, ConceptDecl, TypeAlias)) or (
+        isinstance(e, ConstrainedE) and isinstance(e.constraint, SameType))
 
 
 # ---------------------------------------------------------------- drivers

@@ -6,6 +6,12 @@ the first-binding rule; constraint expansion and qualified-path lookup
 follow the declarative definitions with concept parameters and associated
 types substituted as the environment is built.  Each Env also owns the
 congruence closure of the equations it assumes.
+
+The closure is built on the first query that syntax does not decide, once
+per sequence of equations (`EquationNode`).  `satisfies` takes a candidate
+`==` to the wanted model identifier, and proves a same-type constraint
+that is reflexive or one of the assumed equations as written, without it;
+any other query asks the closure, so the same evidence is chosen.
 """
 
 from __future__ import annotations
@@ -84,6 +90,11 @@ class EquationNode:
             child = self.children[equation] = EquationNode(
                 self.assumed + (equation,))
         return child
+
+    def assumes(self, a: Type, b: Type) -> bool:
+        """Whether a = b or b = a is one of the equations as written."""
+        return any((lhs == a and rhs == b) or (lhs == b and rhs == a)
+                   for lhs, rhs, _ in self.assumed)
 
     @cached_property
     def closure(self) -> ClosureState:
@@ -228,16 +239,26 @@ def flat(env: Env, constraint: Constraint) -> list:
 def satisfies(env: Env, constraint: Constraint):
     """The evidence by which the environment satisfies a constraint, or
     None: the most recent matching model or assumption for a concept
-    constraint, `PROVED` for a provable same-type constraint."""
-    st = env.closure
+    constraint, `PROVED` for a provable same-type constraint.  A candidate
+    `==` to the wanted model, or a same-type constraint that is reflexive
+    or assumed as written, is decided without the closure."""
     if isinstance(constraint, SameType):
-        return PROVED if st.types_equal(constraint.lhs, constraint.rhs) \
-            else None
+        lhs, rhs = constraint.lhs, constraint.rhs
+        if lhs == rhs or env.eq_node.assumes(lhs, rhs) or \
+                env.closure.types_equal(lhs, rhs):
+            return PROVED
+        return None
     mid = constraint.model
     for cand, evidence in env.concept_candidates(mid.concept):
-        if st.model_ids_equal(cand, mid):
+        if models_equal(env, cand, mid):
             return evidence
     return None
+
+
+def models_equal(env: Env, a: ModelId, b: ModelId) -> bool:
+    """Whether the environment proves two model identifiers equal; `==`
+    ones without the closure."""
+    return a == b or env.closure.model_ids_equal(a, b)
 
 
 def lookup_path(env: Env, prefix: tuple, name: str):

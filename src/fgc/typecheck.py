@@ -4,8 +4,9 @@ The checker is the one place where a program's types are derived.  It is
 syntax-directed: constrained types are introduced explicitly by the
 `C => e` form and eliminated lazily — a constraint is discharged only when
 the surrounding context demands a specific type shape (function position,
-instantiation subject, condition, comparison against another type).  Type
-equality is decided by the congruence closure the environment owns.
+instantiation subject, condition, comparison against another type).  Two
+`==` types are equal; any other equality is decided by the congruence
+closure the environment owns.
 
 While it derives, the checker records the decisions that the
 dictionary-passing translation (`elaborate`) lowers into the core, keyed by
@@ -91,6 +92,7 @@ from .env import (
     concept_subst,
     flat,
     lookup_path,
+    models_equal,
     satisfies,
 )
 from .parser import pretty_constraint, pretty_type
@@ -175,7 +177,7 @@ class Checker:
         self.diags.append(TypeDiagnostic(span, code, message, tuple(notes)))
 
     def equal(self, env: Env, a: Type, b: Type) -> bool:
-        return contains_err(a) or contains_err(b) or \
+        return a == b or contains_err(a) or contains_err(b) or \
             env.closure.types_equal(a, b)
 
     def discharge(self, env: Env, t: Type, at: Optional[Expr] = None) -> Type:
@@ -262,10 +264,9 @@ class Checker:
             if isinstance(path.rest, AssocPath) and \
                     path.rest.model not in reported:
                 sigma, step = concept_subst(info, mid), path.rest.model
-                if not any(isinstance(nc, ConceptC) and
-                           where.closure.model_ids_equal(
-                               substitute_type_map(nc, sigma).model, step)
-                           for nc in info.nested):
+                if not any(isinstance(nc, ConceptC) and models_equal(
+                        where, substitute_type_map(nc, sigma).model, step)
+                        for nc in info.nested):
                     reported.add(step)
                     self.err(span, "T007", f"{show(where, ConceptC(mid))} "
                              f"does not require {show(where, ConceptC(step))}")
@@ -577,8 +578,9 @@ class Checker:
     def _introduces(self, env: Env, e: Expr, t: Type) -> bool:
         """Whether e is an introduction of t's leading constraint."""
         return isinstance(e, ConstrainedE) and isinstance(
-            t, Constrained) and env.closure.constraints_equal(
-                e.constraint, t.constraint)
+            t, Constrained) and (
+                e.constraint == t.constraint
+                or env.closure.constraints_equal(e.constraint, t.constraint))
 
     # -- declarations
 

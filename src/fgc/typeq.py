@@ -5,6 +5,12 @@ form, so alpha-equivalent types share a node and congruence under binders
 is plain constructor congruence.  Equality assumptions seed a union-find
 which is kept closed under congruence; interning a new term after
 construction re-saturates incrementally.
+
+A `ClosureState` is built from a whole sequence of equations when its
+first query arrives (see `env.EquationNode`); queries that syntax decides,
+such as two `==` types, never build one.  Interning without new equations
+adds no member that a class prefers over its old ones, so canonical forms
+stay fixed for the life of a closure.
 """
 
 from __future__ import annotations

@@ -279,3 +279,13 @@ def test_long_lists_evaluate_without_the_python_stack(capsys, tmp_path):
     f.write_text("let sum = fix (lam r: list int -> int. lam l: list int. "
                  "if isnil l then 0 else head l + r (tail l)) in sum " + xs)
     assert run(capsys, "run", str(f)) == (0, f"{sum(range(3000))}\n", "")
+
+
+def test_long_model_spines_lower_without_the_python_stack(capsys, tmp_path):
+    # three Python frames per model when lowering recursed down the spine
+    f = tmp_path / "models.fg"
+    f.write_text("concept S<a> { ; ; r : a -> int } in\n" + "".join(
+        f"model S<int> {{ ; r = lam x: int. x + {i} }} in\n"
+        for i in range(1, 401)) + "S<int>.r 1\n")
+    assert run(capsys, "check", str(f)) == (0, "int\n", "")
+    assert run(capsys, "run", str(f)) == (0, "401\n", "")

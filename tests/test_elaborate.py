@@ -11,8 +11,9 @@ import pytest
 import fgc.cli
 import fgc.env
 import fgc.typecheck
+from fgc.ast import IntT
 from fgc.cli import main
-from fgc.elaborate import translate_type
+from fgc.elaborate import Elaborator, translate_program, translate_type
 from fgc.env import Env
 from fgc.parser import parse_program
 from fgc.sysf import Value, sf_eval, sf_typecheck
@@ -244,6 +245,34 @@ model C0<int> { ; m0 = 2 } in
 C1<int>.C0<int>.m0
 """
 
+# a declaration whose use discharges a constraint, and one that is a
+# member body checked against a constrained type
+DECL_DISCHARGED = """
+concept D<a> { ; ; d : int } in
+model D<int> { ; d = 5 } in
+let g = D<int> => lam x: int. x + D<int>.d in
+(model D<bool> { ; d = 1 } in g) 3
+"""
+
+DECL_AS_MEMBER = """
+concept D<a> { ; ; d : int } in
+concept C<a> { ; ; f : D<a> => a -> a } in
+model D<int> { ; d = 100 } in
+model C<int> { ; f = model D<bool> { ; d = 1 } in
+                     type b = int in lam x: b. x + D<int>.d } in
+C<int>.f 4
+"""
+
+# sibling scopes declaring different concepts under one name, with one
+# model identifier, equation node and type scope between them
+SIBLING_CONCEPTS = """
+let x = (concept C<a> { ; ; f : a -> int } in
+         model C<int> { ; f = lam y: int. y } in C<int>.f 1) in
+let z = (concept C<a> { ; ; f : a -> bool } in
+         model C<int> { ; f = lam y: int. true } in C<int>.f 1) in
+x
+"""
+
 
 def run_cli(capsys, tmp_path, source, *args):
     f = tmp_path / "prog.fg"
@@ -273,6 +302,9 @@ def run_cli(capsys, tmp_path, source, *args):
     (MEMBER_INTRODUCES.format(
         body="if true then g[int] else lam x. x + D<int>.d"), "100"),
     (PATH_THROUGH_CAPTURED, "1"),
+    (DECL_DISCHARGED, "8"),
+    (DECL_AS_MEMBER, "104"),
+    (SIBLING_CONCEPTS, "1"),
 ])
 def test_run_and_verified_core(capsys, tmp_path, source, value):
     code, out, err = run_cli(capsys, tmp_path, source, "run")
@@ -344,3 +376,41 @@ def test_one_checker_walk_per_command(capsys, monkeypatch):
     # lowering adds no inference, satisfaction, path lookup or dictionary
     # search: it follows the evidence the checker recorded
     assert totals["run"] == totals["check"] == totals["emit-core"]
+
+
+def roadmap_chain(m: int) -> str:
+    """Concepts C0 .. C(m-1), each requiring the one before, with no
+    equations; one model each; the member of C0 through the full path."""
+    lines = [f"concept C{i}<a> {{ ; {f'C{i - 1}<a>' if i else ''} ; "
+             f"f{i} : a -> a }} in" for i in range(m)]
+    lines += [f"model C{i}<int> {{ ; f{i} = lam x: int. x + {i} }} in"
+              for i in range(m)]
+    lines.append(".".join(f"C{i}<int>" for i in reversed(range(m)))
+                 + ".f0 1")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("m", [3, 12, 40])
+def test_dictionary_types_are_built_once(m, capsys, tmp_path, monkeypatch):
+    built = []
+    build = Elaborator._build_dict_type
+
+    def counting_build(self, env, ctx, mid):
+        built.append(mid)
+        return build(self, env, ctx, mid)
+
+    monkeypatch.setattr(Elaborator, "_build_dict_type", counting_build)
+    source = roadmap_chain(m)
+    tree = parse_program(source)
+    checker = Checker()
+    assert check_program(tree, checker) == IntT()
+    translate_program(tree, checker)
+    # each model's dictionary type reuses the one below it: m types, not
+    # the m(m+1)/2 of rebuilding the chain under every model
+    assert len(built) == len(set(built)) == m
+    code, out, err = run_cli(capsys, tmp_path, source, "run")
+    assert (code, out, err) == (0, "1\n", "")
+    assert interpret_direct(parse_program(source)) == 1
+    code, out, err = run_cli(capsys, tmp_path, source, "emit-core",
+                             "--verify")
+    assert code == 0 and err == "" and out.endswith("core: int\n")

@@ -1,6 +1,8 @@
 """The environment's binding chains, constraint expansion, and
 qualified-path lookup."""
 
+import random
+
 import pytest
 
 from fgc.ast import (
@@ -28,6 +30,11 @@ from fgc.env import (
     satisfies,
 )
 from fgc.ast import AssocPath
+from fgc.parser import parse_program
+from fgc.typecheck import Checker, check_program
+from fgc.typeq import ClosureState
+
+from gen import random_equations
 
 A = TVar("a")
 
@@ -232,3 +239,106 @@ def test_restrict_keeps_the_closure():
            .equate(TVar("b"), IntT())
            .bind("x", TVar("b")))
     assert env.restrict().closure is env.closure
+
+
+# ------------------------------------------- syntax first, closure after
+
+
+def closure_satisfies(env: Env, constraint):
+    """`satisfies` deciding every query by the closure alone."""
+    st = env.closure
+    if isinstance(constraint, SameType):
+        return PROVED if st.types_equal(constraint.lhs, constraint.rhs) \
+            else None
+    for cand, evidence in env.concept_candidates(constraint.model.concept):
+        if st.model_ids_equal(cand, constraint.model):
+            return evidence
+    return None
+
+
+def random_env(rng: random.Random):
+    """An environment assuming random equations, as aliases, model
+    bindings or same-type assumptions, with models and assumptions of a
+    concept K at random argument types; and the types it mentions."""
+    eqs, pairs = random_equations(rng)
+    types = [t for pair in eqs + pairs for t in pair]
+    env = Env()
+    for lhs, rhs in eqs:
+        env = env.equate(lhs, rhs) if rng.random() < 0.5 else \
+            env.assume(SameType(lhs, rhs), PROVED)
+    for i in range(rng.randrange(1, 5)):
+        mid, ev = ModelId("K", (rng.choice(types),)), Evidence(i)
+        env = env.model(mid, ev) if rng.random() < 0.5 else \
+            env.assume(ConceptC(mid), ev)
+    return env, eqs, pairs, types
+
+
+def test_short_cuts_agree_with_the_closure():
+    rng = random.Random(11)
+    by_closure = 0
+    for _ in range(300):
+        env, eqs, pairs, types = random_env(rng)
+        queries = [ConceptC(ModelId("K", (t,))) for t in types]
+        queries += [SameType(a, b) for a, b in eqs + pairs]
+        queries += [SameType(b, a) for a, b in eqs]
+        queries += [SameType(t, t) for t in types]
+        # every query first, so that some are answered before the closure
+        # is built
+        got = [satisfies(env, q) for q in queries]
+        for q, ev in zip(queries, got):
+            assert ev is closure_satisfies(env, q)
+            if ev is not None and (
+                    isinstance(q, SameType) and q.lhs != q.rhs
+                    and not env.eq_node.assumes(q.lhs, q.rhs)
+                    or isinstance(q, ConceptC) and all(
+                        m != q.model
+                        for m, _ in env.concept_candidates("K"))):
+                by_closure += 1
+        checker = Checker()
+        for a, b in eqs + pairs + tuple((t, t) for t in types):
+            assert checker.equal(env, a, b) == env.closure.types_equal(a, b)
+    # the instances reach queries that only the closure decides
+    assert by_closure > 100
+
+
+def chain_source(m: int, broken: bool) -> str:
+    """The concept_chain benchmark's shape: C0 .. C(m-1), each requiring
+    the one before and pinning its associated type to the one before's,
+    one model each, and a generic reaching three members through full
+    paths.  The broken shape returns the associated types and pins the
+    top one on the generic."""
+    lines = []
+    for i in range(m):
+        ret = f"T{i}" if broken else "int"
+        nest = f"C{i - 1}<a>, C{i - 1}<a>.T{i - 1} == T{i} " if i else ""
+        lines.append(f"concept C{i}<a> {{ T{i} ; {nest}; "
+                     f"f{i} : a -> {ret} }} in")
+    calls = []
+    for j in sorted({0, m // 2, m - 1}):
+        path = "".join(f"C{k}<t>." for k in range(m - 1, j - 1, -1))
+        calls.append(f"{path}f{j} x")
+    pin = f"C{m - 1}<t>.T{m - 1} == int => " if broken else ""
+    lines.append(f"let g = Lam t. C{m - 1}<t> => {pin}lam x: t. "
+                 + " + ".join(calls) + " in")
+    for i in range(m):
+        lines.append(f"model C{i}<int> {{ T{i} = int ; "
+                     f"f{i} = lam x: int. x + {i} }} in")
+    lines.append("g[int] 1")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_concept_chains_check_without_closures(m, monkeypatch):
+    built = []
+    init = ClosureState.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(ClosureState, "__init__", counting_init)
+    for broken, closures in ((False, 0), (True, 1)):
+        tree = parse_program(chain_source(m, broken))
+        built.clear()
+        assert check_program(tree) == IntT()
+        assert len(built) == closures
