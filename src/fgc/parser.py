@@ -1,4 +1,4 @@
-"""Concrete syntax: lexer, parser, scope resolution, and pretty-printer.
+"""Concrete syntax: lexer, parser with scope resolution, and pretty-printer.
 
 Lexing is one regular expression (`_TOKEN`) matched at each position:
 blanks (space, tab, carriage return), then a newline, a `//` comment to
@@ -14,10 +14,30 @@ only where the tokens from there on that a type can be made of
 a constraint is made of those, and `=>` follows it.  One backward pass
 over the tokens marks those positions.
 
-The parser produces fully scope-resolved trees: every type variable refers
-to an enclosing binder (shadowed type binders are renamed apart), unbound
-term identifiers that name a built-in operator become Prim nodes, and all
-nodes carry source spans.
+The parser resolves names as it reads them, so the tree it builds is the
+resolved one: every type variable refers to an enclosing binder (a type
+binder that shadows one is renamed apart), a concept declaration that
+shadows one in scope is renamed apart, unbound identifiers that name a
+built-in operator and head an application become Prim nodes, and all
+nodes carry source spans.  The scope (type names, term names, concept
+names) is saved before a binder and restored where its scope ends; a
+spine of `concept`/`model`/`type`/`let ... in` is read with a loop and
+restored once.  Every application of a run (the arguments after the last
+type application, and a run in parentheses that more arguments follow)
+has the span of the whole run.
+
+Scope diagnostics (P003, P010, P011, P013) are reported only if there is
+no syntax error.  They come in source order, except that a concept's or a
+model's P013s come before every other diagnostic of the declaration, a
+built-in's P003 for too few arguments before its arguments', and the
+diagnostics of an inner step of a written type path (`C<a>.D<b>.T`)
+before the outer steps' type arguments'.  Where the parser gives up a
+parse to try another (`[` as a type argument, `<` after a path, a concept
+constraint, a constrained expression), it restores the position, the type
+names in scope and the number of scope diagnostics, so a parse given up
+leaves none behind.  `f [x]` applies f to a one-element list when x is a
+term name in scope and no type name is; otherwise `[x]` is a type
+argument.
 
 Diagnostic codes (closed set):
   P001  unexpected token
@@ -73,7 +93,6 @@ from .ast import (
     Type,
     TypeAlias,
     fresh_name,
-    map_children,
 )
 
 KEYWORDS = {
@@ -161,6 +180,9 @@ class _PError(Exception):
 _TYPE_TOKENS = {"list", "forall", "int", "bool",
                 "(", ")", "<", ">", ",", ".", "->", "=="}
 
+# the keywords of the declarations whose scope is the rest of the spine
+_DECLARATIONS = ("concept", "model", "type", "let")
+
 
 class _Parser:
     def __init__(self, toks):
@@ -177,6 +199,15 @@ class _Parser:
                 reach = False
             if reach:
                 self.constrained.add(i)
+        # the scope here: source type name -> resolved name (replaced, never
+        # changed in place), the bound term names, and source concept name
+        # -> resolved name
+        self.tymap, self.terms, self.concepts = {}, set(), {}
+        self.taken = None  # names a renamed concept must avoid
+        self.diags = []  # scope diagnostics, in the order the docstring gives
+        # the last run of applications with arguments, as (node, head, args,
+        # arity, mark) (see app_expr), so that `(f x) y` can go on with it
+        self.run = None
 
     # -- token helpers
 
@@ -224,6 +255,61 @@ class _Parser:
     def last_span(self) -> SourceSpan:
         return self.toks[max(0, self.pos - 1)].span
 
+    # -- scope
+
+    def err(self, span: SourceSpan, code: str, msg: str) -> None:
+        self.diags.append(ParseDiagnostic(span, code, msg))
+
+    def save(self) -> tuple:
+        """What giving up a parse restores: the position, the number of
+        scope diagnostics and the type names in scope."""
+        return self.pos, len(self.diags), self.tymap
+
+    def restore(self, saved: tuple) -> None:
+        self.pos, n, self.tymap = saved
+        del self.diags[n:]
+
+    def bind_tyvar(self, name: str) -> str:
+        """Bring a type name into scope, renamed apart if it shadows one;
+        the name it resolves to."""
+        tymap = self.tymap
+        new = name
+        if name in tymap or name in tymap.values():
+            new = fresh_name(name, set(tymap) | set(tymap.values()))
+        self.tymap = {**tymap, name: new}
+        return new
+
+    def bind_concept(self, name: str) -> str:
+        """Bring a concept declaration into scope, renamed apart if it
+        shadows one: to a name no identifier of the program and no other
+        renamed concept has, so no model or constraint of the shadowed
+        concept can satisfy the new one.  The name it resolves to."""
+        new = name
+        if name in self.concepts:
+            if self.taken is None:
+                self.taken = {t.text for t in self.toks if t.kind == "id"}
+            new = fresh_name(name, self.taken)
+            self.taken.add(new)
+        self.concepts = {**self.concepts, name: new}
+        return new
+
+    def repeats(self, span, names, what: str, where: str = "") -> list:
+        """P013 for each repeat of a name among names."""
+        seen, out = set(), []
+        for name in names:
+            if name in seen:
+                out.append(ParseDiagnostic(
+                    span, "P013", f"duplicate {what} {name!r}{where}"))
+            seen.add(name)
+        return out
+
+    def builtin(self, e: Expr) -> int:
+        """The arity of e if it is an unbound built-in name, else 0."""
+        if (type(e) is PathE and not e.prefix and e.name in PRIM_NAMES
+                and e.name not in self.terms):
+            return PRIM_ARITY[e.name]
+        return 0
+
     # -- types
 
     def type_(self) -> Type:
@@ -255,8 +341,11 @@ class _Parser:
         if self.eat("forall"):
             b = self.expect_id()
             self.expect(".")
+            outer = self.tymap
+            binder = self.bind_tyvar(b.text)
             body = self.type_()
-            return Forall(b.text, body, span=self.join(start, self.last_span()))
+            self.tymap = outer
+            return Forall(binder, body, span=self.join(start, self.last_span()))
         return self.atom_type()
 
     def atom_type(self) -> Type:
@@ -274,15 +363,19 @@ class _Parser:
         if t.kind == "id":
             self.take()
             if self.at("<"):
+                mark = len(self.diags)
                 mid = self.model_args(t)
                 if self.eat("."):
-                    return self.type_path(mid, t.span)
+                    return self.type_path(mid, t.span, mark)
                 # a concept application in type position must be a constraint
                 self.expect("=>")
                 body = self.type_()
                 sp = self.join(t.span, self.last_span())
                 return Constrained(ConceptC(mid, span=mid.span), body, span=sp)
-            return TVar(t.text, span=t.span)
+            if t.text not in self.tymap:
+                self.err(t.span, "P010", f"unknown type name {t.text!r}")
+                return TVar(t.text, span=t.span)
+            return TVar(self.tymap[t.text], span=t.span)
         self.fail("expected a type")
 
     def model_args(self, head: Token) -> ModelId:
@@ -291,15 +384,20 @@ class _Parser:
         while self.eat(","):
             args.append(self.type_())
         self.expect(">")
-        return ModelId(head.text, tuple(args),
+        return ModelId(self.concepts.get(head.text, head.text), tuple(args),
                        span=self.join(head.span, self.last_span()))
 
-    def type_path(self, mid: ModelId, start: SourceSpan) -> AssocPath:
+    def type_path(self, mid: ModelId, start: SourceSpan,
+                  mark: int) -> AssocPath:
+        """The path after `mid.`; the diagnostics of mid's type arguments,
+        from mark on, move after those of an inner path's."""
         name = self.expect_id()
         if self.at("<"):
+            inner = len(self.diags)
             inner_mid = self.model_args(name)
             self.expect(".")
-            rest = self.type_path(inner_mid, name.span)
+            rest = self.type_path(inner_mid, name.span, inner)
+            self.diags[mark:] = self.diags[inner:] + self.diags[mark:inner]
             return AssocPath(mid, rest, span=self.join(start, self.last_span()))
         return AssocPath(mid, name.text, span=self.join(start, name.span))
 
@@ -310,7 +408,7 @@ class _Parser:
         t = self.peek()
         # an identifier is never the last token, which is the eof
         if t.kind == "id" and self.toks[self.pos + 1].text == "<":
-            save = self.pos
+            saved = self.save()
             try:
                 self.take()
                 mid = self.model_args(t)
@@ -318,7 +416,7 @@ class _Parser:
                     return ConceptC(mid, span=mid.span)
             except _PError:
                 pass
-            self.pos = save
+            self.restore(saved)
         lhs = self.arrow_type()
         self.expect("==")
         rhs = self.arrow_type()
@@ -329,45 +427,31 @@ class _Parser:
     def expr(self) -> Expr:
         t = self.peek()
         start, word = t.span, t.text
-        if word == "concept":
-            return self.concept_decl(self.take().span)
-        if word == "model":
-            return self.model_decl(self.take().span)
-        if word == "type":
-            self.pos += 1
-            name = self.expect_id()
-            self.expect("=")
-            rhs = self.type_()
-            self.expect("in")
-            rest = self.expr()
-            return TypeAlias(name.text, rhs, rest,
-                             span=self.join(start, self.last_span()))
-        if word == "let":
-            self.pos += 1
-            name = self.expect_id()
-            self.expect("=")
-            bound = self.expr()
-            self.expect("in")
-            rest = self.expr()
-            return Let(name.text, bound, rest,
-                       span=self.join(start, self.last_span()))
+        if word in _DECLARATIONS:
+            return self.declarations()
         if word == "lam":
             self.pos += 1
-            name = self.expect_id()
+            name = self.expect_id().text
             ann = None
             if self.eat(":"):
                 ann = self.type_()
             self.expect(".")
+            new = name not in self.terms
+            self.terms.add(name)
             body = self.expr()
-            return Lam(name.text, ann, body,
+            if new:
+                self.terms.remove(name)
+            return Lam(name, ann, body,
                        span=self.join(start, self.last_span()))
         if word == "Lam":
             self.pos += 1
             name = self.expect_id()
             self.expect(".")
+            outer = self.tymap
+            binder = self.bind_tyvar(name.text)
             body = self.expr()
-            return TyLam(name.text, body,
-                         span=self.join(start, self.last_span()))
+            self.tymap = outer
+            return TyLam(binder, body, span=self.join(start, self.last_span()))
         if word == "fix":
             self.pos += 1
             body = self.expr()
@@ -387,13 +471,13 @@ class _Parser:
         return self.cmp_expr()
 
     def try_constrained_expr(self) -> Optional[Expr]:
-        save = self.pos
+        saved = self.save()
         start = self.peek().span
         try:
             c = self.constraint()
             self.expect("=>")
         except _PError:
-            self.pos = save
+            self.restore(saved)
             return None
         body = self.expr()
         return ConstrainedE(c, body, span=self.join(start, self.last_span()))
@@ -426,28 +510,67 @@ class _Parser:
         return e
 
     def app_expr(self) -> Expr:
+        """Applications and type applications.  A run is a head and the
+        arguments applied to it after the last type application; every
+        App of a run spans from the start of app_expr to its last
+        argument, and an unbound built-in head takes its first arguments
+        into a Prim node.  A run in parentheses followed by an argument
+        goes on (`(f x) y` is the run f x y).  Mark is the number of
+        scope diagnostics after the head: a built-in head's P003 is the
+        one before it until the run has enough arguments."""
         start = self.peek().span
-        e = self.atom()
+        head = self.atom()
+        args, arity, mark = [], self.builtin(head), len(self.diags)
         while True:
             if self.at("["):
-                # type application; falls back to a list-literal argument
-                save = self.pos
-                self.take()
-                try:
-                    ty = self.type_()
-                    self.expect("]")
-                    e = TyApp(e, ty, span=self.join(start, self.last_span()))
+                # a type application, or else a list-literal argument
+                before = self.last_span()
+                ty = None if self.lone_term() else self.type_arg()
+                if ty is not None:
+                    subject = self.apply(head, args, arity, mark,
+                                         self.join(start, before))
+                    head = TyApp(subject, ty,
+                                 span=self.join(start, self.last_span()))
+                    args, arity, mark = [], 0, len(self.diags)
                     continue
-                except _PError:
-                    self.pos = save
-                    arg = self.atom()
-                    e = App(e, arg, span=self.join(start, self.last_span()))
-                    continue
-            if self.starts_atom():
-                arg = self.atom()
-                e = App(e, arg, span=self.join(start, self.last_span()))
-                continue
-            return e
+            elif not self.starts_atom():
+                return self.apply(head, args, arity, mark,
+                                  self.join(start, self.last_span()))
+            if not args and self.run is not None and self.run[0] is head:
+                _, head, args, arity, mark = self.run
+            args.append(self.atom())
+            if len(args) == arity:
+                del self.diags[mark - 1]
+
+    def type_arg(self) -> Optional[Type]:
+        """The type t of `[t]` here; None, and nothing read, if the
+        brackets do not hold a type."""
+        saved = self.save()
+        self.take()
+        try:
+            ty = self.type_()
+            self.expect("]")
+        except _PError:
+            self.restore(saved)
+            return None
+        return ty
+
+    def lone_term(self) -> bool:
+        """Whether `[x]` is here with x a bound term name and no type name
+        in scope, so that it is a list and not a type argument."""
+        t = self.toks[self.pos + 1]
+        return (t.kind == "id" and self.toks[self.pos + 2].text == "]"
+                and t.text in self.terms and t.text not in self.tymap)
+
+    def apply(self, head: Expr, args: list, arity: int, mark: int,
+              span: SourceSpan) -> Expr:
+        if not args:
+            return head
+        e = Prim(head.name, tuple(args[:arity]), span=span) if arity else head
+        for a in args[arity:]:
+            e = App(e, a, span=span)
+        self.run = (e, head, args, arity, mark)
+        return e
 
     def starts_atom(self) -> bool:
         t = self.peek()
@@ -500,21 +623,65 @@ class _Parser:
         while True:
             t = self.expect_id()
             if self.at("<"):
-                save = self.pos
+                saved = self.save()
                 try:
                     mid = self.model_args(t)
                     self.expect(".")
                     prefix.append(mid)
                     continue
                 except _PError:
-                    self.pos = save
+                    self.restore(saved)
+            if not prefix and t.text not in self.terms:
+                if t.text in PRIM_NAMES:
+                    # app_expr drops it once the arguments are enough
+                    self.err(t.span, "P003", f"built-in {t.text!r} needs "
+                             f"{PRIM_ARITY[t.text]} argument(s)")
+                else:
+                    self.err(t.span, "P011", f"unknown term name {t.text!r}")
             return PathE(tuple(prefix), t.text,
                          span=self.join(start, t.span))
 
     # -- declarations
 
-    def concept_decl(self, start: SourceSpan) -> Expr:
-        name = self.expect_id()
+    def declarations(self) -> Expr:
+        """A spine of declarations and the expression after its last `in`,
+        read with a loop: each declaration's scope is the rest of the
+        spine, so the scope is saved once before it and restored after,
+        and the nodes are built from the inside out."""
+        tymap, concepts, bound = self.tymap, self.concepts, []
+        heads = []  # (node class, start, fields before the rest)
+        while self.peek().text in _DECLARATIONS:
+            start = self.peek().span
+            word = self.take().text
+            if word == "concept":
+                heads.append((ConceptDecl, start, (self.concept_decl(start),)))
+                continue
+            if word == "model":
+                heads.append((ModelDecl, start, (self.model_decl(start),)))
+                continue
+            name = self.expect_id().text
+            self.expect("=")
+            if word == "type":
+                rhs = self.type_()
+                self.expect("in")
+                heads.append((TypeAlias, start, (self.bind_tyvar(name), rhs)))
+                continue
+            value = self.expr()
+            self.expect("in")
+            if name not in self.terms:
+                self.terms.add(name)
+                bound.append(name)
+            heads.append((Let, start, (name, value)))
+        e = self.expr()
+        end = self.last_span()
+        for cls, start, fields in reversed(heads):
+            e = cls(*fields, e, span=self.join(start, end))
+        self.tymap, self.concepts = tymap, concepts
+        self.terms.difference_update(bound)
+        return e
+
+    def concept_decl(self, start: SourceSpan) -> ConceptInfo:
+        name = self.expect_id().text
         self.expect("<")
         params = [self.expect_id().text]
         while self.eat(","):
@@ -522,26 +689,38 @@ class _Parser:
         self.expect(">")
         self.expect("{")
         assocs = self.commas(lambda: self.expect_id().text, ";")
+        # the declaration is in scope in its own body
+        resolved = self.bind_concept(name)
+        outer, mark = self.tymap, len(self.diags)
+        self.tymap = {**outer, **{n: n for n in (*params, *assocs)}}
         nested = self.commas(self.constraint, ";")
         members = self.commas(lambda: self.named(":", self.type_), "}")
-        info_span = self.join(start, self.last_span())
+        self.tymap = outer
+        span = self.join(start, self.last_span())
+        where = f" in concept {name!r}"
+        self.diags[mark:mark] = (
+            self.repeats(span, params, "type parameter", where)
+            + self.repeats(span, assocs, "associated type", where)
+            + self.repeats(span, [n for n, _ in members], "member", where))
         self.expect("in")
-        rest = self.expr()
-        info = ConceptInfo(name.text, tuple(params), assocs, nested, members,
-                           span=info_span)
-        return ConceptDecl(info, rest, span=self.join(start, self.last_span()))
+        return ConceptInfo(resolved, tuple(params), assocs, nested, members,
+                           span=span)
 
-    def model_decl(self, start: SourceSpan) -> Expr:
-        args = self.model_args(self.expect_id())
+    def model_decl(self, start: SourceSpan) -> ModelInfo:
+        mark = len(self.diags)
+        mid = self.model_args(self.expect_id())
         self.expect("{")
         assoc_binds = self.commas(lambda: self.named("=", self.type_), ";")
         member_binds = self.commas(lambda: self.named("=", self.expr), "}")
-        info_span = self.join(start, self.last_span())
+        span = self.join(start, self.last_span())
+        self.diags[mark:mark] = (
+            self.repeats(span, [n for n, _ in assoc_binds],
+                         "associated-type binding")
+            + self.repeats(span, [n for n, _ in member_binds],
+                           "member binding"))
         self.expect("in")
-        rest = self.expr()
-        info = ModelInfo(args.concept, args.type_args, assoc_binds,
-                         member_binds, span=info_span)
-        return ModelDecl(info, rest, span=self.join(start, self.last_span()))
+        return ModelInfo(mid.concept, mid.type_args, assoc_binds,
+                         member_binds, span=span)
 
     def commas(self, item, end: str) -> tuple:
         """Items separated by commas, none if `end` comes first, then
@@ -561,224 +740,17 @@ class _Parser:
         return (name.text, value())
 
 
-# ---------------------------------------------------------------- resolver
-
-
-class _Resolver:
-    """Checks that names are bound, renames shadowed type binders and
-    concept declarations apart, and turns unbound built-in identifiers
-    into Prim nodes."""
-
-    def __init__(self, toks):
-        self.diags = []
-        self.toks = toks
-        self.concepts = {}  # source concept name -> resolved name, in scope
-        self.taken = None  # names a renamed concept must avoid
-
-    def err(self, span, code, msg):
-        self.diags.append(ParseDiagnostic(span or _NOSPAN, code, msg))
-
-    # tymap: source type name -> resolved name; terms: set of bound term names
-    def type(self, t, tymap: dict):
-        """Resolve the type variables of a type or constraint."""
-        match t:
-            case TVar(name):
-                if name not in tymap:
-                    self.err(t.span, "P010", f"unknown type name {name!r}")
-                    return t
-                return TVar(tymap[name], span=t.span)
-            case Forall(binder, body):
-                tymap2, b2 = self.bind_tyvar(tymap, binder)
-                return Forall(b2, self.type(body, tymap2), span=t.span)
-            case ConceptC(model):
-                return ConceptC(self.model_id(model, tymap), span=t.span)
-            case AssocPath(model, rest):
-                if isinstance(rest, AssocPath):
-                    rest = self.type(rest, tymap)
-                return AssocPath(self.model_id(model, tymap), rest,
-                                 span=t.span)
-        return map_children(t, self.type, tymap)
-
-    def model_id(self, m: ModelId, tymap) -> ModelId:
-        return ModelId(self.concepts.get(m.concept, m.concept),
-                       tuple(self.type(a, tymap) for a in m.type_args),
-                       span=m.span)
-
-    def bind_concept(self, name: str) -> dict:
-        """The concepts in scope with a declaration of name added, renamed
-        apart if it shadows one: to a name no identifier of the program
-        and no other renamed concept has, so no model or constraint of
-        the shadowed concept can satisfy the new one."""
-        new = name
-        if name in self.concepts:
-            if self.taken is None:
-                self.taken = {t.text for t in self.toks if t.kind == "id"}
-            new = fresh_name(name, self.taken)
-            self.taken.add(new)
-        return {**self.concepts, name: new}
-
-    def bind_tyvar(self, tymap: dict, name: str):
-        if name in tymap.values() or name in tymap:
-            newname = fresh_name(name, set(tymap) | set(tymap.values()))
-        else:
-            newname = name
-        tymap2 = dict(tymap)
-        tymap2[name] = newname
-        return tymap2, newname
-
-    def expr(self, e: Expr, tymap: dict, terms: frozenset) -> Expr:
-        match e:
-            case IntLit() | BoolLit():
-                return e
-            case Lam(param, ann, body):
-                ann2 = self.type(ann, tymap) if ann is not None else None
-                return Lam(param, ann2,
-                           self.expr(body, tymap, terms | {param}), span=e.span)
-            case App(fn, arg):
-                return self.app_spine(e, tymap, terms)
-            case TyLam(binder, body):
-                tymap2, b2 = self.bind_tyvar(tymap, binder)
-                return TyLam(b2, self.expr(body, tymap2, terms), span=e.span)
-            case TyApp(subject, arg):
-                return TyApp(self.expr(subject, tymap, terms),
-                             self.type(arg, tymap), span=e.span)
-            case ConstrainedE(constraint, body):
-                return ConstrainedE(self.type(constraint, tymap),
-                                    self.expr(body, tymap, terms), span=e.span)
-            case PathE():
-                return self.path_expr(e, tymap, terms, n_args=0)
-            case ConceptDecl(info, rest):
-                # the declaration's scope is its own body and `rest`
-                outer, self.concepts = self.concepts, self.bind_concept(
-                    info.name)
-                info2 = self.concept_info(info, tymap, terms)
-                rest2 = self.expr(rest, tymap, terms)
-                self.concepts = outer
-                return ConceptDecl(info2, rest2, span=e.span)
-            case ModelDecl(info, rest):
-                info2 = self.model_info(info, tymap, terms)
-                return ModelDecl(info2, self.expr(rest, tymap, terms),
-                                 span=e.span)
-            case TypeAlias(name, rhs, rest):
-                rhs2 = self.type(rhs, tymap)
-                tymap2, n2 = self.bind_tyvar(tymap, name)
-                return TypeAlias(n2, rhs2, self.expr(rest, tymap2, terms),
-                                 span=e.span)
-            case Let(name, bound, rest):
-                return Let(name, self.expr(bound, tymap, terms),
-                           self.expr(rest, tymap, terms | {name}), span=e.span)
-            case Fix(body):
-                return Fix(self.expr(body, tymap, terms), span=e.span)
-            case If(cond, thn, els):
-                return If(self.expr(cond, tymap, terms),
-                          self.expr(thn, tymap, terms),
-                          self.expr(els, tymap, terms), span=e.span)
-            case ListLit(elems, elem_type):
-                et = self.type(elem_type, tymap) if elem_type is not None else None
-                return ListLit(tuple(self.expr(x, tymap, terms) for x in elems),
-                               et, span=e.span)
-            case Prim(op, args):
-                return Prim(op, tuple(self.expr(a, tymap, terms) for a in args),
-                            span=e.span)
-        raise TypeError(f"unexpected expression node: {e!r}")
-
-    def app_spine(self, e: App, tymap, terms) -> Expr:
-        # flatten the application spine so an unbound built-in head can
-        # absorb its arguments into a Prim node
-        spine = []
-        head = e
-        while isinstance(head, App):
-            spine.append(head)
-            head = head.fn
-        args = [a.arg for a in reversed(spine)]
-        if (isinstance(head, PathE) and not head.prefix
-                and head.name in PRIM_NAMES and head.name not in terms):
-            arity = PRIM_ARITY[head.name]
-            if len(args) < arity:
-                self.err(head.span, "P003",
-                         f"built-in {head.name!r} needs {arity} argument(s)")
-                return Prim(head.name,
-                            tuple(self.expr(a, tymap, terms) for a in args),
-                            span=e.span)
-            prim = Prim(head.name,
-                        tuple(self.expr(a, tymap, terms) for a in args[:arity]),
-                        span=e.span)
-            out = prim
-            for a in args[arity:]:
-                out = App(out, self.expr(a, tymap, terms), span=e.span)
-            return out
-        out = self.expr(head, tymap, terms)
-        for a in args:
-            out = App(out, self.expr(a, tymap, terms), span=e.span)
-        return out
-
-    def path_expr(self, e: PathE, tymap, terms, n_args: int) -> Expr:
-        if not e.prefix:
-            if e.name in terms:
-                return e
-            if e.name in PRIM_NAMES:
-                # bare built-in without arguments
-                self.err(e.span, "P003",
-                         f"built-in {e.name!r} needs "
-                         f"{PRIM_ARITY[e.name]} argument(s)")
-                return e
-            self.err(e.span, "P011", f"unknown term name {e.name!r}")
-            return e
-        prefix = tuple(self.model_id(m, tymap) for m in e.prefix)
-        return PathE(prefix, e.name, span=e.span)
-
-    def concept_info(self, info: ConceptInfo, tymap, terms) -> ConceptInfo:
-        where = f" in concept {info.name!r}"
-        self.unique(info.span, info.type_params, "type parameter", where)
-        self.unique(info.span, info.assoc_types, "associated type", where)
-        self.unique(info.span, [n for n, _ in info.members], "member", where)
-        inner = dict(tymap)
-        for p in info.type_params:
-            inner[p] = p
-        for b in info.assoc_types:
-            inner[b] = b
-        nested = tuple(self.type(c, inner) for c in info.nested)
-        members = tuple((n, self.type(t, inner)) for n, t in info.members)
-        return ConceptInfo(self.concepts[info.name], info.type_params,
-                           info.assoc_types, nested, members, span=info.span)
-
-    def unique(self, span, names, what: str, where: str = "") -> None:
-        """P013 for each repeat of a name among names."""
-        seen = set()
-        for name in names:
-            if name in seen:
-                self.err(span, "P013", f"duplicate {what} {name!r}{where}")
-            seen.add(name)
-
-    def model_info(self, info: ModelInfo, tymap, terms) -> ModelInfo:
-        self.unique(info.span, [n for n, _ in info.assoc_binds],
-                    "associated-type binding")
-        self.unique(info.span, [n for n, _ in info.member_binds],
-                    "member binding")
-        args = tuple(self.type(a, tymap) for a in info.type_args)
-        assoc = tuple((n, self.type(t, tymap))
-                      for n, t in info.assoc_binds)
-        membs = tuple((n, self.expr(x, tymap, terms))
-                      for n, x in info.member_binds)
-        return ModelInfo(self.concepts.get(info.concept, info.concept), args,
-                         assoc, membs, span=info.span)
-
-
-_NOSPAN = SourceSpan("<unknown>", 1, 1, 1, 1)
-
-
 # ---------------------------------------------------------------- driver
 
 
 def parse_program(src: str, filename: str = "<input>") -> Expr:
     """Parse and scope-resolve a whole program.
 
-    Raises ParseError with one diagnostic per syntax or scope error; on a
-    syntax error, parsing resumes at the next declaration keyword so that
-    multiple errors can be reported.
+    Raises ParseError with one diagnostic per syntax error or, if there is
+    none, per scope error; on a syntax error, parsing resumes at the next
+    declaration keyword so that multiple errors can be reported.
     """
-    toks = tokenize(src, filename)
-    p = _Parser(toks)
+    p = _Parser(tokenize(src, filename))
     diags = []
     tree = None
     try:
@@ -791,8 +763,7 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
         while diags and p.peek().kind != "eof":
             p.take()
             while p.peek().kind != "eof" and not (
-                p.peek().kind == "kw"
-                and p.peek().text in ("concept", "model", "type", "let")
+                p.peek().kind == "kw" and p.peek().text in _DECLARATIONS
             ):
                 p.take()
             if p.peek().kind == "eof":
@@ -802,19 +773,15 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
                 break
             except _PError as exc2:
                 diags.append(exc2.diag)
-    if diags:
-        raise ParseError(diags)
-    r = _Resolver(toks)
-    resolved = r.expr(tree, {}, frozenset())
-    if r.diags:
-        raise ParseError(r.diags)
-    return resolved
+    if diags or p.diags:
+        raise ParseError(diags or p.diags)
+    return tree
 
 
 def parse_type(src: str, filename: str = "<type>") -> Type:
-    """Parse a standalone type (unresolved); used by tests and tooling."""
-    toks = tokenize(src, filename)
-    p = _Parser(toks)
+    """Parse a standalone type, whose free names stay as written; used by
+    tests and tooling."""
+    p = _Parser(tokenize(src, filename))
     try:
         t = p.type_()
         if p.peek().kind != "eof":

@@ -6,10 +6,13 @@ that two checkouts can be compared byte for byte.
 For the checkout this file belongs to, it writes the benchmark workloads'
 programs for each seed (generated by that checkout's `fgcbench/gen.py`)
 and the corpus `programs/*.fg` to a fresh temporary directory, and runs
-`check`, `run`, `emit-core --verify` and `check --format json` on each
-through `fgc.cli.main` in this process, from that directory.  OUT.json
-lists (argv, exit code, stdout, stderr) per command.  File names in argv
-are relative, so the diagnostics of two checkouts name the same files:
+`check`, `run`, `emit-core --verify`, `check --format json` and `ast` on
+each through `fgc.cli.main` in this process, from that directory.  OUT.json
+lists (argv, exit code, stdout, stderr) per command.  `fgc ast` prints the
+resolved tree without spans, so each file also gets a `spans` row: the
+tree that `parse_program` returns, printed with the span of every node.
+File names in argv are relative, so the diagnostics of two checkouts name
+the same files:
 
     python tests/cli_equiv.py /tmp/a.json            # in checkout A
     python tests/cli_equiv.py /tmp/b.json            # in checkout B
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -32,7 +36,7 @@ import tempfile
 from corpus import ROOT, workload_programs
 
 COMMANDS = (["check"], ["run"], ["emit-core", "--verify"],
-            ["check", "--format", "json"])
+            ["check", "--format", "json"], ["ast"])
 
 
 def write_programs(work: pathlib.Path, seeds) -> list:
@@ -50,7 +54,18 @@ def write_programs(work: pathlib.Path, seeds) -> list:
     return list(files)
 
 
-def record(main, rel_paths) -> list:
+def spans(tree) -> str:
+    """`repr` of a syntax tree with the span of every node."""
+    if dataclasses.is_dataclass(tree):
+        fields = (spans(getattr(tree, f.name))
+                  for f in dataclasses.fields(tree))
+        return f"{type(tree).__name__}({', '.join(fields)})"
+    if type(tree) is tuple:
+        return f"({', '.join(spans(x) for x in tree)})"
+    return repr(tree)
+
+
+def record(main, parser, rel_paths) -> list:
     rows = []
     for rel in rel_paths:
         for cmd in COMMANDS:
@@ -60,6 +75,12 @@ def record(main, rel_paths) -> list:
                     contextlib.redirect_stderr(err):
                 code = main(argv)
             rows.append([argv, code, out.getvalue(), err.getvalue()])
+        try:
+            tree = spans(parser.parse_program(pathlib.Path(rel).read_text(),
+                                              rel))
+        except (parser.ParseError, RecursionError) as exc:
+            tree = f"{type(exc).__name__}: {exc}"
+        rows.append([["spans", rel], tree])
     return rows
 
 
@@ -72,12 +93,13 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     os.environ["FGC_COLOR"] = "0"
     from fgc.cli import main as fgc_main
+    from fgc import parser
 
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp).resolve()
         rel_paths = write_programs(work, args.seeds)
         os.chdir(work)
-        rows = record(fgc_main, rel_paths)
+        rows = record(fgc_main, parser, rel_paths)
         os.chdir(ROOT)
     out.write_text(json.dumps(rows, indent=1) + "\n")
     print(f"{len(rows)} commands on {len(rel_paths)} files -> {out}")

@@ -1,4 +1,4 @@
-"""Lexer, parser, resolver, and pretty-printer tests."""
+"""Lexer, parser (with scope resolution), and pretty-printer tests."""
 
 import random
 import re
@@ -30,7 +30,7 @@ from fgc.typecheck import Checker, check_program
 
 from corpus import PROGRAMS_DIR, workload_programs
 from gen import random_expr, well_typed
-from pipeline import lower
+from pipeline import derive, lower
 
 PROGRAMS = sorted(PROGRAMS_DIR.glob("*.fg"))
 
@@ -227,6 +227,71 @@ def test_scope_errors():
     with pytest.raises(ParseError) as exc:
         parse_program("concept C<a> { ; ; f : a, f : a } in 1")
     assert exc.value.diagnostics[0].code == "P013"
+
+
+# Ill-scoped programs and the (code, line, col) of each diagnostic, in the
+# order parse_program gives them: source order, except that a concept's or a
+# model's P013s come first, a built-in's P003 comes before its arguments',
+# and an inner step of a written type path comes before the outer steps'
+# type arguments.  A parse that is given up leaves no diagnostic behind.
+SCOPE_ERRORS = [
+    ("concept C<a> { ; ; f : zz, f : a } in 1",
+     [("P013", 1, 1), ("P010", 1, 24)]),
+    ("concept C<a> { ; ; f : a } in model C<zz> { ; f = yy, f = 2 } in 1",
+     [("P013", 1, 31), ("P010", 1, 39), ("P011", 1, 51)]),
+    ("cons zz", [("P003", 1, 1), ("P011", 1, 6)]),
+    ("head [zz] yy", [("P003", 1, 1), ("P010", 1, 7), ("P011", 1, 11)]),
+    ("concept D<a> { T ; ; } in concept C<a> { ; D<a> ; } in\n"
+     "let f = lam x: C<zz>.D<yy>.T. 1 in ww",
+     [("P010", 2, 24), ("P010", 2, 18), ("P011", 2, 36)]),
+    # given up: `[ ... ]` as a type argument, with a forall in it
+    ("let f = 1 in f [C<forall a. b>.m, zz]",
+     [("P010", 1, 29), ("P011", 1, 35)]),
+    ("let f = 1 in Lam a. f [C<forall a. a -> zz>.m, a]",
+     [("P010", 1, 41), ("P011", 1, 48)]),
+    ("let f = lam l: list int. 1 in let x = 1 in f [x, zz]",
+     [("P011", 1, 50)]),
+    # given up: `a < zz` as a path, `C<zz>` as a concept constraint, and a
+    # constrained expression
+    ("let a = 1 in let b = 2 in a < zz", [("P011", 1, 31)]),
+    ("concept C<a> { T ; ; } in C<zz>.T == int => 1", [("P010", 1, 29)]),
+    ("concept C<a> { ; ; } in let f = lam z: int. z in let x = 1 in\n"
+     "f x == zz (C<int> => 1)", [("P011", 2, 8)]),
+    # a run of applications in parentheses goes on after them
+    ("(cons zz) yy", [("P011", 1, 7), ("P011", 1, 11)]),
+    ("(head) zz", [("P011", 1, 8)]),
+    ("(cons 1)", [("P003", 1, 2)]),
+    ("((cons)) 1 (tail)", [("P003", 1, 13)]),
+    # scopes end
+    ("(let x = 1 in let y = 2 in x) + y", [("P011", 1, 33)]),
+    ("lam x: int. (lam y: int. y) y", [("P011", 1, 29)]),
+    ("(type T = int in 1) + (lam x: T. x) 1", [("P010", 1, 31)]),
+    ("Lam a. Lam a. lam x: b. x", [("P010", 1, 22)]),
+    ("let head = 1 in head zz", [("P011", 1, 22)]),
+]
+
+
+@pytest.mark.parametrize("src, expected", SCOPE_ERRORS)
+def test_scope_diagnostics_in_order(src, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert [(d.code, d.span.start_line, d.span.start_col)
+            for d in exc.value.diagnostics] == expected
+
+
+def test_bracketed_term_is_a_list_argument():
+    # `[x]` after an expression is a list when x is a term in scope and no
+    # type is; otherwise it stays a type argument
+    e = parse_program("let x = 1 in let f = lam l: list int. head l in f [x]")
+    app = e.rest.rest
+    assert app == App(PathE((), "f"), ListLit((PathE((), "x"),), None))
+    _, core, _ = derive(e)
+    assert sf_eval(core) == Value(1)
+    e = parse_program("let x = 1 in Lam x. let f = Lam a. 1 in f [x]")
+    assert e.rest.body.rest == TyApp(PathE((), "f"), TVar("x"))
+    with pytest.raises(ParseError) as exc:
+        parse_program("let f = lam l: list int. head l in f [zz]")
+    assert [d.code for d in exc.value.diagnostics] == ["P010"]
 
 
 def test_multiple_errors_reported():
