@@ -19,18 +19,25 @@ projected along its route.  Where the checker stripped a satisfied
 constraint off an expected type, the translation takes a dictionary
 parameter that the body never reads.
 Same-type constraints erase: every emitted core type is first
-canonicalized through the congruence closure, so core structural equality
-coincides with provable surface equality.
+canonicalized through the congruence closure of the environment's
+equations, so core structural equality coincides with provable surface
+equality.  Without equations the closure would only rename binders, which
+the nameless core does not keep, so such an environment builds none.
 
-A dictionary type is built once per (model identifier, concepts in
-scope, equation node, type scope) and the `CoreType` shared after that:
-those are all it reads, and canonical forms do not change as the closure
-interns more terms.  The concepts in scope are keyed by the identity of
-the environment's concept chain, since sibling scopes may declare
-different concepts under one name.  So a chain of m models, each
-requiring the one before, builds m dictionary types, not m(m+1)/2.
-Lowering asks an environment's closure the first time it converts a type
-there, if the checker did not already.
+A model's dictionary type follows its evidence: each nested slot has the
+type recorded where the dictionary its evidence names was bound (a
+model's own dictionary type, or the parameter type of a constraint
+introduction), shifted past the type variables bound since and projected
+along the route; only the member slots are converted.  So a chain of m
+models builds m dictionary types, whatever equations each model adds.
+The dictionary type of an assumed constraint, which has no evidence, is
+built once per (model identifier, concepts in scope, equation node, type
+scope) and the `CoreType` shared after that: those are all it reads, and
+canonical forms do not change as the closure interns more terms.  The
+concepts in scope are keyed by the identity of the environment's concept
+chain, since sibling scopes may declare different concepts under one
+name; a constraint's expansion and abstraction plan are memoised per
+concept chain and constraint alike.
 """
 
 from __future__ import annotations
@@ -96,6 +103,7 @@ from .sysf import (
     CTyApp,
     CTyLam,
     CVar,
+    shift_ty,
 )
 from .typecheck import Checker
 from .typeq import ClosureState
@@ -115,9 +123,11 @@ class ElabCtx:
       ("assoc", path) — an abstracted associated-type path
     vscope entries:
       ("term", name)    — a surface term variable
-      ("dict", binder)  — the dictionary bound at `binder`, a `ModelDecl`
+      ("dict", binder, type, depth)
+                        — the dictionary bound at `binder`, a `ModelDecl`
                           or `ConstrainedE` node (None: a parameter that
-                          no evidence names)
+                          no evidence names), its core type, and the
+                          length of tscope where it was bound
     """
 
     tscope: tuple = ()
@@ -133,8 +143,9 @@ class ElabCtx:
     def bind_term(self, name):
         return ElabCtx(self.tscope, self.vscope + (("term", name),))
 
-    def bind_dict(self, binder):
-        return ElabCtx(self.tscope, self.vscope + (("dict", binder),))
+    def bind_dict(self, binder, ty: CoreType):
+        entry = ("dict", binder, ty, len(self.tscope))
+        return ElabCtx(self.tscope, self.vscope + (entry,))
 
 
 def _pins(t: Type) -> tuple:
@@ -154,17 +165,25 @@ class Elaborator:
         self.checker = checker
         # (model id, id of the concept chain, equation node, tscope)
         self.dict_types = {}
+        # (id of the concept chain, constraint) -> (flat expansion, plan)
+        self.plans = {}
 
     # ------------------------------------------------------------ types
 
-    def abstraction_plan(self, env: Env, expanded: list) -> tuple:
-        """The associated-type paths of a constraint's expansion
-        `flat(env, c)` that become extra core type parameters, in
+    def abstraction_plan(self, env: Env, c: ConceptC) -> tuple:
+        """A constraint's expansion `flat(env, c)` and the associated-type
+        paths of it that become extra core type parameters, in
         deterministic order.  A path pinned to a path-free type by the
-        constraint's own same-type members is not abstracted.  The
-        decision depends only on the concept table, so introduction,
-        discharge and type conversion agree however the type around the
-        constraint was canonicalized."""
+        constraint's own same-type members is not abstracted.  Both depend
+        only on the concept table and c, so introduction, discharge and
+        type conversion agree however the type around the constraint was
+        canonicalized, and they are computed once per concept chain and
+        constraint."""
+        key = (id(env.concepts), c)
+        out = self.plans.get(key)
+        if out is not None:
+            return out
+        expanded = flat(env, c)
         eqs = [(fc.lhs, fc.rhs) for fc, _ in expanded
                if isinstance(fc, SameType)]
         st = ClosureState(equations=eqs)
@@ -180,7 +199,8 @@ class Elaborator:
                 if any(st.types_equal(p, q) for q in params):
                     continue
                 params.append(p)
-        return tuple(params)
+        out = self.plans[key] = (expanded, tuple(params))
+        return out
 
     def _assume(self, env: Env, ctx: ElabCtx, c: ConceptC, pins: tuple):
         """Enter an assumed concept constraint: the environment extended
@@ -188,8 +208,7 @@ class Elaborator:
         associated types, the dictionary type (built with the prefix's
         same-type constraints `pins` assumed), and the number of type
         parameters."""
-        expanded = flat(env, c)
-        plan = self.abstraction_plan(env, expanded)
+        expanded, plan = self.abstraction_plan(env, c)
         for fc, _ in expanded:
             if isinstance(fc, SameType):
                 env = env.assume(fc, PROVED)
@@ -200,8 +219,12 @@ class Elaborator:
         return env, ctx2, self.dict_type(env_pins, ctx2, c.model), len(plan)
 
     def conv(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
-        """Surface type to core type, canonicalized through the closure."""
-        return self._conv_raw(env, ctx, env.closure.canonical(t))
+        """Surface type to core type, canonicalized through the closure of
+        the environment's equations, if it has any.  Canonical binders are
+        named past the type scope, so they capture no variable of it."""
+        if env.eq_node.assumed:
+            t = env.closure.canonical(t, len(ctx.tscope))
+        return self._conv_raw(env, ctx, t)
 
     def _conv_raw(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
         match t:
@@ -227,7 +250,7 @@ class Elaborator:
                 for i, entry in enumerate(reversed(ctx.tscope)):
                     if entry[0] == "assoc" and st.types_equal(t, entry[1]):
                         return CTVar(i)
-                can = st.canonical(t)
+                can = st.canonical(t, len(ctx.tscope))
                 if not isinstance(can, AssocPath):
                     return self._conv_raw(env, ctx, can)
                 raise ElabError(
@@ -246,10 +269,11 @@ class Elaborator:
         raise ElabError(f"unexpected type node: {t!r}")
 
     def dict_type(self, env: Env, ctx: ElabCtx, mid: ModelId) -> CoreType:
-        """The core type of a model's dictionary, built once per model
-        identifier, concepts in scope, equation node and type scope and
-        then shared.  The checker's environments keep every concept chain
-        alive while lowering runs, so its identity stands for it."""
+        """The core type of an assumed constraint's dictionary, built once
+        per model identifier, concepts in scope, equation node and type
+        scope and then shared.  The checker's environments keep every
+        concept chain alive while lowering runs, so its identity stands
+        for it."""
         key = (mid, id(env.concepts), env.eq_node, ctx.tscope)
         out = self.dict_types.get(key)
         if out is None:
@@ -274,13 +298,21 @@ class Elaborator:
     def build_dict(self, ctx: ElabCtx, ev: Evidence) -> CoreTerm:
         """The core term for the dictionary the checker's evidence names:
         the variable its binder bound, projected along its route."""
-        for i, entry in enumerate(reversed(ctx.vscope)):
-            if entry[0] == "dict" and entry[1] is ev.binder:
-                out = CVar(i)
-                for slot in ev.route:
-                    out = CProj(out, slot)
-                return out
-        raise ElabError("dictionary binder not in scope")
+        out = CVar(_binding(ctx, ev))
+        for slot in ev.route:
+            out = CProj(out, slot)
+        return out
+
+    def evidence_type(self, ctx: ElabCtx, ev: Evidence) -> CoreType:
+        """The core type of that dictionary: the type recorded at its
+        binder, projected along the route and shifted past the type
+        variables bound since."""
+        _, _, ty, depth = ctx.vscope[-1 - _binding(ctx, ev)]
+        for slot in ev.route:
+            ty = ty.elems[slot]
+        if depth < len(ctx.tscope):
+            ty = shift_ty(ty, len(ctx.tscope) - depth)
+        return ty
 
     # ------------------------------------------------------------ terms
 
@@ -324,14 +356,9 @@ class Elaborator:
             case ConstrainedE(c, body):
                 _, ctx2, dict_ty, n = self._assume(
                     env, ctx, c, _pins(self.checker.types[id(e)]))
-                core = CLam(dict_ty, lower(ctx2.bind_dict(e), body))
+                core = CLam(dict_ty, lower(ctx2.bind_dict(e, dict_ty), body))
                 for _ in range(n):
                     core = CTyLam(core)
-            case Let(name, bound, rest):
-                tb = self.checker.types[id(e)]
-                core = CApp(CLam(self.conv(env, ctx, tb),
-                                 lower(ctx.bind_term(name), rest)),
-                            lower(ctx, bound))
             case Fix(body):
                 core = CFix(lower(ctx, body))
             case If(cond, thn, els):
@@ -348,26 +375,32 @@ class Elaborator:
         return self._discharge(ctx, e, core)
 
     def _lower_spine(self, ctx: ElabCtx, e: Expr) -> CoreTerm:
-        """The translation of a spine of declarations (see `_declares`),
-        walked with a loop, so that its length is bounded by memory and
-        not by the recursion limit.  The core is built from the inside
-        out: a model binds its dictionary around the rest; the others
-        only extend the environments the checker recorded, and same-type
-        assumptions erase."""
+        """The translation of a spine of declarations and `let`s (see
+        `_declares`), walked with a loop, so that its length is bounded by
+        memory and not by the recursion limit.  The core is built from the
+        inside out: a model binds its dictionary and a `let` its bound
+        around the rest; the others only extend the environments the
+        checker recorded, and same-type assumptions erase."""
         frames = []
         while True:
             if isinstance(e, ModelDecl):
-                frames.append((e, ctx) + self._model_dict(ctx, e))
-                ctx = ctx.bind_dict(e)
+                dict_ty, value = self._model_dict(ctx, e)
+                frames.append((e, ctx, dict_ty, value))
+                ctx = ctx.bind_dict(e, dict_ty)
+            elif isinstance(e, Let):
+                tb = self.conv(self.checker.envs[id(e)], ctx,
+                               self.checker.types[id(e)])
+                frames.append((e, ctx, tb, self.lower(ctx, e.bound)))
+                ctx = ctx.bind_term(e.name)
             else:
                 frames.append((e, ctx, None, None))
             e = e.body if isinstance(e, ConstrainedE) else e.rest
             if not _declares(e) or id(e) in self.checker.wrap:
                 break
         core = self.lower(ctx, e)
-        for node, ctx, dict_ty, slots in reversed(frames):
-            if dict_ty is not None:
-                core = CApp(CLam(dict_ty, core), CTup(slots))
+        for node, ctx, param, arg in reversed(frames):
+            if param is not None:
+                core = CApp(CLam(param, core), arg)
             core = self._discharge(ctx, node, core)
         return core
 
@@ -378,8 +411,7 @@ class Elaborator:
         env = self.checker.envs[id(e)]
         for ev in evidence:
             if isinstance(t.constraint, ConceptC):
-                for p in self.abstraction_plan(
-                        env, flat(env, t.constraint)):
+                for p in self.abstraction_plan(env, t.constraint)[1]:
                     core = CTyApp(core, self.conv(env, ctx, p))
                 core = CApp(core, self.build_dict(ctx, ev))
             t = t.body
@@ -403,8 +435,8 @@ class Elaborator:
         if isinstance(c, SameType):
             return self._wrap(env, ctx, e, t.body, rest)
         env2, ctx2, dict_ty, k = self._assume(env, ctx, c, _pins(t.body))
-        out = CLam(dict_ty, self._wrap(env2, ctx2.bind_dict(None), e, t.body,
-                                       rest))
+        out = CLam(dict_ty, self._wrap(env2, ctx2.bind_dict(None, dict_ty),
+                                       e, t.body, rest))
         for _ in range(k):
             out = CTyLam(out)
         return out
@@ -419,24 +451,37 @@ class Elaborator:
         return CProj(self.build_dict(ctx, ev), n_nested + names.index(e.name))
 
     def _model_dict(self, ctx: ElabCtx, e: ModelDecl) -> tuple:
-        """A model's dictionary type and the core of its value: the
-        nested-constraint dictionaries first, then the member
-        implementations in concept declaration order."""
-        info = e.info
-        cinfo = self.checker.envs[id(e)].find_concept(info.concept)
-        slots = [self.build_dict(ctx, ev)
-                 for ev in self.checker.evidence[id(e)]]
+        """A model's dictionary type and the core of its value: first the
+        dictionaries its evidence names for the nested constraints, with
+        the types their binders recorded, then the member implementations
+        in concept declaration order, with their types converted under the
+        model's own equations."""
+        info, evidence = e.info, self.checker.evidence[id(e)]
+        env = self.checker.envs[id(e.rest)]
+        cinfo = env.find_concept(info.concept)
+        sigma = concept_subst(cinfo, ModelId(info.concept, info.type_args))
         bound = dict(info.member_binds)
+        slots = [self.build_dict(ctx, ev) for ev in evidence]
         slots += [self.lower(ctx, bound[mname]) for mname, _ in cinfo.members]
-        dict_ty = self.dict_type(self.checker.envs[id(e.rest)], ctx,
-                                 ModelId(info.concept, info.type_args))
-        return dict_ty, tuple(slots)
+        types = [self.evidence_type(ctx, ev) for ev in evidence]
+        types += [self.conv(env, ctx, substitute_type_map(mty, sigma))
+                  for _, mty in cinfo.members]
+        return CTupleT(tuple(types)), CTup(tuple(slots))
+
+
+def _binding(ctx: ElabCtx, ev: Evidence) -> int:
+    """The de Bruijn index of the variable bound at the evidence's binder."""
+    for i, entry in enumerate(reversed(ctx.vscope)):
+        if entry[0] == "dict" and entry[1] is ev.binder:
+            return i
+    raise ElabError("dictionary binder not in scope")
 
 
 def _declares(e: Expr) -> bool:
-    """Whether e is a declaration or a same-type assumption: a node that
-    scopes over the expression after it, which is its whole value."""
-    return isinstance(e, (ModelDecl, ConceptDecl, TypeAlias)) or (
+    """Whether e is a declaration, a `let` or a same-type assumption: a
+    node that scopes over the expression after it, which is its whole
+    value."""
+    return isinstance(e, (ModelDecl, ConceptDecl, TypeAlias, Let)) or (
         isinstance(e, ConstrainedE) and isinstance(e.constraint, SameType))
 
 

@@ -24,11 +24,13 @@ from .ast import (
     ConceptC,
     ConceptInfo,
     Constraint,
+    Forall,
     ModelId,
     SameType,
     TVar,
     Type,
     alpha_equal,
+    contains_node,
     substitute_type_map,
 )
 from .typeq import ClosureState
@@ -210,15 +212,20 @@ def flat(env: Env, constraint: Constraint) -> list:
     concept parameters substituted, duplicates dropped.  Each expanded
     constraint comes with its route: the nested-requirement slots leading
     from the constraint's dictionary to its own (unused for a same-type
-    constraint, which has no dictionary)."""
-    out = []
-
-    def seen(c):
-        return any(alpha_equal(c, d) for d, _ in out)
+    constraint, which has no dictionary).  A constraint without a binder
+    is alpha-equal only to an `==` one, so only those with a binder are
+    compared pairwise."""
+    out, plain, binding = [], set(), []
 
     def go(c, route):
-        if seen(c):
+        if contains_node(c, Forall):
+            if any(alpha_equal(c, d) for d in binding):
+                return
+            binding.append(c)
+        elif c in plain:
             return
+        else:
+            plain.add(c)
         out.append((c, route))
         if isinstance(c, SameType):
             return

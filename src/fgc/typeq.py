@@ -190,13 +190,15 @@ class ClosureState:
 
     # -- canonical representatives
 
-    def canonical(self, t: Type) -> Type:
+    def canonical(self, t: Type, depth: int = 0) -> Type:
         """A deterministic representative of t's class, preferring terms
         without associated-type paths and without alias variables; t
-        itself when no member of the class can be rebuilt."""
+        itself when no member of the class can be rebuilt.  Its binders
+        are named `$depth`, `$depth+1`, ... inwards, so a caller whose
+        free variables include `$k` for k < depth keeps them free."""
         root = self.find(self.intern(t))
         try:
-            return self._rebuild(root, frozenset(), 0)
+            return self._rebuild(root, frozenset(), depth)
         except NoRepresentativeError:
             return t
 

@@ -66,12 +66,18 @@ def all_names():
     return sorted(EXPECTED_VALUES) + sorted(EXPECTED_CODES)
 
 
-def workload_programs(workload: str, seed: int) -> list:
-    """A benchmark workload's programs for a seed, generated by
-    `fgcbench/gen.py` (imported from its file, never changed)."""
+def bench_gen():
+    """The benchmark's program generator `fgcbench/gen.py`, imported from
+    its file, never changed."""
     spec = importlib.util.spec_from_file_location(
         "fgcbench_gen", ROOT / "fgcbench" / "gen.py")
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # dataclasses look their module up
     spec.loader.exec_module(mod)
-    return mod.generate(workload, seed, ROOT)
+    return mod
+
+
+def workload_programs(workload: str, seed: int) -> list:
+    """A benchmark workload's programs for a seed, generated by
+    `fgcbench/gen.py`."""
+    return bench_gen().generate(workload, seed, ROOT)

@@ -9,18 +9,20 @@ import random
 import pytest
 
 import fgc.cli
+import fgc.elaborate
 import fgc.env
 import fgc.typecheck
 from fgc.ast import IntT
 from fgc.cli import main
-from fgc.elaborate import Elaborator, translate_program, translate_type
+from fgc.elaborate import translate_program, translate_type
 from fgc.env import Env
 from fgc.parser import parse_program
-from fgc.sysf import Value, sf_eval, sf_typecheck
+from fgc.sysf import CTupleT, Value, sf_eval, sf_typecheck
 from fgc.typecheck import Checker, check_program
 from fgc.typeq import ClosureState
 
-from corpus import EXPECTED_VALUES, PROGRAMS_DIR, load, well_typed_names
+from corpus import (EXPECTED_VALUES, PROGRAMS_DIR, bench_gen, load,
+                    well_typed_names)
 from gen import core_ground, well_typed
 from oracle import interpret_direct
 from pipeline import derive, lower
@@ -273,6 +275,26 @@ let z = (concept C<a> { ; ; f : a -> bool } in
 x
 """
 
+# C<a>'s body is canonicalized again under D<int>'s equation, where the
+# outer binder's canonical name `$0` is free: the inner binder must not
+# take it, or y's type a is captured as b.
+CANONICAL_CAPTURE = """
+concept D<a> { T ; ; } in model D<int> { T = int ; } in
+concept C<a> { ; ; } in model C<int> { ; } in
+let f = (Lam a. C<a> => Lam b. lam x: b. lam y: a. y) in
+f[int][bool] true 3
+"""
+
+# C<t>'s model is declared under one more type binder than the D<t> model
+# its evidence names, so D<t>'s dictionary type is shifted past u.
+NESTED_UNDER_BINDER = """
+concept D<a> { ; ; d : a -> a } in
+concept C<a> { ; D<a> ; c : a -> a } in
+let f = Lam t. model D<t> { ; d = lam x: t. x } in
+  Lam u. lam y: u. model C<t> { ; c = lam x: t. D<t>.d x } in C<t>.D<t>.d in
+f[int][bool] true 5
+"""
+
 
 def run_cli(capsys, tmp_path, source, *args):
     f = tmp_path / "prog.fg"
@@ -305,6 +327,8 @@ def run_cli(capsys, tmp_path, source, *args):
     (DECL_DISCHARGED, "8"),
     (DECL_AS_MEMBER, "104"),
     (SIBLING_CONCEPTS, "1"),
+    (CANONICAL_CAPTURE, "3"),
+    (NESTED_UNDER_BINDER, "5"),
 ])
 def test_run_and_verified_core(capsys, tmp_path, source, value):
     code, out, err = run_cli(capsys, tmp_path, source, "run")
@@ -390,27 +414,70 @@ def roadmap_chain(m: int) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("m", [3, 12, 40])
-def test_dictionary_types_are_built_once(m, capsys, tmp_path, monkeypatch):
-    built = []
-    build = Elaborator._build_dict_type
-
-    def counting_build(self, env, ctx, mid):
-        built.append(mid)
-        return build(self, env, ctx, mid)
-
-    monkeypatch.setattr(Elaborator, "_build_dict_type", counting_build)
-    source = roadmap_chain(m)
+def lowered_dict_types(source: str, monkeypatch) -> int:
+    """The number of dictionary types, model and assumed alike, that
+    lowering a well-typed program assembles."""
     tree = parse_program(source)
     checker = Checker()
     assert check_program(tree, checker) == IntT()
-    translate_program(tree, checker)
+    built = []
+
+    def counting(elems):
+        built.append(elems)
+        return CTupleT(elems)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fgc.elaborate, "CTupleT", counting)
+        translate_program(tree, checker)
+    return len(built)
+
+
+@pytest.mark.parametrize("m", [3, 12, 40])
+def test_dictionary_types_are_built_once(m, capsys, tmp_path, monkeypatch):
+    source = roadmap_chain(m)
     # each model's dictionary type reuses the one below it: m types, not
     # the m(m+1)/2 of rebuilding the chain under every model
-    assert len(built) == len(set(built)) == m
+    assert lowered_dict_types(source, monkeypatch) == m
     code, out, err = run_cli(capsys, tmp_path, source, "run")
     assert (code, out, err) == (0, "1\n", "")
     assert interpret_direct(parse_program(source)) == 1
     code, out, err = run_cli(capsys, tmp_path, source, "emit-core",
                              "--verify")
     assert code == 0 and err == "" and out.endswith("core: int\n")
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("m", [3, 12, 40])
+def test_bench_chain_dictionary_types_follow_evidence(m, broken, capsys,
+                                                      tmp_path, monkeypatch):
+    # every model binds an associated type, so each opens an equation node;
+    # its dictionary type still comes from the one below it: m types for
+    # the models and m for g's assumed constraint, not m(m+1)/2 + 2m
+    source = bench_gen()._chain_source(m, [m - 1, 0], [1] * m, broken)
+    assert lowered_dict_types(source, monkeypatch) == 2 * m
+    code, out, err = run_cli(capsys, tmp_path, source, "emit-core",
+                             "--verify")
+    assert code == 0 and err == "" and out.endswith("core: int\n")
+    assert run_cli(capsys, tmp_path, source, "run") == (0, "4\n", "")
+
+
+@pytest.mark.parametrize("name", ["wt_fib.fg", "wt_list_sum.fg"])
+def test_lowering_without_equations_builds_no_closure(name, monkeypatch):
+    tree = parse_program(load(name))
+    checker = Checker()
+    assert not isinstance(check_program(tree, checker), list)
+    built = []
+    init = ClosureState.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(ClosureState, "__init__", counting_init)
+    translate_program(tree, checker)
+    assert built == []
+
+
+def test_long_let_spine_lowers(capsys, tmp_path):
+    source = "let x = 0 in " * 600 + "1"
+    assert run_cli(capsys, tmp_path, source, "run") == (0, "1\n", "")

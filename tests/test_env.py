@@ -10,6 +10,7 @@ from fgc.ast import (
     BoolT,
     ConceptC,
     ConceptInfo,
+    Forall,
     IntT,
     ListT,
     ModelId,
@@ -94,6 +95,18 @@ def test_flat_deduplicates():
     assert names == ["Both", "Semigroup", "Monoid"]
     # the duplicate Semigroup inside Monoid keeps the first route
     assert [route for _, route in out] == [(), (0,), (1,)]
+
+
+def test_flat_deduplicates_up_to_binder_names():
+    def semigroup_of_id(v):
+        return ConceptC(ModelId(
+            "Semigroup", (Forall(v, Arrow(TVar(v), TVar(v))),)))
+
+    both = ConceptInfo("Both", ("a",), (),
+                       (semigroup_of_id("x"), semigroup_of_id("y")), ())
+    env = base_env().declare(both)
+    out = flat(env, ConceptC(ModelId("Both", (IntT(),))))
+    assert [route for _, route in out] == [(), (0,)]
 
 
 def test_flat_same_type_member():
