@@ -74,8 +74,9 @@ class TVar(Type):
 
 @dataclass(frozen=True)
 class ModelId:
-    concept: str
+    concept: str  # the name printed in messages
     type_args: tuple
+    decl: Optional[int] = None  # the concept declaration's; None: unknown
     span: Optional[SourceSpan] = _span_field()
 
 
@@ -126,6 +127,7 @@ class ConceptInfo:
     assoc_types: tuple  # of str
     nested: tuple  # of Constraint
     members: tuple  # of (str, Type)
+    decl: Optional[int] = None  # the declaration's identity
     span: Optional[SourceSpan] = _span_field()
 
 
@@ -135,6 +137,7 @@ class ModelInfo:
     type_args: tuple  # of Type
     assoc_binds: tuple  # of (str, Type)
     member_binds: tuple  # of (str, Expr)
+    decl: Optional[int] = None  # of the concept, as in ModelId
     span: Optional[SourceSpan] = _span_field()
 
 
@@ -162,6 +165,7 @@ class Lam(Expr):
     param: str
     ann: Optional[Type]
     body: Expr
+    decl: Optional[int] = None  # the parameter's identity
     span: Optional[SourceSpan] = _span_field()
 
 
@@ -199,6 +203,7 @@ class PathE(Expr):
 
     prefix: tuple  # of ModelId, possibly empty
     name: str
+    decl: Optional[int] = None  # a variable's binder's identity
     span: Optional[SourceSpan] = _span_field()
 
 
@@ -229,6 +234,7 @@ class Let(Expr):
     name: str
     bound: Expr
     rest: Expr
+    decl: Optional[int] = None  # the name's identity
     span: Optional[SourceSpan] = _span_field()
 
 
@@ -340,7 +346,7 @@ def map_children(t, f, arg):
 
 def _map_model(m: ModelId, f, arg) -> ModelId:
     return ModelId(m.concept, tuple([f(a, arg) for a in m.type_args]),
-                   span=m.span)
+                   m.decl, span=m.span)
 
 
 def contains_node(t, cls) -> bool:
@@ -436,11 +442,11 @@ def _alpha(a, b, la: dict, lb: dict, depth: int) -> bool:
             return _alpha(bda, b.body, {**la, ba: depth},
                           {**lb, b.binder: depth}, depth + 1)
         case ConceptC(ma):
-            if ma.concept != b.model.concept:
+            if ma.concept != b.model.concept or ma.decl != b.model.decl:
                 return False
         case AssocPath(ma, ra):
             rb = b.rest
-            if ma.concept != b.model.concept or (
+            if ma.concept != b.model.concept or ma.decl != b.model.decl or (
                     ra if isinstance(ra, str) else None) != (
                     rb if isinstance(rb, str) else None):
                 return False

@@ -3,8 +3,9 @@
 The translation is defined on the typing derivation (Γ ⊢ e : τ ⇝ f): it
 lowers the decisions the checker recorded while deriving the program's
 type (see `typecheck`) and derives no type itself.  Nor does it search for
-dictionaries or rebuild environments: it reads the checker's evidence and
-the environment the checker recorded for each node.
+dictionaries, rebuild environments or look up names: it reads the
+checker's evidence, the environment it recorded for each node, and its
+tables of concepts and binder types by declaration identity.
 
 Each concept constraint becomes a tuple ("dictionary") holding the
 dictionaries of its nested constraints followed by its member
@@ -31,13 +32,10 @@ introduction), shifted past the type variables bound since and projected
 along the route; only the member slots are converted.  So a chain of m
 models builds m dictionary types, whatever equations each model adds.
 The dictionary type of an assumed constraint, which has no evidence, is
-built once per (model identifier, concepts in scope, equation node, type
-scope) and the `CoreType` shared after that: those are all it reads, and
-canonical forms do not change as the closure interns more terms.  The
-concepts in scope are keyed by the identity of the environment's concept
-chain, since sibling scopes may declare different concepts under one
-name; a constraint's expansion and abstraction plan are memoised per
-concept chain and constraint alike.
+built once per (model identifier, equation node, type scope) and the
+`CoreType` shared after that: those are all it reads, and canonical forms
+do not change as the closure interns more terms.  A constraint's
+expansion and abstraction plan are memoised per constraint.
 """
 
 from __future__ import annotations
@@ -122,7 +120,7 @@ class ElabCtx:
       ("var", name)   — a surface type variable
       ("assoc", path) — an abstracted associated-type path
     vscope entries:
-      ("term", name)    — a surface term variable
+      ("term", decl)    — a surface term binder, by identity
       ("dict", binder, type, depth)
                         — the dictionary bound at `binder`, a `ModelDecl`
                           or `ConstrainedE` node (None: a parameter that
@@ -140,8 +138,8 @@ class ElabCtx:
         added = tuple(("assoc", p) for p in paths)
         return ElabCtx(self.tscope + added, self.vscope)
 
-    def bind_term(self, name):
-        return ElabCtx(self.tscope, self.vscope + (("term", name),))
+    def bind_term(self, decl):
+        return ElabCtx(self.tscope, self.vscope + (("term", decl),))
 
     def bind_dict(self, binder, ty: CoreType):
         entry = ("dict", binder, ty, len(self.tscope))
@@ -163,27 +161,25 @@ class Elaborator:
 
     def __init__(self, checker: Checker):
         self.checker = checker
-        # (model id, id of the concept chain, equation node, tscope)
+        # (model id, equation node, tscope)
         self.dict_types = {}
-        # (id of the concept chain, constraint) -> (flat expansion, plan)
+        # constraint -> (flat expansion, plan)
         self.plans = {}
 
     # ------------------------------------------------------------ types
 
-    def abstraction_plan(self, env: Env, c: ConceptC) -> tuple:
-        """A constraint's expansion `flat(env, c)` and the associated-type
-        paths of it that become extra core type parameters, in
-        deterministic order.  A path pinned to a path-free type by the
-        constraint's own same-type members is not abstracted.  Both depend
-        only on the concept table and c, so introduction, discharge and
-        type conversion agree however the type around the constraint was
-        canonicalized, and they are computed once per concept chain and
-        constraint."""
-        key = (id(env.concepts), c)
-        out = self.plans.get(key)
+    def abstraction_plan(self, c: ConceptC) -> tuple:
+        """A constraint's expansion `flat` and the associated-type paths of
+        it that become extra core type parameters, in deterministic order.
+        A path pinned to a path-free type by the constraint's own same-type
+        members is not abstracted.  Both depend only on the concept table
+        and c, so introduction, discharge and type conversion agree however
+        the type around the constraint was canonicalized, and they are
+        computed once per constraint."""
+        out = self.plans.get(c)
         if out is not None:
             return out
-        expanded = flat(env, c)
+        expanded = flat(self.checker.concepts, c)
         eqs = [(fc.lhs, fc.rhs) for fc, _ in expanded
                if isinstance(fc, SameType)]
         st = ClosureState(equations=eqs)
@@ -191,15 +187,14 @@ class Elaborator:
         for fc, _ in expanded:
             if not isinstance(fc, ConceptC):
                 continue
-            info = env.find_concept(fc.model.concept)
-            for beta in info.assoc_types:
+            for beta in self.checker.concepts[fc.model.decl].assoc_types:
                 p = AssocPath(fc.model, beta)
                 if not has_path(st.canonical(p)):
                     continue
                 if any(st.types_equal(p, q) for q in params):
                     continue
                 params.append(p)
-        out = self.plans[key] = (expanded, tuple(params))
+        out = self.plans[c] = (expanded, tuple(params))
         return out
 
     def _assume(self, env: Env, ctx: ElabCtx, c: ConceptC, pins: tuple):
@@ -208,7 +203,7 @@ class Elaborator:
         associated types, the dictionary type (built with the prefix's
         same-type constraints `pins` assumed), and the number of type
         parameters."""
-        expanded, plan = self.abstraction_plan(env, c)
+        expanded, plan = self.abstraction_plan(c)
         for fc, _ in expanded:
             if isinstance(fc, SameType):
                 env = env.assume(fc, PROVED)
@@ -270,11 +265,9 @@ class Elaborator:
 
     def dict_type(self, env: Env, ctx: ElabCtx, mid: ModelId) -> CoreType:
         """The core type of an assumed constraint's dictionary, built once
-        per model identifier, concepts in scope, equation node and type
-        scope and then shared.  The checker's environments keep every
-        concept chain alive while lowering runs, so its identity stands
-        for it."""
-        key = (mid, id(env.concepts), env.eq_node, ctx.tscope)
+        per model identifier, equation node and type scope and then
+        shared."""
+        key = (mid, env.eq_node, ctx.tscope)
         out = self.dict_types.get(key)
         if out is None:
             out = self.dict_types[key] = self._build_dict_type(env, ctx, mid)
@@ -282,7 +275,7 @@ class Elaborator:
 
     def _build_dict_type(self, env: Env, ctx: ElabCtx,
                          mid: ModelId) -> CoreType:
-        info = env.find_concept(mid.concept)
+        info = self.checker.concepts[mid.decl]
         sigma = concept_subst(info, mid)
         slots = []
         for nc in info.nested:
@@ -339,14 +332,13 @@ class Elaborator:
                 core = CIntLit(value)
             case BoolLit(value):
                 core = CBoolLit(value)
-            case PathE((), name):
-                core = self._var(ctx, name)
+            case PathE((), _):
+                core = self._var(ctx, e)
             case PathE():
-                core = self._elab_path(env, ctx, e)
-            case Lam(param, ann, body):
-                dom = ann if ann is not None else self.checker.types[id(e)]
-                core = CLam(self.conv(env, ctx, dom),
-                            lower(ctx.bind_term(param), body))
+                core = self._elab_path(ctx, e)
+            case Lam(_, _, body):
+                core = CLam(self.conv(env, ctx, self.checker.terms[e.decl]),
+                            lower(ctx.bind_term(e.decl), body))
             case App(fn, arg):
                 core = CApp(lower(ctx, fn), lower(ctx, arg))
             case TyLam(binder, body):
@@ -389,9 +381,9 @@ class Elaborator:
                 ctx = ctx.bind_dict(e, dict_ty)
             elif isinstance(e, Let):
                 tb = self.conv(self.checker.envs[id(e)], ctx,
-                               self.checker.types[id(e)])
+                               self.checker.terms[e.decl])
                 frames.append((e, ctx, tb, self.lower(ctx, e.bound)))
-                ctx = ctx.bind_term(e.name)
+                ctx = ctx.bind_term(e.decl)
             else:
                 frames.append((e, ctx, None, None))
             e = e.body if isinstance(e, ConstrainedE) else e.rest
@@ -411,17 +403,17 @@ class Elaborator:
         env = self.checker.envs[id(e)]
         for ev in evidence:
             if isinstance(t.constraint, ConceptC):
-                for p in self.abstraction_plan(env, t.constraint)[1]:
+                for p in self.abstraction_plan(t.constraint)[1]:
                     core = CTyApp(core, self.conv(env, ctx, p))
                 core = CApp(core, self.build_dict(ctx, ev))
             t = t.body
         return core
 
-    def _var(self, ctx: ElabCtx, name: str) -> CoreTerm:
+    def _var(self, ctx: ElabCtx, e: PathE) -> CoreTerm:
         for i, entry in enumerate(reversed(ctx.vscope)):
-            if entry == ("term", name):
+            if entry == ("term", e.decl):
                 return CVar(i)
-        raise ElabError(f"variable {name!r} not in scope")
+        raise ElabError(f"variable {e.name!r} not in scope")
 
     def _wrap(self, env, ctx, e: Expr, t: Type, rest: Type) -> CoreTerm:
         """Lower e under a dictionary abstraction for each constraint of
@@ -441,11 +433,11 @@ class Elaborator:
             out = CTyLam(out)
         return out
 
-    def _elab_path(self, env, ctx, e: PathE) -> CoreTerm:
+    def _elab_path(self, ctx, e: PathE) -> CoreTerm:
         """The member's slot, after the nested dictionaries, in the
         dictionary of the path's last model step."""
         ev = self.checker.evidence[id(e)]
-        info = env.find_concept(e.prefix[-1].concept)
+        info = self.checker.concepts[e.prefix[-1].decl]
         n_nested = sum(isinstance(nc, ConceptC) for nc in info.nested)
         names = [n for n, _ in info.members]
         return CProj(self.build_dict(ctx, ev), n_nested + names.index(e.name))
@@ -458,8 +450,9 @@ class Elaborator:
         model's own equations."""
         info, evidence = e.info, self.checker.evidence[id(e)]
         env = self.checker.envs[id(e.rest)]
-        cinfo = env.find_concept(info.concept)
-        sigma = concept_subst(cinfo, ModelId(info.concept, info.type_args))
+        cinfo = self.checker.concepts[info.decl]
+        sigma = concept_subst(cinfo, ModelId(info.concept, info.type_args,
+                                             info.decl))
         bound = dict(info.member_binds)
         slots = [self.build_dict(ctx, ev) for ev in evidence]
         slots += [self.lower(ctx, bound[mname]) for mname, _ in cinfo.members]

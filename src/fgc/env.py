@@ -1,11 +1,11 @@
 """The typing environment and its lookup operations.
 
-An Env keeps one persistent chain per kind of binding, most recent first,
-and each lookup walks only its own chain.  Lookup of term bindings follows
-the first-binding rule; constraint expansion and qualified-path lookup
-follow the declarative definitions with concept parameters and associated
-types substituted as the environment is built.  Each Env also owns the
-congruence closure of the equations it assumes.
+Names carry their declarations (see `parser`), so an Env holds only what
+a proof can use: the witnesses, most recent first, and the equations;
+concepts are read from one table per program.  Constraint expansion and
+qualified-path lookup follow the declarative definitions with concept
+parameters and associated types substituted as the environment is built.
+Each Env also owns the congruence closure of the equations it assumes.
 
 The closure is built on the first query that syntax does not decide, once
 per sequence of equations (`EquationNode`).  `satisfies` takes a candidate
@@ -51,23 +51,19 @@ PROVED = Evidence(None)  # a provable same-type constraint
 # ---------------------------------------------------------------- errors
 
 
-class PathLookupError(Exception):
-    pass
-
-
-class UnknownConceptError(PathLookupError):
+class UnknownConceptError(Exception):
     def __init__(self, name):
         self.name = name
         super().__init__(f"unknown concept {name!r}")
 
 
-class UnsatisfiedConstraintError(PathLookupError):
+class UnsatisfiedConstraintError(Exception):
     def __init__(self, constraint):
         self.constraint = constraint
         super().__init__("unsatisfied constraint")
 
 
-class UnknownMemberError(PathLookupError):
+class UnknownMemberError(Exception):
     def __init__(self, name):
         self.name = name
         super().__init__(f"unknown member {name!r}")
@@ -107,69 +103,36 @@ class EquationNode:
 
 @dataclass(slots=True)
 class Env:
-    """Three chains of linked pairs, innermost first (None when empty),
-    and the node of the equations assumed.  Witnesses are the models and
-    assumed concept constraints, which can satisfy a constraint.
+    """The witnesses, a chain of linked pairs `(model id, evidence,
+    is_model, rest)` innermost first (None when empty), and the node of
+    the equations assumed.  Witnesses are the models and assumed concept
+    constraints, which can satisfy a constraint."""
 
-      terms      (name, type, rest)
-      concepts   (info, rest)
-      witnesses  (model id, evidence, is_model, rest)
-    """
-
-    terms: tuple = None
-    concepts: tuple = None
     witnesses: tuple = None
     eq_node: EquationNode = field(default_factory=EquationNode,
                                   compare=False, repr=False)
 
-    def bind(self, name: str, t: Type) -> "Env":
-        return Env((name, t, self.terms), self.concepts, self.witnesses,
-                   self.eq_node)
-
-    def declare(self, info: ConceptInfo) -> "Env":
-        return Env(self.terms, (info, self.concepts), self.witnesses,
-                   self.eq_node)
-
     def model(self, mid: ModelId, evidence: Evidence) -> "Env":
-        return Env(self.terms, self.concepts,
-                   (mid, evidence, True, self.witnesses), self.eq_node)
+        return Env((mid, evidence, True, self.witnesses), self.eq_node)
 
     def assume(self, c: Constraint, evidence: Evidence) -> "Env":
         """A concept constraint becomes a witness; a same-type constraint
         only extends the equations."""
         if isinstance(c, SameType):
-            return Env(self.terms, self.concepts, self.witnesses,
+            return Env(self.witnesses,
                        self.eq_node.extend((c.lhs, c.rhs, False)))
-        return Env(self.terms, self.concepts,
-                   (c.model, evidence, False, self.witnesses), self.eq_node)
+        return Env((c.model, evidence, False, self.witnesses), self.eq_node)
 
     def equate(self, lhs: Type, rhs: Type) -> "Env":
         """Assume lhs = rhs: an alias for a TVar lhs, a model's
         associated-type binding for an AssocPath."""
-        return Env(self.terms, self.concepts, self.witnesses,
+        return Env(self.witnesses,
                    self.eq_node.extend((lhs, rhs, isinstance(lhs, TVar))))
 
     @property
     def closure(self) -> ClosureState:
         """The congruence closure of the equations in scope, in order."""
         return self.eq_node.closure
-
-    def lookup_term(self, name: str):
-        """Type of the first (most recent) binding for name, or None."""
-        node = self.terms
-        while node is not None:
-            if node[0] == name:
-                return node[1]
-            node = node[2]
-        return None
-
-    def find_concept(self, name: str):
-        node = self.concepts
-        while node is not None:
-            if node[0].name == name:
-                return node[0]
-            node = node[1]
-        return None
 
     def concept_candidates(self, name: str):
         """Model identifiers asserted for a concept, most recent first,
@@ -182,8 +145,8 @@ class Env:
             node = node[3]
 
     def restrict(self) -> "Env":
-        """Keep concept definitions, constraint assumptions, and type
-        equations, and so the closure; drop term bindings and models."""
+        """Keep constraint assumptions and type equations, and so the
+        closure; drop models."""
         kept, node = [], self.witnesses
         while node is not None:
             if not node[2]:
@@ -192,7 +155,7 @@ class Env:
         chain = None
         for mid, evidence, _, _ in reversed(kept):
             chain = (mid, evidence, False, chain)
-        return Env(None, self.concepts, chain, self.eq_node)
+        return Env(chain, self.eq_node)
 
 
 # ---------------------------------------------------------------- operations
@@ -207,14 +170,14 @@ def concept_subst(info: ConceptInfo, mid: ModelId) -> dict:
     return sigma
 
 
-def flat(env: Env, constraint: Constraint) -> list:
+def flat(concepts: dict, constraint: Constraint) -> list:
     """Expansion of a constraint with all transitively nested constraints,
     concept parameters substituted, duplicates dropped.  Each expanded
     constraint comes with its route: the nested-requirement slots leading
     from the constraint's dictionary to its own (unused for a same-type
-    constraint, which has no dictionary).  A constraint without a binder
-    is alpha-equal only to an `==` one, so only those with a binder are
-    compared pairwise."""
+    constraint, which has no dictionary), through the concept table.  A
+    constraint without a binder is alpha-equal only to an `==` one, so
+    only those with a binder are compared pairwise."""
     out, plain, binding = [], set(), []
 
     def go(c, route):
@@ -230,7 +193,7 @@ def flat(env: Env, constraint: Constraint) -> list:
         if isinstance(c, SameType):
             return
         mid = c.model
-        info = env.find_concept(mid.concept)
+        info = concepts.get(mid.decl)
         if info is None:
             raise UnknownConceptError(mid.concept)
         sigma = concept_subst(info, mid)
@@ -268,18 +231,13 @@ def models_equal(env: Env, a: ModelId, b: ModelId) -> bool:
     return a == b or env.closure.model_ids_equal(a, b)
 
 
-def lookup_path(env: Env, prefix: tuple, name: str):
-    """Type of a qualified term path and the evidence of its last model
-    step (None for the empty prefix: a variable).  Each step is satisfied
-    in the restricted environment of the one before, which assumes that
-    step's nested constraints; the member's type is the last step's."""
-    if not prefix:
-        t = env.lookup_term(name)
-        if t is None:
-            raise UnknownMemberError(name)
-        return t, None
+def lookup_path(env: Env, concepts: dict, prefix: tuple, name: str):
+    """Type of a qualified term path, with a non-empty prefix, and the
+    evidence of its last model step.  Each step is satisfied in the
+    restricted environment of the one before, which assumes that step's
+    nested constraints; the member's type is the last step's."""
     for mid in prefix:
-        info = env.find_concept(mid.concept)
+        info = concepts.get(mid.decl)
         if info is None or len(info.type_params) != len(mid.type_args):
             raise UnknownConceptError(mid.concept)
         evidence = satisfies(env, ConceptC(mid))

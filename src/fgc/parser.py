@@ -15,16 +15,18 @@ a constraint is made of those, and `=>` follows it.  One backward pass
 over the tokens marks those positions.
 
 The parser resolves names as it reads them, so the tree it builds is the
-resolved one: every type variable refers to an enclosing binder (a type
-binder that shadows one is renamed apart), a concept declaration that
-shadows one in scope is renamed apart, unbound identifiers that name a
-built-in operator and head an application become Prim nodes, and all
-nodes carry source spans.  The scope (type names, term names, concept
-names) is saved before a binder and restored where its scope ends; a
-spine of `concept`/`model`/`type`/`let ... in` is read with a loop and
-restored once.  Every application of a run (the arguments after the last
-type application, and a run in parentheses that more arguments follow)
-has the span of the whole run.
+resolved one: every concept declaration and term binder gets a
+program-unique identity (`decl`), which each model identifier and
+variable records; every type variable refers to an enclosing binder (a
+type binder that shadows one is renamed apart), a concept declaration
+that shadows one in scope is printed under a new name, unbound
+identifiers that name a built-in operator and head an application become
+Prim nodes, and all nodes carry source spans.  The scope (type names,
+term names, concepts) is saved before a binder and restored where its
+scope ends; a spine of `concept`/`model`/`type`/`let ... in` is read
+with a loop and restored once.  Every application of a run (the
+arguments after the last type application, and a run in parentheses
+that more arguments follow) has the span of the whole run.
 
 Scope diagnostics (P003, P010, P011, P013) are reported only if there is
 no syntax error.  They come in source order, except that a concept's or a
@@ -36,7 +38,8 @@ parse to try another (`[` as a type argument, `<` after a path, a concept
 constraint, a constrained expression), it restores the position, the type
 names in scope and the number of scope diagnostics, so a parse given up
 leaves none behind.  `f [x]` applies f to a one-element list when x is a
-term name in scope and no type name is; otherwise `[x]` is a type
+term name in scope and no type name is, and so does `f [C<t>.m]` for a
+member m of C that is not an associated type; otherwise `[x]` is a type
 argument.
 
 Diagnostic codes (closed set):
@@ -53,7 +56,9 @@ Diagnostic codes (closed set):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import count
 from typing import NamedTuple, Optional
 
 from .ast import (
@@ -183,6 +188,9 @@ _TYPE_TOKENS = {"list", "forall", "int", "bool",
 # the keywords of the declarations whose scope is the rest of the spine
 _DECLARATIONS = ("concept", "model", "type", "let")
 
+# binary operators and their precedence, loosest 0; all left-associative
+_BINOPS = {"<": 0, "==": 0, "+": 1, "-": 1, "*": 2}
+
 
 class _Parser:
     def __init__(self, toks):
@@ -200,9 +208,10 @@ class _Parser:
             if reach:
                 self.constrained.add(i)
         # the scope here: source type name -> resolved name (replaced, never
-        # changed in place), the bound term names, and source concept name
-        # -> resolved name
-        self.tymap, self.terms, self.concepts = {}, set(), {}
+        # changed in place), term name -> binder identity (None: unbound),
+        # and source concept name -> ConceptInfo
+        self.tymap, self.terms, self.concepts = {}, {}, {}
+        self.ids = count()  # declaration identities
         self.taken = None  # names a renamed concept must avoid
         self.diags = []  # scope diagnostics, in the order the docstring gives
         # the last run of applications with arguments, as (node, head, args,
@@ -279,19 +288,21 @@ class _Parser:
         self.tymap = {**tymap, name: new}
         return new
 
-    def bind_concept(self, name: str) -> str:
-        """Bring a concept declaration into scope, renamed apart if it
-        shadows one: to a name no identifier of the program and no other
-        renamed concept has, so no model or constraint of the shadowed
-        concept can satisfy the new one.  The name it resolves to."""
+    def bind_concept(self, name: str, params: tuple,
+                     assocs: tuple) -> ConceptInfo:
+        """Bring a new concept declaration into scope, without requirements
+        and members yet.  One that shadows a concept in scope is printed
+        under a name no identifier of the program and no other renamed
+        concept has."""
         new = name
         if name in self.concepts:
             if self.taken is None:
                 self.taken = {t.text for t in self.toks if t.kind == "id"}
             new = fresh_name(name, self.taken)
             self.taken.add(new)
-        self.concepts = {**self.concepts, name: new}
-        return new
+        info = ConceptInfo(new, params, assocs, (), (), next(self.ids))
+        self.concepts = {**self.concepts, name: info}
+        return info
 
     def repeats(self, span, names, what: str, where: str = "") -> list:
         """P013 for each repeat of a name among names."""
@@ -306,7 +317,7 @@ class _Parser:
     def builtin(self, e: Expr) -> int:
         """The arity of e if it is an unbound built-in name, else 0."""
         if (type(e) is PathE and not e.prefix and e.name in PRIM_NAMES
-                and e.name not in self.terms):
+                and self.terms.get(e.name) is None):
             return PRIM_ARITY[e.name]
         return 0
 
@@ -384,7 +395,9 @@ class _Parser:
         while self.eat(","):
             args.append(self.type_())
         self.expect(">")
-        return ModelId(self.concepts.get(head.text, head.text), tuple(args),
+        info = self.concepts.get(head.text)
+        return ModelId(info.name if info else head.text, tuple(args),
+                       info and info.decl,
                        span=self.join(head.span, self.last_span()))
 
     def type_path(self, mid: ModelId, start: SourceSpan,
@@ -436,12 +449,11 @@ class _Parser:
             if self.eat(":"):
                 ann = self.type_()
             self.expect(".")
-            new = name not in self.terms
-            self.terms.add(name)
+            outer = self.terms.get(name)
+            decl = self.terms[name] = next(self.ids)
             body = self.expr()
-            if new:
-                self.terms.remove(name)
-            return Lam(name, ann, body,
+            self.terms[name] = outer
+            return Lam(name, ann, body, decl,
                        span=self.join(start, self.last_span()))
         if word == "Lam":
             self.pos += 1
@@ -468,7 +480,7 @@ class _Parser:
             ce = self.try_constrained_expr()
             if ce is not None:
                 return ce
-        return self.cmp_expr()
+        return self.binary(0)
 
     def try_constrained_expr(self) -> Optional[Expr]:
         saved = self.save()
@@ -482,31 +494,15 @@ class _Parser:
         body = self.expr()
         return ConstrainedE(c, body, span=self.join(start, self.last_span()))
 
-    def cmp_expr(self) -> Expr:
-        start = self.peek().span
-        e = self.add_expr()
-        while self.peek().text in ("<", "=="):
-            op = self.take().text
-            rhs = self.add_expr()
-            e = Prim(op, (e, rhs), span=self.join(start, self.last_span()))
-        return e
-
-    def add_expr(self) -> Expr:
-        start = self.peek().span
-        e = self.mul_expr()
-        while self.peek().text in ("+", "-"):
-            op = self.take().text
-            rhs = self.mul_expr()
-            e = Prim(op, (e, rhs), span=self.join(start, self.last_span()))
-        return e
-
-    def mul_expr(self) -> Expr:
+    def binary(self, level: int) -> Expr:
+        """Operators of precedence level or higher, by precedence climbing;
+        a Prim spans from its left operand's start to its last token."""
         start = self.peek().span
         e = self.app_expr()
-        while self.at("*"):
-            self.take()
-            rhs = self.app_expr()
-            e = Prim("*", (e, rhs), span=self.join(start, self.last_span()))
+        while (prec := _BINOPS.get(self.peek().text, -1)) >= level:
+            op = self.take().text
+            rhs = self.binary(prec + 1)
+            e = Prim(op, (e, rhs), span=self.join(start, self.last_span()))
         return e
 
     def app_expr(self) -> Expr:
@@ -544,23 +540,35 @@ class _Parser:
 
     def type_arg(self) -> Optional[Type]:
         """The type t of `[t]` here; None, and nothing read, if the
-        brackets do not hold a type."""
+        brackets do not hold a type, or hold a path whose last name is a
+        member of its concept and not an associated type."""
         saved = self.save()
         self.take()
         try:
             ty = self.type_()
             self.expect("]")
+            if not self.names_member(ty):
+                return ty
         except _PError:
-            self.restore(saved)
-            return None
-        return ty
+            pass
+        self.restore(saved)
+        return None
+
+    def names_member(self, t: Type) -> bool:
+        while isinstance(t, AssocPath) and isinstance(t.rest, AssocPath):
+            t = t.rest
+        return isinstance(t, AssocPath) and any(
+            info.decl == t.model.decl and t.rest not in info.assoc_types
+            and any(n == t.rest for n, _ in info.members)
+            for info in self.concepts.values())
 
     def lone_term(self) -> bool:
         """Whether `[x]` is here with x a bound term name and no type name
         in scope, so that it is a list and not a type argument."""
         t = self.toks[self.pos + 1]
         return (t.kind == "id" and self.toks[self.pos + 2].text == "]"
-                and t.text in self.terms and t.text not in self.tymap)
+                and self.terms.get(t.text) is not None
+                and t.text not in self.tymap)
 
     def apply(self, head: Expr, args: list, arity: int, mark: int,
               span: SourceSpan) -> Expr:
@@ -631,14 +639,15 @@ class _Parser:
                     continue
                 except _PError:
                     self.restore(saved)
-            if not prefix and t.text not in self.terms:
+            decl = None if prefix else self.terms.get(t.text)
+            if not prefix and decl is None:
                 if t.text in PRIM_NAMES:
                     # app_expr drops it once the arguments are enough
                     self.err(t.span, "P003", f"built-in {t.text!r} needs "
                              f"{PRIM_ARITY[t.text]} argument(s)")
                 else:
                     self.err(t.span, "P011", f"unknown term name {t.text!r}")
-            return PathE(tuple(prefix), t.text,
+            return PathE(tuple(prefix), t.text, decl,
                          span=self.join(start, t.span))
 
     # -- declarations
@@ -648,7 +657,7 @@ class _Parser:
         read with a loop: each declaration's scope is the rest of the
         spine, so the scope is saved once before it and restored after,
         and the nodes are built from the inside out."""
-        tymap, concepts, bound = self.tymap, self.concepts, []
+        tymap, concepts, undo = self.tymap, self.concepts, []
         heads = []  # (node class, start, fields before the rest)
         while self.peek().text in _DECLARATIONS:
             start = self.peek().span
@@ -668,16 +677,16 @@ class _Parser:
                 continue
             value = self.expr()
             self.expect("in")
-            if name not in self.terms:
-                self.terms.add(name)
-                bound.append(name)
-            heads.append((Let, start, (name, value)))
+            undo.append((name, self.terms.get(name)))
+            decl = self.terms[name] = next(self.ids)
+            heads.append((partial(Let, decl=decl), start, (name, value)))
         e = self.expr()
         end = self.last_span()
         for cls, start, fields in reversed(heads):
             e = cls(*fields, e, span=self.join(start, end))
         self.tymap, self.concepts = tymap, concepts
-        self.terms.difference_update(bound)
+        for name, outer in reversed(undo):
+            self.terms[name] = outer
         return e
 
     def concept_decl(self, start: SourceSpan) -> ConceptInfo:
@@ -690,7 +699,7 @@ class _Parser:
         self.expect("{")
         assocs = self.commas(lambda: self.expect_id().text, ";")
         # the declaration is in scope in its own body
-        resolved = self.bind_concept(name)
+        head = self.bind_concept(name, tuple(params), assocs)
         outer, mark = self.tymap, len(self.diags)
         self.tymap = {**outer, **{n: n for n in (*params, *assocs)}}
         nested = self.commas(self.constraint, ";")
@@ -702,9 +711,10 @@ class _Parser:
             self.repeats(span, params, "type parameter", where)
             + self.repeats(span, assocs, "associated type", where)
             + self.repeats(span, [n for n, _ in members], "member", where))
+        info = self.concepts[name] = replace(head, nested=nested,
+                                             members=members, span=span)
         self.expect("in")
-        return ConceptInfo(resolved, tuple(params), assocs, nested, members,
-                           span=span)
+        return info
 
     def model_decl(self, start: SourceSpan) -> ModelInfo:
         mark = len(self.diags)
@@ -720,7 +730,7 @@ class _Parser:
                            "member binding"))
         self.expect("in")
         return ModelInfo(mid.concept, mid.type_args, assoc_binds,
-                         member_binds, span=span)
+                         member_binds, mid.decl, span=span)
 
     def commas(self, item, end: str) -> tuple:
         """Items separated by commas, none if `end` comes first, then
@@ -838,8 +848,7 @@ def _paren(s: str, yes: bool) -> str:
     return f"({s})" if yes else s
 
 
-# expr precedence: 0 top, 1 cmp, 2 add, 3 mul, 4 app, 5 atom
-_BINOP_PREC = {"<": 1, "==": 1, "+": 2, "-": 2, "*": 3}
+# expr precedence: 0 top, 1 cmp, 2 add, 3 mul (1 + _BINOPS), 4 app, 5 atom
 
 
 def pretty(e: Expr, prec: int = 0) -> str:
@@ -889,8 +898,8 @@ def pretty(e: Expr, prec: int = 0) -> str:
                 return f"nil[{pretty_type(elem_type, 0)}]"
             return "[" + ", ".join(pretty(x, 0) for x in elems) + "]"
         case Prim(op, args):
-            if op in _BINOP_PREC:
-                p = _BINOP_PREC[op]
+            if op in _BINOPS:
+                p = _BINOPS[op] + 1
                 return _paren(f"{pretty(args[0], p)} {op} "
                               f"{pretty(args[1], p + 1)}", p < prec)
             s = op + "".join(f" {pretty(a, 5)}" for a in args)

@@ -245,6 +245,20 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             _check_ty_wf(ann, tydepth, path)
             cod = _infer(body, [ann] + ctx, tydepth, ("body", path))
             return CArrow(ann, cod)
+        case CApp(CLam(), _):
+            # a loop down the spine a `let` chain lowers to, in the order of
+            # the recursive rule: annotations, body, arguments inside out
+            frames = []
+            while isinstance(t, CApp) and isinstance(t.fn, CLam):
+                _check_ty_wf(t.fn.ann, tydepth, ("fn", path))
+                frames.append((t, ctx, path))
+                ctx = [t.fn.ann] + ctx
+                t, path = t.fn.body, ("body", ("fn", path))
+            cod = _infer(t, ctx, tydepth, path)
+            for t, ctx, path in reversed(frames):
+                ta = _infer(t.arg, ctx, tydepth, ("arg", path))
+                _check_arg(t.fn.ann, ta, path)
+            return cod
         case CApp(fn, arg):
             tf = _infer(fn, ctx, tydepth, ("fn", path))
             ta = _infer(arg, ctx, tydepth, ("arg", path))
@@ -252,10 +266,7 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
                 raise CoreTypeError(
                     f"applied a non-function of type {pretty_core_type(tf)}",
                     path)
-            if tf.dom != ta:
-                raise CoreTypeError(
-                    f"the parameter type is {pretty_core_type(tf.dom)} but "
-                    f"the argument type is {pretty_core_type(ta)}", path)
+            _check_arg(tf.dom, ta, path)
             return tf.cod
         case CTyLam(body):
             shifted = [shift_ty(ty, 1) for ty in ctx]
@@ -321,6 +332,13 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
                                         cons_path)
             return tt
     raise CoreTypeError(f"unexpected core term: {t!r}", path)
+
+
+def _check_arg(dom: CoreType, ta: CoreType, path) -> None:
+    if dom != ta:
+        raise CoreTypeError(
+            f"the parameter type is {pretty_core_type(dom)} but "
+            f"the argument type is {pretty_core_type(ta)}", path)
 
 
 def _infer_prim(op, args, ctx, tydepth, path) -> CoreType:
@@ -758,6 +776,16 @@ def pretty_core(t: CoreTerm, tdepth: int = 0, ydepth: int = 0,
         case CTyLam(body):
             s = f"/\\a{ydepth}. {pretty_core(body, tdepth, ydepth + 1, 0)}"
             return _p(s, 0 < prec)
+        case CApp(CLam(), _):
+            # a loop down the spine a `let` chain lowers to
+            opens, closes = [], []
+            while isinstance(t, CApp) and isinstance(t.fn, CLam):
+                ann = pretty_core_type(t.fn.ann, ydepth, 0)
+                opens.append(f"(\\x{tdepth}: {ann}. ")
+                closes.append(f") {pretty_core(t.arg, tdepth, ydepth, 2)}")
+                t, tdepth = t.fn.body, tdepth + 1
+            s = "".join(opens) + pretty_core(t, tdepth, ydepth, 0)
+            return _p(s + "".join(reversed(closes)), 1 < prec)
         case CApp(fn, arg):
             s = (f"{pretty_core(fn, tdepth, ydepth, 1)} "
                  f"{pretty_core(arg, tdepth, ydepth, 2)}")

@@ -17,13 +17,15 @@ the identity of the expression node they concern:
             discharged there;
   wrap      the satisfied constraints stripped off the type an expression
             was checked against: that type and the part left after them;
-  types     the type a `let` binds, the domain an unannotated lambda took
-            from its expected type, the element type of a non-empty list
-            literal, and the body type of a constraint introduction;
+  types     the element type of a non-empty list literal, and the body
+            type of a constraint introduction;
   evidence  the evidence (`env.Evidence`) for the dictionaries a node
-            itself reads: a qualified path's last model step (None for a
-            variable), a model's nested concept requirements in order;
-  envs      the environment each expression was checked in.
+            itself reads: a qualified path's last model step, a model's
+            nested concept requirements in order;
+  envs      the environment each expression was checked in;
+  concepts  declaration identity -> ConceptInfo (see `parser`), and
+  terms     binder identity -> type (what a `let` binds, a lambda's domain),
+            filled as the checker enters each declaration and binder.
 
 Diagnostic codes (closed set):
   T001  application / comparison mismatch
@@ -138,7 +140,7 @@ def _model_steps(t):
         yield from _model_steps(c)
 
 
-def _path_models(env: Env, t):
+def _path_models(concepts: dict, env: Env, t):
     """Each path step in a type or constraint, outermost first, with the
     environment that also assumes the constraints of t in front of it,
     which are expanded only for a body with a path.  Nothing is yielded
@@ -147,18 +149,18 @@ def _path_models(env: Env, t):
         yield t, env
     if not isinstance(t, Constrained):
         for c in type_children(t):
-            yield from _path_models(env, c)
+            yield from _path_models(concepts, env, c)
         return
-    yield from _path_models(env, t.constraint)
+    yield from _path_models(concepts, env, t.constraint)
     if not has_path(t.body):
         return
     try:
-        assumed = flat(env, t.constraint)
+        assumed = flat(concepts, t.constraint)
     except UnknownConceptError:
         return
     for c, _ in assumed:
         env = env.assume(c, PROVED)
-    yield from _path_models(env, t.body)
+    yield from _path_models(concepts, env, t.body)
 
 
 class Checker:
@@ -169,6 +171,8 @@ class Checker:
         self.types = {}
         self.envs = {}
         self.evidence = {}
+        self.concepts = {}
+        self.terms = {}
         self.tail = set()  # the declarations whose type is the program's
 
     # -- infrastructure
@@ -214,8 +218,7 @@ class Checker:
         diagnostic; one mentioning an error, already reported, is PROVED."""
         if contains_err(c):
             return PROVED
-        if isinstance(c, ConceptC) and self._concept(env, c.model,
-                                                     span) is None:
+        if isinstance(c, ConceptC) and self._concept(c.model, span) is None:
             return None
         ev = satisfies(env, c)
         if ev is None:
@@ -223,10 +226,10 @@ class Checker:
                      f"unsatisfied constraint {self._show_constraint(env, c)}")
         return ev
 
-    def _concept(self, env: Env, mid: ModelId, span):
+    def _concept(self, mid: ModelId, span):
         """The concept a model identifier names, or None after a T004
         diagnostic for an unknown concept or a wrong number of arguments."""
-        info = env.find_concept(mid.concept)
+        info = self.concepts.get(mid.decl)
         if info is None:
             self.err(span, "T004", f"unknown concept {mid.concept!r}")
         elif len(info.type_params) != len(mid.type_args):
@@ -249,7 +252,7 @@ class Checker:
         concepts, reported = {}, set()
         for mid, rest in dict.fromkeys(_model_steps(t)):
             if mid not in concepts:
-                concepts[mid] = self._concept(env, mid, span)
+                concepts[mid] = self._concept(mid, span)
             info = concepts[mid]
             if isinstance(rest, str) and info is not None \
                     and rest not in info.assoc_types:
@@ -257,7 +260,7 @@ class Checker:
                          f"associated type {rest!r}")
                 reported.add(mid)
         show = self._show_constraint
-        for path, where in _path_models(env, t):
+        for path, where in _path_models(self.concepts, env, t):
             mid, info = path.model, concepts[path.model]
             if info is None:
                 continue
@@ -284,12 +287,11 @@ class Checker:
         with its evidence: e's dictionary and the route into it."""
         c, span = e.constraint, e.span
         try:
-            expanded = flat(env, c)
+            expanded = flat(self.concepts, c)
         except UnknownConceptError as exc:
             self.err(span, "T004", str(exc))
             return None
-        if isinstance(c, ConceptC) and self._concept(env, c.model,
-                                                     span) is None:
+        if isinstance(c, ConceptC) and self._concept(c.model, span) is None:
             return None
         for fc, route in expanded:
             env = env.assume(fc, Evidence(e, route))
@@ -298,15 +300,19 @@ class Checker:
     # -- synthesis
 
     def infer(self, env: Env, e: Expr) -> Type:
+        e = self._lets(env, e)
         self.envs[id(e)] = env
         match e:
             case IntLit():
                 return IntT()
             case BoolLit():
                 return BoolT()
+            case PathE((), _):
+                return self.terms[e.decl]
             case PathE(prefix, name):
                 try:
-                    t, self.evidence[id(e)] = lookup_path(env, prefix, name)
+                    t, self.evidence[id(e)] = lookup_path(
+                        env, self.concepts, prefix, name)
                     return t
                 except UnsatisfiedConstraintError as exc:
                     self.err(e.span, "T003",
@@ -318,15 +324,15 @@ class Checker:
                     self.err(e.span, "T007", str(exc))
                 return ERR
             case Lam(param, ann, body):
+                self.terms[e.decl] = ERR if ann is None else ann
                 if ann is None:
                     self.err(e.span, "T009",
                              f"parameter {param!r} needs a type annotation "
                              "here")
-                    self.infer(env.bind(param, ERR), body)
+                    self.infer(env, body)
                     return ERR
                 self._written(env, ann, e.span)
-                cod = self.infer(env.bind(param, ann), body)
-                return Arrow(ann, cod)
+                return Arrow(ann, self.infer(env, body))
             case App(fn, arg):
                 tf = self.infer(env, fn)
                 arrow = self._shape(env, tf, Arrow, fn)
@@ -368,26 +374,25 @@ class Checker:
                 tb = self.types[id(e)] = self.infer(env2, body)
                 return Constrained(constraint, tb)
             case ConceptDecl(info, rest):
+                self.concepts[info.decl] = info
                 for nc in info.nested:
-                    if isinstance(nc, ConceptC) and env.find_concept(
-                            nc.model.concept) is None and nc.model.concept \
-                            != info.name:
+                    if isinstance(nc, ConceptC) and \
+                            nc.model.decl not in self.concepts:
                         self.err(info.span, "T004",
                                  f"unknown concept {nc.model.concept!r} in "
                                  f"constraints of {info.name!r}")
-                env2 = env.declare(info)
                 for _, t in info.members:
                     # a member's paths may go through the concept's own
                     # constraint and its requirements
                     if has_path(t):
                         t = Constrained(ConceptC(ModelId(info.name, tuple(
-                            TVar(p) for p in info.type_params))), t)
-                    self._written(env2, t, info.span)
-                t = self.infer(env2, rest)
+                            map(TVar, info.type_params)), info.decl)), t)
+                    self._written(env, t, info.span)
+                t = self.infer(env, rest)
                 # the program's own type may name its concepts, but a type
                 # used outside the concept's scope may not
                 if id(e) in self.tail or contains_err(t) or all(
-                        m.concept != info.name for m, _ in _model_steps(t)):
+                        m.decl != info.decl for m, _ in _model_steps(t)):
                     return t
                 self.err(info.span, "T004",
                          f"concept {info.name!r} escapes its scope in the "
@@ -409,9 +414,6 @@ class Checker:
                 if contains_err(t):
                     return t
                 return substitute_type(t, name, rhs)
-            case Let(name, bound, rest):
-                tb = self.types[id(e)] = self.infer(env, bound)
-                return self.infer(env.bind(name, tb), rest)
             case Fix(body):
                 tb = self.infer(env, body)
                 arrow = self._shape(env, tb, Arrow, body)
@@ -457,6 +459,14 @@ class Checker:
             case Prim(op, args):
                 return self.infer_prim(env, e, op, args)
         raise TypeError(f"unexpected expression node: {e!r}")
+
+    def _lets(self, env: Env, e: Expr) -> Expr:
+        """Infer the bounds of a `let` spine in a loop; what follows it."""
+        while isinstance(e, Let):
+            self.envs[id(e)] = env
+            self.terms[e.decl] = self.infer(env, e.bound)
+            e = e.rest
+        return e
 
     def _condition(self, env: Env, cond: Expr) -> None:
         """Infer a condition; T010 unless it is a bool or already an error."""
@@ -512,21 +522,16 @@ class Checker:
         stand: a `C => e'` introduces its own C, and a value whose type is
         expected itself, such as `g[int]`, keeps its constraints for the
         use to discharge."""
+        e = self._lets(env, e)
         self.envs[id(e)] = env
         if contains_err(expected):
             self.infer(env, e)
             return
-        match e:
-            case If(cond, thn, els):
-                self._condition(env, cond)
-                self.check(env, thn, expected, code, subject)
-                self.check(env, els, expected, code, subject)
-                return
-            case Let(name, bound, rest):
-                tb = self.types[id(e)] = self.infer(env, bound)
-                self.check(env.bind(name, tb), rest, expected,
-                           code, subject)
-                return
+        if isinstance(e, If):
+            self._condition(env, e.cond)
+            self.check(env, e.thn, expected, code, subject)
+            self.check(env, e.els, expected, code, subject)
+            return
         rest = expected
         while isinstance(rest, Constrained) and not self._introduces(
                 env, e, rest) and satisfies(env, rest.constraint):
@@ -543,11 +548,8 @@ class Checker:
                                  f"{subject} takes {pretty_type(ann)} but "
                                  f"{pretty_type(arrow.dom)} was expected")
                         return
-                bound = ann
-                if ann is None:
-                    bound = self.types[id(e)] = arrow.dom
-                self.check(env.bind(param, bound), body,
-                           arrow.cod, code, subject)
+                self.terms[e.decl] = arrow.dom if ann is None else ann
+                self.check(env, body, arrow.cod, code, subject)
                 return
             case Lam(param, None, _):
                 self.err(e.span, "T009",
@@ -586,8 +588,8 @@ class Checker:
 
     def check_model(self, env: Env, e: ModelDecl) -> Optional[Env]:
         info, span = e.info, e.info.span
-        mid = ModelId(info.concept, info.type_args)
-        cinfo = self._concept(env, mid, span)
+        mid = ModelId(info.concept, info.type_args, info.decl)
+        cinfo = self._concept(mid, span)
         if cinfo is None:
             return None
         for t in info.type_args + tuple(t for _, t in info.assoc_binds):
@@ -656,7 +658,8 @@ def check_program(e: Expr, checker: Optional[Checker] = None):
     if checker is None:
         checker = Checker()
     for table in (checker.diags, checker.elim, checker.wrap, checker.types,
-                  checker.envs, checker.evidence, checker.tail):
+                  checker.envs, checker.evidence, checker.concepts,
+                  checker.terms, checker.tail):
         table.clear()
     node = e
     while isinstance(node, (ConceptDecl, ModelDecl, TypeAlias, Let)):

@@ -153,14 +153,15 @@ class ClosureState:
                 else:
                     rid = self.intern(rest, bound)
                 args = tuple(self.intern(a, bound) for a in model.type_args)
-                return self._node("assoc", model.concept, args + (rid,))
+                return self._node("assoc", (model.concept, model.decl),
+                                  args + (rid,))
         raise TypeError(f"unexpected type node: {t!r}")
 
     def intern_constraint(self, c: Constraint, bound: tuple = ()) -> int:
         match c:
             case ConceptC(model):
                 args = tuple(self.intern(a, bound) for a in model.type_args)
-                return self._node("cc", model.concept, args)
+                return self._node("cc", (model.concept, model.decl), args)
             case SameType(lhs, rhs):
                 return self._node(
                     "st", None,
@@ -178,7 +179,7 @@ class ClosureState:
 
     def model_ids_equal(self, a: ModelId, b: ModelId) -> bool:
         return (
-            a.concept == b.concept
+            a.concept == b.concept and a.decl == b.decl
             and len(a.type_args) == len(b.type_args)
             and all(self.types_equal(x, y)
                     for x, y in zip(a.type_args, b.type_args))
@@ -252,7 +253,7 @@ class ClosureState:
                 if not isinstance(rest, AssocPath):
                     raise NoRepresentativeError(
                         "path tail rebuilt to a non-path")
-            return AssocPath(ModelId(payload, args), rest)
+            return AssocPath(ModelId(payload[0], args, payload[1]), rest)
         if tag == "leaf":
             raise NoRepresentativeError("bare associated-type name")
         raise NoRepresentativeError(f"cannot rebuild node kind {tag!r}")
@@ -264,7 +265,7 @@ class ClosureState:
         if tag == "cc":
             args = tuple(self._rebuild(self.find(c), busy, depth)
                          for c in children)
-            return ConceptC(ModelId(payload, args))
+            return ConceptC(ModelId(payload[0], args, payload[1]))
         if tag == "st":
             return SameType(self._rebuild(self.find(children[0]), busy, depth),
                             self._rebuild(self.find(children[1]), busy, depth))

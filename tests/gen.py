@@ -12,6 +12,7 @@ Three generators:
 from __future__ import annotations
 
 import random
+from itertools import count
 
 from fgc.ast import (
     App,
@@ -35,6 +36,11 @@ from fgc.ast import (
     TyLam,
     Type,
 )
+
+
+# binder identities, as the parser gives them: every variable records its
+# binder's, so scopes keep a name's identity with it
+_IDS = count()
 
 
 class _Names:
@@ -79,17 +85,18 @@ def random_expr(rng: random.Random, depth: int = 4):
         leaves = [lambda: IntLit(rng.randrange(100)),
                   lambda: BoolLit(rng.random() < 0.5)]
         if vars_:
-            leaves.append(lambda: PathE((), rng.choice(vars_)))
+            leaves.append(lambda: PathE((), *rng.choice(vars_)))
         if depth <= 0:
             return rng.choice(leaves)()
         match rng.randrange(10):
             case 0:
                 return rng.choice(leaves)()
             case 1:
-                x = names.fresh()
+                x, d = names.fresh(), next(_IDS)
                 ann = (random_type(rng, 2, tyvars)
                        if rng.random() < 0.7 else None)
-                return Lam(x, ann, go(depth - 1, vars_ + (x,), tyvars))
+                return Lam(x, ann, go(depth - 1, vars_ + ((x, d),), tyvars),
+                           d)
             case 2:
                 return App(go(depth - 1, vars_, tyvars),
                            go(depth - 1, vars_, tyvars))
@@ -100,9 +107,9 @@ def random_expr(rng: random.Random, depth: int = 4):
                 return TyApp(go(depth - 1, vars_, tyvars),
                              random_type(rng, 2, tyvars))
             case 5:
-                x = names.fresh()
+                x, d = names.fresh(), next(_IDS)
                 return Let(x, go(depth - 1, vars_, tyvars),
-                           go(depth - 1, vars_ + (x,), tyvars))
+                           go(depth - 1, vars_ + ((x, d),), tyvars), d)
             case 6:
                 return If(go(depth - 1, vars_, tyvars),
                           go(depth - 1, vars_, tyvars),
@@ -155,11 +162,10 @@ def random_equations(rng: random.Random):
 
 # ----------------------------------------------------- type-directed terms
 
-
 def _base_value(rng: random.Random, ty: Type, scope: dict):
-    candidates = [n for n, t in scope.items() if t == ty]
+    candidates = [(n, d) for n, (t, d) in scope.items() if t == ty]
     if candidates and rng.random() < 0.5:
-        return PathE((), rng.choice(candidates))
+        return PathE((), *rng.choice(candidates))
     match ty:
         case IntT():
             return IntLit(rng.randrange(-20, 50))
@@ -172,13 +178,14 @@ def _base_value(rng: random.Random, ty: Type, scope: dict):
             return ListLit(tuple(_base_value(rng, elem, scope)
                                  for _ in range(n)))
         case Arrow(dom, cod):
-            x = f"p{len(scope) + 1}"
-            return Lam(x, dom, _base_value(rng, cod, scope | {x: dom}))
+            x, d = f"p{len(scope) + 1}", next(_IDS)
+            return Lam(x, dom,
+                       _base_value(rng, cod, scope | {x: (dom, d)}), d)
         case Forall(binder, body):
             return TyLam(binder, _base_value(rng, body, scope))
         case TVar(_):
             if candidates:
-                return PathE((), rng.choice(candidates))
+                return PathE((), *rng.choice(candidates))
             raise AssertionError("no inhabitant for a free type variable")
     raise AssertionError(ty)
 
@@ -213,18 +220,18 @@ def well_typed(rng: random.Random, depth: int = 4):
                           go(ty, scope, depth - 1),
                           go(ty, scope, depth - 1))
             case 3:
-                x = names.fresh()
+                x, d = names.fresh(), next(_IDS)
                 bty = _target_type(rng, 2)
                 return Let(x, go(bty, scope, depth - 1),
-                           go(ty, scope | {x: bty}, depth - 1))
+                           go(ty, scope | {x: (bty, d)}, depth - 1), d)
             case 4:
                 aty = _target_type(rng, 2)
                 return App(go(Arrow(aty, ty), scope, depth - 1),
                            go(aty, scope, depth - 1))
             case 5 if isinstance(ty, Arrow):
-                x = names.fresh()
-                return Lam(x, ty.dom,
-                           go(ty.cod, scope | {x: ty.dom}, depth - 1))
+                x, d = names.fresh(), next(_IDS)
+                return Lam(x, ty.dom, go(ty.cod, scope | {x: (ty.dom, d)},
+                                         depth - 1), d)
             case 6 if isinstance(ty, IntT):
                 op = rng.choice(["+", "-", "*"])
                 return Prim(op, (go(IntT(), scope, depth - 1),
@@ -253,8 +260,9 @@ def well_typed(rng: random.Random, depth: int = 4):
                 return Prim("head", (lst,))
             case 9:
                 # a polymorphic identity, instantiated and applied
+                d = next(_IDS)
                 return App(TyApp(TyLam("g", Lam("y", TVar("g"),
-                                               PathE((), "y"))), ty),
+                                               PathE((), "y", d), d)), ty),
                            go(ty, scope, depth - 1))
             case _:
                 return _base_value(rng, ty, scope)

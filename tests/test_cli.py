@@ -256,12 +256,32 @@ def test_internal_error_exit_code(capsys, monkeypatch, cmd, name, fake,
 
 def test_deep_nesting_is_an_internal_error(capsys, tmp_path):
     f = tmp_path / "deep.fg"
-    f.write_text("let x = 0 in " * 1500 + "1")
+    f.write_text("(" * 1500 + "1" + ")" * 1500)
     for cmd in ("check", "run"):
         code, out, err = run(capsys, cmd, str(f))
         assert (code, out) == (5, "")
         assert err.startswith("fgc: internal error: RecursionError")
         assert "Traceback" not in err
+
+
+def test_member_path_in_brackets_is_a_list(capsys, tmp_path):
+    f = tmp_path / "member.fg"
+    f.write_text("concept C<a> { ; ; m : int } in model C<int> { ; m = 5 } "
+                 "in let f = lam l: list int. head l in f [C<int>.m]")
+    assert run(capsys, "run", str(f)) == (0, "5\n", "")
+
+
+def test_long_let_chains_without_the_python_stack(capsys, tmp_path):
+    # the checker, the core re-check and the core printer loop over the
+    # spine; lowering and the machine did already
+    f = tmp_path / "lets.fg"
+    f.write_text("let x = 0 in " * 1000 + "1")
+    assert run(capsys, "check", str(f)) == (0, "int\n", "")
+    assert run(capsys, "run", str(f)) == (0, "1\n", "")
+    core = "".join(f"(\\x{i}: int. " for i in range(1000)) + "1" \
+        + ") 0" * 1000
+    assert run(capsys, "emit-core", "--verify", str(f)) == (
+        0, core + "\ncore: int\n", "")
 
 
 def test_long_lists_evaluate_without_the_python_stack(capsys, tmp_path):

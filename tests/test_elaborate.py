@@ -296,6 +296,15 @@ f[int][bool] true 5
 """
 
 
+def test_sibling_concepts_are_apart():
+    # one printed model identifier, two declarations
+    e = parse_program(SIBLING_CONCEPTS)
+    first, second = e.bound.rest.info, e.rest.bound.rest.info
+    assert (first.concept, first.type_args) == (second.concept,
+                                                second.type_args)
+    assert first.decl != second.decl
+
+
 def run_cli(capsys, tmp_path, source, *args):
     f = tmp_path / "prog.fg"
     f.write_text(source)
@@ -329,6 +338,7 @@ def run_cli(capsys, tmp_path, source, *args):
     (SIBLING_CONCEPTS, "1"),
     (CANONICAL_CAPTURE, "3"),
     (NESTED_UNDER_BINDER, "5"),
+    ("(lam x: bool. lam x: int. x) true 3", "3"),
 ])
 def test_run_and_verified_core(capsys, tmp_path, source, value):
     code, out, err = run_cli(capsys, tmp_path, source, "run")

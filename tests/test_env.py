@@ -1,5 +1,5 @@
-"""The environment's binding chains, constraint expansion, and
-qualified-path lookup."""
+"""The environment's witness chain and equations, constraint expansion
+through the program's concept table, and qualified-path lookup."""
 
 import random
 
@@ -40,45 +40,61 @@ from gen import random_equations
 A = TVar("a")
 
 SEMIGROUP = ConceptInfo(
-    "Semigroup", ("a",), (), (), (("binary_op", Arrow(A, Arrow(A, A))),))
+    "Semigroup", ("a",), (), (), (("binary_op", Arrow(A, Arrow(A, A))),),
+    decl=0)
 MONOID = ConceptInfo(
-    "Monoid", ("a",), (), (ConceptC(ModelId("Semigroup", (A,))),),
-    (("identity_elt", A),))
+    "Monoid", ("a",), (), (ConceptC(ModelId("Semigroup", (A,), 0)),),
+    (("identity_elt", A),), decl=1)
 SEQ = ConceptInfo(
     "Seq", ("S",), ("E",), (),
     (("isnull", Arrow(TVar("S"), BoolT())),
      ("head", Arrow(TVar("S"), TVar("E"))),
-     ("tail", Arrow(TVar("S"), TVar("S")))))
+     ("tail", Arrow(TVar("S"), TVar("S")))), decl=2)
 
 
-def base_env() -> Env:
-    return Env().declare(SEMIGROUP).declare(MONOID).declare(SEQ)
+def concepts(*more) -> dict:
+    """The concept table: declaration identity -> ConceptInfo."""
+    return {c.decl: c for c in (SEMIGROUP, MONOID, SEQ, *more)}
 
 
-def test_lookup_term_most_recent_first():
-    env = Env().bind("x", IntT()).bind("x", BoolT())
-    assert env.lookup_term("x") == BoolT()
-    assert env.lookup_term("y") is None
+def mid(info: ConceptInfo, *args) -> ModelId:
+    """A model identifier resolved to info's declaration."""
+    return ModelId(info.name, args, info.decl)
 
 
-def test_env_is_persistent():
-    env = Env().bind("x", IntT())
-    env.bind("x", BoolT())
-    assert env.lookup_term("x") == IntT()
+def test_extension_is_persistent():
+    m = mid(SEMIGROUP, IntT())
+    env = Env()
+    env.model(m, Evidence("model"))
+    env.assume(ConceptC(m), Evidence("assumption"))
+    env.equate(TVar("b"), IntT())
+    assert env.witnesses is None
+    assert satisfies(env, ConceptC(m)) is None
+    assert not env.eq_node.assumed
+
+
+def test_model_ids_are_their_declarations():
+    # two concepts printed under one name, in sibling scopes, are apart
+    other = ModelId("Semigroup", (IntT(),), 7)
+    assert other != mid(SEMIGROUP, IntT())
+    env = Env().model(mid(SEMIGROUP, IntT()), Evidence("model"))
+    assert satisfies(env, ConceptC(other)) is None
+    assert not env.closure.model_ids_equal(other, mid(SEMIGROUP, IntT()))
+    with pytest.raises(UnknownConceptError):
+        flat(concepts(), ConceptC(other))
 
 
 def test_concept_subst():
-    sigma = concept_subst(SEQ, ModelId("Seq", (ListT(IntT()),)))
+    sigma = concept_subst(SEQ, mid(SEQ, ListT(IntT())))
     assert sigma["S"] == ListT(IntT())
-    assert sigma["E"] == AssocPath(ModelId("Seq", (ListT(IntT()),)), "E")
+    assert sigma["E"] == AssocPath(mid(SEQ, ListT(IntT())), "E")
 
 
 def test_flat_expands_nested_constraints():
-    env = base_env()
-    out = flat(env, ConceptC(ModelId("Monoid", (IntT(),))))
+    out = flat(concepts(), ConceptC(mid(MONOID, IntT())))
     assert len(out) == 2
-    assert alpha_equal(out[0][0], ConceptC(ModelId("Monoid", (IntT(),))))
-    assert alpha_equal(out[1][0], ConceptC(ModelId("Semigroup", (IntT(),))))
+    assert alpha_equal(out[0][0], ConceptC(mid(MONOID, IntT())))
+    assert alpha_equal(out[1][0], ConceptC(mid(SEMIGROUP, IntT())))
     # Semigroup<int>'s dictionary is slot 0 of Monoid<int>'s
     assert [route for _, route in out] == [(), (0,)]
 
@@ -87,10 +103,9 @@ def test_flat_deduplicates():
     # a concept requiring Semigroup twice (directly and through Monoid)
     both = ConceptInfo(
         "Both", ("a",), (),
-        (ConceptC(ModelId("Semigroup", (A,))),
-         ConceptC(ModelId("Monoid", (A,)))), ())
-    env = base_env().declare(both)
-    out = flat(env, ConceptC(ModelId("Both", (IntT(),))))
+        (ConceptC(mid(SEMIGROUP, A)), ConceptC(mid(MONOID, A))), (),
+        decl=3)
+    out = flat(concepts(both), ConceptC(mid(both, IntT())))
     names = [c.model.concept for c, _ in out]
     assert names == ["Both", "Semigroup", "Monoid"]
     # the duplicate Semigroup inside Monoid keeps the first route
@@ -99,55 +114,52 @@ def test_flat_deduplicates():
 
 def test_flat_deduplicates_up_to_binder_names():
     def semigroup_of_id(v):
-        return ConceptC(ModelId(
-            "Semigroup", (Forall(v, Arrow(TVar(v), TVar(v))),)))
+        return ConceptC(mid(SEMIGROUP, Forall(v, Arrow(TVar(v), TVar(v)))))
 
     both = ConceptInfo("Both", ("a",), (),
-                       (semigroup_of_id("x"), semigroup_of_id("y")), ())
-    env = base_env().declare(both)
-    out = flat(env, ConceptC(ModelId("Both", (IntT(),))))
+                       (semigroup_of_id("x"), semigroup_of_id("y")), (),
+                       decl=3)
+    out = flat(concepts(both), ConceptC(mid(both, IntT())))
     assert [route for _, route in out] == [(), (0,)]
 
 
 def test_flat_same_type_member():
     c = ConceptInfo("Pinned", ("a",), ("T",),
-                    (SameType(TVar("T"), TVar("a")),), ())
-    env = base_env().declare(c)
-    out = flat(env, ConceptC(ModelId("Pinned", (IntT(),))))
+                    (SameType(TVar("T"), TVar("a")),), (), decl=3)
+    out = flat(concepts(c), ConceptC(mid(c, IntT())))
     same, _ = out[1]
     assert isinstance(same, SameType)
     # the associated type is substituted to a path through the model id
-    assert same.lhs == AssocPath(ModelId("Pinned", (IntT(),)), "T")
+    assert same.lhs == AssocPath(mid(c, IntT()), "T")
     assert same.rhs == IntT()
 
 
 def test_flat_unknown_concept():
     with pytest.raises(UnknownConceptError):
-        flat(Env(), ConceptC(ModelId("Nope", (IntT(),))))
+        flat({}, ConceptC(ModelId("Nope", (IntT(),))))
 
 
 def test_satisfies_via_model_and_assumption():
-    mid = ModelId("Semigroup", (IntT(),))
-    env = base_env()
-    assert satisfies(env, ConceptC(mid)) is None
+    m = mid(SEMIGROUP, IntT())
+    env = Env()
+    assert satisfies(env, ConceptC(m)) is None
     model_ev, assumed_ev = Evidence("model"), Evidence("assumption", (1,))
-    with_model = env.model(mid, model_ev)
-    assert satisfies(with_model, ConceptC(mid)) is model_ev
-    assumed = env.assume(ConceptC(mid), assumed_ev)
-    assert satisfies(assumed, ConceptC(mid)) is assumed_ev
-    # the most recent candidate is the evidence, a model or an assumption
-    both = with_model.assume(ConceptC(mid), assumed_ev)
-    assert satisfies(both, ConceptC(mid)) is assumed_ev
-    assert satisfies(assumed.model(mid, model_ev), ConceptC(mid)) is model_ev
+    with_model = env.model(m, model_ev)
+    assert satisfies(with_model, ConceptC(m)) is model_ev
+    assumed = env.assume(ConceptC(m), assumed_ev)
+    assert satisfies(assumed, ConceptC(m)) is assumed_ev
+    # the most recent witness is the evidence, a model or an assumption
+    both = with_model.assume(ConceptC(m), assumed_ev)
+    assert satisfies(both, ConceptC(m)) is assumed_ev
+    assert satisfies(assumed.model(m, model_ev), ConceptC(m)) is model_ev
 
 
 def test_satisfies_up_to_provable_equality():
-    mid_a = ModelId("Semigroup", (A,))
     ev = Evidence("assumption")
-    env = base_env().assume(ConceptC(mid_a), ev).equate(TVar("b"), A)
+    env = Env().assume(ConceptC(mid(SEMIGROUP, A)), ev).equate(TVar("b"), A)
     # b is provably equal to a, so Semigroup<b> is satisfied by Semigroup<a>
-    assert satisfies(env, ConceptC(ModelId("Semigroup", (TVar("b"),)))) is ev
-    assert satisfies(env, ConceptC(ModelId("Semigroup", (IntT(),)))) is None
+    assert satisfies(env, ConceptC(mid(SEMIGROUP, TVar("b")))) is ev
+    assert satisfies(env, ConceptC(mid(SEMIGROUP, IntT()))) is None
 
 
 def test_satisfies_same_type():
@@ -157,62 +169,60 @@ def test_satisfies_same_type():
 
 
 def test_lookup_path_member():
-    mid = ModelId("Semigroup", (IntT(),))
+    m = mid(SEMIGROUP, IntT())
     ev = Evidence("model")
-    env = base_env().model(mid, ev)
-    t, last = lookup_path(env, (mid,), "binary_op")
+    env = Env().model(m, ev)
+    t, last = lookup_path(env, concepts(), (m,), "binary_op")
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
     assert last is ev
 
 
 def test_lookup_path_nested():
-    smid = ModelId("Semigroup", (IntT(),))
-    mmid = ModelId("Monoid", (IntT(),))
-    env = (base_env().model(smid, Evidence("semigroup model"))
+    smid, mmid = mid(SEMIGROUP, IntT()), mid(MONOID, IntT())
+    env = (Env().model(smid, Evidence("semigroup model"))
            .model(mmid, Evidence("monoid model")))
     # Monoid<int>.Semigroup<int>.binary_op goes through the nested
     # constraint: slot 0 of the Monoid<int> model's dictionary
-    t, last = lookup_path(env, (mmid, smid), "binary_op")
+    t, last = lookup_path(env, concepts(), (mmid, smid), "binary_op")
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
     assert last == Evidence("monoid model", (0,))
 
 
 def test_lookup_path_assoc_substitution():
-    mid = ModelId("Seq", (ListT(IntT()),))
+    m = mid(SEQ, ListT(IntT()))
     ev = Evidence("model")
-    env = base_env().model(mid, ev).equate(AssocPath(mid, "E"), IntT())
-    t, last = lookup_path(env, (mid,), "head")
-    assert t == Arrow(ListT(IntT()), AssocPath(mid, "E"))
+    env = Env().model(m, ev).equate(AssocPath(m, "E"), IntT())
+    t, last = lookup_path(env, concepts(), (m,), "head")
+    assert t == Arrow(ListT(IntT()), AssocPath(m, "E"))
     assert last is ev
 
 
 def test_lookup_path_errors():
-    env = base_env()
-    with pytest.raises(UnknownMemberError):
-        lookup_path(env, (), "missing")
+    env = Env()
     with pytest.raises(UnknownConceptError):
-        lookup_path(env, (ModelId("Nope", (IntT(),)),), "f")
+        lookup_path(env, concepts(), (ModelId("Nope", (IntT(),)),), "f")
+    with pytest.raises(UnknownConceptError):
+        lookup_path(env, concepts(), (mid(SEMIGROUP),), "binary_op")
+    m = mid(SEMIGROUP, IntT())
     with pytest.raises(UnsatisfiedConstraintError):
-        lookup_path(env, (ModelId("Semigroup", (IntT(),)),), "binary_op")
-    mid = ModelId("Semigroup", (IntT(),))
-    env2 = env.model(mid, Evidence("model"))
+        lookup_path(env, concepts(), (m,), "binary_op")
     with pytest.raises(UnknownMemberError):
-        lookup_path(env2, (mid,), "nope")
+        lookup_path(env.model(m, Evidence("model")), concepts(), (m,), "nope")
 
 
-def test_restrict_drops_terms_and_models():
-    mid = ModelId("Semigroup", (IntT(),))
-    env = (base_env()
-           .bind("x", IntT())
-           .model(mid, Evidence("model"))
-           .assume(ConceptC(mid), Evidence("assumption"))
+def test_restrict_drops_models():
+    m = mid(SEMIGROUP, IntT())
+    env = (Env()
+           .model(m, Evidence("model"))
+           .assume(ConceptC(m), Evidence("assumption"))
+           .model(mid(MONOID, IntT()), Evidence("monoid model"))
            .equate(TVar("b"), IntT()))
     r = env.restrict()
-    assert r.lookup_term("x") is None
-    assert r.find_concept("Semigroup") is not None
-    # the assumption survives but the model declaration does not
+    # the assumption survives but the model declarations do not
     assert list(r.concept_candidates("Semigroup")) == [
-        (mid, Evidence("assumption"))]
+        (m, Evidence("assumption"))]
+    assert list(r.concept_candidates("Monoid")) == []
+    assert r.closure is env.closure
     assert r.closure.types_equal(TVar("b"), IntT())
 
 
@@ -225,33 +235,25 @@ def test_equations_in_declaration_order():
     assert not env.closure.types_equal(TVar("b"), TVar("c"))
 
 
-def test_bindings_without_equations_keep_the_closure():
-    env = base_env().equate(TVar("b"), IntT())
-    mid = ModelId("Semigroup", (IntT(),))
-    for extended in (env.bind("x", IntT()),
-                     env.model(mid, Evidence("model")),
-                     env.declare(SEMIGROUP),
-                     env.assume(ConceptC(mid), Evidence("assumption"))):
+def test_witnesses_keep_the_closure():
+    env = Env().equate(TVar("b"), IntT())
+    m = mid(SEMIGROUP, IntT())
+    for extended in (env.model(m, Evidence("model")),
+                     env.assume(ConceptC(m), Evidence("assumption"))):
         assert extended.closure is env.closure
 
 
 def test_equal_equations_share_one_closure():
-    env = base_env().bind("x", IntT())
+    env = Env().model(mid(SEMIGROUP, IntT()), Evidence("model"))
     first = env.equate(TVar("b"), IntT())
-    second = env.bind("y", BoolT()).equate(TVar("b"), IntT())
+    second = env.assume(ConceptC(mid(MONOID, IntT())), Evidence("a")) \
+        .equate(TVar("b"), IntT())
     assert first.closure is second.closure
     # an alias and a same-type assumption of the same equation differ in
     # which side the closure prefers as representative
     assumed = env.assume(SameType(TVar("b"), IntT()), PROVED)
     assert assumed.closure is not first.closure
     assert first.equate(TVar("c"), BoolT()).closure is not first.closure
-
-
-def test_restrict_keeps_the_closure():
-    env = (base_env()
-           .equate(TVar("b"), IntT())
-           .bind("x", TVar("b")))
-    assert env.restrict().closure is env.closure
 
 
 # ------------------------------------------- syntax first, closure after

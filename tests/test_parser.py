@@ -142,6 +142,24 @@ def test_precedence():
     assert isinstance(body.args[0], App)
 
 
+def test_binary_operators_associate_left_with_spans():
+    def shape(e):
+        if not isinstance(e, Prim):
+            return pretty(e)
+        left, right = (shape(a) for a in e.args)
+        return f"({left} {e.op} {right})@{e.span.start_col}-{e.span.end_col}"
+
+    # each Prim spans from its left operand's start to its last token
+    e = parse_program("1 - 2 - 3 * 4 * 5 + 6 < 7 == true")
+    assert shape(e) == ("(((((1 - 2)@1-5 - ((3 * 4)@9-13 * 5)@9-17)@1-17"
+                        " + 6)@1-21 < 7)@1-25 == true)@1-33")
+
+
+def test_parentheses_nest_deeper():
+    # four Python frames per level: expr, binary, app_expr, atom
+    assert parse_program("(" * 200 + "1" + ")" * 200) == IntLit(1)
+
+
 def test_type_syntax():
     assert pretty_type(parse_type("int -> int -> int")) \
         == "int -> int -> int"
@@ -279,16 +297,32 @@ def test_scope_diagnostics_in_order(src, expected):
             for d in exc.value.diagnostics] == expected
 
 
+def test_bracketed_member_path_is_a_list_argument():
+    # `[C<int>.m]` is a list when m is a member of C, and a type argument
+    # when it is an associated type or neither
+    src = ("concept C<a> { T ; ; m : int } in model C<int> { T = int ; m = 5 }"
+           " in let f = lam l: list int. head l in f [C<int>.%s]")
+    e = parse_program(src % "m")
+    arg = e.rest.rest.rest.arg
+    assert isinstance(arg, ListLit) and arg.elems[0].name == "m"
+    assert sf_eval(lower(e)) == Value(5)
+    assert isinstance(parse_program(src % "T").rest.rest.rest, TyApp)
+    result = check_program(parse_program(src % "zz"))
+    assert [d.code for d in result] == ["T007", "T008"]
+
+
 def test_bracketed_term_is_a_list_argument():
     # `[x]` after an expression is a list when x is a term in scope and no
     # type is; otherwise it stays a type argument
     e = parse_program("let x = 1 in let f = lam l: list int. head l in f [x]")
     app = e.rest.rest
-    assert app == App(PathE((), "f"), ListLit((PathE((), "x"),), None))
+    assert app == App(PathE((), "f", e.rest.decl),
+                      ListLit((PathE((), "x", e.decl),), None))
     _, core, _ = derive(e)
     assert sf_eval(core) == Value(1)
     e = parse_program("let x = 1 in Lam x. let f = Lam a. 1 in f [x]")
-    assert e.rest.body.rest == TyApp(PathE((), "f"), TVar("x"))
+    assert e.rest.body.rest == TyApp(PathE((), "f", e.rest.body.decl),
+                                     TVar("x"))
     with pytest.raises(ParseError) as exc:
         parse_program("let f = lam l: list int. head l in f [zz]")
     assert [d.code for d in exc.value.diagnostics] == ["P010"]

@@ -84,6 +84,17 @@ def test_t004_unknown_concept_and_arity():
                     "lam x: Eq<int, bool>.T. 1") == ["T004"]
 
 
+def test_names_resolve_to_their_declarations():
+    # a concept that only a sibling scope declares is unknown
+    result = check_src("let x = (concept C<a> { ; ; m : int } in 1) in "
+                       "model C<int> { ; m = 5 } in x")
+    assert [(d.code, d.message) for d in result] == [
+        ("T004", "unknown concept 'C'")]
+    # a variable is the innermost of two binders of its name
+    assert pretty_type(check_src("lam x: int. lam x: bool. x")) \
+        == "int -> bool -> bool"
+
+
 def test_t005_missing_model_member():
     assert codes_of(load("broken_model_missing_member.fg")) == ["T005"]
 
