@@ -5,7 +5,10 @@ lowers the decisions the checker recorded while deriving the program's
 type (see `typecheck`) and derives no type itself.  Nor does it search for
 dictionaries, rebuild environments or look up names: it reads the
 checker's evidence, the environment it recorded for each node, and its
-tables of concepts and binder types by declaration identity.
+tables of concepts and binder types by declaration identity.  A variable
+is found by its binder's identity too: `Elaborator.binders` holds the
+level of each binder in scope, and the de Bruijn index is the context's
+depth minus one minus that level, so no scope is copied per binder.
 
 Each concept constraint becomes a tuple ("dictionary") holding the
 dictionaries of its nested constraints followed by its member
@@ -28,9 +31,9 @@ the nameless core does not keep, so such an environment builds none.
 A model's dictionary type follows its evidence: each nested slot has the
 type recorded where the dictionary its evidence names was bound (a
 model's own dictionary type, or the parameter type of a constraint
-introduction), shifted past the type variables bound since and projected
-along the route; only the member slots are converted.  So a chain of m
-models builds m dictionary types, whatever equations each model adds.
+introduction), renumbered past the type variables bound since and
+projected along the route; only the member slots are converted.  So a chain
+of m models builds m dictionary types, whatever equations each model adds.
 The dictionary type of an assumed constraint, which has no evidence, is
 built once per (model identifier, equation node, type scope) and the
 `CoreType` shared after that: those are all it reads, and canonical forms
@@ -119,31 +122,19 @@ class ElabCtx:
     tscope entries (binding order, innermost last):
       ("var", name)   — a surface type variable
       ("assoc", path) — an abstracted associated-type path
-    vscope entries:
-      ("term", decl)    — a surface term binder, by identity
-      ("dict", binder, type, depth)
-                        — the dictionary bound at `binder`, a `ModelDecl`
-                          or `ConstrainedE` node (None: a parameter that
-                          no evidence names), its core type, and the
-                          length of tscope where it was bound
+    depth: the number of term variables bound; which binder each one is
+    lives in `Elaborator.binders`.
     """
 
     tscope: tuple = ()
-    vscope: tuple = ()
+    depth: int = 0
 
     def bind_tyvar(self, name):
-        return ElabCtx(self.tscope + (("var", name),), self.vscope)
+        return ElabCtx(self.tscope + (("var", name),), self.depth)
 
     def bind_assocs(self, paths):
         added = tuple(("assoc", p) for p in paths)
-        return ElabCtx(self.tscope + added, self.vscope)
-
-    def bind_term(self, decl):
-        return ElabCtx(self.tscope, self.vscope + (("term", decl),))
-
-    def bind_dict(self, binder, ty: CoreType):
-        entry = ("dict", binder, ty, len(self.tscope))
-        return ElabCtx(self.tscope, self.vscope + (entry,))
+        return ElabCtx(self.tscope + added, self.depth)
 
 
 def _pins(t: Type) -> tuple:
@@ -161,6 +152,11 @@ class Elaborator:
 
     def __init__(self, checker: Checker):
         self.checker = checker
+        # binder -> (level, core type, tscope length where it was bound)
+        # for each binder in scope: a term binder by its `decl`, a
+        # dictionary binder (a `ModelDecl` or `ConstrainedE` node) by its
+        # `id`; an entry leaves where its binder's scope ends
+        self.binders = {}
         # (model id, equation node, tscope)
         self.dict_types = {}
         # constraint -> (flat expansion, plan)
@@ -286,21 +282,38 @@ class Elaborator:
             slots.append(self.conv(env, ctx, substitute_type_map(mty, sigma)))
         return CTupleT(tuple(slots))
 
+    # ------------------------------------------------------------ scopes
+
+    def _bind(self, ctx: ElabCtx, key, ty: CoreType) -> ElabCtx:
+        """Bind the next term variable to binder `key`, of core type ty."""
+        self.binders[key] = (ctx.depth, ty, len(ctx.tscope))
+        return ElabCtx(ctx.tscope, ctx.depth + 1)
+
+    def _bound(self, ctx: ElabCtx, key, what: str) -> tuple:
+        """The de Bruijn index in ctx of the variable bound to binder
+        `key`, and its entry; ElabError when it is not in scope there."""
+        entry = self.binders.get(key)
+        if entry is None or entry[0] >= ctx.depth:
+            raise ElabError(f"{what} not in scope")
+        return ctx.depth - 1 - entry[0], entry
+
     # ------------------------------------------------------------ dicts
 
     def build_dict(self, ctx: ElabCtx, ev: Evidence) -> CoreTerm:
         """The core term for the dictionary the checker's evidence names:
         the variable its binder bound, projected along its route."""
-        out = CVar(_binding(ctx, ev))
+        out = CVar(self._bound(ctx, id(ev.binder),
+                               "dictionary binder")[0])
         for slot in ev.route:
             out = CProj(out, slot)
         return out
 
     def evidence_type(self, ctx: ElabCtx, ev: Evidence) -> CoreType:
         """The core type of that dictionary: the type recorded at its
-        binder, projected along the route and shifted past the type
+        binder, projected along the route and renumbered past the type
         variables bound since."""
-        _, _, ty, depth = ctx.vscope[-1 - _binding(ctx, ev)]
+        _, (_, ty, depth) = self._bound(ctx, id(ev.binder),
+                                        "dictionary binder")
         for slot in ev.route:
             ty = ty.elems[slot]
         if depth < len(ctx.tscope):
@@ -332,13 +345,15 @@ class Elaborator:
                 core = CIntLit(value)
             case BoolLit(value):
                 core = CBoolLit(value)
-            case PathE((), _):
-                core = self._var(ctx, e)
+            case PathE((), name):
+                core = CVar(self._bound(ctx, e.decl,
+                                        f"variable {name!r}")[0])
             case PathE():
                 core = self._elab_path(ctx, e)
             case Lam(_, _, body):
-                core = CLam(self.conv(env, ctx, self.checker.terms[e.decl]),
-                            lower(ctx.bind_term(e.decl), body))
+                ann = self.conv(env, ctx, self.checker.terms[e.decl])
+                core = CLam(ann, lower(self._bind(ctx, e.decl, ann), body))
+                del self.binders[e.decl]
             case App(fn, arg):
                 core = CApp(lower(ctx, fn), lower(ctx, arg))
             case TyLam(binder, body):
@@ -348,7 +363,9 @@ class Elaborator:
             case ConstrainedE(c, body):
                 _, ctx2, dict_ty, n = self._assume(
                     env, ctx, c, _pins(self.checker.types[id(e)]))
-                core = CLam(dict_ty, lower(ctx2.bind_dict(e, dict_ty), body))
+                core = CLam(dict_ty, lower(self._bind(ctx2, id(e), dict_ty),
+                                           body))
+                del self.binders[id(e)]
                 for _ in range(n):
                     core = CTyLam(core)
             case Fix(body):
@@ -377,21 +394,22 @@ class Elaborator:
         while True:
             if isinstance(e, ModelDecl):
                 dict_ty, value = self._model_dict(ctx, e)
-                frames.append((e, ctx, dict_ty, value))
-                ctx = ctx.bind_dict(e, dict_ty)
+                frames.append((e, ctx, id(e), dict_ty, value))
+                ctx = self._bind(ctx, id(e), dict_ty)
             elif isinstance(e, Let):
                 tb = self.conv(self.checker.envs[id(e)], ctx,
                                self.checker.terms[e.decl])
-                frames.append((e, ctx, tb, self.lower(ctx, e.bound)))
-                ctx = ctx.bind_term(e.decl)
+                frames.append((e, ctx, e.decl, tb, self.lower(ctx, e.bound)))
+                ctx = self._bind(ctx, e.decl, tb)
             else:
-                frames.append((e, ctx, None, None))
+                frames.append((e, ctx, None, None, None))
             e = e.body if isinstance(e, ConstrainedE) else e.rest
             if not _declares(e) or id(e) in self.checker.wrap:
                 break
         core = self.lower(ctx, e)
-        for node, ctx, param, arg in reversed(frames):
+        for node, ctx, key, param, arg in reversed(frames):
             if param is not None:
+                del self.binders[key]
                 core = CApp(CLam(param, core), arg)
             core = self._discharge(ctx, node, core)
         return core
@@ -409,12 +427,6 @@ class Elaborator:
             t = t.body
         return core
 
-    def _var(self, ctx: ElabCtx, e: PathE) -> CoreTerm:
-        for i, entry in enumerate(reversed(ctx.vscope)):
-            if entry == ("term", e.decl):
-                return CVar(i)
-        raise ElabError(f"variable {e.name!r} not in scope")
-
     def _wrap(self, env, ctx, e: Expr, t: Type, rest: Type) -> CoreTerm:
         """Lower e under a dictionary abstraction for each constraint of
         its expected type t in front of its part `rest`.  The checker
@@ -427,8 +439,8 @@ class Elaborator:
         if isinstance(c, SameType):
             return self._wrap(env, ctx, e, t.body, rest)
         env2, ctx2, dict_ty, k = self._assume(env, ctx, c, _pins(t.body))
-        out = CLam(dict_ty, self._wrap(env2, ctx2.bind_dict(None, dict_ty),
-                                       e, t.body, rest))
+        out = CLam(dict_ty, self._wrap(
+            env2, ElabCtx(ctx2.tscope, ctx2.depth + 1), e, t.body, rest))
         for _ in range(k):
             out = CTyLam(out)
         return out
@@ -462,14 +474,6 @@ class Elaborator:
         return CTupleT(tuple(types)), CTup(tuple(slots))
 
 
-def _binding(ctx: ElabCtx, ev: Evidence) -> int:
-    """The de Bruijn index of the variable bound at the evidence's binder."""
-    for i, entry in enumerate(reversed(ctx.vscope)):
-        if entry[0] == "dict" and entry[1] is ev.binder:
-            return i
-    raise ElabError("dictionary binder not in scope")
-
-
 def _declares(e: Expr) -> bool:
     """Whether e is a declaration, a `let` or a same-type assumption: a
     node that scopes over the expression after it, which is its whole
@@ -485,8 +489,3 @@ def translate_program(e: Expr, checker: Checker) -> CoreTerm:
     """Core term for a whole program whose derivation `checker` recorded
     in a successful `typecheck.check_program(e, checker)`."""
     return Elaborator(checker).lower(ElabCtx(), e)
-
-
-def translate_type(env: Env, t: Type, checker: Checker) -> CoreType:
-    """Core image of a surface type under the given environment."""
-    return Elaborator(checker).conv(env, ElabCtx(), t)

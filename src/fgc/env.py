@@ -1,11 +1,14 @@
 """The typing environment and its lookup operations.
 
 Names carry their declarations (see `parser`), so an Env holds only what
-a proof can use: the witnesses, most recent first, and the equations;
-concepts are read from one table per program.  Constraint expansion and
-qualified-path lookup follow the declarative definitions with concept
-parameters and associated types substituted as the environment is built.
-Each Env also owns the congruence closure of the equations it assumes.
+a proof can use: the witnesses and the equations; concepts are read from
+one table per program.  Witnesses are indexed by concept declaration, so
+a query walks only its own concept's models and assumptions, most recent
+first; the assumptions alone are a second index, so dropping the models
+at a path step copies nothing.  Constraint expansion and qualified-path
+lookup follow the declarative definitions with concept parameters and
+associated types substituted as the environment is built.  Each Env also
+owns the congruence closure of the equations it assumes.
 
 The closure is built on the first query that syntax does not decide, once
 per sequence of equations (`EquationNode`).  `satisfies` takes a candidate
@@ -101,32 +104,44 @@ class EquationNode:
             alias_names={lhs.name for lhs, _, alias in self.assumed if alias})
 
 
+def _push(index: dict, mid: ModelId, evidence: Evidence) -> dict:
+    """A copy of a witness index with `mid` most recent for its concept."""
+    return {**index, mid.decl: (mid, evidence, index.get(mid.decl))}
+
+
 @dataclass(slots=True)
 class Env:
-    """The witnesses, a chain of linked pairs `(model id, evidence,
-    is_model, rest)` innermost first (None when empty), and the node of
-    the equations assumed.  Witnesses are the models and assumed concept
-    constraints, which can satisfy a constraint."""
+    """Two witness indexes and the node of the equations assumed.  Each
+    index maps a concept declaration identity to a chain of linked triples
+    `(model id, evidence, rest)`, most recent first: `witnesses` holds the
+    models and assumed concept constraints, which can satisfy a
+    constraint, and `assumed` the assumptions alone.  An index is copied
+    on extension and never mutated."""
 
-    witnesses: tuple = None
+    witnesses: dict = field(default_factory=dict)
+    assumed: dict = field(default_factory=dict)
     eq_node: EquationNode = field(default_factory=EquationNode,
                                   compare=False, repr=False)
 
     def model(self, mid: ModelId, evidence: Evidence) -> "Env":
-        return Env((mid, evidence, True, self.witnesses), self.eq_node)
+        return Env(_push(self.witnesses, mid, evidence), self.assumed,
+                   self.eq_node)
 
     def assume(self, c: Constraint, evidence: Evidence) -> "Env":
         """A concept constraint becomes a witness; a same-type constraint
         only extends the equations."""
         if isinstance(c, SameType):
-            return Env(self.witnesses,
+            return Env(self.witnesses, self.assumed,
                        self.eq_node.extend((c.lhs, c.rhs, False)))
-        return Env((c.model, evidence, False, self.witnesses), self.eq_node)
+        assumed = _push(self.assumed, c.model, evidence)
+        witnesses = assumed if self.witnesses is self.assumed else \
+            _push(self.witnesses, c.model, evidence)
+        return Env(witnesses, assumed, self.eq_node)
 
     def equate(self, lhs: Type, rhs: Type) -> "Env":
         """Assume lhs = rhs: an alias for a TVar lhs, a model's
         associated-type binding for an AssocPath."""
-        return Env(self.witnesses,
+        return Env(self.witnesses, self.assumed,
                    self.eq_node.extend((lhs, rhs, isinstance(lhs, TVar))))
 
     @property
@@ -134,28 +149,10 @@ class Env:
         """The congruence closure of the equations in scope, in order."""
         return self.eq_node.closure
 
-    def concept_candidates(self, name: str):
-        """Model identifiers asserted for a concept, most recent first,
-        from both constraint assumptions and model declarations, each with
-        its evidence."""
-        node = self.witnesses
-        while node is not None:
-            if node[0].concept == name:
-                yield node[0], node[1]
-            node = node[3]
-
     def restrict(self) -> "Env":
         """Keep constraint assumptions and type equations, and so the
         closure; drop models."""
-        kept, node = [], self.witnesses
-        while node is not None:
-            if not node[2]:
-                kept.append(node)
-            node = node[3]
-        chain = None
-        for mid, evidence, _, _ in reversed(kept):
-            chain = (mid, evidence, False, chain)
-        return Env(chain, self.eq_node)
+        return Env(self.assumed, self.assumed, self.eq_node)
 
 
 # ---------------------------------------------------------------- operations
@@ -219,7 +216,9 @@ def satisfies(env: Env, constraint: Constraint):
             return PROVED
         return None
     mid = constraint.model
-    for cand, evidence in env.concept_candidates(mid.concept):
+    node = env.witnesses.get(mid.decl)
+    while node is not None:
+        cand, evidence, node = node
         if models_equal(env, cand, mid):
             return evidence
     return None

@@ -232,6 +232,9 @@ def sf_typecheck(t: CoreTerm) -> CoreType:
 
 
 def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
+    # ctx: one stack, innermost last, of the term variables in scope, each
+    # as (its type, the type depth where it was bound); a binder pushes its
+    # entry for its body and pops it after
     match t:
         case CIntLit():
             return CInt()
@@ -240,10 +243,14 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
         case CVar(i):
             if not 0 <= i < len(ctx):
                 raise CoreTypeError(f"variable index {i} out of scope", path)
-            return ctx[i]
+            ty, depth = ctx[-1 - i]
+            # renumbered past the type binders crossed since its binder
+            return ty if depth == tydepth else shift_ty(ty, tydepth - depth)
         case CLam(ann, body):
             _check_ty_wf(ann, tydepth, path)
-            cod = _infer(body, [ann] + ctx, tydepth, ("body", path))
+            ctx.append((ann, tydepth))
+            cod = _infer(body, ctx, tydepth, ("body", path))
+            ctx.pop()
             return CArrow(ann, cod)
         case CApp(CLam(), _):
             # a loop down the spine a `let` chain lowers to, in the order of
@@ -251,11 +258,12 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             frames = []
             while isinstance(t, CApp) and isinstance(t.fn, CLam):
                 _check_ty_wf(t.fn.ann, tydepth, ("fn", path))
-                frames.append((t, ctx, path))
-                ctx = [t.fn.ann] + ctx
+                frames.append((t, path))
+                ctx.append((t.fn.ann, tydepth))
                 t, path = t.fn.body, ("body", ("fn", path))
             cod = _infer(t, ctx, tydepth, path)
-            for t, ctx, path in reversed(frames):
+            for t, path in reversed(frames):
+                ctx.pop()
                 ta = _infer(t.arg, ctx, tydepth, ("arg", path))
                 _check_arg(t.fn.ann, ta, path)
             return cod
@@ -269,9 +277,7 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             _check_arg(tf.dom, ta, path)
             return tf.cod
         case CTyLam(body):
-            shifted = [shift_ty(ty, 1) for ty in ctx]
-            inner = _infer(body, shifted, tydepth + 1, ("body", path))
-            return CForall(inner)
+            return CForall(_infer(body, ctx, tydepth + 1, ("body", path)))
         case CTyApp(subject, arg):
             _check_ty_wf(arg, tydepth, path)
             ts = _infer(subject, ctx, tydepth, ("subject", path))

@@ -213,6 +213,22 @@ class Checker:
             return c
         return None
 
+    def _expose(self, env: Env, t: Type, want, at: Expr, span, code: str,
+                message: str) -> Optional[Type]:
+        """`_shape`; when t does not expose `want` and mentions no error,
+        report `message` with `{}` replaced by t once discharged."""
+        out = self._shape(env, t, want, at)
+        if out is None and not contains_err(t):
+            self.err(span, code,
+                     message.format(pretty_type(self.discharge(env, t))))
+        return out
+
+    def _accepts(self, env: Env, want: Type, t: Type, at: Expr) -> bool:
+        """Whether t, or t with the constraints it meets discharged
+        (recorded at `at`), equals `want`."""
+        return self.equal(env, want, t) or \
+            self.equal(env, want, self.discharge(env, t, at))
+
     def satisfy(self, env: Env, c: Constraint, span) -> Optional[Evidence]:
         """The evidence satisfying a constraint, or None after a T003/T004
         diagnostic; one mentioning an error, already reported, is PROVED."""
@@ -334,19 +350,14 @@ class Checker:
                 self._written(env, ann, e.span)
                 return Arrow(ann, self.infer(env, body))
             case App(fn, arg):
-                tf = self.infer(env, fn)
-                arrow = self._shape(env, tf, Arrow, fn)
+                arrow = self._expose(env, self.infer(env, fn), Arrow, fn,
+                                     fn.span, "T002",
+                                     "applied a non-function of type {}")
                 if arrow is None:
-                    if not contains_err(tf):
-                        self.err(fn.span, "T002",
-                                 "applied a non-function of type "
-                                 f"{pretty_type(self.discharge(env, tf))}")
                     self.infer(env, arg)
                     return ERR
                 ta = self.infer(env, arg)
-                if not (self.equal(env, arrow.dom, ta)
-                        or self.equal(env, arrow.dom,
-                                      self.discharge(env, ta, arg))):
+                if not self._accepts(env, arrow.dom, ta, arg):
                     self.err(e.span, "T001",
                              "the parameter type is "
                              f"{pretty_type(arrow.dom)} but the argument "
@@ -357,13 +368,10 @@ class Checker:
                 return Forall(binder, self.infer(env, body))
             case TyApp(subject, arg):
                 self._written(env, arg, e.span)
-                ts = self.infer(env, subject)
-                fa = self._shape(env, ts, Forall, subject)
+                fa = self._expose(env, self.infer(env, subject), Forall,
+                                  subject, subject.span, "T008",
+                                  "instantiated a non-universal of type {}")
                 if fa is None:
-                    if not contains_err(ts):
-                        self.err(subject.span, "T008",
-                                 "instantiated a non-universal of type "
-                                 f"{pretty_type(self.discharge(env, ts))}")
                     return ERR
                 return substitute_type(fa.body, fa.binder, arg)
             case ConstrainedE(constraint, body):
@@ -415,13 +423,10 @@ class Checker:
                     return t
                 return substitute_type(t, name, rhs)
             case Fix(body):
-                tb = self.infer(env, body)
-                arrow = self._shape(env, tb, Arrow, body)
+                arrow = self._expose(env, self.infer(env, body), Arrow, body,
+                                     e.span, "T002",
+                                     "fix needs a function, got {}")
                 if arrow is None:
-                    if not contains_err(tb):
-                        self.err(e.span, "T002",
-                                 "fix needs a function, got "
-                                 f"{pretty_type(self.discharge(env, tb))}")
                     return ERR
                 if not self.equal(env, arrow.dom, arrow.cod):
                     self.err(e.span, "T001",
@@ -449,8 +454,7 @@ class Checker:
                 t0 = self.types[id(e)] = self.infer(env, elems[0])
                 for x in elems[1:]:
                     tx = self.infer(env, x)
-                    if not (self.equal(env, t0, tx) or self.equal(
-                            env, t0, self.discharge(env, tx, x))):
+                    if not self._accepts(env, t0, tx, x):
                         self.err(x.span, "T001",
                                  "list element has type "
                                  f"{pretty_type(tx)}, expected "
@@ -470,31 +474,20 @@ class Checker:
 
     def _condition(self, env: Env, cond: Expr) -> None:
         """Infer a condition; T010 unless it is a bool or already an error."""
-        tc = self.infer(env, cond)
-        if self._shape(env, tc, BoolT, cond) is None \
-                and not contains_err(tc):
-            self.err(cond.span, "T010",
-                     "condition has type "
-                     f"{pretty_type(self.discharge(env, tc))}, not bool")
+        self._expose(env, self.infer(env, cond), BoolT, cond, cond.span,
+                     "T010", "condition has type {}, not bool")
 
     def infer_prim(self, env: Env, e: Expr, op: str, args: tuple) -> Type:
         if op in ("+", "-", "*", "<", "=="):
             for a in args:
-                ta = self.infer(env, a)
-                if self._shape(env, ta, IntT, a) is None \
-                        and not contains_err(ta):
-                    self.err(a.span, "T001",
-                             f"operator {op!r} needs int operands, got "
-                             f"{pretty_type(self.discharge(env, ta))}")
+                self._expose(env, self.infer(env, a), IntT, a, a.span, "T001",
+                             f"operator {op!r} needs int operands, got {{}}")
             return IntT() if op in ("+", "-", "*") else BoolT()
         if op in ("isnil", "head", "tail"):
-            ta = self.infer(env, args[0])
-            lst = self._shape(env, ta, ListT, args[0])
+            lst = self._expose(env, self.infer(env, args[0]), ListT, args[0],
+                               args[0].span, "T001",
+                               f"{op} needs a list, got {{}}")
             if lst is None:
-                if not contains_err(ta):
-                    self.err(args[0].span, "T001",
-                             f"{op} needs a list, got "
-                             f"{pretty_type(self.discharge(env, ta))}")
                 return BoolT() if op == "isnil" else ERR
             if op == "isnil":
                 return BoolT()

@@ -1,7 +1,8 @@
 """Check-then-lower, as the CLI does it: each core term in the tests is
-lowered from the one checker derivation of its program."""
+lowered from the one checker derivation of its program; and the core
+image of a surface type, to compare a core term's type with."""
 
-from fgc.elaborate import translate_program
+from fgc.elaborate import ElabCtx, Elaborator, translate_program
 from fgc.typecheck import Checker, check_program
 
 
@@ -16,3 +17,8 @@ def derive(e):
 def lower(e):
     """Core term of a well-typed program."""
     return derive(e)[1]
+
+
+def translate_type(env, t, checker):
+    """Core image of a surface type under the given environment."""
+    return Elaborator(checker).conv(env, ElabCtx(), t)

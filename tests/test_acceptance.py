@@ -11,7 +11,6 @@ import time
 import pytest
 
 from fgc.ast import alpha_equal
-from fgc.elaborate import translate_type
 from fgc.env import Env
 from fgc.parser import parse_program, pretty
 from fgc.sysf import Stuck, Value, sf_eval, sf_typecheck
@@ -20,7 +19,7 @@ from fgc.typecheck import check_program
 from corpus import EXPECTED_CODES, EXPECTED_VALUES, load, well_typed_names
 from gen import core_ground, random_expr, well_typed
 from oracle import interpret_direct
-from pipeline import derive, lower
+from pipeline import derive, lower, translate_type
 from test_typeq import run_oracle_comparison
 
 

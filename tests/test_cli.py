@@ -310,3 +310,39 @@ def test_long_model_spines_lower_without_the_python_stack(capsys, tmp_path):
         for i in range(600)) + "S<int>.r 1\n")
     assert run(capsys, "check", str(f)) == (0, "int\n", "")
     assert run(capsys, "run", str(f)) == (0, "600\n", "")
+
+
+@pytest.mark.parametrize("source, diag", [
+    ("concept C<a> { ; ; f : a -> a } in "
+     "model C<int> { ; f = lam x: bool. x } in 1",
+     "1:57: error[T006]: member 'f' takes bool but int was expected"),
+    ("concept C<a> { ; ; f : a } in model C<int> { ; f = lam x. x } in 1",
+     "1:52: error[T009]: parameter 'x' needs a type annotation: expected "
+     "type int is not a function type"),
+    ("cons 1 [true]", "1:1: error[T001]: cons of int onto list bool"),
+    ("fix (lam x: int. true)",
+     "1:1: error[T001]: fix needs matching argument and result types, got "
+     "int -> bool"),
+    ("concept C<a> { T ; ; } in model C<int> { T = int, U = bool ; } in 1",
+     "1:27: error[T011]: model of 'C' binds 'U', which is not an associated "
+     "type of the concept"),
+    ("concept C<a> { ; ; f : int } in model C<int> { ; f = 1 } in "
+     "C<int>.nope", "1:61: error[T007]: unknown member 'nope'"),
+    ("concept C<a> { ; D<a> ; } in 1",
+     "1:1: error[T004]: unknown concept 'D' in constraints of 'C'"),
+])
+def test_checker_diagnostics_pinned(capsys, tmp_path, source, diag):
+    f = tmp_path / "p.fg"
+    f.write_text(source)
+    assert run(capsys, "run", str(f)) == (1, "", f"{f}:{diag}\n")
+
+
+def test_type_abstraction_checked_against_a_member_forall(capsys, tmp_path):
+    f = tmp_path / "p.fg"
+    f.write_text("concept C<a> { ; ; id : forall b. b -> b } in "
+                 "model C<int> { ; id = Lam b. lam x: b. x } in "
+                 "C<int>.id[bool] true")
+    assert run(capsys, "run", str(f)) == (0, "true\n", "")
+    code, out, err = run(capsys, "emit-core", "--verify", str(f))
+    assert (code, err) == (0, "")
+    assert out.endswith("\ncore: bool\n")

@@ -12,12 +12,13 @@ import fgc.cli
 import fgc.elaborate
 import fgc.env
 import fgc.typecheck
-from fgc.ast import IntT
+from fgc.ast import ConceptDecl, IntT, Lam
 from fgc.cli import main
-from fgc.elaborate import translate_program, translate_type
+from fgc.elaborate import ElabCtx, ElabError, Elaborator, translate_program
 from fgc.env import Env
 from fgc.parser import parse_program
-from fgc.sysf import CTupleT, Value, sf_eval, sf_typecheck
+from fgc.sysf import (CInt, CProj, CTupleT, CVar, Value, sf_eval,
+                      sf_typecheck)
 from fgc.typecheck import Checker, check_program
 from fgc.typeq import ClosureState
 
@@ -25,7 +26,7 @@ from corpus import (EXPECTED_VALUES, PROGRAMS_DIR, bench_gen, load,
                     well_typed_names)
 from gen import core_ground, well_typed
 from oracle import interpret_direct
-from pipeline import derive, lower
+from pipeline import derive, lower, translate_type
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -491,3 +492,37 @@ def test_lowering_without_equations_builds_no_closure(name, monkeypatch):
 def test_long_let_spine_lowers(capsys, tmp_path):
     source = "let x = 0 in " * 600 + "1"
     assert run_cli(capsys, tmp_path, source, "run") == (0, "1\n", "")
+
+
+def test_lowering_leaves_no_binder_in_scope():
+    # each binder's entry leaves the table where the binder's scope ends
+    for name in well_typed_names():
+        tree = parse_program(load(name), name)
+        checker = Checker()
+        assert not isinstance(check_program(tree, checker), list)
+        elaborator = Elaborator(checker)
+        core = elaborator.lower(ElabCtx(), tree)
+        assert core == translate_program(tree, checker), name
+        assert elaborator.binders == {}, name
+
+
+@pytest.mark.parametrize("source, message, use", [
+    ("lam x: int. x + 1", "variable 'x' not in scope", CVar(0)),
+    ("concept C<a> { ; ; f : a } in C<int> => C<int>.f + 1",
+     "dictionary binder not in scope", CProj(CVar(0), 0)),
+])
+def test_use_outside_its_binder_is_an_elab_error(source, message, use):
+    tree = parse_program(source)
+    checker = Checker()
+    assert not isinstance(check_program(tree, checker), list)
+    binder = tree.rest if isinstance(tree, ConceptDecl) else tree
+    key = binder.decl if isinstance(binder, Lam) else id(binder)
+    elaborator = Elaborator(checker)
+    with pytest.raises(ElabError, match=message):
+        elaborator.lower(ElabCtx(), binder.body)
+    # a binder in the table is still out of scope in a context that does
+    # not bind it; in one that does, its variable is the innermost
+    inner = elaborator._bind(ElabCtx(), key, CInt())
+    with pytest.raises(ElabError, match=message):
+        elaborator.lower(ElabCtx(), binder.body)
+    assert elaborator.lower(inner, binder.body.args[0]) == use

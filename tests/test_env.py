@@ -1,4 +1,4 @@
-"""The environment's witness chain and equations, constraint expansion
+"""The environment's witness indexes and equations, constraint expansion
 through the program's concept table, and qualified-path lookup."""
 
 import random
@@ -62,15 +62,33 @@ def mid(info: ConceptInfo, *args) -> ModelId:
     return ModelId(info.name, args, info.decl)
 
 
+def chain(index: dict, decl) -> list:
+    """The (model id, evidence) pairs of a witness index for one concept
+    declaration, most recent first."""
+    out, node = [], index.get(decl)
+    while node is not None:
+        m, ev, node = node
+        out.append((m, ev))
+    return out
+
+
 def test_extension_is_persistent():
     m = mid(SEMIGROUP, IntT())
     env = Env()
     env.model(m, Evidence("model"))
     env.assume(ConceptC(m), Evidence("assumption"))
     env.equate(TVar("b"), IntT())
-    assert env.witnesses is None
+    assert env.witnesses == {} and env.assumed == {}
     assert satisfies(env, ConceptC(m)) is None
     assert not env.eq_node.assumed
+    # an extension copies the index it extends and leaves it as it was
+    one = env.model(m, Evidence("model"))
+    two = one.assume(ConceptC(m), Evidence("assumption"))
+    assert chain(one.witnesses, SEMIGROUP.decl) == [(m, Evidence("model"))]
+    assert one.assumed == {}
+    assert chain(two.witnesses, SEMIGROUP.decl) == [
+        (m, Evidence("assumption")), (m, Evidence("model"))]
+    assert satisfies(one, ConceptC(m)) == Evidence("model")
 
 
 def test_model_ids_are_their_declarations():
@@ -219,11 +237,61 @@ def test_restrict_drops_models():
            .equate(TVar("b"), IntT()))
     r = env.restrict()
     # the assumption survives but the model declarations do not
-    assert list(r.concept_candidates("Semigroup")) == [
+    assert chain(r.witnesses, SEMIGROUP.decl) == [
         (m, Evidence("assumption"))]
-    assert list(r.concept_candidates("Monoid")) == []
+    assert chain(r.witnesses, MONOID.decl) == []
+    assert satisfies(r, ConceptC(m)) == Evidence("assumption")
+    assert satisfies(r, ConceptC(mid(MONOID, IntT()))) is None
     assert r.closure is env.closure
     assert r.closure.types_equal(TVar("b"), IntT())
+
+
+def test_restrict_shares_the_assumptions():
+    env = Env().model(mid(SEMIGROUP, IntT()), Evidence("model")).assume(
+        ConceptC(mid(MONOID, IntT())), Evidence("assumption"))
+    r = env.restrict()
+    assert r.witnesses is env.assumed and r.assumed is env.assumed
+    # an assumption extends both indexes, still as one
+    r2 = r.assume(ConceptC(mid(SEMIGROUP, IntT())), Evidence("a2"))
+    assert r2.witnesses is r2.assumed
+
+
+@pytest.mark.parametrize("model_first", [True, False])
+def test_most_recent_witness_and_restrict(model_first):
+    m = mid(SEMIGROUP, IntT())
+    model_ev, assumed_ev = Evidence("model"), Evidence("assumption")
+    env = Env()
+    steps = [lambda e: e.model(m, model_ev),
+             lambda e: e.assume(ConceptC(m), assumed_ev)]
+    for step in steps if model_first else reversed(steps):
+        env = step(env)
+    assert satisfies(env, ConceptC(m)) is (
+        assumed_ev if model_first else model_ev)
+    assert satisfies(env.restrict(), ConceptC(m)) is assumed_ev
+
+
+def test_assumptions_keep_their_order_under_restrict():
+    first, second = Evidence("first"), Evidence("second")
+    b = mid(SEMIGROUP, TVar("b"))
+    env = (Env().assume(ConceptC(mid(SEMIGROUP, A)), first)
+           .model(mid(SEMIGROUP, IntT()), Evidence("model"))
+           .assume(ConceptC(b), second)
+           .equate(TVar("b"), A))
+    r = env.restrict()
+    assert chain(r.witnesses, SEMIGROUP.decl) == [
+        (b, second), (mid(SEMIGROUP, A), first)]
+    # both are provably Semigroup<a>; the more recent one is the evidence
+    assert satisfies(r, ConceptC(mid(SEMIGROUP, A))) is second
+    assert satisfies(r, ConceptC(mid(SEMIGROUP, IntT()))) is None
+
+
+def test_constraint_without_a_declaration_is_unsatisfied():
+    m = mid(SEMIGROUP, IntT())
+    unknown = ModelId("Semigroup", (IntT(),))
+    env = Env().model(m, Evidence("model")).assume(
+        ConceptC(m), Evidence("assumption"))
+    assert satisfies(env, ConceptC(unknown)) is None
+    assert satisfies(env.restrict(), ConceptC(unknown)) is None
 
 
 def test_equations_in_declaration_order():
@@ -265,7 +333,7 @@ def closure_satisfies(env: Env, constraint):
     if isinstance(constraint, SameType):
         return PROVED if st.types_equal(constraint.lhs, constraint.rhs) \
             else None
-    for cand, evidence in env.concept_candidates(constraint.model.concept):
+    for cand, evidence in chain(env.witnesses, constraint.model.decl):
         if st.model_ids_equal(cand, constraint.model):
             return evidence
     return None
@@ -273,19 +341,24 @@ def closure_satisfies(env: Env, constraint):
 
 def random_env(rng: random.Random):
     """An environment assuming random equations, as aliases, model
-    bindings or same-type assumptions, with models and assumptions of a
-    concept K at random argument types; and the types it mentions."""
+    bindings or same-type assumptions, with models and assumptions of
+    concepts K and L at random argument types; and the types it
+    mentions."""
     eqs, pairs = random_equations(rng)
     types = [t for pair in eqs + pairs for t in pair]
     env = Env()
     for lhs, rhs in eqs:
         env = env.equate(lhs, rhs) if rng.random() < 0.5 else \
             env.assume(SameType(lhs, rhs), PROVED)
-    for i in range(rng.randrange(1, 5)):
-        mid, ev = ModelId("K", (rng.choice(types),)), Evidence(i)
+    for i in range(rng.randrange(1, 6)):
+        name, decl = rng.choice(KL)
+        mid, ev = ModelId(name, (rng.choice(types),), decl), Evidence(i)
         env = env.model(mid, ev) if rng.random() < 0.5 else \
             env.assume(ConceptC(mid), ev)
     return env, eqs, pairs, types
+
+
+KL = (("K", 5), ("L", 6))  # (concept, declaration) of random_env's models
 
 
 def test_short_cuts_agree_with_the_closure():
@@ -293,7 +366,8 @@ def test_short_cuts_agree_with_the_closure():
     by_closure = 0
     for _ in range(300):
         env, eqs, pairs, types = random_env(rng)
-        queries = [ConceptC(ModelId("K", (t,))) for t in types]
+        queries = [ConceptC(ModelId(name, (t,), decl))
+                   for name, decl in KL for t in types]
         queries += [SameType(a, b) for a, b in eqs + pairs]
         queries += [SameType(b, a) for a, b in eqs]
         queries += [SameType(t, t) for t in types]
@@ -307,7 +381,7 @@ def test_short_cuts_agree_with_the_closure():
                     and not env.eq_node.assumes(q.lhs, q.rhs)
                     or isinstance(q, ConceptC) and all(
                         m != q.model
-                        for m, _ in env.concept_candidates("K"))):
+                        for m, _ in chain(env.witnesses, q.model.decl))):
                 by_closure += 1
         checker = Checker()
         for a, b in eqs + pairs + tuple((t, t) for t in types):

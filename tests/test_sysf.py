@@ -6,12 +6,13 @@ import time
 
 import pytest
 
-from fgc.elaborate import translate_type
+import fgc.sysf
 from fgc.env import Env
 from fgc.parser import parse_program
 from fgc.sysf import (
     CApp,
     CArrow,
+    CBool,
     CFix,
     CForall,
     CIf,
@@ -40,7 +41,7 @@ from fgc.sysf import (
 from corpus import load, well_typed_names
 from coreparse import parse_core
 from gen import well_typed
-from pipeline import derive, lower
+from pipeline import derive, lower, translate_type
 from smallstep import is_value, sf_step
 
 ID_INT = CLam(CInt(), CVar(0))
@@ -225,3 +226,40 @@ def test_translate_type_of_whole_programs():
         surface, core, checker = derive(parse_program(load(name), name))
         assert sf_typecheck(core) \
             == translate_type(Env(), surface, checker), name
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (8, 3), (30, 20)])
+def test_type_abstraction_shifts_no_context(monkeypatch, n, k):
+    # a variable's type is shifted where it is read, so k type binders
+    # under n term binders shift nothing when no variable is read
+    calls = []
+
+    def counting_shift(*args):
+        calls.append(args)
+        return shift_ty(*args)
+
+    monkeypatch.setattr(fgc.sysf, "shift_ty", counting_shift)
+    t, want = CIntLit(0), CInt()
+    for _ in range(k):
+        t, want = CTyLam(t), CForall(want)
+    for _ in range(n):
+        t, want = CLam(CInt(), t), CArrow(CInt(), want)
+    assert sf_typecheck(t) == want
+    assert calls == []
+
+
+def test_variable_types_are_shifted_past_type_binders():
+    # /\. \x: a0. /\. /\. x  :  forall. a0 -> forall. forall. a2
+    t = CTyLam(CLam(CTVar(0), CTyLam(CTyLam(CVar(0)))))
+    assert sf_typecheck(t) == CForall(CArrow(
+        CTVar(0), CForall(CForall(CTVar(2)))))
+    # a let spine's argument is checked without the binder it is bound
+    # to, and its body with it
+    with pytest.raises(CoreTypeError, match="variable index 0 out of scope"):
+        sf_typecheck(CApp(CLam(CInt(), CVar(0)), CVar(0)))
+    t = CLam(CInt(), CTyLam(CApp(CLam(CBool(), CVar(1)), CVar(0))))
+    with pytest.raises(CoreTypeError, match="parameter type is bool but "
+                       "the argument type is int"):
+        sf_typecheck(t)
+    t = CLam(CInt(), CTyLam(CApp(CLam(CInt(), CVar(1)), CVar(0))))
+    assert sf_typecheck(t) == CArrow(CInt(), CForall(CInt()))
