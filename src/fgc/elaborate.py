@@ -26,7 +26,9 @@ Same-type constraints erase: every emitted core type is first
 canonicalized through the congruence closure of the environment's
 equations, so core structural equality coincides with provable surface
 equality.  Without equations the closure would only rename binders, which
-the nameless core does not keep, so such an environment builds none.
+the nameless core does not keep, so such an environment, and an
+abstraction plan without a same-type constraint, build none and compare
+paths by alpha-equality.  A chain of models merges each equation once.
 
 A model's dictionary type follows its evidence: each nested slot has the
 type recorded where the dictionary its evidence names was bound (a
@@ -38,7 +40,8 @@ The dictionary type of an assumed constraint, which has no evidence, is
 built once per (model identifier, equation node, type scope) and the
 `CoreType` shared after that: those are all it reads, and canonical forms
 do not change as the closure interns more terms.  A constraint's
-expansion and abstraction plan are memoised per constraint.
+expansion is the checker's (`Checker.flat`), and its abstraction plan is
+memoised per constraint.
 """
 
 from __future__ import annotations
@@ -75,10 +78,11 @@ from .ast import (
     TyLam,
     Type,
     TypeAlias,
+    alpha_equal,
     has_path,
     substitute_type_map,
 )
-from .env import Env, Evidence, PROVED, concept_subst, flat
+from .env import Env, Evidence, PROVED, concept_subst
 from .parser import pretty_type
 from .sysf import (
     CApp,
@@ -175,19 +179,20 @@ class Elaborator:
         out = self.plans.get(c)
         if out is not None:
             return out
-        expanded = flat(self.checker.concepts, c)
+        expanded = self.checker.flat(c)
         eqs = [(fc.lhs, fc.rhs) for fc, _ in expanded
                if isinstance(fc, SameType)]
-        st = ClosureState(equations=eqs)
+        st = ClosureState(equations=eqs) if eqs else None
+        equal = st.types_equal if st else alpha_equal
         params = []
         for fc, _ in expanded:
             if not isinstance(fc, ConceptC):
                 continue
             for beta in self.checker.concepts[fc.model.decl].assoc_types:
                 p = AssocPath(fc.model, beta)
-                if not has_path(st.canonical(p)):
+                if st and not has_path(st.canonical(p)):
                     continue
-                if any(st.types_equal(p, q) for q in params):
+                if any(equal(p, q) for q in params):
                     continue
                 params.append(p)
         out = self.plans[c] = (expanded, tuple(params))
@@ -237,11 +242,12 @@ class Elaborator:
                         return CTVar(i)
                 raise ElabError(f"type variable {name!r} not in scope")
             case AssocPath():
-                st = env.closure
+                st = env.closure if env.eq_node.assumed else None
+                equal = st.types_equal if st else alpha_equal
                 for i, entry in enumerate(reversed(ctx.tscope)):
-                    if entry[0] == "assoc" and st.types_equal(t, entry[1]):
+                    if entry[0] == "assoc" and equal(t, entry[1]):
                         return CTVar(i)
-                can = st.canonical(t, len(ctx.tscope))
+                can = st.canonical(t, len(ctx.tscope)) if st else t
                 if not isinstance(can, AssocPath):
                     return self._conv_raw(env, ctx, can)
                 raise ElabError(

@@ -10,17 +10,19 @@ lookup follow the declarative definitions with concept parameters and
 associated types substituted as the environment is built.  Each Env also
 owns the congruence closure of the equations it assumes.
 
-The closure is built on the first query that syntax does not decide, once
-per sequence of equations (`EquationNode`).  `satisfies` takes a candidate
-`==` to the wanted model identifier, and proves a same-type constraint
-that is reflexive or one of the assumed equations as written, without it;
-any other query asks the closure, so the same evidence is chosen.
+The closure is made on the first query that syntax does not decide, from
+the closure of the longest prefix of its equations that has one and the
+equations after it (`EquationNode`), so a chain of scopes merges each
+equation once.  `satisfies` takes a candidate `==` to
+the wanted model identifier, and proves a same-type constraint that is
+reflexive or one of the assumed equations as written, without it; any
+other query asks the closure, so the same evidence is chosen.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .ast import (
     AssocPath,
@@ -79,17 +81,22 @@ class EquationNode:
     """The equations an environment assumes, `(lhs, rhs, is_alias)` in
     order: a node in the tree of sequences grown from one empty `Env`,
     with a child memoised per equation, so environments assuming the same
-    equations in the same order share one closure, built on first use."""
+    equations in the same order share one closure.  A node takes the
+    closure of its nearest ancestor that has one, which makes a new one on
+    its next query; a node without one builds its own.  The parent is held
+    weakly, so the tree has no cycle."""
 
-    def __init__(self, assumed: tuple = ()):
+    def __init__(self, assumed: tuple = (), parent=None):
         self.assumed = assumed
         self.children = {}
+        self.parent = parent and weakref.ref(parent)
+        self.built = None
 
     def extend(self, equation: tuple) -> "EquationNode":
         child = self.children.get(equation)
         if child is None:
             child = self.children[equation] = EquationNode(
-                self.assumed + (equation,))
+                self.assumed + (equation,), self)
         return child
 
     def assumes(self, a: Type, b: Type) -> bool:
@@ -97,11 +104,19 @@ class EquationNode:
         return any((lhs == a and rhs == b) or (lhs == b and rhs == a)
                    for lhs, rhs, _ in self.assumed)
 
-    @cached_property
+    @property
     def closure(self) -> ClosureState:
-        return ClosureState(
-            equations=[(lhs, rhs) for lhs, rhs, _ in self.assumed],
-            alias_names={lhs.name for lhs, _, alias in self.assumed if alias})
+        if self.built is None:
+            node = self.parent and self.parent()
+            while node is not None and node.built is None:
+                node = node.parent and node.parent()
+            if node is None:
+                self.built = ClosureState(self.assumed)
+            else:
+                self.built, node.built = node.built, None
+                for equation in self.assumed[len(node.assumed):]:
+                    self.built.add_equation(*equation)
+        return self.built
 
 
 def _push(index: dict, mid: ModelId, evidence: Evidence) -> dict:

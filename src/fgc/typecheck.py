@@ -140,27 +140,27 @@ def _model_steps(t):
         yield from _model_steps(c)
 
 
-def _path_models(concepts: dict, env: Env, t):
+def _path_models(expand, env: Env, t):
     """Each path step in a type or constraint, outermost first, with the
     environment that also assumes the constraints of t in front of it,
-    which are expanded only for a body with a path.  Nothing is yielded
-    from behind a constraint naming an unknown concept."""
+    which are expanded (by `expand`) only for a body with a path.  Nothing
+    is yielded from behind a constraint naming an unknown concept."""
     if isinstance(t, AssocPath):
         yield t, env
     if not isinstance(t, Constrained):
         for c in type_children(t):
-            yield from _path_models(concepts, env, c)
+            yield from _path_models(expand, env, c)
         return
-    yield from _path_models(concepts, env, t.constraint)
+    yield from _path_models(expand, env, t.constraint)
     if not has_path(t.body):
         return
     try:
-        assumed = flat(concepts, t.constraint)
+        assumed = expand(t.constraint)
     except UnknownConceptError:
         return
     for c, _ in assumed:
         env = env.assume(c, PROVED)
-    yield from _path_models(concepts, env, t.body)
+    yield from _path_models(expand, env, t.body)
 
 
 class Checker:
@@ -173,9 +173,18 @@ class Checker:
         self.evidence = {}
         self.concepts = {}
         self.terms = {}
+        self.flats = {}
         self.tail = set()  # the declarations whose type is the program's
 
     # -- infrastructure
+
+    def flat(self, c: Constraint) -> tuple:
+        """`env.flat` of c, memoised per constraint: concepts only enter
+        the table, so an expansion, once made, stays valid."""
+        out = self.flats.get(c)
+        if out is None:
+            out = self.flats[c] = tuple(flat(self.concepts, c))
+        return out
 
     def err(self, span, code, message, notes=()):
         self.diags.append(TypeDiagnostic(span, code, message, tuple(notes)))
@@ -276,7 +285,7 @@ class Checker:
                          f"associated type {rest!r}")
                 reported.add(mid)
         show = self._show_constraint
-        for path, where in _path_models(self.concepts, env, t):
+        for path, where in _path_models(self.flat, env, t):
             mid, info = path.model, concepts[path.model]
             if info is None:
                 continue
@@ -303,7 +312,7 @@ class Checker:
         with its evidence: e's dictionary and the route into it."""
         c, span = e.constraint, e.span
         try:
-            expanded = flat(self.concepts, c)
+            expanded = self.flat(c)
         except UnknownConceptError as exc:
             self.err(span, "T004", str(exc))
             return None

@@ -6,11 +6,13 @@ is plain constructor congruence.  Equality assumptions seed a union-find
 which is kept closed under congruence; interning a new term after
 construction re-saturates incrementally.
 
-A `ClosureState` is built from a whole sequence of equations when its
-first query arrives (see `env.EquationNode`); queries that syntax decides,
-such as two `==` types, never build one.  Interning without new equations
-adds no member that a class prefers over its old ones, so canonical forms
-stay fixed for the life of a closure.
+Equations enter one at a time (`add_equation`), so an environment's
+closure can be handed down from an enclosing scope's and receive only the
+later equations (see `env.EquationNode`).  A class's representative is
+its member of best priority first mentioned by an equation, which the
+class keeps at hand: it depends on the equations alone, not on what
+earlier queries interned, so canonical forms do not change as a closure
+interns more terms.
 """
 
 from __future__ import annotations
@@ -46,20 +48,41 @@ _PRIO = {
     "assoc": 2,
 }
 _ALIAS_PRIO = 3
+_UNMENTIONED = float("inf")
 
 
 class ClosureState:
-    def __init__(self, equations=(), alias_names=()):
+    def __init__(self, equations=()):
+        """The closure of `equations`, each as `add_equation` takes it."""
         self.nodes = []       # id -> (tag, payload, children ids)
         self.node_ids = {}    # (tag, payload, children) -> id
         self.parent = []
         self.rank = []
         self.use = []         # root id -> parent node ids (valid at roots)
         self.members = []     # root id -> member node ids (valid at roots)
+        self.best = []        # root id -> most preferred member (at roots)
+        self.mention = []     # id -> order of first mention by an equation
+        self.mentions = 0     # nodes mentioned by an equation so far
+        self.mentioning = False  # interning an equation's sides
         self.sigtab = {}      # (tag, payload, child reps) -> node id
-        self.alias_names = frozenset(alias_names)
-        for lhs, rhs in equations:
-            self.merge_types(lhs, rhs)
+        self.alias_names = set()
+        for equation in equations:
+            self.add_equation(*equation)
+
+    def add_equation(self, lhs: Type, rhs: Type, alias: bool = False):
+        """Assume lhs = rhs; an alias's variable lhs ranks last as a
+        representative."""
+        if alias and lhs.name not in self.alias_names:
+            self.alias_names.add(lhs.name)
+            nid = self.node_ids.get(("var", lhs.name, ()))
+            if nid is not None:
+                root = self.find(nid)
+                if self.best[root] == nid:
+                    self.best[root] = min(self.members[root], key=self._key)
+        self.mentioning = True
+        a, b = self.intern(lhs), self.intern(rhs)
+        self.mentioning = False
+        self._merge(a, b)
 
     # -- union-find
 
@@ -73,23 +96,31 @@ class ClosureState:
     def _node(self, tag: str, payload, children: tuple) -> int:
         key = (tag, payload, children)
         nid = self.node_ids.get(key)
-        if nid is not None:
-            return nid
-        nid = len(self.nodes)
-        self.nodes.append(key)
-        self.node_ids[key] = nid
-        self.parent.append(nid)
-        self.rank.append(0)
-        self.use.append([])
-        self.members.append([nid])
-        for c in set(children):
-            self.use[self.find(c)].append(nid)
-        sig = (tag, payload, tuple(self.find(c) for c in children))
-        other = self.sigtab.get(sig)
-        if other is None:
-            self.sigtab[sig] = nid
-        else:
-            self._merge(nid, other)
+        if nid is None:
+            nid = len(self.nodes)
+            self.nodes.append(key)
+            self.node_ids[key] = nid
+            self.parent.append(nid)
+            self.rank.append(0)
+            self.use.append([])
+            self.members.append([nid])
+            self.best.append(nid)
+            self.mention.append(_UNMENTIONED)
+            for c in set(children):
+                self.use[self.find(c)].append(nid)
+            sig = (tag, payload, tuple(self.find(c) for c in children))
+            other = self.sigtab.get(sig)
+            if other is None:
+                self.sigtab[sig] = nid
+            else:
+                self._merge(nid, other)
+        if self.mentioning and self.mention[nid] == _UNMENTIONED:
+            self.mention[nid] = self.mentions
+            self.mentions += 1
+            root = self.find(nid)
+            best = self.best[root]
+            if best != nid and self._key(nid) < self._key(best):
+                self.best[root] = nid
         return nid
 
     def _merge(self, a: int, b: int) -> None:
@@ -107,6 +138,8 @@ class ClosureState:
             self.parent[ry] = rx
             self.members[rx].extend(self.members[ry])
             self.members[ry] = []
+            if self._key(self.best[ry]) < self._key(self.best[rx]):
+                self.best[rx] = self.best[ry]
             pending = self.use[ry]
             self.use[ry] = []
             for pnode in pending:
@@ -170,9 +203,6 @@ class ClosureState:
 
     # -- queries
 
-    def merge_types(self, a: Type, b: Type) -> None:
-        self._merge(self.intern(a), self.intern(b))
-
     def types_equal(self, a: Type, b: Type) -> bool:
         ia, ib = self.intern(a), self.intern(b)
         return self.find(ia) == self.find(ib)
@@ -203,20 +233,28 @@ class ClosureState:
         except NoRepresentativeError:
             return t
 
-    def _prio(self, nid: int) -> int:
+    def _key(self, nid: int) -> tuple:
+        """A node's rank as its class's representative, lower first: its
+        priority, then its first mention by an equation, then its id."""
         tag, payload, _ = self.nodes[nid]
         if tag == "var" and payload in self.alias_names:
-            return _ALIAS_PRIO
-        return _PRIO[tag]
+            return _ALIAS_PRIO, self.mention[nid], nid
+        return _PRIO[tag], self.mention[nid], nid
+
+    def _candidates(self, root: int):
+        """The members of a class in `_key` order, sorted only when the
+        best one, which the class keeps, is not taken."""
+        best = self.best[root]
+        yield best
+        yield from (n for n in sorted(self.members[root], key=self._key)
+                    if n != best)
 
     def _rebuild(self, root: int, busy: frozenset, depth: int) -> Type:
         if root in busy:
             raise NoRepresentativeError("cyclic type equation class")
         busy = busy | {root}
-        candidates = sorted(self.members[self.find(root)],
-                            key=lambda n: (self._prio(n), n))
         last_err = None
-        for nid in candidates:
+        for nid in self._candidates(self.find(root)):
             try:
                 return self._rebuild_node(nid, busy, depth)
             except NoRepresentativeError as exc:

@@ -2,6 +2,7 @@
 that two checkouts can be compared byte for byte.
 
     python tests/cli_equiv.py OUT.json [--seeds 7 8]
+    python tests/cli_equiv.py --diff A.json B.json
 
 For the checkout this file belongs to, it writes the benchmark workloads'
 programs for each seed (generated by that checkout's `fgcbench/gen.py`)
@@ -16,9 +17,12 @@ the same files:
 
     python tests/cli_equiv.py /tmp/a.json            # in checkout A
     python tests/cli_equiv.py /tmp/b.json            # in checkout B
-    cmp /tmp/a.json /tmp/b.json
+    python tests/cli_equiv.py --diff /tmp/a.json /tmp/b.json
 
-Not a pytest module: it takes about a minute per seed.
+`--diff` prints, for each of the first 20 rows that differ, the argv and
+the first field that differs, at its first differing line, and exits 1 if
+any row differs.  Not a pytest module: recording takes about a minute per
+seed.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -84,11 +89,48 @@ def record(main, parser, rel_paths) -> list:
     return rows
 
 
+def first_difference(a, b) -> str:
+    """The first field in which two rows differ, at its first differing
+    line; a missing row is None."""
+    if a is None or b is None:
+        return f"only in {'B' if a is None else 'A'}"
+    if a[0] != b[0]:
+        return f"argv {a[0]} against {b[0]}"
+    names = ("tree",) if a[0][0] == "spans" else ("exit code", "stdout",
+                                                  "stderr")
+    name, x, y = next((n, x, y) for n, x, y in zip(names, a[1:], b[1:])
+                      if x != y)
+    if not isinstance(x, str):
+        return f"{name}: {x!r} against {y!r}"
+    xs, ys = x.splitlines(True), y.splitlines(True)
+    k = next((k for k, (u, v) in enumerate(zip(xs, ys)) if u != v),
+             min(len(xs), len(ys)))
+    line = lambda ls: repr(ls[k][:200]) if k < len(ls) else "(end)"
+    return f"{name}, line {k + 1}:\n    A: {line(xs)}\n    B: {line(ys)}"
+
+
+def diff(path_a, path_b, limit=20) -> int:
+    """Print how two recordings differ; 1 if they do."""
+    a, b = (json.loads(pathlib.Path(p).read_text()) for p in (path_a,
+                                                              path_b))
+    differing = [(x, y) for x, y in itertools.zip_longest(a, b) if x != y]
+    for x, y in differing[:limit]:
+        print(f"{(x or y)[0]}: {first_difference(x, y)}")
+    print(f"{len(differing)} of {max(len(a), len(b))} rows differ")
+    return 1 if differing else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", help="JSON file to write")
+    ap.add_argument("out", nargs="?", help="JSON file to write")
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
+    ap.add_argument("--diff", nargs=2, metavar=("A.json", "B.json"),
+                    help="compare two recordings instead")
     args = ap.parse_args()
+    if args.diff:
+        return diff(*args.diff)
+    if args.out is None:
+        ap.error("give OUT.json or --diff A.json B.json")
     out = pathlib.Path(args.out).resolve()
     sys.path.insert(0, str(ROOT / "src"))
     os.environ["FGC_COLOR"] = "0"

@@ -346,3 +346,16 @@ def test_type_abstraction_checked_against_a_member_forall(capsys, tmp_path):
     code, out, err = run(capsys, "emit-core", "--verify", str(f))
     assert (code, err) == (0, "")
     assert out.endswith("\ncore: bool\n")
+
+
+def test_handed_down_closure_keeps_the_representatives(capsys, tmp_path):
+    # the alias's closure is handed down to the scope of `a == b` after
+    # its queries interned `b`; `a`, which the equation mentions first,
+    # must still represent the class, as in a closure built afresh
+    f = tmp_path / "p.fg"
+    f.write_text("type u = int in let f = Lam a. Lam b. lam x: b. "
+                 "(a == b => lam y: a. y) in f[int][int] 3 (4)")
+    assert run(capsys, "run", str(f)) == (0, "4\n", "")
+    assert run(capsys, "emit-core", "--verify", str(f)) == (
+        0, "(\\x0: forall a0. forall a1. a1 -> a0 -> a0. x0[int][int] 3 4) "
+        "(/\\a0. /\\a1. \\x0: a1. \\x1: a0. x1)\ncore: int\n", "")

@@ -472,6 +472,38 @@ def test_bench_chain_dictionary_types_follow_evidence(m, broken, capsys,
     assert run_cli(capsys, tmp_path, source, "run") == (0, "4\n", "")
 
 
+def closure_traffic(source: str, monkeypatch) -> tuple:
+    """The `_merge` and representative-key calls of lowering a program."""
+    tree = parse_program(source)
+    checker = Checker()
+    assert check_program(tree, checker) == IntT()
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        for name in ("_merge", "_key"):
+            patch.setattr(ClosureState, name,
+                          counting(name, getattr(ClosureState, name)))
+        translate_program(tree, checker)
+    return calls["_merge"], calls["_key"]
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_lowering_a_chain_merges_each_equation_once(broken, monkeypatch):
+    # each model's closure is handed down from the one before, so lowering
+    # merges every equation once, not once per later model
+    chain = bench_gen()._chain_source
+    small, large = (closure_traffic(chain(m, [m - 1, 0], [1] * m, broken),
+                                    monkeypatch) for m in (40, 160))
+    for n_small, n_large in zip(small, large):
+        assert 0 < n_small and n_large < 4.5 * n_small
+
+
 @pytest.mark.parametrize("name", ["wt_fib.fg", "wt_list_sum.fg"])
 def test_lowering_without_equations_builds_no_closure(name, monkeypatch):
     tree = parse_program(load(name))

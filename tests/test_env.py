@@ -1,6 +1,7 @@
 """The environment's witness indexes and equations, constraint expansion
 through the program's concept table, and qualified-path lookup."""
 
+import gc
 import random
 
 import pytest
@@ -18,8 +19,10 @@ from fgc.ast import (
     TVar,
     alpha_equal,
 )
+from fgc.elaborate import translate_program
 from fgc.env import (
     Env,
+    EquationNode,
     Evidence,
     PROVED,
     UnknownConceptError,
@@ -431,3 +434,97 @@ def test_concept_chains_check_without_closures(m, monkeypatch):
         built.clear()
         assert check_program(tree) == IntT()
         assert len(built) == closures
+
+
+# ------------------------------------------------ closures handed down
+
+
+def random_tree(rng: random.Random):
+    """An equation tree from one empty node, each equation added under a
+    random earlier node, a variable's as an alias half the time; its nodes
+    and the types it mentions."""
+    eqs, pairs = random_equations(rng)
+    more, more_pairs = random_equations(rng)
+    nodes = [EquationNode()]
+    for lhs, rhs in eqs + more:
+        alias = isinstance(lhs, TVar) and rng.random() < 0.5
+        parent = rng.choice(nodes[-3:] if rng.random() < 0.7 else nodes)
+        nodes.append(parent.extend((lhs, rhs, alias)))
+    types = [t for pair in eqs + pairs + more + more_pairs for t in pair]
+    return nodes, types
+
+
+def random_query(rng: random.Random, types: list):
+    """A closure query on the given types: (method name, arguments)."""
+    a, b = rng.choice(types), rng.choice(types)
+    match rng.randrange(4):
+        case 0:
+            return "types_equal", (a, b)
+        case 1:
+            c = ConceptC(ModelId("K", (a,), 5)) if rng.random() < 0.5 \
+                else SameType(a, b)
+            d = ConceptC(ModelId("K", (b,), 5)) if isinstance(c, ConceptC) \
+                else SameType(b, rng.choice(types))
+            return "constraints_equal", (c, d)
+        case 2:
+            return "model_ids_equal", (ModelId("K", (a, b), 5),
+                                       ModelId("K", (b, a), 5))
+    if rng.random() < 0.3:
+        a = Forall("a", Arrow(A, a))
+    return "canonical", (a, rng.randrange(3))
+
+
+def fresh_closure(assumed: tuple) -> ClosureState:
+    """A closure of the equations alone, which knows every alias before
+    its first equation."""
+    st = ClosureState()
+    st.alias_names = {lhs.name for lhs, _, alias in assumed if alias}
+    for lhs, rhs, _ in assumed:
+        st.add_equation(lhs, rhs)
+    return st
+
+
+def test_handed_down_closures_agree_with_fresh_ones():
+    # queries in random order over the tree move each closure to the node
+    # asked and make the one it left rebuild; every answer, canonical
+    # forms included, is that of a closure of the node's equations alone,
+    # and each class keeps its most preferred member
+    rng = random.Random(23)
+    handed = 0
+    for _ in range(150):
+        nodes, types = random_tree(rng)
+        for _ in range(30):
+            node = rng.choice(nodes)
+            built = [n.built for n in nodes if n is not node]
+            st = node.closure
+            handed += any(st is b for b in built)
+            name, args = random_query(rng, types)
+            got = getattr(st, name)(*args)
+            assert got == getattr(fresh_closure(node.assumed), name)(*args), \
+                (node.assumed, name, args)
+            assert all(st.best[r] == min(st.members[r], key=st._key)
+                       for r in set(map(st.find, range(len(st.nodes)))))
+    assert handed > 500
+
+
+def live_closures() -> int:
+    return sum(isinstance(o, (EquationNode, ClosureState))
+               for o in gc.get_objects())
+
+
+def test_checking_and_lowering_leave_no_cycle():
+    # each node holds its parent weakly: dropping the program frees its
+    # equation tree and closures by reference counting alone
+    gc.collect()
+    before = live_closures()
+    gc.disable()
+    try:
+        tree = parse_program(chain_source(8, True))
+        checker = Checker()
+        assert check_program(tree, checker) == IntT()
+        translate_program(tree, checker)
+        assert live_closures() > before
+        del tree, checker
+        assert live_closures() == before
+    finally:
+        gc.enable()

@@ -142,8 +142,18 @@ def test_canonical_prefers_plain_var_over_path_and_alias():
     st = ClosureState(equations=[(p, A)])
     assert st.canonical(p) == A
     # but an alias variable ranks below a path
-    st2 = ClosureState(equations=[(TVar("t"), p)], alias_names={"t"})
+    st2 = ClosureState(equations=[(TVar("t"), p, True)])
     assert st2.canonical(TVar("t")) == p
+
+
+def test_an_alias_added_later_ranks_last():
+    # `a`, mentioned first, represents its class until an equation makes
+    # it an alias, even one that merges nothing new
+    st = ClosureState(equations=[(A, B)])
+    assert st.canonical(B) == A
+    st.add_equation(A, B, True)
+    assert st.canonical(B) == B
+    assert ClosureState(equations=[(A, B), (A, B, True)]).canonical(A) == B
 
 
 def test_canonical_cyclic_class_falls_back_to_variable():
