@@ -10,6 +10,11 @@ Exit codes: 0 success, 1 type errors, 2 parse errors, 3 I/O errors,
 such as elaboration, the core re-check or the machine failing on a checked
 program; code I001 under `--format json`).
 Set FGC_COLOR=0|1 to force color off or on.
+
+`main` builds the argument parser of the one command it runs, and nothing
+fgc makes for a command is left for the cycle collector, so what it built is
+freed as soon as it returns; it may be called any number of times in one
+process.
 """
 
 from __future__ import annotations
@@ -175,41 +180,47 @@ def _positive(text: str) -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, options beyond the file and `--format`)
+_COMMANDS = {
+    "check": ("type-check a program", cmd_check, ()),
+    "run": ("type-check and evaluate a program", cmd_run,
+            (("--fuel", dict(type=_positive, default=DEFAULT_FUEL,
+                             help="evaluation step budget")),)),
+    "emit-core": ("print the elaborated core term", cmd_emit_core,
+                  (("--verify", dict(action="store_true",
+                                     help="re-check the core and print "
+                                          "its type")),)),
+    "ast": ("print the parsed syntax tree", cmd_ast, ()),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The `fgc` argument parser.  Given a command name, only that command's
+    subparser is built: it parses that command's argument lists as the full
+    parser does, and its usage line still names every command."""
     ap = argparse.ArgumentParser(prog="fgc",
                                  description=__doc__.splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    # the full parser keeps argparse's own metavar, which its "required:
+    # command" error names; a one-command parser cannot raise that error
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, fn, options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="source file (.fg)")
         p.add_argument("--format", choices=("human", "json"),
                        default="human", help="diagnostics format")
-
-    p_check = sub.add_parser("check", help="type-check a program")
-    common(p_check)
-    p_check.set_defaults(fn=cmd_check)
-
-    p_run = sub.add_parser("run", help="type-check and evaluate a program")
-    common(p_run)
-    p_run.add_argument("--fuel", type=_positive, default=DEFAULT_FUEL,
-                       help="evaluation step budget")
-    p_run.set_defaults(fn=cmd_run)
-
-    p_emit = sub.add_parser("emit-core",
-                            help="print the elaborated core term")
-    common(p_emit)
-    p_emit.add_argument("--verify", action="store_true",
-                        help="re-check the core and print its type")
-    p_emit.set_defaults(fn=cmd_emit_core)
-
-    p_ast = sub.add_parser("ast", help="print the parsed syntax tree")
-    common(p_ast)
-    p_ast.set_defaults(fn=cmd_ast)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:

@@ -191,30 +191,34 @@ def flat(concepts: dict, constraint: Constraint) -> list:
     constraint without a binder is alpha-equal only to an `==` one, so
     only those with a binder are compared pairwise."""
     out, plain, binding = [], set(), []
-
-    def go(c, route):
+    # an explicit stack, not a recursive closure, which would refer to
+    # itself and keep the concept table alive until the cycle collector
+    # runs; children are pushed in reverse so they pop in depth-first order
+    stack = [(constraint, ())]
+    while stack:
+        c, route = stack.pop()
         if contains_node(c, Forall):
             if any(alpha_equal(c, d) for d in binding):
-                return
+                continue
             binding.append(c)
         elif c in plain:
-            return
+            continue
         else:
             plain.add(c)
         out.append((c, route))
         if isinstance(c, SameType):
-            return
+            continue
         mid = c.model
         info = concepts.get(mid.decl)
         if info is None:
             raise UnknownConceptError(mid.concept)
         sigma = concept_subst(info, mid)
+        children = []
         slot = 0  # the dictionary holds the concept requirements only
         for nc in info.nested:
-            go(substitute_type_map(nc, sigma), route + (slot,))
+            children.append((substitute_type_map(nc, sigma), route + (slot,)))
             slot += isinstance(nc, ConceptC)
-
-    go(constraint, ())
+        stack.extend(reversed(children))
     return out
 
 

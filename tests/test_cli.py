@@ -1,6 +1,12 @@
 """Command-line interface: exit codes, output, and JSON diagnostics."""
 
+import argparse
+import gc
 import json
+import os
+import subprocess
+import sys
+import types
 
 import pytest
 
@@ -9,7 +15,7 @@ from fgc.cli import main
 from fgc.elaborate import ElabError
 from fgc.sysf import CApp, CIntLit, Stuck
 
-from corpus import PROGRAMS_DIR
+from corpus import PROGRAMS_DIR, ROOT
 
 FOLDL = str(PROGRAMS_DIR / "foldl.fg")
 ILLTYPED = str(PROGRAMS_DIR / "illtyped_polyapp.fg")
@@ -359,3 +365,101 @@ def test_handed_down_closure_keeps_the_representatives(capsys, tmp_path):
     assert run(capsys, "emit-core", "--verify", str(f)) == (
         0, "(\\x0: forall a0. forall a1. a1 -> a0 -> a0. x0[int][int] 3 4) "
         "(/\\a0. /\\a1. \\x0: a1. \\x1: a0. x1)\ncore: int\n", "")
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["check", FOLDL], ["run", FOLDL], ["check", ILLTYPED],
+                 ["ast", FOLDL], ["emit-core", "--verify", FOLDL]):
+        built.clear()
+        assert run(capsys, *argv)[0] in (0, 1)
+        assert built == ["fgc", f"fgc {argv[0]}"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == ["fgc", "fgc check", "fgc run", "fgc emit-core",
+                     "fgc ast"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", FOLDL], ["run", FOLDL, "--fuel", "7", "--format", "json"],
+    ["emit-core", "--verify", FOLDL], ["ast", "--", FOLDL],
+    ["check", "run"]])
+def test_one_command_parser_reads_as_the_full_one(argv):
+    ours = fgc.cli.build_parser(argv[0]).parse_args(argv)
+    assert vars(ours) == vars(fgc.cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--help"], ["emit-core", "-h"], ["check", FOLDL, "extra"],
+    ["run", "--fuel", "0", FOLDL], ["emit-core"], ["check", "--verify", FOLDL],
+    ["ast", FOLDL, "--format", "xml"]])
+def test_one_command_parser_answers_as_the_full_one(capsys, argv):
+    # help and usage errors, whether its own parser or the top-level one
+    # reports them, read exactly as they do from the parser of all commands
+    answers = []
+    for parser in (fgc.cli.build_parser(argv[0]), fgc.cli.build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        out = capsys.readouterr()
+        answers.append((exc.value.code, out.out, out.err))
+    assert answers[0] == answers[1]
+    assert "usage: fgc" in answers[0][1] + answers[0][2]
+
+
+def test_usage_error_then_a_command_answers_as_a_fresh_process(capsys):
+    fib = str(PROGRAMS_DIR / "wt_fib.fg")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--fuel", "0", fib])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("fgc run: error: argument --fuel: "
+                        "fuel must be positive\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    fresh = subprocess.run([sys.executable, "-m", "fgc.cli", "run", fib],
+                           env=env, capture_output=True, text=True,
+                           timeout=60)
+    assert run(capsys, "run", fib) == (fresh.returncode, fresh.stdout,
+                                       fresh.stderr)
+    assert fresh.stdout == "55\n"
+
+
+def _made_by_fgc(obj) -> bool:
+    if isinstance(obj, types.FunctionType):
+        module = obj.__module__ or ""
+    else:
+        module = type(obj).__module__
+    return module.split(".")[0] == "fgc"
+
+
+def test_commands_leave_no_fgc_object_to_the_collector(capsys):
+    # what fgc builds for a command is freed by reference counting alone.
+    # Only objects of fgc's own classes and functions are counted among
+    # those the collector finds: the standard library keeps cycles of its
+    # own (the pure-Python encoder behind `json.dumps(..., indent=2)`
+    # leaves its nested closures), which vary with the Python version
+    commands = (["check"], ["run"], ["emit-core", "--verify"], ["ast"])
+    programs = sorted(PROGRAMS_DIR.glob("*.fg"))
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for path in programs:
+            for cmd in commands:
+                for fmt in ("human", "json"):
+                    run(capsys, *cmd, "--format", fmt, str(path))
+                    gc.collect(0)  # all the command made is in generation 0
+                    found = [o for o in gc.garbage if _made_by_fgc(o)]
+                    gc.garbage.clear()
+                    assert not found, (cmd, fmt, path.name, found[:3])
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

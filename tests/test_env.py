@@ -133,6 +133,20 @@ def test_flat_deduplicates():
     assert [route for _, route in out] == [(), (0,), (1,)]
 
 
+def test_flat_is_depth_first():
+    # a requirement's own requirements come before the next requirement,
+    # and a duplicate keeps the route of its first depth-first visit
+    both = ConceptInfo(
+        "Both", ("a",), (),
+        (ConceptC(mid(MONOID, A)), ConceptC(mid(SEQ, A)),
+         ConceptC(mid(SEMIGROUP, A))), (),
+        decl=3)
+    out = flat(concepts(both), ConceptC(mid(both, IntT())))
+    assert [(c.model.concept, route) for c, route in out] == [
+        ("Both", ()), ("Monoid", (0,)), ("Semigroup", (0, 0)),
+        ("Seq", (1,))]
+
+
 def test_flat_deduplicates_up_to_binder_names():
     def semigroup_of_id(v):
         return ConceptC(mid(SEMIGROUP, Forall(v, Arrow(TVar(v), TVar(v)))))

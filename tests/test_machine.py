@@ -8,6 +8,7 @@ fuel boundary.  The programs are the corpus, fixed seeds of the
 workload, generated by `fgcbench/gen.py` (imported, never changed).
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -200,13 +201,18 @@ def test_fuel_boundary_on_the_command_line(name, capsys):
 
 def _best_seconds(core, runs, evaluations=1):
     """The least time of `runs` samples, each `evaluations` evaluations
-    long, per evaluation; and the outcome."""
+    long, per evaluation; and the outcome.  The collector is off inside
+    each sample, so that its pauses do not enter the ratio of two sizes."""
     best = None
     for _ in range(runs):
-        t0 = time.perf_counter()
-        for _ in range(evaluations):
-            out = sf_eval(core, 10**8)
-        elapsed = (time.perf_counter() - t0) / evaluations
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            for _ in range(evaluations):
+                out = sf_eval(core, 10**8)
+            elapsed = (time.perf_counter() - t0) / evaluations
+        finally:
+            gc.enable()
         best = elapsed if best is None else min(best, elapsed)
     return best, out
 
