@@ -1,14 +1,16 @@
 """Abstract syntax for the surface language and structural operations on it.
 
-Types, constraints, and expressions are immutable dataclass trees.  Source
-spans are carried on every node but excluded from equality so that
-structural comparison ignores positions.
+Types, constraints, and expressions are immutable trees of `Node`s (see
+`node.py`).  Source spans are carried on every node but excluded from
+equality and from the repr, so that structural comparison ignores
+positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
+
+from .node import Node, set_field
 
 
 class SourceSpan(NamedTuple):
@@ -25,245 +27,568 @@ class SourceSpan(NamedTuple):
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
+class Syntax(Node):
+    """A node of the surface language.  Its span is neither compared nor
+    printed, so structural comparison ignores positions."""
+
+    __slots__ = ()
+    _unprinted = ("span",)
 
 
 # ---------------------------------------------------------------- types
 
 
-class Type:
+class Type(Syntax):
     """Base class for type expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class IntT(Type):
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("span",)
+
+    def __init__(self, span=None):
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
 class BoolT(Type):
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("span",)
+
+    def __init__(self, span=None):
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
 class ListT(Type):
-    elem: Type
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("elem", "span")
+
+    def __init__(self, elem: Type, span=None):
+        set_field(self, "elem", elem)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.elem == other.elem
+
+    def __hash__(self):
+        return hash((self.elem,))
 
 
-@dataclass(frozen=True)
 class Arrow(Type):
-    dom: Type
-    cod: Type
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("dom", "cod", "span")
+
+    def __init__(self, dom: Type, cod: Type, span=None):
+        set_field(self, "dom", dom)
+        set_field(self, "cod", cod)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.dom, self.cod) == (other.dom, other.cod)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod))
 
 
-@dataclass(frozen=True)
 class Forall(Type):
-    binder: str
-    body: Type
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("binder", "body", "span")
+
+    def __init__(self, binder: str, body: Type, span=None):
+        set_field(self, "binder", binder)
+        set_field(self, "body", body)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.binder, self.body) == (
+            other.binder, other.body)
+
+    def __hash__(self):
+        return hash((self.binder, self.body))
 
 
-@dataclass(frozen=True)
 class TVar(Type):
-    name: str
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span=None):
+        set_field(self, "name", name)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class ModelId:
-    concept: str  # the name printed in messages
-    type_args: tuple
-    decl: Optional[int] = None  # the concept declaration's; None: unknown
-    span: Optional[SourceSpan] = _span_field()
+class ModelId(Syntax):
+    __slots__ = ("concept", "type_args", "decl", "span")
+
+    def __init__(self, concept: str, type_args: tuple,
+                 decl: Optional[int] = None, span=None):
+        set_field(self, "concept", concept)  # the name printed in messages
+        set_field(self, "type_args", type_args)
+        # the concept declaration's identity; None: unknown
+        set_field(self, "decl", decl)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.concept, self.type_args, self.decl) == (
+            other.concept, other.type_args, other.decl)
+
+    def __hash__(self):
+        return hash((self.concept, self.type_args, self.decl))
 
 
-@dataclass(frozen=True)
 class AssocPath(Type):
     """A path c<ts>.rest where rest is an associated-type name (str) or
     another AssocPath."""
 
-    model: ModelId
-    rest: Union[str, "AssocPath"]
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("model", "rest", "span")
+
+    def __init__(self, model: ModelId, rest: Union[str, AssocPath],
+                 span=None):
+        set_field(self, "model", model)
+        set_field(self, "rest", rest)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.model, self.rest) == (
+            other.model, other.rest)
+
+    def __hash__(self):
+        return hash((self.model, self.rest))
 
 
-@dataclass(frozen=True)
 class Constrained(Type):
-    constraint: "Constraint"
-    body: Type
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("constraint", "body", "span")
+
+    def __init__(self, constraint: Constraint, body: Type, span=None):
+        set_field(self, "constraint", constraint)
+        set_field(self, "body", body)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.constraint, self.body) == (
+            other.constraint, other.body)
+
+    def __hash__(self):
+        return hash((self.constraint, self.body))
 
 
 # ---------------------------------------------------------------- constraints
 
 
-class Constraint:
+class Constraint(Syntax):
     """Base class for constraints."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class ConceptC(Constraint):
-    model: ModelId
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("model", "span")
+
+    def __init__(self, model: ModelId, span=None):
+        set_field(self, "model", model)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.model == other.model
+
+    def __hash__(self):
+        return hash((self.model,))
 
 
-@dataclass(frozen=True)
 class SameType(Constraint):
-    lhs: Type
-    rhs: Type
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("lhs", "rhs", "span")
+
+    def __init__(self, lhs: Type, rhs: Type, span=None):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.lhs, self.rhs) == (other.lhs, other.rhs)
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
 
 
 # ---------------------------------------------------------------- declarations
 
 
-@dataclass(frozen=True)
-class ConceptInfo:
-    name: str
-    type_params: tuple  # of str
-    assoc_types: tuple  # of str
-    nested: tuple  # of Constraint
-    members: tuple  # of (str, Type)
-    decl: Optional[int] = None  # the declaration's identity
-    span: Optional[SourceSpan] = _span_field()
+class ConceptInfo(Syntax):
+    __slots__ = ("name", "type_params", "assoc_types", "nested", "members",
+                 "decl", "span")
+
+    def __init__(self, name: str, type_params: tuple, assoc_types: tuple,
+                 nested: tuple, members: tuple, decl: Optional[int] = None,
+                 span=None):
+        set_field(self, "name", name)
+        set_field(self, "type_params", type_params)  # of str
+        set_field(self, "assoc_types", assoc_types)  # of str
+        set_field(self, "nested", nested)  # of Constraint
+        set_field(self, "members", members)  # of (str, Type)
+        set_field(self, "decl", decl)  # the declaration's identity
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.name, self.type_params, self.assoc_types, self.nested,
+            self.members, self.decl) == (
+            other.name, other.type_params, other.assoc_types, other.nested,
+            other.members, other.decl)
+
+    def __hash__(self):
+        return hash((self.name, self.type_params, self.assoc_types,
+                     self.nested, self.members, self.decl))
 
 
-@dataclass(frozen=True)
-class ModelInfo:
-    concept: str
-    type_args: tuple  # of Type
-    assoc_binds: tuple  # of (str, Type)
-    member_binds: tuple  # of (str, Expr)
-    decl: Optional[int] = None  # of the concept, as in ModelId
-    span: Optional[SourceSpan] = _span_field()
+class ModelInfo(Syntax):
+    __slots__ = ("concept", "type_args", "assoc_binds", "member_binds",
+                 "decl", "span")
+
+    def __init__(self, concept: str, type_args: tuple, assoc_binds: tuple,
+                 member_binds: tuple, decl: Optional[int] = None, span=None):
+        set_field(self, "concept", concept)
+        set_field(self, "type_args", type_args)  # of Type
+        set_field(self, "assoc_binds", assoc_binds)  # of (str, Type)
+        set_field(self, "member_binds", member_binds)  # of (str, Expr)
+        set_field(self, "decl", decl)  # of the concept, as in ModelId
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.concept, self.type_args, self.assoc_binds,
+            self.member_binds, self.decl) == (
+            other.concept, other.type_args, other.assoc_binds,
+            other.member_binds, other.decl)
+
+    def __hash__(self):
+        return hash((self.concept, self.type_args, self.assoc_binds,
+                     self.member_binds, self.decl))
 
 
 # ---------------------------------------------------------------- expressions
 
 
-class Expr:
+class Expr(Syntax):
     """Base class for expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class IntLit(Expr):
-    value: int
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: int, span=None):
+        set_field(self, "value", value)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
 class BoolLit(Expr):
-    value: bool
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: bool, span=None):
+        set_field(self, "value", value)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
 class Lam(Expr):
-    param: str
-    ann: Optional[Type]
-    body: Expr
-    decl: Optional[int] = None  # the parameter's identity
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("param", "ann", "body", "decl", "span")
+
+    def __init__(self, param: str, ann: Optional[Type], body: Expr,
+                 decl: Optional[int] = None, span=None):
+        set_field(self, "param", param)
+        set_field(self, "ann", ann)
+        set_field(self, "body", body)
+        set_field(self, "decl", decl)  # the parameter's identity
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.param, self.ann, self.body, self.decl) == (
+            other.param, other.ann, other.body, other.decl)
+
+    def __hash__(self):
+        return hash((self.param, self.ann, self.body, self.decl))
 
 
-@dataclass(frozen=True)
 class App(Expr):
-    fn: Expr
-    arg: Expr
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("fn", "arg", "span")
+
+    def __init__(self, fn: Expr, arg: Expr, span=None):
+        set_field(self, "fn", fn)
+        set_field(self, "arg", arg)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.fn, self.arg) == (other.fn, other.arg)
+
+    def __hash__(self):
+        return hash((self.fn, self.arg))
 
 
-@dataclass(frozen=True)
 class TyLam(Expr):
-    binder: str
-    body: Expr
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("binder", "body", "span")
+
+    def __init__(self, binder: str, body: Expr, span=None):
+        set_field(self, "binder", binder)
+        set_field(self, "body", body)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.binder, self.body) == (
+            other.binder, other.body)
+
+    def __hash__(self):
+        return hash((self.binder, self.body))
 
 
-@dataclass(frozen=True)
 class TyApp(Expr):
-    subject: Expr
-    arg: Type
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("subject", "arg", "span")
+
+    def __init__(self, subject: Expr, arg: Type, span=None):
+        set_field(self, "subject", subject)
+        set_field(self, "arg", arg)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.subject, self.arg) == (
+            other.subject, other.arg)
+
+    def __hash__(self):
+        return hash((self.subject, self.arg))
 
 
-@dataclass(frozen=True)
 class ConstrainedE(Expr):
-    constraint: Constraint
-    body: Expr
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("constraint", "body", "span")
+
+    def __init__(self, constraint: Constraint, body: Expr, span=None):
+        set_field(self, "constraint", constraint)
+        set_field(self, "body", body)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.constraint, self.body) == (
+            other.constraint, other.body)
+
+    def __hash__(self):
+        return hash((self.constraint, self.body))
 
 
-@dataclass(frozen=True)
 class PathE(Expr):
     """A term path: a variable with an optional prefix of model identifiers."""
 
-    prefix: tuple  # of ModelId, possibly empty
-    name: str
-    decl: Optional[int] = None  # a variable's binder's identity
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("prefix", "name", "decl", "span")
+
+    def __init__(self, prefix: tuple, name: str, decl: Optional[int] = None,
+                 span=None):
+        set_field(self, "prefix", prefix)  # of ModelId, possibly empty
+        set_field(self, "name", name)
+        set_field(self, "decl", decl)  # a variable's binder's identity
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.prefix, self.name, self.decl) == (
+            other.prefix, other.name, other.decl)
+
+    def __hash__(self):
+        return hash((self.prefix, self.name, self.decl))
 
 
-@dataclass(frozen=True)
 class ConceptDecl(Expr):
-    info: ConceptInfo
-    rest: Expr
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("info", "rest", "span")
+
+    def __init__(self, info: ConceptInfo, rest: Expr, span=None):
+        set_field(self, "info", info)
+        set_field(self, "rest", rest)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.info, self.rest) == (
+            other.info, other.rest)
+
+    def __hash__(self):
+        return hash((self.info, self.rest))
 
 
-@dataclass(frozen=True)
 class ModelDecl(Expr):
-    info: ModelInfo
-    rest: Expr
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("info", "rest", "span")
+
+    def __init__(self, info: ModelInfo, rest: Expr, span=None):
+        set_field(self, "info", info)
+        set_field(self, "rest", rest)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.info, self.rest) == (
+            other.info, other.rest)
+
+    def __hash__(self):
+        return hash((self.info, self.rest))
 
 
-@dataclass(frozen=True)
 class TypeAlias(Expr):
-    name: str
-    rhs: Type
-    rest: Expr
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("name", "rhs", "rest", "span")
+
+    def __init__(self, name: str, rhs: Type, rest: Expr, span=None):
+        set_field(self, "name", name)
+        set_field(self, "rhs", rhs)
+        set_field(self, "rest", rest)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.name, self.rhs, self.rest) == (
+            other.name, other.rhs, other.rest)
+
+    def __hash__(self):
+        return hash((self.name, self.rhs, self.rest))
 
 
-@dataclass(frozen=True)
 class Let(Expr):
-    name: str
-    bound: Expr
-    rest: Expr
-    decl: Optional[int] = None  # the name's identity
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("name", "bound", "rest", "decl", "span")
+
+    def __init__(self, name: str, bound: Expr, rest: Expr,
+                 decl: Optional[int] = None, span=None):
+        set_field(self, "name", name)
+        set_field(self, "bound", bound)
+        set_field(self, "rest", rest)
+        set_field(self, "decl", decl)  # the name's identity
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.name, self.bound, self.rest, self.decl) == (
+            other.name, other.bound, other.rest, other.decl)
+
+    def __hash__(self):
+        return hash((self.name, self.bound, self.rest, self.decl))
 
 
-@dataclass(frozen=True)
 class Fix(Expr):
-    body: Expr
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("body", "span")
+
+    def __init__(self, body: Expr, span=None):
+        set_field(self, "body", body)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.body == other.body
+
+    def __hash__(self):
+        return hash((self.body,))
 
 
-@dataclass(frozen=True)
 class If(Expr):
-    cond: Expr
-    thn: Expr
-    els: Expr
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("cond", "thn", "els", "span")
+
+    def __init__(self, cond: Expr, thn: Expr, els: Expr, span=None):
+        set_field(self, "cond", cond)
+        set_field(self, "thn", thn)
+        set_field(self, "els", els)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.cond, self.thn, self.els) == (
+            other.cond, other.thn, other.els)
+
+    def __hash__(self):
+        return hash((self.cond, self.thn, self.els))
 
 
-@dataclass(frozen=True)
 class ListLit(Expr):
-    elems: tuple  # of Expr
-    elem_type: Optional[Type] = None
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("elems", "elem_type", "span")
+
+    def __init__(self, elems: tuple, elem_type: Optional[Type] = None,
+                 span=None):
+        set_field(self, "elems", elems)  # of Expr
+        set_field(self, "elem_type", elem_type)
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.elems, self.elem_type) == (
+            other.elems, other.elem_type)
+
+    def __hash__(self):
+        return hash((self.elems, self.elem_type))
 
 
-@dataclass(frozen=True)
 class Prim(Expr):
-    op: str
-    args: tuple  # of Expr
-    span: Optional[SourceSpan] = _span_field()
+    __slots__ = ("op", "args", "span")
+
+    def __init__(self, op: str, args: tuple, span=None):
+        set_field(self, "op", op)
+        set_field(self, "args", args)  # of Expr
+        set_field(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.op, self.args) == (other.op, other.args)
+
+    def __hash__(self):
+        return hash((self.op, self.args))
 
 
 # Arity and result shape of the built-in operators.  Arithmetic and

@@ -46,8 +46,6 @@ memoised per constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ast import (
     App,
     Arrow,
@@ -83,6 +81,7 @@ from .ast import (
     substitute_type_map,
 )
 from .env import Env, Evidence, PROVED, concept_subst
+from .node import Node, set_field
 from .parser import pretty_type
 from .sysf import (
     CApp,
@@ -119,19 +118,28 @@ class ElabError(Exception):
     program being lowered."""
 
 
-@dataclass
-class ElabCtx:
+class ElabCtx(Node):
     """Scopes of the core term under construction.
 
     tscope entries (binding order, innermost last):
       ("var", name)   — a surface type variable
       ("assoc", path) — an abstracted associated-type path
     depth: the number of term variables bound; which binder each one is
-    lives in `Elaborator.binders`.
+    lives in `Elaborator.binders`.  Contexts are equal when their fields
+    are, and are not hashable.
     """
 
-    tscope: tuple = ()
-    depth: int = 0
+    __slots__ = ("tscope", "depth")
+
+    def __init__(self, tscope: tuple = (), depth: int = 0):
+        set_field(self, "tscope", tscope)
+        set_field(self, "depth", depth)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.tscope, self.depth) == (
+            other.tscope, other.depth)
 
     def bind_tyvar(self, name):
         return ElabCtx(self.tscope + (("var", name),), self.depth)

@@ -22,7 +22,6 @@ other query asks the closure, so the same evidence is chosen.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 
 from .ast import (
     AssocPath,
@@ -38,16 +37,29 @@ from .ast import (
     contains_node,
     substitute_type_map,
 )
+from .node import Node, set_field
 from .typeq import ClosureState
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(Node):
     """The dictionary witnessing a concept constraint: the `ModelDecl` or
     `ConstrainedE` node binding a dictionary, and the nested-requirement
     slots leading from it to the witness.  `PROVED` has no binder."""
-    binder: object
-    route: tuple = ()
+
+    __slots__ = ("binder", "route")
+
+    def __init__(self, binder: object, route: tuple = ()):
+        set_field(self, "binder", binder)
+        set_field(self, "route", route)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.binder, self.route) == (
+            other.binder, other.route)
+
+    def __hash__(self):
+        return hash((self.binder, self.route))
 
 
 PROVED = Evidence(None)  # a provable same-type constraint
@@ -124,19 +136,30 @@ def _push(index: dict, mid: ModelId, evidence: Evidence) -> dict:
     return {**index, mid.decl: (mid, evidence, index.get(mid.decl))}
 
 
-@dataclass(slots=True)
-class Env:
+class Env(Node):
     """Two witness indexes and the node of the equations assumed.  Each
     index maps a concept declaration identity to a chain of linked triples
     `(model id, evidence, rest)`, most recent first: `witnesses` holds the
     models and assumed concept constraints, which can satisfy a
     constraint, and `assumed` the assumptions alone.  An index is copied
-    on extension and never mutated."""
+    on extension and never mutated.  `Env()` is the empty environment,
+    the root of a new tree of equation nodes.  Environments are equal when
+    their indexes are, and are not hashable."""
 
-    witnesses: dict = field(default_factory=dict)
-    assumed: dict = field(default_factory=dict)
-    eq_node: EquationNode = field(default_factory=EquationNode,
-                                  compare=False, repr=False)
+    __slots__ = ("witnesses", "assumed", "eq_node")
+    _unprinted = ("eq_node",)
+
+    def __init__(self, witnesses=None, assumed=None, eq_node=None):
+        set_field(self, "witnesses", {} if witnesses is None else witnesses)
+        set_field(self, "assumed", {} if assumed is None else assumed)
+        set_field(self, "eq_node",
+                  EquationNode() if eq_node is None else eq_node)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.witnesses, self.assumed) == (
+            other.witnesses, other.assumed)
 
     def model(self, mid: ModelId, evidence: Evidence) -> "Env":
         return Env(_push(self.witnesses, mid, evidence), self.assumed,

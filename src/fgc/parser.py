@@ -56,7 +56,6 @@ Diagnostic codes (closed set):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import count
 from typing import NamedTuple, Optional
@@ -99,6 +98,7 @@ from .ast import (
     TypeAlias,
     fresh_name,
 )
+from .node import Node, set_field
 
 KEYWORDS = {
     "concept", "model", "type", "let", "in", "lam", "Lam", "fix",
@@ -117,11 +117,22 @@ _TOKEN = re.compile(r"""[ \t\r]*(?:
   | (?P<bad>.))""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    span: SourceSpan
-    code: str
-    message: str
+class ParseDiagnostic(Node):
+    __slots__ = ("span", "code", "message")
+
+    def __init__(self, span: SourceSpan, code: str, message: str):
+        set_field(self, "span", span)
+        set_field(self, "code", code)
+        set_field(self, "message", message)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.span, self.code, self.message) == (
+            other.span, other.code, other.message)
+
+    def __hash__(self):
+        return hash((self.span, self.code, self.message))
 
     def __str__(self) -> str:
         return f"{self.span}: error[{self.code}]: {self.message}"
@@ -711,8 +722,9 @@ class _Parser:
             self.repeats(span, params, "type parameter", where)
             + self.repeats(span, assocs, "associated type", where)
             + self.repeats(span, [n for n, _ in members], "member", where))
-        info = self.concepts[name] = replace(head, nested=nested,
-                                             members=members, span=span)
+        info = self.concepts[name] = ConceptInfo(
+            head.name, head.type_params, head.assoc_types, nested, members,
+            head.decl, span)
         self.expect("in")
         return info
 

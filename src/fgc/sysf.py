@@ -1,8 +1,9 @@
 """The elaboration target: System F extended with integers, booleans,
 lists, tuples, and fix.
 
-Terms and types use de Bruijn indices (separately for term and type
-variables), so type equality is structural equality.  Evaluation runs on
+Terms and types are immutable trees of `Node`s (see `node.py`) and use
+de Bruijn indices (separately for term and type variables), so type
+equality is structural equality.  Evaluation runs on
 an environment machine: closures, de Bruijn environments and an explicit
 continuation stack, with types erased.  It makes the contractions of the
 call-by-value small-step semantics, in the same order, and spends one unit
@@ -16,135 +17,328 @@ can only produce a value or diverge, never get stuck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .node import Node, set_field
 
 
 # ---------------------------------------------------------------- types
 
 
-class CoreType:
-    pass
+class CoreType(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CInt(CoreType):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CBool(CoreType):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CList(CoreType):
-    elem: CoreType
+    __slots__ = ("elem",)
+
+    def __init__(self, elem: CoreType):
+        set_field(self, "elem", elem)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.elem == other.elem
+
+    def __hash__(self):
+        return hash((self.elem,))
 
 
-@dataclass(frozen=True)
 class CArrow(CoreType):
-    dom: CoreType
-    cod: CoreType
+    __slots__ = ("dom", "cod")
+
+    def __init__(self, dom: CoreType, cod: CoreType):
+        set_field(self, "dom", dom)
+        set_field(self, "cod", cod)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.dom, self.cod) == (other.dom, other.cod)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod))
 
 
-@dataclass(frozen=True)
 class CForall(CoreType):
-    body: CoreType
+    __slots__ = ("body",)
+
+    def __init__(self, body: CoreType):
+        set_field(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.body == other.body
+
+    def __hash__(self):
+        return hash((self.body,))
 
 
-@dataclass(frozen=True)
 class CTVar(CoreType):
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        set_field(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
 
-@dataclass(frozen=True)
 class CTupleT(CoreType):
-    elems: tuple
+    __slots__ = ("elems",)
+
+    def __init__(self, elems: tuple):
+        set_field(self, "elems", elems)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.elems == other.elems
+
+    def __hash__(self):
+        return hash((self.elems,))
 
 
 # ---------------------------------------------------------------- terms
 
 
-class CoreTerm:
-    pass
+class CoreTerm(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CIntLit(CoreTerm):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
 class CBoolLit(CoreTerm):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
 class CVar(CoreTerm):
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        set_field(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
 
-@dataclass(frozen=True)
 class CLam(CoreTerm):
-    ann: CoreType
-    body: CoreTerm
+    __slots__ = ("ann", "body")
+
+    def __init__(self, ann: CoreType, body: CoreTerm):
+        set_field(self, "ann", ann)
+        set_field(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.ann, self.body) == (
+            other.ann, other.body)
+
+    def __hash__(self):
+        return hash((self.ann, self.body))
 
 
-@dataclass(frozen=True)
 class CApp(CoreTerm):
-    fn: CoreTerm
-    arg: CoreTerm
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: CoreTerm, arg: CoreTerm):
+        set_field(self, "fn", fn)
+        set_field(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.fn, self.arg) == (other.fn, other.arg)
+
+    def __hash__(self):
+        return hash((self.fn, self.arg))
 
 
-@dataclass(frozen=True)
 class CTyLam(CoreTerm):
-    body: CoreTerm
+    __slots__ = ("body",)
+
+    def __init__(self, body: CoreTerm):
+        set_field(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.body == other.body
+
+    def __hash__(self):
+        return hash((self.body,))
 
 
-@dataclass(frozen=True)
 class CTyApp(CoreTerm):
-    subject: CoreTerm
-    arg: CoreType
+    __slots__ = ("subject", "arg")
+
+    def __init__(self, subject: CoreTerm, arg: CoreType):
+        set_field(self, "subject", subject)
+        set_field(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.subject, self.arg) == (
+            other.subject, other.arg)
+
+    def __hash__(self):
+        return hash((self.subject, self.arg))
 
 
-@dataclass(frozen=True)
 class CTup(CoreTerm):
-    elems: tuple
+    __slots__ = ("elems",)
+
+    def __init__(self, elems: tuple):
+        set_field(self, "elems", elems)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.elems == other.elems
+
+    def __hash__(self):
+        return hash((self.elems,))
 
 
-@dataclass(frozen=True)
 class CProj(CoreTerm):
-    subject: CoreTerm
-    index: int
+    __slots__ = ("subject", "index")
+
+    def __init__(self, subject: CoreTerm, index: int):
+        set_field(self, "subject", subject)
+        set_field(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.subject, self.index) == (
+            other.subject, other.index)
+
+    def __hash__(self):
+        return hash((self.subject, self.index))
 
 
-@dataclass(frozen=True)
 class CFix(CoreTerm):
-    body: CoreTerm
+    __slots__ = ("body",)
+
+    def __init__(self, body: CoreTerm):
+        set_field(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.body == other.body
+
+    def __hash__(self):
+        return hash((self.body,))
 
 
-@dataclass(frozen=True)
 class CIf(CoreTerm):
-    cond: CoreTerm
-    thn: CoreTerm
-    els: CoreTerm
+    __slots__ = ("cond", "thn", "els")
+
+    def __init__(self, cond: CoreTerm, thn: CoreTerm, els: CoreTerm):
+        set_field(self, "cond", cond)
+        set_field(self, "thn", thn)
+        set_field(self, "els", els)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.cond, self.thn, self.els) == (
+            other.cond, other.thn, other.els)
+
+    def __hash__(self):
+        return hash((self.cond, self.thn, self.els))
 
 
-@dataclass(frozen=True)
 class CPrim(CoreTerm):
-    op: str
-    args: tuple
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: tuple):
+        set_field(self, "op", op)
+        set_field(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.op, self.args) == (other.op, other.args)
+
+    def __hash__(self):
+        return hash((self.op, self.args))
 
 
-@dataclass(frozen=True)
 class CNil(CoreTerm):
-    elem: CoreType
+    __slots__ = ("elem",)
+
+    def __init__(self, elem: CoreType):
+        set_field(self, "elem", elem)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.elem == other.elem
+
+    def __hash__(self):
+        return hash((self.elem,))
 
 
-@dataclass(frozen=True)
 class CCons(CoreTerm):
-    head: CoreTerm
-    tail: CoreTerm
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head: CoreTerm, tail: CoreTerm):
+        set_field(self, "head", head)
+        set_field(self, "tail", tail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.head, self.tail) == (
+            other.head, other.tail)
+
+    def __hash__(self):
+        return hash((self.head, self.tail))
 
 
 # ---------------------------------------------------------------- shifting
@@ -376,20 +570,51 @@ def _infer_prim(op, args, ctx, tydepth, path) -> CoreType:
 # ---------------------------------------------------------------- evaluation
 
 
-@dataclass(frozen=True)
-class Value:
-    value: object  # an int, a bool, or the value's core term
-    steps: int = field(default=0, compare=False)  # contractions taken
+class Value(Node):
+    __slots__ = ("value", "steps")
+
+    def __init__(self, value: object, steps: int = 0):
+        # an int, a bool, or the value's core term
+        set_field(self, "value", value)
+        set_field(self, "steps", steps)  # contractions taken
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class Diverged:
-    steps: int
+class Diverged(Node):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: int):
+        set_field(self, "steps", steps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.steps == other.steps
+
+    def __hash__(self):
+        return hash((self.steps,))
 
 
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
+class Stuck(Node):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        set_field(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.reason == other.reason
+
+    def __hash__(self):
+        return hash((self.reason,))
 
 
 def _loop(ty: CoreType) -> CoreTerm:

@@ -44,7 +44,6 @@ Diagnostic codes (closed set):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .ast import (
@@ -97,15 +96,29 @@ from .env import (
     models_equal,
     satisfies,
 )
+from .node import Node, set_field
 from .parser import pretty_constraint, pretty_type
 
 
-@dataclass(frozen=True)
-class TypeDiagnostic:
-    span: Optional[SourceSpan]
-    code: str
-    message: str
-    notes: tuple = ()
+class TypeDiagnostic(Node):
+    __slots__ = ("span", "code", "message", "notes")
+
+    def __init__(self, span: Optional[SourceSpan], code: str, message: str,
+                 notes: tuple = ()):
+        set_field(self, "span", span)
+        set_field(self, "code", code)
+        set_field(self, "message", message)
+        set_field(self, "notes", notes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.span, self.code, self.message, self.notes) == (
+            other.span, other.code, other.message, other.notes)
+
+    def __hash__(self):
+        return hash((self.span, self.code, self.message, self.notes))
 
     def __str__(self) -> str:
         where = str(self.span) if self.span else "<unknown>"
@@ -116,10 +129,11 @@ class TypeDiagnostic:
         return out
 
 
-@dataclass(frozen=True)
 class ErrT(Type):
     """Placeholder type assigned after an error; equal to every type so a
     single mistake does not cascade into follow-on diagnostics."""
+
+    __slots__ = ()
 
 
 ERR = ErrT()

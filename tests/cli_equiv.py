@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import itertools
 import json
@@ -39,6 +38,9 @@ import sys
 import tempfile
 
 from corpus import ROOT, workload_programs
+
+sys.path.insert(0, str(ROOT / "src"))
+from fgc.node import Node  # noqa: E402  (this checkout's, from src/)
 
 COMMANDS = (["check"], ["run"], ["emit-core", "--verify"],
             ["check", "--format", "json"], ["ast"])
@@ -60,10 +62,10 @@ def write_programs(work: pathlib.Path, seeds) -> list:
 
 
 def spans(tree) -> str:
-    """`repr` of a syntax tree with the span of every node."""
-    if dataclasses.is_dataclass(tree):
-        fields = (spans(getattr(tree, f.name))
-                  for f in dataclasses.fields(tree))
+    """`repr` of a syntax tree with the span of every node: a node prints
+    each of its fields, in `__slots__` order."""
+    if isinstance(tree, Node):
+        fields = (spans(getattr(tree, f)) for f in tree.__slots__)
         return f"{type(tree).__name__}({', '.join(fields)})"
     if type(tree) is tuple:
         return f"({', '.join(spans(x) for x in tree)})"
@@ -132,7 +134,6 @@ def main() -> int:
     if args.out is None:
         ap.error("give OUT.json or --diff A.json B.json")
     out = pathlib.Path(args.out).resolve()
-    sys.path.insert(0, str(ROOT / "src"))
     os.environ["FGC_COLOR"] = "0"
     from fgc.cli import main as fgc_main
     from fgc import parser

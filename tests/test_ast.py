@@ -1,11 +1,15 @@
 """Syntax-tree operations: the shared walk, free variables, substitution,
 alpha equality."""
 
+import dataclasses
+import importlib
+import itertools
+import pkgutil
 import random
-from dataclasses import replace
 
 import pytest
 
+import fgc
 from fgc.ast import (
     Arrow,
     AssocPath,
@@ -18,6 +22,7 @@ from fgc.ast import (
     ModelId,
     SameType,
     SourceSpan,
+    Syntax,
     TVar,
     alpha_equal,
     free_type_vars,
@@ -27,6 +32,9 @@ from fgc.ast import (
     substitute_type_map,
     type_children,
 )
+from fgc.env import EquationNode
+from fgc.node import Node
+from fgc.sysf import CBool, CInt
 
 from gen import random_type
 
@@ -34,11 +42,17 @@ A, B, C = TVar("a"), TVar("b"), TVar("c")
 SPAN = SourceSpan("t.fg", 1, 2, 3, 4)
 
 
+def _respan(t, **fields):
+    """A copy of node t with the given fields and its span set to SPAN."""
+    args = {f: getattr(t, f) for f in t.__slots__}
+    return type(t)(**{**args, **fields, "span": SPAN})
+
+
 def _spanned(t):
     """t with a span on its own node and on its model identifier."""
     if hasattr(t, "model"):
-        t = replace(t, model=replace(t.model, span=SPAN))
-    return replace(t, span=SPAN)
+        return _respan(t, model=_respan(t.model))
+    return _respan(t)
 
 
 D_T = AssocPath(ModelId("D", (BoolT(),)), "T")
@@ -189,3 +203,133 @@ def test_alpha_equal_is_equivalence():
     for s in ts:
         for t in ts:
             assert alpha_equal(s, t) == alpha_equal(t, s)
+
+
+# ---------------------------------------------------------------- node classes
+
+
+def _node_classes() -> list:
+    """Every concrete node class of the package: the `Node` subclasses
+    that no other class extends."""
+    found = []
+    for info in pkgutil.iter_modules(fgc.__path__):
+        module = importlib.import_module(f"fgc.{info.name}")
+        found += [c for c in vars(module).values()
+                  if isinstance(c, type) and issubclass(c, Node)
+                  and c.__module__ == module.__name__
+                  and not c.__subclasses__()]
+    return sorted(found, key=lambda c: c.__name__)
+
+
+NODE_CLASSES = _node_classes()
+# What the frozen dataclasses these classes replace declared: a surface
+# node's span is neither compared nor printed, and neither is an
+# environment's equation node; a value's step count is printed but not
+# compared.  Those fields have defaults; a diagnostic's span and a
+# divergence's step count do not.  Environments and elaboration contexts
+# were not frozen, so they compare equal without a hash.
+MUTABLE_BEFORE = {"Env", "ElabCtx"}
+DEFAULTS = {"decl": None, "elem_type": None, "route": (), "notes": (),
+            "tscope": (), "depth": 0}
+UNCOMPARED_DEFAULTS = {"span": None, "steps": 0}
+FACTORIES = {"witnesses": dict, "assumed": dict, "eq_node": EquationNode}
+
+
+def _flags(cls, name) -> tuple:
+    """(compare, repr) of a field of cls."""
+    if name == "eq_node" or (name == "span" and issubclass(cls, Syntax)):
+        return False, False
+    if (cls.__name__, name) == ("Value", "steps"):
+        return False, True
+    return True, True
+
+
+def _reference(cls):
+    """The dataclass with cls's fields and flags."""
+    specs = []
+    for name in cls.__slots__:
+        compare, show = _flags(cls, name)
+        if name in FACTORIES:
+            default = {"default_factory": FACTORIES[name]}
+        elif name in DEFAULTS:
+            default = {"default": DEFAULTS[name]}
+        elif not compare:
+            default = {"default": UNCOMPARED_DEFAULTS[name]}
+        else:
+            default = {}
+        specs.append((name, object, dataclasses.field(
+            compare=compare, repr=show, **default)))
+    return dataclasses.make_dataclass(
+        cls.__name__, specs, frozen=cls.__name__ not in MUTABLE_BEFORE)
+
+
+def _values(name) -> list:
+    """Field values to build nodes from.  An environment's fields take
+    only their own kind: for them `Env` reads `None` as "a fresh one"."""
+    if name in ("witnesses", "assumed"):
+        return [{}, {1: "a"}, {2: ("b",)}]
+    if name == "eq_node":
+        return [EquationNode(), EquationNode()]
+    return [0, 1, True, "a", "b", (), ("a", 1), None]
+
+
+def test_node_classes_are_found():
+    assert len(NODE_CLASSES) >= 59
+    assert {"IntT", "Lam", "CArrow", "Value", "Env", "ElabCtx",
+            "TypeDiagnostic", "ParseDiagnostic", "ErrT", "Evidence"} <= {
+        c.__name__ for c in NODE_CLASSES}
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_nodes_behave_as_their_dataclasses(cls):
+    ref = _reference(cls)
+    fields = cls.__slots__
+    assert cls.__match_args__ == ref.__match_args__ == fields
+    rng = random.Random(cls.__name__)
+    draws = [tuple(rng.choice(_values(f)) for f in fields)
+             for _ in range(40)]
+    pairs = [(a, b) for a in draws[:8] for b in draws[:8]]
+    # pairs differing in exactly one field, uncompared ones included
+    for a in draws[:8]:
+        for i, f in enumerate(fields):
+            pairs += [(a, a[:i] + (v,) + a[i + 1:]) for v in _values(f)]
+    for a, b in pairs:
+        x, y, rx, ry = cls(*a), cls(*b), ref(*a), ref(*b)
+        assert repr(x) == repr(rx)
+        assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+        assert x.__eq__(x) is True
+        if ref.__hash__ is None:
+            assert cls.__hash__ is None
+        else:
+            assert hash(x) == hash(rx)
+    for a in draws:
+        x = cls(**dict(zip(fields, a)))
+        assert [getattr(x, f) for f in fields] == list(a)
+        assert repr(x) == repr(ref(*a))
+        for f in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, f, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+    required = [f for f in dataclasses.fields(ref)
+                if f.default is f.default_factory is dataclasses.MISSING]
+    a = draws[0][:len(required)]
+    x, rx = cls(*a), ref(*a)
+    assert repr(x) == repr(rx)
+    for f in fields:
+        got, want = getattr(x, f), getattr(rx, f)
+        assert type(got) is type(want)
+        if f in FACTORIES:  # a fresh one per instance
+            assert getattr(cls(*a), f) is not got
+        assert got == want or f == "eq_node"
+
+
+def test_nodes_of_different_classes_differ():
+    assert IntT() != BoolT() and CInt() != CBool()
+    by_arity = {}
+    for c in NODE_CLASSES:
+        by_arity.setdefault(len(c.__slots__), []).append(c)
+    for arity, classes in by_arity.items():
+        for c, d in itertools.permutations(classes, 2):
+            x, y = c(*[1] * arity), d(*[1] * arity)
+            assert x.__eq__(y) is NotImplemented and x != y

@@ -1,8 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every module-level function and class of the package is used."""
+every module-level function and class of the package is used, and
+importing the CLI loads no code generator."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -88,3 +92,17 @@ def test_every_definition_is_referenced():
                      for p in (ROOT / d).rglob("*.py")
                      if str(p.relative_to(ROOT)) not in package)
     assert unreferenced(package, others) == []
+
+
+def test_importing_the_cli_generates_no_code():
+    """A fresh `import fgc.cli` loads neither `dataclasses`, which writes
+    and `exec`s the methods of every class it decorates, nor `inspect`,
+    which `dataclasses` imports.  It counts modules and times nothing.
+    `-S` leaves out `site`, so the modules are the ones fgc imports."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    probe = ("import fgc.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
