@@ -58,6 +58,9 @@ class BoolT(Type):
         set_field(self, "span", span)
 
 
+INT, BOOL = IntT(), BoolT()  # span-less: for every type not read from source
+
+
 class ListT(Type):
     __slots__ = ("elem", "span")
 
@@ -98,15 +101,6 @@ class Forall(Type):
         set_field(self, "binder", binder)
         set_field(self, "body", body)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.binder, self.body) == (
-            other.binder, other.body)
-
-    def __hash__(self):
-        return hash((self.binder, self.body))
 
 
 class TVar(Type):
@@ -176,15 +170,6 @@ class Constrained(Type):
         set_field(self, "body", body)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.constraint, self.body) == (
-            other.constraint, other.body)
-
-    def __hash__(self):
-        return hash((self.constraint, self.body))
-
 
 # ---------------------------------------------------------------- constraints
 
@@ -246,19 +231,6 @@ class ConceptInfo(Syntax):
         set_field(self, "decl", decl)  # the declaration's identity
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            self.name, self.type_params, self.assoc_types, self.nested,
-            self.members, self.decl) == (
-            other.name, other.type_params, other.assoc_types, other.nested,
-            other.members, other.decl)
-
-    def __hash__(self):
-        return hash((self.name, self.type_params, self.assoc_types,
-                     self.nested, self.members, self.decl))
-
 
 class ModelInfo(Syntax):
     __slots__ = ("concept", "type_args", "assoc_binds", "member_binds",
@@ -272,19 +244,6 @@ class ModelInfo(Syntax):
         set_field(self, "member_binds", member_binds)  # of (str, Expr)
         set_field(self, "decl", decl)  # of the concept, as in ModelId
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            self.concept, self.type_args, self.assoc_binds,
-            self.member_binds, self.decl) == (
-            other.concept, other.type_args, other.assoc_binds,
-            other.member_binds, other.decl)
-
-    def __hash__(self):
-        return hash((self.concept, self.type_args, self.assoc_binds,
-                     self.member_binds, self.decl))
 
 
 # ---------------------------------------------------------------- expressions
@@ -303,14 +262,6 @@ class IntLit(Expr):
         set_field(self, "value", value)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class BoolLit(Expr):
     __slots__ = ("value", "span")
@@ -318,14 +269,6 @@ class BoolLit(Expr):
     def __init__(self, value: bool, span=None):
         set_field(self, "value", value)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
 
 
 class Lam(Expr):
@@ -339,16 +282,6 @@ class Lam(Expr):
         set_field(self, "decl", decl)  # the parameter's identity
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            self.param, self.ann, self.body, self.decl) == (
-            other.param, other.ann, other.body, other.decl)
-
-    def __hash__(self):
-        return hash((self.param, self.ann, self.body, self.decl))
-
 
 class App(Expr):
     __slots__ = ("fn", "arg", "span")
@@ -357,14 +290,6 @@ class App(Expr):
         set_field(self, "fn", fn)
         set_field(self, "arg", arg)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.fn, self.arg) == (other.fn, other.arg)
-
-    def __hash__(self):
-        return hash((self.fn, self.arg))
 
 
 class TyLam(Expr):
@@ -375,15 +300,6 @@ class TyLam(Expr):
         set_field(self, "body", body)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.binder, self.body) == (
-            other.binder, other.body)
-
-    def __hash__(self):
-        return hash((self.binder, self.body))
-
 
 class TyApp(Expr):
     __slots__ = ("subject", "arg", "span")
@@ -393,15 +309,6 @@ class TyApp(Expr):
         set_field(self, "arg", arg)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.subject, self.arg) == (
-            other.subject, other.arg)
-
-    def __hash__(self):
-        return hash((self.subject, self.arg))
-
 
 class ConstrainedE(Expr):
     __slots__ = ("constraint", "body", "span")
@@ -410,15 +317,6 @@ class ConstrainedE(Expr):
         set_field(self, "constraint", constraint)
         set_field(self, "body", body)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.constraint, self.body) == (
-            other.constraint, other.body)
-
-    def __hash__(self):
-        return hash((self.constraint, self.body))
 
 
 class PathE(Expr):
@@ -433,15 +331,6 @@ class PathE(Expr):
         set_field(self, "decl", decl)  # a variable's binder's identity
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.prefix, self.name, self.decl) == (
-            other.prefix, other.name, other.decl)
-
-    def __hash__(self):
-        return hash((self.prefix, self.name, self.decl))
-
 
 class ConceptDecl(Expr):
     __slots__ = ("info", "rest", "span")
@@ -450,15 +339,6 @@ class ConceptDecl(Expr):
         set_field(self, "info", info)
         set_field(self, "rest", rest)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.info, self.rest) == (
-            other.info, other.rest)
-
-    def __hash__(self):
-        return hash((self.info, self.rest))
 
 
 class ModelDecl(Expr):
@@ -469,15 +349,6 @@ class ModelDecl(Expr):
         set_field(self, "rest", rest)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.info, self.rest) == (
-            other.info, other.rest)
-
-    def __hash__(self):
-        return hash((self.info, self.rest))
-
 
 class TypeAlias(Expr):
     __slots__ = ("name", "rhs", "rest", "span")
@@ -487,15 +358,6 @@ class TypeAlias(Expr):
         set_field(self, "rhs", rhs)
         set_field(self, "rest", rest)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.name, self.rhs, self.rest) == (
-            other.name, other.rhs, other.rest)
-
-    def __hash__(self):
-        return hash((self.name, self.rhs, self.rest))
 
 
 class Let(Expr):
@@ -509,16 +371,6 @@ class Let(Expr):
         set_field(self, "decl", decl)  # the name's identity
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            self.name, self.bound, self.rest, self.decl) == (
-            other.name, other.bound, other.rest, other.decl)
-
-    def __hash__(self):
-        return hash((self.name, self.bound, self.rest, self.decl))
-
 
 class Fix(Expr):
     __slots__ = ("body", "span")
@@ -526,14 +378,6 @@ class Fix(Expr):
     def __init__(self, body: Expr, span=None):
         set_field(self, "body", body)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.body == other.body
-
-    def __hash__(self):
-        return hash((self.body,))
 
 
 class If(Expr):
@@ -545,15 +389,6 @@ class If(Expr):
         set_field(self, "els", els)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.cond, self.thn, self.els) == (
-            other.cond, other.thn, other.els)
-
-    def __hash__(self):
-        return hash((self.cond, self.thn, self.els))
-
 
 class ListLit(Expr):
     __slots__ = ("elems", "elem_type", "span")
@@ -564,15 +399,6 @@ class ListLit(Expr):
         set_field(self, "elem_type", elem_type)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.elems, self.elem_type) == (
-            other.elems, other.elem_type)
-
-    def __hash__(self):
-        return hash((self.elems, self.elem_type))
-
 
 class Prim(Expr):
     __slots__ = ("op", "args", "span")
@@ -581,14 +407,6 @@ class Prim(Expr):
         set_field(self, "op", op)
         set_field(self, "args", args)  # of Expr
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.op, self.args) == (other.op, other.args)
-
-    def __hash__(self):
-        return hash((self.op, self.args))
 
 
 # Arity and result shape of the built-in operators.  Arithmetic and

@@ -86,13 +86,13 @@ from .parser import pretty_type
 from .sysf import (
     CApp,
     CArrow,
-    CBool,
+    CBOOL,
     CBoolLit,
     CCons,
     CFix,
     CForall,
     CIf,
-    CInt,
+    CINT,
     CIntLit,
     CLam,
     CList,
@@ -130,16 +130,11 @@ class ElabCtx(Node):
     """
 
     __slots__ = ("tscope", "depth")
+    __hash__ = None
 
     def __init__(self, tscope: tuple = (), depth: int = 0):
         set_field(self, "tscope", tscope)
         set_field(self, "depth", depth)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.tscope, self.depth) == (
-            other.tscope, other.depth)
 
     def bind_tyvar(self, name):
         return ElabCtx(self.tscope + (("var", name),), self.depth)
@@ -233,9 +228,9 @@ class Elaborator:
     def _conv_raw(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
         match t:
             case IntT():
-                return CInt()
+                return CINT
             case BoolT():
-                return CBool()
+                return CBOOL
             case ListT(elem):
                 return CList(self._conv_raw(env, ctx, elem))
             case Arrow(dom, cod):

@@ -52,15 +52,6 @@ class Evidence(Node):
         set_field(self, "binder", binder)
         set_field(self, "route", route)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.binder, self.route) == (
-            other.binder, other.route)
-
-    def __hash__(self):
-        return hash((self.binder, self.route))
-
 
 PROVED = Evidence(None)  # a provable same-type constraint
 
@@ -148,18 +139,13 @@ class Env(Node):
 
     __slots__ = ("witnesses", "assumed", "eq_node")
     _unprinted = ("eq_node",)
+    __hash__ = None
 
     def __init__(self, witnesses=None, assumed=None, eq_node=None):
         set_field(self, "witnesses", {} if witnesses is None else witnesses)
         set_field(self, "assumed", {} if assumed is None else assumed)
         set_field(self, "eq_node",
                   EquationNode() if eq_node is None else eq_node)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.witnesses, self.assumed) == (
-            other.witnesses, other.assumed)
 
     def model(self, mid: ModelId, evidence: Evidence) -> "Env":
         return Env(_push(self.witnesses, mid, evidence), self.assumed,

@@ -125,15 +125,6 @@ class ParseDiagnostic(Node):
         set_field(self, "code", code)
         set_field(self, "message", message)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.span, self.code, self.message) == (
-            other.span, other.code, other.message)
-
-    def __hash__(self):
-        return hash((self.span, self.code, self.message))
-
     def __str__(self) -> str:
         return f"{self.span}: error[{self.code}]: {self.message}"
 

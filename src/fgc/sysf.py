@@ -35,6 +35,9 @@ class CBool(CoreType):
     __slots__ = ()
 
 
+CINT, CBOOL = CInt(), CBool()
+
+
 class CList(CoreType):
     __slots__ = ("elem",)
 
@@ -124,14 +127,6 @@ class CIntLit(CoreTerm):
     def __init__(self, value: int):
         set_field(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class CBoolLit(CoreTerm):
     __slots__ = ("value",)
@@ -139,28 +134,12 @@ class CBoolLit(CoreTerm):
     def __init__(self, value: bool):
         set_field(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class CVar(CoreTerm):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
         set_field(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.index == other.index
-
-    def __hash__(self):
-        return hash((self.index,))
 
 
 class CLam(CoreTerm):
@@ -170,15 +149,6 @@ class CLam(CoreTerm):
         set_field(self, "ann", ann)
         set_field(self, "body", body)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.ann, self.body) == (
-            other.ann, other.body)
-
-    def __hash__(self):
-        return hash((self.ann, self.body))
-
 
 class CApp(CoreTerm):
     __slots__ = ("fn", "arg")
@@ -187,28 +157,12 @@ class CApp(CoreTerm):
         set_field(self, "fn", fn)
         set_field(self, "arg", arg)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.fn, self.arg) == (other.fn, other.arg)
-
-    def __hash__(self):
-        return hash((self.fn, self.arg))
-
 
 class CTyLam(CoreTerm):
     __slots__ = ("body",)
 
     def __init__(self, body: CoreTerm):
         set_field(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.body == other.body
-
-    def __hash__(self):
-        return hash((self.body,))
 
 
 class CTyApp(CoreTerm):
@@ -218,29 +172,12 @@ class CTyApp(CoreTerm):
         set_field(self, "subject", subject)
         set_field(self, "arg", arg)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.subject, self.arg) == (
-            other.subject, other.arg)
-
-    def __hash__(self):
-        return hash((self.subject, self.arg))
-
 
 class CTup(CoreTerm):
     __slots__ = ("elems",)
 
     def __init__(self, elems: tuple):
         set_field(self, "elems", elems)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.elems == other.elems
-
-    def __hash__(self):
-        return hash((self.elems,))
 
 
 class CProj(CoreTerm):
@@ -250,29 +187,12 @@ class CProj(CoreTerm):
         set_field(self, "subject", subject)
         set_field(self, "index", index)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.subject, self.index) == (
-            other.subject, other.index)
-
-    def __hash__(self):
-        return hash((self.subject, self.index))
-
 
 class CFix(CoreTerm):
     __slots__ = ("body",)
 
     def __init__(self, body: CoreTerm):
         set_field(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.body == other.body
-
-    def __hash__(self):
-        return hash((self.body,))
 
 
 class CIf(CoreTerm):
@@ -283,15 +203,6 @@ class CIf(CoreTerm):
         set_field(self, "thn", thn)
         set_field(self, "els", els)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.cond, self.thn, self.els) == (
-            other.cond, other.thn, other.els)
-
-    def __hash__(self):
-        return hash((self.cond, self.thn, self.els))
-
 
 class CPrim(CoreTerm):
     __slots__ = ("op", "args")
@@ -300,28 +211,12 @@ class CPrim(CoreTerm):
         set_field(self, "op", op)
         set_field(self, "args", args)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.op, self.args) == (other.op, other.args)
-
-    def __hash__(self):
-        return hash((self.op, self.args))
-
 
 class CNil(CoreTerm):
     __slots__ = ("elem",)
 
     def __init__(self, elem: CoreType):
         set_field(self, "elem", elem)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.elem == other.elem
-
-    def __hash__(self):
-        return hash((self.elem,))
 
 
 class CCons(CoreTerm):
@@ -330,15 +225,6 @@ class CCons(CoreTerm):
     def __init__(self, head: CoreTerm, tail: CoreTerm):
         set_field(self, "head", head)
         set_field(self, "tail", tail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.head, self.tail) == (
-            other.head, other.tail)
-
-    def __hash__(self):
-        return hash((self.head, self.tail))
 
 
 # ---------------------------------------------------------------- shifting
@@ -431,9 +317,9 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
     # entry for its body and pops it after
     match t:
         case CIntLit():
-            return CInt()
+            return CINT
         case CBoolLit():
-            return CBool()
+            return CBOOL
         case CVar(i):
             if not 0 <= i < len(ctx):
                 raise CoreTypeError(f"variable index {i} out of scope", path)
@@ -503,7 +389,7 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             return tb.dom
         case CIf(cond, thn, els):
             tc = _infer(cond, ctx, tydepth, ("cond", path))
-            if tc != CBool():
+            if tc != CBOOL:
                 raise CoreTypeError(
                     f"condition has type {pretty_core_type(tc)}, not bool",
                     path)
@@ -545,13 +431,13 @@ def _infer_prim(op, args, ctx, tydepth, path) -> CoreType:
     tys = [_infer(a, ctx, tydepth, (f"{op}#{i}", path))
            for i, a in enumerate(args)]
     if op in ("+", "-", "*", "<", "=="):
-        if tys != [CInt(), CInt()]:
+        if tys != [CINT, CINT]:
             raise CoreTypeError(f"{op} needs two ints", path)
-        return CInt() if op in ("+", "-", "*") else CBool()
+        return CINT if op in ("+", "-", "*") else CBOOL
     if op == "isnil":
         if not isinstance(tys[0], CList):
             raise CoreTypeError("isnil needs a list", path)
-        return CBool()
+        return CBOOL
     if op == "head":
         if not isinstance(tys[0], CList):
             raise CoreTypeError("head needs a list", path)
@@ -572,19 +458,12 @@ def _infer_prim(op, args, ctx, tydepth, path) -> CoreType:
 
 class Value(Node):
     __slots__ = ("value", "steps")
+    _uncompared = ("steps",)
 
     def __init__(self, value: object, steps: int = 0):
         # an int, a bool, or the value's core term
         set_field(self, "value", value)
         set_field(self, "steps", steps)  # contractions taken
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
 
 
 class Diverged(Node):
@@ -593,28 +472,12 @@ class Diverged(Node):
     def __init__(self, steps: int):
         set_field(self, "steps", steps)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.steps == other.steps
-
-    def __hash__(self):
-        return hash((self.steps,))
-
 
 class Stuck(Node):
     __slots__ = ("reason",)
 
     def __init__(self, reason: str):
         set_field(self, "reason", reason)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.reason == other.reason
-
-    def __hash__(self):
-        return hash((self.reason,))
 
 
 def _loop(ty: CoreType) -> CoreTerm:

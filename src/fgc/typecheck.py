@@ -50,6 +50,7 @@ from .ast import (
     App,
     Arrow,
     AssocPath,
+    BOOL,
     BoolLit,
     BoolT,
     ConceptC,
@@ -61,6 +62,7 @@ from .ast import (
     Fix,
     Forall,
     If,
+    INT,
     IntLit,
     IntT,
     Lam,
@@ -109,16 +111,6 @@ class TypeDiagnostic(Node):
         set_field(self, "code", code)
         set_field(self, "message", message)
         set_field(self, "notes", notes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            self.span, self.code, self.message, self.notes) == (
-            other.span, other.code, other.message, other.notes)
-
-    def __hash__(self):
-        return hash((self.span, self.code, self.message, self.notes))
 
     def __str__(self) -> str:
         where = str(self.span) if self.span else "<unknown>"
@@ -343,9 +335,9 @@ class Checker:
         self.envs[id(e)] = env
         match e:
             case IntLit():
-                return IntT()
+                return INT
             case BoolLit():
-                return BoolT()
+                return BOOL
             case PathE((), _):
                 return self.terms[e.decl]
             case PathE(prefix, name):
@@ -505,15 +497,15 @@ class Checker:
             for a in args:
                 self._expose(env, self.infer(env, a), IntT, a, a.span, "T001",
                              f"operator {op!r} needs int operands, got {{}}")
-            return IntT() if op in ("+", "-", "*") else BoolT()
+            return INT if op in ("+", "-", "*") else BOOL
         if op in ("isnil", "head", "tail"):
             lst = self._expose(env, self.infer(env, args[0]), ListT, args[0],
                                args[0].span, "T001",
                                f"{op} needs a list, got {{}}")
             if lst is None:
-                return BoolT() if op == "isnil" else ERR
+                return BOOL if op == "isnil" else ERR
             if op == "isnil":
-                return BoolT()
+                return BOOL
             return lst.elem if op == "head" else lst
         if op == "cons":
             th = self.infer(env, args[0])

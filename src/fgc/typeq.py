@@ -20,11 +20,13 @@ from __future__ import annotations
 from .ast import (
     Arrow,
     AssocPath,
+    BOOL,
     BoolT,
     ConceptC,
     Constrained,
     Constraint,
     Forall,
+    INT,
     IntT,
     ListT,
     ModelId,
@@ -265,9 +267,9 @@ class ClosureState:
         tag, payload, children = self.nodes[nid]
         sub = lambda c, d=depth: self._rebuild(self.find(c), busy, d)
         if tag == "int":
-            return IntT()
+            return INT
         if tag == "bool":
-            return BoolT()
+            return BOOL
         if tag == "var":
             return TVar(payload)
         if tag == "bvar":

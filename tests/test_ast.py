@@ -1,6 +1,7 @@
 """Syntax-tree operations: the shared walk, free variables, substitution,
 alpha equality."""
 
+import collections
 import dataclasses
 import importlib
 import itertools
@@ -32,10 +33,12 @@ from fgc.ast import (
     substitute_type_map,
     type_children,
 )
+from fgc.cli import main
 from fgc.env import EquationNode
 from fgc.node import Node
 from fgc.sysf import CBool, CInt
 
+from corpus import PROGRAMS_DIR, workload_programs
 from gen import random_type
 
 A, B, C = TVar("a"), TVar("b"), TVar("c")
@@ -333,3 +336,38 @@ def test_nodes_of_different_classes_differ():
         for c, d in itertools.permutations(classes, 2):
             x, y = c(*[1] * arity), d(*[1] * arity)
             assert x.__eq__(y) is NotImplemented and x != y
+
+
+def test_only_the_compared_classes_write_their_equality(monkeypatch,
+                                                        tmp_path):
+    """The traffic behind `node.py`'s two kinds of equality: over `check`,
+    `run` and `emit-core --verify` of the corpus and of some seed-7
+    benchmark programs, no class on `Node`'s shared field methods is
+    compared or hashed, and every class that writes its own `__eq__` and
+    `__hash__` is."""
+    shared, written, calls = set(), set(), collections.Counter()
+    for cls in NODE_CLASSES:
+        if cls.__eq__ is Node.__eq__:
+            shared.add(cls.__name__)
+        elif cls.__eq__.__qualname__ == f"{cls.__name__}.__eq__":
+            written.add(cls.__name__)
+        for name in ("__eq__", "__hash__"):
+            method = getattr(cls, name)
+            if method is not None:
+                def counted(*args, _method=method, _cls=cls.__name__):
+                    calls[_cls] += 1
+                    return _method(*args)
+                monkeypatch.setattr(cls, name, counted)
+    assert {"Lam", "CApp", "Value", "Env"} <= shared
+    assert {"ModelId", "Arrow", "CForall"} <= written
+    files = sorted(PROGRAMS_DIR.glob("*.fg"))
+    for workload in ("recursion", "concept_chain", "wide_source"):
+        for p in workload_programs(workload, 7)[:4]:
+            files.append(tmp_path / f"{workload}_{p.name}.fg")
+            files[-1].write_text(p.source)
+    for f in files:
+        for argv in (["check", str(f)], ["run", str(f)],
+                     ["emit-core", str(f), "--verify"]):
+            main(argv)
+    assert {c for c in shared if calls[c]} == set()
+    assert {c for c in written if not calls[c]} == set()
