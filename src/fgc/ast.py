@@ -3,28 +3,80 @@
 Types, constraints, and expressions are immutable trees of `Node`s (see
 `node.py`).  Source spans are carried on every node but excluded from
 equality and from the repr, so that structural comparison ignores
-positions.
+positions.  A span holds its `Source` and two character offsets; a line
+and a column are computed only when something reads them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple, Optional, Union
 
 from .node import Node, set_field
 
 
-class SourceSpan(NamedTuple):
-    """A token's or a node's place in its file; a named tuple, because the
-    lexer makes one per token."""
+class Source:
+    """A source file: its name and its text.  The offsets at which its
+    lines start are found the first time a position in it is resolved."""
 
-    file: str
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
+    __slots__ = ("file", "text", "line_starts")
+
+    def __init__(self, file: str, text: str):
+        self.file, self.text, self.line_starts = file, text, None
+
+    def position(self, offset: int) -> tuple:
+        """The line and the column, both from 1, of a character offset."""
+        starts = self.line_starts
+        if starts is None:
+            starts, i = [0], self.text.find("\n")
+            while i >= 0:
+                starts.append(i + 1)
+                i = self.text.find("\n", i + 1)
+            self.line_starts = starts
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+
+
+class SourceSpan(NamedTuple):
+    """A node's or a diagnostic's place in its source: the offsets of its
+    first and its last character (for a diagnostic at the end of input,
+    both are where the input ends: its length, or the start of a comment
+    that runs to it).  The parser stores only these; the
+    file, lines and columns are resolved when a diagnostic or a tool
+    reads them."""
+
+    source: Source
+    start: int
+    end: int
+
+    @property
+    def file(self) -> str:
+        return self.source.file
+
+    @property
+    def start_line(self) -> int:
+        return self.source.position(self.start)[0]
+
+    @property
+    def start_col(self) -> int:
+        return self.source.position(self.start)[1]
+
+    @property
+    def end_line(self) -> int:
+        return self.source.position(self.end)[0]
+
+    @property
+    def end_col(self) -> int:
+        return self.source.position(self.end)[1]
 
     def __str__(self) -> str:
-        return f"{self.file}:{self.start_line}:{self.start_col}"
+        line, col = self.source.position(self.start)
+        return f"{self.source.file}:{line}:{col}"
+
+    def __repr__(self) -> str:
+        return (f"SourceSpan(file={self.file!r}, start_line="
+                f"{self.start_line}, start_col={self.start_col}, "
+                f"end_line={self.end_line}, end_col={self.end_col})")
 
 
 class Syntax(Node):

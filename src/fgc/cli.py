@@ -47,6 +47,25 @@ def _use_color() -> bool:
     return sys.stderr.isatty()
 
 
+def _json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` of dicts, lists and scalars.  Only
+    scalars and empty containers go to `json.dumps`: with an indent it
+    runs the standard library's pure-Python encoder, whose closures are
+    left to the cycle collector."""
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{json.dumps(k)}: {_json(v, inner)}"
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = [inner + _json(v, inner) for v in value]
+        brackets = "[]"
+    return (brackets[0] + "\n" + ",\n".join(items) + "\n" + indent
+            + brackets[1])
+
+
 def _print_diagnostics(diags, fmt: str) -> None:
     if fmt == "json":
         payload = {
@@ -70,7 +89,7 @@ def _print_diagnostics(diags, fmt: str) -> None:
                 for d in diags
             ],
         }
-        print(json.dumps(payload, indent=2), file=sys.stderr)
+        print(_json(payload), file=sys.stderr)
         return
     color = _use_color()
     for d in diags:

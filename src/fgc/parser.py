@@ -1,18 +1,25 @@
 """Concrete syntax: lexer, parser with scope resolution, and pretty-printer.
 
-Lexing is one regular expression (`_TOKEN`) matched at each position:
-blanks (space, tab, carriage return), then a newline, a `//` comment to
-the end of the line, an integer `[0-9]+`, an identifier
+Lexing is one regular expression (`_TOKEN`) whose matches `findall`
+lists: blanks (space, tab, carriage return, newline) and `//` comments to
+the end of the line, then a token: an integer `[0-9]+`, an identifier
 `[A-Za-z_][A-Za-z_0-9]*` (a keyword if in KEYWORDS), a punctuator
-`== => -> ( ) { } [ ] < > . , ; : = + * -`, or any other character
-(P012).  A column is the offset from the last newline plus one; a
-comment advances none.
+`== => -> ( ) { } [ ] < > . , ; : = + * -`, any other character (P012),
+or the end of input.  A token is its kind, its text and the offsets of
+its first and last characters; its kind is looked up by its text, or by
+its first character for an integer or an identifier.  The end-of-input
+token is at the end of the text, or at the start of a comment that runs
+to it.  Nothing counts lines: a node's span holds the offsets of its
+first token's start and its last token's end, and its file, lines and
+columns are resolved from the `Source` it refers to only when a
+diagnostic or a tool reads them (see `ast.SourceSpan`).
 
 The parser tries a constrained expression (`C<t> => e`, `t1 == t2 => e`)
 only where the tokens from there on that a type can be made of
 (identifiers, `list forall int bool ( ) < > , . -> ==`) run into `=>`:
-a constraint is made of those, and `=>` follows it.  One backward pass
-over the tokens marks those positions.
+a constraint is made of those, and `=>` follows it.  The parser finds
+each `=>` in the source text and marks those positions by walking back
+from its token, so the cost is that of the marked tokens, not of all.
 
 The parser resolves names as it reads them, so the tree it builds is the
 resolved one: every concept declaration and term binder gets a
@@ -56,8 +63,10 @@ Diagnostic codes (closed set):
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import partial
 from itertools import count
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .ast import (
@@ -90,6 +99,7 @@ from .ast import (
     PRIM_ARITY,
     PRIM_NAMES,
     SameType,
+    Source,
     SourceSpan,
     TVar,
     TyApp,
@@ -106,15 +116,24 @@ KEYWORDS = {
     "int", "bool",
 }
 
-# `end` matches blanks at the end of input once, not once per position
-_TOKEN = re.compile(r"""[ \t\r]*(?:
-    (?P<nl>\n)
-  | (?P<comment>//[^\n]*)
-  | (?P<int>[0-9]+)
-  | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<punct>==|=>|->|[(){}\[\]<>.,;:=+*-])
-  | (?P<end>\Z)
-  | (?P<bad>.))""", re.VERBOSE)
+# blanks and comments, then a token: the comment's lookahead keeps it whole,
+# and `/` starts no token where it starts a comment, so that every position
+# matches and no match is retried
+_TOKEN = re.compile(r"""((?:[ \t\r\n]+|//[^\n]*(?=\n|\Z))*)
+    ([0-9]+|[A-Za-z_][A-Za-z_0-9]*|==|=>|->|/(?!/)|[^ \t\r\n/]|\Z)""",
+                    re.VERBOSE)
+
+_new = tuple.__new__  # skips the named tuples' Python-level __new__
+
+# a token's kind by its text, for keywords and punctuators, and by its first
+# character, for integers and identifiers; any other text is P012
+_KINDS = {
+    **{word: "kw" for word in KEYWORDS},
+    **{p: "punct" for p in "== => -> ( ) { } [ ] < > . , ; : = + * -".split()},
+    **{c: "int" for c in "0123456789"},
+    **{c: "id" for c in "_abcdefghijklmnopqrstuvwxyz"
+                        "ABCDEFGHIJKLMNOPQRSTUVWXYZ"},
+}
 
 
 class ParseDiagnostic(Node):
@@ -140,38 +159,37 @@ class ParseError(Exception):
 class Token(NamedTuple):
     kind: str  # "id" | "int" | "kw" | "punct" | "eof"
     text: str
-    span: SourceSpan
+    start: int  # the offset of its first character
+    end: int  # the offset of its last character; `start` for the eof
 
 
 # ---------------------------------------------------------------- lexer
 
 
 def tokenize(src: str, filename: str) -> list:
-    toks = []
-    line, line_start, eof = 1, 0, len(src)
-    new = tuple.__new__  # skips the named tuples' Python-level __new__
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-            continue
-        if kind == "comment" or kind == "end":
-            if kind == "comment" and m.end() == len(src):
-                eof = m.start(kind)  # a comment advances no column
-            continue
-        text = m[kind]
-        col = m.end() - len(text) - line_start + 1
-        if kind == "bad":
-            raise ParseError([ParseDiagnostic(
-                SourceSpan(filename, line, col, line, col), "P012",
-                f"invalid character {text!r}")])
-        if kind == "id" and text in KEYWORDS:
-            kind = "kw"
-        toks.append(new(Token, (kind, text, new(SourceSpan, (
-            filename, line, col, line, col + len(text) - 1)))))
-    col = eof - line_start + 1
-    toks.append(Token("eof", "", SourceSpan(filename, line, col, line, col)))
+    """The tokens of src, end-of-input token included."""
+    toks, pos = [], 0
+    append = toks.append
+    kinds = dict(_KINDS)  # this text's identifiers are added as they come
+    for skip, text in _TOKEN.findall(src):
+        pos += len(skip)
+        kind = kinds.get(text)
+        if kind is None:
+            if not text:  # the end of input
+                i = skip.find("//", skip.rfind("\n") + 1)
+                if i >= 0:  # a comment runs to the end
+                    pos += i - len(skip)
+                break
+            kind = _KINDS.get(text[0])
+            if kind is None:
+                raise ParseError([ParseDiagnostic(
+                    SourceSpan(Source(filename, src), pos, pos), "P012",
+                    f"invalid character {text!r}")])
+            kinds[text] = kind
+        end = pos + len(text)
+        append(_new(Token, (kind, text, pos, end - 1)))
+        pos = end
+    append(Token("eof", "", pos, pos))
     return toks
 
 
@@ -193,22 +211,28 @@ _DECLARATIONS = ("concept", "model", "type", "let")
 # binary operators and their precedence, loosest 0; all left-associative
 _BINOPS = {"<": 0, "==": 0, "+": 1, "-": 1, "*": 2}
 
+_start = attrgetter("start")  # a token's start offset, to bisect by
+
 
 class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
+    def __init__(self, toks, source: Source):
+        self.toks, self.source = toks, source
         self.pos = 0
         # the positions from which the tokens a type can be made of run
-        # into `=>`, which a constrained expression needs
-        self.constrained, reach = set(), False
-        for i in range(len(toks) - 1, -1, -1):
-            t = toks[i]
-            if t.text == "=>":
-                reach = True
-            elif t.kind != "id" and t.text not in _TYPE_TOKENS:
-                reach = False
-            if reach:
+        # into `=>`, which a constrained expression needs: each `=>` token
+        # (not one in a comment, or the end of `==>`) and those before it
+        self.constrained = set()
+        text = source.text
+        at = text.find("=>")
+        while at >= 0:
+            i = bisect_left(toks, at, key=_start)
+            if i < len(toks) and toks[i].start == at:
                 self.constrained.add(i)
+                while i > 0 and (toks[i - 1].kind == "id"
+                                 or toks[i - 1].text in _TYPE_TOKENS):
+                    i -= 1
+                    self.constrained.add(i)
+            at = text.find("=>", at + 2)
         # the scope here: source type name -> resolved name (replaced, never
         # changed in place), term name -> binder identity (None: unbound),
         # and source concept name -> ConceptInfo
@@ -254,17 +278,19 @@ class _Parser:
     def fail(self, msg: str):
         t = self.peek()
         if t.kind == "eof":
-            raise _PError(ParseDiagnostic(t.span, "P002",
+            raise _PError(ParseDiagnostic(self.span(t), "P002",
                                           f"unexpected end of input: {msg}"))
-        raise _PError(ParseDiagnostic(t.span, "P001",
+        raise _PError(ParseDiagnostic(self.span(t), "P001",
                                       f"{msg}, found {t.text!r}"))
 
-    def join(self, a: SourceSpan, b: SourceSpan) -> SourceSpan:
-        return SourceSpan(a.file, a.start_line, a.start_col,
-                          b.end_line, b.end_col)
+    def span(self, t: Token) -> SourceSpan:
+        return _new(SourceSpan, (self.source, t.start, t.end))
 
-    def last_span(self) -> SourceSpan:
-        return self.toks[max(0, self.pos - 1)].span
+    def since(self, start: int) -> SourceSpan:
+        """The span from offset start to the end of the last token taken
+        (there is one: every node takes a token)."""
+        return _new(SourceSpan,
+                    (self.source, start, self.toks[self.pos - 1].end))
 
     # -- scope
 
@@ -326,31 +352,31 @@ class _Parser:
     # -- types
 
     def type_(self) -> Type:
-        start = self.peek().span
+        start = self.peek().start
         t = self.arrow_type()
         if self.at("=="):
             self.take()
             rhs = self.arrow_type()
             self.expect("=>")
             body = self.type_()
-            sp = self.join(start, self.last_span())
+            sp = self.since(start)
             return Constrained(SameType(t, rhs, span=sp), body, span=sp)
         return t
 
     def arrow_type(self) -> Type:
-        start = self.peek().span
+        start = self.peek().start
         t = self.prefix_type()
         if self.at("->"):
             self.take()
             cod = self.type_()
-            return Arrow(t, cod, span=self.join(start, self.last_span()))
+            return Arrow(t, cod, span=self.since(start))
         return t
 
     def prefix_type(self) -> Type:
-        start = self.peek().span
+        start = self.peek().start
         if self.eat("list"):
             elem = self.prefix_type()
-            return ListT(elem, span=self.join(start, self.last_span()))
+            return ListT(elem, span=self.since(start))
         if self.eat("forall"):
             b = self.expect_id()
             self.expect(".")
@@ -358,17 +384,17 @@ class _Parser:
             binder = self.bind_tyvar(b.text)
             body = self.type_()
             self.tymap = outer
-            return Forall(binder, body, span=self.join(start, self.last_span()))
+            return Forall(binder, body, span=self.since(start))
         return self.atom_type()
 
     def atom_type(self) -> Type:
         t = self.peek()
         if t.kind == "kw" and t.text == "int":
             self.take()
-            return IntT(span=t.span)
+            return IntT(span=self.span(t))
         if t.kind == "kw" and t.text == "bool":
             self.take()
-            return BoolT(span=t.span)
+            return BoolT(span=self.span(t))
         if self.eat("("):
             inner = self.type_()
             self.expect(")")
@@ -379,16 +405,17 @@ class _Parser:
                 mark = len(self.diags)
                 mid = self.model_args(t)
                 if self.eat("."):
-                    return self.type_path(mid, t.span, mark)
+                    return self.type_path(mid, t.start, mark)
                 # a concept application in type position must be a constraint
                 self.expect("=>")
                 body = self.type_()
-                sp = self.join(t.span, self.last_span())
-                return Constrained(ConceptC(mid, span=mid.span), body, span=sp)
+                return Constrained(ConceptC(mid, span=mid.span), body,
+                                   span=self.since(t.start))
+            span = self.span(t)
             if t.text not in self.tymap:
-                self.err(t.span, "P010", f"unknown type name {t.text!r}")
-                return TVar(t.text, span=t.span)
-            return TVar(self.tymap[t.text], span=t.span)
+                self.err(span, "P010", f"unknown type name {t.text!r}")
+                return TVar(t.text, span=span)
+            return TVar(self.tymap[t.text], span=span)
         self.fail("expected a type")
 
     def model_args(self, head: Token) -> ModelId:
@@ -400,10 +427,9 @@ class _Parser:
         info = self.concepts.get(head.text)
         return ModelId(info.name if info else head.text, tuple(args),
                        info and info.decl,
-                       span=self.join(head.span, self.last_span()))
+                       span=self.since(head.start))
 
-    def type_path(self, mid: ModelId, start: SourceSpan,
-                  mark: int) -> AssocPath:
+    def type_path(self, mid: ModelId, start: int, mark: int) -> AssocPath:
         """The path after `mid.`; the diagnostics of mid's type arguments,
         from mark on, move after those of an inner path's."""
         name = self.expect_id()
@@ -411,15 +437,15 @@ class _Parser:
             inner = len(self.diags)
             inner_mid = self.model_args(name)
             self.expect(".")
-            rest = self.type_path(inner_mid, name.span, inner)
+            rest = self.type_path(inner_mid, name.start, inner)
             self.diags[mark:] = self.diags[inner:] + self.diags[mark:inner]
-            return AssocPath(mid, rest, span=self.join(start, self.last_span()))
-        return AssocPath(mid, name.text, span=self.join(start, name.span))
+        else:
+            rest = name.text
+        return AssocPath(mid, rest, span=self.since(start))
 
     # -- constraints
 
     def constraint(self) -> Constraint:
-        start = self.peek().span
         t = self.peek()
         # an identifier is never the last token, which is the eof
         if t.kind == "id" and self.toks[self.pos + 1].text == "<":
@@ -435,13 +461,13 @@ class _Parser:
         lhs = self.arrow_type()
         self.expect("==")
         rhs = self.arrow_type()
-        return SameType(lhs, rhs, span=self.join(start, self.last_span()))
+        return SameType(lhs, rhs, span=self.since(t.start))
 
     # -- expressions
 
     def expr(self) -> Expr:
         t = self.peek()
-        start, word = t.span, t.text
+        start, word = t.start, t.text
         if word in _DECLARATIONS:
             return self.declarations()
         if word == "lam":
@@ -455,8 +481,7 @@ class _Parser:
             decl = self.terms[name] = next(self.ids)
             body = self.expr()
             self.terms[name] = outer
-            return Lam(name, ann, body, decl,
-                       span=self.join(start, self.last_span()))
+            return Lam(name, ann, body, decl, span=self.since(start))
         if word == "Lam":
             self.pos += 1
             name = self.expect_id()
@@ -465,11 +490,11 @@ class _Parser:
             binder = self.bind_tyvar(name.text)
             body = self.expr()
             self.tymap = outer
-            return TyLam(binder, body, span=self.join(start, self.last_span()))
+            return TyLam(binder, body, span=self.since(start))
         if word == "fix":
             self.pos += 1
             body = self.expr()
-            return Fix(body, span=self.join(start, self.last_span()))
+            return Fix(body, span=self.since(start))
         if word == "if":
             self.pos += 1
             cond = self.expr()
@@ -477,7 +502,7 @@ class _Parser:
             thn = self.expr()
             self.expect("else")
             els = self.expr()
-            return If(cond, thn, els, span=self.join(start, self.last_span()))
+            return If(cond, thn, els, span=self.since(start))
         if self.pos in self.constrained:
             ce = self.try_constrained_expr()
             if ce is not None:
@@ -486,7 +511,7 @@ class _Parser:
 
     def try_constrained_expr(self) -> Optional[Expr]:
         saved = self.save()
-        start = self.peek().span
+        start = self.peek().start
         try:
             c = self.constraint()
             self.expect("=>")
@@ -494,17 +519,17 @@ class _Parser:
             self.restore(saved)
             return None
         body = self.expr()
-        return ConstrainedE(c, body, span=self.join(start, self.last_span()))
+        return ConstrainedE(c, body, span=self.since(start))
 
     def binary(self, level: int) -> Expr:
         """Operators of precedence level or higher, by precedence climbing;
         a Prim spans from its left operand's start to its last token."""
-        start = self.peek().span
+        start = self.peek().start
         e = self.app_expr()
         while (prec := _BINOPS.get(self.peek().text, -1)) >= level:
             op = self.take().text
             rhs = self.binary(prec + 1)
-            e = Prim(op, (e, rhs), span=self.join(start, self.last_span()))
+            e = Prim(op, (e, rhs), span=self.since(start))
         return e
 
     def app_expr(self) -> Expr:
@@ -516,24 +541,21 @@ class _Parser:
         goes on (`(f x) y` is the run f x y).  Mark is the number of
         scope diagnostics after the head: a built-in head's P003 is the
         one before it until the run has enough arguments."""
-        start = self.peek().span
+        start = self.peek().start
         head = self.atom()
         args, arity, mark = [], self.builtin(head), len(self.diags)
         while True:
             if self.at("["):
                 # a type application, or else a list-literal argument
-                before = self.last_span()
+                before = self.since(start)
                 ty = None if self.lone_term() else self.type_arg()
                 if ty is not None:
-                    subject = self.apply(head, args, arity, mark,
-                                         self.join(start, before))
-                    head = TyApp(subject, ty,
-                                 span=self.join(start, self.last_span()))
+                    subject = self.apply(head, args, arity, mark, before)
+                    head = TyApp(subject, ty, span=self.since(start))
                     args, arity, mark = [], 0, len(self.diags)
                     continue
             elif not self.starts_atom():
-                return self.apply(head, args, arity, mark,
-                                  self.join(start, self.last_span()))
+                return self.apply(head, args, arity, mark, self.since(start))
             if not args and self.run is not None and self.run[0] is head:
                 _, head, args, arity, mark = self.run
             args.append(self.atom())
@@ -596,16 +618,16 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.take()
-            return IntLit(int(t.text), span=t.span)
+            return IntLit(int(t.text), span=self.span(t))
         if t.kind == "kw" and t.text in ("true", "false"):
             self.take()
-            return BoolLit(t.text == "true", span=t.span)
+            return BoolLit(t.text == "true", span=self.span(t))
         if t.kind == "kw" and t.text == "nil":
             self.take()
             self.expect("[")
             ty = self.type_()
             self.expect("]")
-            return ListLit((), ty, span=self.join(t.span, self.last_span()))
+            return ListLit((), ty, span=self.since(t.start))
         if self.eat("("):
             e = self.expr()
             self.expect(")")
@@ -615,20 +637,19 @@ class _Parser:
             if self.at("]"):
                 self.take()
                 raise _PError(ParseDiagnostic(
-                    lb.span, "P004",
+                    self.span(lb), "P004",
                     "empty list literal requires an element type: use nil[T]"))
             elems = [self.expr()]
             while self.eat(","):
                 elems.append(self.expr())
             self.expect("]")
-            return ListLit(tuple(elems), None,
-                           span=self.join(lb.span, self.last_span()))
+            return ListLit(tuple(elems), None, span=self.since(lb.start))
         if t.kind == "id":
             return self.path_expr()
         self.fail("expected an expression")
 
     def path_expr(self) -> Expr:
-        start = self.peek().span
+        start = self.peek().start
         prefix = []
         while True:
             t = self.expect_id()
@@ -645,12 +666,12 @@ class _Parser:
             if not prefix and decl is None:
                 if t.text in PRIM_NAMES:
                     # app_expr drops it once the arguments are enough
-                    self.err(t.span, "P003", f"built-in {t.text!r} needs "
-                             f"{PRIM_ARITY[t.text]} argument(s)")
+                    self.err(self.span(t), "P003", f"built-in {t.text!r} "
+                             f"needs {PRIM_ARITY[t.text]} argument(s)")
                 else:
-                    self.err(t.span, "P011", f"unknown term name {t.text!r}")
-            return PathE(tuple(prefix), t.text, decl,
-                         span=self.join(start, t.span))
+                    self.err(self.span(t), "P011",
+                             f"unknown term name {t.text!r}")
+            return PathE(tuple(prefix), t.text, decl, span=self.since(start))
 
     # -- declarations
 
@@ -662,7 +683,7 @@ class _Parser:
         tymap, concepts, undo = self.tymap, self.concepts, []
         heads = []  # (node class, start, fields before the rest)
         while self.peek().text in _DECLARATIONS:
-            start = self.peek().span
+            start = self.peek().start
             word = self.take().text
             if word == "concept":
                 heads.append((ConceptDecl, start, (self.concept_decl(start),)))
@@ -683,15 +704,16 @@ class _Parser:
             decl = self.terms[name] = next(self.ids)
             heads.append((partial(Let, decl=decl), start, (name, value)))
         e = self.expr()
-        end = self.last_span()
+        end = self.toks[self.pos - 1].end
         for cls, start, fields in reversed(heads):
-            e = cls(*fields, e, span=self.join(start, end))
+            e = cls(*fields, e, span=_new(SourceSpan,
+                                          (self.source, start, end)))
         self.tymap, self.concepts = tymap, concepts
         for name, outer in reversed(undo):
             self.terms[name] = outer
         return e
 
-    def concept_decl(self, start: SourceSpan) -> ConceptInfo:
+    def concept_decl(self, start: int) -> ConceptInfo:
         name = self.expect_id().text
         self.expect("<")
         params = [self.expect_id().text]
@@ -707,7 +729,7 @@ class _Parser:
         nested = self.commas(self.constraint, ";")
         members = self.commas(lambda: self.named(":", self.type_), "}")
         self.tymap = outer
-        span = self.join(start, self.last_span())
+        span = self.since(start)
         where = f" in concept {name!r}"
         self.diags[mark:mark] = (
             self.repeats(span, params, "type parameter", where)
@@ -719,13 +741,13 @@ class _Parser:
         self.expect("in")
         return info
 
-    def model_decl(self, start: SourceSpan) -> ModelInfo:
+    def model_decl(self, start: int) -> ModelInfo:
         mark = len(self.diags)
         mid = self.model_args(self.expect_id())
         self.expect("{")
         assoc_binds = self.commas(lambda: self.named("=", self.type_), ";")
         member_binds = self.commas(lambda: self.named("=", self.expr), "}")
-        span = self.join(start, self.last_span())
+        span = self.since(start)
         self.diags[mark:mark] = (
             self.repeats(span, [n for n, _ in assoc_binds],
                          "associated-type binding")
@@ -763,7 +785,7 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
     none, per scope error; on a syntax error, parsing resumes at the next
     declaration keyword so that multiple errors can be reported.
     """
-    p = _Parser(tokenize(src, filename))
+    p = _Parser(tokenize(src, filename), Source(filename, src))
     diags = []
     tree = None
     try:
@@ -794,7 +816,7 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
 def parse_type(src: str, filename: str = "<type>") -> Type:
     """Parse a standalone type, whose free names stay as written; used by
     tests and tooling."""
-    p = _Parser(tokenize(src, filename))
+    p = _Parser(tokenize(src, filename), Source(filename, src))
     try:
         t = p.type_()
         if p.peek().kind != "eof":

@@ -4,15 +4,29 @@ one-regex `fgc.parser.tokenize` (`tests/test_lexer.py`).
 It is the lexer the parser first shipped with: whitespace advances the
 column by one per character, a newline starts the next line at column 1,
 a `//` comment runs to the end of its line without advancing the column,
-and each punctuator is tried in `PUNCT` order with `startswith`.
+and each punctuator is tried in `PUNCT` order with `startswith`.  It
+counts lines and columns itself, so that fgc's offsets and the line table
+that resolves them are checked against it, not trusted: a token is
+`(kind, text, Position)`.
 """
 
 from __future__ import annotations
 
 import string
+from typing import NamedTuple
 
-from fgc.ast import SourceSpan
-from fgc.parser import KEYWORDS, ParseDiagnostic, ParseError, Token
+from fgc.parser import KEYWORDS, ParseDiagnostic, ParseError
+
+
+class Position(NamedTuple):
+    """A place as the reference counts it, with the fields that an
+    `fgc.ast.SourceSpan` resolves."""
+
+    file: str
+    start_line: int
+    start_col: int
+    end_line: int
+    end_col: int
 
 PUNCT = [
     "==", "=>", "->", "(", ")", "{", "}", "[", "]", "<", ">",
@@ -28,7 +42,7 @@ def ref_tokenize(src: str, filename: str) -> list:
     ident_rest = ident_start + string.digits
 
     def span(l0, c0, l1, c1):
-        return SourceSpan(filename, l0, c0, l1, c1)
+        return Position(filename, l0, c0, l1, c1)
 
     while i < n:
         ch = src[i]
@@ -52,7 +66,7 @@ def ref_tokenize(src: str, filename: str) -> list:
                 j += 1
             text = src[i:j]
             col += j - i
-            toks.append(Token("int", text, span(l0, c0, line, col - 1)))
+            toks.append(("int", text, span(l0, c0, line, col - 1)))
             i = j
             continue
         if ch in ident_start:
@@ -62,13 +76,13 @@ def ref_tokenize(src: str, filename: str) -> list:
             text = src[i:j]
             col += j - i
             kind = "kw" if text in KEYWORDS else "id"
-            toks.append(Token(kind, text, span(l0, c0, line, col - 1)))
+            toks.append((kind, text, span(l0, c0, line, col - 1)))
             i = j
             continue
         for p in PUNCT:
             if src.startswith(p, i):
                 col += len(p)
-                toks.append(Token("punct", p, span(l0, c0, line, col - 1)))
+                toks.append(("punct", p, span(l0, c0, line, col - 1)))
                 i += len(p)
                 break
         else:
@@ -76,5 +90,5 @@ def ref_tokenize(src: str, filename: str) -> list:
                 [ParseDiagnostic(span(l0, c0, line, col), "P012",
                                  f"invalid character {ch!r}")]
             )
-    toks.append(Token("eof", "", span(line, col, line, col)))
+    toks.append(("eof", "", span(line, col, line, col)))
     return toks

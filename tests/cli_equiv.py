@@ -63,7 +63,12 @@ def write_programs(work: pathlib.Path, seeds) -> list:
 
 def spans(tree) -> str:
     """`repr` of a syntax tree with the span of every node: a node prints
-    each of its fields, in `__slots__` order."""
+    each of its fields, in `__slots__` order, and a span its five resolved
+    fields, whatever the class that holds them."""
+    if hasattr(tree, "start_line"):
+        return (f"SourceSpan(file={tree.file!r}, "
+                f"start_line={tree.start_line}, start_col={tree.start_col}, "
+                f"end_line={tree.end_line}, end_col={tree.end_col})")
     if isinstance(tree, Node):
         fields = (spans(getattr(tree, f)) for f in tree.__slots__)
         return f"{type(tree).__name__}({', '.join(fields)})"

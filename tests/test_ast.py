@@ -22,6 +22,7 @@ from fgc.ast import (
     ListT,
     ModelId,
     SameType,
+    Source,
     SourceSpan,
     Syntax,
     TVar,
@@ -42,7 +43,7 @@ from corpus import PROGRAMS_DIR, workload_programs
 from gen import random_type
 
 A, B, C = TVar("a"), TVar("b"), TVar("c")
-SPAN = SourceSpan("t.fg", 1, 2, 3, 4)
+SPAN = SourceSpan(Source("t.fg", "ab\ncd\nefgh"), 1, 9)  # 1:2 to 3:4
 
 
 def _respan(t, **fields):

@@ -11,11 +11,12 @@ import types
 import pytest
 
 import fgc.cli
-from fgc.cli import main
+from fgc.ast import Source
+from fgc.cli import EXIT_INTERNAL_ERROR, main
 from fgc.elaborate import ElabError
 from fgc.sysf import CApp, CIntLit, Stuck
 
-from corpus import PROGRAMS_DIR, ROOT
+from corpus import PROGRAMS_DIR, ROOT, well_typed_names
 
 FOLDL = str(PROGRAMS_DIR / "foldl.fg")
 ILLTYPED = str(PROGRAMS_DIR / "illtyped_polyapp.fg")
@@ -100,6 +101,61 @@ def test_json_parse_diagnostics(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["schema"] == 1
     assert payload["diagnostics"][0]["code"] == "P002"
+
+
+@pytest.mark.parametrize("payload", [
+    {"schema": 1, "diagnostics": []},
+    {"a": [1, None, True, {"b": []}, {}], "c\u00e9\"": "line\n\u03bb"},
+    [[], [[]], [{"x": -1.5}]],
+    "alone", 0, None,
+])
+def test_json_writer_matches_json_dumps_with_indent(payload):
+    assert fgc.cli._json(payload) == json.dumps(payload, indent=2)
+
+
+def _no_position(source, offset):
+    raise AssertionError("a position was resolved")
+
+
+def test_commands_resolve_no_position(capsys, monkeypatch):
+    # a span holds offsets, and lines and columns are computed only when
+    # something prints them: on a well-typed program, no command does
+    monkeypatch.setattr(Source, "position", _no_position)
+    for name in well_typed_names():
+        for cmd in (["check"], ["run"], ["emit-core", "--verify"]):
+            code, _, err = run(capsys, *cmd, str(PROGRAMS_DIR / name))
+            assert (code, err) == (0, ""), (cmd, name, err)
+    # a diagnostic does resolve its position, through the patched method
+    assert run(capsys, "check", ILLTYPED)[0] == EXIT_INTERNAL_ERROR
+
+
+def test_diagnostics_print_their_positions(capsys, monkeypatch):
+    # the text the parser printed when every token carried its line and
+    # column
+    monkeypatch.chdir(ROOT)
+    path = "programs/illtyped_polyapp.fg"
+    assert run(capsys, "check", path) == (1, "", (
+        f"{path}:2:23: error[T001]: the parameter type is a but the "
+        "argument type is int\n"))
+    assert run(capsys, "check", path, "--format", "json") == (1, "", f"""\
+{{
+  "schema": 1,
+  "diagnostics": [
+    {{
+      "code": "T001",
+      "message": "the parameter type is a but the argument type is int",
+      "file": "{path}",
+      "span": {{
+        "start_line": 2,
+        "start_col": 23,
+        "end_line": 2,
+        "end_col": 25
+      }},
+      "notes": []
+    }}
+  ]
+}}
+""")
 
 
 def test_emit_core_and_verify(capsys):
@@ -432,19 +488,21 @@ def test_usage_error_then_a_command_answers_as_a_fresh_process(capsys):
 
 
 def _made_by_fgc(obj) -> bool:
+    """Whether obj is of fgc's own classes and functions, or of the `json`
+    module that writes its diagnostics."""
     if isinstance(obj, types.FunctionType):
         module = obj.__module__ or ""
     else:
         module = type(obj).__module__
-    return module.split(".")[0] == "fgc"
+    return module.split(".")[0] in ("fgc", "json")
 
 
 def test_commands_leave_no_fgc_object_to_the_collector(capsys):
     # what fgc builds for a command is freed by reference counting alone.
-    # Only objects of fgc's own classes and functions are counted among
-    # those the collector finds: the standard library keeps cycles of its
-    # own (the pure-Python encoder behind `json.dumps(..., indent=2)`
-    # leaves its nested closures), which vary with the Python version
+    # Only objects of fgc's own classes and functions, and of the `json`
+    # module that writes `--format json` diagnostics, are counted among
+    # those the collector finds: argparse keeps cycles of its own, which
+    # vary with the Python version
     commands = (["check"], ["run"], ["emit-core", "--verify"], ["ast"])
     programs = sorted(PROGRAMS_DIR.glob("*.fg"))
     gc.collect()

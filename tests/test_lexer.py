@@ -2,11 +2,13 @@
 
 `fgc.parser.tokenize` (one regular expression) must give the same tokens
 as the character-at-a-time reference `charlex.ref_tokenize`: kind, text
-and full span of every token, end-of-input token included, or the same
-P012 diagnostic.  The inputs are the corpus, the seed-7 programs of every
-benchmark workload, generated by `fgcbench/gen.py` (imported, never
-changed), and seeded random strings over the lexical alphabet and some
-characters outside it.
+and full position (file, start and end line and column) of every token,
+end-of-input token included, or the same P012 diagnostic.  fgc's
+positions are its tokens' offsets resolved by `fgc.ast.Source`'s line
+table; the reference counts lines and columns itself.  The inputs are
+the corpus, the seed-7 programs of every benchmark workload, generated by
+`fgcbench/gen.py` (imported, never changed), and seeded random strings
+over the lexical alphabet and some characters outside it.
 """
 
 import random
@@ -14,22 +16,46 @@ import time
 
 import pytest
 
-from fgc.parser import ParseError, tokenize
+import fgc.parser
+from fgc.ast import Source, SourceSpan
+from fgc.parser import ParseError, parse_program, parse_type, tokenize
 
 from charlex import ref_tokenize
 from corpus import PROGRAMS_DIR, workload_programs
 
 
-def lexed(tok, src):
-    """The tokens as (kind, text, span) triples, or the diagnostics."""
+def position(span):
+    return (span.file, span.start_line, span.start_col, span.end_line,
+            span.end_col)
+
+
+def diagnostics(exc):
+    return [(d.code, d.message, position(d.span)) for d in exc.diagnostics]
+
+
+def lexed(src):
+    """fgc's tokens as (kind, text, position) triples, or the
+    diagnostics."""
+    source = Source("f.fg", src)
     try:
-        return [(t.kind, t.text, t.span) for t in tok(src, "f.fg")]
+        return [(t.kind, t.text, position(SourceSpan(source, t.start, t.end)))
+                for t in tokenize(src, "f.fg")]
     except ParseError as exc:
-        return [(d.code, d.message, d.span) for d in exc.diagnostics]
+        return diagnostics(exc)
+
+
+def ref_lexed(src):
+    """The reference's tokens as (kind, text, position) triples, or the
+    diagnostics."""
+    try:
+        return [(kind, text, position(pos))
+                for kind, text, pos in ref_tokenize(src, "f.fg")]
+    except ParseError as exc:
+        return diagnostics(exc)
 
 
 def same(src):
-    assert lexed(tokenize, src) == lexed(ref_tokenize, src), repr(src)
+    assert lexed(src) == ref_lexed(src), repr(src)
 
 
 def test_corpus_lexes_as_reference():
@@ -50,6 +76,11 @@ def test_workload_programs_lex_as_reference(workload):
     "", "\n", "// only a comment", "1 // comment at end of input",
     "x\n// comment\n", "a\r\nb\tc", "x @ y", "1 ~", "café", "é",
     "lam x: int. x\n  λ", "=>==->=-", "x1_y 007", "\x0b", "a\n\nb @",
+    # line ends of two characters; input that ends in a newline or in a
+    # comment after one; characters counted as characters, not bytes
+    "x\r\ny\r\n  z", "let x = 1 in\r\n// c\r\nx\r\n", "lam x. x\n",
+    "x\n\n", "x\n// comment at end of input", "x\n  // c", "\n//",
+    "x é", "ab  λ y", "x // é\ny é", "// ééé\n  x  y", "1 +\n  é",
 ])
 def test_edge_cases_lex_as_reference(src):
     same(src)
@@ -79,6 +110,22 @@ def test_random_strings_lex_as_reference():
         same(src)
 
 
+def test_parsers_lex_through_the_module_global(monkeypatch):
+    # the benchmark counts `parser.tokens` by wrapping `fgc.parser.tokenize`
+    # in place, so both parsers must look it up there, and it must return
+    # one entry per token, end of input included
+    counted = []
+
+    def counting(src, filename):
+        toks = tokenize(src, filename)
+        counted.append(len(toks))
+        return toks
+    monkeypatch.setattr(fgc.parser, "tokenize", counting)
+    parse_program("let x = 1 in x // seven")
+    parse_type("int -> int")
+    assert counted == [7, 4]
+
+
 def test_lexing_is_linear_in_trailing_blanks():
     # blanks that no token follows must be matched once: retried from
     # each of their positions, 200,000 of them take minutes
@@ -87,4 +134,5 @@ def test_lexing_is_linear_in_trailing_blanks():
     toks = tokenize(src, "f.fg")
     assert time.perf_counter() - t0 < 2.0
     assert [t.kind for t in toks] == ["id", "eof"]
-    assert toks[-1].span.start_col == len(src) + 1
+    eof = SourceSpan(Source("f.fg", src), toks[-1].start, toks[-1].end)
+    assert eof.start_col == len(src) + 1

@@ -1,5 +1,6 @@
 """Lexer, parser (with scope resolution), and pretty-printer tests."""
 
+import pathlib
 import random
 import re
 
@@ -28,11 +29,13 @@ from fgc.parser import (
 from fgc.sysf import Value, pretty_core, sf_eval
 from fgc.typecheck import Checker, check_program
 
+from cli_equiv import spans
 from corpus import PROGRAMS_DIR, workload_programs
 from gen import random_expr, well_typed
 from pipeline import derive, lower
 
 PROGRAMS = sorted(PROGRAMS_DIR.glob("*.fg"))
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def roundtrips(src: str) -> bool:
@@ -44,6 +47,17 @@ def test_corpus_roundtrip():
     assert PROGRAMS
     for path in PROGRAMS:
         assert roundtrips(path.read_text()), path.name
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.name)
+def test_spans_match_golden(path):
+    # tests/golden/<name>.spans is the tree of each corpus program with
+    # every node's span resolved to its file, lines and columns
+    # (`cli_equiv.spans`), as the parser gave them before spans were
+    # offsets
+    tree = parse_program(path.read_text(), f"programs/{path.name}")
+    golden = GOLDEN_DIR / (path.stem + ".spans")
+    assert spans(tree) + "\n" == golden.read_text()
 
 
 def test_random_roundtrip():
