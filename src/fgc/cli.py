@@ -11,18 +11,20 @@ such as elaboration, the core re-check or the machine failing on a checked
 program; code I001 under `--format json`).
 Set FGC_COLOR=0|1 to force color off or on.
 
-`main` builds the argument parser of the one command it runs, and nothing
-fgc makes for a command is left for the cycle collector, so what it built is
+`main` reads a well-formed command line itself, from the `_COMMANDS` table;
+argparse is imported and its parser built only to print help or a usage
+error, or to read any line the table's reader leaves to it.  Nothing `main`
+makes for a command is left for the cycle collector, so what it built is
 freed as soon as it returns; it may be called any number of times in one
 process.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import types
 
 from .elaborate import translate_program
 from .parser import ParseError, parse_program, pretty_type
@@ -195,28 +197,34 @@ def cmd_ast(args) -> int:
 def _positive(text: str) -> int:
     n = int(text)
     if n <= 0:
+        import argparse
         raise argparse.ArgumentTypeError("fuel must be positive")
     return n
 
 
-# name: (help, handler, options beyond the file and `--format`)
+_FORMAT = ("--format", dict(choices=("human", "json"), default="human",
+                            help="diagnostics format"))
+
+# name: (help, handler, options beyond the file).  Every option is a
+# `--name` whose attribute is `name`, and has a default or is a flag
 _COMMANDS = {
-    "check": ("type-check a program", cmd_check, ()),
+    "check": ("type-check a program", cmd_check, (_FORMAT,)),
     "run": ("type-check and evaluate a program", cmd_run,
-            (("--fuel", dict(type=_positive, default=DEFAULT_FUEL,
-                             help="evaluation step budget")),)),
+            (_FORMAT, ("--fuel", dict(type=_positive, default=DEFAULT_FUEL,
+                                      help="evaluation step budget")))),
     "emit-core": ("print the elaborated core term", cmd_emit_core,
-                  (("--verify", dict(action="store_true",
-                                     help="re-check the core and print "
-                                          "its type")),)),
-    "ast": ("print the parsed syntax tree", cmd_ast, ()),
+                  (_FORMAT, ("--verify", dict(action="store_true",
+                                              help="re-check the core and "
+                                                   "print its type")))),
+    "ast": ("print the parsed syntax tree", cmd_ast, (_FORMAT,)),
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
+def build_parser(command=None):
     """The `fgc` argument parser.  Given a command name, only that command's
     subparser is built: it parses that command's argument lists as the full
     parser does, and its usage line still names every command."""
+    import argparse
     ap = argparse.ArgumentParser(prog="fgc",
                                  description=__doc__.splitlines()[0])
     # the full parser keeps argparse's own metavar, which its "required:
@@ -228,18 +236,61 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="source file (.fg)")
-        p.add_argument("--format", choices=("human", "json"),
-                       default="human", help="diagnostics format")
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
     return ap
 
 
+def _read_argv(argv):
+    """The namespace that `build_parser(argv[0]).parse_args(argv)` returns,
+    for a line of a command name, one file and that command's options in
+    any order, each written in full with its value as the next word.  None
+    for any other line, which argparse is left to read or to refuse: help,
+    an abbreviated or `--opt=value` option, `--`, any other word that
+    starts with `-`, or a value that the option does not take."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, fn, options = _COMMANDS[argv[0]]
+    spec = dict(options)
+    values = {"command": argv[0], "fn": fn}
+    for flag, kwargs in options:
+        values[flag[2:]] = kwargs.get("default", False)
+    files = []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            files.append(word)
+            continue
+        kwargs = spec.get(word)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            values[word[2:]] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except Exception:  # argparse calls it again and reports it
+                return None
+        values[word[2:]] = value
+    if len(files) != 1:
+        return None
+    values["file"] = files[0]
+    return types.SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:

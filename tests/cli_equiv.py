@@ -8,8 +8,11 @@ For the checkout this file belongs to, it writes the benchmark workloads'
 programs for each seed (generated by that checkout's `fgcbench/gen.py`)
 and the corpus `programs/*.fg` to a fresh temporary directory, and runs
 `check`, `run`, `emit-core --verify`, `check --format json` and `ast` on
-each through `fgc.cli.main` in this process, from that directory.  OUT.json
-lists (argv, exit code, stdout, stderr) per command.  `fgc ast` prints the
+each through `fgc.cli.main` in this process, from that directory.  It first
+runs a few argument lines that argparse answers (help and usage errors) or
+reads (`--format=json`, an abbreviated option, `--`) through `main`, a
+`SystemExit` giving the exit code.  OUT.json lists (argv, exit code,
+stdout, stderr) per command.  `fgc ast` prints the
 resolved tree without spans, so each file also gets a `spans` row: the
 tree that `parse_program` returns, printed with the span of every node.
 File names in argv are relative, so the diagnostics of two checkouts name
@@ -45,6 +48,13 @@ from fgc.node import Node  # noqa: E402  (this checkout's, from src/)
 COMMANDS = (["check"], ["run"], ["emit-core", "--verify"],
             ["check", "--format", "json"], ["ast"])
 
+# argument lines for argparse to answer or to read, on one corpus file
+ARGV_FILE = "programs/foldl.fg"
+ARGV_LINES = (["--help"], ["run", "--help"],
+              ["check", ARGV_FILE, "--format=json"],
+              ["check", ARGV_FILE, "--fo", "json"], ["ast", "--", ARGV_FILE],
+              ["run", "--fuel", "0", ARGV_FILE], ["check"])
+
 
 def write_programs(work: pathlib.Path, seeds) -> list:
     """The programs' paths relative to `work`, in a fixed order."""
@@ -77,16 +87,23 @@ def spans(tree) -> str:
     return repr(tree)
 
 
+def call(main, argv) -> list:
+    """[argv, exit code, stdout, stderr] of one `main` call; a `SystemExit`
+    gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [argv, code, out.getvalue(), err.getvalue()]
+
+
 def record(main, parser, rel_paths) -> list:
-    rows = []
+    rows = [call(main, argv) for argv in ARGV_LINES]
     for rel in rel_paths:
         for cmd in COMMANDS:
-            argv = [cmd[0], rel, *cmd[1:]]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = main(argv)
-            rows.append([argv, code, out.getvalue(), err.getvalue()])
+            rows.append(call(main, [cmd[0], rel, *cmd[1:]]))
         try:
             tree = spans(parser.parse_program(pathlib.Path(rel).read_text(),
                                               rel))
@@ -140,6 +157,7 @@ def main() -> int:
         ap.error("give OUT.json or --diff A.json B.json")
     out = pathlib.Path(args.out).resolve()
     os.environ["FGC_COLOR"] = "0"
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal
     from fgc.cli import main as fgc_main
     from fgc import parser
 

@@ -94,15 +94,28 @@ def test_every_definition_is_referenced():
     assert unreferenced(package, others) == []
 
 
+def _loaded_by_importing_the_cli(names) -> str:
+    """The sorted list of those of `names` that a fresh `import fgc.cli`
+    loads, as printed.  `-S` leaves out `site`, so the modules are the ones
+    fgc imports."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    probe = (f"import fgc.cli, sys; "
+             f"print(sorted({set(names)!r} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def test_importing_the_cli_generates_no_code():
     """A fresh `import fgc.cli` loads neither `dataclasses`, which writes
     and `exec`s the methods of every class it decorates, nor `inspect`,
-    which `dataclasses` imports.  It counts modules and times nothing.
-    `-S` leaves out `site`, so the modules are the ones fgc imports."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    probe = ("import fgc.cli, sys; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    which `dataclasses` imports.  It counts modules and times nothing."""
+    assert _loaded_by_importing_the_cli({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """`argparse`, and the `gettext` it imports, are loaded only when a
+    command line needs help or a usage error.  It counts modules and times
+    nothing."""
+    assert _loaded_by_importing_the_cli({"argparse", "gettext"}) == "[]\n"
