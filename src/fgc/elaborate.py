@@ -13,10 +13,11 @@ depth minus one minus that level, so no scope is copied per binder.
 Each concept constraint becomes a tuple ("dictionary") holding the
 dictionaries of its nested constraints followed by its member
 implementations, in declaration order.  Associated types of an assumed
-constraint become extra universal type parameters, unless the constraint's
-own same-type members pin them to a path-free type; the dictionary type is
-built with the same-type constraints of the constraint prefix assumed, so a
-member whose type mentions a path the prefix pins gets the pinned type.
+constraint become extra universal type parameters, unless its concept's
+own same-type requirements pin them to a path-free type at the concept's
+own parameters; the dictionary type is built with the same-type
+constraints of the constraint prefix assumed, so a member whose type
+mentions a path the prefix pins gets the pinned type.
 Where the checker eliminated a constraint, they are instantiated and the
 dictionary its evidence names is passed: the variable bound at its binder,
 projected along its route.  Where the checker stripped a satisfied
@@ -40,8 +41,10 @@ The dictionary type of an assumed constraint, which has no evidence, is
 built once per (model identifier, equation node, type scope) and the
 `CoreType` shared after that: those are all it reads, and canonical forms
 do not change as the closure interns more terms.  A constraint's
-expansion is the checker's (`Checker.flat`), and its abstraction plan is
-memoised per constraint.
+expansion is the checker's (`Checker.flat`), and abstraction plans are
+memoised per concept declaration and instantiated at each constraint, so
+a constraint whose type arguments pin more paths (`C<int>` where `C`
+requires `D<int>.U == bool`) takes the same type parameters as `C<t>`.
 """
 
 from __future__ import annotations
@@ -166,40 +169,45 @@ class Elaborator:
         self.binders = {}
         # (model id, equation node, tscope)
         self.dict_types = {}
-        # constraint -> (flat expansion, plan)
+        # concept declaration -> its abstraction plan at its own parameters
         self.plans = {}
 
     # ------------------------------------------------------------ types
 
     def abstraction_plan(self, c: ConceptC) -> tuple:
-        """A constraint's expansion `flat` and the associated-type paths of
-        it that become extra core type parameters, in deterministic order.
-        A path pinned to a path-free type by the constraint's own same-type
-        members is not abstracted.  Both depend only on the concept table
-        and c, so introduction, discharge and type conversion agree however
-        the type around the constraint was canonicalized, and they are
-        computed once per constraint."""
-        out = self.plans.get(c)
-        if out is not None:
-            return out
-        expanded = self.checker.flat(c)
-        eqs = [(fc.lhs, fc.rhs) for fc, _ in expanded
-               if isinstance(fc, SameType)]
-        st = ClosureState(equations=eqs) if eqs else None
-        equal = st.types_equal if st else alpha_equal
-        params = []
-        for fc, _ in expanded:
-            if not isinstance(fc, ConceptC):
-                continue
-            for beta in self.checker.concepts[fc.model.decl].assoc_types:
-                p = AssocPath(fc.model, beta)
-                if st and not has_path(st.canonical(p)):
+        """The associated-type paths of a concept constraint's expansion
+        that become extra core type parameters, in deterministic order.
+        The plan is computed once per concept, over its own parameters,
+        and instantiated at c: a path that the concept's own same-type
+        requirements pin to a path-free type is not abstracted.  So every
+        constraint of a concept takes the same number of type parameters,
+        and introduction, discharge and type conversion agree, whatever
+        the constraint's type arguments make equal."""
+        mid = c.model
+        info = self.checker.concepts[mid.decl]
+        plan = self.plans.get(mid.decl)
+        if plan is None:
+            own = ModelId(info.name,
+                          tuple(TVar(a) for a in info.type_params), info.decl)
+            expanded = self.checker.flat(ConceptC(own))
+            eqs = [(fc.lhs, fc.rhs) for fc, _ in expanded
+                   if isinstance(fc, SameType)]
+            st = ClosureState(equations=eqs) if eqs else None
+            equal = st.types_equal if st else alpha_equal
+            params = []
+            for fc, _ in expanded:
+                if not isinstance(fc, ConceptC):
                     continue
-                if any(equal(p, q) for q in params):
-                    continue
-                params.append(p)
-        out = self.plans[c] = (expanded, tuple(params))
-        return out
+                for beta in self.checker.concepts[fc.model.decl].assoc_types:
+                    p = AssocPath(fc.model, beta)
+                    if st and not has_path(st.canonical(p)):
+                        continue
+                    if any(equal(p, q) for q in params):
+                        continue
+                    params.append(p)
+            plan = self.plans[mid.decl] = tuple(params)
+        sigma = dict(zip(info.type_params, mid.type_args))
+        return tuple(substitute_type_map(p, sigma) for p in plan)
 
     def _assume(self, env: Env, ctx: ElabCtx, c: ConceptC, pins: tuple):
         """Enter an assumed concept constraint: the environment extended
@@ -207,8 +215,8 @@ class Elaborator:
         associated types, the dictionary type (built with the prefix's
         same-type constraints `pins` assumed), and the number of type
         parameters."""
-        expanded, plan = self.abstraction_plan(c)
-        for fc, _ in expanded:
+        plan = self.abstraction_plan(c)
+        for fc, _ in self.checker.flat(c):
             if isinstance(fc, SameType):
                 env = env.assume(fc, PROVED)
         ctx2 = ctx.bind_assocs(plan)
@@ -430,7 +438,7 @@ class Elaborator:
         env = self.checker.envs[id(e)]
         for ev in evidence:
             if isinstance(t.constraint, ConceptC):
-                for p in self.abstraction_plan(t.constraint)[1]:
+                for p in self.abstraction_plan(t.constraint):
                     core = CTyApp(core, self.conv(env, ctx, p))
                 core = CApp(core, self.build_dict(ctx, ev))
             t = t.body

@@ -14,6 +14,17 @@ first token's start and its last token's end, and its file, lines and
 columns are resolved from the `Source` it refers to only when a
 diagnostic or a tool reads them (see `ast.SourceSpan`).
 
+The productions read the token list directly (`self.toks[self.pos]`,
+bound to a local where it is read twice) and advance `self.pos`
+themselves; only `expect` and `expect_id` check a token on their behalf.
+Each returns as soon as nothing can follow what it has read: `expr` calls
+`binary` only when an operator follows its first operand, `app_expr`
+returns its head when neither an argument nor `[` follows it, `type_` and
+`arrow_type` return the prefix type when no `->` or `==` follows it, and
+`path_expr` tries a path prefix only when `<` follows the name.  So a
+literal costs three frames (`expr`, `app_expr`, `atom`) and `int` in a
+type two (`type_`, `prefix_type`), besides the node's own `__init__`.
+
 The parser tries a constrained expression (`C<t> => e`, `t1 == t2 => e`)
 only where the tokens from there on that a type can be made of
 (identifiers, `list forall int bool ( ) < > , . -> ==`) run into `=>`:
@@ -211,6 +222,11 @@ _DECLARATIONS = ("concept", "model", "type", "let")
 # binary operators and their precedence, loosest 0; all left-associative
 _BINOPS = {"<": 0, "==": 0, "+": 1, "-": 1, "*": 2}
 
+# the tokens that start an argument or a type application: by kind, and by
+# text (no other token has a keyword's or a punctuator's text)
+_ARG_KINDS = ("int", "id")
+_ARG_TEXTS = {"true", "false", "nil", "(", "["}
+
 _start = attrgetter("start")  # a token's start offset, to bisect by
 
 
@@ -246,37 +262,22 @@ class _Parser:
 
     # -- token helpers
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def at(self, text: str) -> bool:
-        # no other token has a keyword's or a punctuator's text
-        return self.toks[self.pos].text == text
-
-    def take(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def eat(self, text: str) -> Optional[Token]:
+    def expect(self, text: str) -> Token:
         t = self.toks[self.pos]
         if t.text == text:
             self.pos += 1
             return t
-        return None
-
-    def expect(self, text: str) -> Token:
-        return self.eat(text) or self.fail(f"expected {text!r}")
+        self.fail(f"expected {text!r}")
 
     def expect_id(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind == "id":
-            return self.take()
+            self.pos += 1
+            return t
         self.fail("expected an identifier")
 
     def fail(self, msg: str):
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind == "eof":
             raise _PError(ParseDiagnostic(self.span(t), "P002",
                                           f"unexpected end of input: {msg}"))
@@ -352,10 +353,17 @@ class _Parser:
     # -- types
 
     def type_(self) -> Type:
-        start = self.peek().start
-        t = self.arrow_type()
-        if self.at("=="):
-            self.take()
+        """A type: a prefix type, then an arrow or a same-type constraint
+        only if `->` or `==` follows it.  The codomain is a type_, so no
+        `==` follows an arrow."""
+        start = self.toks[self.pos].start
+        t = self.prefix_type()
+        text = self.toks[self.pos].text
+        if text == "->":
+            self.pos += 1
+            return Arrow(t, self.type_(), span=self.since(start))
+        if text == "==":
+            self.pos += 1
             rhs = self.arrow_type()
             self.expect("=>")
             body = self.type_()
@@ -364,64 +372,68 @@ class _Parser:
         return t
 
     def arrow_type(self) -> Type:
-        start = self.peek().start
+        start = self.toks[self.pos].start
         t = self.prefix_type()
-        if self.at("->"):
-            self.take()
-            cod = self.type_()
-            return Arrow(t, cod, span=self.since(start))
-        return t
+        if self.toks[self.pos].text != "->":
+            return t
+        self.pos += 1
+        return Arrow(t, self.type_(), span=self.since(start))
 
     def prefix_type(self) -> Type:
-        start = self.peek().start
-        if self.eat("list"):
-            elem = self.prefix_type()
-            return ListT(elem, span=self.since(start))
-        if self.eat("forall"):
-            b = self.expect_id()
-            self.expect(".")
-            outer = self.tymap
-            binder = self.bind_tyvar(b.text)
-            body = self.type_()
-            self.tymap = outer
-            return Forall(binder, body, span=self.since(start))
-        return self.atom_type()
-
-    def atom_type(self) -> Type:
-        t = self.peek()
-        if t.kind == "kw" and t.text == "int":
-            self.take()
-            return IntT(span=self.span(t))
-        if t.kind == "kw" and t.text == "bool":
-            self.take()
-            return BoolT(span=self.span(t))
-        if self.eat("("):
-            inner = self.type_()
-            self.expect(")")
-            return inner
+        """`list` and `forall` types, and the atoms of types."""
+        t = self.toks[self.pos]
+        text = t.text
         if t.kind == "id":
-            self.take()
-            if self.at("<"):
+            self.pos += 1
+            if self.toks[self.pos].text == "<":
                 mark = len(self.diags)
                 mid = self.model_args(t)
-                if self.eat("."):
+                if self.toks[self.pos].text == ".":
+                    self.pos += 1
                     return self.type_path(mid, t.start, mark)
                 # a concept application in type position must be a constraint
                 self.expect("=>")
                 body = self.type_()
                 return Constrained(ConceptC(mid, span=mid.span), body,
                                    span=self.since(t.start))
-            span = self.span(t)
-            if t.text not in self.tymap:
-                self.err(span, "P010", f"unknown type name {t.text!r}")
-                return TVar(t.text, span=span)
-            return TVar(self.tymap[t.text], span=span)
+            span = _new(SourceSpan, (self.source, t.start, t.end))
+            name = self.tymap.get(text)
+            if name is None:
+                self.err(span, "P010", f"unknown type name {text!r}")
+                return TVar(text, span=span)
+            return TVar(name, span=span)
+        if text == "int":
+            self.pos += 1
+            return IntT(span=_new(SourceSpan, (self.source, t.start, t.end)))
+        if text == "bool":
+            self.pos += 1
+            return BoolT(span=self.span(t))
+        if text == "list":
+            self.pos += 1
+            elem = self.prefix_type()
+            return ListT(elem, span=self.since(t.start))
+        if text == "forall":
+            self.pos += 1
+            b = self.expect_id()
+            self.expect(".")
+            outer = self.tymap
+            binder = self.bind_tyvar(b.text)
+            body = self.type_()
+            self.tymap = outer
+            return Forall(binder, body, span=self.since(t.start))
+        if text == "(":
+            self.pos += 1
+            inner = self.type_()
+            self.expect(")")
+            return inner
         self.fail("expected a type")
 
     def model_args(self, head: Token) -> ModelId:
         self.expect("<")
         args = [self.type_()]
-        while self.eat(","):
+        toks = self.toks
+        while toks[self.pos].text == ",":
+            self.pos += 1
             args.append(self.type_())
         self.expect(">")
         info = self.concepts.get(head.text)
@@ -433,7 +445,7 @@ class _Parser:
         """The path after `mid.`; the diagnostics of mid's type arguments,
         from mark on, move after those of an inner path's."""
         name = self.expect_id()
-        if self.at("<"):
+        if self.toks[self.pos].text == "<":
             inner = len(self.diags)
             inner_mid = self.model_args(name)
             self.expect(".")
@@ -446,14 +458,15 @@ class _Parser:
     # -- constraints
 
     def constraint(self) -> Constraint:
-        t = self.peek()
+        toks = self.toks
+        t = toks[self.pos]
         # an identifier is never the last token, which is the eof
-        if t.kind == "id" and self.toks[self.pos + 1].text == "<":
+        if t.kind == "id" and toks[self.pos + 1].text == "<":
             saved = self.save()
             try:
-                self.take()
+                self.pos += 1
                 mid = self.model_args(t)
-                if not self.at("."):
+                if toks[self.pos].text != ".":
                     return ConceptC(mid, span=mid.span)
             except _PError:
                 pass
@@ -466,7 +479,7 @@ class _Parser:
     # -- expressions
 
     def expr(self) -> Expr:
-        t = self.peek()
+        t = self.toks[self.pos]
         start, word = t.start, t.text
         if word in _DECLARATIONS:
             return self.declarations()
@@ -474,7 +487,8 @@ class _Parser:
             self.pos += 1
             name = self.expect_id().text
             ann = None
-            if self.eat(":"):
+            if self.toks[self.pos].text == ":":
+                self.pos += 1
                 ann = self.type_()
             self.expect(".")
             outer = self.terms.get(name)
@@ -507,11 +521,14 @@ class _Parser:
             ce = self.try_constrained_expr()
             if ce is not None:
                 return ce
-        return self.binary(0)
+        e = self.app_expr()
+        if self.toks[self.pos].text in _BINOPS:
+            return self.binary(0, start, e)
+        return e
 
     def try_constrained_expr(self) -> Optional[Expr]:
         saved = self.save()
-        start = self.peek().start
+        start = self.toks[self.pos].start
         try:
             c = self.constraint()
             self.expect("=>")
@@ -521,14 +538,19 @@ class _Parser:
         body = self.expr()
         return ConstrainedE(c, body, span=self.since(start))
 
-    def binary(self, level: int) -> Expr:
-        """Operators of precedence level or higher, by precedence climbing;
-        a Prim spans from its left operand's start to its last token."""
-        start = self.peek().start
-        e = self.app_expr()
-        while (prec := _BINOPS.get(self.peek().text, -1)) >= level:
-            op = self.take().text
-            rhs = self.binary(prec + 1)
+    def binary(self, level: int, start: int, e: Expr) -> Expr:
+        """e, the operand that starts at offset start, and the operators of
+        precedence level or higher after it, by precedence climbing; a
+        Prim spans from its left operand's start to its last token.  It
+        is called only where an operator follows."""
+        toks = self.toks
+        while (prec := _BINOPS.get(toks[self.pos].text, -1)) >= level:
+            op = toks[self.pos].text
+            self.pos += 1
+            rstart = toks[self.pos].start
+            rhs = self.app_expr()
+            if _BINOPS.get(toks[self.pos].text, -1) > prec:
+                rhs = self.binary(prec + 1, rstart, rhs)
             e = Prim(op, (e, rhs), span=self.since(start))
         return e
 
@@ -540,12 +562,18 @@ class _Parser:
         into a Prim node.  A run in parentheses followed by an argument
         goes on (`(f x) y` is the run f x y).  Mark is the number of
         scope diagnostics after the head: a built-in head's P003 is the
-        one before it until the run has enough arguments."""
-        start = self.peek().start
+        one before it until the run has enough arguments.  A head that
+        neither an argument nor `[` follows is returned as it is."""
+        toks = self.toks
+        start = toks[self.pos].start
         head = self.atom()
+        t = toks[self.pos]
+        if t.kind not in _ARG_KINDS and t.text not in _ARG_TEXTS:
+            return head
         args, arity, mark = [], self.builtin(head), len(self.diags)
         while True:
-            if self.at("["):
+            t = toks[self.pos]
+            if t.text == "[":
                 # a type application, or else a list-literal argument
                 before = self.since(start)
                 ty = None if self.lone_term() else self.type_arg()
@@ -554,7 +582,7 @@ class _Parser:
                     head = TyApp(subject, ty, span=self.since(start))
                     args, arity, mark = [], 0, len(self.diags)
                     continue
-            elif not self.starts_atom():
+            elif t.kind not in _ARG_KINDS and t.text not in _ARG_TEXTS:
                 return self.apply(head, args, arity, mark, self.since(start))
             if not args and self.run is not None and self.run[0] is head:
                 _, head, args, arity, mark = self.run
@@ -567,7 +595,7 @@ class _Parser:
         brackets do not hold a type, or hold a path whose last name is a
         member of its concept and not an associated type."""
         saved = self.save()
-        self.take()
+        self.pos += 1
         try:
             ty = self.type_()
             self.expect("]")
@@ -604,74 +632,74 @@ class _Parser:
         self.run = (e, head, args, arity, mark)
         return e
 
-    def starts_atom(self) -> bool:
-        t = self.peek()
-        if t.kind in ("int", "id"):
-            return True
-        if t.kind == "kw" and t.text in ("true", "false", "nil"):
-            return True
-        if t.kind == "punct" and t.text == "(":
-            return True
-        return False
-
     def atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.take()
-            return IntLit(int(t.text), span=self.span(t))
-        if t.kind == "kw" and t.text in ("true", "false"):
-            self.take()
-            return BoolLit(t.text == "true", span=self.span(t))
-        if t.kind == "kw" and t.text == "nil":
-            self.take()
+        t = self.toks[self.pos]
+        kind, text = t.kind, t.text
+        if kind == "int":
+            self.pos += 1
+            return IntLit(int(text),
+                          span=_new(SourceSpan, (self.source, t.start, t.end)))
+        if kind == "id":
+            return self.path_expr()
+        if text == "(":
+            self.pos += 1
+            e = self.expr()
+            self.expect(")")
+            return e
+        if text == "true" or text == "false":
+            self.pos += 1
+            return BoolLit(text == "true", span=self.span(t))
+        if text == "nil":
+            self.pos += 1
             self.expect("[")
             ty = self.type_()
             self.expect("]")
             return ListLit((), ty, span=self.since(t.start))
-        if self.eat("("):
-            e = self.expr()
-            self.expect(")")
-            return e
-        if self.at("["):
-            lb = self.take()
-            if self.at("]"):
-                self.take()
+        if text == "[":
+            self.pos += 1
+            if self.toks[self.pos].text == "]":
+                self.pos += 1
                 raise _PError(ParseDiagnostic(
-                    self.span(lb), "P004",
+                    self.span(t), "P004",
                     "empty list literal requires an element type: use nil[T]"))
             elems = [self.expr()]
-            while self.eat(","):
+            while self.toks[self.pos].text == ",":
+                self.pos += 1
                 elems.append(self.expr())
             self.expect("]")
-            return ListLit(tuple(elems), None, span=self.since(lb.start))
-        if t.kind == "id":
-            return self.path_expr()
+            return ListLit(tuple(elems), None, span=self.since(t.start))
         self.fail("expected an expression")
 
     def path_expr(self) -> Expr:
-        start = self.peek().start
-        prefix = []
-        while True:
+        """A term name, or a path `C<t>. ... .m`: a `<` after a name starts
+        a step of the path only if a model identifier and `.` follow it.
+        The current token is an identifier (see atom)."""
+        toks = self.toks
+        t = toks[self.pos]
+        start, prefix = t.start, []
+        self.pos += 1
+        while toks[self.pos].text == "<":
+            saved = self.save()
+            try:
+                mid = self.model_args(t)
+                self.expect(".")
+            except _PError:
+                self.restore(saved)
+                break
+            prefix.append(mid)
             t = self.expect_id()
-            if self.at("<"):
-                saved = self.save()
-                try:
-                    mid = self.model_args(t)
-                    self.expect(".")
-                    prefix.append(mid)
-                    continue
-                except _PError:
-                    self.restore(saved)
-            decl = None if prefix else self.terms.get(t.text)
-            if not prefix and decl is None:
-                if t.text in PRIM_NAMES:
-                    # app_expr drops it once the arguments are enough
-                    self.err(self.span(t), "P003", f"built-in {t.text!r} "
-                             f"needs {PRIM_ARITY[t.text]} argument(s)")
-                else:
-                    self.err(self.span(t), "P011",
-                             f"unknown term name {t.text!r}")
-            return PathE(tuple(prefix), t.text, decl, span=self.since(start))
+        if prefix:
+            return PathE(tuple(prefix), t.text, None, span=self.since(start))
+        span = _new(SourceSpan, (self.source, start, t.end))
+        decl = self.terms.get(t.text)
+        if decl is None:
+            if t.text in PRIM_NAMES:
+                # app_expr drops it once the arguments are enough
+                self.err(span, "P003", f"built-in {t.text!r} "
+                         f"needs {PRIM_ARITY[t.text]} argument(s)")
+            else:
+                self.err(span, "P011", f"unknown term name {t.text!r}")
+        return PathE((), t.text, decl, span=span)
 
     # -- declarations
 
@@ -680,11 +708,11 @@ class _Parser:
         read with a loop: each declaration's scope is the rest of the
         spine, so the scope is saved once before it and restored after,
         and the nodes are built from the inside out."""
-        tymap, concepts, undo = self.tymap, self.concepts, []
+        toks, tymap, concepts, undo = self.toks, self.tymap, self.concepts, []
         heads = []  # (node class, start, fields before the rest)
-        while self.peek().text in _DECLARATIONS:
-            start = self.peek().start
-            word = self.take().text
+        while (word := toks[self.pos].text) in _DECLARATIONS:
+            start = toks[self.pos].start
+            self.pos += 1
             if word == "concept":
                 heads.append((ConceptDecl, start, (self.concept_decl(start),)))
                 continue
@@ -704,7 +732,7 @@ class _Parser:
             decl = self.terms[name] = next(self.ids)
             heads.append((partial(Let, decl=decl), start, (name, value)))
         e = self.expr()
-        end = self.toks[self.pos - 1].end
+        end = toks[self.pos - 1].end
         for cls, start, fields in reversed(heads):
             e = cls(*fields, e, span=_new(SourceSpan,
                                           (self.source, start, end)))
@@ -717,17 +745,18 @@ class _Parser:
         name = self.expect_id().text
         self.expect("<")
         params = [self.expect_id().text]
-        while self.eat(","):
+        while self.toks[self.pos].text == ",":
+            self.pos += 1
             params.append(self.expect_id().text)
         self.expect(">")
         self.expect("{")
-        assocs = self.commas(lambda: self.expect_id().text, ";")
+        assocs = tuple(t.text for t in self.commas(self.expect_id, ";"))
         # the declaration is in scope in its own body
         head = self.bind_concept(name, tuple(params), assocs)
         outer, mark = self.tymap, len(self.diags)
         self.tymap = {**outer, **{n: n for n in (*params, *assocs)}}
         nested = self.commas(self.constraint, ";")
-        members = self.commas(lambda: self.named(":", self.type_), "}")
+        members = self.commas(self.type_, "}", ":")
         self.tymap = outer
         span = self.since(start)
         where = f" in concept {name!r}"
@@ -745,8 +774,8 @@ class _Parser:
         mark = len(self.diags)
         mid = self.model_args(self.expect_id())
         self.expect("{")
-        assoc_binds = self.commas(lambda: self.named("=", self.type_), ";")
-        member_binds = self.commas(lambda: self.named("=", self.expr), "}")
+        assoc_binds = self.commas(self.type_, ";", "=")
+        member_binds = self.commas(self.expr, "}", "=")
         span = self.since(start)
         self.diags[mark:mark] = (
             self.repeats(span, [n for n, _ in assoc_binds],
@@ -757,22 +786,24 @@ class _Parser:
         return ModelInfo(mid.concept, mid.type_args, assoc_binds,
                          member_binds, mid.decl, span=span)
 
-    def commas(self, item, end: str) -> tuple:
+    def commas(self, item, end: str, sep: Optional[str] = None) -> tuple:
         """Items separated by commas, none if `end` comes first, then
-        `end`."""
-        items = []
-        if not self.at(end):
-            items.append(item())
-            while self.eat(","):
-                items.append(item())
+        `end`.  With sep, each item is `name sep item`, read as a (name,
+        item) pair."""
+        toks, items = self.toks, []
+        if toks[self.pos].text != end:
+            while True:
+                if sep is None:
+                    items.append(item())
+                else:
+                    name = self.expect_id().text
+                    self.expect(sep)
+                    items.append((name, item()))
+                if toks[self.pos].text != ",":
+                    break
+                self.pos += 1
         self.expect(end)
         return tuple(items)
-
-    def named(self, sep: str, value):
-        """`name sep value`, as a (name, value) pair."""
-        name = self.expect_id()
-        self.expect(sep)
-        return (name.text, value())
 
 
 # ---------------------------------------------------------------- driver
@@ -786,22 +817,23 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
     declaration keyword so that multiple errors can be reported.
     """
     p = _Parser(tokenize(src, filename), Source(filename, src))
+    toks = p.toks
     diags = []
     tree = None
     try:
         tree = p.expr()
-        if p.peek().kind != "eof":
+        if toks[p.pos].kind != "eof":
             p.fail("expected end of input")
     except _PError as exc:
         diags.append(exc.diag)
         # panic-mode recovery: resume at the next declaration keyword
-        while diags and p.peek().kind != "eof":
-            p.take()
-            while p.peek().kind != "eof" and not (
-                p.peek().kind == "kw" and p.peek().text in _DECLARATIONS
+        while diags and toks[p.pos].kind != "eof":
+            p.pos += 1
+            while toks[p.pos].kind != "eof" and not (
+                toks[p.pos].kind == "kw" and toks[p.pos].text in _DECLARATIONS
             ):
-                p.take()
-            if p.peek().kind == "eof":
+                p.pos += 1
+            if toks[p.pos].kind == "eof":
                 break
             try:
                 p.expr()
@@ -819,7 +851,7 @@ def parse_type(src: str, filename: str = "<type>") -> Type:
     p = _Parser(tokenize(src, filename), Source(filename, src))
     try:
         t = p.type_()
-        if p.peek().kind != "eof":
+        if p.toks[p.pos].kind != "eof":
             p.fail("expected end of input")
     except _PError as exc:
         raise ParseError([exc.diag]) from None

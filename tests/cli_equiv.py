@@ -5,8 +5,11 @@ that two checkouts can be compared byte for byte.
     python tests/cli_equiv.py --diff A.json B.json
 
 For the checkout this file belongs to, it writes the benchmark workloads'
-programs for each seed (generated by that checkout's `fgcbench/gen.py`)
-and the corpus `programs/*.fg` to a fresh temporary directory, and runs
+programs for each seed (generated by that checkout's `fgcbench/gen.py`),
+the corpus `programs/*.fg`, and for each seed 150 corpus programs with one
+token deleted, duplicated or swapped with the next (`corpus.mutants`, whose
+rows exercise the parse errors and panic-mode recovery) to a fresh
+temporary directory, and runs
 `check`, `run`, `emit-core --verify`, `check --format json` and `ast` on
 each through `fgc.cli.main` in this process, from that directory.  It first
 runs a few argument lines that argparse answers (help and usage errors) or
@@ -40,13 +43,16 @@ import pathlib
 import sys
 import tempfile
 
-from corpus import ROOT, workload_programs
+from corpus import ROOT, mutants, workload_programs
 
 sys.path.insert(0, str(ROOT / "src"))
 from fgc.node import Node  # noqa: E402  (this checkout's, from src/)
 
 COMMANDS = (["check"], ["run"], ["emit-core", "--verify"],
             ["check", "--format", "json"], ["ast"])
+
+# mutated corpus programs per seed
+MUTANTS = 150
 
 # argument lines for argparse to answer or to read, on one corpus file
 ARGV_FILE = "programs/foldl.fg"
@@ -65,6 +71,9 @@ def write_programs(work: pathlib.Path, seeds) -> list:
                 files[f"{workload}_{seed}/{p.name}.fg"] = p.source
     for path in sorted((ROOT / "programs").glob("*.fg")):
         files[f"programs/{path.name}"] = path.read_text()
+    for seed in seeds:
+        for name, source in mutants(seed, MUTANTS):
+            files[f"mutants_{seed}/{name}"] = source
     for rel, source in files.items():
         (work / rel).parent.mkdir(parents=True, exist_ok=True)
         (work / rel).write_text(source)

@@ -1,8 +1,10 @@
-"""The program corpus under programs/ and its expected outcomes, and the
-benchmark's program generator."""
+"""The program corpus under programs/ and its expected outcomes, the
+corpus with one token mutated, and the benchmark's program generator."""
 
 import importlib.util
 import pathlib
+import random
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -64,6 +66,39 @@ def well_typed_names():
 
 def all_names():
     return sorted(EXPECTED_VALUES) + sorted(EXPECTED_CODES)
+
+
+# a token of the surface syntax, or a comment, spelled out here so that the
+# mutants do not depend on the lexer under test
+_TOKEN = re.compile(r"//[^\n]*|[0-9]+|[A-Za-z_][A-Za-z_0-9]*|==|=>|->|\S")
+
+
+def mutants(seed: int, count: int) -> list:
+    """(file name, source) of count corpus programs, each with one token
+    deleted, duplicated or swapped with the next, chosen by seed."""
+    programs = []  # those with a next token to swap with
+    for name in all_names():
+        src = load(name)
+        toks = [m for m in _TOKEN.finditer(src)
+                if not m.group().startswith("//")]
+        if len(toks) > 1:
+            programs.append((name, src, toks))
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        name, src, toks = rng.choice(programs)
+        i = rng.randrange(len(toks) - 1)
+        a, b = toks[i], toks[i + 1]
+        op = rng.choice(("delete", "duplicate", "swap"))
+        if op == "delete":
+            src = src[:a.start()] + src[a.end():]
+        elif op == "duplicate":
+            src = src[:a.end()] + " " + a.group() + src[a.end():]
+        else:
+            src = (src[:a.start()] + b.group() + src[a.end():b.start()]
+                   + a.group() + src[b.end():])
+        out.append((f"{name[:-3]}_{k}_{op}.fg", src))
+    return out
 
 
 def bench_gen():

@@ -297,6 +297,29 @@ f[int][bool] true 5
 """
 
 
+# C<int> pins D<int>.U to bool and C<t> does not: both constraints of C
+# must take the same type parameters, or g[int] passes none where g's
+# introduction takes one
+PLAN_PER_CONCEPT = """
+concept D<a> { U ; ; d : a -> int } in
+concept C<a> { ; D<a>, D<int>.U == bool ; c : a -> int } in
+model D<int> { U = bool ; d = lam x: int. x + 1 } in
+model C<int> { ; c = lam x: int. x + 2 } in
+let g = Lam t. C<t> => lam x: t. C<t>.c x + C<t>.D<t>.d x in g[int] 1
+"""
+
+
+def test_abstraction_plan_is_one_per_concept(capsys, tmp_path):
+    assert run_cli(capsys, tmp_path, PLAN_PER_CONCEPT, "check") == \
+        (0, "int\n", "")
+    assert run_cli(capsys, tmp_path, PLAN_PER_CONCEPT, "run") == \
+        (0, "5\n", "")
+    code, out, err = run_cli(capsys, tmp_path, PLAN_PER_CONCEPT,
+                             "emit-core", "--verify")
+    assert (code, err, out.splitlines()[-1]) == (0, "", "core: int")
+    assert interpret_direct(parse_program(PLAN_PER_CONCEPT)) == 5
+
+
 def test_sibling_concepts_are_apart():
     # one printed model identifier, two declarations
     e = parse_program(SIBLING_CONCEPTS)
