@@ -24,12 +24,11 @@ projected along its route.  Where the checker stripped a satisfied
 constraint off an expected type, the translation takes a dictionary
 parameter that the body never reads.
 Same-type constraints erase: every emitted core type is first
-canonicalized through the congruence closure of the environment's
-equations, so core structural equality coincides with provable surface
-equality.  Without equations the closure would only rename binders, which
-the nameless core does not keep, so such an environment, and an
-abstraction plan without a same-type constraint, build none and compare
-paths by alpha-equality.  A chain of models merges each equation once.
+canonicalized in the environment (`Env.canonical`), so core structural
+equality coincides with provable surface equality, and paths are compared
+by `Env.equal`; an abstraction plan asks an `Env` assuming its concept's
+same-type requirements.  Lowering never builds a congruence closure
+itself.  A chain of models merges each equation once.
 
 A model's dictionary type follows its evidence: each nested slot has the
 type recorded where the dictionary its evidence names was bound (a
@@ -79,7 +78,6 @@ from .ast import (
     TyLam,
     Type,
     TypeAlias,
-    alpha_equal,
     has_path,
     substitute_type_map,
 )
@@ -113,7 +111,6 @@ from .sysf import (
     shift_ty,
 )
 from .typecheck import Checker
-from .typeq import ClosureState
 
 
 class ElabError(Exception):
@@ -190,19 +187,18 @@ class Elaborator:
             own = ModelId(info.name,
                           tuple(TVar(a) for a in info.type_params), info.decl)
             expanded = self.checker.flat(ConceptC(own))
-            eqs = [(fc.lhs, fc.rhs) for fc, _ in expanded
-                   if isinstance(fc, SameType)]
-            st = ClosureState(equations=eqs) if eqs else None
-            equal = st.types_equal if st else alpha_equal
+            env = Env()
+            for fc, _ in expanded:
+                if isinstance(fc, SameType):
+                    env = env.assume(fc, PROVED)
             params = []
             for fc, _ in expanded:
                 if not isinstance(fc, ConceptC):
                     continue
                 for beta in self.checker.concepts[fc.model.decl].assoc_types:
                     p = AssocPath(fc.model, beta)
-                    if st and not has_path(st.canonical(p)):
-                        continue
-                    if any(equal(p, q) for q in params):
+                    if not has_path(env.canonical(p)) or any(
+                            env.equal(p, q) for q in params):
                         continue
                     params.append(p)
             plan = self.plans[mid.decl] = tuple(params)
@@ -226,12 +222,10 @@ class Elaborator:
         return env, ctx2, self.dict_type(env_pins, ctx2, c.model), len(plan)
 
     def conv(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
-        """Surface type to core type, canonicalized through the closure of
-        the environment's equations, if it has any.  Canonical binders are
-        named past the type scope, so they capture no variable of it."""
-        if env.eq_node.assumed:
-            t = env.closure.canonical(t, len(ctx.tscope))
-        return self._conv_raw(env, ctx, t)
+        """Surface type to core type, canonicalized in the environment.
+        Canonical binders are named past the type scope, so they capture no
+        variable of it."""
+        return self._conv_raw(env, ctx, env.canonical(t, len(ctx.tscope)))
 
     def _conv_raw(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
         match t:
@@ -253,12 +247,10 @@ class Elaborator:
                         return CTVar(i)
                 raise ElabError(f"type variable {name!r} not in scope")
             case AssocPath():
-                st = env.closure if env.eq_node.assumed else None
-                equal = st.types_equal if st else alpha_equal
                 for i, entry in enumerate(reversed(ctx.tscope)):
-                    if entry[0] == "assoc" and equal(t, entry[1]):
+                    if entry[0] == "assoc" and env.equal(t, entry[1]):
                         return CTVar(i)
-                can = st.canonical(t, len(ctx.tscope)) if st else t
+                can = env.canonical(t, len(ctx.tscope))
                 if not isinstance(can, AssocPath):
                     return self._conv_raw(env, ctx, can)
                 raise ElabError(

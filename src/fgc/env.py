@@ -7,16 +7,15 @@ a query walks only its own concept's models and assumptions, most recent
 first; the assumptions alone are a second index, so dropping the models
 at a path step copies nothing.  Constraint expansion and qualified-path
 lookup follow the declarative definitions with concept parameters and
-associated types substituted as the environment is built.  Each Env also
-owns the congruence closure of the equations it assumes.
+associated types substituted as the environment is built.
 
-The closure is made on the first query that syntax does not decide, from
-the closure of the longest prefix of its equations that has one and the
-equations after it (`EquationNode`), so a chain of scopes merges each
-equation once.  `satisfies` takes a candidate `==` to
-the wanted model identifier, and proves a same-type constraint that is
-reflexive or one of the assumed equations as written, without it; any
-other query asks the closure, so the same evidence is chosen.
+Every equality and canonical form of checking and lowering is decided
+here (`Env.equal`, `Env.canonical`), by the congruence closure of the
+equations an Env assumes; without equations, alpha-equality decides and
+no closure is built.  The closure is made on the first query that needs
+it, from the closure of the longest prefix of its equations that has one
+and the equations after it (`EquationNode`), so a chain of scopes merges
+each equation once.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .ast import (
     Type,
     alpha_equal,
     contains_node,
+    map_children,
     substitute_type_map,
 )
 from .node import Node, set_field
@@ -168,10 +168,25 @@ class Env(Node):
         return Env(self.witnesses, self.assumed,
                    self.eq_node.extend((lhs, rhs, isinstance(lhs, TVar))))
 
-    @property
-    def closure(self) -> ClosureState:
-        """The congruence closure of the equations in scope, in order."""
-        return self.eq_node.closure
+    def equal(self, a, b) -> bool:
+        """Whether two types, or two constraints, are provably equal: `==`
+        ones at once, alpha-equal ones without equations, else by closure."""
+        if a == b:
+            return True
+        if not self.eq_node.assumed:
+            return alpha_equal(a, b)
+        if isinstance(a, Constraint):
+            return self.eq_node.closure.constraints_equal(a, b)
+        return self.eq_node.closure.types_equal(a, b)
+
+    def canonical(self, t, depth: int = 0):
+        """The closure's representative of a type or a constraint (see
+        `ClosureState.canonical`); t itself without equations."""
+        if not self.eq_node.assumed:
+            return t
+        if isinstance(t, Constraint):
+            return map_children(t, self.canonical, depth)
+        return self.eq_node.closure.canonical(t, depth)
 
     def restrict(self) -> "Env":
         """Keep constraint assumptions and type equations, and so the
@@ -234,28 +249,19 @@ def flat(concepts: dict, constraint: Constraint) -> list:
 def satisfies(env: Env, constraint: Constraint):
     """The evidence by which the environment satisfies a constraint, or
     None: the most recent matching model or assumption for a concept
-    constraint, `PROVED` for a provable same-type constraint.  A candidate
-    `==` to the wanted model, or a same-type constraint that is reflexive
-    or assumed as written, is decided without the closure."""
+    constraint, `PROVED` for a provable same-type constraint.  A same-type
+    constraint assumed as written is decided without the closure."""
     if isinstance(constraint, SameType):
         lhs, rhs = constraint.lhs, constraint.rhs
-        if lhs == rhs or env.eq_node.assumes(lhs, rhs) or \
-                env.closure.types_equal(lhs, rhs):
+        if env.eq_node.assumes(lhs, rhs) or env.equal(lhs, rhs):
             return PROVED
         return None
-    mid = constraint.model
-    node = env.witnesses.get(mid.decl)
+    node = env.witnesses.get(constraint.model.decl)
     while node is not None:
         cand, evidence, node = node
-        if models_equal(env, cand, mid):
+        if env.equal(ConceptC(cand), constraint):
             return evidence
     return None
-
-
-def models_equal(env: Env, a: ModelId, b: ModelId) -> bool:
-    """Whether the environment proves two model identifiers equal; `==`
-    ones without the closure."""
-    return a == b or env.closure.model_ids_equal(a, b)
 
 
 def lookup_path(env: Env, concepts: dict, prefix: tuple, name: str):

@@ -4,9 +4,9 @@ The checker is the one place where a program's types are derived.  It is
 syntax-directed: constrained types are introduced explicitly by the
 `C => e` form and eliminated lazily — a constraint is discharged only when
 the surrounding context demands a specific type shape (function position,
-instantiation subject, condition, comparison against another type).  Two
-`==` types are equal; any other equality is decided by the congruence
-closure the environment owns.
+instantiation subject, condition, comparison against another type).  Every
+equality and canonical form is the environment's (`Env.equal`,
+`Env.canonical`), which decides when its congruence closure is needed.
 
 While it derives, the checker records the decisions that the
 dictionary-passing translation (`elaborate`) lowers into the core, keyed by
@@ -80,7 +80,10 @@ from .ast import (
     Type,
     TypeAlias,
     contains_node,
+    fresh_name,
+    free_type_vars,
     has_path,
+    map_children,
     substitute_type,
     substitute_type_map,
     type_children,
@@ -95,7 +98,6 @@ from .env import (
     concept_subst,
     flat,
     lookup_path,
-    models_equal,
     satisfies,
 )
 from .node import Node, set_field
@@ -169,6 +171,21 @@ def _path_models(expand, env: Env, t):
     yield from _path_models(expand, env, t.body)
 
 
+def _outside(t, env: Env):
+    """t with each outermost path canonicalized in env, whose model goes
+    out of scope.  Each binder is hidden under a `$` name meanwhile, and
+    renamed if it would capture a variable that a canonical form names."""
+    if isinstance(t, AssocPath):
+        return env.canonical(t)
+    if not isinstance(t, Forall):
+        return map_children(t, _outside, env)
+    hidden = TVar("$" + t.binder)
+    body = _outside(substitute_type(t.body, t.binder, hidden), env)
+    free = free_type_vars(body)
+    b = fresh_name(t.binder, free) if t.binder in free else t.binder
+    return Forall(b, substitute_type(body, hidden.name, TVar(b)), span=t.span)
+
+
 class Checker:
     def __init__(self):
         self.diags = []
@@ -197,7 +214,7 @@ class Checker:
 
     def equal(self, env: Env, a: Type, b: Type) -> bool:
         return a == b or contains_err(a) or contains_err(b) or \
-            env.closure.types_equal(a, b)
+            env.equal(a, b)
 
     def discharge(self, env: Env, t: Type, at: Optional[Expr] = None) -> Type:
         """Strip satisfied constraints off the front of t.  When `at`, the
@@ -221,12 +238,9 @@ class Checker:
         if contains_err(t):
             return None
         t = self.discharge(env, t, at)
-        if isinstance(t, want):
-            return t
-        c = env.closure.canonical(t)
-        if isinstance(c, want):
-            return c
-        return None
+        if not isinstance(t, want):
+            t = env.canonical(t)
+        return t if isinstance(t, want) else None
 
     def _expose(self, env: Env, t: Type, want, at: Expr, span, code: str,
                 message: str) -> Optional[Type]:
@@ -298,8 +312,8 @@ class Checker:
             if isinstance(path.rest, AssocPath) and \
                     path.rest.model not in reported:
                 sigma, step = concept_subst(info, mid), path.rest.model
-                if not any(isinstance(nc, ConceptC) and models_equal(
-                        where, substitute_type_map(nc, sigma).model, step)
+                if not any(isinstance(nc, ConceptC) and where.equal(
+                        substitute_type_map(nc, sigma), ConceptC(step))
                         for nc in info.nested):
                     reported.add(step)
                     self.err(span, "T007", f"{show(where, ConceptC(mid))} "
@@ -311,7 +325,7 @@ class Checker:
                          f"{show(where, ConceptC(mid))}")
 
     def _show_constraint(self, env: Env, c: Constraint) -> str:
-        return pretty_constraint(env.closure.canonical_constraint(c))
+        return pretty_constraint(env.canonical(c))
 
     def _assume(self, env: Env, e: ConstrainedE) -> Optional[Env]:
         """Extend env with the flat expansion of e's constraint, each part
@@ -429,7 +443,7 @@ class Checker:
                 # the model's associated-type equations go out of scope
                 # here, so resolve any paths through them in the result
                 if not contains_err(t) and has_path(t):
-                    t = env2.closure.canonical(t)
+                    t = _outside(t, env2)
                 return t
             case TypeAlias(name, rhs, rest):
                 self._written(env, rhs, e.span)
@@ -588,9 +602,7 @@ class Checker:
     def _introduces(self, env: Env, e: Expr, t: Type) -> bool:
         """Whether e is an introduction of t's leading constraint."""
         return isinstance(e, ConstrainedE) and isinstance(
-            t, Constrained) and (
-                e.constraint == t.constraint
-                or env.closure.constraints_equal(e.constraint, t.constraint))
+            t, Constrained) and env.equal(e.constraint, t.constraint)
 
     # -- declarations
 

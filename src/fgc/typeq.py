@@ -33,7 +33,6 @@ from .ast import (
     SameType,
     TVar,
     Type,
-    map_children,
 )
 
 
@@ -209,14 +208,6 @@ class ClosureState:
         ia, ib = self.intern(a), self.intern(b)
         return self.find(ia) == self.find(ib)
 
-    def model_ids_equal(self, a: ModelId, b: ModelId) -> bool:
-        return (
-            a.concept == b.concept and a.decl == b.decl
-            and len(a.type_args) == len(b.type_args)
-            and all(self.types_equal(x, y)
-                    for x, y in zip(a.type_args, b.type_args))
-        )
-
     def constraints_equal(self, a: Constraint, b: Constraint) -> bool:
         ia, ib = self.intern_constraint(a), self.intern_constraint(b)
         return self.find(ia) == self.find(ib)
@@ -310,6 +301,3 @@ class ClosureState:
             return SameType(self._rebuild(self.find(children[0]), busy, depth),
                             self._rebuild(self.find(children[1]), busy, depth))
         raise NoRepresentativeError(f"cannot rebuild constraint {tag!r}")
-
-    def canonical_constraint(self, c: Constraint) -> Constraint:
-        return map_children(c, lambda t, _: self.canonical(t), None)

@@ -393,6 +393,9 @@ def test_long_model_spines_lower_without_the_python_stack(capsys, tmp_path):
      "C<int>.nope", "1:61: error[T007]: unknown member 'nope'"),
     ("concept C<a> { ; D<a> ; } in 1",
      "1:1: error[T004]: unknown concept 'D' in constraints of 'C'"),
+    # a constraint is shown with the binder names it was written with
+    ("concept C<a> { ; ; f : a } in C<forall b. b -> b>.f",
+     "1:31: error[T003]: unsatisfied constraint C<forall b. b -> b>"),
 ])
 def test_checker_diagnostics_pinned(capsys, tmp_path, source, diag):
     f = tmp_path / "p.fg"
@@ -422,6 +425,51 @@ def test_handed_down_closure_keeps_the_representatives(capsys, tmp_path):
     assert run(capsys, "emit-core", "--verify", str(f)) == (
         0, "(\\x0: forall a0. forall a1. a1 -> a0 -> a0. x0[int][int] 3 4) "
         "(/\\a0. /\\a1. \\x0: a1. \\x1: a0. x1)\ncore: int\n", "")
+
+
+_MODEL_C_INT = ("concept C<a> { T ; ; f : a -> T } in model C<int> { "
+                "T = bool ; f = lam x: int. true } in ")
+_CAPTURE = ("concept C<a> { T ; ; f : a -> forall b. b -> T } in "
+            "Lam b. lam w: b. model C<int> { T = b ; "
+            "f = lam x: int. Lam c. lam y: c. w } in C<int>.f")
+_D = "concept D<a> { U ; ; } in"
+_THROUGH = ("concept C<a> { ; ; f : a -> forall b. D<b> => D<b>.U -> int } "
+            "in Lam b. model D<b> { U = bool ; } in model C<int> { ; "
+            "f = lam x: int. Lam c. D<c> => lam y: D<c>.U. 1 }")
+
+
+@pytest.mark.parametrize("source, checked, value", [
+    (_MODEL_C_INT + "Lam b. lam y: b. C<int>.f 1",
+     "forall b. b -> bool", "/\\a0. \\x0: a0. <\\x1: int. true>.0 1"),
+    (_MODEL_C_INT + "Lam b. C<b> => lam y: C<b>.T. C<int>.f 1",
+     "forall b. C<b> => C<b>.T -> bool", None),
+    # a model without an associated type assumes no equation
+    ("concept D<a> { U ; ; } in concept C<a> { ; ; f : a -> int } in "
+     "model C<int> { ; f = lam x: int. x } in "
+     "Lam b. D<b> => lam y: D<b>.U. C<int>.f 1",
+     "forall b. D<b> => D<b>.U -> int", None),
+    # the path resolves to the outer b, which the binder of the member's
+    # type would capture
+    (_CAPTURE, "forall b. b -> int -> (forall b1. b1 -> b)", None),
+    (f"({_CAPTURE}) [int] 7 1 [bool] true", "int", "7"),
+    # a path through the member's binder b is not one through the outer b
+    (f"{_D} {_THROUGH} in C<int>.f",
+     "forall b. int -> (forall b. D<b> => D<b>.U -> int)", None),
+    (f"{_D} ({_THROUGH} in C<int>.f) [bool] 1 [int]",
+     "D<int> => D<int>.U -> int", None),
+])
+def test_a_model_scope_keeps_the_binder_names(capsys, tmp_path, source,
+                                              checked, value):
+    # paths through a model are resolved where its scope ends; the binders
+    # of the type keep the names they were written with
+    f = tmp_path / "p.fg"
+    f.write_text(source)
+    assert run(capsys, "check", str(f)) == (0, checked + "\n", "")
+    code, out, err = run(capsys, "run", str(f))
+    assert (code, err) == (0, "")
+    assert value is None or out == value + "\n"
+    code, out, err = run(capsys, "emit-core", "--verify", str(f))
+    assert (code, err) == (0, "")
 
 
 def test_a_well_formed_command_builds_no_parser(capsys, monkeypatch):

@@ -18,6 +18,7 @@ from fgc.ast import (
     SameType,
     TVar,
     alpha_equal,
+    map_children,
 )
 from fgc.elaborate import translate_program
 from fgc.env import (
@@ -38,6 +39,7 @@ from fgc.parser import parse_program
 from fgc.typecheck import Checker, check_program
 from fgc.typeq import ClosureState
 
+from corpus import load, workload_programs
 from gen import random_equations
 
 A = TVar("a")
@@ -100,7 +102,8 @@ def test_model_ids_are_their_declarations():
     assert other != mid(SEMIGROUP, IntT())
     env = Env().model(mid(SEMIGROUP, IntT()), Evidence("model"))
     assert satisfies(env, ConceptC(other)) is None
-    assert not env.closure.model_ids_equal(other, mid(SEMIGROUP, IntT()))
+    assert not env.eq_node.closure.constraints_equal(
+        ConceptC(other), ConceptC(mid(SEMIGROUP, IntT())))
     with pytest.raises(UnknownConceptError):
         flat(concepts(), ConceptC(other))
 
@@ -259,8 +262,8 @@ def test_restrict_drops_models():
     assert chain(r.witnesses, MONOID.decl) == []
     assert satisfies(r, ConceptC(m)) == Evidence("assumption")
     assert satisfies(r, ConceptC(mid(MONOID, IntT()))) is None
-    assert r.closure is env.closure
-    assert r.closure.types_equal(TVar("b"), IntT())
+    assert r.eq_node.closure is env.eq_node.closure
+    assert r.eq_node.closure.types_equal(TVar("b"), IntT())
 
 
 def test_restrict_shares_the_assumptions():
@@ -315,9 +318,9 @@ def test_equations_in_declaration_order():
     env = (Env()
            .equate(TVar("b"), IntT())
            .assume(SameType(TVar("c"), BoolT()), PROVED))
-    assert env.closure.types_equal(TVar("b"), IntT())
-    assert env.closure.types_equal(TVar("c"), BoolT())
-    assert not env.closure.types_equal(TVar("b"), TVar("c"))
+    assert env.eq_node.closure.types_equal(TVar("b"), IntT())
+    assert env.eq_node.closure.types_equal(TVar("c"), BoolT())
+    assert not env.eq_node.closure.types_equal(TVar("b"), TVar("c"))
 
 
 def test_witnesses_keep_the_closure():
@@ -325,7 +328,7 @@ def test_witnesses_keep_the_closure():
     m = mid(SEMIGROUP, IntT())
     for extended in (env.model(m, Evidence("model")),
                      env.assume(ConceptC(m), Evidence("assumption"))):
-        assert extended.closure is env.closure
+        assert extended.eq_node.closure is env.eq_node.closure
 
 
 def test_equal_equations_share_one_closure():
@@ -333,12 +336,13 @@ def test_equal_equations_share_one_closure():
     first = env.equate(TVar("b"), IntT())
     second = env.assume(ConceptC(mid(MONOID, IntT())), Evidence("a")) \
         .equate(TVar("b"), IntT())
-    assert first.closure is second.closure
+    assert first.eq_node.closure is second.eq_node.closure
     # an alias and a same-type assumption of the same equation differ in
     # which side the closure prefers as representative
     assumed = env.assume(SameType(TVar("b"), IntT()), PROVED)
-    assert assumed.closure is not first.closure
-    assert first.equate(TVar("c"), BoolT()).closure is not first.closure
+    assert assumed.eq_node.closure is not first.eq_node.closure
+    assert first.equate(TVar("c"), BoolT()).eq_node.closure is not \
+        first.eq_node.closure
 
 
 # ------------------------------------------- syntax first, closure after
@@ -346,12 +350,12 @@ def test_equal_equations_share_one_closure():
 
 def closure_satisfies(env: Env, constraint):
     """`satisfies` deciding every query by the closure alone."""
-    st = env.closure
+    st = env.eq_node.closure
     if isinstance(constraint, SameType):
         return PROVED if st.types_equal(constraint.lhs, constraint.rhs) \
             else None
     for cand, evidence in chain(env.witnesses, constraint.model.decl):
-        if st.model_ids_equal(cand, constraint.model):
+        if st.constraints_equal(ConceptC(cand), constraint):
             return evidence
     return None
 
@@ -381,7 +385,7 @@ KL = (("K", 5), ("L", 6))  # (concept, declaration) of random_env's models
 def test_short_cuts_agree_with_the_closure():
     rng = random.Random(11)
     by_closure = 0
-    for _ in range(300):
+    for n in range(300):
         env, eqs, pairs, types = random_env(rng)
         queries = [ConceptC(ModelId(name, (t,), decl))
                    for name, decl in KL for t in types]
@@ -402,7 +406,31 @@ def test_short_cuts_agree_with_the_closure():
                 by_closure += 1
         checker = Checker()
         for a, b in eqs + pairs + tuple((t, t) for t in types):
-            assert checker.equal(env, a, b) == env.closure.types_equal(a, b)
+            assert checker.equal(env, a, b) == \
+                env.eq_node.closure.types_equal(a, b)
+        if n % 5:
+            continue
+        # Env.equal and Env.canonical, with the equations and without them,
+        # against a closure of the same equations built afresh, on types,
+        # types under binders of other names, and constraints
+        typed = list(eqs + pairs) + [
+            (Forall("a", Arrow(A, a)), Forall("z", Arrow(TVar("z"), b)))
+            for a, b in eqs + pairs + tuple((t, t) for t in types[:4])]
+        constrained = [(ConceptC(ModelId("K", (a,), 5)),
+                        ConceptC(ModelId("K", (b,), 5))) for a, b in typed]
+        constrained += [(SameType(a, b), SameType(b, a)) for a, b in typed]
+        bare = Env(env.witnesses, env.assumed)
+        for e in (env, bare):
+            fresh = ClosureState(e.eq_node.assumed)
+            for a, b in typed:
+                assert e.equal(a, b) == fresh.types_equal(a, b)
+                assert alpha_equal(e.canonical(a), fresh.canonical(a))
+            for c, d in constrained:
+                assert e.equal(c, d) == fresh.constraints_equal(c, d)
+                assert alpha_equal(e.canonical(c), map_children(
+                    c, lambda t, _: fresh.canonical(t), None))
+        # without equations, alpha-equality decides and no closure is built
+        assert bare.eq_node.built is None
     # the instances reach queries that only the closure decides
     assert by_closure > 100
 
@@ -450,6 +478,42 @@ def test_concept_chains_check_without_closures(m, monkeypatch):
         assert len(built) == closures
 
 
+def closures_built(sources, monkeypatch) -> int:
+    """The congruence closures that checking the programs, and lowering
+    those that check, build."""
+    built = []
+    init = ClosureState.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(None)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(ClosureState, "__init__", counting_init)
+    for source in sources:
+        tree = parse_program(source)
+        checker = Checker()
+        if not isinstance(check_program(tree, checker), list):
+            translate_program(tree, checker)
+    return len(built)
+
+
+def test_two_models_build_no_closure(monkeypatch):
+    # comparing Show<bool> with Show<int> needs no equation
+    source = load("wt_concept_two_models.fg")
+    assert closures_built([source], monkeypatch) == 0
+
+
+@pytest.mark.parametrize("workload, most", [
+    # 12 builds: only environments that assume an equation build one
+    ("wide_source", 13),
+    ("concept_chain", 385),
+    ("recursion", 60),
+])
+def test_closures_are_built_for_equations_only(workload, most, monkeypatch):
+    sources = [p.source for p in workload_programs(workload, 7)]
+    assert closures_built(sources, monkeypatch) <= most
+
+
 # ------------------------------------------------ closures handed down
 
 
@@ -481,8 +545,8 @@ def random_query(rng: random.Random, types: list):
                 else SameType(b, rng.choice(types))
             return "constraints_equal", (c, d)
         case 2:
-            return "model_ids_equal", (ModelId("K", (a, b), 5),
-                                       ModelId("K", (b, a), 5))
+            return "constraints_equal", (ConceptC(ModelId("K", (a, b), 5)),
+                                         ConceptC(ModelId("K", (b, a), 5)))
     if rng.random() < 0.3:
         a = Forall("a", Arrow(A, a))
     return "canonical", (a, rng.randrange(3))

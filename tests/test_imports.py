@@ -119,3 +119,21 @@ def test_importing_the_cli_loads_no_argparse():
     command line needs help or a usage error.  It counts modules and times
     nothing."""
     assert _loaded_by_importing_the_cli({"argparse", "gettext"}) == "[]\n"
+
+
+def test_only_the_environment_decides_type_equality():
+    """Outside `env` and `typeq` itself, no module of the package names
+    `ClosureState` or an attribute `closure`, and lowering names neither
+    `typeq` nor `alpha_equal`: every equality and canonical form is the
+    environment's (`Env.equal`, `Env.canonical`)."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("env.py", "typeq.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        names = _mentions(tree) | {
+            (n.module or "").rsplit(".", 1)[-1] for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom)}
+        banned = {"ClosureState", "closure"}
+        if path.name == "elaborate.py":
+            banned |= {"typeq", "alpha_equal"}
+        assert names & banned == set(), path.name
