@@ -16,20 +16,18 @@ argparse is imported and its parser built only to print help or a usage
 error, or to read any line the table's reader leaves to it.  Nothing `main`
 makes for a command is left for the cycle collector, so what it built is
 freed as soon as it returns; it may be called any number of times in one
-process.
+process.  A command imports only the modules it runs: `check` and `ast`
+load neither lowering (`elaborate`) nor the core (`sysf`), and `json` is
+imported only to write `--format json`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import types
 
-from .elaborate import translate_program
 from .parser import ParseError, parse_program, pretty_type
-from .sysf import DEFAULT_FUEL, Diverged, Stuck, Value, pretty_core, \
-    pretty_core_type, sf_eval, sf_typecheck
 from .typecheck import Checker, TypeDiagnostic, check_program
 
 EXIT_OK = 0
@@ -54,6 +52,7 @@ def _json(value, indent: str = "") -> str:
     scalars and empty containers go to `json.dumps`: with an indent it
     runs the standard library's pure-Python encoder, whose closures are
     left to the cycle collector."""
+    import json
     if not value or not isinstance(value, (dict, list)):
         return json.dumps(value)
     inner = indent + "  "
@@ -110,27 +109,29 @@ def _internal_error(message: str, fmt: str) -> int:
     return EXIT_INTERNAL_ERROR
 
 
-def _load(path: str):
+def _parse(path: str, fmt: str):
+    """Returns (exit_code, tree); the tree is None on failure."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        print(f"fgc: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None
+            src = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else \
+            f"invalid UTF-8 at byte {exc.start}"
+        print(f"fgc: cannot read {path}: {reason}", file=sys.stderr)
+        return EXIT_IO_ERROR, None
+    try:
+        return EXIT_OK, parse_program(src, path)
+    except ParseError as exc:
+        _print_diagnostics(exc.diagnostics, fmt)
+        return EXIT_PARSE_ERROR, None
 
 
 def _parse_and_check(path: str, fmt: str):
-    """Returns (exit_code, tree, type, checker); all but the code are None
-    on failure.  The checker holds the derivation translate_program
-    lowers."""
-    src = _load(path)
-    if src is None:
-        return EXIT_IO_ERROR, None, None, None
-    try:
-        tree = parse_program(src, path)
-    except ParseError as exc:
-        _print_diagnostics(exc.diagnostics, fmt)
-        return EXIT_PARSE_ERROR, None, None, None
+    """Returns (exit_code, tree, type, checker), all but the code None on
+    failure; the checker holds the derivation translate_program lowers."""
+    code, tree = _parse(path, fmt)
+    if tree is None:
+        return code, None, None, None
     checker = Checker()
     result = check_program(tree, checker)
     if isinstance(result, list):
@@ -147,10 +148,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .elaborate import translate_program
+    from .sysf import DEFAULT_FUEL, Diverged, Stuck, Value, pretty_core, \
+        sf_eval
     code, tree, _, checker = _parse_and_check(args.file, args.format)
     if code != EXIT_OK:
         return code
-    outcome = sf_eval(translate_program(tree, checker), args.fuel)
+    core = translate_program(tree, checker)
+    outcome = sf_eval(core, args.fuel or DEFAULT_FUEL)  # None if not given
     match outcome:
         case Value(v):
             if isinstance(v, bool):
@@ -170,6 +175,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_emit_core(args) -> int:
+    from .elaborate import translate_program
+    from .sysf import pretty_core, pretty_core_type, sf_typecheck
     code, tree, _, checker = _parse_and_check(args.file, args.format)
     if code != EXIT_OK:
         return code
@@ -182,16 +189,10 @@ def cmd_emit_core(args) -> int:
 
 
 def cmd_ast(args) -> int:
-    src = _load(args.file)
-    if src is None:
-        return EXIT_IO_ERROR
-    try:
-        tree = parse_program(src, args.file)
-    except ParseError as exc:
-        _print_diagnostics(exc.diagnostics, args.format)
-        return EXIT_PARSE_ERROR
-    print(repr(tree))
-    return EXIT_OK
+    code, tree = _parse(args.file, args.format)
+    if tree is not None:
+        print(repr(tree))
+    return code
 
 
 def _positive(text: str) -> int:
@@ -210,7 +211,7 @@ _FORMAT = ("--format", dict(choices=("human", "json"), default="human",
 _COMMANDS = {
     "check": ("type-check a program", cmd_check, (_FORMAT,)),
     "run": ("type-check and evaluate a program", cmd_run,
-            (_FORMAT, ("--fuel", dict(type=_positive, default=DEFAULT_FUEL,
+            (_FORMAT, ("--fuel", dict(type=_positive, default=None,
                                       help="evaluation step budget")))),
     "emit-core": ("print the elaborated core term", cmd_emit_core,
                   (_FORMAT, ("--verify", dict(action="store_true",
@@ -291,10 +292,14 @@ def main(argv=None) -> int:
     if args is None:
         command = argv[0] if argv and argv[0] in _COMMANDS else None
         args = build_parser(command).parse_args(argv)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a program's integers have any length
     try:
         return args.fn(args)
     except Exception as exc:
         return _internal_error(f"{type(exc).__name__}: {exc}", args.format)
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

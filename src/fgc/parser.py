@@ -1,4 +1,5 @@
-"""Concrete syntax: lexer, parser with scope resolution, and pretty-printer.
+"""Concrete syntax, which every command loads: lexer, parser with scope
+resolution, and type printer (`tests/surface.py` prints expressions).
 
 Lexing is one regular expression (`_TOKEN`) whose matches `findall`
 lists: blanks (space, tab, carriage return, newline) and `//` comments to
@@ -117,7 +118,10 @@ from .ast import (
     TyLam,
     Type,
     TypeAlias,
+    free_type_vars,
     fresh_name,
+    map_children,
+    substitute_type,
 )
 from .node import Node, set_field
 
@@ -845,24 +849,29 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
     return tree
 
 
-def parse_type(src: str, filename: str = "<type>") -> Type:
-    """Parse a standalone type, whose free names stay as written; used by
-    tests and tooling."""
-    p = _Parser(tokenize(src, filename), Source(filename, src))
-    try:
-        t = p.type_()
-        if p.toks[p.pos].kind != "eof":
-            p.fail("expected end of input")
-    except _PError as exc:
-        raise ParseError([exc.diag]) from None
-    return t
-
-
 # ---------------------------------------------------------------- pretty
 
 
-# type precedence: 0 constrained, 1 arrow, 2 prefix, 3 atom
 def pretty_type(t: Type, prec: int = 0) -> str:
+    """t as source text that parses back to an alpha-equal type: a binder
+    that a canonical form names `$k` prints as the first of a, a1, a2, ...
+    that is neither free in its body nor bound around it."""
+    return _pretty_type(_surface(t, frozenset()), prec)
+
+
+def _surface(t, scope: frozenset):
+    if not isinstance(t, Forall):
+        return map_children(t, _surface, scope)
+    binder, body = t.binder, t.body
+    if binder.startswith("$"):
+        taken = scope | free_type_vars(body)
+        binder = "a" if "a" not in taken else fresh_name("a", taken)
+        body = substitute_type(body, t.binder, TVar(binder))
+    return Forall(binder, _surface(body, scope | {binder}), span=t.span)
+
+
+# type precedence: 0 constrained, 1 arrow, 2 prefix, 3 atom
+def _pretty_type(t: Type, prec: int) -> str:
     match t:
         case IntT():
             return "int"
@@ -871,19 +880,19 @@ def pretty_type(t: Type, prec: int = 0) -> str:
         case TVar(name):
             return name
         case ListT(elem):
-            s = f"list {pretty_type(elem, 2)}"
+            s = f"list {_pretty_type(elem, 2)}"
             return _paren(s, 2 < prec)
         case Arrow(dom, cod):
-            s = f"{pretty_type(dom, 2)} -> {pretty_type(cod, 1)}"
+            s = f"{_pretty_type(dom, 2)} -> {_pretty_type(cod, 1)}"
             return _paren(s, 1 < prec)
         case Forall(binder, body):
-            s = f"forall {binder}. {pretty_type(body, 0)}"
+            s = f"forall {binder}. {_pretty_type(body, 0)}"
             return _paren(s, 0 < prec)
         case Constrained(constraint, body):
-            s = f"{pretty_constraint(constraint)} => {pretty_type(body, 0)}"
+            s = f"{pretty_constraint(constraint)} => {_pretty_type(body, 0)}"
             return _paren(s, 0 < prec)
         case AssocPath(model, rest):
-            rest_s = rest if isinstance(rest, str) else pretty_type(rest, 3)
+            rest_s = rest if isinstance(rest, str) else _pretty_type(rest, 3)
             return f"{pretty_model(model)}.{rest_s}"
     raise TypeError(f"unexpected type node: {t!r}")
 
@@ -903,77 +912,3 @@ def pretty_constraint(c: Constraint) -> str:
 
 def _paren(s: str, yes: bool) -> str:
     return f"({s})" if yes else s
-
-
-# expr precedence: 0 top, 1 cmp, 2 add, 3 mul (1 + _BINOPS), 4 app, 5 atom
-
-
-def pretty(e: Expr, prec: int = 0) -> str:
-    match e:
-        case IntLit(value):
-            # the syntax has no negative literal
-            return f"(0 - {-value})" if value < 0 else str(value)
-        case BoolLit(value):
-            return "true" if value else "false"
-        case PathE(prefix, name):
-            return "".join(f"{pretty_model(m)}." for m in prefix) + name
-        case Lam(param, ann, body):
-            annot = f": {pretty_type(ann, 0)}" if ann is not None else ""
-            return _paren(f"lam {param}{annot}. {pretty(body, 0)}", 0 < prec)
-        case TyLam(binder, body):
-            return _paren(f"Lam {binder}. {pretty(body, 0)}", 0 < prec)
-        case App(fn, arg):
-            arg_s = pretty(arg, 5)
-            if isinstance(arg, ListLit) and arg.elems:
-                arg_s = f"({arg_s})"  # avoid confusion with type application
-            return _paren(f"{pretty(fn, 4)} {arg_s}", 4 < prec)
-        case TyApp(subject, arg):
-            return _paren(f"{pretty(subject, 4)}[{pretty_type(arg, 0)}]",
-                          4 < prec)
-        case ConstrainedE(constraint, body):
-            return _paren(f"{pretty_constraint(constraint)} => "
-                          f"{pretty(body, 0)}", 0 < prec)
-        case ConceptDecl(info, rest):
-            return _paren(f"{pretty_concept(info)} in {pretty(rest, 0)}",
-                          0 < prec)
-        case ModelDecl(info, rest):
-            return _paren(f"{pretty_model_decl(info)} in {pretty(rest, 0)}",
-                          0 < prec)
-        case TypeAlias(name, rhs, rest):
-            return _paren(f"type {name} = {pretty_type(rhs, 0)} in "
-                          f"{pretty(rest, 0)}", 0 < prec)
-        case Let(name, bound, rest):
-            return _paren(f"let {name} = {pretty(bound, 0)} in "
-                          f"{pretty(rest, 0)}", 0 < prec)
-        case Fix(body):
-            return _paren(f"fix {pretty(body, 0)}", 0 < prec)
-        case If(cond, thn, els):
-            return _paren(f"if {pretty(cond, 0)} then {pretty(thn, 0)} "
-                          f"else {pretty(els, 0)}", 0 < prec)
-        case ListLit(elems, elem_type):
-            if not elems:
-                return f"nil[{pretty_type(elem_type, 0)}]"
-            return "[" + ", ".join(pretty(x, 0) for x in elems) + "]"
-        case Prim(op, args):
-            if op in _BINOPS:
-                p = _BINOPS[op] + 1
-                return _paren(f"{pretty(args[0], p)} {op} "
-                              f"{pretty(args[1], p + 1)}", p < prec)
-            s = op + "".join(f" {pretty(a, 5)}" for a in args)
-            return _paren(s, 4 < prec)
-    raise TypeError(f"unexpected expression node: {e!r}")
-
-
-def pretty_concept(info: ConceptInfo) -> str:
-    assocs = ", ".join(info.assoc_types)
-    nested = ", ".join(pretty_constraint(c) for c in info.nested)
-    members = ", ".join(f"{n} : {pretty_type(t, 0)}" for n, t in info.members)
-    return (f"concept {info.name}<{', '.join(info.type_params)}> "
-            f"{{ {assocs} ; {nested} ; {members} }}")
-
-
-def pretty_model_decl(info: ModelInfo) -> str:
-    args = ", ".join(pretty_type(a, 0) for a in info.type_args)
-    assocs = ", ".join(f"{n} = {pretty_type(t, 0)}" for n, t in info.assoc_binds)
-    members = ", ".join(f"{n} = {pretty(x, 0)}" for n, x in info.member_binds)
-    return f"model {info.concept}<{args}> {{ {assocs} ; {members} }}"

@@ -12,7 +12,7 @@ import pytest
 
 from fgc.ast import alpha_equal
 from fgc.env import Env
-from fgc.parser import parse_program, pretty
+from fgc.parser import parse_program
 from fgc.sysf import Stuck, Value, sf_eval, sf_typecheck
 from fgc.typecheck import check_program
 
@@ -20,6 +20,7 @@ from corpus import EXPECTED_CODES, EXPECTED_VALUES, load, well_typed_names
 from gen import core_ground, random_expr, well_typed
 from oracle import interpret_direct
 from pipeline import derive, lower, translate_type
+from surface import pretty
 from test_typeq import run_oracle_comparison
 
 

@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -12,12 +13,17 @@ import sys
 import pytest
 
 import fgc.cli
-from fgc.ast import Source
+import fgc.elaborate
+import fgc.sysf
+from fgc.ast import Arrow, Forall, Source, TVar, alpha_equal
 from fgc.cli import EXIT_INTERNAL_ERROR, main
 from fgc.elaborate import ElabError
+from fgc.parser import parse_program, pretty_type
 from fgc.sysf import CApp, CIntLit, Stuck
+from fgc.typecheck import check_program
 
 from corpus import PROGRAMS_DIR, ROOT, well_typed_names
+from surface import parse_type
 
 FOLDL = str(PROGRAMS_DIR / "foldl.fg")
 ILLTYPED = str(PROGRAMS_DIR / "illtyped_polyapp.fg")
@@ -74,6 +80,78 @@ def test_io_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "missing.fg"))
     assert code == 3
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("cmd", [["check"], ["run"], ["emit-core"],
+                                 ["ast"], ["check", "--format", "json"]])
+def test_source_that_is_not_utf8_is_an_io_error(capsys, tmp_path, cmd):
+    f = tmp_path / "bad.fg"
+    f.write_bytes(b"\xff\xfe 1")
+    assert run(capsys, *cmd, str(f)) == (
+        3, "", f"fgc: cannot read {f}: invalid UTF-8 at byte 0\n")
+
+
+POW = ("let pow = fix (lam p: int -> int. lam n: int. if n < 1 then 1 "
+       "else 10 * p (n - 1)) in pow 4400")
+
+
+@pytest.mark.parametrize("source", [POW, "1" + "0" * 4400])
+def test_integers_of_any_length(capsys, tmp_path, source):
+    # past CPython's default limit of 4,300 digits on int/str conversion;
+    # the caller's own limit is in force again once main returns
+    f = tmp_path / "big.fg"
+    f.write_text(source)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, "check", str(f)) == (0, "int\n", "")
+        assert run(capsys, "run", str(f)) == (0, "1" + "0" * 4400 + "\n", "")
+        code, out, err = run(capsys, "emit-core", "--verify", str(f))
+        assert (code, out.endswith("\ncore: int\n"), err) == (0, True, "")
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# a canonical form names its binders `$k`; they print as surface names
+HIDDEN_BINDERS = [
+    ("concept C<a> { T ; ; f : a -> T } in model C<int> { T = forall x. "
+     "x -> x ; f = lam x: int. Lam c. lam z: c. z } in lam y: C<int>.T. y",
+     0, "(forall a. a -> a) -> (forall a. a -> a)\n", ""),
+    ("concept C<a> { T ; ; f : a } in model C<int> { T = int ; f = 1 } in "
+     "C<forall b. b -> b>.f",
+     1, "", "p.fg:1:69: error[T003]: unsatisfied constraint "
+            "C<forall a. a -> a>\n"),
+]
+
+
+@pytest.mark.parametrize("source, code, out, err", HIDDEN_BINDERS)
+def test_hidden_binders_print_as_surface_names(capsys, tmp_path, monkeypatch,
+                                              source, code, out, err):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("p.fg").write_text(source)
+    assert run(capsys, "check", "p.fg") == (code, out, err)
+
+
+@pytest.mark.parametrize("t, text", [
+    (Forall("$0", Forall("$1", Arrow(TVar("$0"), TVar("$1")))),
+     "forall a. forall a1. a -> a1"),
+    (Forall("a", Arrow(TVar("a"), Forall("$1", Arrow(TVar("$1"),
+                                                      TVar("a"))))),
+     "forall a. a -> (forall a1. a1 -> a)"),
+    (Forall("a", Forall("$1", TVar("$1"))), "forall a. forall a1. a1"),
+    (Arrow(TVar("a"), Forall("$0", Arrow(TVar("$0"), TVar("a")))),
+     "a -> (forall a1. a1 -> a)"),
+])
+def test_printed_hidden_binders_parse_back(t, text):
+    assert pretty_type(t) == text
+    assert alpha_equal(parse_type(text), t)
+
+
+def test_checked_type_parses_back():
+    t = check_program(parse_program(HIDDEN_BINDERS[0][0]))
+    assert "$" in repr(t)
+    assert alpha_equal(parse_type(pretty_type(t)), t)
 
 
 def test_fuel_exhaustion_exit_code(capsys):
@@ -303,7 +381,9 @@ def _checker_fails(tree, checker):
 ])
 def test_internal_error_exit_code(capsys, monkeypatch, cmd, name, fake,
                                   message):
-    monkeypatch.setattr(fgc.cli, name, fake)
+    owner = {"translate_program": fgc.elaborate,
+             "sf_eval": fgc.sysf}.get(name, fgc.cli)
+    monkeypatch.setattr(owner, name, fake)
     code, out, err = run(capsys, *cmd, FOLDL)
     assert (code, out) == (5, "")
     assert err.startswith("fgc: internal error: " + message)

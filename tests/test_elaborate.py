@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-import fgc.cli
 import fgc.elaborate
 import fgc.env
 import fgc.typecheck
@@ -378,7 +377,7 @@ def test_run_and_verified_core(capsys, tmp_path, source, value):
 def test_check_never_lowers(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("fgc check entered translate_program")
-    monkeypatch.setattr(fgc.cli, "translate_program", refuse)
+    monkeypatch.setattr(fgc.elaborate, "translate_program", refuse)
     assert main(["check", str(PROGRAMS_DIR / "foldl.fg")]) == 0
     assert capsys.readouterr().out == "int\n"
 

@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every module-level function and class of the package is used, and
-importing the CLI loads no code generator."""
+every module-level definition of the package is used, and reachable by
+name from `fgc.cli.main` (code that only tests call lives in `tests/`,
+such as `tests/surface.py`), importing the CLI loads no code generator,
+and `fgc check` and `fgc ast` load neither lowering nor the core."""
 
 import ast
 import os
@@ -94,17 +96,75 @@ def test_every_definition_is_referenced():
     assert unreferenced(package, others) == []
 
 
-def _loaded_by_importing_the_cli(names) -> str:
-    """The sorted list of those of `names` that a fresh `import fgc.cli`
-    loads, as printed.  `-S` leaves out `site`, so the modules are the ones
-    fgc imports."""
+def unreachable(package: dict, root: str) -> list:
+    """The module-level definitions of `package` (file name -> source):
+    functions, classes and assigned names, that no chain of mentions leads
+    to from the definitions named `root`; as "file:name", sorted.  A
+    definition mentions what its whole statement names, and any other
+    statement but an import runs on import, so what it names is reached
+    too (`if __name__ == "__main__": ...`)."""
+    defs = {}  # name -> [(file, statement)]
+    todo = [root]
+    for fname, source in package.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Store)]
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            else:
+                names = []
+            for name in names:
+                defs.setdefault(name, []).append((fname, stmt))
+            if not names:
+                todo.extend(_mentions(stmt))
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for _, stmt in defs.get(name, ()):
+                todo.extend(_mentions(stmt))
+    return sorted(f"{fname}:{name}" for name, where in defs.items()
+                  if name not in seen for fname, _ in where)
+
+
+def test_unreachable_definitions_are_found():
+    package = {"a.py": "import b\nX = 1\n"
+                       "def main(): return b.f() + helper()\n"
+                       "def helper(): return K\nclass K: pass\n"
+                       "def dead(): return dead2()\n"
+                       "def dead2(): return dead()\n"
+                       "if __name__ == '__main__': boot()\n",
+               "b.py": "def f(): pass\ndef boot(): pass\ndef g(): pass\n"
+                       "Y, Z = 1, 2\nW = [Y]\nW[0] = Z\n"}
+    assert unreachable(package, "main") == [
+        "a.py:X", "a.py:dead", "a.py:dead2", "b.py:g"]
+
+
+def test_every_definition_is_reachable_from_main():
+    package = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreachable(package, "main") == []
+
+
+def _fresh(probe: str) -> str:
+    """What a fresh interpreter prints running `probe`.  `-S` leaves out
+    `site`, so the modules loaded are the ones fgc imports."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    probe = (f"import fgc.cli, sys; "
-             f"print(sorted({set(names)!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout
+
+
+def _loaded_by_importing_the_cli(names) -> str:
+    """The sorted list of those of `names` that a fresh `import fgc.cli`
+    loads, as printed."""
+    return _fresh(f"import fgc.cli, sys; "
+                  f"print(sorted({set(names)!r} & set(sys.modules)))")
 
 
 def test_importing_the_cli_generates_no_code():
@@ -119,6 +179,30 @@ def test_importing_the_cli_loads_no_argparse():
     command line needs help or a usage error.  It counts modules and times
     nothing."""
     assert _loaded_by_importing_the_cli({"argparse", "gettext"}) == "[]\n"
+
+
+# the source lines of the fgc modules `fgc check` loads: cli, parser, ast,
+# node, typecheck, env and typeq
+CHECK_LINES = 3244
+
+
+@pytest.mark.parametrize("command", ["check", "ast"])
+def test_a_command_loads_only_the_code_it_runs(command):
+    """After `fgc check` or `fgc ast` in a fresh interpreter, neither
+    lowering (`fgc.elaborate`), the core (`fgc.sysf`) nor `json` is loaded,
+    and the fgc modules loaded hold at most 5% more source lines than
+    CHECK_LINES.  Every fgc process compiles what it loads, so these lines
+    are its start-up time.  It counts lines and times nothing."""
+    fib = str(ROOT / "programs" / "wt_fib.fg")
+    loaded = _fresh(
+        f"import fgc.cli, sys; fgc.cli.main([{command!r}, {fib!r}]); "
+        f"fgc = [m for m in sys.modules if m.startswith('fgc.')]; "
+        f"print(sorted({{'fgc.elaborate', 'fgc.sysf', 'json'}} "
+        f"& set(sys.modules)), sum(open(sys.modules[m].__file__).read()"
+        f".count(chr(10)) for m in fgc))")
+    unwanted, lines = loaded.splitlines()[-1].rsplit(" ", 1)
+    assert unwanted == "[]"
+    assert int(lines) <= CHECK_LINES * 105 // 100
 
 
 def test_only_the_environment_decides_type_equality():

@@ -18,10 +18,11 @@ import pytest
 
 import fgc.parser
 from fgc.ast import Source, SourceSpan
-from fgc.parser import ParseError, parse_program, parse_type, tokenize
+from fgc.parser import ParseError, parse_program, tokenize
 
 from charlex import ref_tokenize
 from corpus import PROGRAMS_DIR, workload_programs
+from surface import parse_type
 
 
 def position(span):

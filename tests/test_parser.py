@@ -23,8 +23,6 @@ from fgc.parser import (
     ParseError,
     _Parser,
     parse_program,
-    parse_type,
-    pretty,
     pretty_type,
     tokenize,
 )
@@ -35,6 +33,7 @@ from cli_equiv import spans
 from corpus import PROGRAMS_DIR, mutants, workload_programs
 from gen import random_expr, well_typed
 from pipeline import derive, lower
+from surface import parse_type, pretty
 
 PROGRAMS = sorted(PROGRAMS_DIR.glob("*.fg"))
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
