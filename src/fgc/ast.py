@@ -120,14 +120,6 @@ class ListT(Type):
         set_field(self, "elem", elem)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.elem == other.elem
-
-    def __hash__(self):
-        return hash((self.elem,))
-
 
 class Arrow(Type):
     __slots__ = ("dom", "cod", "span")
@@ -136,14 +128,6 @@ class Arrow(Type):
         set_field(self, "dom", dom)
         set_field(self, "cod", cod)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.dom, self.cod) == (other.dom, other.cod)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod))
 
 
 class Forall(Type):
@@ -162,14 +146,6 @@ class TVar(Type):
         set_field(self, "name", name)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class ModelId(Syntax):
     __slots__ = ("concept", "type_args", "decl", "span")
@@ -181,15 +157,6 @@ class ModelId(Syntax):
         # the concept declaration's identity; None: unknown
         set_field(self, "decl", decl)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.concept, self.type_args, self.decl) == (
-            other.concept, other.type_args, other.decl)
-
-    def __hash__(self):
-        return hash((self.concept, self.type_args, self.decl))
 
 
 class AssocPath(Type):
@@ -203,15 +170,6 @@ class AssocPath(Type):
         set_field(self, "model", model)
         set_field(self, "rest", rest)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.model, self.rest) == (
-            other.model, other.rest)
-
-    def __hash__(self):
-        return hash((self.model, self.rest))
 
 
 class Constrained(Type):
@@ -239,14 +197,6 @@ class ConceptC(Constraint):
         set_field(self, "model", model)
         set_field(self, "span", span)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.model == other.model
-
-    def __hash__(self):
-        return hash((self.model,))
-
 
 class SameType(Constraint):
     __slots__ = ("lhs", "rhs", "span")
@@ -255,14 +205,6 @@ class SameType(Constraint):
         set_field(self, "lhs", lhs)
         set_field(self, "rhs", rhs)
         set_field(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.lhs, self.rhs) == (other.lhs, other.rhs)
-
-    def __hash__(self):
-        return hash((self.lhs, self.rhs))
 
 
 # ---------------------------------------------------------------- declarations

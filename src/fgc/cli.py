@@ -27,8 +27,8 @@ import os
 import sys
 import types
 
-from .parser import ParseError, parse_program, pretty_type
-from .typecheck import Checker, TypeDiagnostic, check_program
+from .parser import Diagnostic, ParseError, parse_program, pretty_type
+from .typecheck import Checker, check_program
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -84,7 +84,7 @@ def _print_diagnostics(diags, fmt: str) -> None:
                     } if d.span else None,
                     "notes": [
                         {"span": str(ns) if ns else None, "text": nt}
-                        for ns, nt in getattr(d, "notes", ())
+                        for ns, nt in d.notes
                     ],
                 }
                 for d in diags
@@ -103,7 +103,7 @@ def _print_diagnostics(diags, fmt: str) -> None:
 def _internal_error(message: str, fmt: str) -> int:
     """Report a fault of the compiler rather than of the program."""
     if fmt == "json":
-        _print_diagnostics([TypeDiagnostic(None, "I001", message)], fmt)
+        _print_diagnostics([Diagnostic(None, "I001", message)], fmt)
     else:
         print(f"fgc: internal error: {message}", file=sys.stderr)
     return EXIT_INTERNAL_ERROR

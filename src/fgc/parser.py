@@ -151,16 +151,27 @@ _KINDS = {
 }
 
 
-class ParseDiagnostic(Node):
-    __slots__ = ("span", "code", "message")
+class Diagnostic(Node):
+    """A parse or type error, or a fault of the compiler (I001): its span,
+    None where no place applies, its code and message, and notes, each a
+    pair of a span (or None) and a text."""
 
-    def __init__(self, span: SourceSpan, code: str, message: str):
+    __slots__ = ("span", "code", "message", "notes")
+
+    def __init__(self, span: Optional[SourceSpan], code: str, message: str,
+                 notes: tuple = ()):
         set_field(self, "span", span)
         set_field(self, "code", code)
         set_field(self, "message", message)
+        set_field(self, "notes", notes)
 
     def __str__(self) -> str:
-        return f"{self.span}: error[{self.code}]: {self.message}"
+        where = str(self.span) if self.span else "<unknown>"
+        out = f"{where}: error[{self.code}]: {self.message}"
+        for nspan, ntext in self.notes:
+            nwhere = str(nspan) if nspan else "<unknown>"
+            out += f"\n  {nwhere}: note: {ntext}"
+        return out
 
 
 class ParseError(Exception):
@@ -197,7 +208,7 @@ def tokenize(src: str, filename: str) -> list:
                 break
             kind = _KINDS.get(text[0])
             if kind is None:
-                raise ParseError([ParseDiagnostic(
+                raise ParseError([Diagnostic(
                     SourceSpan(Source(filename, src), pos, pos), "P012",
                     f"invalid character {text!r}")])
             kinds[text] = kind
@@ -212,7 +223,7 @@ def tokenize(src: str, filename: str) -> list:
 
 
 class _PError(Exception):
-    def __init__(self, diag: ParseDiagnostic):
+    def __init__(self, diag: Diagnostic):
         self.diag = diag
 
 
@@ -283,10 +294,10 @@ class _Parser:
     def fail(self, msg: str):
         t = self.toks[self.pos]
         if t.kind == "eof":
-            raise _PError(ParseDiagnostic(self.span(t), "P002",
-                                          f"unexpected end of input: {msg}"))
-        raise _PError(ParseDiagnostic(self.span(t), "P001",
-                                      f"{msg}, found {t.text!r}"))
+            raise _PError(Diagnostic(self.span(t), "P002",
+                                     f"unexpected end of input: {msg}"))
+        raise _PError(Diagnostic(self.span(t), "P001",
+                                 f"{msg}, found {t.text!r}"))
 
     def span(self, t: Token) -> SourceSpan:
         return _new(SourceSpan, (self.source, t.start, t.end))
@@ -300,7 +311,7 @@ class _Parser:
     # -- scope
 
     def err(self, span: SourceSpan, code: str, msg: str) -> None:
-        self.diags.append(ParseDiagnostic(span, code, msg))
+        self.diags.append(Diagnostic(span, code, msg))
 
     def save(self) -> tuple:
         """What giving up a parse restores: the position, the number of
@@ -342,7 +353,7 @@ class _Parser:
         seen, out = set(), []
         for name in names:
             if name in seen:
-                out.append(ParseDiagnostic(
+                out.append(Diagnostic(
                     span, "P013", f"duplicate {what} {name!r}{where}"))
             seen.add(name)
         return out
@@ -663,7 +674,7 @@ class _Parser:
             self.pos += 1
             if self.toks[self.pos].text == "]":
                 self.pos += 1
-                raise _PError(ParseDiagnostic(
+                raise _PError(Diagnostic(
                     self.span(t), "P004",
                     "empty list literal requires an element type: use nil[T]"))
             elems = [self.expr()]

@@ -44,14 +44,6 @@ class CList(CoreType):
     def __init__(self, elem: CoreType):
         set_field(self, "elem", elem)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.elem == other.elem
-
-    def __hash__(self):
-        return hash((self.elem,))
-
 
 class CArrow(CoreType):
     __slots__ = ("dom", "cod")
@@ -60,28 +52,12 @@ class CArrow(CoreType):
         set_field(self, "dom", dom)
         set_field(self, "cod", cod)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.dom, self.cod) == (other.dom, other.cod)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod))
-
 
 class CForall(CoreType):
     __slots__ = ("body",)
 
     def __init__(self, body: CoreType):
         set_field(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.body == other.body
-
-    def __hash__(self):
-        return hash((self.body,))
 
 
 class CTVar(CoreType):
@@ -90,28 +66,12 @@ class CTVar(CoreType):
     def __init__(self, index: int):
         set_field(self, "index", index)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.index == other.index
-
-    def __hash__(self):
-        return hash((self.index,))
-
 
 class CTupleT(CoreType):
     __slots__ = ("elems",)
 
     def __init__(self, elems: tuple):
         set_field(self, "elems", elems)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.elems == other.elems
-
-    def __hash__(self):
-        return hash((self.elems,))
 
 
 # ---------------------------------------------------------------- terms

@@ -73,7 +73,6 @@ from .ast import (
     ModelId,
     PathE,
     Prim,
-    SourceSpan,
     TVar,
     TyApp,
     TyLam,
@@ -100,27 +99,7 @@ from .env import (
     lookup_path,
     satisfies,
 )
-from .node import Node, set_field
-from .parser import pretty_constraint, pretty_type
-
-
-class TypeDiagnostic(Node):
-    __slots__ = ("span", "code", "message", "notes")
-
-    def __init__(self, span: Optional[SourceSpan], code: str, message: str,
-                 notes: tuple = ()):
-        set_field(self, "span", span)
-        set_field(self, "code", code)
-        set_field(self, "message", message)
-        set_field(self, "notes", notes)
-
-    def __str__(self) -> str:
-        where = str(self.span) if self.span else "<unknown>"
-        out = f"{where}: error[{self.code}]: {self.message}"
-        for nspan, ntext in self.notes:
-            nwhere = str(nspan) if nspan else "<unknown>"
-            out += f"\n  {nwhere}: note: {ntext}"
-        return out
+from .parser import Diagnostic, pretty_constraint, pretty_type
 
 
 class ErrT(Type):
@@ -210,7 +189,7 @@ class Checker:
         return out
 
     def err(self, span, code, message, notes=()):
-        self.diags.append(TypeDiagnostic(span, code, message, tuple(notes)))
+        self.diags.append(Diagnostic(span, code, message, tuple(notes)))
 
     def equal(self, env: Env, a: Type, b: Type) -> bool:
         return a == b or contains_err(a) or contains_err(b) or \
@@ -526,8 +505,7 @@ class Checker:
             tt = self.infer(env, args[1])
             if contains_err(th) or contains_err(tt):
                 return ListT(th)
-            if not (self.equal(env, tt, ListT(th)) or self.equal(
-                    env, self.discharge(env, tt, args[1]), ListT(th))):
+            if not self._accepts(env, ListT(th), tt, args[1]):
                 self.err(e.span, "T001",
                          f"cons of {pretty_type(th)} onto "
                          f"{pretty_type(tt)}")
@@ -670,17 +648,15 @@ class Checker:
 def check_program(e: Expr, checker: Optional[Checker] = None):
     """Derive the type of a whole program under the empty environment.
 
-    Returns the program type on success, or the list of TypeDiagnostic on
+    Returns the program type on success, or the list of Diagnostic on
     failure.  A `checker` passed in keeps the derivation's recorded
     decisions for `elaborate.translate_program`; any it recorded before
     are dropped, so that node identities of two programs never mix.
     """
     if checker is None:
         checker = Checker()
-    for table in (checker.diags, checker.elim, checker.wrap, checker.types,
-                  checker.envs, checker.evidence, checker.concepts,
-                  checker.terms, checker.tail):
-        table.clear()
+    else:
+        checker.__init__()  # every per-program table, memo included, anew
     node = e
     while isinstance(node, (ConceptDecl, ModelDecl, TypeAlias, Let)):
         checker.tail.add(id(node))

@@ -1,10 +1,13 @@
 """Type equality via congruence closure.
 
-Types are interned into a node table in a nameless (positional-binder)
-form, so alpha-equivalent types share a node and congruence under binders
-is plain constructor congruence.  Equality assumptions seed a union-find
-which is kept closed under congruence; interning a new term after
-construction re-saturates incrementally.
+Types and constraints are interned into a node table in a nameless
+(positional-binder) form, so alpha-equivalent ones share a node and
+congruence under binders is plain constructor congruence.  One `intern`
+takes both: a node's tag comes from its term's class and its children
+are those `ast.type_children` lists, so no second walk restates them.
+Equality assumptions seed a union-find which is kept closed under
+congruence; interning a new term after construction re-saturates
+incrementally.
 
 Equations enter one at a time (`add_equation`), so an environment's
 closure can be handed down from an enclosing scope's and receive only the
@@ -33,6 +36,7 @@ from .ast import (
     SameType,
     TVar,
     Type,
+    type_children,
 )
 
 
@@ -40,6 +44,14 @@ class NoRepresentativeError(Exception):
     """Raised inside `_rebuild` when a class member cannot be rebuilt
     (cyclic equation class with no ground member)."""
 
+
+# the tag of a node by the class of its term; a variable's node is "var",
+# or "bvar" when bound, and a path's associated-type name is a "leaf"
+_TAGS = {
+    IntT: "int", BoolT: "bool", ListT: "list", Arrow: "arrow",
+    Forall: "forall", Constrained: "cimp", AssocPath: "assoc",
+    ConceptC: "cc", SameType: "st",
+}
 
 # preference order when choosing a class representative; lower is better
 _PRIO = {
@@ -155,52 +167,33 @@ class ClosureState:
 
     # -- interning
 
-    def intern(self, t: Type, bound: tuple = ()) -> int:
-        match t:
-            case IntT():
-                return self._node("int", None, ())
-            case BoolT():
-                return self._node("bool", None, ())
-            case TVar(name):
-                if name in bound:
-                    k = len(bound) - 1 - max(
-                        i for i, b in enumerate(bound) if b == name)
-                    return self._node("bvar", k, ())
-                return self._node("var", name, ())
-            case ListT(elem):
-                return self._node("list", None, (self.intern(elem, bound),))
-            case Arrow(dom, cod):
-                return self._node(
-                    "arrow", None,
-                    (self.intern(dom, bound), self.intern(cod, bound)))
-            case Forall(binder, body):
-                return self._node(
-                    "forall", None, (self.intern(body, bound + (binder,)),))
-            case Constrained(constraint, body):
-                return self._node(
-                    "cimp", None,
-                    (self.intern_constraint(constraint, bound),
-                     self.intern(body, bound)))
-            case AssocPath(model, rest):
-                if isinstance(rest, str):
-                    rid = self._node("leaf", rest, ())
+    def intern(self, t, bound: tuple = ()) -> int:
+        """The node of a type or constraint, whose tag comes from its class
+        and whose children are those `type_children` lists.  A variable
+        that `bound` binds becomes a binder index, innermost 0; a path's
+        tail, an associated-type name (a leaf) or a path, is interned
+        before its type arguments and listed after them."""
+        cls = t.__class__
+        if cls is TVar:
+            if t.name in bound:
+                k = len(bound) - 1 - max(
+                    i for i, b in enumerate(bound) if b == t.name)
+                return self._node("bvar", k, ())
+            return self._node("var", t.name, ())
+        children = type_children(t)
+        tag, payload, tail = _TAGS[cls], None, ()
+        if cls is Forall:
+            bound += (t.binder,)
+        elif cls is AssocPath or cls is ConceptC:
+            payload = t.model.concept, t.model.decl
+            if cls is AssocPath:
+                if isinstance(t.rest, str):
+                    tail = (self._node("leaf", t.rest, ()),)
                 else:
-                    rid = self.intern(rest, bound)
-                args = tuple(self.intern(a, bound) for a in model.type_args)
-                return self._node("assoc", (model.concept, model.decl),
-                                  args + (rid,))
-        raise TypeError(f"unexpected type node: {t!r}")
-
-    def intern_constraint(self, c: Constraint, bound: tuple = ()) -> int:
-        match c:
-            case ConceptC(model):
-                args = tuple(self.intern(a, bound) for a in model.type_args)
-                return self._node("cc", (model.concept, model.decl), args)
-            case SameType(lhs, rhs):
-                return self._node(
-                    "st", None,
-                    (self.intern(lhs, bound), self.intern(rhs, bound)))
-        raise TypeError(f"unexpected constraint node: {c!r}")
+                    tail = (self.intern(children[-1], bound),)
+                    children = children[:-1]
+        return self._node(tag, payload, tuple(
+            [self.intern(c, bound) for c in children]) + tail)
 
     # -- queries
 
@@ -209,7 +202,7 @@ class ClosureState:
         return self.find(ia) == self.find(ib)
 
     def constraints_equal(self, a: Constraint, b: Constraint) -> bool:
-        ia, ib = self.intern_constraint(a), self.intern_constraint(b)
+        ia, ib = self.intern(a), self.intern(b)
         return self.find(ia) == self.find(ib)
 
     # -- canonical representatives
@@ -272,8 +265,12 @@ class ClosureState:
         if tag == "forall":
             return Forall(f"${depth}", sub(children[0], depth + 1))
         if tag == "cimp":
-            return Constrained(self._rebuild_cnode(children[0], busy, depth),
-                               sub(children[1]))
+            return Constrained(sub(children[0]), sub(children[1]))
+        if tag == "cc":
+            return ConceptC(ModelId(payload[0], tuple(map(sub, children)),
+                                    payload[1]))
+        if tag == "st":
+            return SameType(sub(children[0]), sub(children[1]))
         if tag == "assoc":
             args = tuple(sub(c) for c in children[:-1])
             rtag, rpayload, _ = self.nodes[self.find(children[-1])]
@@ -288,16 +285,3 @@ class ClosureState:
         if tag == "leaf":
             raise NoRepresentativeError("bare associated-type name")
         raise NoRepresentativeError(f"cannot rebuild node kind {tag!r}")
-
-    def _rebuild_cnode(self, cid: int, busy: frozenset, depth: int):
-        # constraint nodes are never merged with type nodes; rebuild the
-        # node itself (its class is a singleton up to congruence)
-        tag, payload, children = self.nodes[cid]
-        if tag == "cc":
-            args = tuple(self._rebuild(self.find(c), busy, depth)
-                         for c in children)
-            return ConceptC(ModelId(payload[0], args, payload[1]))
-        if tag == "st":
-            return SameType(self._rebuild(self.find(children[0]), busy, depth),
-                            self._rebuild(self.find(children[1]), busy, depth))
-        raise NoRepresentativeError(f"cannot rebuild constraint {tag!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import string
 from typing import NamedTuple
 
-from fgc.parser import KEYWORDS, ParseDiagnostic, ParseError
+from fgc.parser import KEYWORDS, Diagnostic, ParseError
 
 
 class Position(NamedTuple):
@@ -87,7 +87,7 @@ def ref_tokenize(src: str, filename: str) -> list:
                 break
         else:
             raise ParseError(
-                [ParseDiagnostic(span(l0, c0, line, col), "P012",
+                [Diagnostic(span(l0, c0, line, col), "P012",
                                  f"invalid character {ch!r}")]
             )
     toks.append(("eof", "", span(line, col, line, col)))

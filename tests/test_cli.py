@@ -22,7 +22,7 @@ from fgc.parser import parse_program, pretty_type
 from fgc.sysf import CApp, CIntLit, Stuck
 from fgc.typecheck import check_program
 
-from corpus import PROGRAMS_DIR, ROOT, well_typed_names
+from corpus import PROGRAMS_DIR, ROOT, well_typed_names, workload_programs
 from surface import parse_type
 
 FOLDL = str(PROGRAMS_DIR / "foldl.fg")
@@ -684,25 +684,35 @@ def test_usage_error_then_a_command_answers_as_a_fresh_process(capsys):
     assert fresh.stdout == "55\n"
 
 
-def test_commands_leave_no_fgc_object_to_the_collector(capsys):
+def test_commands_leave_no_fgc_object_to_the_collector(capsys, tmp_path):
     # what a well-formed command builds, fgc's objects and any other, is
     # freed by reference counting alone: argparse, whose parsers are
     # cyclic, is not called for such a line
-    commands = (["check"], ["run"], ["emit-core", "--verify"], ["ast"])
+    commands = (["check"], ["run"], ["run", "--fuel", "5"],
+                ["emit-core", "--verify"], ["ast"])
     programs = sorted(PROGRAMS_DIR.glob("*.fg"))
+    sources = {"type_error": "1 + true", "parse_error": "lam x: int."}
+    for workload in ("recursion", "concept_chain", "wide_source"):
+        for p in workload_programs(workload, 7)[:3]:
+            sources[f"{workload}_{p.name}"] = p.source
+    for name, source in sources.items():
+        programs.append(tmp_path / f"{name}.fg")
+        programs[-1].write_text(source)
     gc.collect()
     gc.disable()
+    gc.freeze()  # a collection then visits only what the commands made
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         for path in programs:
             for cmd in commands:
                 for fmt in ("human", "json"):
                     run(capsys, *cmd, "--format", fmt, str(path))
-                    gc.collect(0)  # all the command made is in generation 0
+                    unreachable = gc.collect()
                     found = list(gc.garbage)
                     gc.garbage.clear()
-                    assert not found, (cmd, fmt, path.name, found[:3])
+                    assert unreachable == 0, (cmd, fmt, path.name, found[:3])
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+        gc.unfreeze()
         gc.enable()

@@ -181,3 +181,16 @@ def test_constraint_scope_is_lexical():
            "Eq<int>.eq 1 2")
     # the assumption inside f does not leak out; no model for int exists
     assert codes_of(src) == ["T003"]
+
+
+def test_a_reused_checker_forgets_the_previous_program():
+    """Declaration identities restart in every parse, so a checker that
+    kept the first program's constraint expansions would expand the
+    second's `C<b>` without its `T == int`."""
+    first = "concept C<a> { T ; ; f : a -> T } in (Lam b. C<b> => 1)"
+    second = ("concept C<a> { T ; T == int ; f : a -> T } in "
+              "let h = (Lam b. C<b> => lam y: b. C<b>.f y + 1) in 2")
+    checker = Checker()
+    assert isinstance(check_program(parse_program(first), checker), Type)
+    got = check_program(parse_program(second), checker)
+    assert got == check_program(parse_program(second), Checker()) == IntT()

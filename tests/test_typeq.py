@@ -310,3 +310,148 @@ def test_canonical_is_class_invariant():
                     continue
                 assert alpha_equal(cs, ct)
                 assert st.types_equal(s, cs)
+
+
+# ------------------------------------------------- reference interning
+
+
+class TwoMatchClosure(ClosureState):
+    """A closure that interns types and constraints by two matches, one
+    per kind of term, and rebuilds a constrained type's constraint from
+    its own node: the interning `ClosureState.intern` replaced, kept as
+    the reference it must agree with node for node."""
+
+    def intern(self, t: Type, bound: tuple = ()) -> int:
+        match t:
+            case IntT():
+                return self._node("int", None, ())
+            case BoolT():
+                return self._node("bool", None, ())
+            case TVar(name):
+                if name in bound:
+                    k = len(bound) - 1 - max(
+                        i for i, b in enumerate(bound) if b == name)
+                    return self._node("bvar", k, ())
+                return self._node("var", name, ())
+            case ListT(elem):
+                return self._node("list", None, (self.intern(elem, bound),))
+            case Arrow(dom, cod):
+                return self._node(
+                    "arrow", None,
+                    (self.intern(dom, bound), self.intern(cod, bound)))
+            case Forall(binder, body):
+                return self._node(
+                    "forall", None, (self.intern(body, bound + (binder,)),))
+            case Constrained(constraint, body):
+                return self._node(
+                    "cimp", None,
+                    (self.intern_constraint(constraint, bound),
+                     self.intern(body, bound)))
+            case AssocPath(model, rest):
+                if isinstance(rest, str):
+                    rid = self._node("leaf", rest, ())
+                else:
+                    rid = self.intern(rest, bound)
+                args = tuple(self.intern(a, bound) for a in model.type_args)
+                return self._node("assoc", (model.concept, model.decl),
+                                  args + (rid,))
+        raise TypeError(f"unexpected type node: {t!r}")
+
+    def intern_constraint(self, c: Constraint, bound: tuple = ()) -> int:
+        match c:
+            case ConceptC(model):
+                args = tuple(self.intern(a, bound) for a in model.type_args)
+                return self._node("cc", (model.concept, model.decl), args)
+            case SameType(lhs, rhs):
+                return self._node(
+                    "st", None,
+                    (self.intern(lhs, bound), self.intern(rhs, bound)))
+        raise TypeError(f"unexpected constraint node: {c!r}")
+
+    def constraints_equal(self, a: Constraint, b: Constraint) -> bool:
+        ia, ib = self.intern_constraint(a), self.intern_constraint(b)
+        return self.find(ia) == self.find(ib)
+
+    def _rebuild_node(self, nid: int, busy: frozenset, depth: int) -> Type:
+        tag, _, children = self.nodes[nid]
+        if tag != "cimp":
+            return super()._rebuild_node(nid, busy, depth)
+        cid, body = children
+        ctag, payload, children = self.nodes[cid]
+        args = tuple(self._rebuild(self.find(c), busy, depth)
+                     for c in children)
+        constraint = ConceptC(ModelId(payload[0], args, payload[1])) \
+            if ctag == "cc" else SameType(*args)
+        return Constrained(constraint,
+                           self._rebuild(self.find(body), busy, depth))
+
+
+def _mixed_type(rng: random.Random, depth: int, tyvars: tuple) -> Type:
+    """A type of every shape the closure interns: binders (some shadowing
+    a free variable), constrained types, and paths whose tail is a
+    path."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice([IntT(), BoolT(), *map(TVar, tyvars)])
+
+    def sub(bound=tyvars):
+        return _mixed_type(rng, depth - 1, bound)
+    match rng.randrange(6):
+        case 0:
+            return ListT(sub())
+        case 1:
+            return Arrow(sub(), sub())
+        case 2:
+            b = rng.choice(("a", "q"))
+            return Forall(b, sub(tyvars + (b,)))
+        case 3:
+            return Constrained(_mixed_constraint(rng, depth - 1, tyvars),
+                               sub())
+    rest = AssocPath(ModelId("C", (sub(),)), "T") if rng.random() < 0.4 \
+        else "T"
+    return AssocPath(ModelId("C", (sub(),)), rest)
+
+
+def _mixed_constraint(rng: random.Random, depth: int, tyvars: tuple):
+    def sub():
+        return _mixed_type(rng, depth, tyvars)
+    match rng.randrange(3):
+        case 0:
+            return ConceptC(ModelId("C", (sub(),)))
+        case 1:
+            return ConceptC(ModelId("K", (sub(), sub()), 5))
+    return SameType(sub(), sub())
+
+
+def test_interning_matches_the_two_match_reference():
+    """On random instances, with aliases, type and constraint queries and
+    canonical forms, one `intern` over `type_children` builds the very
+    node, first-mention and representative tables of the reference, and
+    answers every query alike."""
+    rng = random.Random(23)
+    tyvars = ("a", "b", "c", "d")
+    for _ in range(1000):
+        eqs, pairs = random_equations(rng)
+        eqs += ((_mixed_type(rng, 2, tyvars), _mixed_type(rng, 2, tyvars)),)
+        types = [t for pair in eqs + pairs for t in pair] + [
+            _mixed_type(rng, 3, tyvars) for _ in range(4)]
+        closures = ClosureState(), TwoMatchClosure()
+        for lhs, rhs in eqs:
+            alias = isinstance(lhs, TVar) and rng.random() < 0.3
+            for st in closures:
+                st.add_equation(lhs, rhs, alias)
+        for _ in range(8):
+            a, b = rng.choice(types), rng.choice(types)
+            match rng.randrange(3):
+                case 0:
+                    query = "types_equal", (a, b)
+                case 1:
+                    query = "constraints_equal", (
+                        _mixed_constraint(rng, 2, tyvars),
+                        _mixed_constraint(rng, 2, tyvars))
+                case _:
+                    query = "canonical", (a, rng.randrange(2))
+            got, want = (getattr(st, query[0])(*query[1]) for st in closures)
+            assert got == want, query
+        new, ref = closures
+        assert (new.nodes, new.mention, new.best) == (
+            ref.nodes, ref.mention, ref.best)
