@@ -27,8 +27,12 @@ Same-type constraints erase: every emitted core type is first
 canonicalized in the environment (`Env.canonical`), so core structural
 equality coincides with provable surface equality, and paths are compared
 by `Env.equal`; an abstraction plan asks an `Env` assuming its concept's
-same-type requirements.  Lowering never builds a congruence closure
-itself.  A chain of models merges each equation once.
+same-type requirements from the program's root equation node.  Lowering
+touches no closure itself, but its queries build one at an equation node
+the checker never queried, unless an ancestor's is handed down: on a
+concept chain, mainly one for the member types of the model chain and one
+that the top concept's plan shares with the dictionary type of its
+introduction.  A chain of models merges each equation once.
 
 A model's dictionary type follows its evidence: each nested slot has the
 type recorded where the dictionary its evidence names was bound (a
@@ -41,9 +45,10 @@ built once per (model identifier, equation node, type scope) and the
 `CoreType` shared after that: those are all it reads, and canonical forms
 do not change as the closure interns more terms.  A constraint's
 expansion is the checker's (`Checker.flat`), and abstraction plans are
-memoised per concept declaration and instantiated at each constraint, so
-a constraint whose type arguments pin more paths (`C<int>` where `C`
-requires `D<int>.U == bool`) takes the same type parameters as `C<t>`.
+made from it where they can, memoised per concept declaration and
+instantiated at each constraint, so a constraint whose type arguments pin
+more paths (`C<int>` where `C` requires `D<int>.U == bool`) takes the
+same type parameters as `C<t>`.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ from .ast import (
     TyLam,
     Type,
     TypeAlias,
+    free_type_vars,
     has_path,
     substitute_type_map,
 )
@@ -154,6 +160,23 @@ def _pins(t: Type) -> tuple:
     return tuple(out)
 
 
+def _renames(concepts: dict, args: tuple, expanded: tuple) -> bool:
+    """Whether a constraint's expansion renames its concept's own one:
+    its arguments are distinct type variables, and every concept of the
+    expansion names no type variable but its parameters and associated
+    types."""
+    names = {t.name for t in args if isinstance(t, TVar)}
+    if len(names) < len(args):
+        return False
+    for fc, _ in expanded:
+        if isinstance(fc, ConceptC):
+            info = concepts[fc.model.decl]
+            own = {*info.type_params, *info.assoc_types}
+            if any(free_type_vars(nc) - own for nc in info.nested):
+                return False
+    return True
+
+
 class Elaborator:
     """Lowers a derivation recorded by `checker`."""
 
@@ -174,20 +197,33 @@ class Elaborator:
     def abstraction_plan(self, c: ConceptC) -> tuple:
         """The associated-type paths of a concept constraint's expansion
         that become extra core type parameters, in deterministic order.
-        The plan is computed once per concept, over its own parameters,
+        The plan is made once per concept, kept over its own parameters,
         and instantiated at c: a path that the concept's own same-type
         requirements pin to a path-free type is not abstracted.  So every
         constraint of a concept takes the same number of type parameters,
         and introduction, discharge and type conversion agree, whatever
-        the constraint's type arguments make equal."""
+        the constraint's type arguments make equal.
+
+        It is made at the first constraint asked about, from the checker's
+        expansion of it, when that renames the concept's own (`_renames`),
+        and renamed back: renaming distinct variables is a bijection, so
+        the closure classes and representatives are the own parameters'
+        renamed.  The same-type requirements are assumed from the root
+        equation node, so where the constraint is introduced without
+        equations in scope, the plan's closure is the one its dictionary
+        type is converted in."""
         mid = c.model
         info = self.checker.concepts[mid.decl]
         plan = self.plans.get(mid.decl)
         if plan is None:
-            own = ModelId(info.name,
-                          tuple(TVar(a) for a in info.type_params), info.decl)
-            expanded = self.checker.flat(ConceptC(own))
-            env = Env()
+            args = mid.type_args
+            expanded = self.checker.flats.get(c)
+            if expanded is None or not _renames(self.checker.concepts, args,
+                                                expanded):
+                args = tuple(TVar(a) for a in info.type_params)
+                expanded = self.checker.flat(ConceptC(ModelId(
+                    info.name, args, info.decl)))
+            env = self.checker.root
             for fc, _ in expanded:
                 if isinstance(fc, SameType):
                     env = env.assume(fc, PROVED)
@@ -197,11 +233,12 @@ class Elaborator:
                     continue
                 for beta in self.checker.concepts[fc.model.decl].assoc_types:
                     p = AssocPath(fc.model, beta)
-                    if not has_path(env.canonical(p)) or any(
-                            env.equal(p, q) for q in params):
-                        continue
-                    params.append(p)
-            plan = self.plans[mid.decl] = tuple(params)
+                    if not any(env.equal(p, q) for q in params) and \
+                            has_path(env.canonical(p)):
+                        params.append(p)
+            own = {a.name: TVar(b) for a, b in zip(args, info.type_params)}
+            plan = self.plans[mid.decl] = tuple(
+                substitute_type_map(p, own) for p in params)
         sigma = dict(zip(info.type_params, mid.type_args))
         return tuple(substitute_type_map(p, sigma) for p in plan)
 

@@ -264,25 +264,52 @@ def satisfies(env: Env, constraint: Constraint):
     return None
 
 
-def lookup_path(env: Env, concepts: dict, prefix: tuple, name: str):
+def _path_step(env: Env, concepts: dict, mid: ModelId) -> tuple:
+    """One step of a path from env: the restricted environment assuming
+    the step's nested constraints, the step's evidence, its concept and
+    its substitution."""
+    info = concepts.get(mid.decl)
+    if info is None or len(info.type_params) != len(mid.type_args):
+        raise UnknownConceptError(mid.concept)
+    evidence = satisfies(env, ConceptC(mid))
+    if evidence is None:
+        raise UnsatisfiedConstraintError(ConceptC(mid))
+    sigma = concept_subst(info, mid)
+    env = env.restrict()
+    slot = 0
+    for nc in info.nested:
+        env = env.assume(substitute_type_map(nc, sigma), Evidence(
+            evidence.binder, evidence.route + (slot,)))
+        slot += isinstance(nc, ConceptC)
+    return env, evidence, info, sigma
+
+
+def lookup_path(env: Env, concepts: dict, prefix: tuple, name: str,
+                memo: dict):
     """Type of a qualified term path, with a non-empty prefix, and the
     evidence of its last model step.  Each step is satisfied in the
     restricted environment of the one before, which assumes that step's
-    nested constraints; the member's type is the last step's."""
+    nested constraints; the member's type is the last step's.
+
+    `memo`, kept for one program (`Checker.paths`), makes each (start environment, prefix)
+    pair cost one step however many paths share it, as the members a
+    concept chain reaches do.  It maps the start environment's id to that
+    environment, kept alive so that no other one takes its id, and to a
+    trie of the prefixes walked from it: each model identifier maps to its
+    `_path_step` and the trie of the steps after it.  A path resumes after
+    its longest prefix in the trie.  A one-step path, which shares
+    nothing, neither reads nor fills it."""
+    steps = None
+    if len(prefix) > 1:
+        steps = memo.setdefault(id(env), (env, {}))[1]
     for mid in prefix:
-        info = concepts.get(mid.decl)
-        if info is None or len(info.type_params) != len(mid.type_args):
-            raise UnknownConceptError(mid.concept)
-        evidence = satisfies(env, ConceptC(mid))
-        if evidence is None:
-            raise UnsatisfiedConstraintError(ConceptC(mid))
-        sigma = concept_subst(info, mid)
-        env = env.restrict()
-        slot = 0
-        for nc in info.nested:
-            env = env.assume(substitute_type_map(nc, sigma), Evidence(
-                evidence.binder, evidence.route + (slot,)))
-            slot += isinstance(nc, ConceptC)
+        if steps is None:
+            env, evidence, info, sigma = _path_step(env, concepts, mid)
+            continue
+        step = steps.get(mid)
+        if step is None:
+            step = steps[mid] = _path_step(env, concepts, mid), {}
+        (env, evidence, info, sigma), steps = step
     members = dict(info.members)
     if name not in members:
         raise UnknownMemberError(name)

@@ -23,9 +23,11 @@ the identity of the expression node they concern:
             itself reads: a qualified path's last model step, a model's
             nested concept requirements in order;
   envs      the environment each expression was checked in;
-  concepts  declaration identity -> ConceptInfo (see `parser`), and
+  concepts  declaration identity -> ConceptInfo (see `parser`);
   terms     binder identity -> type (what a `let` binds, a lambda's domain),
-            filled as the checker enters each declaration and binder.
+            filled as the checker enters each declaration and binder; and
+  root      the empty environment the program is checked in, whose
+            equation node is the root of every other's.
 
 Diagnostic codes (closed set):
   T001  application / comparison mismatch
@@ -176,7 +178,9 @@ class Checker:
         self.concepts = {}
         self.terms = {}
         self.flats = {}
+        self.paths = {}  # the `lookup_path` memo
         self.tail = set()  # the declarations whose type is the program's
+        self.root = None
 
     # -- infrastructure
 
@@ -336,7 +340,7 @@ class Checker:
             case PathE(prefix, name):
                 try:
                     t, self.evidence[id(e)] = lookup_path(
-                        env, self.concepts, prefix, name)
+                        env, self.concepts, prefix, name, self.paths)
                     return t
                 except UnsatisfiedConstraintError as exc:
                     self.err(e.span, "T003",
@@ -389,47 +393,8 @@ class Checker:
                     return ERR
                 tb = self.types[id(e)] = self.infer(env2, body)
                 return Constrained(constraint, tb)
-            case ConceptDecl(info, rest):
-                self.concepts[info.decl] = info
-                for nc in info.nested:
-                    if isinstance(nc, ConceptC) and \
-                            nc.model.decl not in self.concepts:
-                        self.err(info.span, "T004",
-                                 f"unknown concept {nc.model.concept!r} in "
-                                 f"constraints of {info.name!r}")
-                for _, t in info.members:
-                    # a member's paths may go through the concept's own
-                    # constraint and its requirements
-                    if has_path(t):
-                        t = Constrained(ConceptC(ModelId(info.name, tuple(
-                            map(TVar, info.type_params)), info.decl)), t)
-                    self._written(env, t, info.span)
-                t = self.infer(env, rest)
-                # the program's own type may name its concepts, but a type
-                # used outside the concept's scope may not
-                if id(e) in self.tail or contains_err(t) or all(
-                        m.decl != info.decl for m, _ in _model_steps(t)):
-                    return t
-                self.err(info.span, "T004",
-                         f"concept {info.name!r} escapes its scope in the "
-                         f"type {pretty_type(t)}")
-                return ERR
-            case ModelDecl(_, rest):
-                env2 = self.check_model(env, e)
-                if env2 is None:
-                    return self.infer(env, rest)
-                t = self.infer(env2, rest)
-                # the model's associated-type equations go out of scope
-                # here, so resolve any paths through them in the result
-                if not contains_err(t) and has_path(t):
-                    t = _outside(t, env2)
-                return t
-            case TypeAlias(name, rhs, rest):
-                self._written(env, rhs, e.span)
-                t = self.infer(env.equate(TVar(name), rhs), rest)
-                if contains_err(t):
-                    return t
-                return substitute_type(t, name, rhs)
+            case ConceptDecl() | ModelDecl() | TypeAlias():
+                return self._declarations(env, e)
             case Fix(body):
                 arrow = self._expose(env, self.infer(env, body), Arrow, body,
                                      e.span, "T002",
@@ -479,6 +444,66 @@ class Checker:
             self.terms[e.decl] = self.infer(env, e.bound)
             e = e.rest
         return e
+
+    def _declarations(self, env: Env, e: Expr) -> Type:
+        """Infer a spine of `concept`, `model` and `type` declarations and
+        `let`s in a loop, as `_lets` does, so that its length is bounded
+        by memory and not by the recursion limit: each declaration is
+        checked on the way in, and the type of what follows the spine is
+        carried back out through them in reverse."""
+        frames = []  # (declaration, the environment of what it scopes over)
+        while True:
+            inner = env
+            match e:
+                case ConceptDecl(info, _):
+                    self.concepts[info.decl] = info
+                    for nc in info.nested:
+                        if isinstance(nc, ConceptC) and \
+                                nc.model.decl not in self.concepts:
+                            self.err(info.span, "T004",
+                                     f"unknown concept {nc.model.concept!r} "
+                                     f"in constraints of {info.name!r}")
+                    for _, t in info.members:
+                        # a member's paths may go through the concept's own
+                        # constraint and its requirements
+                        if has_path(t):
+                            t = Constrained(ConceptC(ModelId(
+                                info.name, tuple(map(TVar, info.type_params)),
+                                info.decl)), t)
+                        self._written(env, t, info.span)
+                case ModelDecl():
+                    inner = self.check_model(env, e)  # None: not in scope
+                case TypeAlias(name, rhs, _):
+                    self._written(env, rhs, e.span)
+                    inner = env.equate(TVar(name), rhs)
+            frames.append((e, inner))
+            env = env if inner is None else inner
+            e = self._lets(env, e.rest)
+            if not isinstance(e, (ConceptDecl, ModelDecl, TypeAlias)):
+                break
+            self.envs[id(e)] = env
+        t = self.infer(env, e)
+        for e, inner in reversed(frames):
+            match e:
+                case ConceptDecl(info, _):
+                    # the program's own type may name its concepts, but a
+                    # type used outside the concept's scope may not
+                    if id(e) not in self.tail and not contains_err(t) and any(
+                            m.decl == info.decl for m, _ in _model_steps(t)):
+                        self.err(info.span, "T004",
+                                 f"concept {info.name!r} escapes its scope "
+                                 f"in the type {pretty_type(t)}")
+                        t = ERR
+                case ModelDecl():
+                    # the model's associated-type equations go out of scope
+                    # here, so resolve any paths through them in the result
+                    if inner is not None and not contains_err(t) and \
+                            has_path(t):
+                        t = _outside(t, inner)
+                case TypeAlias(name, rhs, _):
+                    if not contains_err(t):
+                        t = substitute_type(t, name, rhs)
+        return t
 
     def _condition(self, env: Env, cond: Expr) -> None:
         """Infer a condition; T010 unless it is a bool or already an error."""
@@ -661,7 +686,8 @@ def check_program(e: Expr, checker: Optional[Checker] = None):
     while isinstance(node, (ConceptDecl, ModelDecl, TypeAlias, Let)):
         checker.tail.add(id(node))
         node = node.rest
-    t = checker.infer(Env(), e)
+    checker.root = Env()
+    t = checker.infer(checker.root, e)
     if checker.diags:
         return checker.diags
     return t

@@ -455,6 +455,71 @@ def test_long_model_spines_lower_without_the_python_stack(capsys, tmp_path):
     assert run(capsys, "run", str(f)) == (0, "600\n", "")
 
 
+SPINES = {
+    # 2,000 declarations of one kind, and the value of the program
+    "model": ("concept S<a> { ; ; r : a -> int } in\n" + "".join(
+        f"model S<int> {{ ; r = lam x: int. x + {i} }} in\n"
+        for i in range(2000)) + "S<int>.r 1\n", "2000"),
+    "concept": ("".join(f"concept C{i}<a> {{ ; ; f{i} : a -> a }} in\n"
+                        for i in range(2000))
+                + "model C1999<int> { ; f1999 = lam x: int. x + 1 } in\n"
+                + "C1999<int>.f1999 1\n", "2"),
+    "type": ("type t0 = int in\n" + "".join(
+        f"type t{i} = t{i - 1} in\n" for i in range(1, 2000))
+        + "(lam x: t1999. x + 1) 2\n", "3"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPINES))
+def test_long_declaration_spines_check_without_the_python_stack(
+        kind, capsys, tmp_path):
+    # the checker took a Python frame per model, concept and type
+    # declaration: 1,000 of any one kind ended in a RecursionError
+    source, value = SPINES[kind]
+    f = tmp_path / f"{kind}s.fg"
+    f.write_text(source)
+    assert run(capsys, "check", str(f)) == (0, "int\n", "")
+    assert run(capsys, "run", str(f)) == (0, value + "\n", "")
+    code, out, err = run(capsys, "emit-core", "--verify", str(f))
+    assert (code, err) == (0, "") and out.endswith("\ncore: int\n")
+
+
+def test_long_declaration_spines_keep_the_order_of_diagnostics(
+        capsys, tmp_path):
+    # each declaration is checked on the way in, in program order, and a
+    # concept's escape is reported on the way out, after the diagnostics
+    # of what it scopes over: as when the checker recursed
+    n = 2000
+    lines = ["let f = (concept C<a> { ; ; m : a -> int } in",
+             "model C<int> { ; m = lam x: int. true } in"]
+    lines += [f"type u{i} = {f'u{i - 1}' if i else 'int'} in"
+              for i in range(n)]
+    lines += [f"concept E{i}<a> {{ ; ; e{i} : a }} in" for i in range(n)]
+    lines += ["concept D<a> { ; ; } in"]
+    lines += [f"model C<u{n - 1}> {{ ; m = lam x: int. x + {i} }} in"
+              for i in range(n)]
+    lines += [f"model C<u{n - 1}> {{ ; m = lam x: bool. 1 }} in",
+              f"lam x: (D<u{n - 1}> => int). x + true) in", "f"]
+    f = tmp_path / "spine.fg"
+    f.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check", str(f))
+    u, last = f"u{n - 1}", 3 * n + 5
+    lam = len(f"model C<{u}> {{ ; m = ") + 1
+    x = len(f"lam x: (D<{u}> => int). ") + 1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"{f}:2:34: error[T006]: member 'm' has type bool, expected int",
+        f"{f}:{last - 1}:{lam}: error[T006]: member 'm' takes bool but {u} "
+        "was expected",
+        f"{f}:{last}:{x}: error[T001]: operator '+' needs int operands, "
+        f"got D<{u}> => int",
+        f"{f}:{last}:{x + 4}: error[T001]: operator '+' needs int operands, "
+        "got bool",
+        f"{f}:{2 * n + 3}:1: error[T004]: concept 'D' escapes its scope in "
+        f"the type (D<{u}> => int) -> int",
+    ]
+
+
 @pytest.mark.parametrize("source, diag", [
     ("concept C<a> { ; ; f : a -> a } in "
      "model C<int> { ; f = lam x: bool. x } in 1",

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import fgc.env
 from fgc.ast import (
     Arrow,
     BoolT,
@@ -210,7 +211,7 @@ def test_lookup_path_member():
     m = mid(SEMIGROUP, IntT())
     ev = Evidence("model")
     env = Env().model(m, ev)
-    t, last = lookup_path(env, concepts(), (m,), "binary_op")
+    t, last = lookup_path(env, concepts(), (m,), "binary_op", {})
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
     assert last is ev
 
@@ -221,7 +222,7 @@ def test_lookup_path_nested():
            .model(mmid, Evidence("monoid model")))
     # Monoid<int>.Semigroup<int>.binary_op goes through the nested
     # constraint: slot 0 of the Monoid<int> model's dictionary
-    t, last = lookup_path(env, concepts(), (mmid, smid), "binary_op")
+    t, last = lookup_path(env, concepts(), (mmid, smid), "binary_op", {})
     assert t == Arrow(IntT(), Arrow(IntT(), IntT()))
     assert last == Evidence("monoid model", (0,))
 
@@ -230,7 +231,7 @@ def test_lookup_path_assoc_substitution():
     m = mid(SEQ, ListT(IntT()))
     ev = Evidence("model")
     env = Env().model(m, ev).equate(AssocPath(m, "E"), IntT())
-    t, last = lookup_path(env, concepts(), (m,), "head")
+    t, last = lookup_path(env, concepts(), (m,), "head", {})
     assert t == Arrow(ListT(IntT()), AssocPath(m, "E"))
     assert last is ev
 
@@ -238,14 +239,88 @@ def test_lookup_path_assoc_substitution():
 def test_lookup_path_errors():
     env = Env()
     with pytest.raises(UnknownConceptError):
-        lookup_path(env, concepts(), (ModelId("Nope", (IntT(),)),), "f")
+        lookup_path(env, concepts(), (ModelId("Nope", (IntT(),)),), "f", {})
     with pytest.raises(UnknownConceptError):
-        lookup_path(env, concepts(), (mid(SEMIGROUP),), "binary_op")
+        lookup_path(env, concepts(), (mid(SEMIGROUP),), "binary_op", {})
     m = mid(SEMIGROUP, IntT())
     with pytest.raises(UnsatisfiedConstraintError):
-        lookup_path(env, concepts(), (m,), "binary_op")
+        lookup_path(env, concepts(), (m,), "binary_op", {})
     with pytest.raises(UnknownMemberError):
-        lookup_path(env.model(m, Evidence("model")), concepts(), (m,), "nope")
+        lookup_path(env.model(m, Evidence("model")), concepts(), (m,), "nope",
+                    {})
+
+
+def path_steps(monkeypatch) -> list:
+    """The path steps `lookup_path` walks from now on, one model
+    identifier each: each step asks `satisfies` once, and nothing else in
+    `fgc.env` does."""
+    steps = []
+    inner = fgc.env.satisfies
+
+    def counting(env, constraint):
+        steps.append(constraint.model)
+        return inner(env, constraint)
+
+    monkeypatch.setattr(fgc.env, "satisfies", counting)
+    return steps
+
+
+def test_lookup_path_resumes_after_its_longest_walked_prefix(monkeypatch):
+    smid, mmid = mid(SEMIGROUP, IntT()), mid(MONOID, IntT())
+    env = (Env().model(smid, Evidence("semigroup model"))
+           .model(mmid, Evidence("monoid model")))
+    steps, memo = path_steps(monkeypatch), {}
+    first = lookup_path(env, concepts(), (mmid, smid), "binary_op", memo)
+    assert steps == [mmid, smid]
+    # the same path again walks nothing, and finds what it found
+    assert lookup_path(env, concepts(), (mmid, smid), "binary_op",
+                       memo) == first
+    assert steps == [mmid, smid]
+    # the memo holds the start environment itself
+    assert list(memo) == [id(env)] and memo[id(env)][0] is env
+    # a one-step path neither reads nor fills it
+    steps.clear()
+    assert lookup_path(env, concepts(), (mmid,), "identity_elt",
+                       memo) == (IntT(), Evidence("monoid model"))
+    assert steps == [mmid]
+    assert list(memo[id(env)][1]) == [mmid]
+    # another start environment has its own trie
+    other = env.model(mmid, Evidence("later model"))
+    steps.clear()
+    _, last = lookup_path(other, concepts(), (mmid, smid), "binary_op", memo)
+    assert last == Evidence("later model", (0,)) and steps == [mmid, smid]
+
+
+def test_lookup_path_memo_keeps_its_environments(monkeypatch):
+    # an environment freed by its caller would leave its id to the next
+    # one; the memo keeps each start environment, so no later one reads
+    # an earlier one's steps
+    smid, mmid = mid(SEMIGROUP, IntT()), mid(MONOID, IntT())
+    base = Env().model(smid, Evidence("semigroup model"))
+    memo = {}
+    for k in range(50):
+        env = base.model(mmid, Evidence(f"monoid model {k}"))
+        _, last = lookup_path(env, concepts(), (mmid, smid), "binary_op",
+                              memo)
+        assert last == Evidence(f"monoid model {k}", (0,))
+        del env
+    assert len(memo) == 50
+
+
+# `lookup_path` steps walked while checking a workload's seed-7 programs:
+# with the memo, 933 on concept_chain, where there are 891 distinct (start
+# environment, prefix) pairs and one-step paths are not memoised; without
+# it, 2,333, since every member a chain reaches re-resolves the chain
+PATH_STEPS = {"concept_chain": 980, "recursion": 198, "wide_source": 60}
+
+
+@pytest.mark.parametrize("workload", sorted(PATH_STEPS))
+def test_path_steps_per_workload(workload, monkeypatch):
+    trees = [parse_program(p.source) for p in workload_programs(workload, 7)]
+    steps = path_steps(monkeypatch)
+    for tree in trees:
+        check_program(tree)
+    assert len(steps) <= PATH_STEPS[workload]
 
 
 def test_restrict_drops_models():
