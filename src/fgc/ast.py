@@ -3,51 +3,28 @@
 Types, constraints, and expressions are immutable trees of `Node`s (see
 `node.py`).  Source spans are carried on every node but excluded from
 equality and from the repr, so that structural comparison ignores
-positions.  A span holds its `Source` and two character offsets; a line
-and a column are computed only when something reads them.
+positions.  A span holds its `parser.Source` and the indices of two
+tokens; their offsets, lines and columns are computed only when
+something reads them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple, Optional, Union
 
 from .node import Node, set_field
 
 
-class Source:
-    """A source file: its name and its text.  The offsets at which its
-    lines start are found the first time a position in it is resolved."""
-
-    __slots__ = ("file", "text", "line_starts")
-
-    def __init__(self, file: str, text: str):
-        self.file, self.text, self.line_starts = file, text, None
-
-    def position(self, offset: int) -> tuple:
-        """The line and the column, both from 1, of a character offset."""
-        starts = self.line_starts
-        if starts is None:
-            starts, i = [0], self.text.find("\n")
-            while i >= 0:
-                starts.append(i + 1)
-                i = self.text.find("\n", i + 1)
-            self.line_starts = starts
-        line = bisect_right(starts, offset)
-        return line, offset - starts[line - 1] + 1
-
-
 class SourceSpan(NamedTuple):
-    """A node's or a diagnostic's place in its source: the offsets of its
-    first and its last character (for a diagnostic at the end of input,
-    both are where the input ends: its length, or the start of a comment
-    that runs to it).  The parser stores only these; the
-    file, lines and columns are resolved when a diagnostic or a tool
-    reads them."""
+    """A node's or a diagnostic's place in its source: the `parser.Source`
+    and the indices of its first and its last token (for a diagnostic at
+    the end of input, both are the end-of-input token's).  The parser
+    stores only these; the file, lines and columns are resolved, through
+    the source's token offsets, when a diagnostic or a tool reads them."""
 
-    source: Source
-    start: int
-    end: int
+    source: object
+    first: int
+    last: int
 
     @property
     def file(self) -> str:
@@ -55,22 +32,22 @@ class SourceSpan(NamedTuple):
 
     @property
     def start_line(self) -> int:
-        return self.source.position(self.start)[0]
+        return self.source.position(self.first)[0]
 
     @property
     def start_col(self) -> int:
-        return self.source.position(self.start)[1]
+        return self.source.position(self.first)[1]
 
     @property
     def end_line(self) -> int:
-        return self.source.position(self.end)[0]
+        return self.source.position(self.last, True)[0]
 
     @property
     def end_col(self) -> int:
-        return self.source.position(self.end)[1]
+        return self.source.position(self.last, True)[1]
 
     def __str__(self) -> str:
-        line, col = self.source.position(self.start)
+        line, col = self.source.position(self.first)
         return f"{self.source.file}:{line}:{col}"
 
     def __repr__(self) -> str:

@@ -83,41 +83,65 @@ class UnknownMemberError(Exception):
 class EquationNode:
     """The equations an environment assumes, `(lhs, rhs, is_alias)` in
     order: a node in the tree of sequences grown from one empty `Env`,
-    with a child memoised per equation, so environments assuming the same
-    equations in the same order share one closure.  A node takes the
-    closure of its nearest ancestor that has one, which makes a new one on
-    its next query; a node without one builds its own.  The parent is held
-    weakly, so the tree has no cycle."""
+    which holds its own equation, its parent and its depth, the number of
+    equations, so an equation is stored once however many environments
+    assume it.  A child is memoised per equation, so environments
+    assuming the same equations in the same order share one closure.  A
+    node takes the closure of its nearest ancestor that has one, which
+    makes a new one on its next query, and adds only the equations after
+    that ancestor's; a node without one builds its own.  The parent is
+    held strongly and each child by a weak reference, so the tree has no
+    cycle and a node lives as long as an environment or a descendant
+    needs it."""
 
-    def __init__(self, assumed: tuple = (), parent=None):
-        self.assumed = assumed
-        self.children = {}
-        self.parent = parent and weakref.ref(parent)
+    __slots__ = ("equation", "parent", "depth", "children", "built",
+                 "__weakref__")
+
+    def __init__(self, equation: tuple = None, parent=None):
+        self.equation, self.parent = equation, parent
+        self.depth = parent.depth + 1 if parent else 0
+        self.children = {}  # equation -> weak reference to the child
         self.built = None
 
     def extend(self, equation: tuple) -> "EquationNode":
-        child = self.children.get(equation)
+        ref = self.children.get(equation)
+        child = ref and ref()
         if child is None:
-            child = self.children[equation] = EquationNode(
-                self.assumed + (equation,), self)
+            child = EquationNode(equation, self)
+            self.children[equation] = weakref.ref(child)
         return child
+
+    @property
+    def assumed(self) -> tuple:
+        """The equations, oldest first."""
+        out, node = [], self
+        while node.parent is not None:
+            out.append(node.equation)
+            node = node.parent
+        return tuple(reversed(out))
 
     def assumes(self, a: Type, b: Type) -> bool:
         """Whether a = b or b = a is one of the equations as written."""
-        return any((lhs == a and rhs == b) or (lhs == b and rhs == a)
-                   for lhs, rhs, _ in self.assumed)
+        node = self
+        while node.parent is not None:
+            lhs, rhs, _ = node.equation
+            if (lhs == a and rhs == b) or (lhs == b and rhs == a):
+                return True
+            node = node.parent
+        return False
 
     @property
     def closure(self) -> ClosureState:
         if self.built is None:
-            node = self.parent and self.parent()
-            while node is not None and node.built is None:
-                node = node.parent and node.parent()
-            if node is None:
-                self.built = ClosureState(self.assumed)
+            later, node = [], self
+            while node.built is None and node.parent is not None:
+                later.append(node.equation)
+                node = node.parent
+            if node.built is None:
+                self.built = ClosureState(reversed(later))
             else:
                 self.built, node.built = node.built, None
-                for equation in self.assumed[len(node.assumed):]:
+                for equation in reversed(later):
                     self.built.add_equation(*equation)
         return self.built
 
@@ -173,7 +197,7 @@ class Env(Node):
         ones at once, alpha-equal ones without equations, else by closure."""
         if a == b:
             return True
-        if not self.eq_node.assumed:
+        if not self.eq_node.depth:
             return alpha_equal(a, b)
         if isinstance(a, Constraint):
             return self.eq_node.closure.constraints_equal(a, b)
@@ -182,7 +206,7 @@ class Env(Node):
     def canonical(self, t, depth: int = 0):
         """The closure's representative of a type or a constraint (see
         `ClosureState.canonical`); t itself without equations."""
-        if not self.eq_node.assumed:
+        if not self.eq_node.depth:
             return t
         if isinstance(t, Constraint):
             return map_children(t, self.canonical, depth)

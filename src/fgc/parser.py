@@ -1,19 +1,22 @@
 """Concrete syntax, which every command loads: lexer, parser with scope
 resolution, and type printer (`tests/surface.py` prints expressions).
 
-Lexing is one regular expression (`_TOKEN`) whose matches `findall`
-lists: blanks (space, tab, carriage return, newline) and `//` comments to
-the end of the line, then a token: an integer `[0-9]+`, an identifier
-`[A-Za-z_][A-Za-z_0-9]*` (a keyword if in KEYWORDS), a punctuator
-`== => -> ( ) { } [ ] < > . , ; : = + * -`, any other character (P012),
-or the end of input.  A token is its kind, its text and the offsets of
-its first and last characters; its kind is looked up by its text, or by
-its first character for an integer or an identifier.  The end-of-input
-token is at the end of the text, or at the start of a comment that runs
-to it.  Nothing counts lines: a node's span holds the offsets of its
-first token's start and its last token's end, and its file, lines and
-columns are resolved from the `Source` it refers to only when a
-diagnostic or a tool reads them (see `ast.SourceSpan`).
+Lexing is one regular expression (`_TEXT`) whose matches `findall`
+lists: it skips blanks (space, tab, carriage return, newline) and `//`
+comments to the end of the line, then takes a token: an integer
+`[0-9]+`, an identifier `[A-Za-z_][A-Za-z_0-9]*` (a keyword if in
+KEYWORDS), a punctuator `== => -> ( ) { } [ ] < > . , ; : = + * -`, any
+other character (P012), or the end of input, whose text is "".  A token
+is its text alone: the lexer builds no object per token and checks each
+distinct text once.  A parse looks a text's kind up in a table made from
+the distinct texts (by the text for a keyword, a punctuator or the end
+of input, by its first character for an integer or an identifier).
+Nothing counts lines or offsets: a node's span holds the indices of its
+first and last tokens, and its file, lines and columns are resolved from
+the `Source` it refers to only when a diagnostic or a tool reads them.
+`Source` then finds the offsets of every token with the same regular
+expression, once per source; the end-of-input token is at the end of the
+text, or at the start of a comment that runs to it.
 
 The productions read the token list directly (`self.toks[self.pos]`,
 bound to a local where it is read twice) and advance `self.pos`
@@ -30,8 +33,8 @@ The parser tries a constrained expression (`C<t> => e`, `t1 == t2 => e`)
 only where the tokens from there on that a type can be made of
 (identifiers, `list forall int bool ( ) < > , . -> ==`) run into `=>`:
 a constraint is made of those, and `=>` follows it.  The parser finds
-each `=>` in the source text and marks those positions by walking back
-from its token, so the cost is that of the marked tokens, not of all.
+each `=>` token with `list.index` and marks those positions by walking
+back from it, so the cost is that of the marked tokens, not of all.
 
 The parser resolves names as it reads them, so the tree it builds is the
 resolved one: every concept declaration and term binder gets a
@@ -75,11 +78,10 @@ Diagnostic codes (closed set):
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_right
 from functools import partial
 from itertools import count
-from operator import attrgetter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .ast import (
     App,
@@ -111,7 +113,6 @@ from .ast import (
     PRIM_ARITY,
     PRIM_NAMES,
     SameType,
-    Source,
     SourceSpan,
     TVar,
     TyApp,
@@ -134,15 +135,17 @@ KEYWORDS = {
 # blanks and comments, then a token: the comment's lookahead keeps it whole,
 # and `/` starts no token where it starts a comment, so that every position
 # matches and no match is retried
-_TOKEN = re.compile(r"""((?:[ \t\r\n]+|//[^\n]*(?=\n|\Z))*)
+_TEXT = re.compile(r"""(?:[ \t\r\n]+|//[^\n]*(?=\n|\Z))*
     ([0-9]+|[A-Za-z_][A-Za-z_0-9]*|==|=>|->|/(?!/)|[^ \t\r\n/]|\Z)""",
-                    re.VERBOSE)
+                   re.VERBOSE)
 
-_new = tuple.__new__  # skips the named tuples' Python-level __new__
+_new = tuple.__new__  # skips the named tuple's Python-level __new__
 
-# a token's kind by its text, for keywords and punctuators, and by its first
-# character, for integers and identifiers; any other text is P012
+# a token's kind by its text, for keywords, punctuators and the end of input,
+# and by its first character, for integers and identifiers; any other text
+# is P012
 _KINDS = {
+    "": "eof",
     **{word: "kw" for word in KEYWORDS},
     **{p: "punct" for p in "== => -> ( ) { } [ ] < > . , ; : = + * -".split()},
     **{c: "int" for c in "0123456789"},
@@ -182,40 +185,64 @@ class ParseError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-class Token(NamedTuple):
-    kind: str  # "id" | "int" | "kw" | "punct" | "eof"
-    text: str
-    start: int  # the offset of its first character
-    end: int  # the offset of its last character; `start` for the eof
+class Source:
+    """A source file: its name and its text.  Spans hold token indices;
+    the offsets of the tokens and of the lines' starts are found the
+    first time a position in the source is resolved (`scan`)."""
+
+    __slots__ = ("file", "text", "offsets", "line_starts")
+
+    def __init__(self, file: str, text: str):
+        self.file, self.text = file, text
+        self.offsets = self.line_starts = None
+
+    def scan(self) -> None:
+        """Find each token's offsets, as `(first, end)` with end one past
+        its last character, by the lexer's regular expression, and the
+        offsets at which lines start.  The end of input is at the end of
+        the text, or at the start of a comment that runs to it, and is its
+        own last character."""
+        text = self.text
+        offsets = [m.span(1) for m in _TEXT.finditer(text)]
+        if len(offsets) > 1 and offsets[-2][0] == len(text):
+            del offsets[-1]  # the end of input again, after trailing blanks
+        after = offsets[-2][1] if len(offsets) > 1 else 0
+        blanks = text[after:]
+        i = blanks.find("//", blanks.rfind("\n") + 1)
+        eof = after + i if i >= 0 else len(text)
+        offsets[-1] = (eof, eof + 1)
+        starts, i = [0], text.find("\n")
+        while i >= 0:
+            starts.append(i + 1)
+            i = text.find("\n", i + 1)
+        self.offsets, self.line_starts = offsets, starts
+
+    def position(self, index: int, last: bool = False) -> tuple:
+        """The line and the column, both from 1, of the first character of
+        token `index`, or of its last with `last`."""
+        if self.offsets is None:
+            self.scan()
+        first, end = self.offsets[index]
+        offset = end - 1 if last else first
+        line = bisect_right(self.line_starts, offset)
+        return line, offset - self.line_starts[line - 1] + 1
 
 
 # ---------------------------------------------------------------- lexer
 
 
 def tokenize(src: str, filename: str) -> list:
-    """The tokens of src, end-of-input token included."""
-    toks, pos = [], 0
-    append = toks.append
-    kinds = dict(_KINDS)  # this text's identifiers are added as they come
-    for skip, text in _TOKEN.findall(src):
-        pos += len(skip)
-        kind = kinds.get(text)
-        if kind is None:
-            if not text:  # the end of input
-                i = skip.find("//", skip.rfind("\n") + 1)
-                if i >= 0:  # a comment runs to the end
-                    pos += i - len(skip)
-                break
-            kind = _KINDS.get(text[0])
-            if kind is None:
-                raise ParseError([Diagnostic(
-                    SourceSpan(Source(filename, src), pos, pos), "P012",
-                    f"invalid character {text!r}")])
-            kinds[text] = kind
-        end = pos + len(text)
-        append(_new(Token, (kind, text, pos, end - 1)))
-        pos = end
-    append(Token("eof", "", pos, pos))
+    """The texts of src's tokens, "" for the end of input included; a
+    P012 ParseError at the first invalid character."""
+    toks = _TEXT.findall(src)
+    if len(toks) > 1 and not toks[-2]:
+        del toks[-1]  # the end of input again, after trailing blanks
+    bad = [t for t in set(toks).difference(_KINDS) if t[0] not in _KINDS]
+    if bad:
+        i = min(map(toks.index, bad))
+        raise ParseError([Diagnostic(
+            SourceSpan(Source(filename, src), i, i), "P012",
+            f"invalid character {toks[i]!r}")])
     return toks
 
 
@@ -242,28 +269,30 @@ _BINOPS = {"<": 0, "==": 0, "+": 1, "-": 1, "*": 2}
 _ARG_KINDS = ("int", "id")
 _ARG_TEXTS = {"true", "false", "nil", "(", "["}
 
-_start = attrgetter("start")  # a token's start offset, to bisect by
-
 
 class _Parser:
-    def __init__(self, toks, source: Source):
+    def __init__(self, toks: list, source: Source):
         self.toks, self.source = toks, source
         self.pos = 0
+        # each distinct text's kind (see `_KINDS`)
+        self.kinds = kinds = {t: _KINDS.get(t) or _KINDS[t[0]]
+                              for t in set(toks)}
         # the positions from which the tokens a type can be made of run
         # into `=>`, which a constrained expression needs: each `=>` token
-        # (not one in a comment, or the end of `==>`) and those before it
+        # and those before it
         self.constrained = set()
-        text = source.text
-        at = text.find("=>")
-        while at >= 0:
-            i = bisect_left(toks, at, key=_start)
-            if i < len(toks) and toks[i].start == at:
-                self.constrained.add(i)
-                while i > 0 and (toks[i - 1].kind == "id"
-                                 or toks[i - 1].text in _TYPE_TOKENS):
-                    i -= 1
-                    self.constrained.add(i)
-            at = text.find("=>", at + 2)
+        if "=>" in kinds:
+            i = -1
+            try:
+                while True:
+                    i = j = toks.index("=>", i + 1)
+                    self.constrained.add(j)
+                    while j > 0 and (kinds[toks[j - 1]] == "id"
+                                     or toks[j - 1] in _TYPE_TOKENS):
+                        j -= 1
+                        self.constrained.add(j)
+            except ValueError:
+                pass
         # the scope here: source type name -> resolved name (replaced, never
         # changed in place), term name -> binder identity (None: unbound),
         # and source concept name -> ConceptInfo
@@ -277,36 +306,35 @@ class _Parser:
 
     # -- token helpers
 
-    def expect(self, text: str) -> Token:
-        t = self.toks[self.pos]
-        if t.text == text:
+    def expect(self, text: str) -> None:
+        if self.toks[self.pos] == text:
             self.pos += 1
-            return t
+            return
         self.fail(f"expected {text!r}")
 
-    def expect_id(self) -> Token:
+    def expect_id(self) -> str:
         t = self.toks[self.pos]
-        if t.kind == "id":
+        if self.kinds[t] == "id":
             self.pos += 1
             return t
         self.fail("expected an identifier")
 
     def fail(self, msg: str):
         t = self.toks[self.pos]
-        if t.kind == "eof":
-            raise _PError(Diagnostic(self.span(t), "P002",
+        if not t:
+            raise _PError(Diagnostic(self.span(self.pos), "P002",
                                      f"unexpected end of input: {msg}"))
-        raise _PError(Diagnostic(self.span(t), "P001",
-                                 f"{msg}, found {t.text!r}"))
+        raise _PError(Diagnostic(self.span(self.pos), "P001",
+                                 f"{msg}, found {t!r}"))
 
-    def span(self, t: Token) -> SourceSpan:
-        return _new(SourceSpan, (self.source, t.start, t.end))
+    def span(self, i: int) -> SourceSpan:
+        """The span of token i alone."""
+        return _new(SourceSpan, (self.source, i, i))
 
     def since(self, start: int) -> SourceSpan:
-        """The span from offset start to the end of the last token taken
-        (there is one: every node takes a token)."""
-        return _new(SourceSpan,
-                    (self.source, start, self.toks[self.pos - 1].end))
+        """The span from token start to the last token taken (there is
+        one: every node takes a token)."""
+        return _new(SourceSpan, (self.source, start, self.pos - 1))
 
     # -- scope
 
@@ -341,7 +369,7 @@ class _Parser:
         new = name
         if name in self.concepts:
             if self.taken is None:
-                self.taken = {t.text for t in self.toks if t.kind == "id"}
+                self.taken = {t for t, k in self.kinds.items() if k == "id"}
             new = fresh_name(name, self.taken)
             self.taken.add(new)
         info = ConceptInfo(new, params, assocs, (), (), next(self.ids))
@@ -371,9 +399,9 @@ class _Parser:
         """A type: a prefix type, then an arrow or a same-type constraint
         only if `->` or `==` follows it.  The codomain is a type_, so no
         `==` follows an arrow."""
-        start = self.toks[self.pos].start
+        start = self.pos
         t = self.prefix_type()
-        text = self.toks[self.pos].text
+        text = self.toks[self.pos]
         if text == "->":
             self.pos += 1
             return Arrow(t, self.type_(), span=self.since(start))
@@ -387,101 +415,104 @@ class _Parser:
         return t
 
     def arrow_type(self) -> Type:
-        start = self.toks[self.pos].start
+        start = self.pos
         t = self.prefix_type()
-        if self.toks[self.pos].text != "->":
+        if self.toks[self.pos] != "->":
             return t
         self.pos += 1
         return Arrow(t, self.type_(), span=self.since(start))
 
     def prefix_type(self) -> Type:
         """`list` and `forall` types, and the atoms of types."""
-        t = self.toks[self.pos]
-        text = t.text
-        if t.kind == "id":
-            self.pos += 1
-            if self.toks[self.pos].text == "<":
+        pos = self.pos
+        text = self.toks[pos]
+        if self.kinds[text] == "id":
+            self.pos = pos + 1
+            if self.toks[pos + 1] == "<":
                 mark = len(self.diags)
-                mid = self.model_args(t)
-                if self.toks[self.pos].text == ".":
+                mid = self.model_args(text, pos)
+                if self.toks[self.pos] == ".":
                     self.pos += 1
-                    return self.type_path(mid, t.start, mark)
+                    return self.type_path(mid, pos, mark)
                 # a concept application in type position must be a constraint
                 self.expect("=>")
                 body = self.type_()
                 return Constrained(ConceptC(mid, span=mid.span), body,
-                                   span=self.since(t.start))
-            span = _new(SourceSpan, (self.source, t.start, t.end))
+                                   span=self.since(pos))
+            span = _new(SourceSpan, (self.source, pos, pos))
             name = self.tymap.get(text)
             if name is None:
                 self.err(span, "P010", f"unknown type name {text!r}")
                 return TVar(text, span=span)
             return TVar(name, span=span)
         if text == "int":
-            self.pos += 1
-            return IntT(span=_new(SourceSpan, (self.source, t.start, t.end)))
+            self.pos = pos + 1
+            return IntT(span=_new(SourceSpan, (self.source, pos, pos)))
         if text == "bool":
-            self.pos += 1
-            return BoolT(span=self.span(t))
+            self.pos = pos + 1
+            return BoolT(span=self.span(pos))
         if text == "list":
-            self.pos += 1
+            self.pos = pos + 1
             elem = self.prefix_type()
-            return ListT(elem, span=self.since(t.start))
+            return ListT(elem, span=self.since(pos))
         if text == "forall":
-            self.pos += 1
+            self.pos = pos + 1
             b = self.expect_id()
             self.expect(".")
             outer = self.tymap
-            binder = self.bind_tyvar(b.text)
+            binder = self.bind_tyvar(b)
             body = self.type_()
             self.tymap = outer
-            return Forall(binder, body, span=self.since(t.start))
+            return Forall(binder, body, span=self.since(pos))
         if text == "(":
-            self.pos += 1
+            self.pos = pos + 1
             inner = self.type_()
             self.expect(")")
             return inner
         self.fail("expected a type")
 
-    def model_args(self, head: Token) -> ModelId:
+    def model_args(self, head: str, start: int) -> ModelId:
+        """The model identifier of the concept named head at token start,
+        from its `<`."""
         self.expect("<")
         args = [self.type_()]
         toks = self.toks
-        while toks[self.pos].text == ",":
+        while toks[self.pos] == ",":
             self.pos += 1
             args.append(self.type_())
         self.expect(">")
-        info = self.concepts.get(head.text)
-        return ModelId(info.name if info else head.text, tuple(args),
-                       info and info.decl,
-                       span=self.since(head.start))
+        info = self.concepts.get(head)
+        return ModelId(info.name if info else head, tuple(args),
+                       info and info.decl, span=self.since(start))
 
     def type_path(self, mid: ModelId, start: int, mark: int) -> AssocPath:
         """The path after `mid.`; the diagnostics of mid's type arguments,
         from mark on, move after those of an inner path's."""
+        at = self.pos
         name = self.expect_id()
-        if self.toks[self.pos].text == "<":
+        if self.toks[self.pos] == "<":
             inner = len(self.diags)
-            inner_mid = self.model_args(name)
+            inner_mid = self.model_args(name, at)
             self.expect(".")
-            rest = self.type_path(inner_mid, name.start, inner)
+            rest = self.type_path(inner_mid, at, inner)
             self.diags[mark:] = self.diags[inner:] + self.diags[mark:inner]
         else:
-            rest = name.text
+            rest = name
         return AssocPath(mid, rest, span=self.since(start))
 
     # -- constraints
 
     def constraint(self) -> Constraint:
         toks = self.toks
-        t = toks[self.pos]
+        start = self.pos
+        t = toks[start]
         # an identifier is never the last token, which is the eof
-        if t.kind == "id" and toks[self.pos + 1].text == "<":
+        if self.kinds[t] == "id" and toks[start + 1] == "<":
             saved = self.save()
             try:
                 self.pos += 1
-                mid = self.model_args(t)
-                if toks[self.pos].text != ".":
+                mid = self.model_args(t, start)
+                if toks[self.pos] != ".":
                     return ConceptC(mid, span=mid.span)
             except _PError:
                 pass
@@ -489,20 +520,20 @@ class _Parser:
         lhs = self.arrow_type()
         self.expect("==")
         rhs = self.arrow_type()
-        return SameType(lhs, rhs, span=self.since(t.start))
+        return SameType(lhs, rhs, span=self.since(start))
 
     # -- expressions
 
     def expr(self) -> Expr:
-        t = self.toks[self.pos]
-        start, word = t.start, t.text
+        start = self.pos
+        word = self.toks[start]
         if word in _DECLARATIONS:
             return self.declarations()
         if word == "lam":
             self.pos += 1
-            name = self.expect_id().text
+            name = self.expect_id()
             ann = None
-            if self.toks[self.pos].text == ":":
+            if self.toks[self.pos] == ":":
                 self.pos += 1
                 ann = self.type_()
             self.expect(".")
@@ -516,7 +547,7 @@ class _Parser:
             name = self.expect_id()
             self.expect(".")
             outer = self.tymap
-            binder = self.bind_tyvar(name.text)
+            binder = self.bind_tyvar(name)
             body = self.expr()
             self.tymap = outer
             return TyLam(binder, body, span=self.since(start))
@@ -532,18 +563,18 @@ class _Parser:
             self.expect("else")
             els = self.expr()
             return If(cond, thn, els, span=self.since(start))
-        if self.pos in self.constrained:
+        if start in self.constrained:
             ce = self.try_constrained_expr()
             if ce is not None:
                 return ce
         e = self.app_expr()
-        if self.toks[self.pos].text in _BINOPS:
+        if self.toks[self.pos] in _BINOPS:
             return self.binary(0, start, e)
         return e
 
     def try_constrained_expr(self) -> Optional[Expr]:
         saved = self.save()
-        start = self.toks[self.pos].start
+        start = self.pos
         try:
             c = self.constraint()
             self.expect("=>")
@@ -554,17 +585,17 @@ class _Parser:
         return ConstrainedE(c, body, span=self.since(start))
 
     def binary(self, level: int, start: int, e: Expr) -> Expr:
-        """e, the operand that starts at offset start, and the operators of
+        """e, the operand that starts at token start, and the operators of
         precedence level or higher after it, by precedence climbing; a
         Prim spans from its left operand's start to its last token.  It
         is called only where an operator follows."""
         toks = self.toks
-        while (prec := _BINOPS.get(toks[self.pos].text, -1)) >= level:
-            op = toks[self.pos].text
+        while (prec := _BINOPS.get(toks[self.pos], -1)) >= level:
+            op = toks[self.pos]
             self.pos += 1
-            rstart = toks[self.pos].start
+            rstart = self.pos
             rhs = self.app_expr()
-            if _BINOPS.get(toks[self.pos].text, -1) > prec:
+            if _BINOPS.get(toks[self.pos], -1) > prec:
                 rhs = self.binary(prec + 1, rstart, rhs)
             e = Prim(op, (e, rhs), span=self.since(start))
         return e
@@ -579,16 +610,16 @@ class _Parser:
         scope diagnostics after the head: a built-in head's P003 is the
         one before it until the run has enough arguments.  A head that
         neither an argument nor `[` follows is returned as it is."""
-        toks = self.toks
-        start = toks[self.pos].start
+        toks, kinds = self.toks, self.kinds
+        start = self.pos
         head = self.atom()
         t = toks[self.pos]
-        if t.kind not in _ARG_KINDS and t.text not in _ARG_TEXTS:
+        if kinds[t] not in _ARG_KINDS and t not in _ARG_TEXTS:
             return head
         args, arity, mark = [], self.builtin(head), len(self.diags)
         while True:
             t = toks[self.pos]
-            if t.text == "[":
+            if t == "[":
                 # a type application, or else a list-literal argument
                 before = self.since(start)
                 ty = None if self.lone_term() else self.type_arg()
@@ -597,7 +628,7 @@ class _Parser:
                     head = TyApp(subject, ty, span=self.since(start))
                     args, arity, mark = [], 0, len(self.diags)
                     continue
-            elif t.kind not in _ARG_KINDS and t.text not in _ARG_TEXTS:
+            elif kinds[t] not in _ARG_KINDS and t not in _ARG_TEXTS:
                 return self.apply(head, args, arity, mark, self.since(start))
             if not args and self.run is not None and self.run[0] is head:
                 _, head, args, arity, mark = self.run
@@ -633,9 +664,8 @@ class _Parser:
         """Whether `[x]` is here with x a bound term name and no type name
         in scope, so that it is a list and not a type argument."""
         t = self.toks[self.pos + 1]
-        return (t.kind == "id" and self.toks[self.pos + 2].text == "]"
-                and self.terms.get(t.text) is not None
-                and t.text not in self.tymap)
+        return (self.kinds[t] == "id" and self.toks[self.pos + 2] == "]"
+                and self.terms.get(t) is not None and t not in self.tymap)
 
     def apply(self, head: Expr, args: list, arity: int, mark: int,
               span: SourceSpan) -> Expr:
@@ -648,41 +678,42 @@ class _Parser:
         return e
 
     def atom(self) -> Expr:
-        t = self.toks[self.pos]
-        kind, text = t.kind, t.text
+        pos = self.pos
+        text = self.toks[pos]
+        kind = self.kinds[text]
         if kind == "int":
-            self.pos += 1
+            self.pos = pos + 1
             return IntLit(int(text),
-                          span=_new(SourceSpan, (self.source, t.start, t.end)))
+                          span=_new(SourceSpan, (self.source, pos, pos)))
         if kind == "id":
             return self.path_expr()
         if text == "(":
-            self.pos += 1
+            self.pos = pos + 1
             e = self.expr()
             self.expect(")")
             return e
         if text == "true" or text == "false":
-            self.pos += 1
-            return BoolLit(text == "true", span=self.span(t))
+            self.pos = pos + 1
+            return BoolLit(text == "true", span=self.span(pos))
         if text == "nil":
-            self.pos += 1
+            self.pos = pos + 1
             self.expect("[")
             ty = self.type_()
             self.expect("]")
-            return ListLit((), ty, span=self.since(t.start))
+            return ListLit((), ty, span=self.since(pos))
         if text == "[":
-            self.pos += 1
-            if self.toks[self.pos].text == "]":
+            self.pos = pos + 1
+            if self.toks[self.pos] == "]":
                 self.pos += 1
                 raise _PError(Diagnostic(
-                    self.span(t), "P004",
+                    self.span(pos), "P004",
                     "empty list literal requires an element type: use nil[T]"))
             elems = [self.expr()]
-            while self.toks[self.pos].text == ",":
+            while self.toks[self.pos] == ",":
                 self.pos += 1
                 elems.append(self.expr())
             self.expect("]")
-            return ListLit(tuple(elems), None, span=self.since(t.start))
+            return ListLit(tuple(elems), None, span=self.since(pos))
         self.fail("expected an expression")
 
     def path_expr(self) -> Expr:
@@ -690,31 +721,32 @@ class _Parser:
         a step of the path only if a model identifier and `.` follow it.
         The current token is an identifier (see atom)."""
         toks = self.toks
-        t = toks[self.pos]
-        start, prefix = t.start, []
+        start = at = self.pos
+        t, prefix = toks[start], []
         self.pos += 1
-        while toks[self.pos].text == "<":
+        while toks[self.pos] == "<":
             saved = self.save()
             try:
-                mid = self.model_args(t)
+                mid = self.model_args(t, at)
                 self.expect(".")
             except _PError:
                 self.restore(saved)
                 break
             prefix.append(mid)
+            at = self.pos
             t = self.expect_id()
         if prefix:
-            return PathE(tuple(prefix), t.text, None, span=self.since(start))
-        span = _new(SourceSpan, (self.source, start, t.end))
-        decl = self.terms.get(t.text)
+            return PathE(tuple(prefix), t, None, span=self.since(start))
+        span = _new(SourceSpan, (self.source, start, start))
+        decl = self.terms.get(t)
         if decl is None:
-            if t.text in PRIM_NAMES:
+            if t in PRIM_NAMES:
                 # app_expr drops it once the arguments are enough
-                self.err(span, "P003", f"built-in {t.text!r} "
-                         f"needs {PRIM_ARITY[t.text]} argument(s)")
+                self.err(span, "P003", f"built-in {t!r} "
+                         f"needs {PRIM_ARITY[t]} argument(s)")
             else:
-                self.err(span, "P011", f"unknown term name {t.text!r}")
-        return PathE((), t.text, decl, span=span)
+                self.err(span, "P011", f"unknown term name {t!r}")
+        return PathE((), t, decl, span=span)
 
     # -- declarations
 
@@ -725,8 +757,8 @@ class _Parser:
         and the nodes are built from the inside out."""
         toks, tymap, concepts, undo = self.toks, self.tymap, self.concepts, []
         heads = []  # (node class, start, fields before the rest)
-        while (word := toks[self.pos].text) in _DECLARATIONS:
-            start = toks[self.pos].start
+        while (word := toks[self.pos]) in _DECLARATIONS:
+            start = self.pos
             self.pos += 1
             if word == "concept":
                 heads.append((ConceptDecl, start, (self.concept_decl(start),)))
@@ -734,7 +766,7 @@ class _Parser:
             if word == "model":
                 heads.append((ModelDecl, start, (self.model_decl(start),)))
                 continue
-            name = self.expect_id().text
+            name = self.expect_id()
             self.expect("=")
             if word == "type":
                 rhs = self.type_()
@@ -747,25 +779,25 @@ class _Parser:
             decl = self.terms[name] = next(self.ids)
             heads.append((partial(Let, decl=decl), start, (name, value)))
         e = self.expr()
-        end = toks[self.pos - 1].end
+        last = self.pos - 1
         for cls, start, fields in reversed(heads):
             e = cls(*fields, e, span=_new(SourceSpan,
-                                          (self.source, start, end)))
+                                          (self.source, start, last)))
         self.tymap, self.concepts = tymap, concepts
         for name, outer in reversed(undo):
             self.terms[name] = outer
         return e
 
     def concept_decl(self, start: int) -> ConceptInfo:
-        name = self.expect_id().text
+        name = self.expect_id()
         self.expect("<")
-        params = [self.expect_id().text]
-        while self.toks[self.pos].text == ",":
+        params = [self.expect_id()]
+        while self.toks[self.pos] == ",":
             self.pos += 1
-            params.append(self.expect_id().text)
+            params.append(self.expect_id())
         self.expect(">")
         self.expect("{")
-        assocs = tuple(t.text for t in self.commas(self.expect_id, ";"))
+        assocs = self.commas(self.expect_id, ";")
         # the declaration is in scope in its own body
         head = self.bind_concept(name, tuple(params), assocs)
         outer, mark = self.tymap, len(self.diags)
@@ -787,7 +819,7 @@ class _Parser:
 
     def model_decl(self, start: int) -> ModelInfo:
         mark = len(self.diags)
-        mid = self.model_args(self.expect_id())
+        mid = self.model_args(self.expect_id(), start + 1)
         self.expect("{")
         assoc_binds = self.commas(self.type_, ";", "=")
         member_binds = self.commas(self.expr, "}", "=")
@@ -806,15 +838,15 @@ class _Parser:
         `end`.  With sep, each item is `name sep item`, read as a (name,
         item) pair."""
         toks, items = self.toks, []
-        if toks[self.pos].text != end:
+        if toks[self.pos] != end:
             while True:
                 if sep is None:
                     items.append(item())
                 else:
-                    name = self.expect_id().text
+                    name = self.expect_id()
                     self.expect(sep)
                     items.append((name, item()))
-                if toks[self.pos].text != ",":
+                if toks[self.pos] != ",":
                     break
                 self.pos += 1
         self.expect(end)
@@ -837,18 +869,16 @@ def parse_program(src: str, filename: str = "<input>") -> Expr:
     tree = None
     try:
         tree = p.expr()
-        if toks[p.pos].kind != "eof":
+        if toks[p.pos]:
             p.fail("expected end of input")
     except _PError as exc:
         diags.append(exc.diag)
         # panic-mode recovery: resume at the next declaration keyword
-        while diags and toks[p.pos].kind != "eof":
+        while diags and toks[p.pos]:
             p.pos += 1
-            while toks[p.pos].kind != "eof" and not (
-                toks[p.pos].kind == "kw" and toks[p.pos].text in _DECLARATIONS
-            ):
+            while toks[p.pos] and toks[p.pos] not in _DECLARATIONS:
                 p.pos += 1
-            if toks[p.pos].kind == "eof":
+            if not toks[p.pos]:
                 break
             try:
                 p.expr()

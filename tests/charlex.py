@@ -5,9 +5,9 @@ It is the lexer the parser first shipped with: whitespace advances the
 column by one per character, a newline starts the next line at column 1,
 a `//` comment runs to the end of its line without advancing the column,
 and each punctuator is tried in `PUNCT` order with `startswith`.  It
-counts lines and columns itself, so that fgc's offsets and the line table
-that resolves them are checked against it, not trusted: a token is
-`(kind, text, Position)`.
+counts lines and columns itself, so that the token offsets
+`fgc.parser.Source` finds and the line table that resolves them are
+checked against it, not trusted: a token is `(kind, text, Position)`.
 """
 
 from __future__ import annotations

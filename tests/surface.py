@@ -23,7 +23,6 @@ from fgc.ast import (
     ModelInfo,
     PathE,
     Prim,
-    Source,
     TyApp,
     TyLam,
     Type,
@@ -32,6 +31,7 @@ from fgc.ast import (
 from fgc.parser import (
     _BINOPS,
     ParseError,
+    Source,
     _Parser,
     _PError,
     _paren,
@@ -48,7 +48,7 @@ def parse_type(src: str, filename: str = "<type>") -> Type:
     p = _Parser(parser.tokenize(src, filename), Source(filename, src))
     try:
         t = p.type_()
-        if p.toks[p.pos].kind != "eof":
+        if p.toks[p.pos]:
             p.fail("expected end of input")
     except _PError as exc:
         raise ParseError([exc.diag]) from None

@@ -25,7 +25,6 @@ from fgc.ast import (
     ListT,
     ModelId,
     SameType,
-    Source,
     SourceSpan,
     Syntax,
     TVar,
@@ -40,13 +39,14 @@ from fgc.ast import (
 from fgc.cli import main
 from fgc.env import EquationNode
 from fgc.node import Node
+from fgc.parser import Source
 from fgc.sysf import CBool, CInt
 
 from corpus import PROGRAMS_DIR, workload_programs
 from gen import random_type
 
 A, B, C = TVar("a"), TVar("b"), TVar("c")
-SPAN = SourceSpan(Source("t.fg", "ab\ncd\nefgh"), 1, 9)  # 1:2 to 3:4
+SPAN = SourceSpan(Source("t.fg", "a b\ncd\ne fgh"), 1, 4)  # 1:3 to 3:5
 
 
 def _respan(t, **fields):

@@ -15,10 +15,10 @@ import pytest
 import fgc.cli
 import fgc.elaborate
 import fgc.sysf
-from fgc.ast import Arrow, Forall, Source, TVar, alpha_equal
+from fgc.ast import Arrow, Forall, TVar, alpha_equal
 from fgc.cli import EXIT_INTERNAL_ERROR, main
 from fgc.elaborate import ElabError
-from fgc.parser import parse_program, pretty_type
+from fgc.parser import Source, parse_program, pretty_type
 from fgc.sysf import CApp, CIntLit, Stuck
 from fgc.typecheck import check_program
 
@@ -192,18 +192,26 @@ def test_json_writer_matches_json_dumps_with_indent(payload):
     assert fgc.cli._json(payload) == json.dumps(payload, indent=2)
 
 
-def _no_position(source, offset):
+def _no_position(*args):
     raise AssertionError("a position was resolved")
 
 
-def test_commands_resolve_no_position(capsys, monkeypatch):
-    # a span holds offsets, and lines and columns are computed only when
-    # something prints them: on a well-typed program, no command does
+def test_commands_resolve_no_position(capsys, monkeypatch, tmp_path):
+    # a span holds token indices, and offsets, lines and columns are
+    # computed only when something prints them: on a well-typed program,
+    # no command does, and no source is scanned for its token offsets
     monkeypatch.setattr(Source, "position", _no_position)
-    for name in well_typed_names():
+    monkeypatch.setattr(Source, "scan", _no_position)
+    paths = [str(PROGRAMS_DIR / name) for name in well_typed_names()]
+    for workload in ("recursion", "concept_chain", "wide_source"):
+        for p in workload_programs(workload, 7)[::4]:
+            if p.type is not None:
+                paths.append(tmp_path / f"{workload}_{p.name}.fg")
+                paths[-1].write_text(p.source)
+    for path in paths:
         for cmd in (["check"], ["run"], ["emit-core", "--verify"]):
-            code, _, err = run(capsys, *cmd, str(PROGRAMS_DIR / name))
-            assert (code, err) == (0, ""), (cmd, name, err)
+            code, _, err = run(capsys, *cmd, str(path))
+            assert (code, err) == (0, ""), (cmd, path, err)
     # a diagnostic does resolve its position, through the patched method
     assert run(capsys, "check", ILLTYPED)[0] == EXIT_INTERNAL_ERROR
 

@@ -3,6 +3,7 @@ through the program's concept table, and qualified-path lookup."""
 
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -665,8 +666,38 @@ def live_closures() -> int:
                for o in gc.get_objects())
 
 
+def aliases(n: int) -> str:
+    return ("type t0 = int in "
+            + "".join(f"type t{i} = t{i - 1} in " for i in range(1, n))
+            + f"lam x: t{n - 1}. x")
+
+
+def models(n: int) -> str:
+    return ("concept C<a> { T ; ; } in "
+            + "model C<int> { T = int ; } in " * n + "lam x: C<int>.T. x")
+
+
+@pytest.mark.parametrize("spine", [aliases, models])
+def test_equations_are_stored_once(spine):
+    # each equation node holds its own equation, not a copy of all its
+    # ancestors', so checking a spine of n equations takes memory linear
+    # in n: when each node copied its parent's equations, doubling n took
+    # 3.3x the peak memory
+    peaks = []
+    for n in (500, 1000):
+        tree = parse_program(spine(n))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert check_program(tree) != []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2.3 * peaks[0], peaks
+
+
 def test_checking_and_lowering_leave_no_cycle():
-    # each node holds its parent weakly: dropping the program frees its
+    # each node holds its children weakly: dropping the program frees its
     # equation tree and closures by reference counting alone
     gc.collect()
     before = live_closures()

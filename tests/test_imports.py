@@ -183,7 +183,7 @@ def test_importing_the_cli_loads_no_argparse():
 
 # the source lines of the fgc modules `fgc check` loads: cli, parser, ast,
 # node, typecheck, env and typeq
-CHECK_LINES = 3266
+CHECK_LINES = 3297
 
 
 @pytest.mark.parametrize("command", ["check", "ast"])

@@ -1,24 +1,29 @@
 """Differential gate for the lexer.
 
-`fgc.parser.tokenize` (one regular expression) must give the same tokens
-as the character-at-a-time reference `charlex.ref_tokenize`: kind, text
-and full position (file, start and end line and column) of every token,
-end-of-input token included, or the same P012 diagnostic.  fgc's
-positions are its tokens' offsets resolved by `fgc.ast.Source`'s line
-table; the reference counts lines and columns itself.  The inputs are
-the corpus, the seed-7 programs of every benchmark workload, generated by
-`fgcbench/gen.py` (imported, never changed), and seeded random strings
-over the lexical alphabet and some characters outside it.
+`fgc.parser.tokenize` (one regular expression, which gives only the
+tokens' texts) must give the same tokens as the character-at-a-time
+reference `charlex.ref_tokenize`, or the same P012 diagnostic.  For every
+token, end-of-input token included, it compares the text, the kind the
+parser's table gives that text, and the full position (file, start and
+end line and column) of the token's span.  fgc's positions are token
+indices resolved through `fgc.parser.Source`, which finds the tokens'
+offsets with the lexer's regular expression; the reference counts lines
+and columns itself.  The inputs are the corpus, the seed-7 programs of
+every benchmark workload, generated by `fgcbench/gen.py` (imported, never
+changed), and seeded random strings over the lexical alphabet and some
+characters outside it.
 """
 
 import random
+import sys
 import time
 
 import pytest
 
 import fgc.parser
-from fgc.ast import Source, SourceSpan
-from fgc.parser import ParseError, parse_program, tokenize
+from fgc.ast import SourceSpan
+from fgc.cli import main
+from fgc.parser import ParseError, Source, _Parser, parse_program, tokenize
 
 from charlex import ref_tokenize
 from corpus import PROGRAMS_DIR, workload_programs
@@ -37,12 +42,15 @@ def diagnostics(exc):
 def lexed(src):
     """fgc's tokens as (kind, text, position) triples, or the
     diagnostics."""
-    source = Source("f.fg", src)
     try:
-        return [(t.kind, t.text, position(SourceSpan(source, t.start, t.end)))
-                for t in tokenize(src, "f.fg")]
+        toks = tokenize(src, "f.fg")
     except ParseError as exc:
         return diagnostics(exc)
+    assert type(toks) is list and all(type(t) is str for t in toks)
+    source = Source("f.fg", src)
+    kinds = _Parser(toks, source).kinds
+    return [(kinds[t], t, position(SourceSpan(source, i, i)))
+            for i, t in enumerate(toks)]
 
 
 def ref_lexed(src):
@@ -133,7 +141,55 @@ def test_lexing_is_linear_in_trailing_blanks():
     src = "x" + " \t\r" * 70_000
     t0 = time.perf_counter()
     toks = tokenize(src, "f.fg")
-    assert time.perf_counter() - t0 < 2.0
-    assert [t.kind for t in toks] == ["id", "eof"]
-    eof = SourceSpan(Source("f.fg", src), toks[-1].start, toks[-1].end)
+    eof = SourceSpan(Source("f.fg", src), 1, 1)
     assert eof.start_col == len(src) + 1
+    assert time.perf_counter() - t0 < 2.0
+    assert toks == ["x", ""]
+
+
+def tokenize_lines(src: str) -> tuple:
+    """The tokens of src and the Python-level `line` events lexing ran."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+    sys.settrace(trace)
+    try:
+        toks = tokenize(src, "f.fg")
+    finally:
+        sys.settrace(None)
+    return toks, lines
+
+
+@pytest.mark.parametrize("workload", ["recursion", "concept_chain",
+                                      "wide_source"])
+def test_lexing_runs_python_per_distinct_text(workload):
+    # the tokens are found and listed by the regular expression; Python
+    # runs only per distinct text, to find the invalid ones.  A lexer that
+    # built a token per match ran about 7 lines per token
+    for p in workload_programs(workload, 7):
+        toks, lines = tokenize_lines(p.source)
+        assert lines <= 2 * len(set(toks)) + 10, (p.name, lines, len(toks))
+    toks, lines = tokenize_lines("x + x * " * 2000 + "x")
+    assert len(toks) == 8002 and lines <= 20
+
+
+def test_diagnostics_scan_the_source_once(monkeypatch, tmp_path, capsys):
+    # a program's token offsets are found once, for its first resolved
+    # position, however many diagnostics print theirs
+    scans = []
+    scan = Source.scan
+
+    def counting(self):
+        scans.append(self)
+        scan(self)
+    monkeypatch.setattr(Source, "scan", counting)
+    path = tmp_path / "unbound.fg"
+    path.write_text("[" + ",\n ".join(f"x{i}" for i in range(500)) + "]")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 500 and all("error[P011]" in line for line in err)
+    assert err[-1].startswith(f"{path}:500:2:")
+    assert len(scans) == 1

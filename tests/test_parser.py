@@ -128,7 +128,7 @@ def test_no_constraint_is_tried_where_none_can_start(monkeypatch):
     wide = workload_programs("wide_source", 7)
     tried = 0
     for src in [p.source for p in wide] + [p.read_text() for p in PROGRAMS]:
-        texts = {t.text for t in tokenize(src, "f.fg")}
+        texts = set(tokenize(src, "f.fg"))
         if "=>" not in texts and "concept" not in texts:
             assert constraint_calls(monkeypatch, src) == 0, src
             tried += 1
