@@ -338,12 +338,41 @@ def run_cli(capsys, tmp_path, source, *args):
     return code, captured.out, captured.err
 
 
+# the member bodies that MEMBER_UNDER_CONSTRAINT and MEMBER_INTRODUCES
+# are filled with
+UNDER_CONSTRAINT_BODIES = ("lam x. x + D<int>.d",
+                           "if true then lam x. x else lam y. y + 1",
+                           "D<int> => lam x: int. x + D<int>.d")
+INTRODUCES_BODIES = ("D<int> => lam x: int. x + D<int>.d", "g[int]",
+                     "if true then g[int] else lam x. x + D<int>.d")
+
+# The programs whose lowering strips or eliminates constraints in the
+# most ways, by the name of their recorded `emit-core --verify` output
+# under tests/golden/inline/
+INLINE_GOLDEN = {
+    **{f"member_under_constraint_{i}": MEMBER_UNDER_CONSTRAINT.format(body=b)
+       for i, b in enumerate(UNDER_CONSTRAINT_BODIES)},
+    **{f"member_introduces_{i}": MEMBER_INTRODUCES.format(body=b)
+       for i, b in enumerate(INTRODUCES_BODIES)},
+    "decl_as_member": DECL_AS_MEMBER,
+    "decl_discharged": DECL_DISCHARGED,
+    "nested_under_binder": NESTED_UNDER_BINDER,
+    "canonical_capture": CANONICAL_CAPTURE,
+    "plan_per_concept": PLAN_PER_CONCEPT,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_GOLDEN))
+def test_inline_emit_core_matches_golden(name, capsys, tmp_path):
+    code, out, err = run_cli(capsys, tmp_path, INLINE_GOLDEN[name],
+                             "emit-core", "--verify")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "inline" / (name + ".core")).read_text()
+
+
 @pytest.mark.parametrize("source, value", [
-    (MEMBER_UNDER_CONSTRAINT.format(body="lam x. x + D<int>.d"), "7"),
-    (MEMBER_UNDER_CONSTRAINT.format(
-        body="if true then lam x. x else lam y. y + 1"), "4"),
-    (MEMBER_UNDER_CONSTRAINT.format(
-        body="D<int> => lam x: int. x + D<int>.d"), "7"),
+    *((MEMBER_UNDER_CONSTRAINT.format(body=b), v)
+      for b, v in zip(UNDER_CONSTRAINT_BODIES, ("7", "4", "7"))),
     (PINNED_ASSOC, "3"),
     (PINNED_RESOLVED, "3"),
     (PINNED_IN_ANNOTATION, "3"),
@@ -352,11 +381,8 @@ def run_cli(capsys, tmp_path, source, *args):
     (MEMBER_USES_ITS_SCOPE, "7"),
     # a member signature may name the concept being declared
     ("concept C<a> { ; ; m : C<a> => int } in 1", "1"),
-    (MEMBER_INTRODUCES.format(
-        body="D<int> => lam x: int. x + D<int>.d"), "104"),
-    (MEMBER_INTRODUCES.format(body="g[int]"), "100"),
-    (MEMBER_INTRODUCES.format(
-        body="if true then g[int] else lam x. x + D<int>.d"), "100"),
+    *((MEMBER_INTRODUCES.format(body=b), v)
+      for b, v in zip(INTRODUCES_BODIES, ("104", "100", "100"))),
     (PATH_THROUGH_CAPTURED, "1"),
     (DECL_DISCHARGED, "8"),
     (DECL_AS_MEMBER, "104"),
