@@ -126,14 +126,21 @@ def _parse(path: str, fmt: str):
         return EXIT_PARSE_ERROR, None
 
 
-def _parse_and_check(path: str, fmt: str):
+def _parse_and_check(path: str, fmt: str, lowering=None):
     """Returns (exit_code, tree, type, checker), all but the code None on
-    failure; the checker holds the derivation translate_program lowers."""
+    failure.  With a `lowering` (`elaborate.Elaborator`), the checker
+    lowers the program as it checks it, and translate_program returns the
+    core; should lowering fail, a program with diagnostics reports them."""
     code, tree = _parse(path, fmt)
     if tree is None:
         return code, None, None, None
-    checker = Checker()
-    result = check_program(tree, checker)
+    checker = Checker(lowering)
+    try:
+        result = check_program(tree, checker)
+    except Exception:
+        if lowering is None or not isinstance(
+                result := check_program(tree, Checker()), list):
+            raise
     if isinstance(result, list):
         _print_diagnostics(result, fmt)
         return EXIT_TYPE_ERROR, None, None, None
@@ -148,10 +155,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .elaborate import translate_program
+    from .elaborate import Elaborator, translate_program
     from .sysf import DEFAULT_FUEL, Diverged, Stuck, Value, pretty_core, \
         sf_eval
-    code, tree, _, checker = _parse_and_check(args.file, args.format)
+    code, tree, _, checker = _parse_and_check(args.file, args.format,
+                                              Elaborator)
     if code != EXIT_OK:
         return code
     core = translate_program(tree, checker)
@@ -175,9 +183,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_emit_core(args) -> int:
-    from .elaborate import translate_program
+    from .elaborate import Elaborator, translate_program
     from .sysf import pretty_core, pretty_core_type, sf_typecheck
-    code, tree, _, checker = _parse_and_check(args.file, args.format)
+    code, tree, _, checker = _parse_and_check(args.file, args.format,
+                                              Elaborator)
     if code != EXIT_OK:
         return code
     core = translate_program(tree, checker)

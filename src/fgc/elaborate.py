@@ -53,20 +53,17 @@ same type parameters as `C<t>`.
 
 from __future__ import annotations
 
+import weakref
+
 from .ast import (
-    App,
     Arrow,
     AssocPath,
-    BoolLit,
     BoolT,
     ConceptC,
-    ConceptDecl,
     Constrained,
     ConstrainedE,
     Expr,
-    Fix,
     Forall,
-    If,
     IntLit,
     IntT,
     Lam,
@@ -79,16 +76,12 @@ from .ast import (
     Prim,
     SameType,
     TVar,
-    TyApp,
-    TyLam,
     Type,
-    TypeAlias,
     free_type_vars,
     has_path,
     substitute_type_map,
 )
 from .env import Env, Evidence, PROVED, concept_subst
-from .node import Node, set_field
 from .parser import pretty_type
 from .sysf import (
     CApp,
@@ -120,40 +113,15 @@ from .typecheck import Checker
 
 
 class ElabError(Exception):
-    """Internal invariant breach: the recorded derivation does not fit the
-    program being lowered."""
+    """Internal invariant breach: the derivation does not fit the core
+    being built."""
 
 
-class ElabCtx(Node):
-    """Scopes of the core term under construction.
-
-    tscope entries (binding order, innermost last):
-      ("var", name)   — a surface type variable
-      ("assoc", path) — an abstracted associated-type path
-    depth: the number of term variables bound; which binder each one is
-    lives in `Elaborator.binders`.  Contexts are equal when their fields
-    are, and are not hashable.
-    """
-
-    __slots__ = ("tscope", "depth")
-    __hash__ = None
-
-    def __init__(self, tscope: tuple = (), depth: int = 0):
-        set_field(self, "tscope", tscope)
-        set_field(self, "depth", depth)
-
-    def bind_tyvar(self, name):
-        return ElabCtx(self.tscope + (("var", name),), self.depth)
-
-    def bind_assocs(self, paths):
-        added = tuple(("assoc", p) for p in paths)
-        return ElabCtx(self.tscope + added, self.depth)
-
-
-def _pins(t: Type) -> tuple:
-    """The same-type constraints among the leading constraints of t."""
+def _pins(t) -> tuple:
+    """The same-type constraints among the leading constraints of a type,
+    or those a constraint introduction introduces in front of its body."""
     out = []
-    while isinstance(t, Constrained):
+    while isinstance(t, (Constrained, ConstrainedE)):
         if isinstance(t.constraint, SameType):
             out.append(t.constraint)
         t = t.body
@@ -178,15 +146,26 @@ def _renames(concepts: dict, args: tuple, expanded: tuple) -> bool:
 
 
 class Elaborator:
-    """Lowers a derivation recorded by `checker`."""
+    """The lowering a checker calls as it derives: each rule's method
+    builds the rule's core from its children's, which the rules before it
+    left on `stack` (see `typecheck.Checker`)."""
 
     def __init__(self, checker: Checker):
-        self.checker = checker
+        # the checker holds its lowering: a strong reference back would
+        # leave the pair to the cycle collector
+        self.checker = weakref.proxy(checker)
+        self.stack = []  # cores of checked expressions not yet used
+        # the type scope, innermost last: ("var", name) for a surface type
+        # variable, ("assoc", path) for an abstracted associated type
+        self.tscope = []
+        self.depth = 0  # the number of term variables bound
         # binder -> (level, core type, tscope length where it was bound)
         # for each binder in scope: a term binder by its `decl`, a
         # dictionary binder (a `ModelDecl` or `ConstrainedE` node) by its
         # `id`; an entry leaves where its binder's scope ends
         self.binders = {}
+        self.lets = []  # (binder, bound core) of each open let and model
+        self.intros = []  # (pins, plan length) of each open introduction
         # (model id, equation node, tscope)
         self.dict_types = {}
         # concept declaration -> its abstraction plan at its own parameters
@@ -242,296 +221,345 @@ class Elaborator:
         sigma = dict(zip(info.type_params, mid.type_args))
         return tuple(substitute_type_map(p, sigma) for p in plan)
 
-    def _assume(self, env: Env, ctx: ElabCtx, c: ConceptC, pins: tuple):
-        """Enter an assumed concept constraint: the environment extended
-        with the equations of flat(c), the context with the abstracted
-        associated types, the dictionary type (built with the prefix's
-        same-type constraints `pins` assumed), and the number of type
-        parameters."""
-        plan = self.abstraction_plan(c)
+    def _same_types(self, env: Env, c: ConceptC) -> Env:
+        """env assuming the same-type constraints of flat(c)."""
         for fc, _ in self.checker.flat(c):
             if isinstance(fc, SameType):
                 env = env.assume(fc, PROVED)
-        ctx2 = ctx.bind_assocs(plan)
-        env_pins = env
+        return env
+
+    def _enter(self, env: Env, c: ConceptC, pins: tuple) -> tuple:
+        """Enter an assumed concept constraint, in env assuming the
+        same-type constraints of its expansion: push its abstracted
+        associated types onto the type scope.  Its dictionary type, built
+        with the prefix's same-type constraints `pins` assumed too, and
+        the number of type parameters."""
+        plan = self.abstraction_plan(c)
+        self.tscope += [("assoc", p) for p in plan]
+        return self._dict(env, c, pins), len(plan)
+
+    def _dict(self, env: Env, c: ConceptC, pins: tuple) -> CoreType:
         for p in pins:
-            env_pins = env_pins.assume(p, PROVED)
-        return env, ctx2, self.dict_type(env_pins, ctx2, c.model), len(plan)
+            env = env.assume(p, PROVED)
+        return self.dict_type(env, c.model)
 
-    def conv(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
-        """Surface type to core type, canonicalized in the environment.
-        Canonical binders are named past the type scope, so they capture no
-        variable of it."""
-        return self._conv_raw(env, ctx, env.canonical(t, len(ctx.tscope)))
+    def _leave(self, n: int) -> None:
+        """Pop the last n entries of the type scope."""
+        del self.tscope[len(self.tscope) - n:]
 
-    def _conv_raw(self, env: Env, ctx: ElabCtx, t: Type) -> CoreType:
+    def conv(self, env: Env, t: Type) -> CoreType:
+        """Surface type to core type in the type scope, canonicalized in
+        the environment.  Canonical binders are named past the type scope,
+        so they capture no variable of it."""
+        return self._conv_raw(env, env.canonical(t, len(self.tscope)))
+
+    def _conv_raw(self, env: Env, t: Type) -> CoreType:
         match t:
             case IntT():
                 return CINT
             case BoolT():
                 return CBOOL
             case ListT(elem):
-                return CList(self._conv_raw(env, ctx, elem))
+                return CList(self._conv_raw(env, elem))
             case Arrow(dom, cod):
-                return CArrow(self._conv_raw(env, ctx, dom),
-                              self._conv_raw(env, ctx, cod))
+                return CArrow(self._conv_raw(env, dom),
+                              self._conv_raw(env, cod))
             case Forall(binder, body):
-                return CForall(
-                    self._conv_raw(env, ctx.bind_tyvar(binder), body))
+                self.tscope.append(("var", binder))
+                out = CForall(self._conv_raw(env, body))
+                self.tscope.pop()
+                return out
             case TVar(name):
-                for i, entry in enumerate(reversed(ctx.tscope)):
+                for i, entry in enumerate(reversed(self.tscope)):
                     if entry == ("var", name):
                         return CTVar(i)
                 raise ElabError(f"type variable {name!r} not in scope")
             case AssocPath():
-                for i, entry in enumerate(reversed(ctx.tscope)):
+                for i, entry in enumerate(reversed(self.tscope)):
                     if entry[0] == "assoc" and env.equal(t, entry[1]):
                         return CTVar(i)
-                can = env.canonical(t, len(ctx.tscope))
+                can = env.canonical(t, len(self.tscope))
                 if not isinstance(can, AssocPath):
-                    return self._conv_raw(env, ctx, can)
+                    return self._conv_raw(env, can)
                 raise ElabError(
                     f"associated type {pretty_type(t)} has no concrete "
                     "binding and is not abstracted in scope")
             case Constrained(constraint, body):
                 if isinstance(constraint, SameType):
-                    return self.conv(env.assume(constraint, PROVED), ctx,
-                                     body)
-                env2, ctx2, dict_ty, n = self._assume(env, ctx, constraint,
-                                                      _pins(body))
-                out = CArrow(dict_ty, self.conv(env2, ctx2, body))
+                    return self.conv(env.assume(constraint, PROVED), body)
+                env2 = self._same_types(env, constraint)
+                dict_ty, n = self._enter(env2, constraint, _pins(body))
+                out = CArrow(dict_ty, self.conv(env2, body))
+                self._leave(n)
                 for _ in range(n):
                     out = CForall(out)
                 return out
         raise ElabError(f"unexpected type node: {t!r}")
 
-    def dict_type(self, env: Env, ctx: ElabCtx, mid: ModelId) -> CoreType:
+    def dict_type(self, env: Env, mid: ModelId) -> CoreType:
         """The core type of an assumed constraint's dictionary, built once
         per model identifier, equation node and type scope and then
         shared."""
-        key = (mid, env.eq_node, ctx.tscope)
+        key = (mid, env.eq_node, tuple(self.tscope))
         out = self.dict_types.get(key)
         if out is None:
-            out = self.dict_types[key] = self._build_dict_type(env, ctx, mid)
+            out = self.dict_types[key] = self._build_dict_type(env, mid)
         return out
 
-    def _build_dict_type(self, env: Env, ctx: ElabCtx,
-                         mid: ModelId) -> CoreType:
+    def _build_dict_type(self, env: Env, mid: ModelId) -> CoreType:
         info = self.checker.concepts[mid.decl]
         sigma = concept_subst(info, mid)
         slots = []
         for nc in info.nested:
             nc2 = substitute_type_map(nc, sigma)
             if isinstance(nc2, ConceptC):
-                slots.append(self.dict_type(env, ctx, nc2.model))
+                slots.append(self.dict_type(env, nc2.model))
         for _, mty in info.members:
-            slots.append(self.conv(env, ctx, substitute_type_map(mty, sigma)))
+            slots.append(self.conv(env, substitute_type_map(mty, sigma)))
         return CTupleT(tuple(slots))
 
     # ------------------------------------------------------------ scopes
 
-    def _bind(self, ctx: ElabCtx, key, ty: CoreType) -> ElabCtx:
+    def _bind(self, key, ty: CoreType) -> None:
         """Bind the next term variable to binder `key`, of core type ty."""
-        self.binders[key] = (ctx.depth, ty, len(ctx.tscope))
-        return ElabCtx(ctx.tscope, ctx.depth + 1)
+        self.binders[key] = (self.depth, ty, len(self.tscope))
+        self.depth += 1
 
-    def _bound(self, ctx: ElabCtx, key, what: str) -> tuple:
-        """The de Bruijn index in ctx of the variable bound to binder
-        `key`, and its entry; ElabError when it is not in scope there."""
+    def _unbind(self, key) -> CoreType:
+        """End the scope of the innermost term variable, bound to `key`;
+        its core type."""
+        self.depth -= 1
+        return self.binders.pop(key)[1]
+
+    def _bound(self, key, what: str) -> tuple:
+        """The de Bruijn index of the variable bound to binder `key`, and
+        its entry; ElabError when it is not in scope."""
         entry = self.binders.get(key)
-        if entry is None or entry[0] >= ctx.depth:
+        if entry is None:
             raise ElabError(f"{what} not in scope")
-        return ctx.depth - 1 - entry[0], entry
+        return self.depth - 1 - entry[0], entry
 
     # ------------------------------------------------------------ dicts
 
-    def build_dict(self, ctx: ElabCtx, ev: Evidence) -> CoreTerm:
+    def build_dict(self, ev: Evidence) -> CoreTerm:
         """The core term for the dictionary the checker's evidence names:
         the variable its binder bound, projected along its route."""
-        out = CVar(self._bound(ctx, id(ev.binder),
-                               "dictionary binder")[0])
+        out = CVar(self._bound(id(ev.binder), "dictionary binder")[0])
         for slot in ev.route:
             out = CProj(out, slot)
         return out
 
-    def evidence_type(self, ctx: ElabCtx, ev: Evidence) -> CoreType:
+    def evidence_type(self, ev: Evidence) -> CoreType:
         """The core type of that dictionary: the type recorded at its
         binder, projected along the route and renumbered past the type
         variables bound since."""
-        _, (_, ty, depth) = self._bound(ctx, id(ev.binder),
-                                        "dictionary binder")
+        _, (_, ty, depth) = self._bound(id(ev.binder), "dictionary binder")
         for slot in ev.route:
             ty = ty.elems[slot]
-        if depth < len(ctx.tscope):
-            ty = shift_ty(ty, len(ctx.tscope) - depth)
+        if depth < len(self.tscope):
+            ty = shift_ty(ty, len(self.tscope) - depth)
         return ty
 
-    # ------------------------------------------------------------ terms
+    # ------------------------------------------------------------ rules
 
-    def lower(self, ctx: ElabCtx, e: Expr) -> CoreTerm:
-        """The core term of a checked expression, under dictionary
-        parameters for the constraints stripped off the type it was
-        checked against."""
-        if id(e) in self.checker.wrap:
-            t, rest = self.checker.wrap[id(e)]
-            return self._wrap(self.checker.envs[id(e)], ctx, e, t, rest)
-        return self._lower_use(ctx, e)
+    def literal(self, e: Expr) -> None:
+        self.stack.append(CIntLit(e.value) if isinstance(e, IntLit)
+                          else CBoolLit(e.value))
 
-    def _lower_use(self, ctx: ElabCtx, e: Expr) -> CoreTerm:
-        """The translation of e itself, with the constraints eliminated at
-        its use discharged: their abstracted associated types instantiated
-        and the dictionaries their evidence names passed.  Types are
-        converted in the environment the checker checked e in."""
-        if _declares(e):
-            return self._lower_spine(ctx, e)
-        env = self.checker.envs[id(e)]
-        lower = self.lower
-        match e:
-            case IntLit(value):
-                core = CIntLit(value)
-            case BoolLit(value):
-                core = CBoolLit(value)
-            case PathE((), name):
-                core = CVar(self._bound(ctx, e.decl,
-                                        f"variable {name!r}")[0])
-            case PathE():
-                core = self._elab_path(ctx, e)
-            case Lam(_, _, body):
-                ann = self.conv(env, ctx, self.checker.terms[e.decl])
-                core = CLam(ann, lower(self._bind(ctx, e.decl, ann), body))
-                del self.binders[e.decl]
-            case App(fn, arg):
-                core = CApp(lower(ctx, fn), lower(ctx, arg))
-            case TyLam(binder, body):
-                core = CTyLam(lower(ctx.bind_tyvar(binder), body))
-            case TyApp(subject, arg):
-                core = CTyApp(lower(ctx, subject), self.conv(env, ctx, arg))
-            case ConstrainedE(c, body):
-                _, ctx2, dict_ty, n = self._assume(
-                    env, ctx, c, _pins(self.checker.types[id(e)]))
-                core = CLam(dict_ty, lower(self._bind(ctx2, id(e), dict_ty),
-                                           body))
-                del self.binders[id(e)]
-                for _ in range(n):
-                    core = CTyLam(core)
-            case Fix(body):
-                core = CFix(lower(ctx, body))
-            case If(cond, thn, els):
-                core = CIf(lower(ctx, cond), lower(ctx, thn), lower(ctx, els))
-            case ListLit(elems, elem_type):
-                cores = [lower(ctx, x) for x in elems]
-                t0 = self.checker.types[id(e)] if elems else elem_type
-                core = CNil(self.conv(env, ctx, t0))
-                for cx in reversed(cores):
-                    core = CCons(cx, core)
-            case Prim(op, args):
-                cores = tuple(lower(ctx, a) for a in args)
-                core = CCons(*cores) if op == "cons" else CPrim(op, cores)
-        return self._discharge(ctx, e, core)
+    def var(self, e: PathE) -> None:
+        self.stack.append(CVar(self._bound(e.decl,
+                                           f"variable {e.name!r}")[0]))
 
-    def _lower_spine(self, ctx: ElabCtx, e: Expr) -> CoreTerm:
-        """The translation of a spine of declarations and `let`s (see
-        `_declares`), walked with a loop, so that its length is bounded by
-        memory and not by the recursion limit.  The core is built from the
-        inside out: a model binds its dictionary and a `let` its bound
-        around the rest; the others only extend the environments the
-        checker recorded, and same-type assumptions erase."""
-        frames = []
-        while True:
-            if isinstance(e, ModelDecl):
-                dict_ty, value = self._model_dict(ctx, e)
-                frames.append((e, ctx, id(e), dict_ty, value))
-                ctx = self._bind(ctx, id(e), dict_ty)
-            elif isinstance(e, Let):
-                tb = self.conv(self.checker.envs[id(e)], ctx,
-                               self.checker.terms[e.decl])
-                frames.append((e, ctx, e.decl, tb, self.lower(ctx, e.bound)))
-                ctx = self._bind(ctx, e.decl, tb)
-            else:
-                frames.append((e, ctx, None, None, None))
-            e = e.body if isinstance(e, ConstrainedE) else e.rest
-            if not _declares(e) or id(e) in self.checker.wrap:
-                break
-        core = self.lower(ctx, e)
-        for node, ctx, key, param, arg in reversed(frames):
-            if param is not None:
-                del self.binders[key]
-                core = CApp(CLam(param, core), arg)
-            core = self._discharge(ctx, node, core)
-        return core
-
-    def _discharge(self, ctx: ElabCtx, e: Expr, core: CoreTerm) -> CoreTerm:
-        """Apply the core of e to the type arguments and dictionaries of
-        the constraints the checker eliminated at its use."""
-        t, evidence = self.checker.elim.get(id(e), (None, ()))
-        env = self.checker.envs[id(e)]
-        for ev in evidence:
-            if isinstance(t.constraint, ConceptC):
-                for p in self.abstraction_plan(t.constraint):
-                    core = CTyApp(core, self.conv(env, ctx, p))
-                core = CApp(core, self.build_dict(ctx, ev))
-            t = t.body
-        return core
-
-    def _wrap(self, env, ctx, e: Expr, t: Type, rest: Type) -> CoreTerm:
-        """Lower e under a dictionary abstraction for each constraint of
-        its expected type t in front of its part `rest`.  The checker
-        checked e without these constraints, so no evidence names the
-        parameters and e never reads them; they only give the term the
-        core image of t."""
-        if t is rest:
-            return self._lower_use(ctx, e)
-        c = t.constraint
-        if isinstance(c, SameType):
-            return self._wrap(env, ctx, e, t.body, rest)
-        env2, ctx2, dict_ty, k = self._assume(env, ctx, c, _pins(t.body))
-        out = CLam(dict_ty, self._wrap(
-            env2, ElabCtx(ctx2.tscope, ctx2.depth + 1), e, t.body, rest))
-        for _ in range(k):
-            out = CTyLam(out)
-        return out
-
-    def _elab_path(self, ctx, e: PathE) -> CoreTerm:
-        """The member's slot, after the nested dictionaries, in the
-        dictionary of the path's last model step."""
-        ev = self.checker.evidence[id(e)]
+    def member(self, e: PathE, ev: Evidence) -> None:
+        """A qualified path: the member's slot, after the nested
+        dictionaries, in the dictionary of its last model step, whose
+        evidence is ev."""
         info = self.checker.concepts[e.prefix[-1].decl]
         n_nested = sum(isinstance(nc, ConceptC) for nc in info.nested)
         names = [n for n, _ in info.members]
-        return CProj(self.build_dict(ctx, ev), n_nested + names.index(e.name))
+        self.stack.append(CProj(self.build_dict(ev),
+                                n_nested + names.index(e.name)))
 
-    def _model_dict(self, ctx: ElabCtx, e: ModelDecl) -> tuple:
-        """A model's dictionary type and the core of its value: first the
-        dictionaries its evidence names for the nested constraints, with
-        the types their binders recorded, then the member implementations
-        in concept declaration order, with their types converted under the
-        model's own equations."""
-        info, evidence = e.info, self.checker.evidence[id(e)]
-        env = self.checker.envs[id(e.rest)]
+    def enter_lam(self, env: Env, e: Lam, t: Type) -> None:
+        """Bind a lambda's parameter, of type t."""
+        self._bind(e.decl, self.conv(env, t))
+
+    def lam(self, e: Lam) -> None:
+        ann = self._unbind(e.decl)
+        self.stack.append(CLam(ann, self.stack.pop()))
+
+    def app(self) -> None:
+        arg = self.stack.pop()
+        self.stack.append(CApp(self.stack.pop(), arg))
+
+    def enter_tylam(self, binder: str) -> None:
+        self.tscope.append(("var", binder))
+
+    def tylam(self) -> None:
+        self.tscope.pop()
+        self.stack.append(CTyLam(self.stack.pop()))
+
+    def tyapp(self, env: Env, t: Type) -> None:
+        self.stack.append(CTyApp(self.stack.pop(), self.conv(env, t)))
+
+    def fix(self) -> None:
+        self.stack.append(CFix(self.stack.pop()))
+
+    def cond(self) -> None:
+        els, thn = self.stack.pop(), self.stack.pop()
+        self.stack.append(CIf(self.stack.pop(), thn, els))
+
+    def list_lit(self, env: Env, e: ListLit, t: Type) -> None:
+        """A list literal of element type t."""
+        core = CNil(self.conv(env, t))
+        for _ in e.elems:
+            core = CCons(self.stack.pop(), core)
+        self.stack.append(core)
+
+    def prim(self, e: Prim) -> None:
+        n = len(e.args)
+        args = tuple(self.stack[len(self.stack) - n:])
+        del self.stack[len(self.stack) - n:]
+        self.stack.append(CCons(*args) if e.op == "cons"
+                          else CPrim(e.op, args))
+
+    def assume(self, env: Env, e: ConstrainedE, t) -> None:
+        """Enter a constraint introduction e whose body is checked in env:
+        its abstracted associated types and its dictionary parameter.  The
+        dictionary type is built with the same-type constraints in front
+        of t assumed: the body's type, or, while that is not known, the
+        body, whose leading introductions predict them.  A same-type
+        assumption erases."""
+        c = e.constraint
+        if isinstance(c, SameType):
+            return
+        pins = _pins(t)
+        dict_ty, n = self._enter(env, c, pins)
+        self._bind(id(e), dict_ty)
+        self.intros.append((pins, n))
+
+    def introduce(self, env: Env, e: ConstrainedE, t: Type) -> None:
+        """Close the introduction e, whose body has type t.  When t's
+        same-type constraints give a dictionary type other than the
+        predicted one, which a model in the body may have read, the body
+        is checked again with the one they give."""
+        c = e.constraint
+        if isinstance(c, SameType):
+            return
+        pins, n = self.intros.pop()
+        if _pins(t) != pins:
+            level, ty, scope = self.binders[id(e)]
+            actual = self._dict(env, c, _pins(t))
+            if actual != ty:
+                self.binders[id(e)] = (level, actual, scope)
+                self.stack.pop()
+                self.checker.infer(env, e.body)
+        core = CLam(self._unbind(id(e)), self.stack.pop())
+        self._leave(n)
+        for _ in range(n):
+            core = CTyLam(core)
+        self.stack.append(core)
+
+    def eliminate(self, env: Env, t: Type, evidence: list, at: int) -> None:
+        """Apply the core at index `at` of the stack, whose type is t, to
+        the type arguments and dictionaries of the constraints the checker
+        discharged off t's front with `evidence`."""
+        core = self.stack[at]
+        for ev in evidence:
+            if isinstance(t.constraint, ConceptC):
+                for p in self.abstraction_plan(t.constraint):
+                    core = CTyApp(core, self.conv(env, p))
+                core = CApp(core, self.build_dict(ev))
+            t = t.body
+        self.stack[at] = core
+
+    def let(self, env: Env, e: Let, t: Type) -> None:
+        """Bind what a `let` binds, of type t, whose core is on top."""
+        ty = self.conv(env, t)
+        self.lets.append((e.decl, self.stack.pop()))
+        self._bind(e.decl, ty)
+
+    def model(self, env: Env, e: ModelDecl, evidence: list) -> None:
+        """Bind a model's dictionary, in the environment env of the scope
+        it opens: first the dictionaries its evidence names for the nested
+        constraints, with the types their binders recorded, then the
+        member implementations, whose cores are on top in the order the
+        model binds them, in concept declaration order, with their types
+        converted under the model's own equations."""
+        info = e.info
         cinfo = self.checker.concepts[info.decl]
+        n = len(self.stack) - len(info.member_binds)
+        bound = dict(zip([name for name, _ in info.member_binds],
+                         self.stack[n:]))
+        del self.stack[n:]
         sigma = concept_subst(cinfo, ModelId(info.concept, info.type_args,
                                              info.decl))
-        bound = dict(info.member_binds)
-        slots = [self.build_dict(ctx, ev) for ev in evidence]
-        slots += [self.lower(ctx, bound[mname]) for mname, _ in cinfo.members]
-        types = [self.evidence_type(ctx, ev) for ev in evidence]
-        types += [self.conv(env, ctx, substitute_type_map(mty, sigma))
+        slots = [self.build_dict(ev) for ev in evidence]
+        slots += [bound[name] for name, _ in cinfo.members]
+        types = [self.evidence_type(ev) for ev in evidence]
+        types += [self.conv(env, substitute_type_map(mty, sigma))
                   for _, mty in cinfo.members]
-        return CTupleT(tuple(types)), CTup(tuple(slots))
+        self._bind(id(e), CTupleT(tuple(types)))
+        self.lets.append((id(e), CTup(tuple(slots))))
 
+    def leave(self) -> None:
+        """Close the innermost `let` or model: its binding applied to the
+        core of what it scopes over."""
+        key, value = self.lets.pop()
+        param = self._unbind(key)
+        self.stack.append(CApp(CLam(param, self.stack.pop()), value))
 
-def _declares(e: Expr) -> bool:
-    """Whether e is a declaration, a `let` or a same-type assumption: a
-    node that scopes over the expression after it, which is its whole
-    value."""
-    return isinstance(e, (ModelDecl, ConceptDecl, TypeAlias, Let)) or (
-        isinstance(e, ConstrainedE) and isinstance(e.constraint, SameType))
+    def strip(self, env: Env, t: Type, rest: Type):
+        """Enter the scope of the satisfied constraints stripped off the
+        front of the type t an expression is checked against, in front of
+        its part `rest`: for each concept constraint, its abstracted
+        associated types and a dictionary parameter.  The checker checks
+        the expression without them, so no evidence names the parameters
+        and it never reads them; they only give the core the image of t.
+        What `wrap` and `unstrip` take."""
+        frame = []
+        while t is not rest:
+            c = t.constraint
+            if isinstance(c, ConceptC):
+                env = self._same_types(env, c)
+                frame.append(self._enter(env, c, _pins(t.body)))
+                self.depth += 1
+            t = t.body
+        return frame
+
+    def unstrip(self, env: Env, e: Expr, frame: list) -> None:
+        """e, checked under the stripped constraints of `frame`, has them
+        in its own type after all: lower it again outside their scope."""
+        if frame:
+            for _, n in frame:
+                self.depth -= 1
+                self._leave(n)
+            frame.clear()
+            self.stack.pop()
+            self.checker.infer(env, e)
+
+    def wrap(self, frame: list) -> None:
+        """Close the scope `strip` entered around the core on top."""
+        if not frame:
+            return
+        core = self.stack.pop()
+        for dict_ty, n in reversed(frame):
+            self.depth -= 1
+            self._leave(n)
+            core = CLam(dict_ty, core)
+            for _ in range(n):
+                core = CTyLam(core)
+        self.stack.append(core)
 
 
 # ---------------------------------------------------------------- drivers
 
 
 def translate_program(e: Expr, checker: Checker) -> CoreTerm:
-    """Core term for a whole program whose derivation `checker` recorded
-    in a successful `typecheck.check_program(e, checker)`."""
-    return Elaborator(checker).lower(ElabCtx(), e)
+    """Core term for a whole program e, built as `checker`, made with
+    `Elaborator` as its lowering, checked e without a diagnostic
+    (`typecheck.check_program(e, checker)`)."""
+    lowering = checker.lower
+    if not isinstance(lowering, Elaborator) or len(lowering.stack) != 1:
+        raise ElabError("the program was not lowered as it was checked")
+    return lowering.stack[0]

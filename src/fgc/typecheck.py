@@ -8,21 +8,20 @@ instantiation subject, condition, comparison against another type).  Every
 equality and canonical form is the environment's (`Env.equal`,
 `Env.canonical`), which decides when its congruence closure is needed.
 
-While it derives, the checker records the decisions that the
-dictionary-passing translation (`elaborate`) lowers into the core, keyed by
-the identity of the expression node they concern:
+While it derives, the checker can lower the program into the core: a
+checker made with a lowering (`elaborate.Elaborator`, which `fgc run` and
+`fgc emit-core` hand it) calls the lowering's method for each rule as the
+rule derives its type, and the lowering builds the rule's core term from
+its children's (Γ ⊢ e : τ ⇝ f).  A checker made without one calls
+`NO_CORE`, whose methods do nothing, so `fgc check` builds no core and
+loads no lowering; so does any checker after its first diagnostic.  The
+decisions lowering needs are passed as they are made: the evidence of
+each constraint discharged at an expression's use (`discharge`), of a
+qualified path's last model step and of a model's nested requirements;
+the satisfied constraints stripped off the type an expression is checked
+against; and each environment and type.  What the checker keeps for
+itself is:
 
-  elim      the constraints eliminated at the use of an expression: its
-            type and the evidence that satisfied each leading constraint
-            discharged there;
-  wrap      the satisfied constraints stripped off the type an expression
-            was checked against: that type and the part left after them;
-  types     the element type of a non-empty list literal, and the body
-            type of a constraint introduction;
-  evidence  the evidence (`env.Evidence`) for the dictionaries a node
-            itself reads: a qualified path's last model step, a model's
-            nested concept requirements in order;
-  envs      the environment each expression was checked in;
   concepts  declaration identity -> ConceptInfo (see `parser`);
   terms     binder identity -> type (what a `let` binds, a lambda's domain),
             filled as the checker enters each declaration and binder; and
@@ -167,14 +166,30 @@ def _outside(t, env: Env):
     return Forall(b, substitute_type(body, hidden.name, TVar(b)), span=t.span)
 
 
+def _nothing(*args):
+    return None
+
+
+class _NoCore:
+    """The lowering that builds nothing: every rule's call is a no-op."""
+
+    literal = var = member = enter_lam = lam = app = enter_tylam = tylam = \
+        tyapp = assume = introduce = fix = cond = list_lit = prim = \
+        eliminate = let = model = leave = strip = unstrip = wrap = \
+        staticmethod(_nothing)
+
+
+NO_CORE = _NoCore()
+
+
 class Checker:
-    def __init__(self):
+    def __init__(self, lowering=None):
+        """`lowering`, called with the checker, makes the lowering object
+        whose methods build the core as the rules derive (see
+        `elaborate.Elaborator`); None builds no core."""
+        self.lowering = lowering
+        self.lower = NO_CORE if lowering is None else lowering(self)
         self.diags = []
-        self.elim = {}
-        self.wrap = {}
-        self.types = {}
-        self.envs = {}
-        self.evidence = {}
         self.concepts = {}
         self.terms = {}
         self.flats = {}
@@ -194,29 +209,30 @@ class Checker:
 
     def err(self, span, code, message, notes=()):
         self.diags.append(Diagnostic(span, code, message, tuple(notes)))
+        self.lower = NO_CORE  # a program with a diagnostic has no core
 
     def equal(self, env: Env, a: Type, b: Type) -> bool:
         return a == b or contains_err(a) or contains_err(b) or \
             env.equal(a, b)
 
-    def discharge(self, env: Env, t: Type, at: Optional[Expr] = None) -> Type:
-        """Strip satisfied constraints off the front of t.  When `at`, the
-        expression of type t, is given and a constraint was stripped,
-        record in `elim` that they were eliminated there, with their
-        evidence."""
+    def discharge(self, env: Env, t: Type, at: Optional[int] = None) -> Type:
+        """Strip satisfied constraints off the front of t.  When `at` is
+        given, the index on the lowering's stack of the core of the
+        expression of type t (-1 for the top), the lowering eliminates the
+        stripped constraints there, with their evidence."""
         u, evidence = t, []
         while isinstance(u, Constrained) and (
                 ev := satisfies(env, u.constraint)) is not None:
             evidence.append(ev)
             u = u.body
         if u is not t and at is not None:
-            self.elim[id(at)] = (t, tuple(evidence))
+            self.lower.eliminate(env, t, evidence, at)
         return u
 
     def _shape(self, env: Env, t: Type, want,
-               at: Optional[Expr] = None) -> Optional[Type]:
+               at: Optional[int] = None) -> Optional[Type]:
         """Expose t as an instance of the constructor class `want`, first
-        discharging satisfied constraints (recorded at `at`), then
+        discharging satisfied constraints (eliminated at `at`), then
         canonicalizing through the environment's equations."""
         if contains_err(t):
             return None
@@ -225,21 +241,23 @@ class Checker:
             t = env.canonical(t)
         return t if isinstance(t, want) else None
 
-    def _expose(self, env: Env, t: Type, want, at: Expr, span, code: str,
+    def _expose(self, env: Env, t: Type, want, span, code: str,
                 message: str) -> Optional[Type]:
-        """`_shape`; when t does not expose `want` and mentions no error,
-        report `message` with `{}` replaced by t once discharged."""
-        out = self._shape(env, t, want, at)
+        """`_shape` of the type t of the expression whose core is on top of
+        the lowering's stack; when t does not expose `want` and mentions no
+        error, report `message` with `{}` replaced by t once discharged."""
+        out = self._shape(env, t, want, -1)
         if out is None and not contains_err(t):
             self.err(span, code,
                      message.format(pretty_type(self.discharge(env, t))))
         return out
 
-    def _accepts(self, env: Env, want: Type, t: Type, at: Expr) -> bool:
-        """Whether t, or t with the constraints it meets discharged
-        (recorded at `at`), equals `want`."""
+    def _accepts(self, env: Env, want: Type, t: Type) -> bool:
+        """Whether t, or t with the constraints it meets discharged, equals
+        `want`; t is the type of the expression whose core is on top of
+        the lowering's stack."""
         return self.equal(env, want, t) or \
-            self.equal(env, want, self.discharge(env, t, at))
+            self.equal(env, want, self.discharge(env, t, -1))
 
     def satisfy(self, env: Env, c: Constraint, span) -> Optional[Evidence]:
         """The evidence satisfying a constraint, or None after a T003/T004
@@ -328,19 +346,21 @@ class Checker:
     # -- synthesis
 
     def infer(self, env: Env, e: Expr) -> Type:
-        e = self._lets(env, e)
-        self.envs[id(e)] = env
         match e:
             case IntLit():
+                self.lower.literal(e)
                 return INT
             case BoolLit():
+                self.lower.literal(e)
                 return BOOL
             case PathE((), _):
+                self.lower.var(e)
                 return self.terms[e.decl]
             case PathE(prefix, name):
                 try:
-                    t, self.evidence[id(e)] = lookup_path(
-                        env, self.concepts, prefix, name, self.paths)
+                    t, ev = lookup_path(env, self.concepts, prefix, name,
+                                        self.paths)
+                    self.lower.member(e, ev)
                     return t
                 except UnsatisfiedConstraintError as exc:
                     self.err(e.span, "T003",
@@ -360,43 +380,53 @@ class Checker:
                     self.infer(env, body)
                     return ERR
                 self._written(env, ann, e.span)
-                return Arrow(ann, self.infer(env, body))
+                self.lower.enter_lam(env, e, ann)
+                t = Arrow(ann, self.infer(env, body))
+                self.lower.lam(e)
+                return t
             case App(fn, arg):
-                arrow = self._expose(env, self.infer(env, fn), Arrow, fn,
+                arrow = self._expose(env, self.infer(env, fn), Arrow,
                                      fn.span, "T002",
                                      "applied a non-function of type {}")
                 if arrow is None:
                     self.infer(env, arg)
                     return ERR
                 ta = self.infer(env, arg)
-                if not self._accepts(env, arrow.dom, ta, arg):
+                if not self._accepts(env, arrow.dom, ta):
                     self.err(e.span, "T001",
                              "the parameter type is "
                              f"{pretty_type(arrow.dom)} but the argument "
                              f"type is {pretty_type(ta)}")
                     return ERR
+                self.lower.app()
                 return arrow.cod
             case TyLam(binder, body):
-                return Forall(binder, self.infer(env, body))
+                self.lower.enter_tylam(binder)
+                t = Forall(binder, self.infer(env, body))
+                self.lower.tylam()
+                return t
             case TyApp(subject, arg):
                 self._written(env, arg, e.span)
                 fa = self._expose(env, self.infer(env, subject), Forall,
-                                  subject, subject.span, "T008",
+                                  subject.span, "T008",
                                   "instantiated a non-universal of type {}")
                 if fa is None:
                     return ERR
+                self.lower.tyapp(env, arg)
                 return substitute_type(fa.body, fa.binder, arg)
             case ConstrainedE(constraint, body):
                 env2 = self._assume(env, e)
                 if env2 is None:
                     self.infer(env, body)
                     return ERR
-                tb = self.types[id(e)] = self.infer(env2, body)
+                self.lower.assume(env2, e, body)
+                tb = self.infer(env2, body)
+                self.lower.introduce(env2, e, tb)
                 return Constrained(constraint, tb)
-            case ConceptDecl() | ModelDecl() | TypeAlias():
+            case Let() | ConceptDecl() | ModelDecl() | TypeAlias():
                 return self._declarations(env, e)
             case Fix(body):
-                arrow = self._expose(env, self.infer(env, body), Arrow, body,
+                arrow = self._expose(env, self.infer(env, body), Arrow,
                                      e.span, "T002",
                                      "fix needs a function, got {}")
                 if arrow is None:
@@ -406,15 +436,18 @@ class Checker:
                              "fix needs matching argument and result "
                              f"types, got {pretty_type(arrow)}")
                     return ERR
+                self.lower.fix()
                 return arrow.dom
             case If(cond, thn, els):
                 self._condition(env, cond)
                 tt = self.infer(env, thn)
                 te = self.infer(env, els)
                 if self.equal(env, tt, te):
+                    self.lower.cond()
                     return tt
-                if self.equal(env, self.discharge(env, tt, thn),
-                              self.discharge(env, te, els)):
+                if self.equal(env, self.discharge(env, tt, -2),
+                              self.discharge(env, te, -1)):
+                    self.lower.cond()
                     return self.discharge(env, tt)
                 self.err(e.span, "T001",
                          f"branches have types {pretty_type(tt)} and "
@@ -423,38 +456,41 @@ class Checker:
             case ListLit(elems, elem_type):
                 if not elems:
                     self._written(env, elem_type, e.span)
+                    self.lower.list_lit(env, e, elem_type)
                     return ListT(elem_type)
-                t0 = self.types[id(e)] = self.infer(env, elems[0])
+                t0 = self.infer(env, elems[0])
                 for x in elems[1:]:
                     tx = self.infer(env, x)
-                    if not self._accepts(env, t0, tx, x):
+                    if not self._accepts(env, t0, tx):
                         self.err(x.span, "T001",
                                  "list element has type "
                                  f"{pretty_type(tx)}, expected "
                                  f"{pretty_type(t0)}")
+                self.lower.list_lit(env, e, t0)
                 return ListT(t0)
             case Prim(op, args):
-                return self.infer_prim(env, e, op, args)
+                t = self.infer_prim(env, e, op, args)
+                self.lower.prim(e)
+                return t
         raise TypeError(f"unexpected expression node: {e!r}")
 
-    def _lets(self, env: Env, e: Expr) -> Expr:
-        """Infer the bounds of a `let` spine in a loop; what follows it."""
-        while isinstance(e, Let):
-            self.envs[id(e)] = env
-            self.terms[e.decl] = self.infer(env, e.bound)
-            e = e.rest
-        return e
+    def _let(self, env: Env, e: Let) -> None:
+        """Infer what a `let` binds, and bind it."""
+        t = self.terms[e.decl] = self.infer(env, e.bound)
+        self.lower.let(env, e, t)
 
     def _declarations(self, env: Env, e: Expr) -> Type:
-        """Infer a spine of `concept`, `model` and `type` declarations and
-        `let`s in a loop, as `_lets` does, so that its length is bounded
-        by memory and not by the recursion limit: each declaration is
-        checked on the way in, and the type of what follows the spine is
-        carried back out through them in reverse."""
+        """Infer a spine of `let`s and `concept`, `model` and `type`
+        declarations in a loop, so that its length is bounded by memory
+        and not by the recursion limit: each one is checked on the way in,
+        and the type of what follows the spine is carried back out through
+        them in reverse, where the lowering closes each binding."""
         frames = []  # (declaration, the environment of what it scopes over)
         while True:
             inner = env
             match e:
+                case Let():
+                    self._let(env, e)
                 case ConceptDecl(info, _):
                     self.concepts[info.decl] = info
                     for nc in info.nested:
@@ -478,13 +514,14 @@ class Checker:
                     inner = env.equate(TVar(name), rhs)
             frames.append((e, inner))
             env = env if inner is None else inner
-            e = self._lets(env, e.rest)
-            if not isinstance(e, (ConceptDecl, ModelDecl, TypeAlias)):
+            e = e.rest
+            if not isinstance(e, (Let, ConceptDecl, ModelDecl, TypeAlias)):
                 break
-            self.envs[id(e)] = env
         t = self.infer(env, e)
         for e, inner in reversed(frames):
             match e:
+                case Let():
+                    self.lower.leave()
                 case ConceptDecl(info, _):
                     # the program's own type may name its concepts, but a
                     # type used outside the concept's scope may not
@@ -495,6 +532,7 @@ class Checker:
                                  f"in the type {pretty_type(t)}")
                         t = ERR
                 case ModelDecl():
+                    self.lower.leave()
                     # the model's associated-type equations go out of scope
                     # here, so resolve any paths through them in the result
                     if inner is not None and not contains_err(t) and \
@@ -507,17 +545,17 @@ class Checker:
 
     def _condition(self, env: Env, cond: Expr) -> None:
         """Infer a condition; T010 unless it is a bool or already an error."""
-        self._expose(env, self.infer(env, cond), BoolT, cond, cond.span,
-                     "T010", "condition has type {}, not bool")
+        self._expose(env, self.infer(env, cond), BoolT, cond.span, "T010",
+                     "condition has type {}, not bool")
 
     def infer_prim(self, env: Env, e: Expr, op: str, args: tuple) -> Type:
         if op in ("+", "-", "*", "<", "=="):
             for a in args:
-                self._expose(env, self.infer(env, a), IntT, a, a.span, "T001",
+                self._expose(env, self.infer(env, a), IntT, a.span, "T001",
                              f"operator {op!r} needs int operands, got {{}}")
             return INT if op in ("+", "-", "*") else BOOL
         if op in ("isnil", "head", "tail"):
-            lst = self._expose(env, self.infer(env, args[0]), ListT, args[0],
+            lst = self._expose(env, self.infer(env, args[0]), ListT,
                                args[0].span, "T001",
                                f"{op} needs a list, got {{}}")
             if lst is None:
@@ -530,7 +568,7 @@ class Checker:
             tt = self.infer(env, args[1])
             if contains_err(th) or contains_err(tt):
                 return ListT(th)
-            if not self._accepts(env, ListT(th), tt, args[1]):
+            if not self._accepts(env, ListT(th), tt):
                 self.err(e.span, "T001",
                          f"cons of {pretty_type(th)} onto "
                          f"{pretty_type(tt)}")
@@ -546,9 +584,17 @@ class Checker:
         expected are stripped only where e does not meet them as they
         stand: a `C => e'` introduces its own C, and a value whose type is
         expected itself, such as `g[int]`, keeps its constraints for the
-        use to discharge."""
-        e = self._lets(env, e)
-        self.envs[id(e)] = env
+        use to discharge.  The lowering enters the scope of the stripped
+        constraints before e and wraps e's core in it after."""
+        if isinstance(e, Let):
+            lets = 0
+            while isinstance(e, Let):
+                self._let(env, e)
+                e, lets = e.rest, lets + 1
+            self.check(env, e, expected, code, subject)
+            for _ in range(lets):
+                self.lower.leave()
+            return
         if contains_err(expected):
             self.infer(env, e)
             return
@@ -556,13 +602,13 @@ class Checker:
             self._condition(env, e.cond)
             self.check(env, e.thn, expected, code, subject)
             self.check(env, e.els, expected, code, subject)
+            self.lower.cond()
             return
         rest = expected
         while isinstance(rest, Constrained) and not self._introduces(
                 env, e, rest) and satisfies(env, rest.constraint):
             rest = rest.body
-        if rest is not expected:
-            self.wrap[id(e)] = (expected, rest)
+        stripped = self.lower.strip(env, expected, rest)
         match e:
             case Lam(param, ann, body) if (
                     arrow := self._shape(env, rest, Arrow)) is not None:
@@ -573,9 +619,10 @@ class Checker:
                                  f"{subject} takes {pretty_type(ann)} but "
                                  f"{pretty_type(arrow.dom)} was expected")
                         return
-                self.terms[e.decl] = arrow.dom if ann is None else ann
+                dom = self.terms[e.decl] = arrow.dom if ann is None else ann
+                self.lower.enter_lam(env, e, dom)
                 self.check(env, body, arrow.cod, code, subject)
-                return
+                self.lower.lam(e)
             case Lam(param, None, _):
                 self.err(e.span, "T009",
                          f"parameter {param!r} needs a type annotation: "
@@ -585,22 +632,29 @@ class Checker:
             case TyLam(binder, body) if (
                     fa := self._shape(env, rest, Forall)) is not None:
                 inner = substitute_type(fa.body, fa.binder, TVar(binder))
+                self.lower.enter_tylam(binder)
                 self.check(env, body, inner, code, subject)
-                return
+                self.lower.tylam()
             case ConstrainedE(_, body) if self._introduces(env, e, rest):
                 env2 = self._assume(env, e)
-                if env2 is not None:
-                    self.types[id(e)] = rest.body
-                    self.check(env2, body, rest.body, code, subject)
-                return
-        t = self.infer(env, e)
-        if self.equal(env, t, expected):
-            self.wrap.pop(id(e), None)  # e's own constraints are expected's
-        elif not (self.equal(env, t, rest)
-                  or self.equal(env, self.discharge(env, t, e), rest)):
-            self.err(e.span, code,
-                     f"{subject} has type {pretty_type(t)}, expected "
-                     f"{pretty_type(rest)}")
+                if env2 is None:
+                    return
+                self.lower.assume(env2, e, rest.body)
+                self.check(env2, body, rest.body, code, subject)
+                self.lower.introduce(env2, e, rest.body)
+            case _:
+                t = self.infer(env, e)
+                if self.equal(env, t, expected):
+                    # e's own constraints are expected's
+                    self.lower.unstrip(env, e, stripped)
+                elif not (self.equal(env, t, rest)
+                          or self.equal(env, self.discharge(env, t, -1),
+                                        rest)):
+                    self.err(e.span, code,
+                             f"{subject} has type {pretty_type(t)}, "
+                             f"expected {pretty_type(rest)}")
+                    return
+        self.lower.wrap(stripped)
 
     def _introduces(self, env: Env, e: Expr, t: Type) -> bool:
         """Whether e is an introduction of t's leading constraint."""
@@ -657,7 +711,6 @@ class Checker:
                 ok = False
             elif isinstance(nc, ConceptC):
                 evidence.append(ev)
-        self.evidence[id(e)] = tuple(evidence)
         for name, body in info.member_binds:
             expected = substitute_type_map(declared[name], sigma)
             self.check(env, body, expected, code="T006",
@@ -667,6 +720,7 @@ class Checker:
         out = env.model(mid, Evidence(e))
         for b, t in info.assoc_binds:
             out = out.equate(AssocPath(mid, b), t)
+        self.lower.model(out, e, evidence)
         return out
 
 
@@ -674,14 +728,15 @@ def check_program(e: Expr, checker: Optional[Checker] = None):
     """Derive the type of a whole program under the empty environment.
 
     Returns the program type on success, or the list of Diagnostic on
-    failure.  A `checker` passed in keeps the derivation's recorded
-    decisions for `elaborate.translate_program`; any it recorded before
-    are dropped, so that node identities of two programs never mix.
+    failure.  A `checker` passed in is started anew, with a new lowering
+    object from its `lowering`, so that node identities of two programs
+    never mix; on success, its lowering holds the program's core (see
+    `elaborate.translate_program`).
     """
     if checker is None:
         checker = Checker()
     else:
-        checker.__init__()  # every per-program table, memo included, anew
+        checker.__init__(checker.lowering)  # every per-program table anew
     node = e
     while isinstance(node, (ConceptDecl, ModelDecl, TypeAlias, Let)):
         checker.tail.add(id(node))

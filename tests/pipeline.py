@@ -1,14 +1,14 @@
-"""Check-then-lower, as the CLI does it: each core term in the tests is
-lowered from the one checker derivation of its program; and the core
-image of a surface type, to compare a core term's type with."""
+"""Check-and-lower, as the CLI does it: each core term in the tests is
+built in the one checker walk that derives its program's type; and the
+core image of a surface type, to compare a core term's type with."""
 
-from fgc.elaborate import ElabCtx, Elaborator, translate_program
+from fgc.elaborate import Elaborator, translate_program
 from fgc.typecheck import Checker, check_program
 
 
 def derive(e):
     """(surface type, core term, checker) of a well-typed program."""
-    checker = Checker()
+    checker = Checker(Elaborator)
     surface = check_program(e, checker)
     assert not isinstance(surface, list), [str(d) for d in surface]
     return surface, translate_program(e, checker), checker
@@ -20,5 +20,6 @@ def lower(e):
 
 
 def translate_type(env, t, checker):
-    """Core image of a surface type under the given environment."""
-    return Elaborator(checker).conv(env, ElabCtx(), t)
+    """Core image of a surface type under the given environment, in an
+    empty scope."""
+    return Elaborator(checker).conv(env, t)

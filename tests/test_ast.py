@@ -233,11 +233,10 @@ NODE_CLASSES = _node_classes()
 # node's span is neither compared nor printed, and neither is an
 # environment's equation node; a value's step count is printed but not
 # compared.  Those fields have defaults; a diagnostic's span and a
-# divergence's step count do not.  Environments and elaboration contexts
-# were not frozen, so they compare equal without a hash.
-MUTABLE_BEFORE = {"Env", "ElabCtx"}
-DEFAULTS = {"decl": None, "elem_type": None, "route": (), "notes": (),
-            "tscope": (), "depth": 0}
+# divergence's step count do not.  Environments were not frozen, so they
+# compare equal without a hash.
+MUTABLE_BEFORE = {"Env"}
+DEFAULTS = {"decl": None, "elem_type": None, "route": (), "notes": ()}
 UNCOMPARED_DEFAULTS = {"span": None, "steps": 0}
 FACTORIES = {"witnesses": dict, "assumed": dict, "eq_node": EquationNode}
 
@@ -281,9 +280,9 @@ def _values(name) -> list:
 
 
 def test_node_classes_are_found():
-    assert len(NODE_CLASSES) >= 58
-    assert {"IntT", "Lam", "CArrow", "Value", "Env", "ElabCtx",
-            "Diagnostic", "ErrT", "Evidence"} <= {
+    assert len(NODE_CLASSES) >= 57
+    assert {"IntT", "Lam", "CArrow", "Value", "Env", "Diagnostic", "ErrT",
+            "Evidence"} <= {
         c.__name__ for c in NODE_CLASSES}
 
 

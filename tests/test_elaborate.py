@@ -15,7 +15,7 @@ from fgc.ast import (AssocPath, ConceptC, ConceptDecl, IntT, Lam, ModelId,
                      SameType, TVar, alpha_equal, has_path,
                      substitute_type_map)
 from fgc.cli import main
-from fgc.elaborate import ElabCtx, ElabError, Elaborator, translate_program
+from fgc.elaborate import ElabError, Elaborator, translate_program
 from fgc.env import PROVED, Env
 from fgc.parser import parse_program
 from fgc.sysf import (CInt, CProj, CTupleT, CVar, Value, sf_eval,
@@ -403,33 +403,46 @@ def test_run_and_verified_core(capsys, tmp_path, source, value):
 
 
 def test_check_never_lowers(capsys, monkeypatch):
+    # `fgc check` hands its checker no lowering, so no lowering object is
+    # made and every rule calls `NO_CORE`, which builds nothing
+    lowerings, init = [], Checker.__init__
+
+    def recording_init(self, lowering=None):
+        lowerings.append(lowering)
+        init(self, lowering)
+
     def refuse(*args):
-        raise AssertionError("fgc check entered translate_program")
-    monkeypatch.setattr(fgc.elaborate, "translate_program", refuse)
+        raise AssertionError("fgc check made a lowering object")
+    monkeypatch.setattr(Checker, "__init__", recording_init)
+    monkeypatch.setattr(Elaborator, "__init__", refuse)
     assert main(["check", str(PROGRAMS_DIR / "foldl.fg")]) == 0
     assert capsys.readouterr().out == "int\n"
+    assert lowerings and set(lowerings) == {None}
 
 
 def test_reused_checker_keeps_one_derivation():
-    fresh = Checker()
+    # a checker that dropped its lowering at a diagnostic lowers the next
+    # program it checks with a new one
+    fresh = Checker(Elaborator)
     e = parse_program(load("foldl.fg"))
     check_program(e, fresh)
-    reused = Checker()
+    reused = Checker(Elaborator)
     assert isinstance(check_program(parse_program("1 + true"), reused), list)
     check_program(parse_program(load("wt_poly_nested.fg")), reused)
     assert check_program(e, reused) == check_program(e, fresh)
-    for table in ("diags", "elim", "wrap", "types", "envs", "evidence"):
+    for table in ("diags", "terms"):
         assert getattr(reused, table) == getattr(fresh, table)
+    assert translate_program(e, reused) == translate_program(e, fresh)
 
 
 def test_one_checker_walk_per_command(capsys, monkeypatch):
     checkers, calls = [], collections.Counter()
     init, infer = Checker.__init__, Checker.infer
 
-    def counting_init(self):  # `check_program` re-initializes its checker
+    def counting_init(self, *args):  # `check_program` re-initializes it
         if self not in checkers:
             checkers.append(self)
-        init(self)
+        init(self, *args)
 
     def counting_infer(self, env, e):
         calls[id(e)] += 1
@@ -480,8 +493,6 @@ def lowered_dict_types(source: str, monkeypatch) -> int:
     """The number of dictionary types, model and assumed alike, that
     lowering a well-typed program assembles."""
     tree = parse_program(source)
-    checker = Checker()
-    assert check_program(tree, checker) == IntT()
     built = []
 
     def counting(elems):
@@ -490,7 +501,7 @@ def lowered_dict_types(source: str, monkeypatch) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(fgc.elaborate, "CTupleT", counting)
-        translate_program(tree, checker)
+        assert check_program(tree, Checker(Elaborator)) == IntT()
     return len(built)
 
 
@@ -524,10 +535,9 @@ def test_bench_chain_dictionary_types_follow_evidence(m, broken, capsys,
 
 
 def closure_traffic(source: str, monkeypatch) -> tuple:
-    """The `_merge` and representative-key calls of lowering a program."""
+    """The `_merge` and representative-key calls of checking and lowering
+    a program in one walk."""
     tree = parse_program(source)
-    checker = Checker()
-    assert check_program(tree, checker) == IntT()
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -540,7 +550,7 @@ def closure_traffic(source: str, monkeypatch) -> tuple:
         for name in ("_merge", "_key"):
             patch.setattr(ClosureState, name,
                           counting(name, getattr(ClosureState, name)))
-        translate_program(tree, checker)
+        assert check_program(tree, Checker(Elaborator)) == IntT()
     return calls["_merge"], calls["_key"]
 
 
@@ -558,8 +568,6 @@ def test_lowering_a_chain_merges_each_equation_once(broken, monkeypatch):
 @pytest.mark.parametrize("name", ["wt_fib.fg", "wt_list_sum.fg"])
 def test_lowering_without_equations_builds_no_closure(name, monkeypatch):
     tree = parse_program(load(name))
-    checker = Checker()
-    assert not isinstance(check_program(tree, checker), list)
     built = []
     init = ClosureState.__init__
 
@@ -568,7 +576,7 @@ def test_lowering_without_equations_builds_no_closure(name, monkeypatch):
         init(self, *args, **kw)
 
     monkeypatch.setattr(ClosureState, "__init__", counting_init)
-    translate_program(tree, checker)
+    assert not isinstance(check_program(tree, Checker(Elaborator)), list)
     assert built == []
 
 
@@ -578,15 +586,17 @@ def test_long_let_spine_lowers(capsys, tmp_path):
 
 
 def test_lowering_leaves_no_binder_in_scope():
-    # each binder's entry leaves the table where the binder's scope ends
-    for name in well_typed_names():
-        tree = parse_program(load(name), name)
-        checker = Checker()
+    # each binder's entry leaves the table where the binder's scope ends,
+    # and the walk leaves the program's core alone on the stack
+    sources = [load(name) for name in well_typed_names()]
+    for source in sources + list(INLINE_GOLDEN.values()):
+        tree = parse_program(source)
+        checker = Checker(Elaborator)
         assert not isinstance(check_program(tree, checker), list)
-        elaborator = Elaborator(checker)
-        core = elaborator.lower(ElabCtx(), tree)
-        assert core == translate_program(tree, checker), name
-        assert elaborator.binders == {}, name
+        lowering = checker.lower
+        assert lowering.stack == [translate_program(tree, checker)], source
+        assert (lowering.binders, lowering.tscope, lowering.depth,
+                lowering.lets, lowering.intros) == ({}, [], 0, [], []), source
 
 
 @pytest.mark.parametrize("source, message, use", [
@@ -596,19 +606,22 @@ def test_lowering_leaves_no_binder_in_scope():
 ])
 def test_use_outside_its_binder_is_an_elab_error(source, message, use):
     tree = parse_program(source)
-    checker = Checker()
+    checker = Checker(Elaborator)
     assert not isinstance(check_program(tree, checker), list)
     binder = tree.rest if isinstance(tree, ConceptDecl) else tree
     key = binder.decl if isinstance(binder, Lam) else id(binder)
-    elaborator = Elaborator(checker)
+    env = checker.root if isinstance(binder, Lam) else \
+        checker._assume(checker.root, binder)
+    # the binder's body walked again outside the binder: the checker knows
+    # its variable, but the lowering has no index for it
+    checker.lower = Elaborator(checker)
     with pytest.raises(ElabError, match=message):
-        elaborator.lower(ElabCtx(), binder.body)
-    # a binder in the table is still out of scope in a context that does
-    # not bind it; in one that does, its variable is the innermost
-    inner = elaborator._bind(ElabCtx(), key, CInt())
-    with pytest.raises(ElabError, match=message):
-        elaborator.lower(ElabCtx(), binder.body)
-    assert elaborator.lower(inner, binder.body.args[0]) == use
+        checker.infer(env, binder.body)
+    # in a scope that binds it, its variable is the innermost
+    lowering = checker.lower = Elaborator(checker)
+    lowering._bind(key, CInt())
+    checker.infer(env, binder.body.args[0])
+    assert lowering.stack == [use]
 
 
 # ------------------------------------------------ plans from the checker
@@ -647,14 +660,14 @@ def own_parameter_plan(checker: Checker, c: ConceptC) -> tuple:
 
 
 def lowered_plans(source: str, monkeypatch) -> tuple:
-    """Lower a well-typed program, recording each constraint lowering asks
-    a plan for, with that plan and whether the checker had expanded the
-    constraint when it was first asked about, and each constraint
-    `env.flat` expands meanwhile, with the constraint being planned then,
-    or None; and the checker."""
+    """Check and lower a well-typed program, recording each constraint
+    lowering asks a plan for, with that plan and whether the checker had
+    expanded the constraint when it was first asked about, and each
+    constraint `env.flat` expands meanwhile, for the checker or for
+    lowering, with the constraint being planned then, or None; and the
+    checker."""
     tree = parse_program(source)
-    checker = Checker()
-    assert not isinstance(check_program(tree, checker), list), source
+    checker = Checker(Elaborator)
     plans, flats, planning = {}, [], [None]
     plan, flat = Elaborator.abstraction_plan, fgc.typecheck.flat
 
@@ -675,7 +688,7 @@ def lowered_plans(source: str, monkeypatch) -> tuple:
     with monkeypatch.context() as patch:
         patch.setattr(Elaborator, "abstraction_plan", recording_plan)
         patch.setattr(fgc.typecheck, "flat", recording_flat)
-        translate_program(tree, checker)
+        assert not isinstance(check_program(tree, checker), list), source
     return plans, flats, checker
 
 
@@ -714,7 +727,7 @@ def _distinct_variables(c: ConceptC) -> bool:
 def test_plans_read_the_checkers_expansions(workload, monkeypatch):
     # a plan asked first at a constraint of distinct type variables whose
     # expansion the checker made expands nothing; the concept_chain
-    # programs then expand nothing at all in lowering, where each used to
+    # programs then expand nothing at all in planning, where each used to
     # expand its top concept at its own parameters
     expanded = 0
     for p in workload_programs(workload, 7):
@@ -724,45 +737,51 @@ def test_plans_read_the_checkers_expansions(workload, monkeypatch):
         for c, planning in flats:
             assert planning is None or not plans[planning][1] or \
                 not _distinct_variables(planning), (p.name, c, planning)
-        expanded += len(flats)
+        expanded += sum(planning is not None for _, planning in flats)
     if workload == "concept_chain":
         assert expanded == 0
 
 
 def lowering_closures(sources, monkeypatch) -> tuple:
-    """The congruence closures built and the equations added while
-    lowering the programs that check, not while checking them."""
+    """The congruence closures built and the equations added over the
+    programs that check by the walk that checks and lowers each, less
+    those of the walk that only checks it: what lowering adds."""
     counts = collections.Counter()
     init, add = ClosureState.__init__, ClosureState.add_equation
+    walk = [None]
 
     def counting_init(self, *args, **kw):
-        counts["closures"] += 1
+        counts[walk[0], "closures"] += 1
         init(self, *args, **kw)
 
     def counting_add(self, *args, **kw):
-        counts["equations"] += 1
+        counts[walk[0], "equations"] += 1
         add(self, *args, **kw)
 
-    for source in sources:
-        tree = parse_program(source)
-        checker = Checker()
-        if isinstance(check_program(tree, checker), list):
-            continue
-        with monkeypatch.context() as patch:
-            patch.setattr(ClosureState, "__init__", counting_init)
-            patch.setattr(ClosureState, "add_equation", counting_add)
-            translate_program(tree, checker)
-    return counts["closures"], counts["equations"]
+    with monkeypatch.context() as patch:
+        patch.setattr(ClosureState, "__init__", counting_init)
+        patch.setattr(ClosureState, "add_equation", counting_add)
+        for source in sources:
+            tree = parse_program(source)
+            walk[0] = None
+            if isinstance(check_program(tree, Checker()), list):
+                continue
+            for walk[0], lowering in (("check", None), ("lower", Elaborator)):
+                check_program(tree, Checker(lowering))
+    return tuple(counts["lower", k] - counts["check", k]
+                 for k in ("closures", "equations"))
 
 
-# closures built and equations added by `translate_program` over each
-# workload's seed-7 programs that check, at most 10% over this lowering's
-# own 205 / 1,676 on concept_chain, 0 / 0 on recursion and 2 / 2 on
-# wide_source.  Planning each concept from a fresh environment built 301 /
-# 2,396 and 0 / 0 and 3 / 3: a concept introduced without equations in
-# scope is now planned in the closure its dictionary type is converted in
-LOWERING_CLOSURES = {"concept_chain": (225, 1843), "recursion": (0, 0),
-                     "wide_source": (2, 2)}
+# closures built and equations added by lowering in the walk that checks
+# each workload's seed-7 programs that check, at most 10% over its own
+# 192 / 1,584 on concept_chain, 0 / 0 on recursion and 3 / 3 on
+# wide_source.  Lowering after the checker's walk built 205 / 1,676, 0 / 0
+# and 2 / 2: the checker's table of environments kept every equation node
+# alive, so wt_same_type's let converted its `a == int => ...` in the
+# closure the lambda's domain had been converted in; now that node is gone
+# with the introduction's environment, and the let's conversion rebuilds it
+LOWERING_CLOSURES = {"concept_chain": (211, 1742), "recursion": (0, 0),
+                     "wide_source": (3, 3)}
 
 
 @pytest.mark.parametrize("workload", sorted(LOWERING_CLOSURES))
@@ -838,10 +857,10 @@ g[int] 3
     (BINDER_NAMED_LIKE_THE_ARGUMENT, "5", False),
     (FIRST_AT_INT, "8", True),
     (OUTER_VARIABLE, "1", True),
-    # g's type is converted first, in the canonical form `C<$0> => ...`
-    # that model D<int>'s equation gives it, which the checker never
-    # expanded
-    (PLAN_PER_CONCEPT, "5", True),
+    # g's introduction is lowered as the checker expands C<t>, before g's
+    # type is converted in the canonical form `C<$0> => ...` that model
+    # D<int>'s equation gives it, which the checker never expanded
+    (PLAN_PER_CONCEPT, "5", False),
 ])
 def test_plan_from_the_first_constraint(source, value, fallback, capsys,
                                         tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from fgc.ast import (
     alpha_equal,
     map_children,
 )
-from fgc.elaborate import translate_program
+from fgc.elaborate import Elaborator, translate_program
 from fgc.env import (
     Env,
     EquationNode,
@@ -567,7 +567,7 @@ def closures_built(sources, monkeypatch) -> int:
     monkeypatch.setattr(ClosureState, "__init__", counting_init)
     for source in sources:
         tree = parse_program(source)
-        checker = Checker()
+        checker = Checker(Elaborator)
         if not isinstance(check_program(tree, checker), list):
             translate_program(tree, checker)
     return len(built)
@@ -704,7 +704,7 @@ def test_checking_and_lowering_leave_no_cycle():
     gc.disable()
     try:
         tree = parse_program(chain_source(8, True))
-        checker = Checker()
+        checker = Checker(Elaborator)
         assert check_program(tree, checker) == IntT()
         translate_program(tree, checker)
         assert live_closures() > before

@@ -20,7 +20,7 @@ import time
 import pytest
 
 from fgc.cli import main
-from fgc.elaborate import translate_program
+from fgc.elaborate import Elaborator, translate_program
 from fgc.parser import parse_program
 from fgc.sysf import (
     CApp,
@@ -80,7 +80,7 @@ def agree(core, fuel=200_000):
 
 def derive_core(e):
     """The core of a well-typed program, or None."""
-    checker = Checker()
+    checker = Checker(Elaborator)
     if isinstance(check_program(e, checker), list):
         return None
     return translate_program(e, checker)

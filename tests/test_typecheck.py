@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fgc.ast import Arrow, IntT, ListT, Type
-from fgc.elaborate import translate_program
+from fgc.elaborate import Elaborator, translate_program
 from fgc.parser import parse_program, pretty_type
 from fgc.sysf import sf_eval
 from fgc.typecheck import Checker, check_program
@@ -157,7 +157,7 @@ def test_random_programs_check_and_run_without_raising():
     accepted = 0
     for seed in range(1000):
         e = random_expr(random.Random(seed))
-        checker = Checker()
+        checker = Checker(Elaborator)
         result = check_program(e, checker)
         if isinstance(result, list):
             assert result, seed
