@@ -781,27 +781,46 @@ def _type_back(t: CoreType, tenv, cut: int) -> CoreType:
 
 
 def pretty_core_type(t: CoreType, depth: int = 0, prec: int = 0) -> str:
-    match t:
-        case CInt():
-            return "int"
-        case CBool():
-            return "bool"
-        case CTVar(i):
-            return f"a{depth - 1 - i}"
-        case CList(elem):
-            s = f"list {pretty_core_type(elem, depth, 2)}"
-            return _p(s, 2 < prec)
-        case CArrow(dom, cod):
-            s = (f"{pretty_core_type(dom, depth, 2)} -> "
-                 f"{pretty_core_type(cod, depth, 1)}")
-            return _p(s, 1 < prec)
-        case CForall(body):
-            s = f"forall a{depth}. {pretty_core_type(body, depth + 1, 0)}"
-            return _p(s, 0 < prec)
-        case CTupleT(elems):
-            return "<" + ", ".join(
-                pretty_core_type(e, depth, 0) for e in elems) + ">"
-    raise TypeError(f"unexpected core type: {t!r}")
+    """Stable textual form of a core type.  The fragments are written into
+    one list from an explicit stack of pending types and text, so a type
+    nested deeper than the recursion limit prints too: a dictionary type
+    nests as deep as its concept chain."""
+    out, todo = [], [(t, depth, prec)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, depth, prec = item
+        match t:
+            case CInt():
+                out.append("int")
+                continue
+            case CBool():
+                out.append("bool")
+                continue
+            case CTVar(i):
+                out.append(f"a{depth - 1 - i}")
+                continue
+            case CList(elem):
+                parts, paren = ["list ", (elem, depth, 2)], 2 < prec
+            case CArrow(dom, cod):
+                parts, paren = [(dom, depth, 2), " -> ", (cod, depth, 1)], \
+                    1 < prec
+            case CForall(body):
+                parts, paren = [f"forall a{depth}. ", (body, depth + 1, 0)], \
+                    0 < prec
+            case CTupleT(elems):
+                parts, paren = ["<"], False
+                for k, e in enumerate(elems):
+                    parts += [", ", (e, depth, 0)] if k else [(e, depth, 0)]
+                parts.append(">")
+            case _:
+                raise TypeError(f"unexpected core type: {t!r}")
+        if paren:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
 def _p(s: str, yes: bool) -> str:

@@ -519,6 +519,14 @@ def test_dictionary_types_are_built_once(m, capsys, tmp_path, monkeypatch):
     assert code == 0 and err == "" and out.endswith("core: int\n")
 
 
+def test_emit_core_prints_a_400_concept_chain(capsys, tmp_path):
+    # the top model's dictionary type nests 400 deep, past what a printer
+    # recursing per level reaches under the default recursion limit
+    code, out, err = run_cli(capsys, tmp_path, roadmap_chain(400),
+                             "emit-core", "--verify")
+    assert (code, err) == (0, "") and out.endswith("core: int\n")
+
+
 @pytest.mark.parametrize("broken", [False, True])
 @pytest.mark.parametrize("m", [3, 12, 40])
 def test_bench_chain_dictionary_types_follow_evidence(m, broken, capsys,
