@@ -254,46 +254,48 @@ class Elaborator:
         return self._conv_raw(env, env.canonical(t, len(self.tscope)))
 
     def _conv_raw(self, env: Env, t: Type) -> CoreType:
-        match t:
-            case IntT():
-                return CINT
-            case BoolT():
-                return CBOOL
-            case ListT(elem):
-                return CList(self._conv_raw(env, elem))
-            case Arrow(dom, cod):
-                return CArrow(self._conv_raw(env, dom),
-                              self._conv_raw(env, cod))
-            case Forall(binder, body):
-                self.tscope.append(("var", binder))
-                out = CForall(self._conv_raw(env, body))
-                self.tscope.pop()
-                return out
-            case TVar(name):
-                for i, entry in enumerate(reversed(self.tscope)):
-                    if entry == ("var", name):
-                        return CTVar(i)
-                raise ElabError(f"type variable {name!r} not in scope")
-            case AssocPath():
-                for i, entry in enumerate(reversed(self.tscope)):
-                    if entry[0] == "assoc" and env.equal(t, entry[1]):
-                        return CTVar(i)
-                can = env.canonical(t, len(self.tscope))
-                if not isinstance(can, AssocPath):
-                    return self._conv_raw(env, can)
-                raise ElabError(
-                    f"associated type {pretty_type(t)} has no concrete "
-                    "binding and is not abstracted in scope")
-            case Constrained(constraint, body):
-                if isinstance(constraint, SameType):
-                    return self.conv(env.assume(constraint, PROVED), body)
-                env2 = self._same_types(env, constraint)
-                dict_ty, n = self._enter(env2, constraint, _pins(body))
-                out = CArrow(dict_ty, self.conv(env2, body))
-                self._leave(n)
-                for _ in range(n):
-                    out = CForall(out)
-                return out
+        cls = t.__class__
+        if cls is Arrow:
+            return CArrow(self._conv_raw(env, t.dom),
+                          self._conv_raw(env, t.cod))
+        if cls is IntT:
+            return CINT
+        if cls is BoolT:
+            return CBOOL
+        if cls is ListT:
+            return CList(self._conv_raw(env, t.elem))
+        if cls is TVar:
+            scope = self.tscope
+            for i in range(len(scope) - 1, -1, -1):
+                if scope[i] == ("var", t.name):
+                    return CTVar(len(scope) - 1 - i)
+            raise ElabError(f"type variable {t.name!r} not in scope")
+        if cls is Forall:
+            self.tscope.append(("var", t.binder))
+            out = CForall(self._conv_raw(env, t.body))
+            self.tscope.pop()
+            return out
+        if cls is AssocPath:
+            for i, entry in enumerate(reversed(self.tscope)):
+                if entry[0] == "assoc" and env.equal(t, entry[1]):
+                    return CTVar(i)
+            can = env.canonical(t, len(self.tscope))
+            if not isinstance(can, AssocPath):
+                return self._conv_raw(env, can)
+            raise ElabError(
+                f"associated type {pretty_type(t)} has no concrete "
+                "binding and is not abstracted in scope")
+        if cls is Constrained:
+            c, body = t.constraint, t.body
+            if isinstance(c, SameType):
+                return self.conv(env.assume(c, PROVED), body)
+            env2 = self._same_types(env, c)
+            dict_ty, n = self._enter(env2, c, _pins(body))
+            out = CArrow(dict_ty, self.conv(env2, body))
+            self._leave(n)
+            for _ in range(n):
+                out = CForall(out)
+            return out
         raise ElabError(f"unexpected type node: {t!r}")
 
     def dict_type(self, env: Env, mid: ModelId) -> CoreType:
@@ -363,12 +365,14 @@ class Elaborator:
     # ------------------------------------------------------------ rules
 
     def literal(self, e: Expr) -> None:
-        self.stack.append(CIntLit(e.value) if isinstance(e, IntLit)
-                          else CBoolLit(e.value))
+        self.stack.append((CIntLit if e.__class__ is IntLit else CBoolLit)(
+            e.value))
 
     def var(self, e: PathE) -> None:
-        self.stack.append(CVar(self._bound(e.decl,
-                                           f"variable {e.name!r}")[0]))
+        entry = self.binders.get(e.decl)
+        if entry is None:
+            raise ElabError(f"variable {e.name!r} not in scope")
+        self.stack.append(CVar(self.depth - 1 - entry[0]))
 
     def member(self, e: PathE, ev: Evidence) -> None:
         """A qualified path: the member's slot, after the nested
@@ -385,43 +389,41 @@ class Elaborator:
         self._bind(e.decl, self.conv(env, t))
 
     def lam(self, e: Lam) -> None:
-        ann = self._unbind(e.decl)
-        self.stack.append(CLam(ann, self.stack.pop()))
+        self.stack[-1] = CLam(self._unbind(e.decl), self.stack[-1])
 
     def app(self) -> None:
         arg = self.stack.pop()
-        self.stack.append(CApp(self.stack.pop(), arg))
+        self.stack[-1] = CApp(self.stack[-1], arg)
 
     def enter_tylam(self, binder: str) -> None:
         self.tscope.append(("var", binder))
 
     def tylam(self) -> None:
         self.tscope.pop()
-        self.stack.append(CTyLam(self.stack.pop()))
+        self.stack[-1] = CTyLam(self.stack[-1])
 
     def tyapp(self, env: Env, t: Type) -> None:
-        self.stack.append(CTyApp(self.stack.pop(), self.conv(env, t)))
+        self.stack[-1] = CTyApp(self.stack[-1], self.conv(env, t))
 
     def fix(self) -> None:
-        self.stack.append(CFix(self.stack.pop()))
+        self.stack[-1] = CFix(self.stack[-1])
 
     def cond(self) -> None:
         els, thn = self.stack.pop(), self.stack.pop()
-        self.stack.append(CIf(self.stack.pop(), thn, els))
+        self.stack[-1] = CIf(self.stack[-1], thn, els)
 
     def list_lit(self, env: Env, e: ListLit, t: Type) -> None:
         """A list literal of element type t."""
-        core = CNil(self.conv(env, t))
+        core, stack = CNil(self.conv(env, t)), self.stack
         for _ in e.elems:
-            core = CCons(self.stack.pop(), core)
-        self.stack.append(core)
+            core = CCons(stack.pop(), core)
+        stack.append(core)
 
     def prim(self, e: Prim) -> None:
-        n = len(e.args)
-        args = tuple(self.stack[len(self.stack) - n:])
-        del self.stack[len(self.stack) - n:]
-        self.stack.append(CCons(*args) if e.op == "cons"
-                          else CPrim(e.op, args))
+        n, stack = len(e.args), self.stack
+        args = tuple(stack[-n:])
+        del stack[-n:]
+        stack.append(CCons(*args) if e.op == "cons" else CPrim(e.op, args))
 
     def assume(self, env: Env, e: ConstrainedE, t) -> None:
         """Enter a constraint introduction e whose body is checked in env:
