@@ -1,14 +1,18 @@
 """Dictionary-passing translation into the System F core.
 
-The translation is defined on the typing derivation (Γ ⊢ e : τ ⇝ f): it
-lowers the decisions the checker recorded while deriving the program's
-type (see `typecheck`) and derives no type itself.  Nor does it search for
-dictionaries, rebuild environments or look up names: it reads the
-checker's evidence, the environment it recorded for each node, and its
-tables of concepts and binder types by declaration identity.  A variable
-is found by its binder's identity too: `Elaborator.binders` holds the
-level of each binder in scope, and the de Bruijn index is the context's
-depth minus one minus that level, so no scope is copied per binder.
+The translation is the typing derivation's (Γ ⊢ e : τ ⇝ f), and it is
+made in the same walk: `fgc run` and `fgc emit-core` make their checker
+with `Elaborator` as its lowering (see `typecheck`), and as each rule
+derives its type, its method here builds the rule's core from the cores
+its premises left on `Elaborator.stack`.  Lowering derives no type,
+searches for no dictionary and looks up no name: the checker hands it the
+environments, types and evidence as it decides them.  A variable is found
+by its binder's identity: `Elaborator.binders` holds the level of each
+binder in scope, and the de Bruijn index is the depth minus one minus that
+level, so no scope is copied per binder.  After a walk without a
+diagnostic, `translate_program` returns the core left on the stack; a
+diagnostic drops the lowering, so a program that fails to check is
+lowered only up to its first error.
 
 Each concept constraint becomes a tuple ("dictionary") holding the
 dictionaries of its nested constraints followed by its member
@@ -17,35 +21,28 @@ constraint become extra universal type parameters, unless its concept's
 own same-type requirements pin them to a path-free type at the concept's
 own parameters; the dictionary type is built with the same-type
 constraints of the constraint prefix assumed, so a member whose type
-mentions a path the prefix pins gets the pinned type.
-Where the checker eliminated a constraint, they are instantiated and the
-dictionary its evidence names is passed: the variable bound at its binder,
-projected along its route.  Where the checker stripped a satisfied
-constraint off an expected type, the translation takes a dictionary
-parameter that the body never reads.
+mentions a path the prefix pins gets the pinned type.  Where the checker
+discharges a constraint, they are instantiated and the dictionary its
+evidence names is passed: the variable bound at its binder, projected
+along its route.  Where it strips a satisfied constraint off an expected
+type, the core takes a dictionary parameter that the body never reads.
 Same-type constraints erase: every emitted core type is first
 canonicalized in the environment (`Env.canonical`), so core structural
-equality coincides with provable surface equality, and paths are compared
-by `Env.equal`; an abstraction plan asks an `Env` assuming its concept's
-same-type requirements from the program's root equation node.  Lowering
-touches no closure itself, but its queries build one at an equation node
-the checker never queried, unless an ancestor's is handed down: on a
-concept chain, mainly one for the member types of the model chain and one
-that the top concept's plan shares with the dictionary type of its
-introduction.  A chain of models merges each equation once.
+equality coincides with provable surface equality.
 
+Lowering touches no closure itself, and its queries go to the equation
+nodes the checker is walking, so they share its closures.  It builds one
+only at a node no checker query needed: on a concept chain, the node its
+top concept's plan and dictionary type share, and the model chain's for
+its member types; and it rebuilds one where the checker's walk moved it
+to a descendant before lowering converts a type at the node again.
 A model's dictionary type follows its evidence: each nested slot has the
-type recorded where the dictionary its evidence names was bound (a
-model's own dictionary type, or the parameter type of a constraint
-introduction), renumbered past the type variables bound since and
-projected along the route; only the member slots are converted.  So a chain
-of m models builds m dictionary types, whatever equations each model adds.
-The dictionary type of an assumed constraint, which has no evidence, is
-built once per (model identifier, equation node, type scope) and the
-`CoreType` shared after that: those are all it reads, and canonical forms
-do not change as the closure interns more terms.  A constraint's
-expansion is the checker's (`Checker.flat`), and abstraction plans are
-made from it where they can, memoised per concept declaration and
+type recorded where the dictionary its evidence names was bound,
+renumbered past the type variables bound since and projected along the
+route; only the member slots are converted.  The dictionary type of an
+assumed constraint is built once per (model identifier, equation node,
+type scope).  Abstraction plans are made from the checker's expansions
+(`Checker.flat`) where they can, once per concept declaration, and
 instantiated at each constraint, so a constraint whose type arguments pin
 more paths (`C<int>` where `C` requires `D<int>.U == bool`) takes the
 same type parameters as `C<t>`.
@@ -243,9 +240,14 @@ class Elaborator:
             env = env.assume(p, PROVED)
         return self.dict_type(env, c.model)
 
-    def _leave(self, n: int) -> None:
-        """Pop the last n entries of the type scope."""
+    def _abstract(self, core: CoreTerm, dict_ty: CoreType, n: int):
+        """Leave an assumed constraint entered with `_enter`: core under
+        its dictionary parameter and n type parameters."""
         del self.tscope[len(self.tscope) - n:]
+        core = CLam(dict_ty, core)
+        for _ in range(n):
+            core = CTyLam(core)
+        return core
 
     def conv(self, env: Env, t: Type) -> CoreType:
         """Surface type to core type in the type scope, canonicalized in
@@ -292,7 +294,7 @@ class Elaborator:
             env2 = self._same_types(env, c)
             dict_ty, n = self._enter(env2, c, _pins(body))
             out = CArrow(dict_ty, self.conv(env2, body))
-            self._leave(n)
+            del self.tscope[len(self.tscope) - n:]
             for _ in range(n):
                 out = CForall(out)
             return out
@@ -305,20 +307,15 @@ class Elaborator:
         key = (mid, env.eq_node, tuple(self.tscope))
         out = self.dict_types.get(key)
         if out is None:
-            out = self.dict_types[key] = self._build_dict_type(env, mid)
+            info = self.checker.concepts[mid.decl]
+            sigma = concept_subst(info, mid)
+            nested = (substitute_type_map(nc, sigma) for nc in info.nested)
+            out = self.dict_types[key] = CTupleT(tuple(
+                [self.dict_type(env, nc.model) for nc in nested
+                 if isinstance(nc, ConceptC)]
+                + [self.conv(env, substitute_type_map(mty, sigma))
+                   for _, mty in info.members]))
         return out
-
-    def _build_dict_type(self, env: Env, mid: ModelId) -> CoreType:
-        info = self.checker.concepts[mid.decl]
-        sigma = concept_subst(info, mid)
-        slots = []
-        for nc in info.nested:
-            nc2 = substitute_type_map(nc, sigma)
-            if isinstance(nc2, ConceptC):
-                slots.append(self.dict_type(env, nc2.model))
-        for _, mty in info.members:
-            slots.append(self.conv(env, substitute_type_map(mty, sigma)))
-        return CTupleT(tuple(slots))
 
     # ------------------------------------------------------------ scopes
 
@@ -333,20 +330,19 @@ class Elaborator:
         self.depth -= 1
         return self.binders.pop(key)[1]
 
-    def _bound(self, key, what: str) -> tuple:
-        """The de Bruijn index of the variable bound to binder `key`, and
-        its entry; ElabError when it is not in scope."""
-        entry = self.binders.get(key)
+    def _dict_binder(self, ev: Evidence) -> tuple:
+        """The entry of the binder of the dictionary ev names."""
+        entry = self.binders.get(id(ev.binder))
         if entry is None:
-            raise ElabError(f"{what} not in scope")
-        return self.depth - 1 - entry[0], entry
+            raise ElabError("dictionary binder not in scope")
+        return entry
 
     # ------------------------------------------------------------ dicts
 
     def build_dict(self, ev: Evidence) -> CoreTerm:
         """The core term for the dictionary the checker's evidence names:
         the variable its binder bound, projected along its route."""
-        out = CVar(self._bound(id(ev.binder), "dictionary binder")[0])
+        out = CVar(self.depth - 1 - self._dict_binder(ev)[0])
         for slot in ev.route:
             out = CProj(out, slot)
         return out
@@ -355,7 +351,7 @@ class Elaborator:
         """The core type of that dictionary: the type recorded at its
         binder, projected along the route and renumbered past the type
         variables bound since."""
-        _, (_, ty, depth) = self._bound(id(ev.binder), "dictionary binder")
+        _, ty, depth = self._dict_binder(ev)
         for slot in ev.route:
             ty = ty.elems[slot]
         if depth < len(self.tscope):
@@ -432,11 +428,10 @@ class Elaborator:
         of t assumed: the body's type, or, while that is not known, the
         body, whose leading introductions predict them.  A same-type
         assumption erases."""
-        c = e.constraint
-        if isinstance(c, SameType):
+        if isinstance(e.constraint, SameType):
             return
         pins = _pins(t)
-        dict_ty, n = self._enter(env, c, pins)
+        dict_ty, n = self._enter(env, e.constraint, pins)
         self._bind(id(e), dict_ty)
         self.intros.append((pins, n))
 
@@ -445,22 +440,17 @@ class Elaborator:
         same-type constraints give a dictionary type other than the
         predicted one, which a model in the body may have read, the body
         is checked again with the one they give."""
-        c = e.constraint
-        if isinstance(c, SameType):
+        if isinstance(e.constraint, SameType):
             return
         pins, n = self.intros.pop()
-        if _pins(t) != pins:
-            level, ty, scope = self.binders[id(e)]
-            actual = self._dict(env, c, _pins(t))
-            if actual != ty:
-                self.binders[id(e)] = (level, actual, scope)
-                self.stack.pop()
-                self.checker.infer(env, e.body)
-        core = CLam(self._unbind(id(e)), self.stack.pop())
-        self._leave(n)
-        for _ in range(n):
-            core = CTyLam(core)
-        self.stack.append(core)
+        level, dict_ty, scope = self.binders[id(e)]
+        if _pins(t) != pins and dict_ty != (
+                actual := self._dict(env, e.constraint, _pins(t))):
+            self.binders[id(e)] = (level, actual, scope)
+            self.stack.pop()
+            self.checker.infer(env, e.body)
+        self.stack[-1] = self._abstract(self.stack[-1],
+                                        self._unbind(id(e)), n)
 
     def eliminate(self, env: Env, t: Type, evidence: list, at: int) -> None:
         """Apply the core at index `at` of the stack, whose type is t, to
@@ -511,7 +501,7 @@ class Elaborator:
         param = self._unbind(key)
         self.stack.append(CApp(CLam(param, self.stack.pop()), value))
 
-    def strip(self, env: Env, t: Type, rest: Type):
+    def strip(self, env: Env, t: Type, rest: Type) -> list:
         """Enter the scope of the satisfied constraints stripped off the
         front of the type t an expression is checked against, in front of
         its part `rest`: for each concept constraint, its abstracted
@@ -521,10 +511,9 @@ class Elaborator:
         What `wrap` and `unstrip` take."""
         frame = []
         while t is not rest:
-            c = t.constraint
-            if isinstance(c, ConceptC):
-                env = self._same_types(env, c)
-                frame.append(self._enter(env, c, _pins(t.body)))
+            if isinstance(t.constraint, ConceptC):
+                env = self._same_types(env, t.constraint)
+                frame.append(self._enter(env, t.constraint, _pins(t.body)))
                 self.depth += 1
             t = t.body
         return frame
@@ -533,25 +522,16 @@ class Elaborator:
         """e, checked under the stripped constraints of `frame`, has them
         in its own type after all: lower it again outside their scope."""
         if frame:
-            for _, n in frame:
-                self.depth -= 1
-                self._leave(n)
+            self.wrap(frame)
             frame.clear()
             self.stack.pop()
             self.checker.infer(env, e)
 
     def wrap(self, frame: list) -> None:
         """Close the scope `strip` entered around the core on top."""
-        if not frame:
-            return
-        core = self.stack.pop()
         for dict_ty, n in reversed(frame):
             self.depth -= 1
-            self._leave(n)
-            core = CLam(dict_ty, core)
-            for _ in range(n):
-                core = CTyLam(core)
-        self.stack.append(core)
+            self.stack[-1] = self._abstract(self.stack[-1], dict_ty, n)
 
 
 # ---------------------------------------------------------------- drivers

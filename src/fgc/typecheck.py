@@ -8,19 +8,15 @@ instantiation subject, condition, comparison against another type).  Every
 equality and canonical form is the environment's (`Env.equal`,
 `Env.canonical`), which decides when its congruence closure is needed.
 
-While it derives, the checker can lower the program into the core: a
-checker made with a lowering (`elaborate.Elaborator`, which `fgc run` and
-`fgc emit-core` hand it) calls the lowering's method for each rule as the
-rule derives its type, and the lowering builds the rule's core term from
-its children's (Γ ⊢ e : τ ⇝ f).  A checker made without one calls
-`NO_CORE`, whose methods do nothing, so `fgc check` builds no core and
-loads no lowering; so does any checker after its first diagnostic.  The
-decisions lowering needs are passed as they are made: the evidence of
-each constraint discharged at an expression's use (`discharge`), of a
-qualified path's last model step and of a model's nested requirements;
-the satisfied constraints stripped off the type an expression is checked
-against; and each environment and type.  What the checker keeps for
-itself is:
+The same walk lowers the program into the core (Γ ⊢ e : τ ⇝ f) when the
+checker is made with a lowering (`elaborate.Elaborator`, which `fgc run`
+and `fgc emit-core` hand it): each rule calls the lowering's method for it
+as it derives its type, passing the environment, the types and the
+evidence it decided, such as that of each constraint discharged at an
+expression's use (`discharge`) or stripped off the type an expression is
+checked against.  A checker made without one calls `NO_CORE`, whose
+methods do nothing, so `fgc check` builds no core and loads no lowering;
+so does any checker after its first diagnostic.  The checker keeps:
 
   concepts  declaration identity -> ConceptInfo (see `parser`);
   terms     binder identity -> type (what a `let` binds, a lambda's domain),
@@ -184,9 +180,8 @@ NO_CORE = _NoCore()
 
 class Checker:
     def __init__(self, lowering=None):
-        """`lowering`, called with the checker, makes the lowering object
-        whose methods build the core as the rules derive (see
-        `elaborate.Elaborator`); None builds no core."""
+        """`lowering`, called with the checker, makes its lowering object;
+        None builds no core."""
         self.lowering = lowering
         self.lower = NO_CORE if lowering is None else lowering(self)
         self.diags = []
@@ -347,12 +342,9 @@ class Checker:
 
     def infer(self, env: Env, e: Expr) -> Type:
         match e:
-            case IntLit():
+            case IntLit() | BoolLit():
                 self.lower.literal(e)
-                return INT
-            case BoolLit():
-                self.lower.literal(e)
-                return BOOL
+                return INT if e.__class__ is IntLit else BOOL
             case PathE((), _):
                 self.lower.var(e)
                 return self.terms[e.decl]

@@ -298,6 +298,28 @@ f[int][bool] true 5
 """
 
 
+# The body of g's C0<t> => pins C0<t>.T0 only after a model that reads
+# C0<t>'s dictionary, or only in its type: the model's nested slot must
+# take the dictionary type that the pin gives, as g's parameter does
+PINNED_AFTER_MODEL = """
+concept C0<a> { T0 ; ; f0 : a -> T0 } in
+concept D<a> { ; C0<a> ; d : a -> int } in
+model C0<int> { T0 = int ; f0 = lam x: int. x + 1 } in
+let g = Lam t. C0<t> => (model D<t> { ; d = lam x: t. 1 } in
+    (C0<t>.T0 == int => lam x: t. D<t>.d x + C0<t>.f0 x)) in
+g[int] 1
+"""
+
+PINNED_BY_USE = """
+concept C0<a> { T0 ; ; f0 : a -> T0 } in
+concept D<a> { ; C0<a> ; d : a -> int } in
+model C0<int> { T0 = int ; f0 = lam x: int. x + 1 } in
+let h = Lam t. C0<t> => C0<t>.T0 == int => lam x: t. C0<t>.f0 x in
+let g = Lam t. C0<t> => (model D<t> { ; d = lam x: t. 1 } in h[t]) in
+g[int] 1
+"""
+
+
 # C<int> pins D<int>.U to bool and C<t> does not: both constraints of C
 # must take the same type parameters, or g[int] passes none where g's
 # introduction takes one
@@ -359,6 +381,8 @@ INLINE_GOLDEN = {
     "nested_under_binder": NESTED_UNDER_BINDER,
     "canonical_capture": CANONICAL_CAPTURE,
     "plan_per_concept": PLAN_PER_CONCEPT,
+    "pinned_after_model": PINNED_AFTER_MODEL,
+    "pinned_by_use": PINNED_BY_USE,
 }
 
 
@@ -389,6 +413,8 @@ def test_inline_emit_core_matches_golden(name, capsys, tmp_path):
     (SIBLING_CONCEPTS, "1"),
     (CANONICAL_CAPTURE, "3"),
     (NESTED_UNDER_BINDER, "5"),
+    (PINNED_AFTER_MODEL, "3"),
+    (PINNED_BY_USE, "2"),
     ("(lam x: bool. lam x: int. x) true 3", "3"),
 ])
 def test_run_and_verified_core(capsys, tmp_path, source, value):
@@ -418,6 +444,20 @@ def test_check_never_lowers(capsys, monkeypatch):
     assert main(["check", str(PROGRAMS_DIR / "foldl.fg")]) == 0
     assert capsys.readouterr().out == "int\n"
     assert lowerings and set(lowerings) == {None}
+
+
+def test_a_lowering_fault_yields_to_diagnostics(capsys, tmp_path,
+                                               monkeypatch):
+    # lowering fails before the walk reaches the program's diagnostic: the
+    # program reports its diagnostics, as `check` does, and one that
+    # checks reports the fault
+    def fail(*args):
+        raise ElabError("lowering fault")
+    monkeypatch.setattr(Elaborator, "literal", fail)
+    code, _, err = run_cli(capsys, tmp_path, "1 + true", "run")
+    assert code == 1 and "error[T001]" in err
+    code, _, err = run_cli(capsys, tmp_path, "1 + 2", "emit-core")
+    assert code == 5 and "ElabError: lowering fault" in err
 
 
 def test_reused_checker_keeps_one_derivation():
