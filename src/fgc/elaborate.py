@@ -163,6 +163,9 @@ class Elaborator:
         self.binders = {}
         self.lets = []  # (binder, bound core) of each open let and model
         self.intros = []  # (pins, plan length) of each open introduction
+        # the environment of each introduction, whose equation node, and
+        # so closure, a later conversion of its type assumes again
+        self.kept = []
         # (model id, equation node, tscope)
         self.dict_types = {}
         # concept declaration -> its abstraction plan at its own parameters
@@ -309,10 +312,9 @@ class Elaborator:
         if out is None:
             info = self.checker.concepts[mid.decl]
             sigma = concept_subst(info, mid)
-            nested = (substitute_type_map(nc, sigma) for nc in info.nested)
             out = self.dict_types[key] = CTupleT(tuple(
-                [self.dict_type(env, nc.model) for nc in nested
-                 if isinstance(nc, ConceptC)]
+                [self.dict_type(env, substitute_type_map(nc, sigma).model)
+                 for nc in info.nested if isinstance(nc, ConceptC)]
                 + [self.conv(env, substitute_type_map(mty, sigma))
                    for _, mty in info.members]))
         return out
@@ -428,6 +430,7 @@ class Elaborator:
         of t assumed: the body's type, or, while that is not known, the
         body, whose leading introductions predict them.  A same-type
         assumption erases."""
+        self.kept.append(env)
         if isinstance(e.constraint, SameType):
             return
         pins = _pins(t)

@@ -822,14 +822,15 @@ def lowering_closures(sources, monkeypatch) -> tuple:
 
 # closures built and equations added by lowering in the walk that checks
 # each workload's seed-7 programs that check, at most 10% over its own
-# 192 / 1,584 on concept_chain, 0 / 0 on recursion and 3 / 3 on
+# 192 / 1,584 on concept_chain, 0 / 0 on recursion and 2 / 2 on
 # wide_source.  Lowering after the checker's walk built 205 / 1,676, 0 / 0
-# and 2 / 2: the checker's table of environments kept every equation node
-# alive, so wt_same_type's let converted its `a == int => ...` in the
-# closure the lambda's domain had been converted in; now that node is gone
-# with the introduction's environment, and the let's conversion rebuilds it
+# and 2 / 2.  What is left on concept_chain is at equation nodes no query
+# of the checker needed (the top concept's plan and dictionary type, and
+# the model chain's member types) and, in the shape with a pin, one
+# closure per program that building g's dictionary type under the pin
+# hands down from g's node, before g's let converts g's type there again
 LOWERING_CLOSURES = {"concept_chain": (211, 1742), "recursion": (0, 0),
-                     "wide_source": (3, 3)}
+                     "wide_source": (2, 2)}
 
 
 @pytest.mark.parametrize("workload", sorted(LOWERING_CLOSURES))
