@@ -138,8 +138,9 @@ def _parse_and_check(path: str, fmt: str, lowering=None):
     try:
         result = check_program(tree, checker)
     except Exception:
-        if lowering is None or not isinstance(
-                result := check_program(tree, Checker()), list):
+        # a fault of lowering: a program with diagnostics reports those
+        result = check_program(tree, Checker()) if lowering else None
+        if not isinstance(result, list):
             raise
     if isinstance(result, list):
         _print_diagnostics(result, fmt)

@@ -31,11 +31,14 @@ canonicalized in the environment (`Env.canonical`), so core structural
 equality coincides with provable surface equality.
 
 Lowering touches no closure itself, and its queries go to the equation
-nodes the checker is walking, so they share its closures.  It builds one
-only at a node no checker query needed: on a concept chain, the node its
-top concept's plan and dictionary type share, and the model chain's for
-its member types; and it rebuilds one where the checker's walk moved it
-to a descendant before lowering converts a type at the node again.
+nodes the checker is walking, so they share its closures; it keeps each
+introduction's environment, so a later conversion of the introduction's
+type finds its node.  It builds a closure only at a node no checker query
+needed: on a concept chain, the node its top concept's plan and
+dictionary type share, and the model chain's for its member types; and
+it rebuilds one where a query at a descendant took the node's closure
+before a conversion at the node itself (the `let` binding an
+introduction whose dictionary type was built under a same-type pin).
 A model's dictionary type follows its evidence: each nested slot has the
 type recorded where the dictionary its evidence names was bound,
 renumbered past the type variables bound since and projected along the
@@ -195,17 +198,14 @@ class Elaborator:
         info = self.checker.concepts[mid.decl]
         plan = self.plans.get(mid.decl)
         if plan is None:
-            args = mid.type_args
             expanded = self.checker.flats.get(c)
-            if expanded is None or not _renames(self.checker.concepts, args,
-                                                expanded):
-                args = tuple(TVar(a) for a in info.type_params)
-                expanded = self.checker.flat(ConceptC(ModelId(
-                    info.name, args, info.decl)))
-            env = self.checker.root
-            for fc, _ in expanded:
-                if isinstance(fc, SameType):
-                    env = env.assume(fc, PROVED)
+            if expanded is None or not _renames(self.checker.concepts,
+                                                mid.type_args, expanded):
+                c = ConceptC(ModelId(info.name, tuple(
+                    TVar(a) for a in info.type_params), info.decl))
+                expanded = self.checker.flat(c)
+            args = c.model.type_args
+            env = self._same_types(self.checker.root, c)
             params = []
             for fc, _ in expanded:
                 if not isinstance(fc, ConceptC):
