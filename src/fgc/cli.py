@@ -126,20 +126,20 @@ def _parse(path: str, fmt: str):
         return EXIT_PARSE_ERROR, None
 
 
-def _parse_and_check(path: str, fmt: str, lowering=None):
+def _parse_and_check(path: str, fmt: str, lowering=None, fault=()):
     """Returns (exit_code, tree, type, checker), all but the code None on
     failure.  With a `lowering` (`elaborate.Elaborator`), the checker
     lowers the program as it checks it, and translate_program returns the
-    core; should lowering fail, a program with diagnostics reports them."""
+    core; should lowering raise its `fault` (`elaborate.ElabError`), a
+    program with diagnostics reports them."""
     code, tree = _parse(path, fmt)
     if tree is None:
         return code, None, None, None
     checker = Checker(lowering)
     try:
         result = check_program(tree, checker)
-    except Exception:
-        # a fault of lowering: a program with diagnostics reports those
-        result = check_program(tree, Checker()) if lowering else None
+    except fault:
+        result = check_program(tree, Checker())
         if not isinstance(result, list):
             raise
     if isinstance(result, list):
@@ -156,11 +156,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .elaborate import Elaborator, translate_program
+    from .elaborate import ElabError, Elaborator, translate_program
     from .sysf import DEFAULT_FUEL, Diverged, Stuck, Value, pretty_core, \
         sf_eval
     code, tree, _, checker = _parse_and_check(args.file, args.format,
-                                              Elaborator)
+                                              Elaborator, ElabError)
     if code != EXIT_OK:
         return code
     core = translate_program(tree, checker)
@@ -184,10 +184,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_emit_core(args) -> int:
-    from .elaborate import Elaborator, translate_program
+    from .elaborate import ElabError, Elaborator, translate_program
     from .sysf import pretty_core, pretty_core_type, sf_typecheck
     code, tree, _, checker = _parse_and_check(args.file, args.format,
-                                              Elaborator)
+                                              Elaborator, ElabError)
     if code != EXIT_OK:
         return code
     core = translate_program(tree, checker)

@@ -12,7 +12,14 @@ binder in scope, and the de Bruijn index is the depth minus one minus that
 level, so no scope is copied per binder.  After a walk without a
 diagnostic, `translate_program` returns the core left on the stack; a
 diagnostic drops the lowering, so a program that fails to check is
-lowered only up to its first error.
+lowered only up to its first error.  Two expressions are walked a second
+time, since a rule cannot see ahead what its premise's type turns out to
+be: one checked against stripped constraints that its own type keeps
+(`unstrip`), and the body of an introduction whose type pins more than
+its syntax predicted, after a model in it read the dictionary's type
+(`introduce`).  The lowering remembers each, so a later walk of it does
+not walk it again, and k of them nested cost at most k + 1 walks of the
+innermost.
 
 Each concept constraint becomes a tuple ("dictionary") holding the
 dictionaries of its nested constraints followed by its member
@@ -32,13 +39,11 @@ equality coincides with provable surface equality.
 
 Lowering touches no closure itself, and its queries go to the equation
 nodes the checker is walking, so they share its closures; it keeps each
-introduction's environment, so a later conversion of the introduction's
-type finds its node.  It builds a closure only at a node no checker query
-needed: on a concept chain, the node its top concept's plan and
-dictionary type share, and the model chain's for its member types; and
-it rebuilds one where a query at a descendant took the node's closure
-before a conversion at the node itself (the `let` binding an
-introduction whose dictionary type was built under a same-type pin).
+introduction's environment, and assumes a type's leading same-type
+constraints as written, so a later conversion of the introduction's type
+finds the checker's node.  It builds a closure only at a node no checker
+query needed: on a concept chain, the node its top concept's plan and
+dictionary type share, and the model chain's for its member types.
 A model's dictionary type follows its evidence: each nested slot has the
 type recorded where the dictionary its evidence names was bound,
 renumbered past the type variables bound since and projected along the
@@ -60,6 +65,7 @@ from .ast import (
     AssocPath,
     BoolT,
     ConceptC,
+    ConceptDecl,
     Constrained,
     ConstrainedE,
     Expr,
@@ -77,6 +83,7 @@ from .ast import (
     SameType,
     TVar,
     Type,
+    TypeAlias,
     free_type_vars,
     has_path,
     substitute_type_map,
@@ -119,13 +126,21 @@ class ElabError(Exception):
 
 def _pins(t) -> tuple:
     """The same-type constraints among the leading constraints of a type,
-    or those a constraint introduction introduces in front of its body."""
+    or, for an expression, those the introductions in front of its type
+    introduce, past the declarations in front of them."""
     out = []
-    while isinstance(t, (Constrained, ConstrainedE)):
-        if isinstance(t.constraint, SameType):
-            out.append(t.constraint)
-        t = t.body
-    return tuple(out)
+    while True:
+        if isinstance(t, (Constrained, ConstrainedE)):
+            if isinstance(t.constraint, SameType):
+                out.append(t.constraint)
+            t = t.body
+        elif isinstance(t, _DECLARATIONS):
+            t = t.rest
+        else:
+            return tuple(out)
+
+
+_DECLARATIONS = (ConceptDecl, Let, ModelDecl, TypeAlias)
 
 
 def _renames(concepts: dict, args: tuple, expanded: tuple) -> bool:
@@ -166,6 +181,12 @@ class Elaborator:
         self.binders = {}
         self.lets = []  # (binder, bound core) of each open let and model
         self.intros = []  # (pins, plan length) of each open introduction
+        # what a second walk learned, so that a later walk never walks the
+        # same expression again: the pins of an introduction, by id, that
+        # its syntax did not predict, and the ids of the expressions whose
+        # type keeps the constraints stripped off their expected type
+        self.learned = {}
+        self.unstripped = set()
         # the environment of each introduction, whose equation node, and
         # so closure, a later conversion of its type assumes again
         self.kept = []
@@ -255,7 +276,12 @@ class Elaborator:
     def conv(self, env: Env, t: Type) -> CoreType:
         """Surface type to core type in the type scope, canonicalized in
         the environment.  Canonical binders are named past the type scope,
-        so they capture no variable of it."""
+        so they capture no variable of it.  Leading same-type constraints
+        are assumed as written, as the checker assumed them, so the
+        environment reaches the checker's equation node and closure."""
+        while t.__class__ is Constrained and t.constraint.__class__ is \
+                SameType:
+            env, t = env.assume(t.constraint, PROVED), t.body
         return self._conv_raw(env, env.canonical(t, len(self.tscope)))
 
     def _conv_raw(self, env: Env, t: Type) -> CoreType:
@@ -427,13 +453,13 @@ class Elaborator:
         """Enter a constraint introduction e whose body is checked in env:
         its abstracted associated types and its dictionary parameter.  The
         dictionary type is built with the same-type constraints in front
-        of t assumed: the body's type, or, while that is not known, the
-        body, whose leading introductions predict them.  A same-type
-        assumption erases."""
+        of t assumed: the body's type, or, while that is not known, those
+        a second walk of e learned, or else the body, whose leading
+        introductions predict them.  A same-type assumption erases."""
         self.kept.append(env)
         if isinstance(e.constraint, SameType):
             return
-        pins = _pins(t)
+        pins = self.learned[id(e)] if id(e) in self.learned else _pins(t)
         dict_ty, n = self._enter(env, e.constraint, pins)
         self._bind(id(e), dict_ty)
         self.intros.append((pins, n))
@@ -442,13 +468,15 @@ class Elaborator:
         """Close the introduction e, whose body has type t.  When t's
         same-type constraints give a dictionary type other than the
         predicted one, which a model in the body may have read, the body
-        is checked again with the one they give."""
+        is checked again with the one they give, which a later walk of e
+        starts with."""
         if isinstance(e.constraint, SameType):
             return
         pins, n = self.intros.pop()
         level, dict_ty, scope = self.binders[id(e)]
         if _pins(t) != pins and dict_ty != (
                 actual := self._dict(env, e.constraint, _pins(t))):
+            self.learned[id(e)] = _pins(t)
             self.binders[id(e)] = (level, actual, scope)
             self.stack.pop()
             self.checker.infer(env, e.body)
@@ -504,16 +532,16 @@ class Elaborator:
         param = self._unbind(key)
         self.stack.append(CApp(CLam(param, self.stack.pop()), value))
 
-    def strip(self, env: Env, t: Type, rest: Type) -> list:
+    def strip(self, env: Env, e: Expr, t: Type, rest: Type) -> list:
         """Enter the scope of the satisfied constraints stripped off the
-        front of the type t an expression is checked against, in front of
-        its part `rest`: for each concept constraint, its abstracted
+        front of the type t the expression e is checked against, in front
+        of its part `rest`: for each concept constraint, its abstracted
         associated types and a dictionary parameter.  The checker checks
-        the expression without them, so no evidence names the parameters
-        and it never reads them; they only give the core the image of t.
-        What `wrap` and `unstrip` take."""
+        e without them, so no evidence names the parameters and it never
+        reads them; they only give the core the image of t.  What `wrap`
+        and `unstrip` take: nothing for an e that `unstrip` walked again."""
         frame = []
-        while t is not rest:
+        while t is not rest and id(e) not in self.unstripped:
             if isinstance(t.constraint, ConceptC):
                 env = self._same_types(env, t.constraint)
                 frame.append(self._enter(env, t.constraint, _pins(t.body)))
@@ -525,6 +553,7 @@ class Elaborator:
         """e, checked under the stripped constraints of `frame`, has them
         in its own type after all: lower it again outside their scope."""
         if frame:
+            self.unstripped.add(id(e))
             self.wrap(frame)
             frame.clear()
             self.stack.pop()

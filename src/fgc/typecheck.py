@@ -600,7 +600,7 @@ class Checker:
         while isinstance(rest, Constrained) and not self._introduces(
                 env, e, rest) and satisfies(env, rest.constraint):
             rest = rest.body
-        stripped = self.lower.strip(env, expected, rest)
+        stripped = self.lower.strip(env, e, expected, rest)
         match e:
             case Lam(param, ann, body) if (
                     arrow := self._shape(env, rest, Arrow)) is not None:

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import fgc.cli
 import fgc.elaborate
 import fgc.env
 import fgc.typecheck
@@ -428,6 +429,76 @@ def test_run_and_verified_core(capsys, tmp_path, source, value):
     assert out.splitlines()[-1].startswith("core: ")
 
 
+def nested_pins(k: int, by_use: bool) -> str:
+    """k introductions, each of C_j<t> in the body of the one before, in
+    the shape of PINNED_AFTER_MODEL or, with `by_use`, of PINNED_BY_USE:
+    a model of D_j<t> reads C_j<t>'s dictionary type, which a same-type
+    pin on C_j<t>.T_j changes."""
+    lines = []
+    for j in range(k):
+        lines += [f"concept C{j}<a> {{ T{j} ; ; f{j} : a -> T{j} }} in",
+                  f"concept D{j}<a> {{ ; C{j}<a> ; d{j} : a -> int }} in",
+                  f"model C{j}<int> {{ T{j} = int ; f{j} = lam x: int. x }} in"]
+        if by_use:
+            lines.append(f"let h{j} = Lam t. C{j}<t> => C{j}<t>.T{j} == int "
+                         f"=> lam x: t. C{j}<t>.f{j} x in")
+    body = f"lam x: t. D{k - 1}<t>.d{k - 1} x + 1"
+    for j in reversed(range(k)):
+        model = f"model D{j}<t> {{ ; d{j} = lam x: t. 1 }} in"
+        if by_use:
+            body = f"C{j}<t> => ({model} let inner = {body} in h{j}[t])"
+        else:
+            body = f"C{j}<t> => ({model} (C{j}<t>.T{j} == int => {body}))"
+    return "\n".join(lines + [f"let g = Lam t. {body} in", "g[int] 1"])
+
+
+def nested_unstrips(k: int) -> str:
+    """k members, each of a model in the member before, whose expression
+    keeps the constraint stripped off the member's type (`g[int]` as a
+    member of type `C<int> => int -> int`)."""
+    lines = ["concept C<a> { ; ; f : a -> int } in",
+             "model C<int> { ; f = lam x: int. x } in",
+             "let g = Lam t. C<t> => lam x: t. C<t>.f x in"]
+    lines += [f"concept K{j}<a> {{ ; ; k{j} : C<int> => int -> int }} in"
+              for j in range(k)]
+    member = "g[int]"
+    for j in reversed(range(1, k)):
+        member = f"(model K{j}<int> {{ ; k{j} = {member} }} in g[int])"
+    return "\n".join(lines + [f"model K0<int> {{ ; k0 = {member} }} in",
+                              "K0<int>.k0 1"])
+
+
+@pytest.mark.parametrize("source, walks, value", [
+    (nested_pins(20, False), 1, 2),
+    (nested_pins(20, True), 21, 1),
+    (nested_unstrips(20), 21, 1)], ids=["predicted", "by_use", "unstrip"])
+def test_nested_second_walks_are_bounded(source, walks, value, monkeypatch):
+    # pins the syntax predicts (a model in front of them) cost no second
+    # walk; pins only the body's type shows, and a member that keeps the
+    # constraints stripped off its type, cost one per introduction or
+    # member, which a later walk of it remembers, so nesting k = 20 of
+    # them walks the innermost body at most k + 1 times and not 2^k
+    tree = parse_program(source)
+    infer, calls = Checker.infer, collections.Counter()
+    lowering = [None]
+
+    def counting_infer(self, env, e):
+        calls[lowering[0]] += 1
+        assert calls[Elaborator] <= walks * calls[None], "walks again"
+        return infer(self, env, e)
+
+    monkeypatch.setattr(Checker, "infer", counting_infer)
+    assert not isinstance(check_program(tree, Checker()), list)
+    lowering[0] = Elaborator
+    checker = Checker(Elaborator)
+    assert not isinstance(check_program(tree, checker), list)
+    assert sf_typecheck(translate_program(tree, checker)) == CInt()
+    if walks == 1:
+        assert calls[Elaborator] == calls[None]
+    monkeypatch.undo()
+    assert sf_eval(translate_program(tree, checker)) == Value(value)
+
+
 def test_check_never_lowers(capsys, monkeypatch):
     # `fgc check` hands its checker no lowering, so no lowering object is
     # made and every rule calls `NO_CORE`, which builds nothing
@@ -458,6 +529,21 @@ def test_a_lowering_fault_yields_to_diagnostics(capsys, tmp_path,
     assert code == 1 and "error[T001]" in err
     code, _, err = run_cli(capsys, tmp_path, "1 + 2", "emit-core")
     assert code == 5 and "ElabError: lowering fault" in err
+    # any other fault is the compiler's, reported after one walk
+    walks = collections.Counter()
+    check = fgc.cli.check_program
+
+    def counting_check(tree, checker=None):
+        walks[checker.lowering] += 1
+        return check(tree, checker)
+
+    def crash(*args):
+        raise RecursionError("deep")
+    monkeypatch.setattr(fgc.cli, "check_program", counting_check)
+    monkeypatch.setattr(Elaborator, "literal", crash)
+    code, _, err = run_cli(capsys, tmp_path, "1 + true", "run")
+    assert code == 5 and "RecursionError: deep" in err
+    assert walks == {Elaborator: 1}
 
 
 def test_reused_checker_keeps_one_derivation():
@@ -770,13 +856,29 @@ def _distinct_variables(c: ConceptC) -> bool:
         len({t.name for t in args}) == len(args)
 
 
+def checker_expansions(source: str, monkeypatch) -> int:
+    """The constraints `env.flat` expands in the walk that only checks a
+    program."""
+    count, flat = [0], fgc.typecheck.flat
+
+    def counting_flat(concepts, c):
+        count[0] += 1
+        return flat(concepts, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fgc.typecheck, "flat", counting_flat)
+        check_program(parse_program(source), Checker())
+    return count[0]
+
+
 @pytest.mark.parametrize("workload", ["concept_chain", "recursion",
                                       "wide_source"])
 def test_plans_read_the_checkers_expansions(workload, monkeypatch):
     # a plan asked first at a constraint of distinct type variables whose
     # expansion the checker made expands nothing; the concept_chain
-    # programs then expand nothing at all in planning, where each used to
-    # expand its top concept at its own parameters
+    # programs then expand nothing at all in lowering (the walk that
+    # checks and lowers less the walk that only checks), where each used
+    # to expand its top concept at its own parameters
     expanded = 0
     for p in workload_programs(workload, 7):
         if p.codes:
@@ -785,7 +887,7 @@ def test_plans_read_the_checkers_expansions(workload, monkeypatch):
         for c, planning in flats:
             assert planning is None or not plans[planning][1] or \
                 not _distinct_variables(planning), (p.name, c, planning)
-        expanded += sum(planning is not None for _, planning in flats)
+        expanded += len(flats) - checker_expansions(p.source, monkeypatch)
     if workload == "concept_chain":
         assert expanded == 0
 
@@ -822,14 +924,12 @@ def lowering_closures(sources, monkeypatch) -> tuple:
 
 # closures built and equations added by lowering in the walk that checks
 # each workload's seed-7 programs that check, at most 10% over its own
-# 192 / 1,584 on concept_chain, 0 / 0 on recursion and 2 / 2 on
+# 144 / 1,176 on concept_chain, 0 / 0 on recursion and 2 / 2 on
 # wide_source.  Lowering after the checker's walk built 205 / 1,676, 0 / 0
 # and 2 / 2.  What is left on concept_chain is at equation nodes no query
-# of the checker needed (the top concept's plan and dictionary type, and
-# the model chain's member types) and, in the shape with a pin, one
-# closure per program that building g's dictionary type under the pin
-# hands down from g's node, before g's let converts g's type there again
-LOWERING_CLOSURES = {"concept_chain": (211, 1742), "recursion": (0, 0),
+# of the checker needed: the top concept's plan and dictionary type, and
+# the model chain's member types
+LOWERING_CLOSURES = {"concept_chain": (158, 1293), "recursion": (0, 0),
                      "wide_source": (2, 2)}
 
 
