@@ -213,11 +213,20 @@ class ClosureState:
         itself when no member of the class can be rebuilt.  Its binders
         are named `$depth`, `$depth+1`, ... inwards, so a caller whose
         free variables include `$k` for k < depth keeps them free."""
-        root = self.find(self.intern(t))
+        nid = self.intern(t)
+        if self._own_representative(nid):
+            return t
         try:
-            return self._rebuild(root, frozenset(), depth)
+            return self._rebuild(self.find(nid), frozenset(), depth)
         except NoRepresentativeError:
             return t
+
+    def _own_representative(self, nid: int) -> bool:
+        """Whether the node and each node under it is the best member of
+        its class and binds nothing: then it rebuilds as itself."""
+        tag, _, children = self.nodes[nid]
+        return tag != "forall" and self.best[self.find(nid)] == nid and \
+            all(map(self._own_representative, children))
 
     def _key(self, nid: int) -> tuple:
         """A node's rank as its class's representative, lower first: its
