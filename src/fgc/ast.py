@@ -6,6 +6,14 @@ equality and from the repr, so that structural comparison ignores
 positions.  A span holds its `parser.Source` and the indices of two
 tokens; their offsets, lines and columns are computed only when
 something reads them.
+
+The hot walks (`type_children`, `map_children`, `substitute_type_map`,
+the checker's rules) dispatch on `t.__class__ is C`, most frequent class
+first, not on `match` class patterns, which try `isinstance` case by
+case: on the nodes the benchmark workloads walk, under CPython 3.11, a
+`match` version of `type_children` costs 0.40-0.50 µs a call and this one
+0.13 µs.  Unlike a `case C()` pattern, the test misses an instance of a
+subclass of C, so no class they name may have one (`tests/test_ast.py`).
 """
 
 from __future__ import annotations
@@ -408,25 +416,25 @@ def type_children(t) -> tuple:
     of a constrained type, the type arguments and inner path of an
     associated-type path, the sides of a same-type constraint.  Raises
     TypeError on a node that is none of these."""
-    match t:
-        case IntT() | BoolT() | TVar():  # first: most nodes are leaves
-            return ()
-        case ListT(elem):
-            return (elem,)
-        case Arrow(dom, cod):
-            return (dom, cod)
-        case Forall(_, body):
-            return (body,)
-        case Constrained(constraint, body):
-            return (constraint, body)
-        case AssocPath(model, rest):
-            if isinstance(rest, AssocPath):
-                return model.type_args + (rest,)
-            return model.type_args
-        case ConceptC(model):
-            return model.type_args
-        case SameType(lhs, rhs):
-            return (lhs, rhs)
+    cls = t.__class__  # most nodes are leaves; then by how often each occurs
+    if cls is IntT or cls is TVar or cls is BoolT:
+        return ()
+    if cls is Arrow:
+        return (t.dom, t.cod)
+    if cls is AssocPath:
+        if t.rest.__class__ is AssocPath:
+            return t.model.type_args + (t.rest,)
+        return t.model.type_args
+    if cls is ConceptC:
+        return t.model.type_args
+    if cls is SameType:
+        return (t.lhs, t.rhs)
+    if cls is ListT:
+        return (t.elem,)
+    if cls is Constrained:
+        return (t.constraint, t.body)
+    if cls is Forall:
+        return (t.body,)
     raise TypeError(f"unexpected type node: {t!r}")
 
 
@@ -435,26 +443,26 @@ def map_children(t, f, arg):
     child `type_children` lists, called in the same order.  Keeps the span
     and every field that is not a child: concept names, a path's string
     tail and binder names.  Raises TypeError like `type_children`."""
-    match t:
-        case IntT() | BoolT() | TVar():
-            return t
-        case ListT(elem):
-            return ListT(f(elem, arg), span=t.span)
-        case Arrow(dom, cod):
-            return Arrow(f(dom, arg), f(cod, arg), span=t.span)
-        case Forall(binder, body):
-            return Forall(binder, f(body, arg), span=t.span)
-        case Constrained(constraint, body):
-            return Constrained(f(constraint, arg), f(body, arg), span=t.span)
-        case AssocPath(model, rest):
-            model = _map_model(model, f, arg)
-            if isinstance(rest, AssocPath):
-                rest = f(rest, arg)
-            return AssocPath(model, rest, span=t.span)
-        case ConceptC(model):
-            return ConceptC(_map_model(model, f, arg), span=t.span)
-        case SameType(lhs, rhs):
-            return SameType(f(lhs, arg), f(rhs, arg), span=t.span)
+    cls = t.__class__
+    if cls is Arrow:
+        return Arrow(f(t.dom, arg), f(t.cod, arg), span=t.span)
+    if cls is IntT or cls is TVar or cls is BoolT:
+        return t
+    if cls is ConceptC:
+        return ConceptC(_map_model(t.model, f, arg), span=t.span)
+    if cls is AssocPath:
+        model, rest = _map_model(t.model, f, arg), t.rest
+        if rest.__class__ is AssocPath:
+            rest = f(rest, arg)
+        return AssocPath(model, rest, span=t.span)
+    if cls is SameType:
+        return SameType(f(t.lhs, arg), f(t.rhs, arg), span=t.span)
+    if cls is Constrained:
+        return Constrained(f(t.constraint, arg), f(t.body, arg), span=t.span)
+    if cls is ListT:
+        return ListT(f(t.elem, arg), span=t.span)
+    if cls is Forall:
+        return Forall(t.binder, f(t.body, arg), span=t.span)
     raise TypeError(f"unexpected type node: {t!r}")
 
 
@@ -514,24 +522,24 @@ def substitute_type_map(t, mapping: dict):
     constraint."""
     if not mapping:
         return t
-    match t:
-        case TVar(name):
-            return mapping.get(name, t)
-        case Forall(binder, body):
-            inner = {k: v for k, v in mapping.items() if k != binder}
-            if not inner:
-                return t
-            repl_free = set()
-            for v in inner.values():
-                repl_free |= free_type_vars(v)
-            if binder in repl_free:
-                avoid = repl_free | free_type_vars(body) | set(inner)
-                binder2 = fresh_name(binder, avoid)
-                body = substitute_type_map(body, {binder: TVar(binder2)})
-                binder = binder2
-            return Forall(binder, substitute_type_map(body, inner),
-                          span=t.span)
-    return map_children(t, substitute_type_map, mapping)
+    cls = t.__class__
+    if cls is TVar:
+        return mapping.get(t.name, t)
+    if cls is not Forall:
+        return map_children(t, substitute_type_map, mapping)
+    binder, body = t.binder, t.body
+    inner = {k: v for k, v in mapping.items() if k != binder}
+    if not inner:
+        return t
+    repl_free = set()
+    for v in inner.values():
+        repl_free |= free_type_vars(v)
+    if binder in repl_free:
+        avoid = repl_free | free_type_vars(body) | set(inner)
+        binder2 = fresh_name(binder, avoid)
+        body = substitute_type_map(body, {binder: TVar(binder2)})
+        binder = binder2
+    return Forall(binder, substitute_type_map(body, inner), span=t.span)
 
 
 # ---------------------------------------------------------------- alpha equality

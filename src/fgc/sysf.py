@@ -823,10 +823,6 @@ def pretty_core_type(t: CoreType, depth: int = 0, prec: int = 0) -> str:
     return "".join(out)
 
 
-def _p(s: str, yes: bool) -> str:
-    return f"({s})" if yes else s
-
-
 PRIM_WORDS = {"+": "add", "-": "sub", "*": "mul", "<": "lt", "==": "eq",
               "isnil": "isnil", "head": "head", "tail": "tail",
               "cons": "cons"}
@@ -834,62 +830,65 @@ PRIM_WORDS = {"+": "add", "-": "sub", "*": "mul", "<": "lt", "==": "eq",
 
 def pretty_core(t: CoreTerm, tdepth: int = 0, ydepth: int = 0,
                 prec: int = 0) -> str:
-    """Stable textual form of a core term."""
-    match t:
-        case CIntLit(v):
-            return str(v)
-        case CBoolLit(v):
-            return "true" if v else "false"
-        case CVar(i):
-            return f"x{tdepth - 1 - i}"
-        case CLam(ann, body):
-            s = (f"\\x{tdepth}: {pretty_core_type(ann, ydepth, 0)}. "
-                 f"{pretty_core(body, tdepth + 1, ydepth, 0)}")
-            return _p(s, 0 < prec)
-        case CTyLam(body):
-            s = f"/\\a{ydepth}. {pretty_core(body, tdepth, ydepth + 1, 0)}"
-            return _p(s, 0 < prec)
-        case CApp(CLam(), _):
-            # a loop down the spine a `let` chain lowers to
-            opens, closes = [], []
-            while isinstance(t, CApp) and isinstance(t.fn, CLam):
-                ann = pretty_core_type(t.fn.ann, ydepth, 0)
-                opens.append(f"(\\x{tdepth}: {ann}. ")
-                closes.append(f") {pretty_core(t.arg, tdepth, ydepth, 2)}")
-                t, tdepth = t.fn.body, tdepth + 1
-            s = "".join(opens) + pretty_core(t, tdepth, ydepth, 0)
-            return _p(s + "".join(reversed(closes)), 1 < prec)
-        case CApp(fn, arg):
-            s = (f"{pretty_core(fn, tdepth, ydepth, 1)} "
-                 f"{pretty_core(arg, tdepth, ydepth, 2)}")
-            return _p(s, 1 < prec)
-        case CTyApp(subject, arg):
-            s = (f"{pretty_core(subject, tdepth, ydepth, 1)}"
-                 f"[{pretty_core_type(arg, ydepth, 0)}]")
-            return _p(s, 1 < prec)
-        case CTup(elems):
-            return "<" + ", ".join(
-                pretty_core(e, tdepth, ydepth, 0) for e in elems) + ">"
-        case CProj(subject, index):
-            return f"{pretty_core(subject, tdepth, ydepth, 2)}.{index}"
-        case CFix(body):
-            s = f"fix {pretty_core(body, tdepth, ydepth, 2)}"
-            return _p(s, 1 < prec)
-        case CIf(cond, thn, els):
-            s = (f"if {pretty_core(cond, tdepth, ydepth, 0)} "
-                 f"then {pretty_core(thn, tdepth, ydepth, 0)} "
-                 f"else {pretty_core(els, tdepth, ydepth, 0)}")
-            return _p(s, 0 < prec)
-        case CPrim(op, args):
-            inner = ", ".join(pretty_core(a, tdepth, ydepth, 0) for a in args)
-            return f"{PRIM_WORDS[op]}({inner})"
-        case CNil(elem):
-            return f"nil[{pretty_core_type(elem, ydepth, 0)}]"
-        case CCons():
-            heads = []
-            while isinstance(t, CCons):  # a loop: lists may be long
-                heads.append(pretty_core(t.head, tdepth, ydepth, 0))
-                t = t.tail
-            return ("".join(f"cons({h}, " for h in heads)
-                    + pretty_core(t, tdepth, ydepth, 0) + ")" * len(heads))
-    raise TypeError(f"unexpected core term: {t!r}")
+    """Stable textual form of a core term, written like `pretty_core_type`
+    from an explicit stack, so a term nested deeper than the recursion
+    limit prints too: a concept chain's path projects as deep as the
+    chain, a `let` chain nests its bodies and a list its tails."""
+    out, todo = [], [(t, tdepth, ydepth, prec)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        t, tdepth, ydepth, prec = item
+        cls, paren = t.__class__, False
+        if cls is CVar:
+            out.append(f"x{tdepth - 1 - t.index}")
+            continue
+        if cls is CIntLit:
+            out.append(str(t.value))
+            continue
+        if cls is CApp:
+            parts, paren = [(t.fn, tdepth, ydepth, 1), " ",
+                            (t.arg, tdepth, ydepth, 2)], 1 < prec
+        elif cls is CProj:
+            parts = [(t.subject, tdepth, ydepth, 2), f".{t.index}"]
+        elif cls is CLam:
+            parts, paren = [f"\\x{tdepth}: "
+                            f"{pretty_core_type(t.ann, ydepth, 0)}. ",
+                            (t.body, tdepth + 1, ydepth, 0)], 0 < prec
+        elif cls is CTyApp:
+            parts, paren = [(t.subject, tdepth, ydepth, 1),
+                            f"[{pretty_core_type(t.arg, ydepth, 0)}]"], \
+                1 < prec
+        elif cls is CTyLam:
+            parts, paren = [f"/\\a{ydepth}. ",
+                            (t.body, tdepth, ydepth + 1, 0)], 0 < prec
+        elif cls is CPrim or cls is CTup:  # op(a, b) or <a, b>
+            opener, closer, args = (f"{PRIM_WORDS[t.op]}(", ")", t.args) \
+                if cls is CPrim else ("<", ">", t.elems)
+            parts = [opener]
+            for k, a in enumerate(args):
+                if k:
+                    parts.append(", ")
+                parts.append((a, tdepth, ydepth, 0))
+            parts.append(closer)
+        elif cls is CCons:
+            parts = ["cons(", (t.head, tdepth, ydepth, 0), ", ",
+                     (t.tail, tdepth, ydepth, 0), ")"]
+        elif cls is CIf:
+            parts, paren = ["if ", (t.cond, tdepth, ydepth, 0), " then ",
+                            (t.thn, tdepth, ydepth, 0), " else ",
+                            (t.els, tdepth, ydepth, 0)], 0 < prec
+        elif cls is CFix:
+            parts, paren = ["fix ", (t.body, tdepth, ydepth, 2)], 1 < prec
+        elif cls is CBoolLit:
+            parts = ["true" if t.value else "false"]
+        elif cls is CNil:
+            parts = [f"nil[{pretty_core_type(t.elem, ydepth, 0)}]"]
+        else:
+            raise TypeError(f"unexpected core term: {t!r}")
+        if paren:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)

@@ -206,8 +206,14 @@ class Checker:
         self.diags.append(Diagnostic(span, code, message, tuple(notes)))
         self.lower = NO_CORE  # a program with a diagnostic has no core
 
+    def _erred(self, t) -> bool:
+        """Whether a type or constraint mentions the error placeholder,
+        walked for only after a diagnostic: every rule that yields `ERR`
+        reports first, or passes on one that an earlier rule reported."""
+        return bool(self.diags) and contains_err(t)
+
     def equal(self, env: Env, a: Type, b: Type) -> bool:
-        return a == b or contains_err(a) or contains_err(b) or \
+        return a == b or self._erred(a) or self._erred(b) or \
             env.equal(a, b)
 
     def discharge(self, env: Env, t: Type, at: Optional[int] = None) -> Type:
@@ -229,7 +235,7 @@ class Checker:
         """Expose t as an instance of the constructor class `want`, first
         discharging satisfied constraints (eliminated at `at`), then
         canonicalizing through the environment's equations."""
-        if contains_err(t):
+        if self._erred(t):
             return None
         t = self.discharge(env, t, at)
         if not isinstance(t, want):
@@ -242,7 +248,7 @@ class Checker:
         the lowering's stack; when t does not expose `want` and mentions no
         error, report `message` with `{}` replaced by t once discharged."""
         out = self._shape(env, t, want, -1)
-        if out is None and not contains_err(t):
+        if out is None and not self._erred(t):
             self.err(span, code,
                      message.format(pretty_type(self.discharge(env, t))))
         return out
@@ -257,7 +263,7 @@ class Checker:
     def satisfy(self, env: Env, c: Constraint, span) -> Optional[Evidence]:
         """The evidence satisfying a constraint, or None after a T003/T004
         diagnostic; one mentioning an error, already reported, is PROVED."""
-        if contains_err(c):
+        if self._erred(c):
             return PROVED
         if isinstance(c, ConceptC) and self._concept(c.model, span) is None:
             return None
@@ -341,129 +347,130 @@ class Checker:
     # -- synthesis
 
     def infer(self, env: Env, e: Expr) -> Type:
-        match e:
-            case IntLit() | BoolLit():
-                self.lower.literal(e)
-                return INT if e.__class__ is IntLit else BOOL
-            case PathE((), _):
+        cls = e.__class__  # by how often each class occurs
+        if cls is IntLit or cls is BoolLit:
+            self.lower.literal(e)
+            return INT if cls is IntLit else BOOL
+        if cls is PathE:
+            if not e.prefix:
                 self.lower.var(e)
                 return self.terms[e.decl]
-            case PathE(prefix, name):
-                try:
-                    t, ev = lookup_path(env, self.concepts, prefix, name,
-                                        self.paths)
-                    self.lower.member(e, ev)
-                    return t
-                except UnsatisfiedConstraintError as exc:
-                    self.err(e.span, "T003",
-                             "unsatisfied constraint "
-                             f"{self._show_constraint(env, exc.constraint)}")
-                except UnknownConceptError as exc:
-                    self.err(e.span, "T004", str(exc))
-                except UnknownMemberError as exc:
-                    self.err(e.span, "T007", str(exc))
+            try:
+                t, ev = lookup_path(env, self.concepts, e.prefix, e.name,
+                                    self.paths)
+                self.lower.member(e, ev)
+                return t
+            except UnsatisfiedConstraintError as exc:
+                self.err(e.span, "T003",
+                         "unsatisfied constraint "
+                         f"{self._show_constraint(env, exc.constraint)}")
+            except UnknownConceptError as exc:
+                self.err(e.span, "T004", str(exc))
+            except UnknownMemberError as exc:
+                self.err(e.span, "T007", str(exc))
+            return ERR
+        if cls is Prim:
+            t = self.infer_prim(env, e, e.op, e.args)
+            self.lower.prim(e)
+            return t
+        if cls is App:
+            fn = e.fn
+            arrow = self._expose(env, self.infer(env, fn), Arrow, fn.span,
+                                 "T002", "applied a non-function of type {}")
+            if arrow is None:
+                self.infer(env, e.arg)
                 return ERR
-            case Lam(param, ann, body):
-                self.terms[e.decl] = ERR if ann is None else ann
-                if ann is None:
-                    self.err(e.span, "T009",
-                             f"parameter {param!r} needs a type annotation "
-                             "here")
-                    self.infer(env, body)
-                    return ERR
-                self._written(env, ann, e.span)
-                self.lower.enter_lam(env, e, ann)
-                t = Arrow(ann, self.infer(env, body))
-                self.lower.lam(e)
-                return t
-            case App(fn, arg):
-                arrow = self._expose(env, self.infer(env, fn), Arrow,
-                                     fn.span, "T002",
-                                     "applied a non-function of type {}")
-                if arrow is None:
-                    self.infer(env, arg)
-                    return ERR
-                ta = self.infer(env, arg)
-                if not self._accepts(env, arrow.dom, ta):
-                    self.err(e.span, "T001",
-                             "the parameter type is "
-                             f"{pretty_type(arrow.dom)} but the argument "
-                             f"type is {pretty_type(ta)}")
-                    return ERR
-                self.lower.app()
-                return arrow.cod
-            case TyLam(binder, body):
-                self.lower.enter_tylam(binder)
-                t = Forall(binder, self.infer(env, body))
-                self.lower.tylam()
-                return t
-            case TyApp(subject, arg):
-                self._written(env, arg, e.span)
-                fa = self._expose(env, self.infer(env, subject), Forall,
-                                  subject.span, "T008",
-                                  "instantiated a non-universal of type {}")
-                if fa is None:
-                    return ERR
-                self.lower.tyapp(env, arg)
-                return substitute_type(fa.body, fa.binder, arg)
-            case ConstrainedE(constraint, body):
-                env2 = self._assume(env, e)
-                if env2 is None:
-                    self.infer(env, body)
-                    return ERR
-                self.lower.assume(env2, e, body)
-                tb = self.infer(env2, body)
-                self.lower.introduce(env2, e, tb)
-                return Constrained(constraint, tb)
-            case Let() | ConceptDecl() | ModelDecl() | TypeAlias():
-                return self._declarations(env, e)
-            case Fix(body):
-                arrow = self._expose(env, self.infer(env, body), Arrow,
-                                     e.span, "T002",
-                                     "fix needs a function, got {}")
-                if arrow is None:
-                    return ERR
-                if not self.equal(env, arrow.dom, arrow.cod):
-                    self.err(e.span, "T001",
-                             "fix needs matching argument and result "
-                             f"types, got {pretty_type(arrow)}")
-                    return ERR
-                self.lower.fix()
-                return arrow.dom
-            case If(cond, thn, els):
-                self._condition(env, cond)
-                tt = self.infer(env, thn)
-                te = self.infer(env, els)
-                if self.equal(env, tt, te):
-                    self.lower.cond()
-                    return tt
-                if self.equal(env, self.discharge(env, tt, -2),
-                              self.discharge(env, te, -1)):
-                    self.lower.cond()
-                    return self.discharge(env, tt)
+            ta = self.infer(env, e.arg)
+            if not self._accepts(env, arrow.dom, ta):
                 self.err(e.span, "T001",
-                         f"branches have types {pretty_type(tt)} and "
-                         f"{pretty_type(te)}")
+                         "the parameter type is "
+                         f"{pretty_type(arrow.dom)} but the argument "
+                         f"type is {pretty_type(ta)}")
                 return ERR
-            case ListLit(elems, elem_type):
-                if not elems:
-                    self._written(env, elem_type, e.span)
-                    self.lower.list_lit(env, e, elem_type)
-                    return ListT(elem_type)
-                t0 = self.infer(env, elems[0])
-                for x in elems[1:]:
-                    tx = self.infer(env, x)
-                    if not self._accepts(env, t0, tx):
-                        self.err(x.span, "T001",
-                                 "list element has type "
-                                 f"{pretty_type(tx)}, expected "
-                                 f"{pretty_type(t0)}")
-                self.lower.list_lit(env, e, t0)
-                return ListT(t0)
-            case Prim(op, args):
-                t = self.infer_prim(env, e, op, args)
-                self.lower.prim(e)
-                return t
+            self.lower.app()
+            return arrow.cod
+        if cls is Lam:
+            ann = e.ann
+            self.terms[e.decl] = ERR if ann is None else ann
+            if ann is None:
+                self.err(e.span, "T009",
+                         f"parameter {e.param!r} needs a type annotation here")
+                self.infer(env, e.body)
+                return ERR
+            self._written(env, ann, e.span)
+            self.lower.enter_lam(env, e, ann)
+            t = Arrow(ann, self.infer(env, e.body))
+            self.lower.lam(e)
+            return t
+        if cls is ConstrainedE:
+            env2 = self._assume(env, e)
+            if env2 is None:
+                self.infer(env, e.body)
+                return ERR
+            self.lower.assume(env2, e, e.body)
+            tb = self.infer(env2, e.body)
+            self.lower.introduce(env2, e, tb)
+            return Constrained(e.constraint, tb)
+        if cls is TyLam:
+            self.lower.enter_tylam(e.binder)
+            t = Forall(e.binder, self.infer(env, e.body))
+            self.lower.tylam()
+            return t
+        if cls is TyApp:
+            self._written(env, e.arg, e.span)
+            fa = self._expose(env, self.infer(env, e.subject), Forall,
+                              e.subject.span, "T008",
+                              "instantiated a non-universal of type {}")
+            if fa is None:
+                return ERR
+            self.lower.tyapp(env, e.arg)
+            return substitute_type(fa.body, fa.binder, e.arg)
+        if cls is ConceptDecl or cls is Let or cls is ModelDecl or \
+                cls is TypeAlias:
+            return self._declarations(env, e)
+        if cls is If:
+            self._condition(env, e.cond)
+            tt = self.infer(env, e.thn)
+            te = self.infer(env, e.els)
+            if self.equal(env, tt, te):
+                self.lower.cond()
+                return tt
+            if self.equal(env, self.discharge(env, tt, -2),
+                          self.discharge(env, te, -1)):
+                self.lower.cond()
+                return self.discharge(env, tt)
+            self.err(e.span, "T001",
+                     f"branches have types {pretty_type(tt)} and "
+                     f"{pretty_type(te)}")
+            return ERR
+        if cls is Fix:
+            arrow = self._expose(env, self.infer(env, e.body), Arrow, e.span,
+                                 "T002", "fix needs a function, got {}")
+            if arrow is None:
+                return ERR
+            if not self.equal(env, arrow.dom, arrow.cod):
+                self.err(e.span, "T001",
+                         "fix needs matching argument and result "
+                         f"types, got {pretty_type(arrow)}")
+                return ERR
+            self.lower.fix()
+            return arrow.dom
+        if cls is ListLit:
+            elems = e.elems
+            if not elems:
+                self._written(env, e.elem_type, e.span)
+                self.lower.list_lit(env, e, e.elem_type)
+                return ListT(e.elem_type)
+            t0 = self.infer(env, elems[0])
+            for x in elems[1:]:
+                tx = self.infer(env, x)
+                if not self._accepts(env, t0, tx):
+                    self.err(x.span, "T001",
+                             "list element has type "
+                             f"{pretty_type(tx)}, expected "
+                             f"{pretty_type(t0)}")
+            self.lower.list_lit(env, e, t0)
+            return ListT(t0)
         raise TypeError(f"unexpected expression node: {e!r}")
 
     def _let(self, env: Env, e: Let) -> None:
@@ -479,60 +486,59 @@ class Checker:
         them in reverse, where the lowering closes each binding."""
         frames = []  # (declaration, the environment of what it scopes over)
         while True:
-            inner = env
-            match e:
-                case Let():
-                    self._let(env, e)
-                case ConceptDecl(info, _):
-                    self.concepts[info.decl] = info
-                    for nc in info.nested:
-                        if isinstance(nc, ConceptC) and \
-                                nc.model.decl not in self.concepts:
-                            self.err(info.span, "T004",
-                                     f"unknown concept {nc.model.concept!r} "
-                                     f"in constraints of {info.name!r}")
-                    for _, t in info.members:
-                        # a member's paths may go through the concept's own
-                        # constraint and its requirements
-                        if has_path(t):
-                            t = Constrained(ConceptC(ModelId(
-                                info.name, tuple(map(TVar, info.type_params)),
-                                info.decl)), t)
-                        self._written(env, t, info.span)
-                case ModelDecl():
-                    inner = self.check_model(env, e)  # None: not in scope
-                case TypeAlias(name, rhs, _):
-                    self._written(env, rhs, e.span)
-                    inner = env.equate(TVar(name), rhs)
+            inner, cls = env, e.__class__
+            if cls is ModelDecl:
+                inner = self.check_model(env, e)  # None: not in scope
+            elif cls is Let:
+                self._let(env, e)
+            elif cls is ConceptDecl:
+                info = e.info
+                self.concepts[info.decl] = info
+                for nc in info.nested:
+                    if isinstance(nc, ConceptC) and \
+                            nc.model.decl not in self.concepts:
+                        self.err(info.span, "T004",
+                                 f"unknown concept {nc.model.concept!r} "
+                                 f"in constraints of {info.name!r}")
+                for _, t in info.members:
+                    # a member's paths may go through the concept's own
+                    # constraint and its requirements
+                    if has_path(t):
+                        t = Constrained(ConceptC(ModelId(
+                            info.name, tuple(map(TVar, info.type_params)),
+                            info.decl)), t)
+                    self._written(env, t, info.span)
+            else:  # TypeAlias
+                self._written(env, e.rhs, e.span)
+                inner = env.equate(TVar(e.name), e.rhs)
             frames.append((e, inner))
             env = env if inner is None else inner
             e = e.rest
-            if not isinstance(e, (Let, ConceptDecl, ModelDecl, TypeAlias)):
+            if e.__class__ not in (ModelDecl, Let, ConceptDecl, TypeAlias):
                 break
         t = self.infer(env, e)
         for e, inner in reversed(frames):
-            match e:
-                case Let():
-                    self.lower.leave()
-                case ConceptDecl(info, _):
-                    # the program's own type may name its concepts, but a
-                    # type used outside the concept's scope may not
-                    if id(e) not in self.tail and not contains_err(t) and any(
-                            m.decl == info.decl for m, _ in _model_steps(t)):
-                        self.err(info.span, "T004",
-                                 f"concept {info.name!r} escapes its scope "
-                                 f"in the type {pretty_type(t)}")
-                        t = ERR
-                case ModelDecl():
-                    self.lower.leave()
-                    # the model's associated-type equations go out of scope
-                    # here, so resolve any paths through them in the result
-                    if inner is not None and not contains_err(t) and \
-                            has_path(t):
-                        t = _outside(t, inner)
-                case TypeAlias(name, rhs, _):
-                    if not contains_err(t):
-                        t = substitute_type(t, name, rhs)
+            cls = e.__class__
+            if cls is ModelDecl:
+                self.lower.leave()
+                # the model's associated-type equations go out of scope
+                # here, so resolve any paths through them in the result
+                if inner is not None and not self._erred(t) and has_path(t):
+                    t = _outside(t, inner)
+            elif cls is Let:
+                self.lower.leave()
+            elif cls is ConceptDecl:
+                # the program's own type may name its concepts, but a type
+                # used outside the concept's scope may not
+                info = e.info
+                if id(e) not in self.tail and not self._erred(t) and any(
+                        m.decl == info.decl for m, _ in _model_steps(t)):
+                    self.err(info.span, "T004",
+                             f"concept {info.name!r} escapes its scope in "
+                             f"the type {pretty_type(t)}")
+                    t = ERR
+            elif not self._erred(t):  # TypeAlias
+                t = substitute_type(t, e.name, e.rhs)
         return t
 
     def _condition(self, env: Env, cond: Expr) -> None:
@@ -558,7 +564,7 @@ class Checker:
         if op == "cons":
             th = self.infer(env, args[0])
             tt = self.infer(env, args[1])
-            if contains_err(th) or contains_err(tt):
+            if self._erred(th) or self._erred(tt):
                 return ListT(th)
             if not self._accepts(env, ListT(th), tt):
                 self.err(e.span, "T001",
@@ -578,19 +584,20 @@ class Checker:
         expected itself, such as `g[int]`, keeps its constraints for the
         use to discharge.  The lowering enters the scope of the stripped
         constraints before e and wraps e's core in it after."""
-        if isinstance(e, Let):
+        cls = e.__class__
+        if cls is Let:
             lets = 0
-            while isinstance(e, Let):
+            while e.__class__ is Let:
                 self._let(env, e)
                 e, lets = e.rest, lets + 1
             self.check(env, e, expected, code, subject)
             for _ in range(lets):
                 self.lower.leave()
             return
-        if contains_err(expected):
+        if self._erred(expected):
             self.infer(env, e)
             return
-        if isinstance(e, If):
+        if cls is If:
             self._condition(env, e.cond)
             self.check(env, e.thn, expected, code, subject)
             self.check(env, e.els, expected, code, subject)
@@ -601,51 +608,49 @@ class Checker:
                 env, e, rest) and satisfies(env, rest.constraint):
             rest = rest.body
         stripped = self.lower.strip(env, e, expected, rest)
-        match e:
-            case Lam(param, ann, body) if (
-                    arrow := self._shape(env, rest, Arrow)) is not None:
-                if ann is not None:
-                    self._written(env, ann, e.span)
-                    if not self.equal(env, ann, arrow.dom):
-                        self.err(e.span, code,
-                                 f"{subject} takes {pretty_type(ann)} but "
-                                 f"{pretty_type(arrow.dom)} was expected")
-                        return
-                dom = self.terms[e.decl] = arrow.dom if ann is None else ann
-                self.lower.enter_lam(env, e, dom)
-                self.check(env, body, arrow.cod, code, subject)
-                self.lower.lam(e)
-            case Lam(param, None, _):
-                self.err(e.span, "T009",
-                         f"parameter {param!r} needs a type annotation: "
-                         f"expected type {pretty_type(rest)} is not a "
-                         "function type")
-                return
-            case TyLam(binder, body) if (
-                    fa := self._shape(env, rest, Forall)) is not None:
-                inner = substitute_type(fa.body, fa.binder, TVar(binder))
-                self.lower.enter_tylam(binder)
-                self.check(env, body, inner, code, subject)
-                self.lower.tylam()
-            case ConstrainedE(_, body) if self._introduces(env, e, rest):
-                env2 = self._assume(env, e)
-                if env2 is None:
-                    return
-                self.lower.assume(env2, e, rest.body)
-                self.check(env2, body, rest.body, code, subject)
-                self.lower.introduce(env2, e, rest.body)
-            case _:
-                t = self.infer(env, e)
-                if self.equal(env, t, expected):
-                    # e's own constraints are expected's
-                    self.lower.unstrip(env, e, stripped)
-                elif not (self.equal(env, t, rest)
-                          or self.equal(env, self.discharge(env, t, -1),
-                                        rest)):
+        if cls is Lam and (arrow := self._shape(env, rest, Arrow)) is not None:
+            ann = e.ann
+            if ann is not None:
+                self._written(env, ann, e.span)
+                if not self.equal(env, ann, arrow.dom):
                     self.err(e.span, code,
-                             f"{subject} has type {pretty_type(t)}, "
-                             f"expected {pretty_type(rest)}")
+                             f"{subject} takes {pretty_type(ann)} but "
+                             f"{pretty_type(arrow.dom)} was expected")
                     return
+            dom = self.terms[e.decl] = arrow.dom if ann is None else ann
+            self.lower.enter_lam(env, e, dom)
+            self.check(env, e.body, arrow.cod, code, subject)
+            self.lower.lam(e)
+        elif cls is Lam and e.ann is None:
+            self.err(e.span, "T009",
+                     f"parameter {e.param!r} needs a type annotation: "
+                     f"expected type {pretty_type(rest)} is not a "
+                     "function type")
+            return
+        elif cls is TyLam and (
+                fa := self._shape(env, rest, Forall)) is not None:
+            inner = substitute_type(fa.body, fa.binder, TVar(e.binder))
+            self.lower.enter_tylam(e.binder)
+            self.check(env, e.body, inner, code, subject)
+            self.lower.tylam()
+        elif cls is ConstrainedE and self._introduces(env, e, rest):
+            env2 = self._assume(env, e)
+            if env2 is None:
+                return
+            self.lower.assume(env2, e, rest.body)
+            self.check(env2, e.body, rest.body, code, subject)
+            self.lower.introduce(env2, e, rest.body)
+        else:
+            t = self.infer(env, e)
+            if self.equal(env, t, expected):
+                # e's own constraints are expected's
+                self.lower.unstrip(env, e, stripped)
+            elif not (self.equal(env, t, rest)
+                      or self.equal(env, self.discharge(env, t, -1), rest)):
+                self.err(e.span, code,
+                         f"{subject} has type {pretty_type(t)}, "
+                         f"expected {pretty_type(rest)}")
+                return
         self.lower.wrap(stripped)
 
     def _introduces(self, env: Env, e: Expr, t: Type) -> bool:

@@ -40,7 +40,8 @@ from fgc.cli import main
 from fgc.env import EquationNode
 from fgc.node import Node
 from fgc.parser import Source
-from fgc.sysf import CBool, CInt
+from fgc.sysf import CBool, CInt, pretty_core
+from fgc.typecheck import ERR, Checker
 
 from corpus import PROGRAMS_DIR, workload_programs
 from gen import random_type
@@ -92,11 +93,25 @@ def test_map_children_rebuilds_exactly_the_children(t):
 
 
 def test_walk_rejects_unknown_nodes():
-    for bad in ("T", ModelId("C", ()), 3):
+    for bad in ("T", ModelId("C", ()), 3, ERR):
         with pytest.raises(TypeError):
             type_children(bad)
         with pytest.raises(TypeError):
             map_children(bad, lambda c, _: c, None)
+
+
+@pytest.mark.parametrize("fn", [
+    type_children, map_children, substitute_type_map, Checker.infer,
+    Checker.check, Checker._declarations, pretty_core],
+    ids=lambda fn: fn.__qualname__)
+def test_identity_dispatch_sees_every_instance(fn):
+    """These walks dispatch on `x.__class__ is C`, which, unlike a `case
+    C()` pattern, does not match an instance of a subclass of C: so no
+    class they name may have one."""
+    named = [fn.__globals__.get(n) for n in fn.__code__.co_names]
+    classes = [c for c in named if isinstance(c, type) and issubclass(c, Node)]
+    assert classes
+    assert [c for c in classes if c.__subclasses__()] == []
 
 
 def test_free_type_vars():

@@ -653,6 +653,34 @@ def test_emit_core_prints_a_400_concept_chain(capsys, tmp_path):
     assert (code, err) == (0, "") and out.endswith("core: int\n")
 
 
+def test_emit_core_prints_a_1200_concept_chain(capsys, tmp_path):
+    # the path through the chain lowers to 1,200 nested projections, past
+    # what a term printer recursing per level reaches under the default
+    # recursion limit
+    code, out, err = run_cli(capsys, tmp_path, roadmap_chain(1200),
+                             "emit-core")
+    assert (code, err) == (0, "") and "x1199" + ".0" * 1200 + " 1)" in out
+
+
+CONTRADICTORY = ("let g = Lam t. t == int => t == bool => "
+                 "lam f: t -> t. lam x: bool. f x in 1")
+
+
+def test_contradictory_assumptions_lower_to_a_verified_core(capsys,
+                                                            tmp_path):
+    """Under `t == int` and `t == bool`, int and bool are one class, so
+    `f x` checks.  Lowering writes each type as its class's canonical form,
+    here int, ground types too: a `bool` left as written would give the
+    core `f x` an int parameter and a bool argument."""
+    core = ("(\\x0: forall a0. (int -> int) -> int -> int. 1) "
+            "(/\\a0. \\x0: int -> int. \\x1: int. x0 x1)\n")
+    assert run_cli(capsys, tmp_path, CONTRADICTORY, "check") == \
+        (0, "int\n", "")
+    assert run_cli(capsys, tmp_path, CONTRADICTORY, "run") == (0, "1\n", "")
+    assert run_cli(capsys, tmp_path, CONTRADICTORY, "emit-core",
+                   "--verify") == (0, core + "core: int\n", "")
+
+
 @pytest.mark.parametrize("broken", [False, True])
 @pytest.mark.parametrize("m", [3, 12, 40])
 def test_bench_chain_dictionary_types_follow_evidence(m, broken, capsys,

@@ -25,7 +25,9 @@ from fgc.sysf import (
     CList,
     CNil,
     CPrim,
+    CProj,
     CTVar,
+    CTup,
     CTyApp,
     CTyLam,
     CVar,
@@ -227,6 +229,27 @@ def test_pretty_parse_roundtrip_corpus():
     for name in well_typed_names():
         t = lower(parse_program(load(name), name))
         assert parse_core(pretty_core(t)) == t, name
+
+
+def test_pretty_core_prints_past_the_recursion_limit():
+    # a concept chain's path projects as deep as the chain, a `let` chain
+    # nests its bodies and a list its tails
+    n = 5_000
+    proj, lets, lams, cons = CTup((CIntLit(1),)), CVar(0), CVar(n - 1), \
+        CNil(CInt())
+    for i in range(n):
+        proj = CProj(proj, 0)
+        lets = CApp(CLam(CInt(), lets), CIntLit(i))
+        lams = CLam(CInt(), lams)
+        cons = CCons(CIntLit(i), cons)
+    assert pretty_core(proj) == "<1>" + ".0" * n
+    assert pretty_core(lets) == "".join(
+        f"(\\x{i}: int. " for i in range(n)) + f"x{n - 1}" + "".join(
+        f") {i}" for i in range(n))
+    assert pretty_core(lams) == "".join(
+        f"\\x{i}: int. " for i in range(n)) + "x0"
+    assert pretty_core(cons) == "".join(
+        f"cons({n - 1 - i}, " for i in range(n)) + "nil[int]" + ")" * n
 
 
 def test_translate_type_of_whole_programs():
