@@ -18,9 +18,9 @@ subclass of C, so no class they name may have one (`tests/test_ast.py`).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple
 
-from .node import Node, set_field
+from .node import Node
 
 
 class SourceSpan(NamedTuple):
@@ -70,6 +70,7 @@ class Syntax(Node):
 
     __slots__ = ()
     _unprinted = ("span",)
+    _defaults = {"decl": None, "elem_type": None, "span": None}
 
 
 # ---------------------------------------------------------------- types
@@ -84,15 +85,9 @@ class Type(Syntax):
 class IntT(Type):
     __slots__ = ("span",)
 
-    def __init__(self, span=None):
-        set_field(self, "span", span)
-
 
 class BoolT(Type):
     __slots__ = ("span",)
-
-    def __init__(self, span=None):
-        set_field(self, "span", span)
 
 
 INT, BOOL = IntT(), BoolT()  # span-less: for every type not read from source
@@ -101,47 +96,24 @@ INT, BOOL = IntT(), BoolT()  # span-less: for every type not read from source
 class ListT(Type):
     __slots__ = ("elem", "span")
 
-    def __init__(self, elem: Type, span=None):
-        set_field(self, "elem", elem)
-        set_field(self, "span", span)
-
 
 class Arrow(Type):
     __slots__ = ("dom", "cod", "span")
-
-    def __init__(self, dom: Type, cod: Type, span=None):
-        set_field(self, "dom", dom)
-        set_field(self, "cod", cod)
-        set_field(self, "span", span)
 
 
 class Forall(Type):
     __slots__ = ("binder", "body", "span")
 
-    def __init__(self, binder: str, body: Type, span=None):
-        set_field(self, "binder", binder)
-        set_field(self, "body", body)
-        set_field(self, "span", span)
-
 
 class TVar(Type):
     __slots__ = ("name", "span")
 
-    def __init__(self, name: str, span=None):
-        set_field(self, "name", name)
-        set_field(self, "span", span)
-
 
 class ModelId(Syntax):
-    __slots__ = ("concept", "type_args", "decl", "span")
-
-    def __init__(self, concept: str, type_args: tuple,
-                 decl: Optional[int] = None, span=None):
-        set_field(self, "concept", concept)  # the name printed in messages
-        set_field(self, "type_args", type_args)
-        # the concept declaration's identity; None: unknown
-        set_field(self, "decl", decl)
-        set_field(self, "span", span)
+    __slots__ = ("concept",  # the name printed in messages
+                 "type_args",
+                 "decl",  # the concept declaration's identity; None: unknown
+                 "span")
 
 
 class AssocPath(Type):
@@ -150,20 +122,9 @@ class AssocPath(Type):
 
     __slots__ = ("model", "rest", "span")
 
-    def __init__(self, model: ModelId, rest: Union[str, AssocPath],
-                 span=None):
-        set_field(self, "model", model)
-        set_field(self, "rest", rest)
-        set_field(self, "span", span)
-
 
 class Constrained(Type):
     __slots__ = ("constraint", "body", "span")
-
-    def __init__(self, constraint: Constraint, body: Type, span=None):
-        set_field(self, "constraint", constraint)
-        set_field(self, "body", body)
-        set_field(self, "span", span)
 
 
 # ---------------------------------------------------------------- constraints
@@ -178,51 +139,31 @@ class Constraint(Syntax):
 class ConceptC(Constraint):
     __slots__ = ("model", "span")
 
-    def __init__(self, model: ModelId, span=None):
-        set_field(self, "model", model)
-        set_field(self, "span", span)
-
 
 class SameType(Constraint):
     __slots__ = ("lhs", "rhs", "span")
-
-    def __init__(self, lhs: Type, rhs: Type, span=None):
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "span", span)
 
 
 # ---------------------------------------------------------------- declarations
 
 
 class ConceptInfo(Syntax):
-    __slots__ = ("name", "type_params", "assoc_types", "nested", "members",
-                 "decl", "span")
-
-    def __init__(self, name: str, type_params: tuple, assoc_types: tuple,
-                 nested: tuple, members: tuple, decl: Optional[int] = None,
-                 span=None):
-        set_field(self, "name", name)
-        set_field(self, "type_params", type_params)  # of str
-        set_field(self, "assoc_types", assoc_types)  # of str
-        set_field(self, "nested", nested)  # of Constraint
-        set_field(self, "members", members)  # of (str, Type)
-        set_field(self, "decl", decl)  # the declaration's identity
-        set_field(self, "span", span)
+    __slots__ = ("name",
+                 "type_params",  # of str
+                 "assoc_types",  # of str
+                 "nested",  # of Constraint
+                 "members",  # of (str, Type)
+                 "decl",  # the declaration's identity
+                 "span")
 
 
 class ModelInfo(Syntax):
-    __slots__ = ("concept", "type_args", "assoc_binds", "member_binds",
-                 "decl", "span")
-
-    def __init__(self, concept: str, type_args: tuple, assoc_binds: tuple,
-                 member_binds: tuple, decl: Optional[int] = None, span=None):
-        set_field(self, "concept", concept)
-        set_field(self, "type_args", type_args)  # of Type
-        set_field(self, "assoc_binds", assoc_binds)  # of (str, Type)
-        set_field(self, "member_binds", member_binds)  # of (str, Expr)
-        set_field(self, "decl", decl)  # of the concept, as in ModelId
-        set_field(self, "span", span)
+    __slots__ = ("concept",
+                 "type_args",  # of Type
+                 "assoc_binds",  # of (str, Type)
+                 "member_binds",  # of (str, Expr)
+                 "decl",  # of the concept, as in ModelId
+                 "span")
 
 
 # ---------------------------------------------------------------- expressions
@@ -237,155 +178,73 @@ class Expr(Syntax):
 class IntLit(Expr):
     __slots__ = ("value", "span")
 
-    def __init__(self, value: int, span=None):
-        set_field(self, "value", value)
-        set_field(self, "span", span)
-
 
 class BoolLit(Expr):
     __slots__ = ("value", "span")
 
-    def __init__(self, value: bool, span=None):
-        set_field(self, "value", value)
-        set_field(self, "span", span)
-
 
 class Lam(Expr):
-    __slots__ = ("param", "ann", "body", "decl", "span")
-
-    def __init__(self, param: str, ann: Optional[Type], body: Expr,
-                 decl: Optional[int] = None, span=None):
-        set_field(self, "param", param)
-        set_field(self, "ann", ann)
-        set_field(self, "body", body)
-        set_field(self, "decl", decl)  # the parameter's identity
-        set_field(self, "span", span)
+    __slots__ = ("param", "ann", "body", "decl",  # the parameter's identity
+                 "span")
 
 
 class App(Expr):
     __slots__ = ("fn", "arg", "span")
 
-    def __init__(self, fn: Expr, arg: Expr, span=None):
-        set_field(self, "fn", fn)
-        set_field(self, "arg", arg)
-        set_field(self, "span", span)
-
 
 class TyLam(Expr):
     __slots__ = ("binder", "body", "span")
-
-    def __init__(self, binder: str, body: Expr, span=None):
-        set_field(self, "binder", binder)
-        set_field(self, "body", body)
-        set_field(self, "span", span)
 
 
 class TyApp(Expr):
     __slots__ = ("subject", "arg", "span")
 
-    def __init__(self, subject: Expr, arg: Type, span=None):
-        set_field(self, "subject", subject)
-        set_field(self, "arg", arg)
-        set_field(self, "span", span)
-
 
 class ConstrainedE(Expr):
     __slots__ = ("constraint", "body", "span")
-
-    def __init__(self, constraint: Constraint, body: Expr, span=None):
-        set_field(self, "constraint", constraint)
-        set_field(self, "body", body)
-        set_field(self, "span", span)
 
 
 class PathE(Expr):
     """A term path: a variable with an optional prefix of model identifiers."""
 
-    __slots__ = ("prefix", "name", "decl", "span")
-
-    def __init__(self, prefix: tuple, name: str, decl: Optional[int] = None,
-                 span=None):
-        set_field(self, "prefix", prefix)  # of ModelId, possibly empty
-        set_field(self, "name", name)
-        set_field(self, "decl", decl)  # a variable's binder's identity
-        set_field(self, "span", span)
+    __slots__ = ("prefix",  # of ModelId, possibly empty
+                 "name", "decl",  # a variable's binder's identity
+                 "span")
 
 
 class ConceptDecl(Expr):
     __slots__ = ("info", "rest", "span")
 
-    def __init__(self, info: ConceptInfo, rest: Expr, span=None):
-        set_field(self, "info", info)
-        set_field(self, "rest", rest)
-        set_field(self, "span", span)
-
 
 class ModelDecl(Expr):
     __slots__ = ("info", "rest", "span")
-
-    def __init__(self, info: ModelInfo, rest: Expr, span=None):
-        set_field(self, "info", info)
-        set_field(self, "rest", rest)
-        set_field(self, "span", span)
 
 
 class TypeAlias(Expr):
     __slots__ = ("name", "rhs", "rest", "span")
 
-    def __init__(self, name: str, rhs: Type, rest: Expr, span=None):
-        set_field(self, "name", name)
-        set_field(self, "rhs", rhs)
-        set_field(self, "rest", rest)
-        set_field(self, "span", span)
-
 
 class Let(Expr):
-    __slots__ = ("name", "bound", "rest", "decl", "span")
-
-    def __init__(self, name: str, bound: Expr, rest: Expr,
-                 decl: Optional[int] = None, span=None):
-        set_field(self, "name", name)
-        set_field(self, "bound", bound)
-        set_field(self, "rest", rest)
-        set_field(self, "decl", decl)  # the name's identity
-        set_field(self, "span", span)
+    __slots__ = ("name", "bound", "rest", "decl",  # the name's identity
+                 "span")
 
 
 class Fix(Expr):
     __slots__ = ("body", "span")
 
-    def __init__(self, body: Expr, span=None):
-        set_field(self, "body", body)
-        set_field(self, "span", span)
-
 
 class If(Expr):
     __slots__ = ("cond", "thn", "els", "span")
 
-    def __init__(self, cond: Expr, thn: Expr, els: Expr, span=None):
-        set_field(self, "cond", cond)
-        set_field(self, "thn", thn)
-        set_field(self, "els", els)
-        set_field(self, "span", span)
-
 
 class ListLit(Expr):
-    __slots__ = ("elems", "elem_type", "span")
-
-    def __init__(self, elems: tuple, elem_type: Optional[Type] = None,
-                 span=None):
-        set_field(self, "elems", elems)  # of Expr
-        set_field(self, "elem_type", elem_type)
-        set_field(self, "span", span)
+    __slots__ = ("elems",  # of Expr
+                 "elem_type", "span")
 
 
 class Prim(Expr):
-    __slots__ = ("op", "args", "span")
-
-    def __init__(self, op: str, args: tuple, span=None):
-        set_field(self, "op", op)
-        set_field(self, "args", args)  # of Expr
-        set_field(self, "span", span)
+    __slots__ = ("op", "args",  # of Expr
+                 "span")
 
 
 # Arity and result shape of the built-in operators.  Arithmetic and

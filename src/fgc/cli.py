@@ -5,9 +5,10 @@
     fgc emit-core <file.fg>   print the elaborated core term
     fgc ast       <file.fg>   print the parsed syntax tree
 
-Exit codes: 0 success, 1 type errors, 2 parse errors, 3 I/O errors,
-4 fuel exhausted, 5 internal error (any exception of the compiler itself,
-such as elaboration, the core re-check or the machine failing on a checked
+Exit codes: 0 success, 1 type errors, 2 parse errors, 3 I/O errors (an
+unreadable file, or a standard output closed or full), 4 fuel exhausted,
+5 internal error (any exception of the compiler itself, such as
+elaboration, the core re-check or the machine failing on a checked
 program; code I001 under `--format json`).
 Set FGC_COLOR=0|1 to force color off or on.
 
@@ -305,7 +306,17 @@ def main(argv=None) -> int:
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # a program's integers have any length
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # so that output still buffered fails here
+        return code
+    except OSError as exc:  # a closed or full standard output
+        if sys.stdout is sys.__stdout__:  # the exit's flush writes nowhere
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        print(f"fgc: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO_ERROR
     except Exception as exc:
         return _internal_error(f"{type(exc).__name__}: {exc}", args.format)
     finally:

@@ -47,10 +47,7 @@ class Evidence(Node):
     slots leading from it to the witness.  `PROVED` has no binder."""
 
     __slots__ = ("binder", "route")
-
-    def __init__(self, binder: object, route: tuple = ()):
-        set_field(self, "binder", binder)
-        set_field(self, "route", route)
+    _defaults = {"route": ()}
 
 
 PROVED = Evidence(None)  # a provable same-type constraint

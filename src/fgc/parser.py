@@ -124,7 +124,7 @@ from .ast import (
     map_children,
     substitute_type,
 )
-from .node import Node, set_field
+from .node import Node
 
 KEYWORDS = {
     "concept", "model", "type", "let", "in", "lam", "Lam", "fix",
@@ -160,13 +160,7 @@ class Diagnostic(Node):
     pair of a span (or None) and a text."""
 
     __slots__ = ("span", "code", "message", "notes")
-
-    def __init__(self, span: Optional[SourceSpan], code: str, message: str,
-                 notes: tuple = ()):
-        set_field(self, "span", span)
-        set_field(self, "code", code)
-        set_field(self, "message", message)
-        set_field(self, "notes", notes)
+    _defaults = {"notes": ()}
 
     def __str__(self) -> str:
         where = str(self.span) if self.span else "<unknown>"

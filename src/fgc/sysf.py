@@ -17,7 +17,7 @@ can only produce a value or diverge, never get stuck.
 
 from __future__ import annotations
 
-from .node import Node, set_field
+from .node import Node
 
 
 # ---------------------------------------------------------------- types
@@ -41,37 +41,21 @@ CINT, CBOOL = CInt(), CBool()
 class CList(CoreType):
     __slots__ = ("elem",)
 
-    def __init__(self, elem: CoreType):
-        set_field(self, "elem", elem)
-
 
 class CArrow(CoreType):
     __slots__ = ("dom", "cod")
-
-    def __init__(self, dom: CoreType, cod: CoreType):
-        set_field(self, "dom", dom)
-        set_field(self, "cod", cod)
 
 
 class CForall(CoreType):
     __slots__ = ("body",)
 
-    def __init__(self, body: CoreType):
-        set_field(self, "body", body)
-
 
 class CTVar(CoreType):
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
-        set_field(self, "index", index)
-
 
 class CTupleT(CoreType):
     __slots__ = ("elems",)
-
-    def __init__(self, elems: tuple):
-        set_field(self, "elems", elems)
 
 
 # ---------------------------------------------------------------- terms
@@ -84,107 +68,57 @@ class CoreTerm(Node):
 class CIntLit(CoreTerm):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        set_field(self, "value", value)
-
 
 class CBoolLit(CoreTerm):
     __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        set_field(self, "value", value)
 
 
 class CVar(CoreTerm):
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
-        set_field(self, "index", index)
-
 
 class CLam(CoreTerm):
     __slots__ = ("ann", "body")
-
-    def __init__(self, ann: CoreType, body: CoreTerm):
-        set_field(self, "ann", ann)
-        set_field(self, "body", body)
 
 
 class CApp(CoreTerm):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: CoreTerm, arg: CoreTerm):
-        set_field(self, "fn", fn)
-        set_field(self, "arg", arg)
-
 
 class CTyLam(CoreTerm):
     __slots__ = ("body",)
-
-    def __init__(self, body: CoreTerm):
-        set_field(self, "body", body)
 
 
 class CTyApp(CoreTerm):
     __slots__ = ("subject", "arg")
 
-    def __init__(self, subject: CoreTerm, arg: CoreType):
-        set_field(self, "subject", subject)
-        set_field(self, "arg", arg)
-
 
 class CTup(CoreTerm):
     __slots__ = ("elems",)
-
-    def __init__(self, elems: tuple):
-        set_field(self, "elems", elems)
 
 
 class CProj(CoreTerm):
     __slots__ = ("subject", "index")
 
-    def __init__(self, subject: CoreTerm, index: int):
-        set_field(self, "subject", subject)
-        set_field(self, "index", index)
-
 
 class CFix(CoreTerm):
     __slots__ = ("body",)
-
-    def __init__(self, body: CoreTerm):
-        set_field(self, "body", body)
 
 
 class CIf(CoreTerm):
     __slots__ = ("cond", "thn", "els")
 
-    def __init__(self, cond: CoreTerm, thn: CoreTerm, els: CoreTerm):
-        set_field(self, "cond", cond)
-        set_field(self, "thn", thn)
-        set_field(self, "els", els)
-
 
 class CPrim(CoreTerm):
     __slots__ = ("op", "args")
-
-    def __init__(self, op: str, args: tuple):
-        set_field(self, "op", op)
-        set_field(self, "args", args)
 
 
 class CNil(CoreTerm):
     __slots__ = ("elem",)
 
-    def __init__(self, elem: CoreType):
-        set_field(self, "elem", elem)
-
 
 class CCons(CoreTerm):
     __slots__ = ("head", "tail")
-
-    def __init__(self, head: CoreTerm, tail: CoreTerm):
-        set_field(self, "head", head)
-        set_field(self, "tail", tail)
 
 
 # ---------------------------------------------------------------- shifting
@@ -417,27 +351,18 @@ def _infer_prim(op, args, ctx, tydepth, path) -> CoreType:
 
 
 class Value(Node):
-    __slots__ = ("value", "steps")
+    __slots__ = ("value",  # an int, a bool, or the value's core term
+                 "steps")  # contractions taken
     _uncompared = ("steps",)
-
-    def __init__(self, value: object, steps: int = 0):
-        # an int, a bool, or the value's core term
-        set_field(self, "value", value)
-        set_field(self, "steps", steps)  # contractions taken
+    _defaults = {"steps": 0}
 
 
 class Diverged(Node):
     __slots__ = ("steps",)
 
-    def __init__(self, steps: int):
-        set_field(self, "steps", steps)
-
 
 class Stuck(Node):
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        set_field(self, "reason", reason)
 
 
 def _loop(ty: CoreType) -> CoreTerm:

@@ -37,7 +37,7 @@ from fgc.ast import (
     type_children,
 )
 from fgc.cli import main
-from fgc.env import EquationNode
+from fgc.env import Env, EquationNode
 from fgc.node import Node
 from fgc.parser import Source
 from fgc.sysf import CBool, CInt, pretty_core
@@ -356,6 +356,53 @@ def test_nodes_of_different_classes_differ():
             assert x.__eq__(y) is NotImplemented and x != y
 
 
+def _written(names) -> list:
+    """(module, class, method) for each method named in `names` that a
+    class of the package writes, outside `node.py`."""
+    found = []
+    for path in sorted(pathlib.Path(*fgc.__path__).glob("*.py")):
+        if path.name != "node.py":
+            for c in pyast.walk(pyast.parse(path.read_text())):
+                if isinstance(c, pyast.ClassDef):
+                    found += [(path.stem, c.name, f.name) for f in c.body
+                              if isinstance(f, pyast.FunctionDef)
+                              and f.name in names]
+    return found
+
+
+def test_node_classes_run_their_derived_constructors():
+    """Each class with fields but `Env` has an `__init__` code object of
+    its own, `node.py`'s template for its field count: its parameters are
+    the fields, it stores each with one `set_field` call, in order, and
+    its defaults are its `_defaults` of the longest trailing run of fields
+    they name.  No module but `node.py` writes the constructor of a node
+    class other than `Env`, which builds fresh tables."""
+    derived = [c for c in NODE_CLASSES if c.__slots__ and c is not Env]
+    assert len(derived) == 53
+    assert len({id(c.__init__.__code__) for c in derived}) == len(derived)
+    for cls in derived:
+        fields, init = cls.__slots__, cls.__init__
+        code = init.__code__
+        assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert code.co_varnames[:code.co_argcount] == ("self", *fields)
+        loads = [(i.opname, i.argval) for i in dis.get_instructions(code)
+                 if i.opname.startswith("LOAD_") and i.argval is not None]
+        assert loads == [load for f in fields for load in (
+            ("LOAD_GLOBAL", "set_field"), ("LOAD_FAST", "self"),
+            ("LOAD_CONST", f), ("LOAD_FAST", f))], cls.__name__
+        assert len([i for i in dis.get_instructions(code) if i.opname in (
+            "CALL", "CALL_FUNCTION")]) == len(fields)
+        first = len(fields)
+        while first and fields[first - 1] in cls._defaults:
+            first -= 1
+        assert init.__defaults__ == (tuple(
+            cls._defaults[f] for f in fields[first:]) or None)
+    written = [(m, c) for m, c, _ in _written({"__init__"})
+               if issubclass(getattr(importlib.import_module(f"fgc.{m}"), c,
+                                     object), Node)]
+    assert written == [("env", "Env")]
+
+
 def _attributes(code) -> list:
     """The attributes a code object reads other than `__class__`, in
     order."""
@@ -378,12 +425,7 @@ def test_few_field_classes_run_their_own_equality():
         for cls, method in methods.items():
             assert _attributes(method.__code__) == \
                 list(cls._compared) * reads, cls.__name__
-    for path in pathlib.Path(*fgc.__path__).glob("*.py"):
-        if path.name != "node.py":
-            written = [n.name for n in pyast.walk(pyast.parse(
-                path.read_text())) if isinstance(n, pyast.FunctionDef)
-                and n.name in ("__eq__", "__hash__")]
-            assert written == [], path.name
+    assert _written({"__eq__", "__hash__"}) == []
 
 
 def test_only_the_compared_classes_write_their_equality(monkeypatch,

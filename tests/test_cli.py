@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output, and JSON diagnostics."""
 
 import argparse
+import errno
 import gc
 import itertools
 import json
@@ -80,6 +81,63 @@ def test_io_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "missing.fg"))
     assert code == 3
     assert "cannot read" in err
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone: its `write` raises, or
+    only its `flush`, as for output small enough to sit in a buffer."""
+
+    def __init__(self, on_write: bool):
+        self.on_write = on_write
+
+    def write(self, text):
+        if self.on_write:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+@pytest.mark.parametrize("cmd", ["check", "run", "emit-core", "ast"])
+def test_a_closed_standard_output_is_an_io_error(capsys, monkeypatch, cmd,
+                                                 on_write):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(on_write))
+    code = main([cmd, FOLDL])
+    assert (code, capsys.readouterr().err) == (
+        3, "fgc: cannot write output: Broken pipe\n")
+
+
+def test_no_standard_output_is_not_an_error(capsys, monkeypatch):
+    # `fgc check f.fg >&-` starts Python without a `sys.stdout`, and
+    # `print` then writes nothing
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["check", FOLDL]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("cmd", ["check", "run", "emit-core", "ast"])
+def test_a_pipe_closed_early_is_an_io_error(tmp_path, cmd):
+    """`fgc` into a pipe whose reader has gone, as `fgc ast f.fg | head -c
+    10` leaves it: one line on stderr and exit 3, and nothing from the
+    interpreter's own flush at exit.  What `check` prints sits in the
+    buffer until it is flushed; the others print more than fills it."""
+    f = tmp_path / "p.fg"
+    f.write_text("1 + 2" if cmd == "check" else
+                 "[%s]" % ", ".join(map(str, range(2000))))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "fgc.cli", cmd, str(f)],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (
+        3, "fgc: cannot write output: Broken pipe\n")
 
 
 @pytest.mark.parametrize("cmd", [["check"], ["run"], ["emit-core"],
