@@ -20,6 +20,12 @@ freed as soon as it returns; it may be called any number of times in one
 process.  A command imports only the modules it runs: `check` and `ast`
 load neither lowering (`elaborate`) nor the core (`sysf`), and `json` is
 imported only to write `--format json`.
+
+Lowering defers the core's types (see `elaborate`), and `run` makes only
+those its printed value reads: none for an int or a bool.  So a program
+with a type that has no core image, such as a written path through a
+requirement, runs, while `emit-core`, which makes every type first, in the
+order lowering deferred them, exits 5 on it.
 """
 
 from __future__ import annotations
@@ -191,6 +197,7 @@ def cmd_emit_core(args) -> int:
                                               Elaborator, ElabError)
     if code != EXIT_OK:
         return code
+    checker.lower.make_types()
     core = translate_program(tree, checker)
     core_type = sf_typecheck(core) if args.verify else None
     print(pretty_core(core))

@@ -37,19 +37,37 @@ Same-type constraints erase: every emitted core type is first
 canonicalized in the environment (`Env.canonical`), so core structural
 equality coincides with provable surface equality.
 
-Lowering touches no closure itself, and its queries go to the equation
-nodes the checker is walking, so they share its closures; it keeps each
-introduction's environment, and assumes a type's leading same-type
-constraints as written, so a later conversion of the introduction's type
-finds the checker's node.  It builds a closure only at a node no checker
-query needed: on a concept chain, the node its top concept's plan and
-dictionary type share, and the model chain's for its member types.
-A model's dictionary type follows its evidence: each nested slot has the
-type recorded where the dictionary its evidence names was bound,
-renumbered past the type variables bound since and projected along the
-route; only the member slots are converted.  The dictionary type of an
-assumed constraint is built once per (model identifier, equation node,
-type scope).  Abstraction plans are made from the checker's expansions
+Lowering converts no type in the walk.  `conv`, `dict_type` and
+`evidence_type` return a deferred type (`sysf.CDeferred`) holding the
+environment, the surface type or model identifier and a snapshot of the
+type scope, which `_Types` converts on its first read (`sysf.force`).
+Evaluation reads no type, so `fgc run` of a program whose value is an int
+or a bool canonicalizes, converts and builds a closure for none; the core
+check, the printers and the machine's read-back of a value make the types
+they read, and `fgc emit-core` makes them all first, in the walk's order
+(`Elaborator.make_types`).  Without equations in scope, `int` and `bool`
+convert at once, which costs less than deferring them.  What decides the
+core's shape stays in the walk: abstraction plans, and so the type
+abstractions and applications, dictionary routes and binder lookups, with
+their `ElabError`s.  A conversion's own `ElabError` (a written path with
+no core image) is raised where its type is made.  A deferred type holds
+`_Types`, which holds the checker's concept table, expansions and root
+environment but neither the checker nor the lowering, so it is made
+after both are gone, and no reference cycle forms.
+
+Conversions query the equation nodes the checker walked, so they share
+its closures where they are made in the walk's order: a deferred type
+keeps its environment, and so its node, alive, and a conversion assumes
+a type's leading same-type constraints as written, so it finds the
+checker's node.  In the
+walk, lowering builds a closure only for an abstraction plan: on a concept
+chain, at the node of its top concept's plan.  A model's dictionary type
+follows its evidence: each nested slot has the type recorded where the
+dictionary its evidence names was bound, renumbered past the type
+variables bound since and projected along the route; only the member
+slots are converted.  The dictionary type of an assumed constraint is
+deferred, and made, once per (model identifier, equation node, type
+scope).  Abstraction plans are made from the checker's expansions
 (`Checker.flat`) where they can, once per concept declaration, and
 instantiated at each constraint, so a constraint whose type arguments pin
 more paths (`C<int>` where `C` requires `D<int>.U == bool`) takes the
@@ -88,7 +106,7 @@ from .ast import (
     has_path,
     substitute_type_map,
 )
-from .env import Env, Evidence, PROVED, concept_subst
+from .env import Env, Evidence, PROVED, concept_subst, flat
 from .parser import pretty_type
 from .sysf import (
     CApp,
@@ -96,6 +114,7 @@ from .sysf import (
     CBOOL,
     CBoolLit,
     CCons,
+    CDeferred,
     CFix,
     CForall,
     CIf,
@@ -114,6 +133,7 @@ from .sysf import (
     CTyApp,
     CTyLam,
     CVar,
+    force,
     shift_ty,
 )
 from .typecheck import Checker
@@ -160,42 +180,30 @@ def _renames(concepts: dict, args: tuple, expanded: tuple) -> bool:
     return True
 
 
-class Elaborator:
-    """The lowering a checker calls as it derives: each rule's method
-    builds the rule's core from its children's, which the rules before it
-    left on `stack` (see `typecheck.Checker`)."""
+class _Types:
+    """What converting a surface type into the core reads: the program's
+    concept table and expansions (the checker's own tables), its root
+    environment, the abstraction plan of each concept, and each
+    dictionary type made.  Every type lowering defers holds it, and it
+    holds neither the checker nor the lowering, so a deferred type is made
+    after both are gone, and no reference cycle forms.  A type scope here
+    is a tuple, innermost last: ("var", name) for a surface type variable,
+    ("assoc", path) for an abstracted associated type."""
 
     def __init__(self, checker: Checker):
-        # the checker holds its lowering: a strong reference back would
-        # leave the pair to the cycle collector
-        self.checker = weakref.proxy(checker)
-        self.stack = []  # cores of checked expressions not yet used
-        # the type scope, innermost last: ("var", name) for a surface type
-        # variable, ("assoc", path) for an abstracted associated type
-        self.tscope = []
-        self.depth = 0  # the number of term variables bound
-        # binder -> (level, core type, tscope length where it was bound)
-        # for each binder in scope: a term binder by its `decl`, a
-        # dictionary binder (a `ModelDecl` or `ConstrainedE` node) by its
-        # `id`; an entry leaves where its binder's scope ends
-        self.binders = {}
-        self.lets = []  # (binder, bound core) of each open let and model
-        self.intros = []  # (pins, plan length) of each open introduction
-        # what a second walk learned, so that a later walk never walks the
-        # same expression again: the pins of an introduction, by id, that
-        # its syntax did not predict, and the ids of the expressions whose
-        # type keeps the constraints stripped off their expected type
-        self.learned = {}
-        self.unstripped = set()
-        # the environment of each introduction, whose equation node, and
-        # so closure, a later conversion of its type assumes again
-        self.kept = []
-        # (model id, equation node, tscope)
-        self.dict_types = {}
+        self.concepts, self.flats = checker.concepts, checker.flats
+        self.root = checker.root
         # concept declaration -> its abstraction plan at its own parameters
         self.plans = {}
+        self.dicts = {}  # (model id, equation node, type scope) -> core type
 
-    # ------------------------------------------------------------ types
+    def flat(self, c: ConceptC) -> tuple:
+        """`Checker.flat`: the expansion of c, memoised in the checker's
+        table."""
+        out = self.flats.get(c)
+        if out is None:
+            out = self.flats[c] = tuple(flat(self.concepts, c))
+        return out
 
     def abstraction_plan(self, c: ConceptC) -> tuple:
         """The associated-type paths of a concept constraint's expansion
@@ -216,22 +224,22 @@ class Elaborator:
         equations in scope, the plan's closure is the one its dictionary
         type is converted in."""
         mid = c.model
-        info = self.checker.concepts[mid.decl]
+        info = self.concepts[mid.decl]
         plan = self.plans.get(mid.decl)
         if plan is None:
-            expanded = self.checker.flats.get(c)
-            if expanded is None or not _renames(self.checker.concepts,
+            expanded = self.flats.get(c)
+            if expanded is None or not _renames(self.concepts,
                                                 mid.type_args, expanded):
                 c = ConceptC(ModelId(info.name, tuple(
                     TVar(a) for a in info.type_params), info.decl))
-                expanded = self.checker.flat(c)
+                expanded = self.flat(c)
             args = c.model.type_args
-            env = self._same_types(self.checker.root, c)
+            env = self.same_types(self.root, c)
             params = []
             for fc, _ in expanded:
                 if not isinstance(fc, ConceptC):
                     continue
-                for beta in self.checker.concepts[fc.model.decl].assoc_types:
+                for beta in self.concepts[fc.model.decl].assoc_types:
                     p = AssocPath(fc.model, beta)
                     if not any(env.equal(p, q) for q in params) and \
                             has_path(env.canonical(p)):
@@ -242,12 +250,146 @@ class Elaborator:
         sigma = dict(zip(info.type_params, mid.type_args))
         return tuple(substitute_type_map(p, sigma) for p in plan)
 
-    def _same_types(self, env: Env, c: ConceptC) -> Env:
+    def same_types(self, env: Env, c: ConceptC) -> Env:
         """env assuming the same-type constraints of flat(c)."""
-        for fc, _ in self.checker.flat(c):
+        for fc, _ in self.flat(c):
             if isinstance(fc, SameType):
                 env = env.assume(fc, PROVED)
         return env
+
+    def conv(self, env: Env, t: Type, scope: tuple) -> CoreType:
+        """Surface type to core type in the type scope, canonicalized in
+        the environment.  Canonical binders are named past the type scope,
+        so they capture no variable of it.  Leading same-type constraints
+        are assumed as written, as the checker assumed them, so the
+        environment reaches the checker's equation node and closure."""
+        while t.__class__ is Constrained and t.constraint.__class__ is \
+                SameType:
+            env, t = env.assume(t.constraint, PROVED), t.body
+        return self._conv_raw(env, env.canonical(t, len(scope)), scope)
+
+    def _conv_raw(self, env: Env, t: Type, scope: tuple) -> CoreType:
+        cls = t.__class__
+        if cls is Arrow:
+            return CArrow(self._conv_raw(env, t.dom, scope),
+                          self._conv_raw(env, t.cod, scope))
+        if cls is IntT:
+            return CINT
+        if cls is BoolT:
+            return CBOOL
+        if cls is ListT:
+            return CList(self._conv_raw(env, t.elem, scope))
+        if cls is TVar:
+            for i in range(len(scope) - 1, -1, -1):
+                if scope[i] == ("var", t.name):
+                    return CTVar(len(scope) - 1 - i)
+            raise ElabError(f"type variable {t.name!r} not in scope")
+        if cls is Forall:
+            return CForall(self._conv_raw(env, t.body,
+                                          scope + (("var", t.binder),)))
+        if cls is AssocPath:
+            for i, entry in enumerate(reversed(scope)):
+                if entry[0] == "assoc" and env.equal(t, entry[1]):
+                    return CTVar(i)
+            can = env.canonical(t, len(scope))
+            if not isinstance(can, AssocPath):
+                return self._conv_raw(env, can, scope)
+            raise ElabError(
+                f"associated type {pretty_type(t)} has no concrete "
+                "binding and is not abstracted in scope")
+        if cls is Constrained:
+            c, body = t.constraint, t.body
+            if isinstance(c, SameType):
+                return self.conv(env.assume(c, PROVED), body, scope)
+            env2 = self.same_types(env, c)
+            plan = self.abstraction_plan(c)
+            inner = scope + tuple(("assoc", p) for p in plan)
+            out = CArrow(self.dict_type(_assume_pins(env2, _pins(body)),
+                                        c.model, inner),
+                         self.conv(env2, body, inner))
+            for _ in plan:
+                out = CForall(out)
+            return out
+        raise ElabError(f"unexpected type node: {t!r}")
+
+    def dict_type(self, env: Env, mid: ModelId, scope: tuple) -> CoreType:
+        """The core type of an assumed constraint's dictionary, made once
+        per model identifier, equation node and type scope and then
+        shared."""
+        key = (mid, env.eq_node, scope)
+        out = self.dicts.get(key)
+        if out is None:
+            info = self.concepts[mid.decl]
+            sigma = concept_subst(info, mid)
+            out = self.dicts[key] = self.model_type(env, mid, [
+                self.dict_type(env, substitute_type_map(nc, sigma).model,
+                               scope)
+                for nc in info.nested if isinstance(nc, ConceptC)], scope)
+        return out
+
+    def model_type(self, env: Env, mid: ModelId, nested: list,
+                   scope: tuple) -> CoreType:
+        """The core type of a dictionary of mid: the types of its nested
+        dictionaries, then its member types converted in env."""
+        info = self.concepts[mid.decl]
+        sigma = concept_subst(info, mid)
+        return CTupleT(tuple([force(t) for t in nested] + [
+            self.conv(env, substitute_type_map(mty, sigma), scope)
+            for _, mty in info.members]))
+
+
+def _assume_pins(env: Env, pins: tuple) -> Env:
+    for p in pins:
+        env = env.assume(p, PROVED)
+    return env
+
+
+def _project(ty: CoreType, route: tuple, shift: int) -> CoreType:
+    """The type of a dictionary's slot along `route`, renumbered past
+    `shift` type variables bound since."""
+    ty = force(ty)
+    for slot in route:
+        ty = ty.elems[slot]
+    return shift_ty(ty, shift) if shift else ty
+
+
+# what a type converts to without equations in scope, where making it
+# costs less than deferring it
+_CONSTANT = {IntT: CINT, BoolT: CBOOL}
+
+
+class Elaborator:
+    """The lowering a checker calls as it derives: each rule's method
+    builds the rule's core from its children's, which the rules before it
+    left on `stack` (see `typecheck.Checker`)."""
+
+    def __init__(self, checker: Checker):
+        # the checker holds its lowering: a strong reference back would
+        # leave the pair to the cycle collector
+        self.checker = weakref.proxy(checker)
+        self.types = _Types(checker)
+        self.stack = []  # cores of checked expressions not yet used
+        # the type scope, innermost last (see `_Types`)
+        self.tscope = []
+        self.depth = 0  # the number of term variables bound
+        # binder -> (level, core type, tscope length where it was bound)
+        # for each binder in scope: a term binder by its `decl`, a
+        # dictionary binder (a `ModelDecl` or `ConstrainedE` node) by its
+        # `id`; an entry leaves where its binder's scope ends
+        self.binders = {}
+        self.lets = []  # (binder, bound core) of each open let and model
+        self.intros = []  # (pins, plan length) of each open introduction
+        # what a second walk learned, so that a later walk never walks the
+        # same expression again: the pins of an introduction, by id, that
+        # its syntax did not predict, and the ids of the expressions whose
+        # type keeps the constraints stripped off their expected type
+        self.learned = {}
+        self.unstripped = set()
+        # (model id, equation node, tscope) -> deferred dictionary type
+        self.dict_types = {}
+        self.deferred = []  # each type deferred, in the walk's order
+
+    # ------------------------------------------------------------ types
 
     def _enter(self, env: Env, c: ConceptC, pins: tuple) -> tuple:
         """Enter an assumed concept constraint, in env assuming the
@@ -255,14 +397,12 @@ class Elaborator:
         associated types onto the type scope.  Its dictionary type, built
         with the prefix's same-type constraints `pins` assumed too, and
         the number of type parameters."""
-        plan = self.abstraction_plan(c)
+        plan = self.types.abstraction_plan(c)
         self.tscope += [("assoc", p) for p in plan]
         return self._dict(env, c, pins), len(plan)
 
     def _dict(self, env: Env, c: ConceptC, pins: tuple) -> CoreType:
-        for p in pins:
-            env = env.assume(p, PROVED)
-        return self.dict_type(env, c.model)
+        return self.dict_type(_assume_pins(env, pins), c.model)
 
     def _abstract(self, core: CoreTerm, dict_ty: CoreType, n: int):
         """Leave an assumed constraint entered with `_enter`: core under
@@ -273,76 +413,37 @@ class Elaborator:
             core = CTyLam(core)
         return core
 
-    def conv(self, env: Env, t: Type) -> CoreType:
-        """Surface type to core type in the type scope, canonicalized in
-        the environment.  Canonical binders are named past the type scope,
-        so they capture no variable of it.  Leading same-type constraints
-        are assumed as written, as the checker assumed them, so the
-        environment reaches the checker's equation node and closure."""
-        while t.__class__ is Constrained and t.constraint.__class__ is \
-                SameType:
-            env, t = env.assume(t.constraint, PROVED), t.body
-        return self._conv_raw(env, env.canonical(t, len(self.tscope)))
+    def make_types(self) -> None:
+        """Make each type deferred, in the walk's order: that order goes
+        down the scope as the checker's did, so each closure is handed
+        down to the next equation node (`env.EquationNode`), where reading
+        the types in the core's order would build many again; and a type
+        is made after those it is made from, so none waits on a chain of
+        others as deep as a concept chain."""
+        for t in self.deferred:
+            force(t)
 
-    def _conv_raw(self, env: Env, t: Type) -> CoreType:
-        cls = t.__class__
-        if cls is Arrow:
-            return CArrow(self._conv_raw(env, t.dom),
-                          self._conv_raw(env, t.cod))
-        if cls is IntT:
-            return CINT
-        if cls is BoolT:
-            return CBOOL
-        if cls is ListT:
-            return CList(self._conv_raw(env, t.elem))
-        if cls is TVar:
-            scope = self.tscope
-            for i in range(len(scope) - 1, -1, -1):
-                if scope[i] == ("var", t.name):
-                    return CTVar(len(scope) - 1 - i)
-            raise ElabError(f"type variable {t.name!r} not in scope")
-        if cls is Forall:
-            self.tscope.append(("var", t.binder))
-            out = CForall(self._conv_raw(env, t.body))
-            self.tscope.pop()
-            return out
-        if cls is AssocPath:
-            for i, entry in enumerate(reversed(self.tscope)):
-                if entry[0] == "assoc" and env.equal(t, entry[1]):
-                    return CTVar(i)
-            can = env.canonical(t, len(self.tscope))
-            if not isinstance(can, AssocPath):
-                return self._conv_raw(env, can)
-            raise ElabError(
-                f"associated type {pretty_type(t)} has no concrete "
-                "binding and is not abstracted in scope")
-        if cls is Constrained:
-            c, body = t.constraint, t.body
-            if isinstance(c, SameType):
-                return self.conv(env.assume(c, PROVED), body)
-            env2 = self._same_types(env, c)
-            dict_ty, n = self._enter(env2, c, _pins(body))
-            out = CArrow(dict_ty, self.conv(env2, body))
-            del self.tscope[len(self.tscope) - n:]
-            for _ in range(n):
-                out = CForall(out)
-            return out
-        raise ElabError(f"unexpected type node: {t!r}")
+    def _defer(self, make, args: tuple) -> CDeferred:
+        out = CDeferred(make, args)
+        self.deferred.append(out)
+        return out
+
+    def conv(self, env: Env, t: Type) -> CoreType:
+        """The core type of t in env and the type scope (`_Types.conv`),
+        deferred: `int` and `bool` without equations at once."""
+        if not env.eq_node.depth and t.__class__ in _CONSTANT:
+            return _CONSTANT[t.__class__]
+        return self._defer(self.types.conv, (env, t, tuple(self.tscope)))
 
     def dict_type(self, env: Env, mid: ModelId) -> CoreType:
-        """The core type of an assumed constraint's dictionary, built once
-        per model identifier, equation node and type scope and then
+        """The core type of an assumed constraint's dictionary, deferred
+        once per model identifier, equation node and type scope and then
         shared."""
         key = (mid, env.eq_node, tuple(self.tscope))
         out = self.dict_types.get(key)
         if out is None:
-            info = self.checker.concepts[mid.decl]
-            sigma = concept_subst(info, mid)
-            out = self.dict_types[key] = CTupleT(tuple(
-                [self.dict_type(env, substitute_type_map(nc, sigma).model)
-                 for nc in info.nested if isinstance(nc, ConceptC)]
-                + [self.conv(env, substitute_type_map(mty, sigma))
-                   for _, mty in info.members]))
+            out = self.dict_types[key] = self._defer(
+                self.types.dict_type, (env, mid, key[2]))
         return out
 
     # ------------------------------------------------------------ scopes
@@ -378,13 +479,12 @@ class Elaborator:
     def evidence_type(self, ev: Evidence) -> CoreType:
         """The core type of that dictionary: the type recorded at its
         binder, projected along the route and renumbered past the type
-        variables bound since."""
+        variables bound since, deferred where that changes it."""
         _, ty, depth = self._dict_binder(ev)
-        for slot in ev.route:
-            ty = ty.elems[slot]
-        if depth < len(self.tscope):
-            ty = shift_ty(ty, len(self.tscope) - depth)
-        return ty
+        shift = len(self.tscope) - depth
+        if not ev.route and not shift:
+            return ty
+        return self._defer(_project, (ty, ev.route, shift))
 
     # ------------------------------------------------------------ rules
 
@@ -456,7 +556,6 @@ class Elaborator:
         of t assumed: the body's type, or, while that is not known, those
         a second walk of e learned, or else the body, whose leading
         introductions predict them.  A same-type assumption erases."""
-        self.kept.append(env)
         if isinstance(e.constraint, SameType):
             return
         pins = self.learned[id(e)] if id(e) in self.learned else _pins(t)
@@ -469,7 +568,7 @@ class Elaborator:
         same-type constraints give a dictionary type other than the
         predicted one, which a model in the body may have read, the body
         is checked again with the one they give, which a later walk of e
-        starts with."""
+        starts with.  Comparing the two makes both."""
         if isinstance(e.constraint, SameType):
             return
         pins, n = self.intros.pop()
@@ -490,7 +589,7 @@ class Elaborator:
         core = self.stack[at]
         for ev in evidence:
             if isinstance(t.constraint, ConceptC):
-                for p in self.abstraction_plan(t.constraint):
+                for p in self.types.abstraction_plan(t.constraint):
                     core = CTyApp(core, self.conv(env, p))
                 core = CApp(core, self.build_dict(ev))
             t = t.body
@@ -515,14 +614,12 @@ class Elaborator:
         bound = dict(zip([name for name, _ in info.member_binds],
                          self.stack[n:]))
         del self.stack[n:]
-        sigma = concept_subst(cinfo, ModelId(info.concept, info.type_args,
-                                             info.decl))
         slots = [self.build_dict(ev) for ev in evidence]
         slots += [bound[name] for name, _ in cinfo.members]
-        types = [self.evidence_type(ev) for ev in evidence]
-        types += [self.conv(env, substitute_type_map(mty, sigma))
-                  for _, mty in cinfo.members]
-        self._bind(id(e), CTupleT(tuple(types)))
+        self._bind(id(e), self._defer(self.types.model_type, (
+            env, ModelId(info.concept, info.type_args, info.decl),
+            [self.evidence_type(ev) for ev in evidence],
+            tuple(self.tscope))))
         self.lets.append((id(e), CTup(tuple(slots))))
 
     def leave(self) -> None:
@@ -543,7 +640,7 @@ class Elaborator:
         frame = []
         while t is not rest and id(e) not in self.unstripped:
             if isinstance(t.constraint, ConceptC):
-                env = self._same_types(env, t.constraint)
+                env = self.types.same_types(env, t.constraint)
                 frame.append(self._enter(env, t.constraint, _pins(t.body)))
                 self.depth += 1
             t = t.body

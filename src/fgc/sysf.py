@@ -3,12 +3,19 @@ lists, tuples, and fix.
 
 Terms and types are immutable trees of `Node`s (see `node.py`) and use
 de Bruijn indices (separately for term and type variables), so type
-equality is structural equality.  Evaluation runs on
-an environment machine: closures, de Bruijn environments and an explicit
-continuation stack, with types erased.  It makes the contractions of the
-call-by-value small-step semantics, in the same order, and spends one unit
-of a fuel budget on each; that semantics lives in `tests/smallstep.py` as
-the reference the machine is tested against.
+equality is structural equality.  A type that lowering has not converted
+yet is a `CDeferred`, made on its first read (`force`) and equal to the
+type it makes.  Evaluation reads no type, so `fgc run` of a program whose
+value is an int or a bool makes none; the core check, the printers, the
+type substitutions and the machine's read-back of a value make each type
+they read, and a made type has no deferred part.
+
+Evaluation runs on an environment machine: closures, de Bruijn
+environments and an explicit continuation stack, with types erased.  It
+makes the contractions of the call-by-value small-step semantics, in the
+same order, and spends one unit of a fuel budget on each; that semantics
+lives in `tests/smallstep.py` as the reference the machine is tested
+against.
 
 The partial list operators are total at the step level: head/tail of the
 empty list step into a well-typed diverging term, so well-typed programs
@@ -56,6 +63,31 @@ class CTVar(CoreType):
 
 class CTupleT(CoreType):
     __slots__ = ("elems",)
+
+
+class CDeferred:
+    """The core type `make(*args)`, made by `force` on its first read and
+    then kept, its arguments dropped.  It stands for a `CoreType` and is
+    not a node: equality and the hash are the made type's."""
+    __slots__ = ("make", "args", "made")
+
+    def __init__(self, make, args: tuple):
+        self.make, self.args, self.made = make, args, None
+
+    def __eq__(self, other):
+        return force(self) == force(other)
+
+    def __hash__(self):
+        return hash(force(self))
+
+
+def force(t: CoreType) -> CoreType:
+    """t, or the type it defers, which has no deferred part."""
+    if t.__class__ is not CDeferred:
+        return t
+    if t.args is not None:
+        t.made, t.args = t.make(*t.args), None
+    return t.made
 
 
 # ---------------------------------------------------------------- terms
@@ -138,6 +170,8 @@ def shift_ty(t: CoreType, by: int, cutoff: int = 0) -> CoreType:
             return CForall(shift_ty(body, by, cutoff + 1))
         case CTupleT(elems):
             return CTupleT(tuple(shift_ty(e, by, cutoff) for e in elems))
+        case CDeferred():
+            return shift_ty(force(t), by, cutoff)
     raise TypeError(f"unexpected core type: {t!r}")
 
 
@@ -158,6 +192,8 @@ def subst_ty(t: CoreType, j: int, s: CoreType) -> CoreType:
             return CForall(subst_ty(body, j + 1, shift_ty(s, 1)))
         case CTupleT(elems):
             return CTupleT(tuple(subst_ty(e, j, s) for e in elems))
+        case CDeferred():
+            return subst_ty(force(t), j, s)
     raise TypeError(f"unexpected core type: {t!r}")
 
 
@@ -221,6 +257,7 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             # renumbered past the type binders crossed since its binder
             return ty if depth == tydepth else shift_ty(ty, tydepth - depth)
         case CLam(ann, body):
+            ann = force(ann)
             _check_ty_wf(ann, tydepth, path)
             ctx.append((ann, tydepth))
             cod = _infer(body, ctx, tydepth, ("body", path))
@@ -231,15 +268,16 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
             # the recursive rule: annotations, body, arguments inside out
             frames = []
             while isinstance(t, CApp) and isinstance(t.fn, CLam):
-                _check_ty_wf(t.fn.ann, tydepth, ("fn", path))
-                frames.append((t, path))
-                ctx.append((t.fn.ann, tydepth))
+                ann = force(t.fn.ann)
+                _check_ty_wf(ann, tydepth, ("fn", path))
+                frames.append((t, ann, path))
+                ctx.append((ann, tydepth))
                 t, path = t.fn.body, ("body", ("fn", path))
             cod = _infer(t, ctx, tydepth, path)
-            for t, path in reversed(frames):
+            for t, ann, path in reversed(frames):
                 ctx.pop()
                 ta = _infer(t.arg, ctx, tydepth, ("arg", path))
-                _check_arg(t.fn.ann, ta, path)
+                _check_arg(ann, ta, path)
             return cod
         case CApp(fn, arg):
             tf = _infer(fn, ctx, tydepth, ("fn", path))
@@ -253,6 +291,7 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
         case CTyLam(body):
             return CForall(_infer(body, ctx, tydepth + 1, ("body", path)))
         case CTyApp(subject, arg):
+            arg = force(arg)
             _check_ty_wf(arg, tydepth, path)
             ts = _infer(subject, ctx, tydepth, ("subject", path))
             if not isinstance(ts, CForall):
@@ -295,6 +334,7 @@ def _infer(t: CoreTerm, ctx: list, tydepth: int, path) -> CoreType:
         case CPrim(op, args):
             return _infer_prim(op, args, ctx, tydepth, path)
         case CNil(elem):
+            elem = force(elem)
             _check_ty_wf(elem, tydepth, path)
             return CList(elem)
         case CCons():
@@ -696,6 +736,7 @@ def _term_back(t: CoreTerm, env, tenv, tcut: int, ycut: int) -> CoreTerm:
 def _type_back(t: CoreType, tenv, cut: int) -> CoreType:
     """t with the types of tenv substituted for its free variables; cut
     counts the binders crossed inside t."""
+    t = force(t)
     while tenv is not None:
         (arg, arg_tenv), tenv = tenv
         t = subst_ty(t, cut, _type_back(arg, arg_tenv, 0))
@@ -710,7 +751,7 @@ def pretty_core_type(t: CoreType, depth: int = 0, prec: int = 0) -> str:
     one list from an explicit stack of pending types and text, so a type
     nested deeper than the recursion limit prints too: a dictionary type
     nests as deep as its concept chain."""
-    out, todo = [], [(t, depth, prec)]
+    out, todo = [], [(force(t), depth, prec)]
     while todo:
         item = todo.pop()
         if isinstance(item, str):

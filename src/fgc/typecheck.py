@@ -180,17 +180,17 @@ NO_CORE = _NoCore()
 
 class Checker:
     def __init__(self, lowering=None):
-        """`lowering`, called with the checker, makes its lowering object;
-        None builds no core."""
+        """`lowering`, called with the checker once its tables exist,
+        makes its lowering object; None builds no core."""
         self.lowering = lowering
-        self.lower = NO_CORE if lowering is None else lowering(self)
         self.diags = []
         self.concepts = {}
         self.terms = {}
         self.flats = {}
         self.paths = {}  # the `lookup_path` memo
         self.tail = set()  # the declarations whose type is the program's
-        self.root = None
+        self.root = Env()
+        self.lower = NO_CORE if lowering is None else lowering(self)
 
     # -- infrastructure
 
@@ -738,7 +738,6 @@ def check_program(e: Expr, checker: Optional[Checker] = None):
     while isinstance(node, (ConceptDecl, ModelDecl, TypeAlias, Let)):
         checker.tail.add(id(node))
         node = node.rest
-    checker.root = Env()
     t = checker.infer(checker.root, e)
     if checker.diags:
         return checker.diags

@@ -404,19 +404,41 @@ def test_written_paths_satisfied_by_a_model_or_an_assumption(
     assert run(capsys, "run", str(f)) == (0, value + "\n", "")
 
 
-@pytest.mark.parametrize("path", [
+PATHS_THROUGH_A_REQUIREMENT = [
     "C<int>.D<int>.T",
     "(forall b. C<b> => C<b>.D<b>.T -> int)",
     # required through the equation and the constraint in front of the path
     "(forall b. forall c. b == c => C<b> => C<b>.D<c>.T -> int)",
-])
-def test_written_paths_through_a_requirement_pass_check(capsys, tmp_path,
-                                                         path):
+]
+
+
+def path_through_a_requirement(tmp_path, path: str) -> str:
     f = tmp_path / "p.fg"
     f.write_text("concept D<a> { T ; ; } in concept C<a> { ; D<a> ; } in "
                  "model D<int> { T = int ; } in model C<int> { ; } in "
                  f"let f = lam x: {path}. 1 in 2")
-    assert run(capsys, "check", str(f)) == (0, "int\n", "")
+    return str(f)
+
+
+@pytest.mark.parametrize("path", PATHS_THROUGH_A_REQUIREMENT)
+def test_written_paths_through_a_requirement_pass_check(capsys, tmp_path,
+                                                         path):
+    f = path_through_a_requirement(tmp_path, path)
+    assert run(capsys, "check", f) == (0, "int\n", "")
+
+
+@pytest.mark.parametrize("path", PATHS_THROUGH_A_REQUIREMENT)
+def test_written_paths_through_a_requirement_run_but_have_no_core_type(
+        capsys, tmp_path, path):
+    # defect (b) of ROADMAP item 1: the path is never equal to D<int>.T,
+    # so f's type has no core image.  `run` never makes that type, since
+    # evaluation reads none, and prints the value; `emit-core` makes every
+    # type and still exits 5
+    f = path_through_a_requirement(tmp_path, path)
+    assert run(capsys, "run", f) == (0, "2\n", "")
+    code, out, err = run(capsys, "emit-core", "--verify", f)
+    assert (code, out) == (EXIT_INTERNAL_ERROR, "")
+    assert err.startswith("fgc: internal error: ElabError: associated type")
 
 
 def _elab_fails(tree, checker):

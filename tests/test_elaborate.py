@@ -19,8 +19,8 @@ from fgc.cli import main
 from fgc.elaborate import ElabError, Elaborator, translate_program
 from fgc.env import PROVED, Env
 from fgc.parser import parse_program
-from fgc.sysf import (CInt, CProj, CTupleT, CVar, Value, sf_eval,
-                      sf_typecheck)
+from fgc.sysf import (CDeferred, CInt, CProj, CTupleT, CVar, Value,
+                      pretty_core, sf_eval, sf_typecheck)
 from fgc.typecheck import Checker, check_program
 from fgc.typeq import ClosureState
 
@@ -617,9 +617,10 @@ def roadmap_chain(m: int) -> str:
 
 def lowered_dict_types(source: str, monkeypatch) -> int:
     """The number of dictionary types, model and assumed alike, that
-    lowering a well-typed program assembles."""
+    lowering a well-typed program assembles, once the core check has made
+    every type lowering deferred."""
     tree = parse_program(source)
-    built = []
+    checker, built = Checker(Elaborator), []
 
     def counting(elems):
         built.append(elems)
@@ -627,7 +628,8 @@ def lowered_dict_types(source: str, monkeypatch) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(fgc.elaborate, "CTupleT", counting)
-        assert check_program(tree, Checker(Elaborator)) == IntT()
+        assert check_program(tree, checker) == IntT()
+        assert sf_typecheck(translate_program(tree, checker)) == CInt()
     return len(built)
 
 
@@ -786,6 +788,101 @@ def test_use_outside_its_binder_is_an_elab_error(source, message, use):
     assert lowering.stack == [use]
 
 
+# ------------------------------------------------ deferred types
+
+
+def eager_core(tree):
+    """The core of a well-typed program with each type made where lowering
+    defers it: in the checker's walk, between its queries, as lowering
+    built every type before it deferred them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fgc.elaborate, "CDeferred", lambda make, a: make(*a))
+        return lower(tree)
+
+
+def deferred_trees(group: str) -> list:
+    """The well-typed programs of the corpus and 200 of `tests/gen.py`, or
+    the well-typed seed-7 and seed-8 programs of a workload."""
+    if group == "corpus_and_generated":
+        rng = random.Random(29)
+        return [parse_program(load(name)) for name in well_typed_names()] \
+            + [well_typed(rng, 4)[0] for _ in range(200)]
+    return [parse_program(p.source) for seed in (7, 8)
+            for p in workload_programs(group, seed) if not p.codes]
+
+
+@pytest.mark.parametrize("group", ["corpus_and_generated", "recursion",
+                                   "concept_chain", "wide_source"])
+def test_deferred_types_change_neither_run_nor_core(group):
+    # `run` evaluates the core without making a type it deferred: the same
+    # value in the same number of steps as the core with every type made
+    # in the walk, and, with its types made, the same core
+    for tree in deferred_trees(group):
+        checker = Checker(Elaborator)
+        assert not isinstance(check_program(tree, checker), list)
+        core = translate_program(tree, checker)
+        out = sf_eval(core)
+        if isinstance(out.value, (bool, int)):
+            assert all(t.args is not None for t in checker.lower.deferred)
+        eager = eager_core(tree)
+        want = sf_eval(eager)
+        assert out == want and out.steps == want.steps
+        assert pretty_core(core) == pretty_core(eager)
+
+
+@pytest.mark.parametrize("workload", ["concept_chain", "recursion"])
+def test_run_makes_no_type_and_emit_core_each_once(workload, capsys,
+                                                   tmp_path, monkeypatch):
+    # `fgc run` of a program whose value is an int converts no type: no
+    # deferred type is made, and no conversion asks a closure for a
+    # canonical form; `fgc emit-core` makes each deferred type once
+    makes, converting, canonical = collections.Counter(), [0], [0]
+
+    def deferring(make, args):
+        key = len(makes)
+        makes[key] = 0
+
+        def counted(*a):
+            makes[key] += 1
+            return make(*a)
+        return CDeferred(counted, args)
+
+    def within(fn):
+        def wrapped(*args):
+            converting[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                converting[0] -= 1
+        return wrapped
+
+    def counting_canonical(self, *args):
+        canonical[0] += converting[0] > 0
+        return closure_canonical(self, *args)
+
+    closure_canonical = ClosureState.canonical
+    monkeypatch.setattr(fgc.elaborate, "CDeferred", deferring)
+    monkeypatch.setattr(ClosureState, "canonical", counting_canonical)
+    for name in ("conv", "_conv_raw", "dict_type"):
+        monkeypatch.setattr(fgc.elaborate._Types, name, within(
+            getattr(fgc.elaborate._Types, name)))
+    f, deferred = tmp_path / "p.fg", 0
+    for p in workload_programs(workload, 7):
+        if p.type != "int":
+            continue
+        f.write_text(p.source)
+        makes.clear()
+        assert main(["run", str(f)]) == 0
+        assert capsys.readouterr().out == p.value + "\n"
+        assert not any(makes.values()) and canonical == [0]
+        makes.clear()
+        assert main(["emit-core", "--verify", str(f)]) == 0
+        assert capsys.readouterr().out.endswith("core: int\n")
+        assert all(n == 1 for n in makes.values())
+        deferred, canonical[0] = deferred + len(makes), 0
+    assert deferred > 100
+
+
 # ------------------------------------------------ plans from the checker
 
 
@@ -827,11 +924,12 @@ def lowered_plans(source: str, monkeypatch) -> tuple:
     expanded the constraint when it was first asked about, and each
     constraint `env.flat` expands meanwhile, for the checker or for
     lowering, with the constraint being planned then, or None; and the
-    checker."""
+    checker.  The core check then makes the types lowering deferred, and
+    the plans and expansions they ask for are recorded too."""
     tree = parse_program(source)
     checker = Checker(Elaborator)
     plans, flats, planning = {}, [], [None]
-    plan, flat = Elaborator.abstraction_plan, fgc.typecheck.flat
+    plan, flat = fgc.elaborate._Types.abstraction_plan, fgc.typecheck.flat
 
     def recording_plan(self, c):
         known = c in checker.flats
@@ -848,9 +946,12 @@ def lowered_plans(source: str, monkeypatch) -> tuple:
         return flat(concepts, c)
 
     with monkeypatch.context() as patch:
-        patch.setattr(Elaborator, "abstraction_plan", recording_plan)
-        patch.setattr(fgc.typecheck, "flat", recording_flat)
+        patch.setattr(fgc.elaborate._Types, "abstraction_plan",
+                      recording_plan)
+        for module in (fgc.typecheck, fgc.elaborate):
+            patch.setattr(module, "flat", recording_flat)
         assert not isinstance(check_program(tree, checker), list), source
+        sf_typecheck(translate_program(tree, checker))
     return plans, flats, checker
 
 
@@ -952,13 +1053,15 @@ def lowering_closures(sources, monkeypatch) -> tuple:
 
 # closures built and equations added by lowering in the walk that checks
 # each workload's seed-7 programs that check, at most 10% over its own
-# 144 / 1,176 on concept_chain, 0 / 0 on recursion and 2 / 2 on
-# wide_source.  Lowering after the checker's walk built 205 / 1,676, 0 / 0
-# and 2 / 2.  What is left on concept_chain is at equation nodes no query
-# of the checker needed: the top concept's plan and dictionary type, and
-# the model chain's member types
-LOWERING_CLOSURES = {"concept_chain": (158, 1293), "recursion": (0, 0),
-                     "wide_source": (2, 2)}
+# 61 / 452 on concept_chain, 0 / 0 on recursion and 0 / 0 on wide_source.
+# Lowering that converted each type in the walk built 144 / 1,176, 0 / 0
+# and 2 / 2, and lowering after the checker's walk 205 / 1,676, 0 / 0 and
+# 2 / 2.  Lowering now defers every type it converts (`sysf.CDeferred`);
+# what is left on concept_chain is the closure of each program's top
+# concept's abstraction plan, which decides how many type parameters the
+# core takes: 96 closures, 35 of which later queries of the checker reuse
+LOWERING_CLOSURES = {"concept_chain": (67, 497), "recursion": (0, 0),
+                     "wide_source": (0, 0)}
 
 
 @pytest.mark.parametrize("workload", sorted(LOWERING_CLOSURES))
