@@ -41,16 +41,15 @@ Lowering converts no type in the walk.  `conv`, `dict_type` and
 `evidence_type` return a deferred type (`sysf.CDeferred`) holding the
 environment, the surface type or model identifier and a snapshot of the
 type scope, which `_Types` converts on its first read (`sysf.force`).
-Evaluation reads no type, so `fgc run` of a program whose value is an int
-or a bool canonicalizes, converts and builds a closure for none; the core
-check, the printers and the machine's read-back of a value make the types
-they read, and `fgc emit-core` makes them all first, in the walk's order
-(`Elaborator.make_types`).  Without equations in scope, `int` and `bool`
-convert at once, which costs less than deferring them.  What decides the
-core's shape stays in the walk: abstraction plans, and so the type
-abstractions and applications, dictionary routes and binder lookups, with
-their `ElabError`s.  A conversion's own `ElabError` (a written path with
-no core image) is raised where its type is made.  A deferred type holds
+Evaluation reads no type, so `fgc run` of a program whose value is an
+int or a bool canonicalizes, converts and builds a closure for none; the
+core check, the printers and the machine's read-back of a value make the
+types they read, and `fgc emit-core` makes them all first, in the walk's
+order (`Elaborator.make_types`).  What decides the core's shape stays in
+the walk: abstraction plans, and so the type abstractions and
+applications, dictionary routes and binder lookups, with their
+`ElabError`s.  A conversion's own `ElabError` (a written path with no
+core image) is raised where its type is made.  A deferred type holds
 `_Types`, which holds the checker's concept table, expansions and root
 environment but neither the checker nor the lowering, so it is made
 after both are gone, and no reference cycle forms.
@@ -59,19 +58,19 @@ Conversions query the equation nodes the checker walked, so they share
 its closures where they are made in the walk's order: a deferred type
 keeps its environment, and so its node, alive, and a conversion assumes
 a type's leading same-type constraints as written, so it finds the
-checker's node.  In the
-walk, lowering builds a closure only for an abstraction plan: on a concept
-chain, at the node of its top concept's plan.  A model's dictionary type
-follows its evidence: each nested slot has the type recorded where the
-dictionary its evidence names was bound, renumbered past the type
-variables bound since and projected along the route; only the member
-slots are converted.  The dictionary type of an assumed constraint is
-deferred, and made, once per (model identifier, equation node, type
-scope).  Abstraction plans are made from the checker's expansions
-(`Checker.flat`) where they can, once per concept declaration, and
-instantiated at each constraint, so a constraint whose type arguments pin
-more paths (`C<int>` where `C` requires `D<int>.U == bool`) takes the
-same type parameters as `C<t>`.
+checker's node.  In the walk, lowering builds a closure only for an
+abstraction plan: on a concept chain, at the node of its top concept's
+plan.  A model's dictionary type follows its evidence: each nested slot
+has the type recorded where the dictionary its evidence names was bound,
+renumbered past the type variables bound since and projected along the
+route; only the member slots are converted.  The dictionary type of an
+assumed constraint is made once per (model identifier, equation node,
+type scope), however often it is deferred.  Abstraction plans are made
+from the checker's expansions (`env.flat_memo` in the checker's table)
+where they can, once per concept declaration, and instantiated at each
+constraint, so a constraint whose type arguments pin more paths
+(`C<int>` where `C` requires `D<int>.U == bool`) takes the same type
+parameters as `C<t>`.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ from .ast import (
     has_path,
     substitute_type_map,
 )
-from .env import Env, Evidence, PROVED, concept_subst, flat
+from .env import Env, Evidence, PROVED, concept_subst, flat_memo
 from .parser import pretty_type
 from .sysf import (
     CApp,
@@ -195,15 +194,9 @@ class _Types:
         self.root = checker.root
         # concept declaration -> its abstraction plan at its own parameters
         self.plans = {}
-        self.dicts = {}  # (model id, equation node, type scope) -> core type
-
-    def flat(self, c: ConceptC) -> tuple:
-        """`Checker.flat`: the expansion of c, memoised in the checker's
-        table."""
-        out = self.flats.get(c)
-        if out is None:
-            out = self.flats[c] = tuple(flat(self.concepts, c))
-        return out
+        # (model id, equation node, type scope) -> made dictionary type:
+        # the one memo of dictionary types
+        self.dicts = {}
 
     def abstraction_plan(self, c: ConceptC) -> tuple:
         """The associated-type paths of a concept constraint's expansion
@@ -232,7 +225,7 @@ class _Types:
                                                 mid.type_args, expanded):
                 c = ConceptC(ModelId(info.name, tuple(
                     TVar(a) for a in info.type_params), info.decl))
-                expanded = self.flat(c)
+                expanded = flat_memo(self.concepts, self.flats, c)
             args = c.model.type_args
             env = self.same_types(self.root, c)
             params = []
@@ -251,8 +244,8 @@ class _Types:
         return tuple(substitute_type_map(p, sigma) for p in plan)
 
     def same_types(self, env: Env, c: ConceptC) -> Env:
-        """env assuming the same-type constraints of flat(c)."""
-        for fc, _ in self.flat(c):
+        """env assuming the same-type constraints of c's expansion."""
+        for fc, _ in flat_memo(self.concepts, self.flats, c):
             if isinstance(fc, SameType):
                 env = env.assume(fc, PROVED)
         return env
@@ -353,11 +346,6 @@ def _project(ty: CoreType, route: tuple, shift: int) -> CoreType:
     return shift_ty(ty, shift) if shift else ty
 
 
-# what a type converts to without equations in scope, where making it
-# costs less than deferring it
-_CONSTANT = {IntT: CINT, BoolT: CBOOL}
-
-
 class Elaborator:
     """The lowering a checker calls as it derives: each rule's method
     builds the rule's core from its children's, which the rules before it
@@ -385,8 +373,6 @@ class Elaborator:
         # type keeps the constraints stripped off their expected type
         self.learned = {}
         self.unstripped = set()
-        # (model id, equation node, tscope) -> deferred dictionary type
-        self.dict_types = {}
         self.deferred = []  # each type deferred, in the walk's order
 
     # ------------------------------------------------------------ types
@@ -430,21 +416,14 @@ class Elaborator:
 
     def conv(self, env: Env, t: Type) -> CoreType:
         """The core type of t in env and the type scope (`_Types.conv`),
-        deferred: `int` and `bool` without equations at once."""
-        if not env.eq_node.depth and t.__class__ in _CONSTANT:
-            return _CONSTANT[t.__class__]
+        deferred."""
         return self._defer(self.types.conv, (env, t, tuple(self.tscope)))
 
     def dict_type(self, env: Env, mid: ModelId) -> CoreType:
-        """The core type of an assumed constraint's dictionary, deferred
-        once per model identifier, equation node and type scope and then
-        shared."""
-        key = (mid, env.eq_node, tuple(self.tscope))
-        out = self.dict_types.get(key)
-        if out is None:
-            out = self.dict_types[key] = self._defer(
-                self.types.dict_type, (env, mid, key[2]))
-        return out
+        """The core type of an assumed constraint's dictionary in the type
+        scope (`_Types.dict_type`, which makes it once), deferred."""
+        return self._defer(self.types.dict_type,
+                           (env, mid, tuple(self.tscope)))
 
     # ------------------------------------------------------------ scopes
 

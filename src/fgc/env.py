@@ -267,6 +267,15 @@ def flat(concepts: dict, constraint: Constraint) -> list:
     return out
 
 
+def flat_memo(concepts: dict, flats: dict, constraint: Constraint) -> tuple:
+    """`flat` of a constraint, memoised in `flats`: concepts only enter
+    the table, so an expansion, once made, stays valid."""
+    out = flats.get(constraint)
+    if out is None:
+        out = flats[constraint] = tuple(flat(concepts, constraint))
+    return out
+
+
 def satisfies(env: Env, constraint: Constraint):
     """The evidence by which the environment satisfies a constraint, or
     None: the most recent matching model or assumption for a concept

@@ -92,7 +92,7 @@ from .env import (
     UnknownMemberError,
     UnsatisfiedConstraintError,
     concept_subst,
-    flat,
+    flat_memo,
     lookup_path,
     satisfies,
 )
@@ -195,12 +195,8 @@ class Checker:
     # -- infrastructure
 
     def flat(self, c: Constraint) -> tuple:
-        """`env.flat` of c, memoised per constraint: concepts only enter
-        the table, so an expansion, once made, stays valid."""
-        out = self.flats.get(c)
-        if out is None:
-            out = self.flats[c] = tuple(flat(self.concepts, c))
-        return out
+        """`env.flat_memo` of c in the checker's table."""
+        return flat_memo(self.concepts, self.flats, c)
 
     def err(self, span, code, message, notes=()):
         self.diags.append(Diagnostic(span, code, message, tuple(notes)))

@@ -414,9 +414,9 @@ def _attributes(code) -> list:
 def test_few_field_classes_run_their_own_equality():
     """Each class with one to three compared fields has its own `__eq__`
     and `__hash__` code objects, which read exactly its compared fields:
-    `self`'s, then `other`'s.  No module writes either method of a node
-    class: `sysf.CDeferred`, which stands for the core type it makes and
-    compares as that type, is not one."""
+    `self`'s, then `other`'s.  No module writes either method except
+    for `sysf.CDeferred`, which stands for the core type it makes and
+    compares as that type."""
     own = [c for c in NODE_CLASSES if 1 <= len(c._compared) <= 3]
     assert {"ModelId", "Arrow", "TVar", "CForall", "CApp", "Value",
             "Env"} <= {c.__name__ for c in own}
@@ -428,10 +428,8 @@ def test_few_field_classes_run_their_own_equality():
         for cls, method in methods.items():
             assert _attributes(method.__code__) == \
                 list(cls._compared) * reads, cls.__name__
-    written = [(m, c, f) for m, c, f in _written({"__eq__", "__hash__"})
-               if c is None or issubclass(
-                   getattr(importlib.import_module(f"fgc.{m}"), c), Node)]
-    assert written == []
+    assert [w for w in _written({"__eq__", "__hash__"})
+            if w[:2] != ("sysf", "CDeferred")] == []
 
 
 def test_only_the_compared_classes_write_their_equality(monkeypatch,

@@ -929,7 +929,7 @@ def lowered_plans(source: str, monkeypatch) -> tuple:
     tree = parse_program(source)
     checker = Checker(Elaborator)
     plans, flats, planning = {}, [], [None]
-    plan, flat = fgc.elaborate._Types.abstraction_plan, fgc.typecheck.flat
+    plan, flat = fgc.elaborate._Types.abstraction_plan, fgc.env.flat
 
     def recording_plan(self, c):
         known = c in checker.flats
@@ -948,8 +948,7 @@ def lowered_plans(source: str, monkeypatch) -> tuple:
     with monkeypatch.context() as patch:
         patch.setattr(fgc.elaborate._Types, "abstraction_plan",
                       recording_plan)
-        for module in (fgc.typecheck, fgc.elaborate):
-            patch.setattr(module, "flat", recording_flat)
+        patch.setattr(fgc.env, "flat", recording_flat)
         assert not isinstance(check_program(tree, checker), list), source
         sf_typecheck(translate_program(tree, checker))
     return plans, flats, checker
@@ -988,14 +987,14 @@ def _distinct_variables(c: ConceptC) -> bool:
 def checker_expansions(source: str, monkeypatch) -> int:
     """The constraints `env.flat` expands in the walk that only checks a
     program."""
-    count, flat = [0], fgc.typecheck.flat
+    count, flat = [0], fgc.env.flat
 
     def counting_flat(concepts, c):
         count[0] += 1
         return flat(concepts, c)
 
     with monkeypatch.context() as patch:
-        patch.setattr(fgc.typecheck, "flat", counting_flat)
+        patch.setattr(fgc.env, "flat", counting_flat)
         check_program(parse_program(source), Checker())
     return count[0]
 
