@@ -17,7 +17,9 @@ argparse is imported and its parser built only to print help or a usage
 error, or to read any line the table's reader leaves to it.  Nothing `main`
 makes for a command is left for the cycle collector, so what it built is
 freed as soon as it returns; it may be called any number of times in one
-process.  A command imports only the modules it runs: `check` and `ast`
+process.  A command runs with automatic collection off, since it would
+find nothing to collect, and `main` restores the caller's setting when it
+returns.  A command imports only the modules it runs: `check` and `ast`
 load neither lowering (`elaborate`) nor the core (`sysf`), and `json` is
 imported only to write `--format json`.
 
@@ -30,6 +32,7 @@ order lowering deferred them, exits 5 on it.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import types
@@ -312,6 +315,8 @@ def main(argv=None) -> int:
         args = build_parser(command).parse_args(argv)
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # a program's integers have any length
+    collecting = gc.isenabled()
+    gc.disable()  # a command leaves no cycle: reference counting frees it
     try:
         code = args.fn(args)
         if sys.stdout is not None:
@@ -328,6 +333,8 @@ def main(argv=None) -> int:
         return _internal_error(f"{type(exc).__name__}: {exc}", args.format)
     finally:
         sys.set_int_max_str_digits(digits)
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

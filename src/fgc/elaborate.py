@@ -308,17 +308,29 @@ class _Types:
     def dict_type(self, env: Env, mid: ModelId, scope: tuple) -> CoreType:
         """The core type of an assumed constraint's dictionary, made once
         per model identifier, equation node and type scope and then
-        shared."""
-        key = (mid, env.eq_node, scope)
-        out = self.dicts.get(key)
-        if out is None:
-            info = self.concepts[mid.decl]
-            sigma = concept_subst(info, mid)
-            out = self.dicts[key] = self.model_type(env, mid, [
-                self.dict_type(env, substitute_type_map(nc, sigma).model,
-                               scope)
-                for nc in info.nested if isinstance(nc, ConceptC)], scope)
-        return out
+        shared.  The types of the nested requirements are made first,
+        bottom up from an explicit stack, in the order a walk recursing
+        into each requirement in turn would make them, so a chain of
+        requirements of any length recurses no deeper."""
+        node, dicts = env.eq_node, self.dicts
+        stack = [mid]
+        while stack:
+            m = stack[-1]
+            if (m, node, scope) in dicts:
+                stack.pop()
+                continue
+            info = self.concepts[m.decl]
+            sigma = concept_subst(info, m)
+            nested = [substitute_type_map(nc, sigma).model
+                      for nc in info.nested if isinstance(nc, ConceptC)]
+            todo = [n for n in nested if (n, node, scope) not in dicts]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            stack.pop()
+            dicts[m, node, scope] = self.model_type(
+                env, m, [dicts[n, node, scope] for n in nested], scope)
+        return dicts[mid, node, scope]
 
     def model_type(self, env: Env, mid: ModelId, nested: list,
                    scope: tuple) -> CoreType:

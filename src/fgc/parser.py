@@ -132,10 +132,11 @@ KEYWORDS = {
     "int", "bool",
 }
 
-# blanks and comments, then a token: the comment's lookahead keeps it whole,
-# and `/` starts no token where it starts a comment, so that every position
-# matches and no match is retried
-_TEXT = re.compile(r"""(?:[ \t\r\n]+|//[^\n]*(?=\n|\Z))*
+# blanks in one class, then each comment with the blanks after it, entered
+# only at `//`; then a token.  A comment runs to the end of its line, and `/`
+# starts no token where it starts a comment, so that every position matches
+# and no match is retried
+_TEXT = re.compile(r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
     ([0-9]+|[A-Za-z_][A-Za-z_0-9]*|==|=>|->|/(?!/)|[^ \t\r\n/]|\Z)""",
                    re.VERBOSE)
 

@@ -189,6 +189,7 @@ class Checker:
         self.flats = {}
         self.paths = {}  # the `lookup_path` memo
         self.tail = set()  # the declarations whose type is the program's
+        self.checked = False  # whether `check_program` has run on it
         self.root = Env()
         self.lower = NO_CORE if lowering is None else lowering(self)
 
@@ -292,8 +293,11 @@ class Checker:
         path step assumed, T007 for a step that the step before it does
         not require and T003 for a step whose model is not satisfied, for
         a model identifier not reported on yet."""
+        steps = dict.fromkeys(_model_steps(t))
+        if not steps:  # then t has no path step either
+            return
         concepts, reported = {}, set()
-        for mid, rest in dict.fromkeys(_model_steps(t)):
+        for mid, rest in steps:
             if mid not in concepts:
                 concepts[mid] = self._concept(mid, span)
             info = concepts[mid]
@@ -721,15 +725,16 @@ def check_program(e: Expr, checker: Optional[Checker] = None):
     """Derive the type of a whole program under the empty environment.
 
     Returns the program type on success, or the list of Diagnostic on
-    failure.  A `checker` passed in is started anew, with a new lowering
-    object from its `lowering`, so that node identities of two programs
-    never mix; on success, its lowering holds the program's core (see
-    `elaborate.translate_program`).
+    failure.  A `checker` that has checked a program before is started
+    anew, with a new lowering object from its `lowering`, so that node
+    identities of two programs never mix; on success, its lowering holds
+    the program's core (see `elaborate.translate_program`).
     """
     if checker is None:
         checker = Checker()
-    else:
+    elif checker.checked:
         checker.__init__(checker.lowering)  # every per-program table anew
+    checker.checked = True
     node = e
     while isinstance(node, (ConceptDecl, ModelDecl, TypeAlias, Let)):
         checker.tail.add(id(node))

@@ -869,3 +869,66 @@ def test_commands_leave_no_fgc_object_to_the_collector(capsys, tmp_path):
         gc.garbage.clear()
         gc.unfreeze()
         gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_callers_collector_setting(capsys, tmp_path,
+                                                     monkeypatch, enabled):
+    # a command runs with automatic collection off, whatever its exit
+    sources = {"type_error": "1 + true", "parse_error": "lam x: int."}
+    paths = {name: tmp_path / f"{name}.fg" for name in sources}
+    for name, source in sources.items():
+        paths[name].write_text(source)
+
+    during = []
+
+    def boom(t):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for cmd, path, code in (
+                ("run", FOLDL, 0), ("check", paths["type_error"], 1),
+                ("ast", paths["parse_error"], 2),
+                ("check", tmp_path / "missing.fg", 3)):
+            assert run(capsys, cmd, str(path))[0] == code
+            assert gc.isenabled() is enabled
+        monkeypatch.setattr(fgc.cli, "pretty_type", boom)
+        assert run(capsys, "check", FOLDL)[0] == EXIT_INTERNAL_ERROR
+        assert gc.isenabled() is enabled and during == [False]
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_commands_start_no_collection(capsys, tmp_path):
+    # with the collector on outside, the largest programs of every
+    # workload are checked and run without one collection
+    paths = []
+    for workload in ("recursion", "concept_chain", "wide_source"):
+        programs = sorted(workload_programs(workload, 7),
+                          key=lambda p: len(p.source))
+        for p in programs[-3:]:
+            paths.append(tmp_path / f"{workload}_{p.name}.fg")
+            paths[-1].write_text(p.source)
+    started = []
+
+    def counting(phase, info):
+        started.append(phase == "start")
+
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        for path in paths:
+            for cmd in ("check", "run"):
+                gc.callbacks.append(counting)
+                try:
+                    code = main([cmd, str(path)])
+                finally:
+                    gc.callbacks.remove(counting)
+                capsys.readouterr()
+                assert code in (0, 1), (cmd, path.name)
+                assert not any(started), (cmd, path.name)
+    finally:
+        (gc.enable if was else gc.disable)()

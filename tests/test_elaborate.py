@@ -565,9 +565,8 @@ def test_one_checker_walk_per_command(capsys, monkeypatch):
     checkers, calls = [], collections.Counter()
     init, infer = Checker.__init__, Checker.infer
 
-    def counting_init(self, *args):  # `check_program` re-initializes it
-        if self not in checkers:
-            checkers.append(self)
+    def counting_init(self, *args):
+        checkers.append(self)
         init(self, *args)
 
     def counting_infer(self, env, e):
@@ -592,7 +591,7 @@ def test_one_checker_walk_per_command(capsys, monkeypatch):
         checkers.clear()
         calls.clear()
         assert main(cmd + [str(PROGRAMS_DIR / "foldl.fg")]) == 0
-        assert len(checkers) == 1
+        assert len(checkers) == 1  # built once, not re-initialized
         nodes = [k for k in calls if isinstance(k, int)]
         assert all(calls[k] == 1 for k in nodes)
         totals[cmd[0]] = (len(nodes), calls["satisfies"],
@@ -662,6 +661,22 @@ def test_emit_core_prints_a_1200_concept_chain(capsys, tmp_path):
     code, out, err = run_cli(capsys, tmp_path, roadmap_chain(1200),
                              "emit-core")
     assert (code, err) == (0, "") and "x1199" + ".0" * 1200 + " 1)" in out
+
+
+def test_a_1200_concept_chain_dictionary_type_is_made_without_recursion(
+        capsys, tmp_path):
+    # the dictionary type of C1199<int> nests the 1,199 below it, made
+    # bottom up rather than by a call per nested requirement
+    source = roadmap_chain(1200).rsplit("\n", 1)[0] + \
+        "\nlet h = C1199<int> => lam x: int. x in h"
+    dict_type = "<" * 1200 + "int -> int>" + ", int -> int>" * 1199
+    assert run_cli(capsys, tmp_path, source, "check") == \
+        (0, "C1199<int> => int -> int\n", "")
+    assert run_cli(capsys, tmp_path, source, "run") == \
+        (0, f"\\x0: {dict_type}. \\x1: int. x1\n", "")
+    code, out, err = run_cli(capsys, tmp_path, source, "emit-core")
+    assert (code, err) == (0, "") and out.count(dict_type) == 3
+    assert out.endswith("<\\x0: int. add(x0, 0)>\n")
 
 
 CONTRADICTORY = ("let g = Lam t. t == int => t == bool => "

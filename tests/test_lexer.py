@@ -90,6 +90,11 @@ def test_workload_programs_lex_as_reference(workload):
     "x\r\ny\r\n  z", "let x = 1 in\r\n// c\r\nx\r\n", "lam x. x\n",
     "x\n\n", "x\n// comment at end of input", "x\n  // c", "\n//",
     "x é", "ab  λ y", "x // é\ny é", "// ééé\n  x  y", "1 +\n  é",
+    # a comment at the end of input with no newline; comment lines in a
+    # row; a comment before a two-character line end; `//` inside a token
+    # run, a lone `/` twice, `//` alone; blanks only
+    "f x // end", "// one\n// two\nx", "x\n// one\n  // two\n",
+    "x // c\r\ny", "a//b", "/ /", "//", " \t\r\n \n",
 ])
 def test_edge_cases_lex_as_reference(src):
     same(src)

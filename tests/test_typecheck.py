@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+import fgc.typecheck
 from fgc.ast import Arrow, IntT, ListT, Type
 from fgc.elaborate import Elaborator, translate_program
 from fgc.parser import ParseError, parse_program, pretty_type
 from fgc.sysf import sf_eval
-from fgc.typecheck import Checker, check_program, contains_err
+from fgc.typecheck import Checker, _model_steps, check_program, contains_err
 
 from corpus import (EXPECTED_CODES, all_names, load, mutants,
                     well_typed_names, workload_programs)
@@ -227,3 +228,31 @@ def test_a_reused_checker_forgets_the_previous_program():
     assert isinstance(check_program(parse_program(first), checker), Type)
     got = check_program(parse_program(second), checker)
     assert got == check_program(parse_program(second), Checker()) == IntT()
+
+
+def test_written_types_without_a_model_skip_the_path_walk(monkeypatch):
+    # a written type that names no model has no path step: its check
+    # returns before walking it for paths
+    entered, written = [], []
+    path_models, write = fgc.typecheck._path_models, Checker._written
+
+    def counting_path_models(expand, env, t):
+        entered.append(t)
+        return path_models(expand, env, t)
+
+    def recording(self, env, t, span):
+        before = len(entered)
+        write(self, env, t, span)
+        written.append((any(True for _ in _model_steps(t)),
+                        len(entered) - before))
+
+    monkeypatch.setattr(fgc.typecheck, "_path_models", counting_path_models)
+    monkeypatch.setattr(Checker, "_written", recording)
+    sources = [load(name) for name in all_names()]
+    sources += [p.source for p in workload_programs("concept_chain", 7)]
+    for source in sources:
+        check_program(parse_program(source))
+    free = [calls for named, calls in written if not named]
+    named = [calls for has, calls in written if has]
+    assert len(free) > 1000 and not any(free)
+    assert named and all(named)
