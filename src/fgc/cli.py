@@ -308,6 +308,17 @@ def _read_argv(argv):
 
 
 def main(argv=None) -> int:
+    # before anything is allocated, so reading argv cannot start one either
+    collecting = gc.isenabled()
+    gc.disable()  # a command leaves no cycle: reference counting frees it
+    try:
+        return _command(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _command(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
     if args is None:
@@ -315,8 +326,6 @@ def main(argv=None) -> int:
         args = build_parser(command).parse_args(argv)
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # a program's integers have any length
-    collecting = gc.isenabled()
-    gc.disable()  # a command leaves no cycle: reference counting frees it
     try:
         code = args.fn(args)
         if sys.stdout is not None:
@@ -333,8 +342,6 @@ def main(argv=None) -> int:
         return _internal_error(f"{type(exc).__name__}: {exc}", args.format)
     finally:
         sys.set_int_max_str_digits(digits)
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -917,16 +917,22 @@ def test_commands_start_no_collection(capsys, tmp_path):
     def counting(phase, info):
         started.append(phase == "start")
 
-    was = gc.isenabled()
+    was, threshold = gc.isenabled(), gc.get_threshold()
     gc.enable()
     try:
         for path in paths:
             for cmd in ("check", "run"):
+                argv = [cmd, str(path)]
+                gc.collect()
+                # a collection is due at the first allocation main makes
+                # with the collector on, whatever the test did before
+                gc.set_threshold(1, *threshold[1:])
                 gc.callbacks.append(counting)
                 try:
-                    code = main([cmd, str(path)])
+                    code = main(argv)
                 finally:
                     gc.callbacks.remove(counting)
+                    gc.set_threshold(*threshold)
                 capsys.readouterr()
                 assert code in (0, 1), (cmd, path.name)
                 assert not any(started), (cmd, path.name)
