@@ -136,22 +136,18 @@ def _parse(path: str, fmt: str):
         return EXIT_PARSE_ERROR, None
 
 
-def _parse_and_check(path: str, fmt: str, lowering=None, fault=()):
+def _parse_and_check(path: str, fmt: str, lowering=None):
     """Returns (exit_code, tree, type, checker), all but the code None on
     failure.  With a `lowering` (`elaborate.Elaborator`), the checker
-    lowers the program as it checks it, and translate_program returns the
-    core; should lowering raise its `fault` (`elaborate.ElabError`), a
-    program with diagnostics reports them."""
+    lowers the program as it checks it, in one walk, and
+    translate_program returns the core; lowering makes no type in the
+    walk, so a fault it raises there (`elaborate.ElabError`) is an
+    internal error like any other."""
     code, tree = _parse(path, fmt)
     if tree is None:
         return code, None, None, None
     checker = Checker(lowering)
-    try:
-        result = check_program(tree, checker)
-    except fault:
-        result = check_program(tree, Checker())
-        if not isinstance(result, list):
-            raise
+    result = check_program(tree, checker)
     if isinstance(result, list):
         _print_diagnostics(result, fmt)
         return EXIT_TYPE_ERROR, None, None, None
@@ -166,11 +162,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .elaborate import ElabError, Elaborator, translate_program
+    from .elaborate import Elaborator, translate_program
     from .sysf import DEFAULT_FUEL, Diverged, Stuck, Value, pretty_core, \
         sf_eval
     code, tree, _, checker = _parse_and_check(args.file, args.format,
-                                              Elaborator, ElabError)
+                                              Elaborator)
     if code != EXIT_OK:
         return code
     core = translate_program(tree, checker)
@@ -194,10 +190,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_emit_core(args) -> int:
-    from .elaborate import ElabError, Elaborator, translate_program
+    from .elaborate import Elaborator, translate_program
     from .sysf import pretty_core, pretty_core_type, sf_typecheck
     code, tree, _, checker = _parse_and_check(args.file, args.format,
-                                              Elaborator, ElabError)
+                                              Elaborator)
     if code != EXIT_OK:
         return code
     checker.lower.make_types()

@@ -12,14 +12,14 @@ binder in scope, and the de Bruijn index is the depth minus one minus that
 level, so no scope is copied per binder.  After a walk without a
 diagnostic, `translate_program` returns the core left on the stack; a
 diagnostic drops the lowering, so a program that fails to check is
-lowered only up to its first error.  Two expressions are walked a second
-time, since a rule cannot see ahead what its premise's type turns out to
-be: one checked against stripped constraints that its own type keeps
-(`unstrip`), and the body of an introduction whose type pins more than
-its syntax predicted, after a model in it read the dictionary's type
-(`introduce`).  The lowering remembers each, so a later walk of it does
-not walk it again, and k of them nested cost at most k + 1 walks of the
-innermost.
+lowered only up to its first error.  Only `unstrip` walks an expression a
+second time, since a rule cannot see ahead what its premise's type turns
+out to be: one checked against stripped constraints that its own type
+keeps.  The lowering remembers it, so a later walk of it does not walk it
+again, and k of them nested cost at most k + 1 walks of the innermost.
+An introduction's body is walked once: its dictionary parameter is bound
+to a deferred type, which a model in the body may read, and `introduce`
+completes it with the same-type constraints in front of the body's type.
 
 Each concept constraint becomes a tuple ("dictionary") holding the
 dictionaries of its nested constraints followed by its member
@@ -82,7 +82,6 @@ from .ast import (
     AssocPath,
     BoolT,
     ConceptC,
-    ConceptDecl,
     Constrained,
     ConstrainedE,
     Expr,
@@ -100,7 +99,6 @@ from .ast import (
     SameType,
     TVar,
     Type,
-    TypeAlias,
     free_type_vars,
     has_path,
     substitute_type_map,
@@ -143,23 +141,15 @@ class ElabError(Exception):
     being built."""
 
 
-def _pins(t) -> tuple:
-    """The same-type constraints among the leading constraints of a type,
-    or, for an expression, those the introductions in front of its type
-    introduce, past the declarations in front of them."""
+def _pins(t: Type) -> tuple:
+    """The same-type constraints among the leading constraints of a
+    type."""
     out = []
-    while True:
-        if isinstance(t, (Constrained, ConstrainedE)):
-            if isinstance(t.constraint, SameType):
-                out.append(t.constraint)
-            t = t.body
-        elif isinstance(t, _DECLARATIONS):
-            t = t.rest
-        else:
-            return tuple(out)
-
-
-_DECLARATIONS = (ConceptDecl, Let, ModelDecl, TypeAlias)
+    while isinstance(t, Constrained):
+        if isinstance(t.constraint, SameType):
+            out.append(t.constraint)
+        t = t.body
+    return tuple(out)
 
 
 def _renames(concepts: dict, args: tuple, expanded: tuple) -> bool:
@@ -378,12 +368,10 @@ class Elaborator:
         # `id`; an entry leaves where its binder's scope ends
         self.binders = {}
         self.lets = []  # (binder, bound core) of each open let and model
-        self.intros = []  # (pins, plan length) of each open introduction
-        # what a second walk learned, so that a later walk never walks the
-        # same expression again: the pins of an introduction, by id, that
-        # its syntax did not predict, and the ids of the expressions whose
-        # type keeps the constraints stripped off their expected type
-        self.learned = {}
+        self.intros = []  # the plan length of each open introduction
+        # the ids of the expressions whose type keeps the constraints
+        # stripped off their expected type, so that a later walk never
+        # walks one again
         self.unstripped = set()
         self.deferred = []  # each type deferred, in the walk's order
 
@@ -397,10 +385,7 @@ class Elaborator:
         the number of type parameters."""
         plan = self.types.abstraction_plan(c)
         self.tscope += [("assoc", p) for p in plan]
-        return self._dict(env, c, pins), len(plan)
-
-    def _dict(self, env: Env, c: ConceptC, pins: tuple) -> CoreType:
-        return self.dict_type(_assume_pins(env, pins), c.model)
+        return self.dict_type(_assume_pins(env, pins), c.model), len(plan)
 
     def _abstract(self, core: CoreTerm, dict_ty: CoreType, n: int):
         """Leave an assumed constraint entered with `_enter`: core under
@@ -540,38 +525,28 @@ class Elaborator:
         del stack[-n:]
         stack.append(CCons(*args) if e.op == "cons" else CPrim(e.op, args))
 
-    def assume(self, env: Env, e: ConstrainedE, t) -> None:
+    def assume(self, env: Env, e: ConstrainedE) -> None:
         """Enter a constraint introduction e whose body is checked in env:
-        its abstracted associated types and its dictionary parameter.  The
-        dictionary type is built with the same-type constraints in front
-        of t assumed: the body's type, or, while that is not known, those
-        a second walk of e learned, or else the body, whose leading
-        introductions predict them.  A same-type assumption erases."""
+        its abstracted associated types and its dictionary parameter, of a
+        deferred type that `introduce` completes.  A same-type assumption
+        erases."""
         if isinstance(e.constraint, SameType):
             return
-        pins = self.learned[id(e)] if id(e) in self.learned else _pins(t)
-        dict_ty, n = self._enter(env, e.constraint, pins)
+        dict_ty, n = self._enter(env, e.constraint, ())
         self._bind(id(e), dict_ty)
-        self.intros.append((pins, n))
+        self.intros.append(n)
 
     def introduce(self, env: Env, e: ConstrainedE, t: Type) -> None:
-        """Close the introduction e, whose body has type t.  When t's
-        same-type constraints give a dictionary type other than the
-        predicted one, which a model in the body may have read, the body
-        is checked again with the one they give, which a later walk of e
-        starts with.  Comparing the two makes both."""
+        """Close the introduction e, whose body has type t.  Its dictionary
+        type, which a model in the body may have read but nothing has made
+        yet, is the one made with the same-type constraints in front of t
+        assumed."""
         if isinstance(e.constraint, SameType):
             return
-        pins, n = self.intros.pop()
-        level, dict_ty, scope = self.binders[id(e)]
-        if _pins(t) != pins and dict_ty != (
-                actual := self._dict(env, e.constraint, _pins(t))):
-            self.learned[id(e)] = _pins(t)
-            self.binders[id(e)] = (level, actual, scope)
-            self.stack.pop()
-            self.checker.infer(env, e.body)
-        self.stack[-1] = self._abstract(self.stack[-1],
-                                        self._unbind(id(e)), n)
+        dict_ty = self._unbind(id(e))
+        dict_ty.args = (_assume_pins(env, _pins(t)), *dict_ty.args[1:])
+        self.stack[-1] = self._abstract(self.stack[-1], dict_ty,
+                                        self.intros.pop())
 
     def eliminate(self, env: Env, t: Type, evidence: list, at: int) -> None:
         """Apply the core at index `at` of the stack, whose type is t, to

@@ -407,7 +407,7 @@ class Checker:
             if env2 is None:
                 self.infer(env, e.body)
                 return ERR
-            self.lower.assume(env2, e, e.body)
+            self.lower.assume(env2, e)
             tb = self.infer(env2, e.body)
             self.lower.introduce(env2, e, tb)
             return Constrained(e.constraint, tb)
@@ -637,7 +637,7 @@ class Checker:
             env2 = self._assume(env, e)
             if env2 is None:
                 return
-            self.lower.assume(env2, e, rest.body)
+            self.lower.assume(env2, e)
             self.check(env2, e.body, rest.body, code, subject)
             self.lower.introduce(env2, e, rest.body)
         else:

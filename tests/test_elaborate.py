@@ -19,13 +19,13 @@ from fgc.cli import main
 from fgc.elaborate import ElabError, Elaborator, translate_program
 from fgc.env import PROVED, Env
 from fgc.parser import parse_program
-from fgc.sysf import (CDeferred, CInt, CProj, CTupleT, CVar, Value,
+from fgc.sysf import (CDeferred, CInt, CProj, CTupleT, CVar, Value, force,
                       pretty_core, sf_eval, sf_typecheck)
 from fgc.typecheck import Checker, check_program
 from fgc.typeq import ClosureState
 
-from corpus import (EXPECTED_VALUES, PROGRAMS_DIR, bench_gen, load,
-                    well_typed_names, workload_programs)
+from corpus import (EXPECTED_VALUES, PROGRAMS_DIR, all_names, bench_gen,
+                    load, well_typed_names, workload_programs)
 from gen import core_ground, well_typed
 from oracle import interpret_direct
 from pipeline import derive, lower, translate_type
@@ -470,14 +470,15 @@ def nested_unstrips(k: int) -> str:
 
 @pytest.mark.parametrize("source, walks, value", [
     (nested_pins(20, False), 1, 2),
-    (nested_pins(20, True), 21, 1),
+    (nested_pins(20, True), 1, 1),
     (nested_unstrips(20), 21, 1)], ids=["predicted", "by_use", "unstrip"])
 def test_nested_second_walks_are_bounded(source, walks, value, monkeypatch):
-    # pins the syntax predicts (a model in front of them) cost no second
-    # walk; pins only the body's type shows, and a member that keeps the
-    # constraints stripped off its type, cost one per introduction or
-    # member, which a later walk of it remembers, so nesting k = 20 of
-    # them walks the innermost body at most k + 1 times and not 2^k
+    # an introduction's body is walked once, whether its syntax shows its
+    # pins (a model in front of them) or only its type does: its
+    # dictionary type is completed when the body's type is known.  A
+    # member that keeps the constraints stripped off its type costs one
+    # second walk, which a later walk of it remembers, so nesting k = 20
+    # of them walks the innermost body at most k + 1 times and not 2^k
     tree = parse_program(source)
     infer, calls = Checker.infer, collections.Counter()
     lowering = [None]
@@ -517,19 +518,12 @@ def test_check_never_lowers(capsys, monkeypatch):
     assert lowerings and set(lowerings) == {None}
 
 
-def test_a_lowering_fault_yields_to_diagnostics(capsys, tmp_path,
-                                               monkeypatch):
-    # lowering fails before the walk reaches the program's diagnostic: the
-    # program reports its diagnostics, as `check` does, and one that
-    # checks reports the fault
-    def fail(*args):
-        raise ElabError("lowering fault")
-    monkeypatch.setattr(Elaborator, "literal", fail)
-    code, _, err = run_cli(capsys, tmp_path, "1 + true", "run")
-    assert code == 1 and "error[T001]" in err
-    code, _, err = run_cli(capsys, tmp_path, "1 + 2", "emit-core")
-    assert code == 5 and "ElabError: lowering fault" in err
-    # any other fault is the compiler's, reported after one walk
+def test_a_lowering_fault_is_an_internal_error_after_one_walk(
+        capsys, tmp_path, monkeypatch):
+    # lowering makes no type in the walk, so a fault it raises there is
+    # the compiler's, as any other fault is: even before the walk reaches
+    # the program's diagnostic, it is reported after one walk, and the
+    # program is not checked again without lowering
     walks = collections.Counter()
     check = fgc.cli.check_program
 
@@ -537,13 +531,48 @@ def test_a_lowering_fault_yields_to_diagnostics(capsys, tmp_path,
         walks[checker.lowering] += 1
         return check(tree, checker)
 
-    def crash(*args):
-        raise RecursionError("deep")
     monkeypatch.setattr(fgc.cli, "check_program", counting_check)
-    monkeypatch.setattr(Elaborator, "literal", crash)
-    code, _, err = run_cli(capsys, tmp_path, "1 + true", "run")
-    assert code == 5 and "RecursionError: deep" in err
-    assert walks == {Elaborator: 1}
+    for fault in (ElabError("lowering fault"), RecursionError("deep")):
+        def fail(*args):
+            raise fault
+        monkeypatch.setattr(Elaborator, "literal", fail)
+        for source, cmd in (("1 + true", "run"), ("1 + 2", "emit-core")):
+            walks.clear()
+            code, _, err = run_cli(capsys, tmp_path, source, cmd)
+            assert code == 5 and f"{type(fault).__name__}: {fault}" in err
+            assert walks == {Elaborator: 1}
+
+
+def test_the_walk_makes_no_type(monkeypatch):
+    # lowering defers every type, and an introduction's dictionary type
+    # until `introduce` completes it, so the walk makes none: what decides
+    # the core's shape is all that can fail in it
+    made = [0]
+
+    def deferring(make, args):
+        def counted(*a):
+            made[0] += 1
+            return make(*a)
+        return CDeferred(counted, args)
+
+    monkeypatch.setattr(fgc.elaborate, "CDeferred", deferring)
+    # the corpus, the inline golden programs and the seed-7 programs of
+    # every workload
+    sources = [load(name) for name in all_names()] + \
+        list(INLINE_GOLDEN.values()) + \
+        [p.source for workload in ("recursion", "concept_chain",
+                                   "wide_source")
+         for p in workload_programs(workload, 7)]
+    lowered = 0  # programs whose types are made once the walk is over
+    for source in sources:
+        checker = Checker(Elaborator)
+        result = check_program(parse_program(source), checker)
+        assert made == [0], source
+        if not isinstance(result, list):
+            checker.lower.make_types()
+            lowered += made[0] > 0
+            made[0] = 0
+    assert lowered > 100
 
 
 def test_reused_checker_keeps_one_derivation():
@@ -809,18 +838,57 @@ def test_use_outside_its_binder_is_an_elab_error(source, message, use):
 def eager_core(tree):
     """The core of a well-typed program with each type made where lowering
     defers it: in the checker's walk, between its queries, as lowering
-    built every type before it deferred them."""
+    built every type before it deferred them.  An introduction's
+    dictionary type is made once `introduce` completes it, and a type made
+    from one as soon as those it is made from are."""
+    assume, introduce = Elaborator.assume, Elaborator.introduce
+    assuming, waiting = [False], []
+
+    def unmade(args):
+        parts = [x for a in args for x in (a if isinstance(a, list) else [a])]
+        return any(x.__class__ is CDeferred and x.args is not None
+                   for x in parts)
+
+    def making(make, args):
+        if not (assuming[0] or unmade(args)):
+            return make(*args)
+        out = CDeferred(make, args)
+        if not assuming[0]:
+            waiting.append(out)
+        return out
+
+    def deferring_assume(self, env, e):
+        assuming[0] = True
+        try:
+            assume(self, env, e)
+        finally:
+            assuming[0] = False
+
+    def completing_introduce(self, env, e, t):
+        entry = self.binders.get(id(e))
+        introduce(self, env, e, t)
+        if entry is not None:
+            force(entry[1])
+            for d in list(waiting):  # in the order they were deferred
+                if not unmade(d.args):
+                    force(d)
+                    waiting.remove(d)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fgc.elaborate, "CDeferred", lambda make, a: make(*a))
+        patch.setattr(fgc.elaborate, "CDeferred", making)
+        patch.setattr(Elaborator, "assume", deferring_assume)
+        patch.setattr(Elaborator, "introduce", completing_introduce)
         return lower(tree)
 
 
 def deferred_trees(group: str) -> list:
-    """The well-typed programs of the corpus and 200 of `tests/gen.py`, or
-    the well-typed seed-7 and seed-8 programs of a workload."""
+    """The well-typed programs of the corpus, the inline golden programs
+    and 200 of `tests/gen.py`, or the well-typed seed-7 and seed-8
+    programs of a workload."""
     if group == "corpus_and_generated":
         rng = random.Random(29)
         return [parse_program(load(name)) for name in well_typed_names()] \
+            + [parse_program(s) for s in INLINE_GOLDEN.values()] \
             + [well_typed(rng, 4)[0] for _ in range(200)]
     return [parse_program(p.source) for seed in (7, 8)
             for p in workload_programs(group, seed) if not p.codes]
