@@ -15,7 +15,8 @@ environments and an explicit continuation stack, with types erased.  It
 makes the contractions of the call-by-value small-step semantics, in the
 same order, and spends one unit of a fuel budget on each; that semantics
 lives in `tests/smallstep.py` as the reference the machine is tested
-against.
+against.  An operand that is already a value (a literal, a lambda, a
+variable not bound by `fix`) is read in place, with no frame.
 
 The partial list operators are total at the step level: head/tail of the
 empty list step into a well-typed diverging term, so well-typed programs
@@ -23,6 +24,8 @@ can only produce a value or diverge, never get stuck.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .node import Node
 
@@ -458,8 +461,12 @@ class _Cons:
 
 
 # continuation frames: tuples tagged by their first element
-(_ARG, _CALL, _PRIM_R, _PRIM2, _PRIM1, _IF, _TYAPP, _FIX, _PROJ, _TUP,
- _CONS_T, _CONS_H) = range(12)
+(_BODY, _ARG, _CALL, _PRIM_R, _PRIM2, _PRIM1, _IF, _TYAPP, _FIX, _PROJ,
+ _TUP, _CONS_T, _CONS_H) = range(13)
+
+# the primitives on two ints, for the `_PRIM2` frame and the in-place redex
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "<": operator.lt, "==": operator.eq}
 
 
 def _stuck(steps: int, fuel: int, reason: str):
@@ -478,6 +485,12 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
     contractions gives `Value(v, steps=k)` when `fuel > k` and
     `Diverged(fuel)` otherwise; an ill-formed redex gives `Stuck`.  A
     value that is not an int or a bool is read back into its core term.
+
+    An operand that takes no contraction is read where its redex needs
+    it, with no frame, and a redex whose operands were all read so
+    contracts at once (after the one unfolding of a `fix`-bound function
+    in a call); an operand that could get stuck takes the frames, which
+    report it as before.  The contractions and their order do not change.
     """
     steps = 0
     stack = []
@@ -486,12 +499,115 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
     while True:
         if steps >= fuel:
             return Diverged(fuel)
+        # the classes in the order of how often the workloads reach them
         cls = term.__class__
-        if cls is CVar:
+        if cls is CApp:
+            # a function that is a lambda, or a variable bound to a closure
+            # or by `fix` to a lambda (one unfolding), is read in place
+            fn, arg = term.fn, term.arg
+            f = fn.__class__
+            if f is CLam:
+                fenv, ftenv = env, tenv
+            elif f is CVar:
+                try:
+                    e, i = env, fn.index
+                    while i > 0:
+                        e, i = e[1], i - 1
+                    f = e[0]
+                except TypeError:
+                    pass
+                if f.__class__ is _Clo:
+                    fn, fenv, ftenv = f.term, f.env, f.tenv
+                elif f.__class__ is _Rec and \
+                        f.clo.term.body.__class__ is CLam:
+                    steps += 1
+                    c = f.clo
+                    fn, fenv, ftenv = c.term.body, (f, c.env), c.tenv
+            if fn.__class__ is not CLam:
+                push((_ARG, arg, env, tenv))
+                term = fn
+                continue
+            # and so is an argument that is a literal, a lambda or a
+            # variable not bound by `fix`; then the call contracts here
+            c, a = arg.__class__, None
+            if c is CVar:
+                try:
+                    e, i = env, arg.index
+                    while i > 0:
+                        e, i = e[1], i - 1
+                    a = e[0]
+                except TypeError:
+                    pass
+                if a.__class__ is _Rec:
+                    a = None
+            elif c is CIntLit or c is CBoolLit:
+                a = arg.value
+            elif c is CLam:
+                a = _Clo(arg, env, tenv)
+            if a is None:
+                push((_BODY, fn.body, fenv, ftenv))
+                term = arg
+                continue
+            steps += 1
+            term, env, tenv = fn.body, (a, fenv), ftenv
+            continue
+        elif cls is CPrim:
+            # operands that are int literals or variables are read in place,
+            # and the redex contracts here when they hold what it needs
+            op, args = term.op, term.args
+            if len(args) == 2:
+                a, b = args
+                try:  # an unbound variable is left to the frames to report
+                    if a.__class__ is CVar:
+                        e, i = env, a.index
+                        while i > 0:
+                            e, i = e[1], i - 1
+                        a = e[0]
+                    elif a.__class__ is CIntLit:
+                        a = a.value
+                    if b.__class__ is CVar:
+                        e, i = env, b.index
+                        while i > 0:
+                            e, i = e[1], i - 1
+                        b = e[0]
+                    elif b.__class__ is CIntLit:
+                        b = b.value
+                except TypeError:
+                    pass
+                f = _INT_OPS.get(op)
+                if f is None or a.__class__ is not int \
+                        or b.__class__ is not int:
+                    push((_PRIM_R, op, args[1], env, tenv))
+                    term = args[0]
+                    continue
+                v = f(a, b)
+            elif len(args) == 1:
+                a = args[0]
+                if a.__class__ is CVar:
+                    try:
+                        e, i = env, a.index
+                        while i > 0:
+                            e, i = e[1], i - 1
+                        a = e[0]
+                    except TypeError:
+                        pass
+                c = a.__class__
+                if c is _Cons and (op == "head" or op == "tail"):
+                    v = a.head if op == "head" else a.tail
+                elif op == "isnil" and (c is _Nil or c is _Cons):
+                    v = c is _Nil
+                else:
+                    push((_PRIM1, op))
+                    term = args[0]
+                    continue
+            else:
+                return _stuck(steps, fuel, f"unknown primitive {op!r}")
+            steps += 1
+        elif cls is CVar:
             try:
-                e = env
-                for _ in range(term.index):
-                    e = e[1]
+                e, i = env, term.index
+                while i > 0:
+                    e, i = e[1], i - 1
                 v = e[0]
             except TypeError:
                 return _stuck(steps, fuel, f"no step for term {term!r}")
@@ -500,32 +616,48 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
                 clo = v.clo
                 term, env, tenv = clo.term.body, (v, clo.env), clo.tenv
                 continue
-        elif cls is CApp:
-            push((_ARG, term.arg, env, tenv))
-            term = term.fn
-            continue
-        elif cls is CIntLit or cls is CBoolLit:
-            v = term.value
-        elif cls is CLam:
-            v = _Clo(term, env, tenv)
-        elif cls is CPrim:
-            args = term.args
-            if len(args) == 2:
-                push((_PRIM_R, term.op, args[1], env, tenv))
-            elif len(args) == 1:
-                push((_PRIM1, term.op))
+        elif cls is CProj:
+            # the projection of a variable bound to a tuple contracts here
+            s = term.subject
+            if s.__class__ is CVar:
+                try:
+                    e, i = env, s.index
+                    while i > 0:
+                        e, i = e[1], i - 1
+                    s = e[0]
+                except TypeError:
+                    pass
+            if s.__class__ is not tuple or not 0 <= term.index < len(s):
+                push((_PROJ, term.index))
+                term = term.subject
+                continue
+            steps += 1
+            v = s[term.index]
+        elif cls is CCons:
+            h = term.head
+            if h.__class__ is CIntLit or h.__class__ is CBoolLit:
+                push((_CONS_H, h.value))  # a literal head is read in place
+                term = term.tail
             else:
-                return _stuck(steps, fuel, f"unknown primitive {term.op!r}")
-            term = args[0]
+                push((_CONS_T, term.tail, env, tenv))
+                term = h
             continue
         elif cls is CIf:
             push((_IF, term.thn, term.els, env, tenv))
             term = term.cond
             continue
-        elif cls is CProj:
-            push((_PROJ, term.index))
-            term = term.subject
-            continue
+        elif cls is CLam:
+            v = _Clo(term, env, tenv)
+        elif cls is CIntLit or cls is CBoolLit:
+            v = term.value
+        elif cls is CTup:
+            elems = term.elems
+            if not elems:
+                v = ()
+            else:
+                push((_TUP, elems, (), env, tenv))
+                term = elems[0]
+                continue
         elif cls is CTyApp:
             push((_TYAPP, term.arg, tenv))
             term = term.subject
@@ -536,27 +668,47 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
             push((_FIX,))
             term = term.body
             continue
-        elif cls is CTup:
-            elems = term.elems
-            if not elems:
-                v = ()
-            else:
-                push((_TUP, elems, (), env, tenv))
-                term = elems[0]
-                continue
-        elif cls is CCons:
-            push((_CONS_T, term.tail, env, tenv))
-            term = term.head
-            continue
         elif cls is CNil:
             v = _Nil(term.elem, tenv)
         else:
             return _stuck(steps, fuel, f"no step for term {term!r}")
 
-        # return the value v to the innermost frame
+        # return the value v to the innermost frame, the kinds again in the
+        # order of how often they are reached
         while stack:
             frame = pop()
             k = frame[0]
+            if k == _BODY:
+                steps += 1
+                term, env, tenv = frame[1], (v, frame[2]), frame[3]
+                break
+            if k == _CONS_H:
+                v = _Cons(frame[1], v)
+                continue
+            if k == _IF:
+                if v.__class__ is not bool:
+                    return _stuck(steps, fuel, "if on a non-boolean value")
+                steps += 1
+                term = frame[1] if v else frame[2]
+                env, tenv = frame[3], frame[4]
+                break
+            if k == _TUP:
+                _, elems, done, env, tenv = frame
+                done += (v,)
+                if len(done) == len(elems):
+                    v = done
+                    continue
+                push((_TUP, elems, done, env, tenv))
+                term = elems[len(done)]
+                break
+            if k == _PROJ:
+                index = frame[1]
+                if v.__class__ is not tuple or not 0 <= index < len(v):
+                    return _stuck(steps, fuel,
+                                  "projection from a non-tuple value")
+                steps += 1
+                v = v[index]
+                continue
             if k == _ARG:
                 push((_CALL, v))
                 _, term, env, tenv = frame
@@ -578,53 +730,18 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
                     if v.__class__ is not _Nil and v.__class__ is not _Cons:
                         return _stuck(steps, fuel, "cons onto a non-list")
                     v = _Cons(a, v)
-                elif op not in ("+", "-", "*", "<", "=="):
+                elif op not in _INT_OPS:
                     return _stuck(steps, fuel, f"unknown primitive {op!r}")
                 elif a.__class__ is not int or v.__class__ is not int:
                     return _stuck(steps, fuel, f"{op} on non-integers")
-                elif op == "+":
-                    v = a + v
-                elif op == "-":
-                    v = a - v
-                elif op == "<":
-                    v = a < v
-                elif op == "==":
-                    v = a == v
                 else:
-                    v = a * v
+                    v = _INT_OPS[op](a, v)
                 steps += 1
                 continue
-            if k == _IF:
-                if v.__class__ is not bool:
-                    return _stuck(steps, fuel, "if on a non-boolean value")
-                steps += 1
-                term = frame[1] if v else frame[2]
-                env, tenv = frame[3], frame[4]
+            if k == _CONS_T:
+                push((_CONS_H, v))
+                _, term, env, tenv = frame
                 break
-            if k == _PRIM1:
-                op, vc = frame[1], v.__class__
-                if op not in ("isnil", "head", "tail"):
-                    return _stuck(steps, fuel, f"unknown primitive {op!r}")
-                if vc is not _Nil and vc is not _Cons:
-                    return _stuck(steps, fuel, f"{op} on a non-list")
-                steps += 1
-                if op == "isnil":
-                    v = vc is _Nil
-                elif vc is _Cons:
-                    v = v.head if op == "head" else v.tail
-                else:  # head or tail of nil diverges rather than sticking
-                    term = _loop(v.elem if op == "head" else CList(v.elem))
-                    env, tenv = None, v.tenv
-                    break
-                continue
-            if k == _PROJ:
-                index = frame[1]
-                if v.__class__ is not tuple or not 0 <= index < len(v):
-                    return _stuck(steps, fuel,
-                                  "projection from a non-tuple value")
-                steps += 1
-                v = v[index]
-                continue
             if k == _TYAPP:
                 if v.__class__ is not _TyClo:
                     return _stuck(steps, fuel,
@@ -639,20 +756,20 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
                 steps += 1
                 term, env, tenv = v.term.body, (_Rec(v), v.env), v.tenv
                 break
-            if k == _TUP:
-                _, elems, done, env, tenv = frame
-                done += (v,)
-                if len(done) == len(elems):
-                    v = done
-                    continue
-                push((_TUP, elems, done, env, tenv))
-                term = elems[len(done)]
+            op, vc = frame[1], v.__class__  # _PRIM1
+            if op not in ("isnil", "head", "tail"):
+                return _stuck(steps, fuel, f"unknown primitive {op!r}")
+            if vc is not _Nil and vc is not _Cons:
+                return _stuck(steps, fuel, f"{op} on a non-list")
+            steps += 1
+            if op == "isnil":
+                v = vc is _Nil
+            elif vc is _Cons:
+                v = v.head if op == "head" else v.tail
+            else:  # head or tail of nil diverges rather than sticking
+                term = _loop(v.elem if op == "head" else CList(v.elem))
+                env, tenv = None, v.tenv
                 break
-            if k == _CONS_T:
-                push((_CONS_H, v))
-                _, term, env, tenv = frame
-                break
-            v = _Cons(frame[1], v)  # _CONS_H
         else:  # the stack is empty: v is the program's value
             if steps >= fuel:
                 return Diverged(fuel)

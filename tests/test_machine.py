@@ -5,7 +5,9 @@ on every program: the same value, the same number of contractions, the
 same printed core for a value that is not an int or a bool, and the same
 fuel boundary.  The programs are the corpus, fixed seeds of the
 `tests/gen.py` generators, and the seed-7 programs of every benchmark
-workload, generated by `fgcbench/gen.py` (imported, never changed).
+workload, generated by `fgcbench/gen.py` (imported, never changed).  On
+the short corpus programs, and on cores that reach each operand the
+machine reads in place, the outcome must agree at every fuel budget.
 """
 
 import gc
@@ -41,6 +43,7 @@ from fgc.sysf import (
     CTup,
     CTyApp,
     CTVar,
+    CTupleT,
     CTyLam,
     CVar,
     Diverged,
@@ -59,23 +62,40 @@ from pipeline import lower
 from smallstep import ref_eval
 
 
-def agree(core, fuel=200_000):
-    """The reference machine's outcome, after asserting that `sf_eval`
-    gives the same one and keeps the same fuel boundary."""
-    ref, out = ref_eval(core, fuel), sf_eval(core, fuel)
+def same_outcome(out, ref):
+    """Assert that `sf_eval`'s outcome `out` is the reference's `ref`: the
+    same kind, steps and value (a core term compared as printed)."""
     assert type(out) is type(ref), (out, ref)
     if not isinstance(ref, Value):
         assert out == ref
-        return ref
+        return
     assert out.steps == ref.steps
     if isinstance(ref.value, (bool, int)):
         assert (type(out.value), out.value) == (type(ref.value), ref.value)
     else:
         assert pretty_core(out.value) == pretty_core(ref.value)
+
+
+def agree(core, fuel=200_000):
+    """The reference machine's outcome, after asserting that `sf_eval`
+    gives the same one and keeps the same fuel boundary."""
+    ref = ref_eval(core, fuel)
+    same_outcome(sf_eval(core, fuel), ref)
+    if not isinstance(ref, Value):
+        return ref
     k = ref.steps
     assert sf_eval(core, k) == Diverged(k)
     assert sf_eval(core, k + 1).steps == k
     return ref
+
+
+def fuel_budgets_agree(core, steps):
+    """Assert that `sf_eval` and the reference give the same outcome at
+    every budget from 0 to the steps + 1 that reach the value: an
+    iteration of the machine may make two contractions, so a budget can
+    end between them."""
+    for fuel in range(steps + 2):
+        same_outcome(sf_eval(core, fuel), ref_eval(core, fuel))
 
 
 def derive_core(e):
@@ -88,8 +108,11 @@ def derive_core(e):
 
 @pytest.mark.parametrize("name", well_typed_names())
 def test_corpus_programs_agree(name):
-    assert agree(lower(parse_program(load(name), name))) \
-        == Value(EXPECTED_VALUES[name])
+    core = lower(parse_program(load(name), name))
+    out = agree(core)
+    assert out == Value(EXPECTED_VALUES[name])
+    if out.steps < 300:
+        fuel_budgets_agree(core, out.steps)
 
 
 def test_generated_programs_agree():
@@ -162,6 +185,9 @@ OMEGA = CApp(LOOP, CIntLit(0))
     CPrim("head", (CNil(CInt()),)),
     CPrim("tail", (CNil(CInt()),)),
     OMEGA,
+    # head of a variable bound to nil: the in-place read leaves it to the
+    # frame, which steps into the diverging term
+    CApp(CLam(CList(CInt()), CPrim("head", (CVar(0),))), CNil(CInt())),
 ])
 def test_divergence_reaches_the_same_fuel(core):
     for fuel in (1, 2, 3, 50):
@@ -181,11 +207,119 @@ def test_divergence_reaches_the_same_fuel(core):
     CPrim("head", (CApp(ID, CIntLit(1)),)),
     CPrim("cons", (CIntLit(1), CIntLit(2))),
     CTyApp(CTyLam(CApp(CIntLit(1), CIntLit(2))), CInt()),
+    # operands the machine reads in place, where the redex sticks
+    CPrim("+", (CBoolLit(True), CBoolLit(False))),
+    CApp(CLam(CInt(), CApp(CVar(0), CIntLit(1))), CIntLit(2)),
+    CApp(CLam(CInt(), CProj(CVar(0), 0)), CIntLit(2)),
+    CApp(CLam(CInt(), CPrim("head", (CVar(0),))), CIntLit(2)),
+    CApp(CLam(CBool(), CPrim("*", (CIntLit(3), CVar(0)))), CBoolLit(True)),
+    # open terms: an unbound variable in an operand
+    CApp(CVar(3), CIntLit(1)),
+    CPrim("+", (CVar(2), CIntLit(1))),
 ])
 def test_stuck_terms_stick_with_the_same_reason(core):
     assert isinstance(ref_eval(core, 100), Stuck)
     for fuel in (1, 2, 100):  # at fuel 1, a later redex is not reached
         assert sf_eval(core, fuel) == ref_eval(core, fuel)
+
+
+def _fix(ty, body):
+    """`fix (\\r: ty. body)`, body seeing r as variable 0."""
+    return CFix(CLam(ty, body))
+
+
+INT2INT = CArrow(CInt(), CInt())
+PAIR = CTup((CIntLit(4), CTup((CBoolLit(False), CIntLit(5)))))
+LIST = CCons(CIntLit(1), CCons(CIntLit(2), CNil(CInt())))
+IN_PLACE = [
+    # a `fix`-bound call on a literal, on a variable and on a lambda
+    CApp(_fix(INT2INT, CLam(CInt(), CIf(
+        CPrim("<", (CVar(0), CIntLit(1))), CVar(0),
+        CApp(CVar(1), CIntLit(0))))), CIntLit(3)),
+    CApp(_fix(INT2INT, CLam(CInt(), CIf(
+        CPrim("==", (CVar(0), CIntLit(0))), CIntLit(7),
+        CApp(CLam(CInt(), CApp(CVar(2), CVar(0))),
+             CPrim("-", (CVar(0), CIntLit(1))))))), CIntLit(4)),
+    CApp(_fix(CArrow(INT2INT, CInt()), CLam(INT2INT, CIf(
+        CPrim("==", (CApp(CVar(0), CIntLit(0)), CIntLit(0))),
+        CApp(CVar(1), CLam(CInt(), CPrim("+", (CVar(0), CIntLit(1))))),
+        CApp(CVar(0), CIntLit(5))))), ID),
+    # a `fix`-bound variable as an argument takes its frame and unfolds once
+    CApp(_fix(INT2INT, CLam(CInt(), CIf(
+        CPrim("<", (CVar(0), CIntLit(1))), CIntLit(0),
+        CApp(CLam(INT2INT, CPrim("+", (
+            CApp(CVar(0), CIntLit(0)),
+            CApp(CVar(0), CPrim("-", (CVar(1), CIntLit(1))))))), CVar(1))))),
+         CIntLit(2)),
+    # a call of a closure-bound variable, and a curried call left as a
+    # closure to read back
+    CApp(CLam(INT2INT, CApp(CVar(0), CIntLit(1))), ID),
+    CApp(CLam(CInt(), CLam(CInt(), CTup((CVar(1), CVar(0))))), CIntLit(8)),
+    # two-operand primitives on values
+    CApp(CLam(CInt(), CApp(CLam(CInt(), CPrim("*", (CVar(1), CVar(0)))),
+                           CPrim("+", (CVar(0), CIntLit(2))))), CIntLit(3)),
+    CPrim("-", (CIntLit(3), CIntLit(9))),
+    CApp(CLam(CInt(), CPrim("<", (CIntLit(2), CVar(0)))), CIntLit(2)),
+    # isnil, head and tail of a variable, a cons of literal heads
+    CApp(CLam(CList(CInt()), CIf(
+        CPrim("isnil", (CVar(0),)), CIntLit(0),
+        CPrim("+", (CPrim("head", (CVar(0),)),
+                    CApp(CLam(CList(CInt()), CPrim("head", (CVar(0),))),
+                         CPrim("tail", (CVar(0),))))))), LIST),
+    CApp(CLam(CList(CInt()), CPrim("tail", (CVar(0),))), LIST),
+    CApp(CLam(CList(CInt()), CPrim("isnil", (CVar(0),))), CNil(CInt())),
+    # a projection of a variable, and of a projection
+    CApp(CLam(CTupleT((CInt(), CTupleT((CBool(), CInt())))),
+              CTup((CProj(CVar(0), 0), CProj(CProj(CVar(0), 1), 1)))),
+         PAIR),
+]
+
+
+@pytest.mark.parametrize("core", IN_PLACE)
+def test_in_place_reads_keep_every_fuel_budget(core):
+    fuel_budgets_agree(core, agree(core).steps)
+
+
+def test_a_deep_recursion_needs_no_python_stack():
+    # fix (\r. \n. if n == 0 then 0 else 1 + r (n - 1)) 100000 runs
+    # 100,000 calls deep on the continuation stack, not on Python's
+    count = _fix(INT2INT, CLam(CInt(), CIf(
+        CPrim("==", (CVar(0), CIntLit(0))), CIntLit(0),
+        CPrim("+", (CIntLit(1), CApp(CVar(1), CPrim("-", (CVar(0),
+                                                          CIntLit(1)))))))))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(60)
+    try:
+        out = sf_eval(CApp(count, CIntLit(100_000)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == Value(100_000) and out.steps == 600_004
+
+
+def test_machine_line_events_per_contraction():
+    # Python line events of `sf_eval` itself, per contraction, over the
+    # seed-7 recursion programs: 39.65 when every operand took a frame and
+    # an iteration of the loop
+    code, lines, steps = sf_eval.__code__, 0, 0
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def local(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return local
+        return local
+    cores = [derive_core(parse_program(p.source, p.name))
+             for p in workload_programs("recursion", 7)]
+    sys.settrace(trace)
+    try:
+        for core in cores:
+            steps += sf_eval(core).steps
+    finally:
+        sys.settrace(None)
+    assert lines <= 0.85 * 39.65 * steps, lines / steps
 
 
 @pytest.mark.parametrize("name", ["wt_fib.fg", "foldl.fg", "wt_list_len.fg"])
