@@ -108,15 +108,6 @@ class EquationNode:
             self.children[equation] = weakref.ref(child)
         return child
 
-    @property
-    def assumed(self) -> tuple:
-        """The equations, oldest first."""
-        out, node = [], self
-        while node.parent is not None:
-            out.append(node.equation)
-            node = node.parent
-        return tuple(reversed(out))
-
     def assumes(self, a: Type, b: Type) -> bool:
         """Whether a = b or b = a is one of the equations as written."""
         node = self

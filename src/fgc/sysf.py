@@ -15,8 +15,8 @@ environments and an explicit continuation stack, with types erased.  It
 makes the contractions of the call-by-value small-step semantics, in the
 same order, and spends one unit of a fuel budget on each; that semantics
 lives in `tests/smallstep.py` as the reference the machine is tested
-against.  An operand that is already a value (a literal, a lambda, a
-variable not bound by `fix`) is read in place, with no frame.
+against.  An operand that takes no contraction, other than the argument
+of an application, is read in place, with no frame.
 
 The partial list operators are total at the step level: head/tail of the
 empty list step into a well-typed diverging term, so well-typed programs
@@ -159,45 +159,44 @@ class CCons(CoreTerm):
 # ---------------------------------------------------------------- shifting
 
 
-def shift_ty(t: CoreType, by: int, cutoff: int = 0) -> CoreType:
+def _map_tvars(t: CoreType, f, depth: int) -> CoreType:
+    """t with f(v, depth) in place of each type variable v, where depth
+    counts the binders crossed inside t.  A part in which f replaces
+    nothing is returned as it is."""
     match t:
-        case CTVar(i):
-            return CTVar(i + by) if i >= cutoff else t
+        case CTVar():
+            return f(t, depth)
         case CInt() | CBool():
             return t
         case CList(elem):
-            return CList(shift_ty(elem, by, cutoff))
+            new = _map_tvars(elem, f, depth)
+            return t if new is elem else CList(new)
         case CArrow(dom, cod):
-            return CArrow(shift_ty(dom, by, cutoff), shift_ty(cod, by, cutoff))
+            d, c = _map_tvars(dom, f, depth), _map_tvars(cod, f, depth)
+            return t if d is dom and c is cod else CArrow(d, c)
         case CForall(body):
-            return CForall(shift_ty(body, by, cutoff + 1))
+            new = _map_tvars(body, f, depth + 1)
+            return t if new is body else CForall(new)
         case CTupleT(elems):
-            return CTupleT(tuple(shift_ty(e, by, cutoff) for e in elems))
+            new = tuple([_map_tvars(e, f, depth) for e in elems])
+            return t if all(map(operator.is_, new, elems)) else CTupleT(new)
         case CDeferred():
-            return shift_ty(force(t), by, cutoff)
+            return _map_tvars(force(t), f, depth)
     raise TypeError(f"unexpected core type: {t!r}")
+
+
+def shift_ty(t: CoreType, by: int, cutoff: int = 0) -> CoreType:
+    return _map_tvars(t, lambda v, d: CTVar(v.index + by)
+                      if v.index >= cutoff + d else v, 0)
 
 
 def subst_ty(t: CoreType, j: int, s: CoreType) -> CoreType:
     """Substitute s for type index j in t and close the gap."""
-    match t:
-        case CTVar(i):
-            if i == j:
-                return s
-            return CTVar(i - 1) if i > j else t
-        case CInt() | CBool():
-            return t
-        case CList(elem):
-            return CList(subst_ty(elem, j, s))
-        case CArrow(dom, cod):
-            return CArrow(subst_ty(dom, j, s), subst_ty(cod, j, s))
-        case CForall(body):
-            return CForall(subst_ty(body, j + 1, shift_ty(s, 1)))
-        case CTupleT(elems):
-            return CTupleT(tuple(subst_ty(e, j, s) for e in elems))
-        case CDeferred():
-            return subst_ty(force(t), j, s)
-    raise TypeError(f"unexpected core type: {t!r}")
+    def replace(v, d):
+        if v.index == j + d:
+            return shift_ty(s, d) if d else s
+        return CTVar(v.index - 1) if v.index > j + d else v
+    return _map_tvars(t, replace, 0)
 
 
 # ---------------------------------------------------------------- checking
@@ -218,25 +217,15 @@ class CoreTypeError(Exception):
 
 
 def _check_ty_wf(t: CoreType, depth: int, path):
-    match t:
-        case CTVar(i):
-            if not 0 <= i < depth:
-                raise CoreTypeError(f"type variable index {i} out of scope",
-                                    path)
-        case CInt() | CBool():
-            pass
-        case CList(elem):
-            _check_ty_wf(elem, depth, path)
-        case CArrow(dom, cod):
-            _check_ty_wf(dom, depth, path)
-            _check_ty_wf(cod, depth, path)
-        case CForall(body):
-            _check_ty_wf(body, depth + 1, path)
-        case CTupleT(elems):
-            for e in elems:
-                _check_ty_wf(e, depth, path)
-        case _:
-            raise CoreTypeError(f"unexpected core type: {t!r}", path)
+    def check(v, d):
+        if not 0 <= v.index < depth + d:
+            raise CoreTypeError(f"type variable index {v.index} out of scope",
+                                path)
+        return v
+    try:
+        _map_tvars(t, check, 0)
+    except TypeError as e:  # a node that is not a type
+        raise CoreTypeError(str(e), path) from None
 
 
 def sf_typecheck(t: CoreTerm) -> CoreType:
@@ -469,6 +458,17 @@ _INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
             "<": operator.lt, "==": operator.eq}
 
 
+def _lookup(env, i: int):
+    """The entry of env at de Bruijn index i, or None, which is no machine
+    value, when i is negative or past the end of env."""
+    try:
+        while i > 0:
+            env, i = env[1], i - 1
+        return env[0] if i == 0 else None
+    except TypeError:  # env ended: None has no entries
+        return None
+
+
 def _stuck(steps: int, fuel: int, reason: str):
     # a redex reached only after the budget is spent is not seen
     return Diverged(fuel) if steps >= fuel else Stuck(reason)
@@ -486,11 +486,13 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
     `Diverged(fuel)` otherwise; an ill-formed redex gives `Stuck`.  A
     value that is not an int or a bool is read back into its core term.
 
-    An operand that takes no contraction is read where its redex needs
-    it, with no frame, and a redex whose operands were all read so
-    contracts at once (after the one unfolding of a `fix`-bound function
-    in a call); an operand that could get stuck takes the frames, which
-    report it as before.  The contractions and their order do not change.
+    The function of an application (a lambda, or a variable bound to a
+    closure or by `fix` to a lambda, after its one unfolding), the
+    operands of a primitive, a projected variable and a literal cons head
+    are read in place, with no frame, and a redex whose operands were all
+    read so contracts at once.  An application's argument, and an operand
+    that could get stuck, take the frames.  The contractions and their
+    order do not change.
     """
     steps = 0
     stack = []
@@ -509,13 +511,7 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
             if f is CLam:
                 fenv, ftenv = env, tenv
             elif f is CVar:
-                try:
-                    e, i = env, fn.index
-                    while i > 0:
-                        e, i = e[1], i - 1
-                    f = e[0]
-                except TypeError:
-                    pass
+                f = _lookup(env, fn.index)
                 if f.__class__ is _Clo:
                     fn, fenv, ftenv = f.term, f.env, f.tenv
                 elif f.__class__ is _Rec and \
@@ -523,57 +519,27 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
                     steps += 1
                     c = f.clo
                     fn, fenv, ftenv = c.term.body, (f, c.env), c.tenv
-            if fn.__class__ is not CLam:
-                push((_ARG, arg, env, tenv))
-                term = fn
-                continue
-            # and so is an argument that is a literal, a lambda or a
-            # variable not bound by `fix`; then the call contracts here
-            c, a = arg.__class__, None
-            if c is CVar:
-                try:
-                    e, i = env, arg.index
-                    while i > 0:
-                        e, i = e[1], i - 1
-                    a = e[0]
-                except TypeError:
-                    pass
-                if a.__class__ is _Rec:
-                    a = None
-            elif c is CIntLit or c is CBoolLit:
-                a = arg.value
-            elif c is CLam:
-                a = _Clo(arg, env, tenv)
-            if a is None:
+            if fn.__class__ is CLam:  # the argument takes the body's frame
                 push((_BODY, fn.body, fenv, ftenv))
                 term = arg
-                continue
-            steps += 1
-            term, env, tenv = fn.body, (a, fenv), ftenv
+            else:
+                push((_ARG, arg, env, tenv))
+                term = fn
             continue
         elif cls is CPrim:
             # operands that are int literals or variables are read in place,
             # and the redex contracts here when they hold what it needs
             op, args = term.op, term.args
             if len(args) == 2:
-                a, b = args
-                try:  # an unbound variable is left to the frames to report
-                    if a.__class__ is CVar:
-                        e, i = env, a.index
-                        while i > 0:
-                            e, i = e[1], i - 1
-                        a = e[0]
-                    elif a.__class__ is CIntLit:
-                        a = a.value
-                    if b.__class__ is CVar:
-                        e, i = env, b.index
-                        while i > 0:
-                            e, i = e[1], i - 1
-                        b = e[0]
-                    elif b.__class__ is CIntLit:
-                        b = b.value
-                except TypeError:
-                    pass
+                a, b = args  # an unbound variable is left to the frames
+                if a.__class__ is CVar:
+                    a = _lookup(env, a.index)
+                elif a.__class__ is CIntLit:
+                    a = a.value
+                if b.__class__ is CVar:
+                    b = _lookup(env, b.index)
+                elif b.__class__ is CIntLit:
+                    b = b.value
                 f = _INT_OPS.get(op)
                 if f is None or a.__class__ is not int \
                         or b.__class__ is not int:
@@ -584,13 +550,7 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
             elif len(args) == 1:
                 a = args[0]
                 if a.__class__ is CVar:
-                    try:
-                        e, i = env, a.index
-                        while i > 0:
-                            e, i = e[1], i - 1
-                        a = e[0]
-                    except TypeError:
-                        pass
+                    a = _lookup(env, a.index)
                 c = a.__class__
                 if c is _Cons and (op == "head" or op == "tail"):
                     v = a.head if op == "head" else a.tail
@@ -604,29 +564,19 @@ def sf_eval(t: CoreTerm, fuel: int = DEFAULT_FUEL):
                 return _stuck(steps, fuel, f"unknown primitive {op!r}")
             steps += 1
         elif cls is CVar:
-            try:
-                e, i = env, term.index
-                while i > 0:
-                    e, i = e[1], i - 1
-                v = e[0]
-            except TypeError:
-                return _stuck(steps, fuel, f"no step for term {term!r}")
+            v = _lookup(env, term.index)
             if v.__class__ is _Rec:
                 steps += 1
                 clo = v.clo
                 term, env, tenv = clo.term.body, (v, clo.env), clo.tenv
                 continue
+            if v is None:
+                return _stuck(steps, fuel, f"no step for term {term!r}")
         elif cls is CProj:
             # the projection of a variable bound to a tuple contracts here
             s = term.subject
             if s.__class__ is CVar:
-                try:
-                    e, i = env, s.index
-                    while i > 0:
-                        e, i = e[1], i - 1
-                    s = e[0]
-                except TypeError:
-                    pass
+                s = _lookup(env, s.index)
             if s.__class__ is not tuple or not 0 <= term.index < len(s):
                 push((_PROJ, term.index))
                 term = term.subject
@@ -810,11 +760,13 @@ def _term_back(t: CoreTerm, env, tenv, tcut: int, ycut: int) -> CoreTerm:
         return t
     match t:
         case CVar(i):
-            if i < tcut:
-                return t
-            for _ in range(i - tcut):
-                env = env[1]
-            return _read_back(env[0])
+            v = _lookup(env, i - tcut)
+            if v is not None:
+                return _read_back(v)
+            # bound inside t, or free past env: renumbered as substituted
+            while i >= tcut and env is not None:
+                env, i = env[1], i - 1
+            return CVar(i)
         case CIntLit() | CBoolLit():
             return t
         case CLam(ann, body):

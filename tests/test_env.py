@@ -79,6 +79,15 @@ def chain(index: dict, decl) -> list:
     return out
 
 
+def equations(node: EquationNode) -> tuple:
+    """The equations of an equation node and its ancestors, oldest first."""
+    out = []
+    while node.parent is not None:
+        out.append(node.equation)
+        node = node.parent
+    return tuple(reversed(out))
+
+
 def test_extension_is_persistent():
     m = mid(SEMIGROUP, IntT())
     env = Env()
@@ -87,7 +96,7 @@ def test_extension_is_persistent():
     env.equate(TVar("b"), IntT())
     assert env.witnesses == {} and env.assumed == {}
     assert satisfies(env, ConceptC(m)) is None
-    assert not env.eq_node.assumed
+    assert not equations(env.eq_node)
     # an extension copies the index it extends and leaves it as it was
     one = env.model(m, Evidence("model"))
     two = one.assume(ConceptC(m), Evidence("assumption"))
@@ -497,7 +506,7 @@ def test_short_cuts_agree_with_the_closure():
         constrained += [(SameType(a, b), SameType(b, a)) for a, b in typed]
         bare = Env(env.witnesses, env.assumed)
         for e in (env, bare):
-            fresh = ClosureState(e.eq_node.assumed)
+            fresh = ClosureState(equations(e.eq_node))
             for a, b in typed:
                 assert e.equal(a, b) == fresh.types_equal(a, b)
                 assert alpha_equal(e.canonical(a), fresh.canonical(a))
@@ -654,8 +663,9 @@ def test_handed_down_closures_agree_with_fresh_ones():
             handed += any(st is b for b in built)
             name, args = random_query(rng, types)
             got = getattr(st, name)(*args)
-            assert got == getattr(fresh_closure(node.assumed), name)(*args), \
-                (node.assumed, name, args)
+            fresh = fresh_closure(equations(node))
+            assert got == getattr(fresh, name)(*args), \
+                (equations(node), name, args)
             assert all(st.best[r] == min(st.members[r], key=st._key)
                        for r in set(map(st.find, range(len(st.nodes)))))
     assert handed > 500

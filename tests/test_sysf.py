@@ -62,6 +62,23 @@ def test_shift_and_subst_types():
         == CArrow(CInt(), CForall(CInt()))
 
 
+def test_shift_and_subst_keep_the_parts_they_leave():
+    # a type in which no variable is replaced comes back as the same object
+    t = CArrow(CInt(), CForall(CTVar(0)))
+    assert shift_ty(t, 1) is t
+    assert subst_ty(t, 0, CBool()) is t
+    # and so does each such part of a type in which one is
+    u = CArrow(CList(CForall(CTVar(0))), CTVar(0))
+    assert shift_ty(u, 2).dom is u.dom and subst_ty(u, 0, CBool()).dom is u.dom
+    assert shift_ty(u, 2) == CArrow(u.dom, CTVar(2))
+
+
+def test_a_non_type_is_a_core_type_error():
+    with pytest.raises(CoreTypeError) as exc:
+        sf_typecheck(CLam(CIntLit(1), CIntLit(2)))
+    assert str(exc.value) == "at <root>: unexpected core type: CIntLit(value=1)"
+
+
 def test_typecheck_basics():
     assert sf_typecheck(CIntLit(3)) == CInt()
     assert sf_typecheck(ID_INT) == CArrow(CInt(), CInt())
